@@ -1,27 +1,28 @@
 """Capacity with state known causally at the encoder.
 
-The encoder is reduced to a deterministic map from (state, auxiliary letter)
-to channel inputs; maximizing Holevo information of the derived ensemble
-over such maps and over the auxiliary distribution gives the capacity. The
-inner maximization is solved by a pairwise conditional-gradient ascent whose
-duality gap certifies the returned value from below.
+A Shannon strategy maps each state letter to an input letter; averaging the
+channel over the state turns it into one derived state per strategy. The
+causal capacity is the Holevo maximum over distributions on all |X|^|S|
+strategies (Shannon 1958), so one certified maximization over that derived
+ensemble computes it. The maximization is a pairwise conditional-gradient
+ascent whose duality gap certifies the returned value from below.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product as iproduct
+from itertools import product as iproduct
 
 import numpy as np
 
 from .channel import RandomizedEncoder, StateChannel
-from .errors import CapExceeded
+from .errors import CapExceeded, GpcqError
 from .quantum import TAU_SUPP, von_neumann_entropy
-from .util import compositions
 
-STRATEGY_CAP = 10**6
+# Largest strategy count |X|^|S| solved for; the only guard against channel
+# files whose strategy ensemble would not fit in memory.
+STRATEGY_CAP = 2**16
 INNER_EPS = 1e-6
 INNER_MAX_ITER = 10**5
 
@@ -31,9 +32,8 @@ class Strategy:
     """Deterministic input choice per (state, auxiliary letter).
 
     columns[u][s] is the input index used when the state is s and the
-    auxiliary letter is u. Strategies that differ only by relabeling the
-    auxiliary alphabet induce the same ensembles, so canonical strategies
-    keep their columns sorted.
+    auxiliary letter is u, so each column is one Shannon strategy. Columns
+    are kept in the lexicographic order of ``itertools.product``.
     """
 
     columns: tuple[tuple[int, ...], ...]
@@ -60,26 +60,21 @@ class Strategy:
         return RandomizedEncoder(self.aux_size, self.kernel(num_inputs))
 
 
-def default_aux_size(num_states: int, num_inputs: int) -> int:
-    """Auxiliary alphabet size sufficient for the causal maximization."""
-    return num_states * (num_inputs - 1) + 2
+def strategy_columns(num_states: int, num_inputs: int) -> np.ndarray:
+    """All |X|^|S| Shannon strategies as rows of input indices, in lexicographic order.
 
-
-def strategy_count(num_states: int, num_inputs: int, aux_size: int) -> int:
-    columns = num_inputs**num_states
-    return math.comb(columns + aux_size - 1, aux_size)
-
-
-def enumerate_strategies(num_states: int, num_inputs: int, aux_size: int, cap: int = STRATEGY_CAP):
-    """All strategies up to auxiliary relabeling, in lexicographic column order."""
-    total = strategy_count(num_states, num_inputs, aux_size)
-    if total > cap:
+    Raises CapExceeded before allocating when the count exceeds STRATEGY_CAP.
+    """
+    count = num_inputs**num_states
+    if count > STRATEGY_CAP:
         raise CapExceeded(
-            f"{total} strategies exceed cap {cap}", count=total, cap=cap
+            f"{count} strategies exceed cap {STRATEGY_CAP}", count=count, cap=STRATEGY_CAP
         )
-    columns = list(iproduct(range(num_inputs), repeat=num_states))
-    for combo in combinations_with_replacement(columns, aux_size):
-        yield Strategy(tuple(combo))
+    return np.array(list(iproduct(range(num_inputs), repeat=num_states)), dtype=np.int64)
+
+
+def _as_strategy(columns: np.ndarray) -> Strategy:
+    return Strategy(tuple(map(tuple, columns.tolist())))
 
 
 def derived_ensemble(ch: StateChannel, strategy: Strategy) -> np.ndarray:
@@ -132,9 +127,15 @@ def inner_maximize(
 
     The returned gap bounds the distance to the optimum: for any weights q,
     max_u D(rho_u || rho_bar(q)) is an upper bound on the optimal value, so
-    value + gap >= optimum regardless of convergence.
+    value + gap >= optimum regardless of convergence. ``iterations`` counts
+    the iterations actually run, also when a solve stalls before max_iter.
+    Non-finite states, a NaN gap, or a final gap that is not finite raise
+    GpcqError; an infinite gap mid-solve is an honest bound and the ascent
+    goes on.
     """
     states = np.asarray(states, dtype=complex)
+    if not np.all(np.isfinite(states)):
+        raise GpcqError("ensemble states have non-finite entries")
     num = states.shape[0]
     entropies = np.array([von_neumann_entropy(s) for s in states])
     if num == 1:
@@ -149,7 +150,11 @@ def inner_maximize(
             terms = direction * div
         if np.any(np.isnan(terms)):
             terms = np.where(np.isnan(terms), 0.0, terms)
-        return float(terms.sum()) if np.all(np.isfinite(terms)) else math.inf
+        # A letter the step empties can leave the support of rho_bar: its
+        # infinite divergence then makes the slope -inf, and the bisection
+        # must shrink the step. Opposite infinities give no slope; shrink too.
+        total = float(terms.sum())
+        return -math.inf if math.isnan(total) else total
 
     def line_search(base, direction, gamma_max):
         if gamma_max <= 0:
@@ -166,12 +171,14 @@ def inner_maximize(
         return 0.5 * (lo + hi)
 
     best_q, best_chi = q.copy(), -math.inf
-    gap = math.inf
+    it = 0
     for it in range(1, max_iter + 1):
         chi, div = _stats(q, states, entropies)
         if chi > best_chi:
             best_chi, best_q = chi, q.copy()
         gap = float(np.max(div) - chi)
+        if math.isnan(gap):
+            raise GpcqError("inner solve produced a NaN duality gap", iteration=it)
         if gap <= eps:
             return InnerSolution(best_q, best_chi, max(gap, 0.0), it, True)
 
@@ -204,126 +211,87 @@ def inner_maximize(
     if chi > best_chi:
         best_chi, best_q = chi, q
     gap = float(np.max(div) - best_chi)
-    return InnerSolution(best_q, best_chi, max(gap, 0.0), max_iter, gap <= eps)
+    if not math.isfinite(gap):
+        raise GpcqError(f"inner solve ended with a non-finite duality gap after {it} iterations")
+    return InnerSolution(best_q, best_chi, max(gap, 0.0), it, gap <= eps)
 
 
 @dataclass(frozen=True)
 class CausalSolution:
+    """Certified causal capacity with its optimal strategy support.
+
+    ``strategy`` and ``q`` hold only the strategies with positive weight, so
+    ``aux_size`` is the support size; ``strategies_searched`` is |X|^|S|.
+    """
+
     value: float
     gap: float
     q: np.ndarray
     strategy: Strategy
     aux_size: int
     strategies_searched: int
+    iterations: int
+    converged: bool
 
 
 def causal_capacity(
     ch: StateChannel,
-    aux_size: int | None = None,
     eps: float = INNER_EPS,
     max_iter: int = INNER_MAX_ITER,
-    cap: int = STRATEGY_CAP,
-    threads: int = 1,
 ) -> CausalSolution:
     """Message capacity with causal state knowledge at the encoder.
 
-    Enumerates deterministic strategies up to auxiliary relabeling and runs
-    the certified inner maximization for each; ties keep the first strategy
-    in enumeration order, which is the lexicographically smallest table.
+    Runs one certified inner maximization over the derived states of all
+    |X|^|S| Shannon strategies and keeps the strategies with positive weight;
+    dropping zero weights leaves the value and the gap unchanged.
     """
-    if aux_size is None:
-        aux_size = default_aux_size(ch.num_states, ch.num_inputs)
-    strategies = list(enumerate_strategies(ch.num_states, ch.num_inputs, aux_size, cap=cap))
-
-    def solve(strategy: Strategy):
-        return inner_maximize(derived_ensemble(ch, strategy), eps=eps, max_iter=max_iter)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solutions = list(pool.map(solve, strategies))
-    else:
-        solutions = [solve(s) for s in strategies]
-
-    best = None
-    for strategy, sol in zip(strategies, solutions):
-        if best is None or sol.value > best[1].value:
-            best = (strategy, sol)
-    strategy, sol = best
+    columns = strategy_columns(ch.num_states, ch.num_inputs)
+    sol = inner_maximize(derived_ensemble(ch, _as_strategy(columns)), eps=eps, max_iter=max_iter)
+    support = sol.q > 0
     return CausalSolution(
         value=sol.value,
         gap=sol.gap,
-        q=sol.q,
-        strategy=strategy,
-        aux_size=aux_size,
-        strategies_searched=len(strategies),
+        q=sol.q[support],
+        strategy=_as_strategy(columns[support]),
+        aux_size=int(support.sum()),
+        strategies_searched=len(columns),
+        iterations=sol.iterations,
+        converged=sol.converged,
     )
 
 
-def _batched_mutual_information(Q: np.ndarray, W: np.ndarray, row_entropies: np.ndarray) -> np.ndarray:
-    PY = Q @ W
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = PY * np.log2(PY)
-    terms = np.where(PY > 0, terms, 0.0)
-    return -terms.sum(axis=1) - Q @ row_entropies
+def classical_channel_capacity(W: np.ndarray, tol: float = 1e-9) -> float:
+    """Capacity of a discrete memoryless channel by Blahut-Arimoto iteration.
 
-
-def _simplex_grid(k: int, resolution: int) -> np.ndarray:
-    pts = np.array(list(compositions(resolution, k)), dtype=float)
-    return pts / resolution
-
-
-def classical_channel_capacity(W: np.ndarray, tol: float = 1e-6) -> float:
-    """Capacity of a discrete memoryless channel by grid search plus refinement.
-
-    Rows of W are output pmfs per input. Duplicate rows are merged first;
-    concavity of mutual information makes the local refinement around the
-    best coarse grid point converge to the global maximum.
+    Rows of W are output pmfs per input. For any input pmf q the largest
+    divergence max_x D(W_x || qW) bounds the capacity from above, so the
+    iteration stops once that bound is within tol of the mutual information
+    I(q; W), which is returned.
     """
     W = np.asarray(W, dtype=float)
-    W = np.unique(np.round(W, 12), axis=0)
-    k = W.shape[0]
-    if k == 1:
-        return 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lw = np.where(W > 0, np.log2(np.where(W > 0, W, 1.0)), 0.0)
-    row_entropies = -np.sum(W * lw, axis=1)
-
-    resolution = 60 if k <= 4 else 24
-    grid = _simplex_grid(k, resolution)
-    values = _batched_mutual_information(grid, W, row_entropies)
-    best_idx = int(np.argmax(values))
-    best_q, best_val = grid[best_idx], float(values[best_idx])
-
-    local = _simplex_grid(k, 10)
-    width = 2.0 / resolution
-    while width > tol / 10:
-        cand = (1 - width) * best_q[None, :] + width * local
-        vals = _batched_mutual_information(cand, W, row_entropies)
-        idx = int(np.argmax(vals))
-        if vals[idx] > best_val:
-            best_val, best_q = float(vals[idx]), cand[idx]
-        width *= 0.5
-    return best_val
+    log_w = np.log2(np.where(W > 0, W, 1.0))
+    q = np.full(W.shape[0], 1.0 / W.shape[0])
+    for _ in range(10**6):
+        out = q @ W
+        div = np.sum(W * (log_w - np.log2(np.where(out > 0, out, 1.0))), axis=1)
+        value = float(q @ div)
+        if float(div.max()) - value <= tol:
+            break
+        q = q * np.exp2(div - div.max())
+        q /= q.sum()
+    return value
 
 
-def shannon_strategy_oracle(
-    w: np.ndarray,
-    p: np.ndarray,
-    aux_size: int,
-    cap: int = STRATEGY_CAP,
-) -> float:
-    """Classical causal capacity via strategy channels, for cross-checking.
+def shannon_strategy_oracle(w: np.ndarray, p: np.ndarray) -> float:
+    """Classical causal capacity via the strategy channel, for cross-checking.
 
-    w has shape (num_states, num_inputs, num_outputs); each strategy induces
-    a channel from auxiliary letters to outputs whose rows are state-averaged,
-    and the best strategy-channel capacity is returned.
+    w has shape (num_states, num_inputs, num_outputs). Each of the |X|^|S|
+    strategies is one input letter of a classical channel whose row is the
+    state-averaged output pmf; its capacity is the causal capacity.
     """
     w = np.asarray(w, dtype=float)
     p = np.asarray(p, dtype=float)
     num_states, num_inputs, _ = w.shape
-    best = 0.0
-    for strategy in enumerate_strategies(num_states, num_inputs, aux_size, cap=cap):
-        cols = np.asarray(strategy.columns, dtype=np.int64)
-        rows = np.einsum("s,usy->uy", p, w[np.arange(num_states)[None, :], cols])
-        best = max(best, classical_channel_capacity(rows))
-    return best
+    cols = strategy_columns(num_states, num_inputs)
+    rows = np.einsum("s,usy->uy", p, w[np.arange(num_states)[None, :], cols])
+    return classical_channel_capacity(rows)

@@ -30,6 +30,7 @@ from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     GpcqError,
+    NonFinite,
     ParseError,
 )
 from .quantum import Distribution, validate_density
@@ -220,11 +221,16 @@ def parse_channel(document: str) -> StateChannel:
 
 
 def _matrix_from_entries(entries, dim: int, key: str) -> np.ndarray:
-    arr = np.asarray(entries, dtype=float)
+    try:
+        arr = np.asarray(entries, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"rho[{key!r}] entries must be numbers") from exc
     if arr.shape != (dim, dim, 2):
         raise ParseError(
             f"rho[{key!r}] must be a {dim}x{dim} array of [re, im] pairs, got shape {arr.shape}"
         )
+    if not np.all(np.isfinite(arr)):
+        raise NonFinite(f"rho[{key!r}] entries must be finite numbers")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

@@ -137,9 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_c = sub.add_parser("causal", help="capacity with causal state knowledge")
     p_c.add_argument("channel")
-    p_c.add_argument("--aux-size", type=int, default=None)
     p_c.add_argument("--eps", type=float, default=INNER_EPS)
-    p_c.add_argument("--threads", type=int, default=1)
     p_c.add_argument("--json", action="store_true")
 
     p_nc = sub.add_parser("noncausal", help="non-causal trade-off lower bound")
@@ -227,7 +225,7 @@ def _cmd_validate(args) -> None:
 
 def _cmd_causal(args) -> None:
     ch = load_channel(args.channel)
-    sol = causal_capacity(ch, aux_size=args.aux_size, eps=args.eps, threads=args.threads)
+    sol = causal_capacity(ch, eps=args.eps)
     payload = {
         "value": sol.value,
         "gap": sol.gap,
@@ -235,6 +233,8 @@ def _cmd_causal(args) -> None:
         "q": [float(x) for x in sol.q],
         "strategy": [list(col) for col in sol.strategy.columns],
         "strategies_searched": sol.strategies_searched,
+        "iterations": sol.iterations,
+        "converged": sol.converged,
     }
     if args.json:
         _print_json(payload)
@@ -247,6 +247,8 @@ def _cmd_causal(args) -> None:
                 ("q", " ".join(_fmt(x) for x in sol.q)),
                 ("strategy", "; ".join(",".join(map(str, col)) for col in sol.strategy.columns)),
                 ("strategies_searched", str(sol.strategies_searched)),
+                ("iterations", str(sol.iterations)),
+                ("converged", str(sol.converged).lower()),
             ]
         )
 

@@ -13,6 +13,10 @@ class GpcqError(Exception):
         self.details = details
 
 
+class NonFinite(GpcqError):
+    code = "non-finite"
+
+
 class NotHermitian(GpcqError):
     code = "not-hermitian"
 

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     BasisNotOrthonormal,
     DimensionMismatch,
+    NonFinite,
     NotHermitian,
     NotPSD,
     TraceNotOne,
@@ -44,6 +45,8 @@ class Distribution:
             raise DimensionMismatch(
                 f"{len(self.labels)} labels but {self.probs.size} masses"
             )
+        if not np.all(np.isfinite(self.probs)):
+            raise NonFinite("masses must be finite numbers")
         if np.any(self.probs < -TAU_TR):
             raise NotPSD(f"negative mass {self.probs.min():.3e}")
         total = float(self.probs.sum())
@@ -84,14 +87,16 @@ def _as_matrix(rho) -> np.ndarray:
 def validate_density(mat, *, context: str = "") -> DensityOperator:
     """Check Hermiticity, positivity and unit trace; return the wrapped operator.
 
-    Raises NotHermitian / NotPSD / TraceNotOne / DimensionMismatch with the
-    offending magnitude in the message. ``context`` is prepended so channel
+    Raises NonFinite / NotHermitian / NotPSD / TraceNotOne / DimensionMismatch
+    with the offending magnitude in the message. ``context`` is prepended so channel
     validation can name the (state, input) pair that failed.
     """
     m = np.asarray(mat, dtype=complex)
     tag = f"{context}: " if context else ""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"{tag}expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise NonFinite(f"{tag}entries must be finite numbers")
     herm_gap = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
     if herm_gap > TAU_HERM:
         raise NotHermitian(f"{tag}|M - M*| = {herm_gap:.3e} exceeds {TAU_HERM:.0e}")

@@ -84,7 +84,7 @@ def test_causal_solver_agrees_with_strategy_oracle(suite, solvers):
     for name in DIAGONAL:
         sol = solvers.causal(name)
         gp = ClassicalGP.from_channel(suite[name])
-        oracle = shannon_strategy_oracle(gp.w, gp.p, sol.aux_size)
+        oracle = shannon_strategy_oracle(gp.w, gp.p)
         assert abs(sol.value - oracle) <= 2e-3, (name, sol.value, oracle)
     assert abs(solvers.causal("flip").value - 1.0) <= 1e-6
     _within(t0, 60.0)

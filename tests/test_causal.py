@@ -1,4 +1,6 @@
-"""Causal-encoder capacity: strategy enumeration and certified inner solver."""
+"""Causal-encoder capacity: Shannon strategies and certified inner solver."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,18 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpcq.causal import (
+    INNER_MAX_ITER,
+    STRATEGY_CAP,
     Strategy,
     causal_capacity,
     classical_channel_capacity,
-    default_aux_size,
     derived_ensemble,
-    enumerate_strategies,
     inner_maximize,
     shannon_strategy_oracle,
-    strategy_count,
 )
 from gpcq.channel import build_channel
-from gpcq.errors import CapExceeded
+from gpcq.errors import CapExceeded, GpcqError
 from gpcq.noncausal import ClassicalGP
 from gpcq.quantum import holevo_quantity
 
@@ -35,27 +36,33 @@ def random_ensemble(rng, num, dim):
     return states / np.trace(states, axis1=1, axis2=2)[:, None, None]
 
 
+def random_classical_channel(rng, num_inputs, dim):
+    """Two-state channel with diagonal outputs: rows are random pmfs."""
+    rows = rng.dirichlet(np.ones(dim), size=(2, num_inputs))
+    states = {(s, str(x)): np.diag(rows[int(s), x]).astype(complex) for s in "01" for x in range(num_inputs)}
+    p = rng.dirichlet(np.ones(2))
+    return build_channel("01", [str(x) for x in range(num_inputs)], dim, states, p), rows, p
+
+
 class TestStrategyEnumeration:
-    def test_counts_up_to_relabeling(self):
-        assert strategy_count(1, 2, 1) == 2
-        assert strategy_count(2, 2, 1) == 4
-        assert strategy_count(2, 2, 2) == 10
-
-    def test_enumeration_matches_count(self):
-        got = list(enumerate_strategies(2, 2, 2))
-        assert len(got) == 10
-        assert len(set(got)) == 10
-        # Raw tables would number num_inputs ** (num_states * aux_size).
-        raw = {
-            tuple(sorted(s.columns)): None
-            for s in (Strategy(((a, b), (c, d))) for a in range(2) for b in range(2) for c in range(2) for d in range(2))
-        }
-        assert len(raw) == 10 and 2 ** (2 * 2) == 16
-
     def test_cap_enforced(self):
-        with pytest.raises(CapExceeded) as exc:
-            list(enumerate_strategies(2, 2, 2, cap=5))
-        assert exc.value.details == {"count": 10, "cap": 5}
+        # 20 states and 2 inputs give 2**20 strategies; the cap is checked
+        # before any strategy table or derived state is allocated.
+        dim1 = np.ones((1, 1), dtype=complex)
+        labels = [str(s) for s in range(20)]
+        states = {(s, x): dim1 for s in labels for x in "01"}
+        ch = build_channel(labels, "01", 1, states, np.full(20, 1 / 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded) as exc:
+                causal_capacity(ch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.details == {"count": 2**20, "cap": STRATEGY_CAP}
+        assert peak < 2**20
+        with pytest.raises(CapExceeded):
+            shannon_strategy_oracle(np.ones((20, 2, 1)), np.full(20, 1 / 20))
 
     def test_kernel_is_deterministic_row_stochastic(self):
         strat = Strategy(((0, 1), (1, 0)))
@@ -63,11 +70,6 @@ class TestStrategyEnumeration:
         assert k.shape == (2, 2, 2)
         assert np.array_equal(k.sum(axis=2), np.ones((2, 2)))
         assert strat.input_for(s=0, u=1) == 1
-
-    def test_default_aux_size(self):
-        assert default_aux_size(1, 2) == 3
-        assert default_aux_size(2, 2) == 4
-        assert default_aux_size(3, 4) == 11
 
 
 class TestInnerMaximize:
@@ -106,14 +108,38 @@ class TestInnerMaximize:
         sol = inner_maximize(PLUS[None])
         assert sol.value == 0.0 and sol.converged
 
+    def test_stalled_solve_reports_iterations_run(self):
+        # A gap of exactly zero is out of reach in floating point, so the
+        # ascent stops once no step improves the value.
+        states = random_ensemble(np.random.default_rng(3), num=3, dim=3)
+        sol = inner_maximize(states, eps=0.0)
+        assert not sol.converged
+        assert sol.iterations < INNER_MAX_ITER
+        assert sol.gap <= 1e-6
+
+    def test_step_that_empties_a_pure_letter_still_converges(self):
+        # At the far end of a step toward KET0 the mixed letters leave the
+        # support of rho_bar, where the slope is -inf; the line search must
+        # shrink the step, not take it.
+        rows = np.array([[0.78, 0.22], [1.0, 0.0], [0.22, 0.78]])
+        sol = inner_maximize(np.stack([np.diag(r) for r in rows]).astype(complex))
+        assert sol.converged and sol.gap <= 1e-6
+        assert sol.value == pytest.approx(classical_channel_capacity(rows), abs=1e-6)
+
+    def test_non_finite_states_are_rejected(self):
+        bad = KET0.copy()
+        bad[0, 1] = np.nan
+        with pytest.raises(GpcqError, match="non-finite"):
+            inner_maximize(np.stack([bad, KET1]))
+
 
 class TestCausalCapacity:
     def test_stateless_orthogonal_channel_is_one_bit(self):
         ch = build_channel(["0"], "01", 2, {("0", "0"): KET0, ("0", "1"): KET1}, [1.0])
         sol = causal_capacity(ch)
         assert sol.value == pytest.approx(1.0, abs=1e-9)
-        assert sol.aux_size == 3
-        assert sol.strategies_searched == 4
+        assert sol.aux_size == 2
+        assert sol.strategies_searched == 2
 
     def test_state_independent_reduces_to_holevo(self):
         states = {(s, x): (KET0 if x == "0" else PLUS) for s in "01" for x in "01"}
@@ -141,17 +167,20 @@ class TestCausalCapacity:
             0.3991239633071448, abs=1e-9
         )
 
-    def test_aux_size_monotone(self, stuck):
-        v2 = causal_capacity(stuck, aux_size=2).value
-        v3 = causal_capacity(stuck, aux_size=3).value
-        assert v2 <= v3 + 1e-9
-        assert v3 > v2 + 1e-3  # aux letter three is genuinely needed here
+    def test_stuck_support_has_three_letters(self, solvers):
+        sol = solvers.causal("stuck")
+        assert sol.aux_size >= 3  # two strategies cannot reach the capacity
+        assert sol.aux_size == len(sol.strategy.columns) == sol.q.size
+        assert np.all(sol.q > 0)
+        assert sol.strategies_searched == 4
 
-    def test_thread_count_does_not_change_result(self, stuck):
-        a = causal_capacity(stuck, threads=1)
-        b = causal_capacity(stuck, threads=4)
-        assert a.value == b.value
+    def test_rerun_is_bit_identical(self, stuck):
+        a = causal_capacity(stuck)
+        b = causal_capacity(stuck)
+        assert a.value == b.value and a.gap == b.gap
+        assert np.array_equal(a.q, b.q)
         assert a.strategy == b.strategy
+        assert a.iterations == b.iterations
 
     def test_derived_ensemble_shapes(self, stuck):
         strat = Strategy(((0, 0), (1, 0), (1, 1)))
@@ -174,13 +203,13 @@ class TestClassicalCrossChecks:
     def test_strategy_oracle_agrees_on_stuck(self, stuck, solvers):
         gp = ClassicalGP.from_channel(stuck)
         sol = solvers.causal("stuck")
-        oracle = shannon_strategy_oracle(gp.w, gp.p, sol.aux_size)
+        oracle = shannon_strategy_oracle(gp.w, gp.p)
         assert oracle == pytest.approx(sol.value, abs=1e-6)
 
     def test_strategy_oracle_agrees_on_flip(self, flip, solvers):
         gp = ClassicalGP.from_channel(flip)
         sol = solvers.causal("flip")
-        oracle = shannon_strategy_oracle(gp.w, gp.p, sol.aux_size)
+        oracle = shannon_strategy_oracle(gp.w, gp.p)
         assert oracle == pytest.approx(sol.value, abs=1e-6)
 
 
@@ -192,3 +221,12 @@ def test_inner_value_bounded_by_log_dim(seed):
     sol = inner_maximize(states)
     assert -1e-12 <= sol.value <= 1.0 + 1e-9
     assert sol.gap >= -1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(2, 3))
+def test_causal_matches_strategy_oracle_on_classical_channels(seed, num_inputs, dim):
+    ch, rows, p = random_classical_channel(np.random.default_rng(seed), num_inputs, dim)
+    sol = causal_capacity(ch)
+    assert sol.gap <= 1e-6
+    assert sol.value == pytest.approx(shannon_strategy_oracle(rows, p), abs=1e-6)

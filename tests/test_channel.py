@@ -60,6 +60,12 @@ class TestParseSerialize:
         with pytest.raises(TraceNotOne, match=r"rho\[0\|0\]"):
             parse_channel(json.dumps(doc))
 
+    def test_non_numeric_entry_is_parse_error(self, flip):
+        doc = json.loads(serialize_channel(flip))
+        doc["rho"]["0|0"][0][0] = ["one", 0.0]
+        with pytest.raises(ParseError, match=r"rho\['0\|0'\] entries must be numbers"):
+            parse_channel(json.dumps(doc))
+
     def test_zero_mass_state_stripped_with_warning(self):
         ch = build_channel(
             "01",

@@ -70,6 +70,19 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["validate", "causal", "holevo"])
+    def test_non_finite_entry_is_domain_error(self, capsys, channel_dir, tmp_path, command):
+        doc = json.loads((channel_dir / "flip.chan").read_text())
+        doc["rho"]["0|0"][1][0][0] = float("nan")
+        bad = tmp_path / "nan.chan"
+        bad.write_text(json.dumps(doc))  # json writes the NaN literal
+        code, out, err = run_cli(capsys, command, str(bad), "--json")
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err.strip().split("\n")[0])
+        assert payload["error"] == "non-finite"
+        assert "Traceback" not in err and "NaN" not in err
+
     def test_validate_ok(self, capsys, channel_dir):
         code, out, _ = run_cli(capsys, "validate", str(channel_dir / "flip.chan"))
         assert code == 0
@@ -94,9 +107,16 @@ class TestJsonSchemas:
         assert code == 0
         payload = json.loads(out)
         assert set(payload) == {
-            "aux_size", "gap", "q", "strategies_searched", "strategy", "value",
+            "aux_size", "converged", "gap", "iterations", "q",
+            "strategies_searched", "strategy", "value",
         }
         assert payload["value"] == pytest.approx(1.0, abs=1e-6)
+        assert payload["converged"] is True
+        # Only the two flip-inverting strategies carry weight; the two
+        # constant ones are dropped from the reported support.
+        assert payload["strategies_searched"] == 4
+        assert payload["aux_size"] == len(payload["strategy"]) == len(payload["q"]) == 2
+        assert sorted(payload["strategy"]) == [[0, 1], [1, 0]]
 
     def test_noncausal_payload(self, capsys, channel_dir):
         code, out, _ = run_cli(

@@ -130,17 +130,18 @@ class TestWitnessHelpers:
         assert tq.shape == (2, 2)
         assert np.array_equal(tstrat, INVERTING)
 
-    def test_product_witness_preserves_per_symbol_value(self, flip, purecq):
-        for ch, q, strat in [
-            (flip, UNIFORM_Q, INVERTING),
-            (purecq, np.array([[0.7, 0.3], [0.2, 0.8]]), np.array([[0, 1], [1, 1]])),
+    def test_product_witness_preserves_per_symbol_value(self, flip, purecq, stuck):
+        for ch, q, strat, n in [
+            (flip, UNIFORM_Q, INVERTING, 2),
+            (purecq, np.array([[0.7, 0.3], [0.2, 0.8]]), np.array([[0, 1], [1, 1]]), 2),
+            (stuck, np.array([[0.6, 0.4], [0.1, 0.9]]), np.array([[0, 1], [1, 0]]), 3),
         ]:
             single = gp_objective(ch, q, strat)
-            ch2 = product_extension(ch, 2)
-            q2, strat2 = product_witness(q, strat, ch.num_inputs)
-            pair = gp_objective(ch2, q2, strat2, n=2)
-            assert pair.value == pytest.approx(single.value, abs=1e-10)
-            assert pair.leak == pytest.approx(2 * single.leak, abs=1e-10)
+            block = product_extension(ch, n)
+            qn, stratn = product_witness(q, strat, ch.num_inputs, n=n)
+            lifted = gp_objective(block, qn, stratn, n=n)
+            assert lifted.value == pytest.approx(single.value, abs=1e-10)
+            assert lifted.leak == pytest.approx(n * single.leak, abs=1e-10)
 
     def test_conditionals_close(self):
         assert witness_conditionals_close(UNIFORM_Q, UNIFORM_Q, tol=1e-12)
@@ -174,6 +175,13 @@ class TestNoncausalLowerBound:
     def test_dominates_causal_everywhere(self, solvers, suite):
         for name in suite:
             assert solvers.noncausal(name).value >= solvers.causal(name).value - 1e-9
+
+    def test_blocklength_two_dominates_causal_by_construction(self, suite, solvers):
+        # One round from one random start, so the bound rests on the lifted
+        # single-letter causal seed rather than on the search.
+        for name, ch in suite.items():
+            wit = noncausal_lower_bound(ch, n=2, restarts=1, max_rounds=1)
+            assert wit.value >= solvers.causal(name).value - 1e-9, name
 
     def test_purecq_frozen_value(self, solvers):
         assert solvers.noncausal("purecq").value == pytest.approx(

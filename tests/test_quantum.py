@@ -6,6 +6,7 @@ import pytest
 from gpcq.errors import (
     BasisNotOrthonormal,
     DimensionMismatch,
+    NonFinite,
     NotHermitian,
     NotPSD,
     TraceNotOne,
@@ -51,6 +52,14 @@ class TestValidateDensity:
     def test_not_hermitian(self):
         with pytest.raises(NotHermitian):
             validate_density(np.array([[0.5, 0.5], [0.0, 0.5]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries(self, bad):
+        # Every comparison with NaN is False, so the checks above pass it.
+        with pytest.raises(NonFinite):
+            validate_density(np.array([[1.0, 0.0], [bad, 0.0]]))
+        with pytest.raises(NonFinite):
+            Distribution(("x", "y"), np.array([bad, 0.5]))
 
 
 class TestVonNeumannEntropy:
