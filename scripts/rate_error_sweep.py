@@ -25,7 +25,6 @@ def main() -> None:
     ap.add_argument("--n", default="2,4,6")
     ap.add_argument("--trials", type=int, default=100)
     ap.add_argument("--seed", type=int, default=2024)
-    ap.add_argument("--threads", type=int, default=4)
     args = ap.parse_args()
 
     ch = load_channel(args.channel)
@@ -42,7 +41,6 @@ def main() -> None:
             n_list=n_list,
             trials=args.trials,
             seed=args.seed,
-            threads=args.threads,
         )
         path = out / f"{pathlib.Path(args.channel).stem}_{scheme}.csv"
         path.write_text(rows_to_csv(rows))

@@ -25,6 +25,9 @@ from .quantum import TAU_SUPP, von_neumann_entropy
 STRATEGY_CAP = 2**16
 INNER_EPS = 1e-6
 INNER_MAX_ITER = 10**5
+# Blahut-Arimoto iterations allowed before classical_channel_capacity gives
+# up on reaching its certified stop.
+CLASSICAL_MAX_ITER = 10**6
 
 
 @dataclass(frozen=True)
@@ -266,20 +269,26 @@ def classical_channel_capacity(W: np.ndarray, tol: float = 1e-9) -> float:
     Rows of W are output pmfs per input. For any input pmf q the largest
     divergence max_x D(W_x || qW) bounds the capacity from above, so the
     iteration stops once that bound is within tol of the mutual information
-    I(q; W), which is returned.
+    I(q; W), which is returned. Raises GpcqError, with the final gap, when
+    CLASSICAL_MAX_ITER iterations do not reach that stop.
     """
     W = np.asarray(W, dtype=float)
     log_w = np.log2(np.where(W > 0, W, 1.0))
     q = np.full(W.shape[0], 1.0 / W.shape[0])
-    for _ in range(10**6):
+    for _ in range(CLASSICAL_MAX_ITER):
         out = q @ W
         div = np.sum(W * (log_w - np.log2(np.where(out > 0, out, 1.0))), axis=1)
         value = float(q @ div)
-        if float(div.max()) - value <= tol:
-            break
+        gap = float(div.max()) - value
+        if gap <= tol:
+            return value
         q = q * np.exp2(div - div.max())
         q /= q.sum()
-    return value
+    raise GpcqError(
+        f"Blahut-Arimoto gap {gap} still above {tol} after {CLASSICAL_MAX_ITER} iterations",
+        gap=gap,
+        iterations=CLASSICAL_MAX_ITER,
+    )
 
 
 def shannon_strategy_oracle(w: np.ndarray, p: np.ndarray) -> float:

@@ -33,7 +33,7 @@ from .errors import (
     NonFinite,
     ParseError,
 )
-from .quantum import Distribution, validate_density
+from .quantum import Distribution, kron_all, validate_density
 
 TAU_COMM = 1e-9
 
@@ -184,14 +184,21 @@ def parse_channel(document: str) -> StateChannel:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # Integers past the interpreter's digit limit, or nesting past its
+        # recursion limit: the text is JSON the reader refuses to hold.
+        raise ParseError(f"unreadable JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
     for key in ("dim", "states", "inputs", "p", "rho"):
         if key not in doc:
             raise ParseError(f"missing field {key!r}")
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ParseError(f"dim must be a positive integer, got {dim!r}")
+    for key in ("states", "inputs"):
+        if not isinstance(doc[key], list):
+            raise ParseError(f"{key} must be a list of labels, got {doc[key]!r}")
     state_alphabet = [str(s) for s in doc["states"]]
     input_alphabet = [str(x) for x in doc["inputs"]]
     p = doc["p"]
@@ -204,7 +211,7 @@ def parse_channel(document: str) -> StateChannel:
     for s in state_alphabet:
         try:
             pvec.append(float(p[s]))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"p[{s!r}] is not a number: {p[s]!r}") from exc
 
     rho = doc["rho"]
@@ -223,7 +230,7 @@ def parse_channel(document: str) -> StateChannel:
 def _matrix_from_entries(entries, dim: int, key: str) -> np.ndarray:
     try:
         arr = np.asarray(entries, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"rho[{key!r}] entries must be numbers") from exc
     if arr.shape != (dim, dim, 2):
         raise ParseError(
@@ -319,10 +326,9 @@ def product_extension(ch: StateChannel, n: int, budget_bytes: int | None = None)
     states = {}
     for s_seq in s_seqs:
         for x_seq in x_seqs:
-            mat = np.ones((1, 1), dtype=complex)
-            for s, x in zip(s_seq, x_seq):
-                mat = np.kron(mat, ch.states[(s, x)])
-            states[(joined(s_seq), joined(x_seq))] = mat
+            states[(joined(s_seq), joined(x_seq))] = kron_all(
+                ch.states[(s, x)] for s, x in zip(s_seq, x_seq)
+            )
     pvec = []
     for s_seq in s_seqs:
         w = 1.0

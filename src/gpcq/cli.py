@@ -146,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_nc.add_argument("--aux-size", type=int, default=None)
     p_nc.add_argument("--restarts", type=int, default=32)
     p_nc.add_argument("--seed", type=int, default=None)
-    p_nc.add_argument("--threads", type=int, default=1)
     p_nc.add_argument("--json", action="store_true")
 
     p_h = sub.add_parser("holevo", help="Holevo capacity of the state-averaged channel")
@@ -183,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--k", type=int, default=2, help="codewords per bin (noncausal)")
     p_sim.add_argument("--delta", type=float, default=0.2)
     p_sim.add_argument("--restarts", type=int, default=8)
-    p_sim.add_argument("--threads", type=int, default=1)
     p_sim.add_argument("--out", default=None)
     p_sim.add_argument("--json", action="store_true")
 
@@ -261,7 +259,6 @@ def _cmd_noncausal(args) -> None:
         aux_size=args.aux_size,
         restarts=args.restarts,
         seed=args.seed,
-        threads=args.threads,
     )
     payload = {
         "value": wit.value,
@@ -460,7 +457,6 @@ def _cmd_simulate(args) -> None:
         K=args.k,
         delta=args.delta,
         restarts=args.restarts,
-        threads=args.threads,
     )
     if args.json:
         _print_json({"rows": [row.__dict__ for row in rows]})

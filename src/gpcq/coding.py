@@ -11,7 +11,6 @@ failures count as full errors.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -31,7 +30,7 @@ from .method_of_types import (
     nearest_type_exhaustive,
     support_floor,
 )
-from .quantum import eigenbasis
+from .quantum import eigenbasis, kron_all
 from .schur_weyl import DecodeContext
 from .util import digit_table, rng_for
 
@@ -141,10 +140,7 @@ def average_error(
     dim_n = ch.dim**code.n
 
     def output_state(s_word, x_word):
-        mat = np.ones((1, 1), dtype=complex)
-        for s, x in zip(s_word, x_word):
-            mat = np.kron(mat, tensor[s, x])
-        return mat
+        return kron_all(tensor[s, x] for s, x in zip(s_word, x_word))
 
     if terms <= term_cap:
         success = 0.0
@@ -358,15 +354,6 @@ def _channel_is_diagonal(ch: StateChannel) -> bool:
     return float(np.max(np.abs(off))) < 1e-13
 
 
-def _run_trials(fn, trials: int, threads: int) -> list:
-    """Run fn(0..trials-1) with order-preserving results; thread count is
-    invisible in the output because every trial derives its own rng."""
-    if threads <= 1:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(trials)))
-
-
 def _mean_ci(values: np.ndarray):
     mean = float(np.mean(values))
     if values.size < 2:
@@ -421,13 +408,6 @@ def _diag_weights(s_digits: np.ndarray, word: np.ndarray, strategy: np.ndarray, 
         step = vecs[s_digits[:, i]]
         out = (out[:, :, None] * step[:, None, :]).reshape(T, -1)
     return out
-
-
-def _full_output_state(s_word, word, strategy: np.ndarray, tensor: np.ndarray) -> np.ndarray:
-    mat = np.ones((1, 1), dtype=complex)
-    for s, u in zip(s_word, word):
-        mat = np.kron(mat, tensor[s, strategy[s, u]])
-    return mat
 
 
 def simulate_noncausal_trial(
@@ -489,7 +469,9 @@ def simulate_noncausal_trial(
             for t, s_word in enumerate(s_digits):
                 for k in range(K):
                     if members[t, k]:
-                        rho = _full_output_state(s_word, words[k, m], strategy, tensor)
+                        rho = kron_all(
+                            tensor[s, strategy[s, u]] for s, u in zip(s_word, words[k, m])
+                        )
                         succ[t] += float(np.real(np.trace(rho @ d_m)))
         with np.errstate(invalid="ignore"):
             succ = np.where(counts_k > 0, succ / np.where(counts_k > 0, counts_k, 1), 0.0)
@@ -519,9 +501,7 @@ def simulate_causal_trial(
     elements, _ = sequential_decoder(projectors)
     succ = 0.0
     for w, el in zip(words, elements):
-        rho = np.ones((1, 1), dtype=complex)
-        for u in w:
-            rho = np.kron(rho, derived_states[u])
+        rho = kron_all(derived_states[u] for u in w)
         succ += float(np.real(np.trace(rho @ el)))
     return 1.0 - succ / M, 0.0
 
@@ -538,7 +518,6 @@ def simulate_rate_error_curve(
     causal_witness=None,
     gp_witness=None,
     restarts: int = 8,
-    threads: int = 1,
 ) -> list[SimRow]:
     """Expected-error sweep over (rate, n) for one scheme, deterministic in seed.
 
@@ -573,19 +552,18 @@ def simulate_rate_error_curve(
             ctx = DecodeContext(states, basis, n, delta)
             for r_idx, rate in enumerate(rates):
                 M = _messages_for_rate(rate, n)
-
-                def one_trial(t, n=n, r_idx=r_idx, M=M, ctx=ctx):
-                    return simulate_causal_trial(
+                results = np.array([
+                    simulate_causal_trial(
                         states, q, ctx, n, M, delta, rng_for(seed, "causal", n, r_idx, t)
                     )
-
-                results = np.array(_run_trials(one_trial, trials, threads))
+                    for t in range(trials)
+                ])
                 err, lo, hi = _mean_ci(results[:, 0])
                 rows.append(SimRow(scheme, n, float(rate), 1, M, err, lo, hi, 0.0))
         return rows
 
     if gp_witness is None:
-        wit = noncausal_lower_bound(ch, n=1, restarts=restarts, seed=seed, threads=threads)
+        wit = noncausal_lower_bound(ch, n=1, restarts=restarts, seed=seed)
         q_rows, strat = trim_witness(wit.q_given_s, wit.strategy, tol=1e-6)
     else:
         q_rows, strat = gp_witness
@@ -608,14 +586,13 @@ def simulate_rate_error_curve(
         ctx = DecodeContext(states, basis, n, delta)
         for r_idx, rate in enumerate(rates):
             M = _messages_for_rate(rate, n)
-
-            def one_trial(t, n=n, r_idx=r_idx, M=M, ctx=ctx):
-                return simulate_noncausal_trial(
+            results = np.array([
+                simulate_noncausal_trial(
                     ch, p_su, strat, ctx, n, K, M, delta,
                     rng_for(seed, "noncausal", n, r_idx, t),
                 )
-
-            results = np.array(_run_trials(one_trial, trials, threads))
+                for t in range(trials)
+            ])
             err, lo, hi = _mean_ci(results[:, 0])
             declares = float(np.mean(results[:, 1]))
             rows.append(SimRow(scheme, n, float(rate), K, M, err, lo, hi, declares))

@@ -11,7 +11,6 @@ is unknown, so restarts plus structured seeds stand in for a global solve.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ from .quantum import kl_divergence
 from .util import compositions, project_simplex, rng_for
 
 ALT_EPS = 1e-7
+ASCENT_ITERS = 50
 DEFAULT_AUX_CAP = 16
 # The closed-form gradient takes logs of q(u|s) and of the eigenvalues of the
 # derived states; both are floored so zero masses and singular states give
@@ -32,10 +32,10 @@ Q_FLOOR = 1e-6
 EIG_FLOOR = 1e-12
 
 
-def default_aux_size(num_states: int, num_inputs: int, n: int, cap: int = DEFAULT_AUX_CAP) -> int:
+def default_aux_size(num_states: int, num_inputs: int, n: int) -> int:
     if n == 1:
         return num_states * (num_inputs + 1)
-    return min((2 * num_states * num_inputs) ** n, cap)
+    return min((2 * num_states * num_inputs) ** n, DEFAULT_AUX_CAP)
 
 
 def mutual_information(joint: np.ndarray) -> float:
@@ -124,14 +124,14 @@ def _gradient(p, tensor, q, strategy) -> np.ndarray:
     return grad - grad.mean(axis=1, keepdims=True)
 
 
-def _ascend_q(p, tensor, q, strategy, iters: int):
+def _ascend_q(p, tensor, q, strategy):
     def f(mat):
         return _objective(p, tensor, mat, strategy).value
 
     # Projected gradient ascent with an Armijo backtracking line search; the
     # closed-form gradient costs the work of one objective evaluation per step.
     cur = f(q)
-    for _ in range(iters):
+    for _ in range(ASCENT_ITERS):
         grad = _gradient(p, tensor, q, strategy)
         norm = float(np.abs(grad).max())
         if norm < 1e-12 or not np.all(np.isfinite(grad)):
@@ -168,12 +168,12 @@ def _sweep_strategy(p, tensor, q, strategy, num_inputs: int):
     return strategy, cur
 
 
-def _alternate(p, tensor, q, strategy, num_inputs, eps_alt, ascent_iters, max_rounds):
+def _alternate(p, tensor, q, strategy, num_inputs, max_rounds):
     val = _objective(p, tensor, q, strategy).value
     for _ in range(max_rounds):
-        q, _ = _ascend_q(p, tensor, q, strategy, ascent_iters)
+        q, _ = _ascend_q(p, tensor, q, strategy)
         strategy, new_val = _sweep_strategy(p, tensor, q, strategy, num_inputs)
-        if new_val <= val + eps_alt:
+        if new_val <= val + ALT_EPS:
             val = max(val, new_val)
             break
         val = new_val
@@ -250,37 +250,30 @@ def noncausal_lower_bound(
     aux_size: int | None = None,
     restarts: int = 32,
     seed: int = 0,
-    eps_alt: float = ALT_EPS,
-    ascent_iters: int = 50,
     max_rounds: int = 40,
-    include_causal_seed: bool = True,
     seed_witnesses: tuple = (),
-    threads: int = 1,
-    aux_cap: int = DEFAULT_AUX_CAP,
-    budget_bytes: int | None = None,
 ) -> GPWitness:
     """Certified lower bound on the per-symbol non-causal rate at blocklength n.
 
-    Seeds include the single-letter causal solution, lifted to blocklength n
-    as an n-fold product witness: it leaks nothing about the state and
-    attains the causal capacity per symbol, and the ascent only accepts
-    improvements, so the bound dominates the causal value by construction.
+    The first start is the single-letter causal solution, lifted to
+    blocklength n as an n-fold product witness: it leaks nothing about the
+    state and attains the causal capacity per symbol, and the ascent only
+    accepts improvements, so the bound dominates the causal value by
+    construction.
     Explicit witnesses follow, each run at its own auxiliary size; remaining
     restarts are random. Ties keep the smallest restart index.
     """
-    ch_n = ch if n == 1 else product_extension(ch, n, budget_bytes=budget_bytes)
+    ch_n = ch if n == 1 else product_extension(ch, n)
     p = ch_n.p.probs
     tensor = ch_n.tensor()
     num_states, num_inputs = ch_n.num_states, ch_n.num_inputs
     if aux_size is None:
-        aux_size = default_aux_size(ch.num_states, ch.num_inputs, n, cap=aux_cap)
+        aux_size = default_aux_size(ch.num_states, ch.num_inputs, n)
 
-    starts = []
-    if include_causal_seed:
-        causal = causal_capacity(ch)
-        q_rows = np.tile(causal.q, (ch.num_states, 1))
-        strat = np.asarray(causal.strategy.columns, dtype=np.int64).T
-        starts.append(product_witness(q_rows, strat, ch.num_inputs, n=n))
+    causal = causal_capacity(ch)
+    q_rows = np.tile(causal.q, (ch.num_states, 1))
+    strat = np.asarray(causal.strategy.columns, dtype=np.int64).T
+    starts = [product_witness(q_rows, strat, ch.num_inputs, n=n)]
     for q_seed, strat_seed in seed_witnesses:
         starts.append((np.asarray(q_seed, dtype=float), np.asarray(strat_seed, dtype=np.int64)))
     num_random = max(restarts - len(starts), 1)
@@ -290,15 +283,7 @@ def noncausal_lower_bound(
         strat0 = rng.integers(0, num_inputs, size=(num_states, aux_size))
         starts.append((q0, strat0))
 
-    def run(start):
-        q0, strat0 = start
-        return _alternate(p, tensor, q0, strat0, num_inputs, eps_alt, ascent_iters, max_rounds)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, starts))
-    else:
-        results = [run(s) for s in starts]
+    results = [_alternate(p, tensor, q0, strat0, num_inputs, max_rounds) for q0, strat0 in starts]
 
     best_idx, best = 0, results[0]
     for idx, res in enumerate(results[1:], start=1):

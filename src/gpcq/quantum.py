@@ -109,6 +109,14 @@ def validate_density(mat, *, context: str = "") -> DensityOperator:
     return DensityOperator(m)
 
 
+def kron_all(mats) -> np.ndarray:
+    """Kronecker product of mats in order, folded left to right from a complex 1x1 one."""
+    out = np.ones((1, 1), dtype=complex)
+    for m in mats:
+        out = np.kron(out, m)
+    return out
+
+
 def spectrum(rho) -> np.ndarray:
     """Eigenvalues sorted in non-increasing order, roundoff negatives clipped."""
     vals = np.linalg.eigvalsh(_as_matrix(rho))

@@ -18,7 +18,7 @@ from itertools import permutations as iter_permutations
 import numpy as np
 
 from .errors import CapExceeded, GpcqError, NotProjection, NumericalRankFailure
-from .quantum import kl_divergence, shannon_entropy, spectrum, pinch
+from .quantum import kl_divergence, kron_all, shannon_entropy, spectrum, pinch
 from .util import compositions, digit_table
 
 PERM_GROUP_CAP = 9
@@ -295,7 +295,7 @@ def joint_projector(freq, frame: YoungFrame, d: int, n: int, basis: np.ndarray |
     _assert_projector(core, f"joint projector {tuple(freq)}/{frame}")
     if basis is None:
         return core
-    rot = kron_power(basis, n)
+    rot = kron_all([basis] * n)
     return rot @ core @ rot.conj().T
 
 
@@ -329,13 +329,6 @@ def kostka_rank(freq, frame: YoungFrame, d: int, n: int) -> int:
             f"trace {trace} not near an integer for {tuple(freq)}/{frame}"
         )
     return rank
-
-
-def kron_power(mat: np.ndarray, n: int) -> np.ndarray:
-    out = np.array([[1.0]], dtype=mat.dtype)
-    for _ in range(n):
-        out = np.kron(out, mat)
-    return out
 
 
 @dataclass(frozen=True)
@@ -412,7 +405,7 @@ def block_projector(rho: np.ndarray, basis: np.ndarray, m: int, radius: float) -
     core = mask[:, None] * p_sum * mask[None, :]
     core = 0.5 * (core + core.T)
     _assert_projector(core, f"block projector m={m}")
-    rot = kron_power(basis, m)
+    rot = kron_all([basis] * m)
     mat = rot @ core @ rot.conj().T
     mat = 0.5 * (mat + mat.conj().T)
     return BlockProjector(mat, idx)
@@ -449,15 +442,14 @@ class DecodeContext:
             raise GpcqError(f"word length {u_seq.size} != {self.n}")
         order = np.argsort(u_seq, kind="stable")
         letters = [int(u) for u in np.unique(u_seq)]
-        blocks_meta = []
-        mat = np.array([[1.0 + 0.0j]])
-        any_empty = False
+        blocks_meta, mats, any_empty = [], [], False
         for u in letters:
             t = int(np.sum(u_seq == u))
             blk = self.block(u, t)
             blocks_meta.append((u, t, len(blk.index_set.freqs), len(blk.index_set.frames)))
             any_empty = any_empty or blk.index_set.empty
-            mat = np.kron(mat, blk.matrix)
+            mats.append(blk.matrix)
+        mat = kron_all(mats)
         d = self.d
         tensor = mat.reshape((d,) * (2 * self.n))
         inv = np.argsort(order)

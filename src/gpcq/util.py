@@ -19,8 +19,8 @@ def rng_for(seed: int, *key) -> np.random.Generator:
     """Derive an independent generator from (seed, key...).
 
     Key parts may be ints, strings, or tuples; non-ints are hashed stably.
-    Parallel work units (restarts, trials) each derive their own stream so
-    results do not depend on scheduling order or worker count.
+    Independent work units (restarts, trials) each derive their own stream,
+    so a unit's result does not depend on which units ran before it.
     """
     return np.random.default_rng([int(seed) & (2**63 - 1), *(_key_word(p) for p in key)])
 

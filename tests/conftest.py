@@ -80,7 +80,6 @@ class SolverCache:
     def noncausal(self, name, n=1, **kw):
         kw.setdefault("restarts", 32)
         kw.setdefault("seed", 7)
-        kw.setdefault("threads", 4)
         key = (name, n, tuple(sorted(kw.items())))
         if key not in self._noncausal:
             self._noncausal[key] = noncausal_lower_bound(self.suite[name], n=n, **kw)

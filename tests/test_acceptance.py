@@ -124,7 +124,7 @@ def test_noncausal_dominates_causal_and_blocklength_two(suite, solvers):
         assert n1.value >= solvers.causal(name).value - 1e-6, name
         seed_wit = product_witness(n1.q_given_s, n1.strategy, ch.num_inputs)
         n2 = noncausal_lower_bound(
-            ch, n=2, restarts=8, seed=7, threads=4, seed_witnesses=(seed_wit,)
+            ch, n=2, restarts=8, seed=7, seed_witnesses=(seed_wit,)
         )
         assert n2.value >= n1.value - 1e-6, (name, n1.value, n2.value)
     _within(t0, 300.0)
@@ -293,7 +293,6 @@ def test_flip_error_curves_bracket_the_half_bit_rate(flip):
         K=2,
         delta=0.2,
         gp_witness=(np.full((2, 2), 0.5), np.array([[0, 1], [1, 0]])),
-        threads=4,
     )
     by = {(r.rate, r.n): r for r in rows}
     r2, r4, r6 = by[(0.5, 2)], by[(0.5, 4)], by[(0.5, 6)]
@@ -317,13 +316,10 @@ def _run(capsys, *argv):
 def test_seeded_commands_rerun_byte_identical(channel_dir, capsys):
     stuck = str(channel_dir / "stuck.chan")
     base = ("noncausal", stuck, "--seed", "7", "--restarts", "8", "--json")
-    code_a, out_a = _run(capsys, *base, "--threads", "1")
-    code_b, out_b = _run(capsys, *base, "--threads", "1")
+    code_a, out_a = _run(capsys, *base)
+    code_b, out_b = _run(capsys, *base)
     assert code_a == code_b == 0
     assert out_a == out_b
-    code_c, out_c = _run(capsys, *base, "--threads", "8")
-    assert code_c == 0
-    assert out_c == out_a
 
     flip = str(channel_dir / "flip.chan")
     sim = (

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gpcq.causal as causal_module
 from gpcq.causal import (
     INNER_MAX_ITER,
     STRATEGY_CAP,
@@ -199,6 +200,15 @@ class TestClassicalCrossChecks:
 
     def test_noiseless_channel(self):
         assert classical_channel_capacity(np.eye(4)) == pytest.approx(2.0, abs=1e-9)
+
+    def test_uncertified_capacity_raises_with_gap(self, monkeypatch):
+        # This strategy channel needs about 51k iterations to certify.
+        _, rows, p = random_classical_channel(np.random.default_rng(1), 3, 3)
+        monkeypatch.setattr(causal_module, "CLASSICAL_MAX_ITER", 1000)
+        with pytest.raises(GpcqError) as exc:
+            shannon_strategy_oracle(rows, p)
+        assert exc.value.details["iterations"] == 1000
+        assert exc.value.details["gap"] > 1e-9
 
     def test_strategy_oracle_agrees_on_stuck(self, stuck, solvers):
         gp = ClassicalGP.from_channel(stuck)

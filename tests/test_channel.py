@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpcq.causal import classical_channel_capacity
 from gpcq.channel import (
@@ -16,12 +18,30 @@ from gpcq.channel import (
     product_extension,
     serialize_channel,
 )
-from gpcq.errors import BudgetExceeded, ParseError, TraceNotOne
+from gpcq.errors import BudgetExceeded, GpcqError, ParseError, TraceNotOne
 from gpcq.quantum import holevo_quantity, shannon_entropy
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
+
+
+VALID_DOC = {
+    "dim": 2,
+    "states": ["0", "1"],
+    "inputs": ["a"],
+    "p": {"0": 0.25, "1": 0.75},
+    "rho": {
+        "0|a": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        "1|a": [[[0.5, 0.0], [0.0, -0.5]], [[0.0, 0.5], [0.5, 0.0]]],
+    },
+}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
 
 
 def xor_encoder() -> RandomizedEncoder:
@@ -64,6 +84,46 @@ class TestParseSerialize:
         doc = json.loads(serialize_channel(flip))
         doc["rho"]["0|0"][0][0] = ["one", 0.0]
         with pytest.raises(ParseError, match=r"rho\['0\|0'\] entries must be numbers"):
+            parse_channel(json.dumps(doc))
+
+    def test_valid_doc_parses(self):
+        ch = parse_channel(json.dumps(VALID_DOC))
+        assert ch.state_alphabet == ("0", "1") and ch.dim == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.fixed_dictionaries(
+            {key: st.just(value) | JSON_VALUES for key, value in VALID_DOC.items()}
+        )
+    )
+    def test_arbitrary_fields_parse_or_raise_domain_error(self, doc):
+        # Each required key holds either its valid value or an arbitrary JSON
+        # value; json writes NaN and infinities as literals it reads back.
+        try:
+            ch = parse_channel(json.dumps(doc))
+        except GpcqError:
+            return
+        assert ch.dim == doc["dim"]
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"dim": ' + "1" * 5000 + "}", "[" * 100000 + "]" * 100000],
+        ids=["long-integer", "deep-nesting"],
+    )
+    def test_json_the_reader_refuses_is_parse_error(self, text):
+        # Past the interpreter's integer-digit and recursion limits.
+        with pytest.raises(ParseError):
+            parse_channel(text)
+
+    def test_integer_beyond_float_range_is_parse_error(self):
+        # json reads 10**400 as an int that float() cannot hold.
+        doc = json.loads(json.dumps(VALID_DOC))
+        doc["p"]["0"] = 10**400
+        with pytest.raises(ParseError, match=r"p\['0'\] is not a number"):
+            parse_channel(json.dumps(doc))
+        doc = json.loads(json.dumps(VALID_DOC))
+        doc["rho"]["0|a"][0][0][0] = 10**400
+        with pytest.raises(ParseError, match=r"entries must be numbers"):
             parse_channel(json.dumps(doc))
 
     def test_zero_mass_state_stripped_with_warning(self):

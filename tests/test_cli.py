@@ -41,6 +41,16 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_threads_flag_is_usage_error(self, capsys, channel_dir):
+        # Solves run serially; there is no worker-count option to set.
+        code, out, err = run_cli(
+            capsys, "noncausal", str(channel_dir / "stuck.chan"), "--seed", "7",
+            "--threads", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --threads 2" in err
+
     def test_coverage_requires_seed(self, capsys):
         code, _, err = run_cli(
             capsys, "types", "--op", "coverage", "--joint", "0.35,0.15;0.15,0.35",
@@ -83,6 +93,22 @@ class TestExitCodes:
         assert payload["error"] == "non-finite"
         assert "Traceback" not in err and "NaN" not in err
 
+    @pytest.mark.parametrize(
+        "field, value", [("inputs", None), ("states", 5), ("dim", True)]
+    )
+    def test_mistyped_field_is_parse_error(self, capsys, channel_dir, tmp_path, field, value):
+        doc = json.loads((channel_dir / "flip.chan").read_text())
+        doc[field] = value
+        bad = tmp_path / "mistyped.chan"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "validate", str(bad), "--json")
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err.strip().split("\n")[0])
+        assert payload["error"] == "parse-error"
+        assert field in payload["message"]
+        assert "Traceback" not in err
+
     def test_validate_ok(self, capsys, channel_dir):
         code, out, _ = run_cli(capsys, "validate", str(channel_dir / "flip.chan"))
         assert code == 0
@@ -121,7 +147,7 @@ class TestJsonSchemas:
     def test_noncausal_payload(self, capsys, channel_dir):
         code, out, _ = run_cli(
             capsys, "noncausal", str(channel_dir / "stuck.chan"),
-            "--seed", "7", "--restarts", "8", "--threads", "2", "--json",
+            "--seed", "7", "--restarts", "8", "--json",
         )
         assert code == 0
         payload = json.loads(out)
@@ -236,7 +262,7 @@ class TestReproducibility:
     def test_reruns_are_byte_identical(self, capsys, channel_dir):
         args = (
             "noncausal", str(channel_dir / "flip.chan"),
-            "--seed", "7", "--restarts", "6", "--threads", "2", "--json",
+            "--seed", "7", "--restarts", "6", "--json",
         )
         code1, out1, _ = run_cli(capsys, *args)
         code2, out2, _ = run_cli(capsys, *args)

@@ -289,13 +289,12 @@ class TestSimulationDriver:
         with pytest.raises(GpcqError, match="unknown scheme"):
             simulate_rate_error_curve(flip, "telepathy", [0.5], [2], 1, 0)
 
-    def test_noncausal_rows_deterministic_across_threads(self, flip):
-        kw = dict(rates=[0.5], n_list=[2], trials=4, seed=33, K=2, delta=0.2,
-                  gp_witness=self.FLIP_WITNESS)
-        rows1 = simulate_rate_error_curve(flip, "noncausal-sqrt", threads=1, **kw)
-        rows2 = simulate_rate_error_curve(flip, "noncausal-sqrt", threads=2, **kw)
-        assert rows1 == rows2
-        row = rows1[0]
+    def test_noncausal_row_shape_and_declares(self, flip):
+        rows = simulate_rate_error_curve(
+            flip, "noncausal-sqrt", rates=[0.5], n_list=[2], trials=4, seed=33, K=2,
+            delta=0.2, gp_witness=self.FLIP_WITNESS,
+        )
+        row = rows[0]
         assert (row.scheme, row.n, row.K, row.M) == ("noncausal-sqrt", 2, 2, 2)
         # Two-letter blocks of a split codeword cannot pass the matched-set
         # test at this radius, so every trial declares.

@@ -188,12 +188,6 @@ class TestNoncausalLowerBound:
             0.3991239633071448, abs=1e-6
         )
 
-    def test_thread_count_does_not_change_result(self, solvers):
-        serial = solvers.noncausal("stuck", restarts=8, threads=1)
-        pooled = solvers.noncausal("stuck", restarts=8, threads=4)
-        assert serial.value == pooled.value
-        assert serial.restart_index == pooled.restart_index
-
     def test_witness_report_is_self_consistent(self, solvers, suite):
         for name, ch in suite.items():
             wit = solvers.noncausal(name)

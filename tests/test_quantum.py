@@ -16,6 +16,7 @@ from gpcq.quantum import (
     holevo_quantity,
     holevo_via_divergence,
     kl_divergence,
+    kron_all,
     pinch,
     relative_entropy,
     shannon_entropy,
@@ -161,6 +162,19 @@ class TestHolevoQuantity:
             b = holevo_via_divergence(q, ens)
             assert abs(a - b) <= 1e-9
             assert -1e-12 <= a <= np.log2(d) + 1e-9
+
+
+class TestKronAll:
+    def test_left_fold_matches_nested_kron(self, rng):
+        a, b = random_density_matrix(2, rng), random_density_matrix(3, rng)
+        c = np.diag([0.25, 0.75])
+        out = kron_all([a, b, c])
+        assert out.dtype == complex
+        assert np.array_equal(out, np.kron(np.kron(a, b), c))
+
+    def test_empty_product_is_complex_one(self):
+        out = kron_all([])
+        assert out.shape == (1, 1) and out.dtype == complex and out[0, 0] == 1
 
 
 class TestPinch:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gpcq.errors import CapExceeded, GpcqError
-from gpcq.quantum import kl_divergence, spectrum
+from gpcq.quantum import kl_divergence, kron_all, spectrum
 from gpcq.schur_weyl import (
     DecodeContext,
     a_set,
@@ -24,7 +24,6 @@ from gpcq.schur_weyl import (
     joint_projector,
     kostka_rank,
     kostka_zero_combinatorial,
-    kron_power,
     permutation_cycle_type,
     permutation_operator,
     sequence_types,
@@ -234,7 +233,7 @@ class TestASet:
         sigma = np.diag([0.7, 0.3]).astype(complex)
         spec = spectrum(sigma)
         for m in range(2, 9):
-            power = kron_power(sigma, m)
+            power = kron_all([sigma] * m)
             for lam in young_frames(2, m):
                 tr = float(np.trace(central_projector(lam, 2, m) @ power).real)
                 rate = kl_divergence(frame_distribution(lam, 2), spec)
