@@ -16,7 +16,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .channel import RandomizedEncoder, StateChannel
+from .channel import StateChannel
 from .errors import CapExceeded, GpcqError
 from .quantum import TAU_SUPP, von_neumann_entropy
 
@@ -58,9 +58,6 @@ class Strategy:
             for s, x in enumerate(col):
                 k[s, u, x] = 1.0
         return k
-
-    def to_encoder(self, num_inputs: int) -> RandomizedEncoder:
-        return RandomizedEncoder(self.aux_size, self.kernel(num_inputs))
 
 
 def strategy_columns(num_states: int, num_inputs: int) -> np.ndarray:

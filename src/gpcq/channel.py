@@ -209,9 +209,11 @@ def parse_channel(document: str) -> StateChannel:
         raise ParseError(f"p is missing state {missing[0]!r}")
     pvec = []
     for s in state_alphabet:
+        if not _is_number(p[s]):
+            raise ParseError(f"p[{s!r}] is not a number: {p[s]!r}")
         try:
             pvec.append(float(p[s]))
-        except (TypeError, ValueError, OverflowError) as exc:
+        except OverflowError as exc:
             raise ParseError(f"p[{s!r}] is not a number: {p[s]!r}") from exc
 
     rho = doc["rho"]
@@ -227,6 +229,11 @@ def parse_channel(document: str) -> StateChannel:
     return build_channel(state_alphabet, input_alphabet, dim, states, np.array(pvec))
 
 
+def _is_number(value) -> bool:
+    """A JSON number: strings and booleans do not count, though float() takes them."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _matrix_from_entries(entries, dim: int, key: str) -> np.ndarray:
     try:
         arr = np.asarray(entries, dtype=float)
@@ -236,6 +243,8 @@ def _matrix_from_entries(entries, dim: int, key: str) -> np.ndarray:
         raise ParseError(
             f"rho[{key!r}] must be a {dim}x{dim} array of [re, im] pairs, got shape {arr.shape}"
         )
+    if not all(_is_number(v) for row in entries for pair in row for v in pair):
+        raise ParseError(f"rho[{key!r}] entries must be numbers")
     if not np.all(np.isfinite(arr)):
         raise NonFinite(f"rho[{key!r}] entries must be finite numbers")
     return arr[..., 0] + 1j * arr[..., 1]

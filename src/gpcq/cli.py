@@ -295,6 +295,7 @@ def _cmd_holevo(args) -> None:
         "gap": sol.gap,
         "q": [float(x) for x in sol.q],
         "iterations": sol.iterations,
+        "converged": sol.converged,
     }
     if args.json:
         _print_json(payload)
@@ -304,6 +305,8 @@ def _cmd_holevo(args) -> None:
                 ("value", _fmt(sol.value)),
                 ("gap", _fmt(sol.gap)),
                 ("q", " ".join(_fmt(x) for x in sol.q)),
+                ("iterations", str(sol.iterations)),
+                ("converged", str(sol.converged).lower()),
             ]
         )
 

@@ -4,8 +4,8 @@ Two decoders are realized on top of the block decoding projectors: the
 square-root measurement normalizing message operators by the inverse square
 root of their sum, and the sequential measurement applying projective tests
 in message order. Errors are evaluated exactly whenever the term count
-allows, with a diagonal fast path for commuting channels; encoder Declare
-failures count as full errors.
+allows, every success trace by one product-state contraction
+(quantum.product_traces); encoder Declare failures count as full errors.
 """
 
 from __future__ import annotations
@@ -26,17 +26,18 @@ from .errors import (
 )
 from .method_of_types import (
     is_exact_type,
-    m_set_contains,
+    matched_set_members,
     nearest_type_exhaustive,
     support_floor,
 )
-from .quantum import eigenbasis, kron_all
+from .quantum import eigenbasis, product_traces
 from .schur_weyl import DecodeContext
 from .util import digit_table, rng_for
 
 EXACT_TERM_CAP = 10**6
 POVM_TOL = 1e-8
-GENERAL_EVAL_CAP = 200000
+# Largest |S|^n whose state words simulate_noncausal_trial enumerates.
+STATE_WORD_CAP = 4096
 
 
 class Declare:
@@ -137,22 +138,18 @@ def average_error(
     tensor = ch.tensor()
     p = ch.p.probs
     terms = sum(len(rows) for rows in code.encoder.values())
-    dim_n = ch.dim**code.n
 
-    def output_state(s_word, x_word):
-        return kron_all(tensor[s, x] for s, x in zip(s_word, x_word))
+    def success_trace(m, s_word, x_word):
+        return _product_trace(code.povm[m], [tensor[s, x] for s, x in zip(s_word, x_word)])
 
     if terms <= term_cap:
         success = 0.0
         for (m, s_word), rows in code.encoder.items():
             weight = math.prod(p[s] for s in s_word)
-            d_m = code.povm[m]
             for x_word, prob in rows:
                 if prob == 0.0:
                     continue
-                success += weight * prob * float(
-                    np.real(np.trace(output_state(s_word, x_word) @ d_m))
-                )
+                success += weight * prob * success_trace(m, s_word, x_word)
         err = 1.0 - success / M
         return min(max(err, 0.0), 1.0)
 
@@ -171,9 +168,14 @@ def average_error(
         rows = code.encoder[(m, s_word)]
         probs = np.array([pr for _, pr in rows])
         x_word = rows[int(rng.choice(len(rows), p=probs / probs.sum()))][0]
-        hits += float(np.real(np.trace(output_state(s_word, x_word) @ code.povm[m])))
+        hits += success_trace(m, s_word, x_word)
     err = 1.0 - hits / samples
     return min(max(err, 0.0), 1.0)
+
+
+def _product_trace(op: np.ndarray, states) -> float:
+    """Real part of tr(op · states[0] ⊗ states[1] ⊗ ...)."""
+    return float(product_traces(op, [st[None] for st in states]).item().real)
 
 
 def square_root_decoder(projectors: Sequence[np.ndarray], rank_tol: float = 1e-10):
@@ -315,10 +317,11 @@ def build_gp_codebook(
 
 def admissible_indices(codebook: GPCodebook, m: int, s_word) -> list[int]:
     """Bins of message m whose codeword matches the state word."""
+    s_words = np.asarray(s_word)[None, :]
     return [
         k
         for k in range(codebook.K)
-        if m_set_contains(s_word, codebook.words[k, m], codebook.p_su, codebook.delta)
+        if matched_set_members(s_words, codebook.words[k, m], codebook.p_su, codebook.delta)[0]
     ]
 
 
@@ -348,12 +351,6 @@ def _messages_for_rate(rate: float, n: int) -> int:
     return max(1, math.ceil(2.0 ** (n * rate) - 1e-9))
 
 
-def _channel_is_diagonal(ch: StateChannel) -> bool:
-    t = ch.tensor()
-    off = t - np.einsum("sxij,ij->sxij", t, np.eye(ch.dim))
-    return float(np.max(np.abs(off))) < 1e-13
-
-
 def _mean_ci(values: np.ndarray):
     mean = float(np.mean(values))
     if values.size < 2:
@@ -373,43 +370,6 @@ def _typical_word(q: np.ndarray, n: int, delta: float, rng: np.random.Generator)
     return rng.permutation(np.repeat(np.arange(q.size), counts))
 
 
-def _member_matrix(s_digits: np.ndarray, word: np.ndarray, p_su: np.ndarray, delta: float) -> np.ndarray:
-    """Matched-set membership of every state word against one codeword."""
-    num_s, num_u = p_su.shape
-    T, n = s_digits.shape
-    p_u = p_su.sum(axis=0)
-    scores = np.zeros(T)
-    for u in range(num_u):
-        pos = word == u
-        t_u = int(pos.sum())
-        if t_u == 0:
-            continue
-        if p_u[u] <= 0:
-            return np.zeros(T, dtype=bool)
-        cond = p_su[:, u] / p_u[u]
-        counts = np.stack([(s_digits[:, pos] == s).sum(axis=1) for s in range(num_s)], axis=1)
-        emp = counts / t_u
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = emp * (np.log2(emp) - np.log2(cond)[None, :])
-        terms = np.where(emp > 0, terms, 0.0)
-        bad = np.any((emp > 0) & (cond[None, :] <= 0), axis=1)
-        d = terms.sum(axis=1)
-        d[bad] = np.inf
-        scores = np.maximum(scores, (t_u / n) * d)
-    return scores <= delta / 2
-
-
-def _diag_weights(s_digits: np.ndarray, word: np.ndarray, strategy: np.ndarray, diag_table: np.ndarray) -> np.ndarray:
-    """Output diagonals for every state word under one codeword, (T, d^n)."""
-    T, n = s_digits.shape
-    out = np.ones((T, 1))
-    for i in range(n):
-        vecs = diag_table[np.arange(diag_table.shape[0]), strategy[:, word[i]]]
-        step = vecs[s_digits[:, i]]
-        out = (out[:, :, None] * step[:, None, :]).reshape(T, -1)
-    return out
-
-
 def simulate_noncausal_trial(
     ch: StateChannel,
     p_su: np.ndarray,
@@ -420,7 +380,6 @@ def simulate_noncausal_trial(
     M: int,
     delta: float,
     rng: np.random.Generator,
-    state_cap: int = 4096,
 ):
     """One binned-codebook round with the square-root decoder, evaluated exactly.
 
@@ -428,8 +387,8 @@ def simulate_noncausal_trial(
     a Declare (empty bin) counts as a full error for its state mass.
     """
     num_s, num_u = p_su.shape
-    if num_s**n > state_cap:
-        raise CapExceeded(f"|S|^n = {num_s**n} exceeds exact-evaluation cap {state_cap}")
+    if num_s**n > STATE_WORD_CAP:
+        raise CapExceeded(f"|S|^n = {num_s**n} exceeds exact-evaluation cap {STATE_WORD_CAP}")
     p_u = p_su.sum(axis=0)
     counts = nearest_type_exhaustive(p_u, n)
     base = np.repeat(np.arange(num_u), counts)
@@ -443,36 +402,21 @@ def simulate_noncausal_trial(
     p = ch.p.probs
     s_digits = digit_table(num_s, n)
     mass = p[s_digits].prod(axis=1)
-
-    diagonal = _channel_is_diagonal(ch)
-    tensor = ch.tensor()
-    diag_table = np.real(np.einsum("sxii->sxi", tensor)) if diagonal else None
+    # letter_states[:, u] stacks the output of every state letter under auxiliary letter u.
+    letter_states = ch.tensor()[np.arange(num_s)[:, None], strategy]
 
     err_total = 0.0
     declare_total = 0.0
     for m in range(M):
         members = np.stack(
-            [_member_matrix(s_digits, words[k, m], p_su, delta) for k in range(K)], axis=1
+            [matched_set_members(s_digits, words[k, m], p_su, delta) for k in range(K)], axis=1
         )
         counts_k = members.sum(axis=1)
-        d_m = elements[m]
-        if diagonal:
-            d_diag = np.real(np.diagonal(d_m))
-            succ = np.zeros(s_digits.shape[0])
-            for k in range(K):
-                w = _diag_weights(s_digits, words[k, m], strategy, diag_table)
-                succ += members[:, k] * (w @ d_diag)
-        else:
-            if s_digits.shape[0] * K > GENERAL_EVAL_CAP:
-                raise CapExceeded("non-diagonal exact evaluation too large")
-            succ = np.zeros(s_digits.shape[0])
-            for t, s_word in enumerate(s_digits):
-                for k in range(K):
-                    if members[t, k]:
-                        rho = kron_all(
-                            tensor[s, strategy[s, u]] for s, u in zip(s_word, words[k, m])
-                        )
-                        succ[t] += float(np.real(np.trace(rho @ d_m)))
+        succ = np.zeros(s_digits.shape[0])
+        for k in range(K):
+            # One trace per state word, in digit_table order.
+            traces = product_traces(elements[m], [letter_states[:, u] for u in words[k, m]])
+            succ += members[:, k] * traces.reshape(-1).real
         with np.errstate(invalid="ignore"):
             succ = np.where(counts_k > 0, succ / np.where(counts_k > 0, counts_k, 1), 0.0)
         declare_mass = float(mass[counts_k == 0].sum())
@@ -501,8 +445,7 @@ def simulate_causal_trial(
     elements, _ = sequential_decoder(projectors)
     succ = 0.0
     for w, el in zip(words, elements):
-        rho = kron_all(derived_states[u] for u in w)
-        succ += float(np.real(np.trace(rho @ el)))
+        succ += _product_trace(el, [derived_states[u] for u in w])
     return 1.0 - succ / M, 0.0
 
 

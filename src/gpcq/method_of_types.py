@@ -357,30 +357,49 @@ def joint_type_completion(s_seq, p_su: np.ndarray, delta: float) -> np.ndarray:
     return u_seq
 
 
+def matched_set_members(s_words, u_word, p_su: np.ndarray, delta: float) -> np.ndarray:
+    """Which rows of s_words (shape (T, n)) the auxiliary word u_word matches.
+
+    Per auxiliary letter u appearing in u_word, the empirical state
+    distribution on u's positions must stay within divergence delta/2 of the
+    conditional p(s|u), weighted by the letter frequency. Letters absent
+    from u_word contribute nothing.
+    """
+    s_words = np.asarray(s_words, dtype=np.int64)
+    u_word = np.asarray(u_word, dtype=np.int64)
+    p_su = np.asarray(p_su, dtype=float)
+    num_s, num_u = p_su.shape
+    T, n = s_words.shape
+    if u_word.shape != (n,):
+        raise LengthMismatch(f"state words of length {n}, auxiliary word of shape {u_word.shape}")
+    p_u = p_su.sum(axis=0)
+    scores = np.zeros(T)
+    for u in range(num_u):
+        pos = u_word == u
+        t_u = int(pos.sum())
+        if t_u == 0:
+            continue
+        if p_u[u] <= 0:
+            return np.zeros(T, dtype=bool)
+        cond = p_su[:, u] / p_u[u]
+        counts = np.stack([(s_words[:, pos] == s).sum(axis=1) for s in range(num_s)], axis=1)
+        emp = counts / t_u
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = emp * (np.log2(emp) - np.log2(cond)[None, :])
+        terms = np.where(emp > 0, terms, 0.0)
+        bad = np.any((emp > 0) & (cond[None, :] <= 0), axis=1)
+        d = terms.sum(axis=1)
+        d[bad] = np.inf
+        scores = np.maximum(scores, (t_u / n) * d)
+    return scores <= delta / 2
+
+
 def m_set_contains(s_seq, u_seq, p_su: np.ndarray, delta: float) -> bool:
     """Whether the state sequence is matched by the auxiliary word.
 
-    Per auxiliary letter u appearing in u_seq, the empirical state
-    distribution on u's positions must stay within divergence delta/2 of the
-    conditional p(s|u), weighted by the letter frequency. Letters absent
-    from u_seq contribute nothing.
+    One row of matched_set_members; unequal lengths raise LengthMismatch.
     """
-    p_su = np.asarray(p_su, dtype=float)
-    num_s, num_u = p_su.shape
-    n = len(s_seq)
-    joint = joint_type(s_seq, u_seq, num_s, num_u)
-    t = joint.sum(axis=0)
-    p_u = p_su.sum(axis=0)
-    for u in range(num_u):
-        if t[u] == 0:
-            continue
-        if p_u[u] <= 0:
-            return False
-        cond = p_su[:, u] / p_u[u]
-        score = (t[u] / n) * kl_divergence(joint[:, u] / t[u], cond)
-        if not score <= delta / 2:
-            return False
-    return True
+    return bool(matched_set_members(np.asarray(s_seq)[None, :], u_seq, p_su, delta)[0])
 
 
 def chernoff_bound(L: int, b: float, nu: float, eps: float) -> float:

@@ -117,6 +117,33 @@ def kron_all(mats) -> np.ndarray:
     return out
 
 
+def product_traces(op, slot_states) -> np.ndarray:
+    """Every tr(op · σ_1 ⊗ ... ⊗ σ_n) with σ_k taken from the k-th slot's stack.
+
+    slot_states[k] has shape (L_k, d_k, d_k) and op acts on the product of
+    the slots. The (L_1, ..., L_n) result has the first slot as its most
+    significant index, the order of util.digit_table. op is contracted one
+    slot at a time, so no product state is formed.
+    """
+    stacks = [np.asarray(s) for s in slot_states]
+    if any(s.ndim != 3 or s.shape[1] != s.shape[2] for s in stacks):
+        raise DimensionMismatch("each slot must be a stack of square matrices, shape (L, d, d)")
+    rest = math.prod(s.shape[1] for s in stacks)
+    op = np.asarray(op)
+    if op.shape != (rest, rest):
+        raise DimensionMismatch(f"operator shape {op.shape} does not act on {rest}-dimensional slots")
+    # Axes (i, I, j, J, lead): row and column of the current slot, of the
+    # slots after it, and one axis over the candidates of the slots before.
+    out = op.reshape(rest, rest, 1)
+    for s in stacks:
+        d = s.shape[1]
+        rest //= d
+        # tr(op · σ ⊗ τ) contracts op's row i with σ's column and its column j with σ's row.
+        out = np.tensordot(out.reshape(d, rest, d, rest, -1), s, axes=([0, 2], [2, 1]))
+        out = out.reshape(rest, rest, -1)
+    return out.reshape([s.shape[0] for s in stacks])
+
+
 def spectrum(rho) -> np.ndarray:
     """Eigenvalues sorted in non-increasing order, roundoff negatives clipped."""
     vals = np.linalg.eigvalsh(_as_matrix(rho))

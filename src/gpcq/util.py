@@ -37,11 +37,6 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def sample_simplex(rng: np.random.Generator, k: int) -> np.ndarray:
-    """Uniform (flat Dirichlet) sample from the k-simplex."""
-    return rng.dirichlet(np.ones(k))
-
-
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if trials <= 0:

@@ -126,6 +126,22 @@ class TestParseSerialize:
         with pytest.raises(ParseError, match=r"entries must be numbers"):
             parse_channel(json.dumps(doc))
 
+    @pytest.mark.parametrize("value", ["0.5", False, True])
+    def test_string_or_boolean_mass_is_parse_error(self, flip, value):
+        # float() reads "0.5" and booleans, but the format asks for numbers.
+        doc = json.loads(serialize_channel(flip))
+        doc["p"]["0"] = value
+        with pytest.raises(ParseError, match=r"p\['0'\] is not a number"):
+            parse_channel(json.dumps(doc))
+
+    @pytest.mark.parametrize("pair", [["1", False], ["1", 0], [1, False], [True, 0]])
+    def test_string_or_boolean_entry_is_parse_error(self, flip, pair):
+        # np.asarray(..., dtype=float) reads "1" and booleans, but the format asks for numbers.
+        doc = json.loads(serialize_channel(flip))
+        doc["rho"]["0|0"][0][0] = pair
+        with pytest.raises(ParseError, match=r"rho\['0\|0'\] entries must be numbers"):
+            parse_channel(json.dumps(doc))
+
     def test_zero_mass_state_stripped_with_warning(self):
         ch = build_channel(
             "01",

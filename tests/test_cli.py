@@ -109,6 +109,23 @@ class TestExitCodes:
         assert field in payload["message"]
         assert "Traceback" not in err
 
+    def test_string_and_boolean_numbers_are_parse_error(self, capsys, channel_dir, tmp_path):
+        for where in ("p", "rho"):
+            doc = json.loads((channel_dir / "flip.chan").read_text())
+            if where == "p":
+                doc["p"] = {"0": "0.5", "1": "0.5"}
+            else:
+                doc["rho"]["0|0"][0][0] = ["1", False]
+            bad = tmp_path / f"{where}.chan"
+            bad.write_text(json.dumps(doc))
+            code, out, err = run_cli(capsys, "validate", str(bad), "--json")
+            assert code == 1
+            assert out == ""
+            payload = json.loads(err.strip().split("\n")[0])
+            assert payload["error"] == "parse-error"
+            assert where in payload["message"]
+            assert "Traceback" not in err
+
     def test_validate_ok(self, capsys, channel_dir):
         code, out, _ = run_cli(capsys, "validate", str(channel_dir / "flip.chan"))
         assert code == 0
@@ -165,7 +182,8 @@ class TestJsonSchemas:
         )
         assert code == 0
         payload = json.loads(out)
-        assert set(payload) == {"gap", "iterations", "q", "value"}
+        assert set(payload) == {"converged", "gap", "iterations", "q", "value"}
+        assert payload["converged"] is True
         assert payload["value"] == pytest.approx(0.23983249703803433, abs=5e-6)
 
     def test_types_payload(self, capsys):

@@ -1,10 +1,12 @@
 """Explicit codes, decoders, binned codebooks, and the simulation driver."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from gpcq.channel import build_channel
 from gpcq.coding import (
     DECLARE,
     Code,
@@ -15,6 +17,7 @@ from gpcq.coding import (
     gp_encoder,
     rows_to_csv,
     sequential_decoder,
+    simulate_noncausal_trial,
     simulate_rate_error_curve,
     square_root_decoder,
     union_bound_gap,
@@ -27,7 +30,9 @@ from gpcq.errors import (
     NotProjection,
     PreconditionViolated,
 )
-from gpcq.method_of_types import m_set_contains
+from gpcq.method_of_types import m_set_contains, nearest_type_exhaustive
+from gpcq.quantum import eigenbasis, kron_all
+from gpcq.schur_weyl import DecodeContext
 from gpcq.util import random_density_matrix, rng_for
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
@@ -280,6 +285,59 @@ class TestGPCodebook:
         freq = declares / trials
         sigma = math.sqrt(max(cov.estimate * (1 - cov.estimate), 1e-4) / trials)
         assert abs(freq - (1.0 - cov.estimate)) <= 3 * sigma + 0.005
+
+
+class TestNoncausalTrial:
+    def test_matches_kron_brute_force_on_non_commuting_channel(self):
+        gen = rng_for(3, "non-commuting")
+        labels = ["0", "1"]
+        ch = build_channel(
+            labels, labels, 2,
+            {(s, x): random_density_matrix(2, gen) for s in labels for x in labels},
+            np.array([0.4, 0.6]),
+        )
+        tensor, p = ch.tensor(), ch.p.probs
+        assert np.max(np.abs(tensor[0, 0] @ tensor[1, 1] - tensor[1, 1] @ tensor[0, 0])) > 1e-3
+        strategy = np.array([[0, 1], [1, 0]])
+        p_su = p[:, None] * np.array([[0.7, 0.3], [0.3, 0.7]])
+        picked = tensor[np.arange(2)[:, None], strategy]
+        blended = np.einsum("su,suij->uij", p_su, picked)
+        _, basis = eigenbasis(blended.sum(axis=0))
+        n, K, M, delta = 3, 2, 3, 1.0
+        ctx = DecodeContext(blended / p_su.sum(axis=0)[:, None, None], basis, n, delta)
+
+        err, declares = simulate_noncausal_trial(
+            ch, p_su, strategy, ctx, n, K, M, delta, rng_for(8, "trial")
+        )
+
+        # Replay the codebook draw, then evaluate every matched (state word,
+        # codeword) pair on its Kronecker-built output state.
+        replay = rng_for(8, "trial")
+        base = np.repeat(np.arange(2), nearest_type_exhaustive(p_su.sum(axis=0), n))
+        words = [[replay.permutation(base) for _ in range(M)] for _ in range(K)]
+        elements, _ = square_root_decoder(
+            [sum(ctx.projector(words[k][m]).matrix for k in range(K)) for m in range(M)]
+        )
+        expected_err = expected_declares = 0.0
+        for m in range(M):
+            for s_word in itertools.product(range(2), repeat=n):
+                mass = math.prod(p[s] for s in s_word)
+                matched = [k for k in range(K) if m_set_contains(s_word, words[k][m], p_su, delta)]
+                if not matched:
+                    expected_err += mass
+                    expected_declares += mass
+                    continue
+                succ = sum(
+                    np.trace(
+                        kron_all(tensor[s, strategy[s, u]] for s, u in zip(s_word, words[k][m]))
+                        @ elements[m]
+                    ).real
+                    for k in matched
+                )
+                expected_err += mass * (1.0 - succ / len(matched))
+        assert 0.0 < expected_declares / M < 1.0
+        assert err == pytest.approx(expected_err / M, abs=1e-12)
+        assert declares == pytest.approx(expected_declares / M, abs=1e-12)
 
 
 class TestSimulationDriver:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpcq.errors import CapExceeded, GpcqError, PreconditionViolated
+from gpcq.errors import CapExceeded, GpcqError, LengthMismatch, PreconditionViolated
 from gpcq.method_of_types import (
     BernoulliSampler,
     chernoff_bound,
@@ -18,6 +18,7 @@ from gpcq.method_of_types import (
     joint_type,
     joint_type_completion,
     m_set_contains,
+    matched_set_members,
     nearest_type,
     nearest_type_exhaustive,
     type_class_size,
@@ -26,7 +27,7 @@ from gpcq.method_of_types import (
     typical_types,
 )
 from gpcq.quantum import kl_divergence, shannon_entropy
-from gpcq.util import compositions
+from gpcq.util import compositions, digit_table
 
 COVER_JOINT = np.array([[0.35, 0.15], [0.15, 0.35]])
 
@@ -208,6 +209,30 @@ class TestMatchedSet:
         s_seq = np.array([0] * 7 + [1] * 3)
         u_seq = np.zeros(10, dtype=np.int64)
         assert m_set_contains(s_seq, u_seq, COVER_JOINT, 1e-6)
+
+    @pytest.mark.parametrize("delta, matched", [(0.05, 9), (0.5, 36), (1.1, 49)])
+    def test_members_of_every_state_word_match_inline_formula(self, delta, matched):
+        u_seq = np.array([0, 1, 1, 0, 0, 1])
+        s_words = digit_table(2, 6)
+        p_u = COVER_JOINT.sum(axis=0)
+        expected = []
+        for s_seq in s_words:
+            jt = joint_type(s_seq, u_seq, 2, 2)
+            t = jt.sum(axis=0)
+            worst = max(
+                (t[u] / 6) * kl_divergence(jt[:, u] / t[u], COVER_JOINT[:, u] / p_u[u])
+                for u in range(2)
+            )
+            expected.append(worst <= delta / 2)
+        members = matched_set_members(s_words, u_seq, COVER_JOINT, delta)
+        assert members.tolist() == expected
+        assert sum(expected) == matched
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(LengthMismatch):
+            m_set_contains([0, 1, 0], [0, 1], COVER_JOINT, 0.5)
+        with pytest.raises(LengthMismatch):
+            matched_set_members(digit_table(2, 3), [0, 1], COVER_JOINT, 0.5)
 
 
 class TestChernoff:

@@ -1,7 +1,11 @@
 """Density-operator arithmetic and the entropic functionals."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpcq.errors import (
     BasisNotOrthonormal,
@@ -18,6 +22,7 @@ from gpcq.quantum import (
     kl_divergence,
     kron_all,
     pinch,
+    product_traces,
     relative_entropy,
     shannon_entropy,
     spectrum,
@@ -175,6 +180,41 @@ class TestKronAll:
     def test_empty_product_is_complex_one(self):
         out = kron_all([])
         assert out.shape == (1, 1) and out.dtype == complex and out[0, 0] == 1
+
+
+class TestProductTraces:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3]),
+        st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    )
+    def test_matches_trace_against_kron_built_state(self, seed, d, sizes):
+        rng = rng_for(seed, "product-traces")
+        dim = d ** len(sizes)
+        op = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / dim
+        slots = [
+            (rng.normal(size=(L, d, d)) + 1j * rng.normal(size=(L, d, d))) / d for L in sizes
+        ]
+        out = product_traces(op, slots)
+        assert out.shape == tuple(sizes)
+        for idx in itertools.product(*(range(L) for L in sizes)):
+            state = kron_all(slots[k][i] for k, i in enumerate(idx))
+            assert abs(out[idx] - np.trace(op @ state)) <= 1e-12
+
+    def test_mixed_slot_dimensions(self, rng):
+        a = np.stack([random_density_matrix(2, rng) for _ in range(2)])
+        b = np.stack([random_density_matrix(3, rng) for _ in range(3)])
+        op = random_density_matrix(6, rng)
+        out = product_traces(op, [a, b])
+        expected = [[np.trace(op @ np.kron(x, y)) for y in b] for x in a]
+        assert np.allclose(out, expected, atol=1e-13)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            product_traces(np.eye(4), [np.eye(2)[None]] * 3)
+        with pytest.raises(DimensionMismatch):
+            product_traces(np.eye(4), [np.eye(2), np.eye(2)])
 
 
 class TestPinch:
