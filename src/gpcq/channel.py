@@ -88,12 +88,6 @@ class StateChannel:
         """States as an (|S|, |X|, dim, dim) array aligned with the alphabets."""
         return self._tensor
 
-    def state_index(self, s: str) -> int:
-        return self.state_alphabet.index(s)
-
-    def input_index(self, x: str) -> int:
-        return self.input_alphabet.index(x)
-
 
 @dataclass(eq=False)
 class RandomizedEncoder:

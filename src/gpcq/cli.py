@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -20,7 +21,7 @@ from . import __version__
 from .causal import INNER_EPS, causal_capacity, inner_maximize
 from .channel import TAU_COMM, load_channel
 from .coding import rows_to_csv, simulate_rate_error_curve
-from .errors import GpcqError
+from .errors import GpcqError, NonFinite
 from .method_of_types import (
     is_exact_type,
     nearest_type,
@@ -57,10 +58,12 @@ STOCHASTIC_COMMANDS = ("noncausal", "simulate")
 
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        vals = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise GpcqError(f"expected comma-separated numbers, got {text!r}") from exc
-
+    if not all(math.isfinite(v) for v in vals):
+        raise NonFinite(f"expected finite numbers, got {text!r}")
+    return vals
 
 def _parse_ints(text: str) -> list[int]:
     vals = _parse_floats(text)
@@ -270,6 +273,10 @@ def _cmd_noncausal(args) -> None:
         "strategy": [[int(x) for x in row] for row in wit.strategy],
         "restart_index": wit.restart_index,
         "restarts": wit.restarts,
+        "restart_values": list(wit.restart_values),
+        "ascent_steps": wit.ascent_steps,
+        "objective_evals": wit.objective_evals,
+        "leak_per_symbol": wit.leak_per_symbol,
     }
     if args.json:
         _print_json(payload)
@@ -489,20 +496,22 @@ def dispatch(argv) -> int:
     started = time.monotonic()
     channel_path = getattr(args, "channel", None)
     seed = getattr(args, "seed", None)
+    message = None
     try:
+        for name in ("eps", "delta"):
+            if not math.isfinite(getattr(args, name, 0.0)):
+                raise NonFinite(f"--{name} must be finite, got {getattr(args, name)}")
         HANDLERS[args.command](args)
     except GpcqError as exc:
         message = {"error": exc.code, "message": str(exc), "details": repr(exc.details)}
-        print(json.dumps(message, sort_keys=True), file=sys.stderr)
-        _emit_manifest(argv, channel_path if channel_path else None, seed, started)
-        return 1
     except OSError as exc:
         message = {"error": "io", "message": str(exc)}
+    except np.linalg.LinAlgError as exc:
+        message = {"error": "linalg", "message": str(exc)}
+    if message is not None:
         print(json.dumps(message, sort_keys=True), file=sys.stderr)
-        _emit_manifest(argv, channel_path if channel_path else None, seed, started)
-        return 1
     _emit_manifest(argv, channel_path, seed, started)
-    return 0
+    return 0 if message is None else 1
 
 
 def main() -> None:

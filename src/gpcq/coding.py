@@ -21,6 +21,7 @@ from .errors import (
     CapExceeded,
     GpcqError,
     InvalidPOVM,
+    NonFinite,
     NotProjection,
     PreconditionViolated,
 )
@@ -474,6 +475,10 @@ def simulate_rate_error_curve(
 
     if scheme not in ("causal-sequential", "noncausal-sqrt"):
         raise GpcqError(f"unknown scheme {scheme!r}")
+    if not all(math.isfinite(r) for r in rates) or not math.isfinite(delta):
+        raise NonFinite(f"rates {list(rates)} and delta {delta} must be finite")
+    if trials < 1 or K < 1 or any(n < 1 for n in n_list):
+        raise PreconditionViolated("trials, K and every n", (trials, K, list(n_list)), ">= 1")
 
     rows: list[SimRow] = []
     if scheme == "causal-sequential":

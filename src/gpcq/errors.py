@@ -84,7 +84,3 @@ class InvalidPOVM(GpcqError):
 
 class NumericalRankFailure(GpcqError):
     code = "numerical-rank-failure"
-
-
-class CommutatorNonzero(GpcqError):
-    code = "commutator-nonzero"

@@ -3,9 +3,11 @@
 The n-letter objective trades the Holevo information of the auxiliary
 ensemble against the classical information leaked about the state block.
 Only certified-from-below values are reported: the objective is evaluated
-exactly at explicit witnesses and improved by alternating projected gradient
-ascent on the auxiliary conditionals with greedy strategy sweeps. Concavity
-is unknown, so restarts plus structured seeds stand in for a global solve.
+exactly at explicit witnesses and improved by alternating a closed-form
+multiplicative step on the auxiliary conditionals (a Blahut-Arimoto-style
+update that never lowers the objective) with greedy strategy sweeps.
+Concavity is unknown, so restarts plus structured seeds stand in for a
+global solve.
 """
 
 from __future__ import annotations
@@ -17,18 +19,17 @@ import numpy as np
 
 from .causal import causal_capacity
 from .channel import StateChannel, classical_embedding, product_extension
-from .errors import GpcqError, ShapeMismatch
+from .errors import GpcqError, PreconditionViolated, ShapeMismatch
 from .quantum import kl_divergence
-from .util import compositions, project_simplex, rng_for
+from .util import compositions, rng_for
 
 ALT_EPS = 1e-7
-ASCENT_ITERS = 50
+ASCENT_ITERS = 200
 DEFAULT_AUX_CAP = 16
-# The closed-form gradient takes logs of q(u|s) and of the eigenvalues of the
-# derived states; both are floored so zero masses and singular states give
-# finite (large) slopes. The line search only accepts steps that raise the
-# exact objective, so the floors shape the search direction, not the values.
-Q_FLOOR = 1e-6
+# The ascent step takes logs of the eigenvalues of the derived states; they
+# are floored so singular states give finite (large) weights. Steps are kept
+# only if they raise the exact objective, so the floor shapes the step, not
+# the values.
 EIG_FLOOR = 1e-12
 
 
@@ -101,52 +102,47 @@ def gp_objective(ch: StateChannel, q_given_s: np.ndarray, strategy: np.ndarray, 
     return GPObjectiveReport(rep.value / n, rep.holevo / n, rep.leak)
 
 
-def _project_rows(q: np.ndarray) -> np.ndarray:
-    return np.stack([project_simplex(row) for row in q])
-
-
-def _gradient(p, tensor, q, strategy) -> np.ndarray:
-    """Row-centred gradient of the objective in q(u|s), in bits.
+def _cross_term(p, tensor, q, strategy) -> np.ndarray:
+    """c(s,u) = tr rho_{s,x(s,u)}(log A_u - log rho_bar), in bits.
 
     With f = S(rho_bar) + sum_u tr A_u log A_u + sum_s p(s) H(q(.|s)) the
-    partial derivative is p(s)[tr rho_{s,x(s,u)}(log A_u - log rho_bar)
-    - log q(u|s)] up to a per-row constant, which centring removes (moves
-    within the simplex keep every row sum fixed). One batched eigh over the
-    A_u and rho_bar does the work of a single objective evaluation.
+    partial derivative in q(u|s) is p(s)[c(s,u) - log q(u|s)] up to a per-row
+    constant. One batched eigh over the A_u and rho_bar does the work of a
+    single objective evaluation.
     """
     num_states, num_u = q.shape
     picked = tensor[np.arange(num_states)[:, None], strategy]
     A = np.einsum("su,suij->uij", p[:, None] * q, picked)
     vals, vecs = np.linalg.eigh(np.concatenate([A, A.sum(axis=0, keepdims=True)]))
     logs = (vecs * np.log2(np.maximum(vals, EIG_FLOOR))[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-    cross = np.einsum("suij,uji->su", picked, logs[:num_u] - logs[num_u]).real
-    grad = p[:, None] * (cross - np.log2(np.maximum(q, Q_FLOOR)))
-    return grad - grad.mean(axis=1, keepdims=True)
+    return np.einsum("suij,uji->su", picked, logs[:num_u] - logs[num_u]).real
 
 
-def _ascend_q(p, tensor, q, strategy):
-    def f(mat):
-        return _objective(p, tensor, mat, strategy).value
+def _q_step(p, tensor, q, strategy) -> np.ndarray:
+    """One multiplicative step: q(u|s) proportional to 2^c(s,u) in every row.
 
-    # Projected gradient ascent with an Armijo backtracking line search; the
-    # closed-form gradient costs the work of one objective evaluation per step.
-    cur = f(q)
+    Let G(q; q') = sum_s p(s) sum_u q(u|s)[c'(s,u) - log q(u|s)] with c' taken
+    at q'. Then G(q'; q') = f(q') and, with omega = sum_u |u><u| (x) A_u,
+    f(q) - G(q; q') = D(omega||omega') - D(rho_bar||rho_bar') >= 0 by data
+    processing under the partial trace over U. The step maximises G(.; q')
+    row by row, so it never lowers f and stays inside the simplex.
+    """
+    c = _cross_term(p, tensor, q, strategy)
+    step = np.exp2(c - c.max(axis=1, keepdims=True))
+    return step / step.sum(axis=1, keepdims=True)
+
+
+def _ascend_q(p, tensor, q, strategy, cur):
+    """_q_step from q (objective cur) while the exact objective rises; returns (q, f, steps, evals)."""
+    steps = evals = 0
     for _ in range(ASCENT_ITERS):
-        grad = _gradient(p, tensor, q, strategy)
-        norm = float(np.abs(grad).max())
-        if norm < 1e-12 or not np.all(np.isfinite(grad)):
+        cand = _q_step(p, tensor, q, strategy)
+        val = _objective(p, tensor, cand, strategy).value
+        evals += 1
+        if not val > cur:
             break
-        alpha, accepted = 1.0, False
-        while alpha > 1e-12:
-            cand = _project_rows(q + alpha * grad)
-            val = f(cand)
-            if val > cur + 1e-4 * float(np.sum(grad * (cand - q))) and val > cur:
-                q, cur, accepted = cand, val, True
-                break
-            alpha *= 0.5
-        if not accepted or alpha < 1e-11:
-            break
-    return q, cur
+        q, cur, steps = cand, val, steps + 1
+    return q, cur, steps, evals
 
 
 def _sweep_strategy(p, tensor, q, strategy, num_inputs: int):
@@ -169,15 +165,20 @@ def _sweep_strategy(p, tensor, q, strategy, num_inputs: int):
 
 
 def _alternate(p, tensor, q, strategy, num_inputs, max_rounds):
+    """Returns (q, strategy, value, accepted ascent steps, objective evaluations)."""
     val = _objective(p, tensor, q, strategy).value
+    steps, evals = 0, 1
     for _ in range(max_rounds):
-        q, _ = _ascend_q(p, tensor, q, strategy)
+        q, _, round_steps, round_evals = _ascend_q(p, tensor, q, strategy, val)
         strategy, new_val = _sweep_strategy(p, tensor, q, strategy, num_inputs)
+        # The sweep evaluates once, then once per alternative input of each cell.
+        steps += round_steps
+        evals += round_evals + 1 + strategy.size * (num_inputs - 1)
         if new_val <= val + ALT_EPS:
             val = max(val, new_val)
             break
         val = new_val
-    return q, strategy, val
+    return q, strategy, val, steps, evals
 
 
 def trim_witness(q_given_s: np.ndarray, strategy: np.ndarray, tol: float = 1e-9):
@@ -236,12 +237,19 @@ class GPWitness:
     n: int
     value: float
     holevo: float
-    leak: float
+    leak: float  # I(U; S^n) per block; leak_per_symbol divides it by n
     q_given_s: np.ndarray
     strategy: np.ndarray
     aux_size: int
     restart_index: int
     restarts: int
+    restart_values: tuple[float, ...]  # per symbol, one per start in start order
+    ascent_steps: int  # accepted q-steps, summed over starts
+    objective_evals: int  # exact objective evaluations, summed over starts
+
+    @property
+    def leak_per_symbol(self) -> float:
+        return self.leak / self.n
 
 
 def noncausal_lower_bound(
@@ -269,6 +277,8 @@ def noncausal_lower_bound(
     num_states, num_inputs = ch_n.num_states, ch_n.num_inputs
     if aux_size is None:
         aux_size = default_aux_size(ch.num_states, ch.num_inputs, n)
+    if aux_size < 1:
+        raise PreconditionViolated("aux_size", aux_size, ">= 1")
 
     causal = causal_capacity(ch)
     q_rows = np.tile(causal.q, (ch.num_states, 1))
@@ -284,12 +294,9 @@ def noncausal_lower_bound(
         starts.append((q0, strat0))
 
     results = [_alternate(p, tensor, q0, strat0, num_inputs, max_rounds) for q0, strat0 in starts]
-
-    best_idx, best = 0, results[0]
-    for idx, res in enumerate(results[1:], start=1):
-        if res[2] > best[2]:
-            best_idx, best = idx, res
-    q_best, strat_best, _ = best
+    values = [res[2] for res in results]
+    best_idx = int(np.argmax(values))  # the first maximum, so ties keep the smallest index
+    q_best, strat_best = results[best_idx][:2]
     report = _objective(p, tensor, q_best, strat_best)
     return GPWitness(
         n=n,
@@ -301,6 +308,9 @@ def noncausal_lower_bound(
         aux_size=q_best.shape[1],
         restart_index=best_idx,
         restarts=len(starts),
+        restart_values=tuple(v / n for v in values),
+        ascent_steps=sum(res[3] for res in results),
+        objective_evals=sum(res[4] for res in results),
     )
 
 

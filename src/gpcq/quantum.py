@@ -57,9 +57,6 @@ class Distribution:
     def mass(self, label) -> float:
         return float(self.probs[self.labels.index(label)])
 
-    def as_dict(self) -> dict:
-        return {l: float(p) for l, p in zip(self.labels, self.probs)}
-
 
 def uniform_distribution(labels: Sequence) -> Distribution:
     k = len(labels)
@@ -227,11 +224,6 @@ def _ensemble_arrays(q, ensemble) -> tuple[np.ndarray, np.ndarray]:
     if len(dims) > 1:
         raise DimensionMismatch(f"mixed state shapes {sorted(dims)}")
     return weights, np.stack(states)
-
-
-def average_state(q, ensemble) -> np.ndarray:
-    weights, states = _ensemble_arrays(q, ensemble)
-    return np.einsum("u,uij->ij", weights, states)
 
 
 def holevo_quantity(q, ensemble) -> float:

@@ -1,4 +1,4 @@
-"""Small shared numeric helpers (RNG derivation, simplexes, samplers)."""
+"""Small shared numeric helpers (RNG derivation, intervals, samplers)."""
 
 from __future__ import annotations
 
@@ -23,18 +23,6 @@ def rng_for(seed: int, *key) -> np.random.Generator:
     so a unit's result does not depend on which units ran before it.
     """
     return np.random.default_rng([int(seed) & (2**63 - 1), *(_key_word(p) for p in key)])
-
-
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real vector onto the probability simplex."""
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    k = np.arange(1, v.size + 1)
-    ok = u - css / k > 0
-    rho = k[ok][-1]
-    theta = css[ok][-1] / rho
-    return np.maximum(v - theta, 0.0)
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from gpcq import cli
 from gpcq.cli import dispatch
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -94,6 +95,47 @@ class TestExitCodes:
         assert "Traceback" not in err and "NaN" not in err
 
     @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (("noncausal", "{flip}", "--aux-size", "0", "--seed", "1"), "precondition-violated"),
+            (("simulate", "{flip}", "--scheme", "causal-sequential", "--rates", "0.5",
+              "--n", "2", "--trials", "0", "--seed", "1"), "precondition-violated"),
+            (("simulate", "{flip}", "--scheme", "noncausal-sqrt", "--rates", "0.5",
+              "--n", "2", "--k", "0", "--seed", "1"), "precondition-violated"),
+            (("simulate", "{flip}", "--scheme", "causal-sequential", "--rates", "nan",
+              "--n", "2", "--seed", "1"), "non-finite"),
+            (("simulate", "{flip}", "--scheme", "causal-sequential", "--rates", "0.5",
+              "--n", "2", "--delta", "inf", "--seed", "1"), "non-finite"),
+            (("types", "--op", "nearest", "--p", "nan,1", "--n", "3", "--json"), "non-finite"),
+            (("types", "--op", "typical-mass", "--p", "nan,1", "--n", "3"), "non-finite"),
+            (("types", "--op", "typical-mass", "--p", "0.5,0.5", "--delta", "nan",
+              "--n", "3"), "non-finite"),
+            (("types", "--op", "coverage", "--joint", "0.5,nan;0.25,0.25", "--n", "4",
+              "--seed", "1"), "non-finite"),
+            (("causal", "{flip}", "--eps", "nan", "--json"), "non-finite"),
+            (("holevo", "{flip}", "--eps", "nan", "--json"), "non-finite"),
+        ],
+    )
+    def test_bad_input_is_error_code_not_traceback(self, capsys, channel_dir, argv, error):
+        argv = [a.format(flip=channel_dir / "flip.chan") for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err.strip().split("\n")[0])["error"] == error
+        assert "Traceback" not in err
+
+    def test_linear_algebra_failure_is_error_code(self, capsys, channel_dir, monkeypatch):
+        def fail(args):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setitem(cli.HANDLERS, "causal", fail)
+        code, out, err = run_cli(capsys, "causal", str(channel_dir / "flip.chan"))
+        assert code == 1
+        assert out == ""
+        assert json.loads(err.strip().split("\n")[0])["error"] == "linalg"
+        assert last_manifest(err)["cmdline"][:2] == ["gpcq", "causal"]
+
+    @pytest.mark.parametrize(
         "field, value", [("inputs", None), ("states", 5), ("dim", True)]
     )
     def test_mistyped_field_is_parse_error(self, capsys, channel_dir, tmp_path, field, value):
@@ -169,11 +211,16 @@ class TestJsonSchemas:
         assert code == 0
         payload = json.loads(out)
         assert set(payload) == {
-            "aux_size", "holevo", "leak", "n", "q_given_s",
-            "restart_index", "restarts", "strategy", "value",
+            "ascent_steps", "aux_size", "holevo", "leak", "leak_per_symbol", "n",
+            "objective_evals", "q_given_s", "restart_index", "restart_values",
+            "restarts", "strategy", "value",
         }
         assert payload["value"] == pytest.approx(0.7, abs=1e-9)
         assert payload["n"] == 1
+        assert len(payload["restart_values"]) == payload["restarts"] == 8
+        assert payload["restart_values"][payload["restart_index"]] == payload["value"]
+        assert payload["objective_evals"] > payload["ascent_steps"] > 0
+        assert payload["leak_per_symbol"] == payload["leak"]
 
     def test_holevo_payload_frozen_value(self, capsys, channel_dir):
         # State-averaged skew channel: binary symmetric with crossover 0.22.
@@ -286,6 +333,7 @@ class TestReproducibility:
         code2, out2, _ = run_cli(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+        assert {"restart_values", "ascent_steps", "objective_evals"} <= set(json.loads(out1))
 
     def test_manifest_on_stderr(self, capsys, channel_dir):
         path = str(channel_dir / "purecq.chan")

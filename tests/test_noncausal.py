@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gpcq.channel import product_extension
-from gpcq.errors import GpcqError, ShapeMismatch
+from gpcq.causal import causal_capacity
+from gpcq.channel import build_channel, product_extension
+from gpcq.errors import GpcqError, PreconditionViolated, ShapeMismatch
 from gpcq.noncausal import (
     ClassicalGP,
-    _gradient,
+    _cross_term,
     _objective,
+    _q_step,
     classical_gp_oracle,
     classical_leak_check,
     default_aux_size,
@@ -19,9 +23,35 @@ from gpcq.noncausal import (
     trim_witness,
     witness_conditionals_close,
 )
+from gpcq.util import random_density_matrix
 
 UNIFORM_Q = np.array([[0.5, 0.5], [0.5, 0.5]])
 INVERTING = np.array([[0, 1], [1, 0]])
+
+
+def random_cq_channel(rng, dim, num_states, num_inputs):
+    """Channel with random full-rank outputs and a random state prior."""
+    states = {
+        (str(s), str(x)): random_density_matrix(dim, rng)
+        for s in range(num_states)
+        for x in range(num_inputs)
+    }
+    p = rng.dirichlet(np.ones(num_states))
+    return build_channel(
+        [str(s) for s in range(num_states)], [str(x) for x in range(num_inputs)], dim, states, p
+    )
+
+
+def interior_witnesses(ch, num_u, rng, count=2):
+    """Random witnesses with every q(u|s) >= 1/(2|U|)."""
+    for _ in range(count):
+        q = 0.5 * rng.dirichlet(np.ones(num_u), size=ch.num_states) + 0.5 / num_u
+        yield q, rng.integers(0, ch.num_inputs, size=q.shape)
+
+
+def corpus_blocks(suite, n):
+    for name, ch in suite.items():
+        yield name, ch, (ch if n == 1 else product_extension(ch, n))
 
 
 class TestMutualInformation:
@@ -88,17 +118,15 @@ class TestGPObjective:
 class TestAscentGradient:
     @pytest.mark.parametrize("n", [1, 2])
     def test_closed_form_matches_central_differences(self, suite, n):
-        # Interior witnesses (every q(u|s) >= 1/(2|U|)) keep the central
-        # differences away from the log singularity at q = 0.
+        # p(s)(c(s,u) - log q(u|s)) is the gradient up to a per-row constant.
+        # Interior witnesses keep the central differences away from the log
+        # singularity at q = 0.
         rng = np.random.default_rng(1506 + n)
         h = 1e-6
-        for name, ch in suite.items():
-            ch_n = ch if n == 1 else product_extension(ch, n)
+        for name, ch, ch_n in corpus_blocks(suite, n):
             p, tensor = ch_n.p.probs, ch_n.tensor()
             num_u = default_aux_size(ch.num_states, ch.num_inputs, n)
-            for _ in range(2):
-                q = 0.5 * rng.dirichlet(np.ones(num_u), size=ch_n.num_states) + 0.5 / num_u
-                strat = rng.integers(0, ch_n.num_inputs, size=q.shape)
+            for q, strat in interior_witnesses(ch_n, num_u, rng):
                 fd = np.zeros_like(q)
                 for s in range(q.shape[0]):
                     for u in range(num_u):
@@ -108,9 +136,35 @@ class TestAscentGradient:
                         down = _objective(p, tensor, q - bump, strat).value
                         fd[s, u] = (up - down) / (2 * h)
                 fd -= fd.mean(axis=1, keepdims=True)
-                grad = _gradient(p, tensor, q, strat)
+                grad = p[:, None] * (_cross_term(p, tensor, q, strat) - np.log2(q))
+                grad -= grad.mean(axis=1, keepdims=True)
                 scale = float(np.abs(grad).max())
                 assert float(np.abs(grad - fd).max()) <= 1e-6 * scale, (name, n)
+
+
+class TestAscentStep:
+    def _assert_step_never_lowers(self, ch_n, num_u, rng, label):
+        p, tensor = ch_n.p.probs, ch_n.tensor()
+        for q, strat in interior_witnesses(ch_n, num_u, rng, count=4):
+            step = _q_step(p, tensor, q, strat)
+            assert np.all(step >= 0) and np.allclose(step.sum(axis=1), 1.0, atol=1e-12)
+            before = _objective(p, tensor, q, strat).value
+            after = _objective(p, tensor, step, strat).value
+            assert after >= before - 1e-12, (label, before, after)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_unguarded_step_never_lowers_objective_on_corpus(self, suite, n):
+        rng = np.random.default_rng(2004 + n)
+        for name, ch, ch_n in corpus_blocks(suite, n):
+            num_u = default_aux_size(ch.num_states, ch.num_inputs, n)
+            self._assert_step_never_lowers(ch_n, num_u, rng, (name, n))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_unguarded_step_never_lowers_objective_on_random_channels(self, dim):
+        rng = np.random.default_rng(1905 + dim)
+        for k in range(5):
+            ch = random_cq_channel(rng, dim, 2, 2)
+            self._assert_step_never_lowers(ch, default_aux_size(2, 2, 1), rng, (dim, k))
 
 
 class TestWitnessHelpers:
@@ -194,6 +248,30 @@ class TestNoncausalLowerBound:
             rep = gp_objective(ch, wit.q_given_s, wit.strategy)
             assert rep.value == pytest.approx(wit.value, abs=1e-12)
             assert wit.restart_index < wit.restarts
+
+    def test_diagnostics_describe_the_search(self, stuck):
+        wit = noncausal_lower_bound(stuck, n=2, restarts=3, seed=7, max_rounds=2)
+        assert len(wit.restart_values) == wit.restarts == 3
+        assert max(wit.restart_values) == wit.restart_values[wit.restart_index] == wit.value
+        assert wit.objective_evals > wit.ascent_steps > 0
+        assert wit.leak_per_symbol == wit.leak / 2
+
+    @pytest.mark.parametrize("aux_size", [0, -1])
+    def test_empty_auxiliary_alphabet_is_rejected(self, flip, aux_size):
+        with pytest.raises(PreconditionViolated):
+            noncausal_lower_bound(flip, aux_size=aux_size, restarts=2, seed=1)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(2, 3), st.integers(2, 3)
+)
+def test_noncausal_is_bracketed_on_random_channels(seed, dim, num_states, num_inputs):
+    ch = random_cq_channel(np.random.default_rng(seed), dim, num_states, num_inputs)
+    wit = noncausal_lower_bound(ch, restarts=2, seed=seed)
+    assert causal_capacity(ch).value - 1e-9 <= wit.value <= np.log2(dim) + 1e-9
+    rep = gp_objective(ch, wit.q_given_s, wit.strategy)
+    assert rep.value == pytest.approx(wit.value, abs=1e-12)
 
 
 class TestClassicalOracle:
