@@ -120,7 +120,6 @@ def _stats(weights: np.ndarray, states: np.ndarray, entropies: np.ndarray):
 def inner_maximize(
     states: np.ndarray,
     eps: float = INNER_EPS,
-    max_iter: int = INNER_MAX_ITER,
     q0: np.ndarray | None = None,
 ) -> InnerSolution:
     """Maximize Holevo information over weights by pairwise conditional gradient.
@@ -128,7 +127,7 @@ def inner_maximize(
     The returned gap bounds the distance to the optimum: for any weights q,
     max_u D(rho_u || rho_bar(q)) is an upper bound on the optimal value, so
     value + gap >= optimum regardless of convergence. ``iterations`` counts
-    the iterations actually run, also when a solve stalls before max_iter.
+    the iterations actually run, also when a solve stalls before INNER_MAX_ITER.
     Non-finite states, a NaN gap, or a final gap that is not finite raise
     GpcqError; an infinite gap mid-solve is an honest bound and the ascent
     goes on.
@@ -172,7 +171,7 @@ def inner_maximize(
 
     best_q, best_chi = q.copy(), -math.inf
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, INNER_MAX_ITER + 1):
         chi, div = _stats(q, states, entropies)
         if chi > best_chi:
             best_chi, best_q = chi, q.copy()
@@ -237,7 +236,6 @@ class CausalSolution:
 def causal_capacity(
     ch: StateChannel,
     eps: float = INNER_EPS,
-    max_iter: int = INNER_MAX_ITER,
 ) -> CausalSolution:
     """Message capacity with causal state knowledge at the encoder.
 
@@ -246,7 +244,7 @@ def causal_capacity(
     dropping zero weights leaves the value and the gap unchanged.
     """
     columns = strategy_columns(ch.num_states, ch.num_inputs)
-    sol = inner_maximize(derived_ensemble(ch, _as_strategy(columns)), eps=eps, max_iter=max_iter)
+    sol = inner_maximize(derived_ensemble(ch, _as_strategy(columns)), eps=eps)
     support = sol.q > 0
     return CausalSolution(
         value=sol.value,

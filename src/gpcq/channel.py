@@ -364,7 +364,7 @@ class ClassicalTable:
     output_labels: tuple[int, ...] = ()
 
 
-def classical_embedding(ch: StateChannel, tol: float = TAU_COMM) -> ClassicalTable:
+def classical_embedding(ch: StateChannel) -> ClassicalTable:
     """Joint-diagonalize all channel states when they pairwise commute.
 
     Commutators are measured in spectral norm. On success the returned table
@@ -377,7 +377,7 @@ def classical_embedding(ch: StateChannel, tol: float = TAU_COMM) -> ClassicalTab
         for j in range(i + 1, len(mats)):
             c = mats[i] @ mats[j] - mats[j] @ mats[i]
             worst = max(worst, float(np.linalg.norm(c, 2)))
-    if worst > tol:
+    if worst > TAU_COMM:
         return ClassicalTable(classical=False, max_commutator_norm=worst)
 
     basis = _common_eigenbasis(mats, ch.dim)

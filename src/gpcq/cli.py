@@ -21,7 +21,7 @@ from . import __version__
 from .causal import INNER_EPS, causal_capacity, inner_maximize
 from .channel import TAU_COMM, load_channel
 from .coding import rows_to_csv, simulate_rate_error_curve
-from .errors import GpcqError, NonFinite
+from .errors import GpcqError, NonFinite, PreconditionViolated
 from .method_of_types import (
     is_exact_type,
     nearest_type,
@@ -327,12 +327,18 @@ def _best_type(p: np.ndarray, n: int) -> np.ndarray:
 
 def _types_rows(args) -> list[dict]:
     ns = _parse_ints(args.n)
+    if any(n < 1 for n in ns):
+        raise PreconditionViolated("every --n >= 1", ns, ">= 1")
     rows: list[dict] = []
     if args.op == "coverage":
         if args.joint is None:
             raise GpcqError("types --op coverage requires --joint")
         joint = _parse_matrix(args.joint)
-        joint = joint / joint.sum()
+        total = joint.sum()
+        if total > 0:
+            # A joint left unnormalized has a negative entry or no mass;
+            # coverage_probability refuses both.
+            joint = joint / total
         for n in ns:
             res = coverage_probability(
                 joint, n, args.k, args.delta, trials=args.trials, seed=args.seed

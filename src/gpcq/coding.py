@@ -16,8 +16,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channel import StateChannel
+from .channel import StateChannel, memory_budget_bytes
 from .errors import (
+    BudgetExceeded,
     CapExceeded,
     GpcqError,
     InvalidPOVM,
@@ -26,10 +27,10 @@ from .errors import (
     PreconditionViolated,
 )
 from .method_of_types import (
+    covering_hypotheses,
     is_exact_type,
     matched_set_members,
     nearest_type_exhaustive,
-    support_floor,
 )
 from .quantum import eigenbasis, product_traces
 from .schur_weyl import DecodeContext
@@ -37,6 +38,8 @@ from .util import digit_table, rng_for
 
 EXACT_TERM_CAP = 10**6
 POVM_TOL = 1e-8
+# Eigenvalues of the square-root sum below RANK_TOL times the largest are its kernel.
+RANK_TOL = 1e-10
 # Largest |S|^n whose state words simulate_noncausal_trial enumerates.
 STATE_WORD_CAP = 4096
 
@@ -179,7 +182,7 @@ def _product_trace(op: np.ndarray, states) -> float:
     return float(product_traces(op, [st[None] for st in states]).item().real)
 
 
-def square_root_decoder(projectors: Sequence[np.ndarray], rank_tol: float = 1e-10):
+def square_root_decoder(projectors: Sequence[np.ndarray]):
     """POVM normalizing each operator by the inverse square root of the sum.
 
     The inverse square root is taken on the support of the sum; the kernel
@@ -195,7 +198,7 @@ def square_root_decoder(projectors: Sequence[np.ndarray], rank_tol: float = 1e-1
     top = float(vals.max(initial=0.0))
     if top <= 0.0:
         return [np.zeros((dim, dim), dtype=complex) for _ in mats], np.eye(dim, dtype=complex)
-    support = vals > rank_tol * top
+    support = vals > RANK_TOL * top
     inv_sqrt = np.zeros_like(vals)
     inv_sqrt[support] = vals[support] ** -0.5
     smoother = (vecs * inv_sqrt[None, :]) @ vecs.conj().T
@@ -304,9 +307,8 @@ def build_gp_codebook(
         raise PreconditionViolated(
             "auxiliary marginal is a denominator-n type", (p_u * n).tolist(), "integers"
         )
-    beta = support_floor(p_su)
-    num_s, num_u = p_su.shape
-    regime_ok = delta < beta / 2 and n > 4 * num_u * max(num_s, 1.0 / beta)
+    regime_ok, _ = covering_hypotheses(p_su, n, delta)
+    num_u = p_su.shape[1]
     counts = np.rint(p_u * n).astype(np.int64)
     base = np.repeat(np.arange(num_u), counts)
     rng = rng_for(seed, "gp-codebook")
@@ -318,12 +320,10 @@ def build_gp_codebook(
 
 def admissible_indices(codebook: GPCodebook, m: int, s_word) -> list[int]:
     """Bins of message m whose codeword matches the state word."""
-    s_words = np.asarray(s_word)[None, :]
-    return [
-        k
-        for k in range(codebook.K)
-        if matched_set_members(s_words, codebook.words[k, m], codebook.p_su, codebook.delta)[0]
-    ]
+    members = matched_set_members(
+        np.asarray(s_word)[None, :], codebook.words[:, m], codebook.p_su, codebook.delta
+    )
+    return np.flatnonzero(members[0]).tolist()
 
 
 def gp_encoder(codebook: GPCodebook, m: int, s_word, seed: int):
@@ -348,7 +348,19 @@ class SimRow:
     declares: float
 
 
-def _messages_for_rate(rate: float, n: int) -> int:
+def _messages_for_rate(rate: float, n: int, dim: int) -> int:
+    """2^(n rate) messages, refused when their decoder cannot fit the memory budget.
+
+    The decoder holds one d^n x d^n complex matrix per message; the footprint
+    is compared in log2 terms, so 2^(n rate) is only formed once it fits.
+    """
+    budget = memory_budget_bytes()
+    log2_bytes = max(n * rate, 0.0) + 2 * n * math.log2(dim) + 4
+    if log2_bytes > math.log2(max(budget, 1)):
+        raise BudgetExceeded(
+            f"rate {rate} at n={n} needs ~2^{log2_bytes:.1f} bytes of decoder, budget is {budget}",
+            log2_bytes=log2_bytes,
+        )
     return max(1, math.ceil(2.0 ** (n * rate) - 1e-9))
 
 
@@ -403,21 +415,19 @@ def simulate_noncausal_trial(
     p = ch.p.probs
     s_digits = digit_table(num_s, n)
     mass = p[s_digits].prod(axis=1)
+    members = matched_set_members(s_digits, words.reshape(K * M, n), p_su, delta).reshape(-1, K, M)
     # letter_states[:, u] stacks the output of every state letter under auxiliary letter u.
     letter_states = ch.tensor()[np.arange(num_s)[:, None], strategy]
 
     err_total = 0.0
     declare_total = 0.0
     for m in range(M):
-        members = np.stack(
-            [matched_set_members(s_digits, words[k, m], p_su, delta) for k in range(K)], axis=1
-        )
-        counts_k = members.sum(axis=1)
+        counts_k = members[:, :, m].sum(axis=1)
         succ = np.zeros(s_digits.shape[0])
         for k in range(K):
             # One trace per state word, in digit_table order.
             traces = product_traces(elements[m], [letter_states[:, u] for u in words[k, m]])
-            succ += members[:, k] * traces.reshape(-1).real
+            succ += members[:, k, m] * traces.reshape(-1).real
         with np.errstate(invalid="ignore"):
             succ = np.where(counts_k > 0, succ / np.where(counts_k > 0, counts_k, 1), 0.0)
         declare_mass = float(mass[counts_k == 0].sum())
@@ -479,6 +489,7 @@ def simulate_rate_error_curve(
         raise NonFinite(f"rates {list(rates)} and delta {delta} must be finite")
     if trials < 1 or K < 1 or any(n < 1 for n in n_list):
         raise PreconditionViolated("trials, K and every n", (trials, K, list(n_list)), ">= 1")
+    messages = [[_messages_for_rate(rate, n, ch.dim) for rate in rates] for n in n_list]
 
     rows: list[SimRow] = []
     if scheme == "causal-sequential":
@@ -496,10 +507,9 @@ def simulate_rate_error_curve(
         states = np.einsum("s,usij->uij", ch.p.probs, tensor[np.arange(ch.num_states)[None, :], columns])
         rho_bar = np.einsum("u,uij->ij", q, states)
         _, basis = eigenbasis(rho_bar)
-        for n in n_list:
+        for n, counts in zip(n_list, messages):
             ctx = DecodeContext(states, basis, n, delta)
-            for r_idx, rate in enumerate(rates):
-                M = _messages_for_rate(rate, n)
+            for r_idx, (rate, M) in enumerate(zip(rates, counts)):
                 results = np.array([
                     simulate_causal_trial(
                         states, q, ctx, n, M, delta, rng_for(seed, "causal", n, r_idx, t)
@@ -530,10 +540,9 @@ def simulate_rate_error_curve(
     states = blended / q_u[:, None, None]
     rho_bar = blended.sum(axis=0)
     _, basis = eigenbasis(rho_bar)
-    for n in n_list:
+    for n, counts in zip(n_list, messages):
         ctx = DecodeContext(states, basis, n, delta)
-        for r_idx, rate in enumerate(rates):
-            M = _messages_for_rate(rate, n)
+        for r_idx, (rate, M) in enumerate(zip(rates, counts)):
             results = np.array([
                 simulate_noncausal_trial(
                     ch, p_su, strat, ctx, n, K, M, delta,

@@ -135,7 +135,7 @@ def nearest_type(p, n: int) -> np.ndarray:
     return counts
 
 
-def nearest_type_exhaustive(p, n: int, cap: int = TYPE_ENUMERATION_CAP) -> np.ndarray:
+def nearest_type_exhaustive(p, n: int) -> np.ndarray:
     """Exact L1-closest denominator-n type with the same zero pattern.
 
     Exhaustive search over all admissible types; intended for toy n where
@@ -143,7 +143,7 @@ def nearest_type_exhaustive(p, n: int, cap: int = TYPE_ENUMERATION_CAP) -> np.nd
     """
     p = np.asarray(p, dtype=float)
     d = p.size
-    if math.comb(n + d - 1, d - 1) > cap:
+    if math.comb(n + d - 1, d - 1) > TYPE_ENUMERATION_CAP:
         raise CapExceeded(f"too many types to enumerate: C({n + d - 1},{d - 1})")
     best = None
     best_l1 = math.inf
@@ -171,15 +171,15 @@ def typical_types(p, delta: float, n: int, cap: int = TYPE_ENUMERATION_CAP):
     return out
 
 
-def typical_mass(p, delta: float, n: int, cap: int = TYPE_ENUMERATION_CAP) -> float:
+def typical_mass(p, delta: float, n: int) -> float:
     """Exact p^n-probability of the L1 delta-typical set at blocklength n."""
     p = np.asarray(p, dtype=float)
     if delta < 0:
-        raise GpcqError("delta must be nonnegative")
+        raise PreconditionViolated("delta >= 0", delta, 0.0)
     logs = np.full(p.size, -math.inf)
     logs[p > 0] = np.log2(p[p > 0])
     total = 0.0
-    for f in typical_types(p, delta, n, cap=cap):
+    for f in typical_types(p, delta, n):
         f_arr = np.asarray(f, dtype=float)
         if np.any((f_arr > 0) & (p <= 0)):
             continue
@@ -357,49 +357,54 @@ def joint_type_completion(s_seq, p_su: np.ndarray, delta: float) -> np.ndarray:
     return u_seq
 
 
-def matched_set_members(s_words, u_word, p_su: np.ndarray, delta: float) -> np.ndarray:
-    """Which rows of s_words (shape (T, n)) the auxiliary word u_word matches.
+def matched_set_members(s_words, u_words, p_su: np.ndarray, delta: float) -> np.ndarray:
+    """Which auxiliary words match which state words, as a (T, W) bool array.
 
-    Per auxiliary letter u appearing in u_word, the empirical state
-    distribution on u's positions must stay within divergence delta/2 of the
-    conditional p(s|u), weighted by the letter frequency. Letters absent
-    from u_word contribute nothing.
+    s_words has shape (T, n) and u_words shape (W, n); words may be of any
+    type. Per auxiliary letter u of a word, the empirical state distribution
+    on u's positions must stay within divergence delta/2 of the conditional
+    p(s|u), weighted by the letter frequency; letters absent from a word
+    contribute nothing. The count vector over S of every (state word,
+    auxiliary word) pair is packed into one exact int64 key in base n+1, so
+    each distinct count vector is scored once.
     """
     s_words = np.asarray(s_words, dtype=np.int64)
-    u_word = np.asarray(u_word, dtype=np.int64)
+    u_words = np.asarray(u_words, dtype=np.int64)
     p_su = np.asarray(p_su, dtype=float)
     num_s, num_u = p_su.shape
     T, n = s_words.shape
-    if u_word.shape != (n,):
-        raise LengthMismatch(f"state words of length {n}, auxiliary word of shape {u_word.shape}")
+    if u_words.ndim != 2 or u_words.shape[1] != n:
+        raise LengthMismatch(f"state words of length {n}, auxiliary words of shape {u_words.shape}")
+    if (n + 1) ** num_s > 2**62:
+        raise CapExceeded(f"(n+1)^|S| = {n + 1}^{num_s} count keys exceed int64")
     p_u = p_su.sum(axis=0)
-    scores = np.zeros(T)
+    cond = np.where(p_u > 0, p_su / np.where(p_u > 0, p_u, 1.0), 0.0)
+    radix = (n + 1) ** np.arange(num_s - 1, -1, -1, dtype=np.int64)
+    packed = radix[s_words]
+    scores = np.zeros((T, u_words.shape[0]))
     for u in range(num_u):
-        pos = u_word == u
-        t_u = int(pos.sum())
-        if t_u == 0:
-            continue
-        if p_u[u] <= 0:
-            return np.zeros(T, dtype=bool)
-        cond = p_su[:, u] / p_u[u]
-        counts = np.stack([(s_words[:, pos] == s).sum(axis=1) for s in range(num_s)], axis=1)
-        emp = counts / t_u
+        keys = packed @ (u_words == u).T.astype(np.int64)
+        distinct, inverse = np.unique(keys.ravel(), return_inverse=True)
+        counts = distinct[:, None] // radix % (n + 1)
+        t_u = counts.sum(axis=1)
+        emp = counts / np.maximum(t_u, 1)[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            terms = emp * (np.log2(emp) - np.log2(cond)[None, :])
+            terms = emp * (np.log2(emp) - np.log2(cond[:, u])[None, :])
         terms = np.where(emp > 0, terms, 0.0)
-        bad = np.any((emp > 0) & (cond[None, :] <= 0), axis=1)
         d = terms.sum(axis=1)
-        d[bad] = np.inf
-        scores = np.maximum(scores, (t_u / n) * d)
+        d[np.any((emp > 0) & (cond[:, u][None, :] <= 0), axis=1)] = np.inf
+        scores = np.maximum(scores, ((t_u / n) * d)[inverse].reshape(keys.shape))
     return scores <= delta / 2
 
 
 def m_set_contains(s_seq, u_seq, p_su: np.ndarray, delta: float) -> bool:
     """Whether the state sequence is matched by the auxiliary word.
 
-    One row of matched_set_members; unequal lengths raise LengthMismatch.
+    One entry of matched_set_members; unequal lengths raise LengthMismatch.
     """
-    return bool(matched_set_members(np.asarray(s_seq)[None, :], u_seq, p_su, delta)[0])
+    return bool(
+        matched_set_members(np.asarray(s_seq)[None, :], np.asarray(u_seq)[None, :], p_su, delta)[0, 0]
+    )
 
 
 def chernoff_bound(L: int, b: float, nu: float, eps: float) -> float:
@@ -463,6 +468,20 @@ class CoverageResult:
     typical_count: int
 
 
+def covering_hypotheses(p_su: np.ndarray, n: int, delta: float) -> tuple[bool, str]:
+    """Whether delta < beta/2 and n > 4 |U| max(|S|, 1/beta) hold, with a note.
+
+    beta is the smallest positive joint mass; these are the covering
+    hypotheses of joint_type_completion, reported instead of enforced.
+    """
+    num_s, num_u = p_su.shape
+    beta = support_floor(p_su)
+    n_floor = 4 * num_u * max(num_s, 1.0 / beta)
+    if delta < beta / 2 and n > n_floor:
+        return True, "analytic hypotheses satisfied"
+    return False, f"delta < beta/2 is {delta < beta / 2}, n > {n_floor:.1f} is {n > n_floor}"
+
+
 def coverage_probability(
     p_su: np.ndarray,
     n: int,
@@ -470,7 +489,6 @@ def coverage_probability(
     delta: float,
     trials: int,
     seed: int,
-    cap: int = SEQUENCE_ENUMERATION_CAP,
 ) -> CoverageResult:
     """Monte-Carlo probability that K random auxiliary words cover all typical states.
 
@@ -483,20 +501,23 @@ def coverage_probability(
     """
     p_su = np.asarray(p_su, dtype=float)
     num_s, num_u = p_su.shape
+    if trials < 1 or K < 0 or n < 1 or not delta >= 0:
+        raise PreconditionViolated(
+            "trials >= 1, K >= 0, n >= 1, delta >= 0", (trials, K, n, delta), "in range"
+        )
+    if np.any(p_su < 0) or not p_su.sum() > 0:
+        raise PreconditionViolated(
+            "joint has no negative entry and positive mass",
+            (float(p_su.min()), float(p_su.sum())),
+            "min >= 0, sum > 0",
+        )
     p_s = p_su.sum(axis=1)
     p_u = p_su.sum(axis=0)
     if not is_exact_type(p_u, n):
         raise PreconditionViolated("n * p_U integral", (p_u * n).tolist(), "integers")
-    if num_s**n > cap:
-        raise CapExceeded(f"|S|^n = {num_s**n} exceeds enumeration cap {cap}")
-    beta = support_floor(p_su)
-    n_floor = 4 * num_u * max(num_s, 1.0 / beta)
-    hypotheses = delta < beta / 2 and n > n_floor
-    note = (
-        "analytic hypotheses satisfied"
-        if hypotheses
-        else f"delta < beta/2 is {delta < beta / 2}, n > {n_floor:.1f} is {n > n_floor}"
-    )
+    if num_s**n > SEQUENCE_ENUMERATION_CAP:
+        raise CapExceeded(f"|S|^n = {num_s**n} exceeds enumeration cap {SEQUENCE_ENUMERATION_CAP}")
+    hypotheses, note = covering_hypotheses(p_su, n, delta)
 
     seqs = digit_table(num_s, n)
     types = np.stack([np.sum(seqs == s, axis=1) for s in range(num_s)], axis=1)
@@ -506,50 +527,12 @@ def coverage_probability(
     if t_count == 0:
         return CoverageResult(1.0, 1.0, 1.0, trials, hypotheses, note, 0)
 
-    s_onehot = np.stack([(seqs == s) for s in range(num_s)], axis=2).astype(float)
-    word_counts = np.rint(p_u * n).astype(np.int64)
-    base_word = np.repeat(np.arange(num_u), word_counts)
-    cond = np.where(p_u > 0, p_su / np.where(p_u > 0, p_u, 1.0), 0.0)
-
-    # Joint counts per letter take few integer values, so the divergence
-    # scores are looked up from tables indexed by the count vector over S.
-    tables: list[np.ndarray | None] = []
-    radix: list[np.ndarray | None] = []
-    for u in range(num_u):
-        tu = int(word_counts[u])
-        if tu == 0:
-            tables.append(None)
-            radix.append(None)
-            continue
-        grid = digit_table(tu + 1, num_s).astype(float)
-        emp = grid / tu
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = emp * (np.log2(emp) - np.log2(cond[:, u])[None, :])
-        terms = np.where(emp > 0, terms, 0.0)
-        d = terms.sum(axis=1)
-        d[np.any((emp > 0) & (cond[:, u][None, :] <= 0), axis=1)] = np.inf
-        tables.append((tu / n) * d)
-        radix.append((tu + 1) ** np.arange(num_s - 1, -1, -1, dtype=np.int64))
-
+    base_word = np.repeat(np.arange(num_u), np.rint(p_u * n).astype(np.int64))
     successes = 0
     for trial in range(trials):
         rng = rng_for(seed, trial)
-        words = np.stack([rng.permutation(base_word) for _ in range(K)]) if K else np.empty((0, n), dtype=np.int64)
-        if K == 0:
-            break
-        u_oh = np.stack([(words == u) for u in range(num_u)], axis=2).astype(float)
-        counts = np.rint(np.tensordot(u_oh, s_onehot, axes=([1], [1]))).astype(np.int64)
-        scores = np.zeros((K, t_count))
-        for u in range(num_u):
-            if tables[u] is None:
-                continue
-            scores = np.maximum(scores, tables[u][counts[:, u] @ radix[u]])
-        member = scores <= delta / 2
-        if bool(member.any(axis=0).all()):
+        words = np.array([rng.permutation(base_word) for _ in range(K)], dtype=np.int64).reshape(K, n)
+        if matched_set_members(seqs, words, p_su, delta).any(axis=1).all():
             successes += 1
-    if K == 0:
-        est = 0.0 if t_count else 1.0
-        lo, hi = wilson_interval(int(est * trials), trials)
-        return CoverageResult(est, lo, hi, trials, hypotheses, note, t_count)
     lo, hi = wilson_interval(successes, trials)
     return CoverageResult(successes / trials, lo, hi, trials, hypotheses, note, t_count)

@@ -31,6 +31,10 @@ DEFAULT_AUX_CAP = 16
 # only if they raise the exact objective, so the floor shapes the step, not
 # the values.
 EIG_FLOOR = 1e-12
+# classical_gp_oracle polishes the best ORACLE_TOP_SEEDS grid points of each
+# input map, scoring the grid ORACLE_CHUNK points at a time.
+ORACLE_TOP_SEEDS = 3
+ORACLE_CHUNK = 65536
 
 
 def default_aux_size(num_states: int, num_inputs: int, n: int) -> int:
@@ -367,8 +371,6 @@ def classical_gp_oracle(
     aux_size: int = 2,
     grid_step: float = 0.1,
     refine_rounds: int = 10,
-    top_seeds: int = 3,
-    chunk: int = 65536,
     eval_budget: int = 8_000_000,
 ) -> float:
     """Grid-plus-refinement maximization of the classical trade-off objective.
@@ -400,19 +402,19 @@ def classical_gp_oracle(
         e_map = np.array([int(c) for c in digits], dtype=np.int64).reshape(aux_size, num_states)
 
         scored = []
-        for start in range(0, total, chunk):
-            idx = np.arange(start, min(start + chunk, total))
+        for start in range(0, total, ORACLE_CHUNK):
+            idx = np.arange(start, min(start + ORACLE_CHUNK, total))
             Q = np.empty((idx.size, num_states, aux_size))
             rem = idx.copy()
             for s in range(num_states - 1, -1, -1):
                 Q[:, s, :] = grid[rem % G]
                 rem //= G
             vals = _classical_objective_batch(p, w, e_map, Q)
-            order = np.argsort(vals)[-top_seeds:]
+            order = np.argsort(vals)[-ORACLE_TOP_SEEDS:]
             scored.extend((float(vals[i]), Q[i]) for i in order)
         scored.sort(key=lambda t: t[0], reverse=True)
 
-        for base_val, base_q in scored[:top_seeds]:
+        for base_val, base_q in scored[:ORACLE_TOP_SEEDS]:
             cur_val, cur_q = base_val, base_q
             width = 2.0 * grid_step
             for _ in range(refine_rounds):

@@ -266,10 +266,7 @@ def pinch(rho, basis: np.ndarray) -> Distribution:
     return Distribution(tuple(range(b.shape[0])), diag)
 
 
-def eigenbasis(rho, descending: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues, eigenvectors-as-columns), ordered by eigenvalue."""
+def eigenbasis(rho) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors-as-columns), in descending eigenvalue order."""
     vals, vecs = np.linalg.eigh(_as_matrix(rho))
-    if descending:
-        vals = vals[::-1].copy()
-        vecs = vecs[:, ::-1].copy()
-    return np.clip(vals, 0.0, None), vecs
+    return np.clip(vals[::-1].copy(), 0.0, None), vecs[:, ::-1].copy()

@@ -25,8 +25,9 @@ def rng_for(seed: int, *key) -> np.random.Generator:
     return np.random.default_rng([int(seed) & (2**63 - 1), *(_key_word(p) for p in key)])
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
+    z = 1.96
     if trials <= 0:
         return 0.0, 1.0
     phat = successes / trials

@@ -114,6 +114,32 @@ class TestExitCodes:
               "--seed", "1"), "non-finite"),
             (("causal", "{flip}", "--eps", "nan", "--json"), "non-finite"),
             (("holevo", "{flip}", "--eps", "nan", "--json"), "non-finite"),
+            (("types", "--op", "nearest", "--p", "0.5,0.5", "--n", "0"), "precondition-violated"),
+            (("types", "--op", "class-size", "--p", "0.5,0.5", "--n", "-1"), "precondition-violated"),
+            (("types", "--op", "class-size", "--p", "0.5,0.5", "--n", "0"), "precondition-violated"),
+            (("types", "--op", "typical-mass", "--p", "0.5,0.5", "--n", "4,0"), "precondition-violated"),
+            (("types", "--op", "typical-mass", "--p", "0.5,0.5", "--delta", "-1",
+              "--n", "4"), "precondition-violated"),
+            (("types", "--op", "coverage", "--joint", "0.35,0.15;0.15,0.35", "--n", "0",
+              "--seed", "1"), "precondition-violated"),
+            (("types", "--op", "coverage", "--joint", "0.35,0.15;0.15,0.35", "--n", "4",
+              "--trials", "0", "--seed", "1"), "precondition-violated"),
+            (("types", "--op", "coverage", "--joint", "0.35,0.15;0.15,0.35", "--n", "4",
+              "--trials", "-3", "--seed", "1"), "precondition-violated"),
+            (("types", "--op", "coverage", "--joint", "0.35,0.15;0.15,0.35", "--n", "4",
+              "--k", "-1", "--seed", "1"), "precondition-violated"),
+            (("types", "--op", "coverage", "--joint", "0.35,0.15;0.15,0.35", "--n", "4",
+              "--delta", "-1", "--seed", "1"), "precondition-violated"),
+            (("types", "--op", "coverage", "--joint", "0.5,0.5;0.25,-0.25", "--n", "4",
+              "--seed", "1"), "precondition-violated"),
+            (("types", "--op", "coverage", "--joint=-1,0;0,0", "--n", "4",
+              "--seed", "1"), "precondition-violated"),
+            (("types", "--op", "coverage", "--joint", "0,0;0,0", "--n", "4",
+              "--seed", "1"), "precondition-violated"),
+            (("simulate", "{flip}", "--scheme", "causal-sequential", "--rates", "600",
+              "--n", "2", "--seed", "1"), "budget-exceeded"),
+            (("simulate", "{flip}", "--scheme", "noncausal-sqrt", "--rates", "0.5,40",
+              "--n", "2", "--seed", "1"), "budget-exceeded"),
         ],
     )
     def test_bad_input_is_error_code_not_traceback(self, capsys, channel_dir, argv, error):
@@ -121,8 +147,9 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert json.loads(err.strip().split("\n")[0])["error"] == error
-        assert "Traceback" not in err
+        payload = json.loads(err.strip().split("\n")[0])
+        assert payload["error"] == error
+        assert "Traceback" not in err and "nan" not in payload["details"]
 
     def test_linear_algebra_failure_is_error_code(self, capsys, channel_dir, monkeypatch):
         def fail(args):

@@ -260,6 +260,20 @@ class TestGPCodebook:
         ks = admissible_indices(book, 1, s_word)
         assert any(np.array_equal(book.words[k, 1], out) for k in ks)
 
+    def test_admissible_indices_match_per_bin_membership(self):
+        book = build_gp_codebook(COVER_JOINT, n=8, K=16, M=3, delta=0.3, seed=5)
+        rng = rng_for(6, "states")
+        hits = 0
+        for _ in range(40):
+            s_word = rng.integers(0, 2, size=8)
+            for m in range(book.M):
+                ks = admissible_indices(book, m, s_word)
+                assert ks == [
+                    k for k in range(book.K) if m_set_contains(s_word, book.words[k, m], COVER_JOINT, 0.3)
+                ]
+                hits += len(ks)
+        assert 0 < hits < 40 * book.M * book.K
+
     def test_encoder_declares_when_no_bin_matches(self):
         book = build_gp_codebook(COVER_JOINT, n=12, K=2, M=1, delta=1e-9, seed=3)
         assert gp_encoder(book, 0, np.zeros(12, dtype=np.int64), seed=1) is DECLARE

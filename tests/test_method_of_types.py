@@ -1,6 +1,7 @@
 """Method of types: type classes, typical sets, matching, and coverage."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,22 @@ from gpcq.quantum import kl_divergence, shannon_entropy
 from gpcq.util import compositions, digit_table
 
 COVER_JOINT = np.array([[0.35, 0.15], [0.15, 0.35]])
+
+
+def inline_member(s_seq, u_seq, p_su, delta):
+    """Matched-set test written out with kl_divergence, one pair at a time."""
+    num_s, num_u = p_su.shape
+    jt = joint_type(s_seq, u_seq, num_s, num_u)
+    t = jt.sum(axis=0)
+    p_u = p_su.sum(axis=0)
+    worst = 0.0
+    for u in range(num_u):
+        if t[u] == 0:
+            continue
+        if p_u[u] <= 0:
+            return False
+        worst = max(worst, (t[u] / len(s_seq)) * kl_divergence(jt[:, u] / t[u], p_su[:, u] / p_u[u]))
+    return worst <= delta / 2
 
 
 class TestTypeClassSize:
@@ -224,15 +241,62 @@ class TestMatchedSet:
                 for u in range(2)
             )
             expected.append(worst <= delta / 2)
-        members = matched_set_members(s_words, u_seq, COVER_JOINT, delta)
-        assert members.tolist() == expected
+        members = matched_set_members(s_words, u_seq[None, :], COVER_JOINT, delta)
+        assert members.shape == (64, 1)
+        assert members[:, 0].tolist() == expected
         assert sum(expected) == matched
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3]),
+        st.sampled_from([2, 3]),
+        st.integers(1, 6),
+        st.integers(1, 5),
+        st.sampled_from([0.05, 0.2, 1.0]),
+    )
+    def test_word_stacks_match_inline_formula(self, seed, num_s, num_u, n, num_words, delta):
+        # Integer cells with forced zeros, and half the time a dead auxiliary
+        # letter; auxiliary words are drawn letter by letter, so their types mix.
+        rg = np.random.default_rng(seed)
+        cells = rg.integers(0, 5, size=(num_s, num_u)).astype(float)
+        cells[rg.integers(num_s), rg.integers(num_u)] = 0.0
+        if rg.random() < 0.5:
+            cells[:, rg.integers(num_u)] = 0.0
+        if cells.sum() == 0:
+            cells[0, 0] = 1.0
+        p_su = cells / cells.sum()
+        s_words = digit_table(num_s, n)
+        u_words = rg.integers(0, num_u, size=(num_words, n))
+        members = matched_set_members(s_words, u_words, p_su, delta)
+        expected = [[inline_member(s, u, p_su, delta) for u in u_words] for s in s_words]
+        assert members.shape == (num_s**n, num_words)
+        assert members.tolist() == expected
 
     def test_unequal_lengths_rejected(self):
         with pytest.raises(LengthMismatch):
             m_set_contains([0, 1, 0], [0, 1], COVER_JOINT, 0.5)
         with pytest.raises(LengthMismatch):
-            matched_set_members(digit_table(2, 3), [0, 1], COVER_JOINT, 0.5)
+            matched_set_members(digit_table(2, 3), [[0, 1]], COVER_JOINT, 0.5)
+        with pytest.raises(LengthMismatch):
+            matched_set_members(digit_table(2, 3), [0, 1, 0], COVER_JOINT, 0.5)
+
+    def test_inexact_count_keys_refused_before_work(self):
+        # 64 state letters make (n+1)^|S| = 2^64 count keys at n=1, beyond
+        # exact int64; a per-letter score table would need 2^64 rows.
+        # delta = 2 keeps every state word typical, so coverage reaches the test.
+        p_su = np.zeros((64, 2))
+        p_su[:, 0] = 1 / 64
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded):
+                matched_set_members(np.arange(64)[:, None], [[0]], p_su, 0.2)
+            with pytest.raises(CapExceeded):
+                coverage_probability(p_su, n=1, K=1, delta=2.0, trials=1, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestChernoff:
@@ -298,6 +362,22 @@ class TestCoverage:
     def test_marginal_must_be_exact_type(self):
         with pytest.raises(PreconditionViolated):
             coverage_probability(COVER_JOINT, n=7, K=4, delta=0.2, trials=10, seed=1)
+
+    @pytest.mark.parametrize(
+        "joint, n, K, delta, trials",
+        [
+            (COVER_JOINT, 8, 2, 0.2, 0),
+            (COVER_JOINT, 8, 2, 0.2, -3),
+            (COVER_JOINT, 8, -1, 0.2, 10),
+            (COVER_JOINT, 8, 2, -1.0, 10),
+            (COVER_JOINT, 0, 2, 0.2, 10),
+            (np.array([[0.5, 0.5], [0.25, -0.25]]), 4, 2, 0.2, 10),
+            (np.zeros((2, 2)), 4, 2, 0.2, 10),
+        ],
+    )
+    def test_out_of_range_arguments_rejected(self, joint, n, K, delta, trials):
+        with pytest.raises(PreconditionViolated):
+            coverage_probability(joint, n=n, K=K, delta=delta, trials=trials, seed=1)
 
 
 class TestConditionalTypeCount:
