@@ -15,7 +15,7 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from gpcq.causal import causal_capacity, inner_maximize
-from gpcq.channel import load_channel
+from gpcq.channel import derived_states, load_channel
 from gpcq.noncausal import noncausal_lower_bound
 
 
@@ -34,7 +34,8 @@ def main() -> None:
         ch = load_channel(str(path))
         causal = causal_capacity(ch)
         wit = noncausal_lower_bound(ch, restarts=args.restarts, seed=args.seed)
-        avg_states = np.einsum("s,sxij->xij", ch.p.probs, ch.tensor())
+        identity = np.tile(np.arange(ch.num_inputs), (ch.num_states, 1))
+        avg_states = derived_states(ch.p.probs, ch.tensor(), np.ones(identity.shape), identity)
         avg = inner_maximize(avg_states)
         print(
             f"{path.stem:<12} {causal.value:>10.6f} {wit.value:>10.6f} {avg.value:>10.6f}"

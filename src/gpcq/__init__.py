@@ -9,11 +9,10 @@ __version__ = "0.1.0"
 
 from .causal import CausalSolution, causal_capacity, inner_maximize
 from .channel import (
-    RandomizedEncoder,
     StateChannel,
     build_channel,
     classical_embedding,
-    derived_channel,
+    derived_states,
     load_channel,
     parse_channel,
     product_extension,
@@ -48,7 +47,6 @@ __all__ = [
     "GPCodebook",
     "GPWitness",
     "GpcqError",
-    "RandomizedEncoder",
     "StateChannel",
     "average_error",
     "build_channel",
@@ -58,7 +56,7 @@ __all__ = [
     "classical_embedding",
     "classical_gp_oracle",
     "decode_projector",
-    "derived_channel",
+    "derived_states",
     "gp_encoder",
     "gp_objective",
     "holevo_quantity",

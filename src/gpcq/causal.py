@@ -16,7 +16,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .channel import StateChannel
+from .channel import StateChannel, derived_states
 from .errors import CapExceeded, GpcqError
 from .quantum import TAU_SUPP, von_neumann_entropy
 
@@ -41,24 +41,6 @@ class Strategy:
 
     columns: tuple[tuple[int, ...], ...]
 
-    @property
-    def aux_size(self) -> int:
-        return len(self.columns)
-
-    @property
-    def num_states(self) -> int:
-        return len(self.columns[0])
-
-    def input_for(self, s: int, u: int) -> int:
-        return self.columns[u][s]
-
-    def kernel(self, num_inputs: int) -> np.ndarray:
-        k = np.zeros((self.num_states, self.aux_size, num_inputs))
-        for u, col in enumerate(self.columns):
-            for s, x in enumerate(col):
-                k[s, u, x] = 1.0
-        return k
-
 
 def strategy_columns(num_states: int, num_inputs: int) -> np.ndarray:
     """All |X|^|S| Shannon strategies as rows of input indices, in lexicographic order.
@@ -75,14 +57,6 @@ def strategy_columns(num_states: int, num_inputs: int) -> np.ndarray:
 
 def _as_strategy(columns: np.ndarray) -> Strategy:
     return Strategy(tuple(map(tuple, columns.tolist())))
-
-
-def derived_ensemble(ch: StateChannel, strategy: Strategy) -> np.ndarray:
-    """States seen by the decoder per auxiliary letter, averaged over p."""
-    tensor = ch.tensor()
-    cols = np.asarray(strategy.columns, dtype=np.int64)
-    picked = tensor[np.arange(ch.num_states)[None, :], cols]
-    return np.einsum("s,usij->uij", ch.p.probs, picked)
 
 
 @dataclass(frozen=True)
@@ -244,7 +218,9 @@ def causal_capacity(
     dropping zero weights leaves the value and the gap unchanged.
     """
     columns = strategy_columns(ch.num_states, ch.num_inputs)
-    sol = inner_maximize(derived_ensemble(ch, _as_strategy(columns)), eps=eps)
+    strategy = columns.T
+    states = derived_states(ch.p.probs, ch.tensor(), np.ones(strategy.shape), strategy)
+    sol = inner_maximize(states, eps=eps)
     support = sol.q > 0
     return CausalSolution(
         value=sol.value,

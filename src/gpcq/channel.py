@@ -89,27 +89,6 @@ class StateChannel:
         return self._tensor
 
 
-@dataclass(eq=False)
-class RandomizedEncoder:
-    """Auxiliary-letter encoder kernel: (s, u) -> distribution over inputs.
-
-    ``kernel`` has shape (|S|, |U|, |X|) with rows summing to one.
-    """
-
-    aux_size: int
-    kernel: np.ndarray
-
-    def __post_init__(self):
-        self.kernel = np.asarray(self.kernel, dtype=float)
-        if self.kernel.ndim != 3 or self.kernel.shape[1] != self.aux_size:
-            raise DimensionMismatch(
-                f"kernel shape {self.kernel.shape} does not match aux size {self.aux_size}"
-            )
-        rows = self.kernel.sum(axis=2)
-        if np.any(np.abs(rows - 1.0) > 1e-9) or np.any(self.kernel < -1e-12):
-            raise DimensionMismatch("kernel rows must be distributions over inputs")
-
-
 def build_channel(
     state_alphabet,
     input_alphabet,
@@ -277,28 +256,27 @@ def load_channel(path: str) -> StateChannel:
         return parse_channel(fh.read())
 
 
-def derived_channel(ch: StateChannel, enc: RandomizedEncoder) -> np.ndarray:
-    """States seen by the receiver per auxiliary letter, averaged over p and x.
+def letter_states(tensor: np.ndarray, strategy: np.ndarray) -> np.ndarray:
+    """rho[s, strategy[s, u]] as an (|S|, |U|, dim, dim) array.
 
-    Returns an (|U|, dim, dim) array:
-        rho_u = sum_s sum_x p(s) kernel(s, u)(x) rho[s, x].
+    ``tensor`` is a channel's (|S|, |X|, dim, dim) state array and
+    ``strategy`` an (|S|, |U|) table of input indices: entry (s, u) is the
+    output state when the state is s and the auxiliary letter is u.
     """
-    _check_encoder_shape(ch, enc)
-    return np.einsum("s,sux,sxij->uij", ch.p.probs, enc.kernel, ch.tensor())
+    return tensor[np.arange(tensor.shape[0])[:, None], strategy]
 
 
-def conditional_derived_channel(ch: StateChannel, enc: RandomizedEncoder) -> np.ndarray:
-    """Per-(s, u) averaged states, an (|S|, |U|, dim, dim) array."""
-    _check_encoder_shape(ch, enc)
-    return np.einsum("sux,sxij->suij", enc.kernel, ch.tensor())
+def derived_states(p: np.ndarray, tensor: np.ndarray, weights: np.ndarray, strategy: np.ndarray) -> np.ndarray:
+    """States the decoder sees per auxiliary letter, an (|U|, dim, dim) array.
 
+        A_u = sum_s p(s) weights[s, u] rho[s, strategy[s, u]].
 
-def _check_encoder_shape(ch: StateChannel, enc: RandomizedEncoder):
-    ns, nu, nx = enc.kernel.shape
-    if ns != ch.num_states or nx != ch.num_inputs:
-        raise AlphabetMismatch(
-            f"encoder kernel is ({ns},{nu},{nx}) but channel has |S|={ch.num_states}, |X|={ch.num_inputs}"
-        )
+    With weights q(u|s) this is p(u) times the decoder state of letter u
+    (the Gel'fand-Pinsker ensemble); with weights 1 and one Shannon strategy
+    per column it is the state-averaged output of each strategy, and with
+    the identity strategy it is the state-averaged channel.
+    """
+    return np.einsum("su,suij->uij", p[:, None] * weights, letter_states(tensor, strategy))
 
 
 def product_extension(ch: StateChannel, n: int, budget_bytes: int | None = None) -> StateChannel:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .causal import INNER_EPS, causal_capacity, inner_maximize
-from .channel import TAU_COMM, load_channel
+from .channel import TAU_COMM, derived_states, load_channel
 from .coding import rows_to_csv, simulate_rate_error_curve
 from .errors import GpcqError, NonFinite, PreconditionViolated
 from .method_of_types import (
@@ -295,7 +295,8 @@ def _cmd_noncausal(args) -> None:
 
 def _cmd_holevo(args) -> None:
     ch = load_channel(args.channel)
-    states = np.einsum("s,sxij->xij", ch.p.probs, ch.tensor())
+    identity = np.tile(np.arange(ch.num_inputs), (ch.num_states, 1))
+    states = derived_states(ch.p.probs, ch.tensor(), np.ones(identity.shape), identity)
     sol = inner_maximize(states, eps=args.eps)
     payload = {
         "value": sol.value,
@@ -415,6 +416,8 @@ def _schur_rows(args) -> list[dict]:
 
 
 def _cmd_schur(args) -> None:
+    if args.d < 1 or args.n < 1:
+        raise PreconditionViolated("--d and --n", (args.d, args.n), ">= 1")
     if args.mode == "check":
         dim = args.d**args.n
         total = np.zeros((dim, dim), dtype=complex)

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channel import StateChannel, memory_budget_bytes
+from .channel import StateChannel, derived_states, letter_states, memory_budget_bytes
 from .errors import (
     BudgetExceeded,
     CapExceeded,
@@ -416,8 +416,8 @@ def simulate_noncausal_trial(
     s_digits = digit_table(num_s, n)
     mass = p[s_digits].prod(axis=1)
     members = matched_set_members(s_digits, words.reshape(K * M, n), p_su, delta).reshape(-1, K, M)
-    # letter_states[:, u] stacks the output of every state letter under auxiliary letter u.
-    letter_states = ch.tensor()[np.arange(num_s)[:, None], strategy]
+    # letter_outputs[:, u] stacks the output of every state letter under auxiliary letter u.
+    letter_outputs = letter_states(ch.tensor(), strategy)
 
     err_total = 0.0
     declare_total = 0.0
@@ -426,7 +426,7 @@ def simulate_noncausal_trial(
         succ = np.zeros(s_digits.shape[0])
         for k in range(K):
             # One trace per state word, in digit_table order.
-            traces = product_traces(elements[m], [letter_states[:, u] for u in words[k, m]])
+            traces = product_traces(elements[m], [letter_outputs[:, u] for u in words[k, m]])
             succ += members[:, k, m] * traces.reshape(-1).real
         with np.errstate(invalid="ignore"):
             succ = np.where(counts_k > 0, succ / np.where(counts_k > 0, counts_k, 1), 0.0)
@@ -478,7 +478,10 @@ def simulate_rate_error_curve(
     causal-sequential draws message codewords from the optimal strategy
     weights and decodes sequentially; noncausal-sqrt builds a binned codebook
     from a trade-off witness and decodes with the square-root measurement.
-    Witnesses are solved once per channel unless supplied.
+    Witnesses are solved once per channel unless supplied. Both decode
+    against rho_u = sum_s p(s|u) rho[s, f(s, u)]: a causal witness (q,
+    columns) leaks nothing about the state, so it is the witness q(u|s) = q(u)
+    with the strategy f = columns.T.
     """
     from .causal import causal_capacity
     from .noncausal import noncausal_lower_bound, trim_witness
@@ -487,72 +490,57 @@ def simulate_rate_error_curve(
         raise GpcqError(f"unknown scheme {scheme!r}")
     if not all(math.isfinite(r) for r in rates) or not math.isfinite(delta):
         raise NonFinite(f"rates {list(rates)} and delta {delta} must be finite")
-    if trials < 1 or K < 1 or any(n < 1 for n in n_list):
-        raise PreconditionViolated("trials, K and every n", (trials, K, list(n_list)), ">= 1")
+    if delta < 0:
+        raise PreconditionViolated("delta", delta, ">= 0")
+    if trials < 1 or K < 1 or restarts < 1 or any(n < 1 for n in n_list):
+        raise PreconditionViolated(
+            "trials, K, restarts and every n", (trials, K, restarts, list(n_list)), ">= 1"
+        )
     messages = [[_messages_for_rate(rate, n, ch.dim) for rate in rates] for n in n_list]
 
-    rows: list[SimRow] = []
-    if scheme == "causal-sequential":
+    p = ch.p.probs
+    causal = scheme == "causal-sequential"
+    # Each witness becomes letter weights q(u), weights p(s|u)/p(s) and an
+    # (s, u) strategy table, so derived_states gives rho_u directly.
+    if causal:
         if causal_witness is None:
             sol = causal_capacity(ch)
-            q, columns = sol.q, np.asarray(sol.strategy.columns, dtype=np.int64)
-        else:
-            q, columns = causal_witness
-            q = np.asarray(q, dtype=float)
-            columns = np.asarray(columns, dtype=np.int64)
-        keepers = q > 1e-9
-        q = q[keepers] / q[keepers].sum()
-        columns = columns[keepers]
-        tensor = ch.tensor()
-        states = np.einsum("s,usij->uij", ch.p.probs, tensor[np.arange(ch.num_states)[None, :], columns])
-        rho_bar = np.einsum("u,uij->ij", q, states)
-        _, basis = eigenbasis(rho_bar)
-        for n, counts in zip(n_list, messages):
-            ctx = DecodeContext(states, basis, n, delta)
-            for r_idx, (rate, M) in enumerate(zip(rates, counts)):
-                results = np.array([
-                    simulate_causal_trial(
-                        states, q, ctx, n, M, delta, rng_for(seed, "causal", n, r_idx, t)
-                    )
-                    for t in range(trials)
-                ])
-                err, lo, hi = _mean_ci(results[:, 0])
-                rows.append(SimRow(scheme, n, float(rate), 1, M, err, lo, hi, 0.0))
-        return rows
-
-    if gp_witness is None:
-        wit = noncausal_lower_bound(ch, n=1, restarts=restarts, seed=seed)
-        q_rows, strat = trim_witness(wit.q_given_s, wit.strategy, tol=1e-6)
+            causal_witness = (sol.q, sol.strategy.columns)
+        q, columns = causal_witness
+        q = np.asarray(q, dtype=float)
+        strat = np.asarray(columns, dtype=np.int64).T
+        weights = np.ones(strat.shape)
     else:
+        if gp_witness is None:
+            wit = noncausal_lower_bound(ch, n=1, restarts=restarts, seed=seed)
+            gp_witness = trim_witness(wit.q_given_s, wit.strategy, tol=1e-6)
         q_rows, strat = gp_witness
         q_rows = np.asarray(q_rows, dtype=float)
         strat = np.asarray(strat, dtype=np.int64)
-    p_su = ch.p.probs[:, None] * q_rows
-    q_u = p_su.sum(axis=0)
-    keepers = q_u > 1e-9
-    p_su = p_su[:, keepers]
-    p_su /= p_su.sum()
-    strat = strat[:, keepers]
-    q_u = p_su.sum(axis=0)
-    tensor = ch.tensor()
-    picked = tensor[np.arange(ch.num_states)[:, None], strat]
-    blended = np.einsum("su,suij->uij", p_su, picked)
-    states = blended / q_u[:, None, None]
-    rho_bar = blended.sum(axis=0)
-    _, basis = eigenbasis(rho_bar)
+        q = p @ q_rows
+        weights = q_rows / np.where(q > 0, q, 1.0)
+    keepers = q > 1e-9
+    q = q[keepers] / q[keepers].sum()
+    weights, strat = weights[:, keepers], strat[:, keepers]
+    p_su = p[:, None] * weights * q[None, :]  # the joint the binned codebook matches against
+    states = derived_states(p, ch.tensor(), weights, strat)
+    _, basis = eigenbasis(np.einsum("u,uij->ij", q, states))
+
+    rows: list[SimRow] = []
     for n, counts in zip(n_list, messages):
         ctx = DecodeContext(states, basis, n, delta)
         for r_idx, (rate, M) in enumerate(zip(rates, counts)):
             results = np.array([
-                simulate_noncausal_trial(
-                    ch, p_su, strat, ctx, n, K, M, delta,
-                    rng_for(seed, "noncausal", n, r_idx, t),
+                simulate_causal_trial(states, q, ctx, n, M, delta, rng_for(seed, "causal", n, r_idx, t))
+                if causal
+                else simulate_noncausal_trial(
+                    ch, p_su, strat, ctx, n, K, M, delta, rng_for(seed, "noncausal", n, r_idx, t)
                 )
                 for t in range(trials)
             ])
             err, lo, hi = _mean_ci(results[:, 0])
             declares = float(np.mean(results[:, 1]))
-            rows.append(SimRow(scheme, n, float(rate), K, M, err, lo, hi, declares))
+            rows.append(SimRow(scheme, n, float(rate), 1 if causal else K, M, err, lo, hi, declares))
     return rows
 
 

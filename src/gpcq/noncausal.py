@@ -18,7 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .causal import causal_capacity
-from .channel import StateChannel, classical_embedding, product_extension
+from .channel import (
+    StateChannel,
+    classical_embedding,
+    derived_states,
+    letter_states,
+    product_extension,
+)
 from .errors import GpcqError, PreconditionViolated, ShapeMismatch
 from .quantum import kl_divergence
 from .util import compositions, rng_for
@@ -65,10 +71,8 @@ class GPObjectiveReport:
 
 def _objective(p: np.ndarray, tensor: np.ndarray, q_given_s: np.ndarray, strategy: np.ndarray) -> GPObjectiveReport:
     """Unscaled objective chi - leak for one block channel."""
-    num_states = p.size
     w = p[:, None] * q_given_s
-    picked = tensor[np.arange(num_states)[:, None], strategy]
-    A = np.einsum("su,suij->uij", w, picked)
+    A = derived_states(p, tensor, q_given_s, strategy)
 
     vals = np.clip(np.linalg.eigvalsh(A), 0.0, None)
     mask = vals > 1e-18
@@ -114,12 +118,11 @@ def _cross_term(p, tensor, q, strategy) -> np.ndarray:
     constant. One batched eigh over the A_u and rho_bar does the work of a
     single objective evaluation.
     """
-    num_states, num_u = q.shape
-    picked = tensor[np.arange(num_states)[:, None], strategy]
-    A = np.einsum("su,suij->uij", p[:, None] * q, picked)
+    num_u = q.shape[1]
+    A = derived_states(p, tensor, q, strategy)
     vals, vecs = np.linalg.eigh(np.concatenate([A, A.sum(axis=0, keepdims=True)]))
     logs = (vecs * np.log2(np.maximum(vals, EIG_FLOOR))[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-    return np.einsum("suij,uji->su", picked, logs[:num_u] - logs[num_u]).real
+    return np.einsum("suij,uji->su", letter_states(tensor, strategy), logs[:num_u] - logs[num_u]).real
 
 
 def _q_step(p, tensor, q, strategy) -> np.ndarray:
@@ -273,8 +276,13 @@ def noncausal_lower_bound(
     accepts improvements, so the bound dominates the causal value by
     construction.
     Explicit witnesses follow, each run at its own auxiliary size; remaining
-    restarts are random. Ties keep the smallest restart index.
+    restarts are random. Ties keep the smallest restart index. An n,
+    restarts or aux_size below 1 raises PreconditionViolated.
     """
+    if n < 1:
+        raise PreconditionViolated("n", n, ">= 1")
+    if restarts < 1:
+        raise PreconditionViolated("restarts", restarts, ">= 1")
     ch_n = ch if n == 1 else product_extension(ch, n)
     p = ch_n.p.probs
     tensor = ch_n.tensor()

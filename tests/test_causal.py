@@ -14,11 +14,10 @@ from gpcq.causal import (
     Strategy,
     causal_capacity,
     classical_channel_capacity,
-    derived_ensemble,
     inner_maximize,
     shannon_strategy_oracle,
 )
-from gpcq.channel import build_channel
+from gpcq.channel import build_channel, derived_states
 from gpcq.errors import CapExceeded, GpcqError
 from gpcq.noncausal import ClassicalGP
 from gpcq.quantum import holevo_quantity
@@ -64,13 +63,6 @@ class TestStrategyEnumeration:
         assert peak < 2**20
         with pytest.raises(CapExceeded):
             shannon_strategy_oracle(np.ones((20, 2, 1)), np.full(20, 1 / 20))
-
-    def test_kernel_is_deterministic_row_stochastic(self):
-        strat = Strategy(((0, 1), (1, 0)))
-        k = strat.kernel(2)
-        assert k.shape == (2, 2, 2)
-        assert np.array_equal(k.sum(axis=2), np.ones((2, 2)))
-        assert strat.input_for(s=0, u=1) == 1
 
 
 class TestInnerMaximize:
@@ -184,10 +176,16 @@ class TestCausalCapacity:
         assert a.iterations == b.iterations
 
     def test_derived_ensemble_shapes(self, stuck):
+        # columns[u][s] is the input for state s under strategy u, so the
+        # (s, u) strategy table handed to derived_states is its transpose.
         strat = Strategy(((0, 0), (1, 0), (1, 1)))
-        ens = derived_ensemble(stuck, strat)
+        table = np.asarray(strat.columns).T
+        ens = derived_states(stuck.p.probs, stuck.tensor(), np.ones(table.shape), table)
         assert ens.shape == (3, 2, 2)
         assert np.allclose(np.trace(ens, axis1=1, axis2=2).real, 1.0, atol=1e-12)
+        p, tensor = stuck.p.probs, stuck.tensor()
+        expected = p[0] * tensor[0, 1] + p[1] * tensor[1, 0]
+        assert np.allclose(ens[1], expected, atol=1e-15)
 
 
 class TestClassicalCrossChecks:

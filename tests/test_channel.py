@@ -1,4 +1,4 @@
-"""Channel model: parsing, derived channels, products, classical reduction."""
+"""Channel model: parsing, derived states, products, classical reduction."""
 
 import json
 
@@ -7,18 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpcq.causal import classical_channel_capacity
+from gpcq.causal import causal_capacity, classical_channel_capacity
 from gpcq.channel import (
-    RandomizedEncoder,
     build_channel,
     classical_embedding,
-    conditional_derived_channel,
-    derived_channel,
+    derived_states,
+    letter_states,
     parse_channel,
     product_extension,
     serialize_channel,
 )
 from gpcq.errors import BudgetExceeded, GpcqError, ParseError, TraceNotOne
+from gpcq.noncausal import product_witness
 from gpcq.quantum import holevo_quantity, shannon_entropy
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
@@ -44,13 +44,14 @@ JSON_VALUES = st.recursive(
 )
 
 
-def xor_encoder() -> RandomizedEncoder:
-    """phi(s, u) = u xor s as a deterministic kernel."""
-    kernel = np.zeros((2, 2, 2))
-    for s in range(2):
-        for u in range(2):
-            kernel[s, u, (s + u) % 2] = 1.0
-    return RandomizedEncoder(2, kernel)
+# phi(s, u) = u xor s as an (s, u) strategy table.
+XOR = np.array([[0, 1], [1, 0]])
+IDENTITY = np.array([[0, 1], [0, 1]])
+
+
+def unit_states(ch, strategy):
+    """derived_states with weights 1: the state-averaged output per column u."""
+    return derived_states(ch.p.probs, ch.tensor(), np.ones(strategy.shape), strategy)
 
 
 class TestParseSerialize:
@@ -162,40 +163,58 @@ class TestDerivedChannel:
     def test_state_independent(self):
         states = {(s, x): (KET0 if x == "0" else PLUS) for s in "01" for x in "01"}
         ch = build_channel("01", "01", 2, states, [0.5, 0.5])
-        enc = RandomizedEncoder(2, np.stack([np.eye(2)] * 2))
-        out = derived_channel(ch, enc)
+        out = unit_states(ch, IDENTITY)
         assert np.allclose(out[0], KET0, atol=1e-12)
         assert np.allclose(out[1], PLUS, atol=1e-12)
 
     def test_kernel_ignoring_u(self, flip):
-        kernel = np.zeros((2, 2, 2))
-        kernel[:, :, 0] = 1.0
-        out = derived_channel(flip, RandomizedEncoder(2, kernel))
+        # Every auxiliary letter sends input 0 whatever the state.
+        out = unit_states(flip, np.zeros((2, 2), dtype=np.int64))
         assert np.allclose(out[0], out[1], atol=1e-12)
         assert holevo_quantity(np.array([0.5, 0.5]), out) == pytest.approx(0.0, abs=1e-12)
 
     def test_flip_xor_inversion(self, flip):
-        out = derived_channel(flip, xor_encoder())
+        out = unit_states(flip, XOR)
         assert np.allclose(out[0], KET0, atol=1e-12)
         assert np.allclose(out[1], KET1, atol=1e-12)
 
     def test_conditional_variant_skips_state_average(self, flip):
-        cond = conditional_derived_channel(flip, xor_encoder())
+        cond = letter_states(flip.tensor(), XOR)
+        assert cond.shape == (2, 2, 2, 2)
         for s in range(2):
             for u in range(2):
                 expected = KET0 if u == 0 else KET1
                 assert np.allclose(cond[s, u], expected, atol=1e-12)
 
-    def test_product_kernel_commutes_with_extension(self, flip):
-        enc = xor_encoder()
-        single = derived_channel(flip, enc)
-        ch2 = product_extension(flip, 2)
-        kernel2 = np.einsum("sux,tvy->stuvxy", enc.kernel, enc.kernel).reshape(4, 4, 4)
-        pair = derived_channel(ch2, RandomizedEncoder(4, kernel2))
+    def test_weights_scale_each_state_letter(self, stuck):
+        # A_u = sum_s p(s) weights[s, u] rho[s, strategy[s, u]], term by term.
+        weights = np.array([[0.25, 0.75], [0.6, 0.4]])
+        out = derived_states(stuck.p.probs, stuck.tensor(), weights, IDENTITY)
+        tensor, p = stuck.tensor(), stuck.p.probs
         for u in range(2):
-            for v in range(2):
-                expected = np.kron(single[u], single[v])
-                assert np.allclose(pair[2 * u + v], expected, atol=1e-12)
+            expected = sum(p[s] * weights[s, u] * tensor[s, IDENTITY[s, u]] for s in range(2))
+            assert np.allclose(out[u], expected, atol=1e-15)
+        assert np.trace(out.sum(axis=0)).real == pytest.approx(1.0, abs=1e-12)
+
+    def test_product_kernel_commutes_with_extension(self, flip, stuck):
+        # The derived states of an n=2 product witness on the product channel
+        # are Kronecker products of the single-letter ones, so product_witness
+        # and product_extension lay out letters in the same order.
+        sol = causal_capacity(stuck)
+        witnesses = [
+            (flip, np.full((2, 2), 0.5), XOR),
+            (stuck, np.tile(sol.q, (2, 1)), np.asarray(sol.strategy.columns).T),
+        ]
+        for ch, q, strategy in witnesses:
+            single = derived_states(ch.p.probs, ch.tensor(), q, strategy)
+            ch2 = product_extension(ch, 2)
+            q2, strategy2 = product_witness(q, strategy, ch.num_inputs, n=2)
+            pair = derived_states(ch2.p.probs, ch2.tensor(), q2, strategy2)
+            nu = q.shape[1]
+            assert pair.shape == (nu * nu, 4, 4)
+            for u in range(nu):
+                for v in range(nu):
+                    assert np.max(np.abs(pair[nu * u + v] - np.kron(single[u], single[v]))) <= 1e-12
 
 
 class TestProductExtension:
@@ -255,8 +274,7 @@ class TestClassicalEmbedding:
         # Holevo quantity of diagonal ensembles must match exactly.
         emb = classical_embedding(stuck)
         assert emb.classical
-        enc = RandomizedEncoder(2, np.stack([np.eye(2)] * 2))
-        ens = derived_channel(stuck, enc)
+        ens = unit_states(stuck, IDENTITY)
         q = np.array([0.4, 0.6])
         w = np.stack(
             [

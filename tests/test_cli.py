@@ -140,6 +140,16 @@ class TestExitCodes:
               "--n", "2", "--seed", "1"), "budget-exceeded"),
             (("simulate", "{flip}", "--scheme", "noncausal-sqrt", "--rates", "0.5,40",
               "--n", "2", "--seed", "1"), "budget-exceeded"),
+            (("noncausal", "{flip}", "--n", "0", "--seed", "1"), "precondition-violated"),
+            (("noncausal", "{flip}", "--restarts", "-5", "--seed", "1"), "precondition-violated"),
+            (("simulate", "{flip}", "--scheme", "noncausal-sqrt", "--rates", "0.5",
+              "--n", "2", "--restarts", "0", "--seed", "1"), "precondition-violated"),
+            (("simulate", "{flip}", "--scheme", "causal-sequential", "--rates", "0.5",
+              "--n", "2", "--delta", "-1", "--seed", "1"), "precondition-violated"),
+            (("schur", "dims", "--d", "-2", "--n", "3"), "precondition-violated"),
+            (("schur", "frames", "--d", "0", "--n", "3"), "precondition-violated"),
+            (("schur", "frames", "--d", "2", "--n", "-1"), "precondition-violated"),
+            (("schur", "check", "--d", "2", "--n", "0"), "precondition-violated"),
         ],
     )
     def test_bad_input_is_error_code_not_traceback(self, capsys, channel_dir, argv, error):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gpcq.channel import build_channel
+from gpcq.channel import build_channel, derived_states
 from gpcq.coding import (
     DECLARE,
     Code,
@@ -313,9 +313,9 @@ class TestNoncausalTrial:
         tensor, p = ch.tensor(), ch.p.probs
         assert np.max(np.abs(tensor[0, 0] @ tensor[1, 1] - tensor[1, 1] @ tensor[0, 0])) > 1e-3
         strategy = np.array([[0, 1], [1, 0]])
-        p_su = p[:, None] * np.array([[0.7, 0.3], [0.3, 0.7]])
-        picked = tensor[np.arange(2)[:, None], strategy]
-        blended = np.einsum("su,suij->uij", p_su, picked)
+        q_rows = np.array([[0.7, 0.3], [0.3, 0.7]])
+        p_su = p[:, None] * q_rows
+        blended = derived_states(p, tensor, q_rows, strategy)
         _, basis = eigenbasis(blended.sum(axis=0))
         n, K, M, delta = 3, 2, 3, 1.0
         ctx = DecodeContext(blended / p_su.sum(axis=0)[:, None, None], basis, n, delta)
@@ -356,6 +356,7 @@ class TestNoncausalTrial:
 
 class TestSimulationDriver:
     FLIP_WITNESS = (np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([[0, 1], [1, 0]]))
+    CAUSAL_WITNESS = (np.array([0.5, 0.5]), np.array([[0, 1], [1, 0]]))
 
     def test_unknown_scheme_rejected(self, flip):
         with pytest.raises(GpcqError, match="unknown scheme"):
@@ -373,19 +374,37 @@ class TestSimulationDriver:
         assert row.declares == 1.0 and row.err == 1.0
 
     def test_causal_rows_deterministic(self, flip):
-        witness = (np.array([0.5, 0.5]), np.array([[0, 1], [1, 0]]))
         kw = dict(rates=[0.5], n_list=[2], trials=3, seed=44, delta=1.2,
-                  causal_witness=witness)
+                  causal_witness=self.CAUSAL_WITNESS)
         rows1 = simulate_rate_error_curve(flip, "causal-sequential", **kw)
         rows2 = simulate_rate_error_curve(flip, "causal-sequential", **kw)
         assert rows1 == rows2
         assert rows1[0].M == 2 and rows1[0].K == 1
         assert 0.0 <= rows1[0].err <= 1.0
 
+    def test_flip_causal_sequential_error_is_frozen(self, flip):
+        # The arguments of `gpcq simulate channels/flip.chan --scheme
+        # causal-sequential --rates 0.25,0.5 --n 2,4 --seed 5 --trials 4`.
+        rows = simulate_rate_error_curve(
+            flip, "causal-sequential", rates=[0.25, 0.5], n_list=[2, 4], trials=4, seed=5
+        )
+        by = {(r.rate, r.n): r for r in rows}
+        assert abs(by[(0.5, 4)].err - 0.1875) <= 1e-12
+        assert by[(0.5, 4)].M == 4
+
+    @pytest.mark.parametrize("scheme", ["causal-sequential", "noncausal-sqrt"])
+    @pytest.mark.parametrize("kw", [dict(delta=-1.0), dict(restarts=0), dict(restarts=-5)])
+    def test_negative_radius_and_restarts_rejected(self, flip, scheme, kw):
+        with pytest.raises(PreconditionViolated):
+            simulate_rate_error_curve(
+                flip, scheme, [0.5], [2], trials=1, seed=0,
+                gp_witness=self.FLIP_WITNESS, causal_witness=self.CAUSAL_WITNESS, **kw,
+            )
+
     def test_message_count_follows_rate(self, flip):
         rows = simulate_rate_error_curve(
             flip, "causal-sequential", [0.0, 0.5, 1.0], [4], trials=1, seed=2,
-            delta=1.2, causal_witness=(np.array([0.5, 0.5]), np.array([[0, 1], [1, 0]])),
+            delta=1.2, causal_witness=self.CAUSAL_WITNESS,
         )
         assert [r.M for r in rows] == [1, 4, 16]
 

@@ -261,6 +261,11 @@ class TestNoncausalLowerBound:
         with pytest.raises(PreconditionViolated):
             noncausal_lower_bound(flip, aux_size=aux_size, restarts=2, seed=1)
 
+    @pytest.mark.parametrize("kw", [dict(n=0), dict(n=-1), dict(restarts=0), dict(restarts=-5)])
+    def test_nonpositive_blocklength_or_restarts_is_rejected(self, flip, kw):
+        with pytest.raises(PreconditionViolated):
+            noncausal_lower_bound(flip, seed=1, **{"restarts": 2, **kw})
+
 
 @settings(max_examples=10, deadline=None)
 @given(
