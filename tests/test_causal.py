@@ -17,7 +17,7 @@ from gpcq.causal import (
     inner_maximize,
     shannon_strategy_oracle,
 )
-from gpcq.channel import build_channel, derived_states
+from gpcq.channel import build_channel, derived_states, letter_states
 from gpcq.errors import CapExceeded, GpcqError
 from gpcq.noncausal import ClassicalGP
 from gpcq.quantum import holevo_quantity
@@ -63,6 +63,20 @@ class TestStrategyEnumeration:
         assert peak < 2**20
         with pytest.raises(CapExceeded):
             shannon_strategy_oracle(np.ones((20, 2, 1)), np.full(20, 1 / 20))
+
+    def test_kernel_is_deterministic_row_stochastic(self):
+        # Through a noiseless classical channel (rho[s, x] = |x><x|) the
+        # letter states of a strategy carry its kernel W(x | s, u) on their
+        # diagonals; columns[u][s] is the input, so the (s, u) table is .T.
+        # The strategy is asymmetric, so a missing transpose would show.
+        strat = Strategy(((0, 0), (1, 0)))
+        noiseless = np.stack([np.stack([KET0, KET1])] * 2)
+        states = letter_states(noiseless, np.asarray(strat.columns).T)
+        k = np.diagonal(states, axis1=2, axis2=3).real
+        assert k.shape == (2, 2, 2)
+        assert np.array_equal(k.sum(axis=2), np.ones((2, 2)))
+        assert set(np.unique(k)) == {0.0, 1.0}
+        assert k[0, 1, 1] == 1  # input 1 for state 0 under strategy 1
 
 
 class TestInnerMaximize:
