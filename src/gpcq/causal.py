@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import StateChannel, derived_states
 from .errors import CapExceeded, GpcqError
-from .quantum import TAU_SUPP, von_neumann_entropy
+from .quantum import divergence_profile, von_neumann_entropy
 
 # Largest strategy count |X|^|S| solved for; the only guard against channel
 # files whose strategy ensemble would not fit in memory.
@@ -73,22 +73,8 @@ class InnerSolution:
 def _stats(weights: np.ndarray, states: np.ndarray, entropies: np.ndarray):
     """Holevo value and per-letter divergences D(rho_u || rho_bar) at q."""
     rho_bar = np.einsum("u,uij->ij", weights, states)
-    vals, vecs = np.linalg.eigh(rho_bar)
-    vals = np.clip(vals, 0.0, None)
-    pos = vals > 1e-18
-    s_bar = float(-np.sum(vals[pos] * np.log2(vals[pos])))
-    chi = s_bar - float(weights @ entropies)
-
-    support = vals > TAU_SUPP
-    log_vals = np.zeros_like(vals)
-    log_vals[support] = np.log2(vals[support])
-    rotated = states @ vecs
-    overlaps = np.einsum("ji,uji->ui", vecs.conj(), rotated).real
-    overlaps = np.clip(overlaps, 0.0, None)
-    kernel_mass = overlaps[:, ~support].sum(axis=1)
-    cross = overlaps[:, support] @ log_vals[support]
-    divergences = np.where(kernel_mass > TAU_SUPP, np.inf, -entropies - cross)
-    return chi, divergences
+    s_bar, divergences = divergence_profile(states, rho_bar, entropies)
+    return s_bar - float(weights @ entropies), divergences
 
 
 def inner_maximize(
@@ -110,7 +96,7 @@ def inner_maximize(
     if not np.all(np.isfinite(states)):
         raise GpcqError("ensemble states have non-finite entries")
     num = states.shape[0]
-    entropies = np.array([von_neumann_entropy(s) for s in states])
+    entropies = von_neumann_entropy(states)
     if num == 1:
         return InnerSolution(np.ones(1), 0.0, 0.0, 0, True)
     q = np.full(num, 1.0 / num) if q0 is None else np.asarray(q0, dtype=float).copy()

@@ -32,6 +32,7 @@ from .errors import (
     GpcqError,
     NonFinite,
     ParseError,
+    PreconditionViolated,
 )
 from .quantum import Distribution, kron_all, validate_density
 
@@ -287,7 +288,7 @@ def product_extension(ch: StateChannel, n: int, budget_bytes: int | None = None)
     (GPCQ_BUDGET_BYTES overrides the 1 GiB default).
     """
     if n < 1:
-        raise GpcqError(f"extension power must be >= 1, got {n}")
+        raise PreconditionViolated("extension power n", n, ">= 1")
     if n == 1:
         return ch
     budget = memory_budget_bytes() if budget_bytes is None else budget_bytes

@@ -31,6 +31,7 @@ from .method_of_types import (
     is_exact_type,
     matched_set_members,
     nearest_type_exhaustive,
+    type_class_words,
 )
 from .quantum import eigenbasis, product_traces
 from .schur_weyl import DecodeContext
@@ -308,13 +309,8 @@ def build_gp_codebook(
             "auxiliary marginal is a denominator-n type", (p_u * n).tolist(), "integers"
         )
     regime_ok, _ = covering_hypotheses(p_su, n, delta)
-    num_u = p_su.shape[1]
     counts = np.rint(p_u * n).astype(np.int64)
-    base = np.repeat(np.arange(num_u), counts)
-    rng = rng_for(seed, "gp-codebook")
-    words = np.stack(
-        [np.stack([rng.permutation(base) for _ in range(M)]) for _ in range(K)]
-    )
+    words = type_class_words(counts, (K, M), rng_for(seed, "gp-codebook"))
     return GPCodebook(words, p_su, delta, regime_ok)
 
 
@@ -379,8 +375,7 @@ def _typical_word(q: np.ndarray, n: int, delta: float, rng: np.random.Generator)
         counts = np.bincount(word, minlength=q.size)
         if float(np.abs(counts / n - q).sum()) <= delta:
             return word.astype(np.int64)
-    counts = nearest_type_exhaustive(q, n)
-    return rng.permutation(np.repeat(np.arange(q.size), counts))
+    return type_class_words(nearest_type_exhaustive(q, n), (), rng)
 
 
 def simulate_noncausal_trial(
@@ -399,13 +394,11 @@ def simulate_noncausal_trial(
     Returns (error, declare mass). State words are enumerated exhaustively;
     a Declare (empty bin) counts as a full error for its state mass.
     """
-    num_s, num_u = p_su.shape
+    num_s = p_su.shape[0]
     if num_s**n > STATE_WORD_CAP:
         raise CapExceeded(f"|S|^n = {num_s**n} exceeds exact-evaluation cap {STATE_WORD_CAP}")
     p_u = p_su.sum(axis=0)
-    counts = nearest_type_exhaustive(p_u, n)
-    base = np.repeat(np.arange(num_u), counts)
-    words = np.stack([np.stack([rng.permutation(base) for _ in range(M)]) for _ in range(K)])
+    words = type_class_words(nearest_type_exhaustive(p_u, n), (K, M), rng)
 
     proj = [
         sum(ctx.projector(words[k, m]).matrix for k in range(K)) for m in range(M)

@@ -457,6 +457,17 @@ def chernoff_empirical(sampler, L: int, eps: float, trials: int, seed: int) -> E
     return EmpiricalDeviation(hits / trials, bound, trials)
 
 
+def type_class_words(counts, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """Words drawn i.i.d. uniformly from the type class with these letter counts.
+
+    The result has shape ``shape + (n,)`` with n = sum(counts). Each word is
+    one rng.permutation of the sorted word, drawn in C order over ``shape``.
+    """
+    base = np.repeat(np.arange(len(counts)), counts)
+    words = [rng.permutation(base) for _ in range(math.prod(shape))]
+    return np.array(words, dtype=np.int64).reshape(*shape, base.size)
+
+
 @dataclass(frozen=True)
 class CoverageResult:
     estimate: float
@@ -500,7 +511,7 @@ def coverage_probability(
     in the result instead of enforced.
     """
     p_su = np.asarray(p_su, dtype=float)
-    num_s, num_u = p_su.shape
+    num_s = p_su.shape[0]
     if trials < 1 or K < 0 or n < 1 or not delta >= 0:
         raise PreconditionViolated(
             "trials >= 1, K >= 0, n >= 1, delta >= 0", (trials, K, n, delta), "in range"
@@ -527,11 +538,10 @@ def coverage_probability(
     if t_count == 0:
         return CoverageResult(1.0, 1.0, 1.0, trials, hypotheses, note, 0)
 
-    base_word = np.repeat(np.arange(num_u), np.rint(p_u * n).astype(np.int64))
+    counts = np.rint(p_u * n).astype(np.int64)
     successes = 0
     for trial in range(trials):
-        rng = rng_for(seed, trial)
-        words = np.array([rng.permutation(base_word) for _ in range(K)], dtype=np.int64).reshape(K, n)
+        words = type_class_words(counts, (K,), rng_for(seed, trial))
         if matched_set_members(seqs, words, p_su, delta).any(axis=1).all():
             successes += 1
     lo, hi = wilson_interval(successes, trials)

@@ -26,7 +26,7 @@ from .channel import (
     product_extension,
 )
 from .errors import GpcqError, PreconditionViolated, ShapeMismatch
-from .quantum import kl_divergence
+from .quantum import entropy_bits, kl_divergence
 from .util import compositions, rng_for
 
 ALT_EPS = 1e-7
@@ -50,16 +50,12 @@ def default_aux_size(num_states: int, num_inputs: int, n: int) -> int:
 
 
 def mutual_information(joint: np.ndarray) -> float:
-    """I between the axes of a 2-D joint pmf, in bits."""
+    """I between the axes of a 2-D joint pmf, in bits: D(joint || product of its marginals)."""
     joint = np.asarray(joint, dtype=float)
     total = joint.sum()
     if not math.isclose(total, 1.0, abs_tol=1e-8):
         raise GpcqError(f"joint mass {total} is not 1")
-    rows = joint.sum(axis=1)
-    cols = joint.sum(axis=0)
-    mask = joint > 0
-    outer = rows[:, None] * cols[None, :]
-    return float(np.sum(joint[mask] * (np.log2(joint[mask]) - np.log2(outer[mask]))))
+    return kl_divergence(joint, np.outer(joint.sum(axis=1), joint.sum(axis=0)))
 
 
 @dataclass(frozen=True)
@@ -70,27 +66,19 @@ class GPObjectiveReport:
 
 
 def _objective(p: np.ndarray, tensor: np.ndarray, q_given_s: np.ndarray, strategy: np.ndarray) -> GPObjectiveReport:
-    """Unscaled objective chi - leak for one block channel."""
+    """Unscaled objective chi - leak for one block channel.
+
+    omega = sum_u |u><u| (x) A_u has the spectra of all the A_u = q(u) rho_u,
+    so chi = S(rho_bar) - S(omega) + H(q) comes from one eigvalsh over [A_u; rho_bar].
+    """
     w = p[:, None] * q_given_s
-    A = derived_states(p, tensor, q_given_s, strategy)
-
-    vals = np.clip(np.linalg.eigvalsh(A), 0.0, None)
-    mask = vals > 1e-18
-    tr_alog = np.sum(np.where(mask, vals * np.log2(np.where(mask, vals, 1.0)), 0.0))
-
     q_u = w.sum(axis=0)
-    qpos = q_u > 0
-    q_log = float(np.sum(q_u[qpos] * np.log2(q_u[qpos])))
-
-    rho_vals = np.clip(np.linalg.eigvalsh(A.sum(axis=0)), 0.0, None)
-    rpos = rho_vals > 1e-18
-    s_bar = float(-np.sum(rho_vals[rpos] * np.log2(rho_vals[rpos])))
-
-    chi = s_bar + float(tr_alog) - q_log
-
-    wpos = w > 0
-    outer = p[:, None] * q_u[None, :]
-    leak = float(np.sum(w[wpos] * (np.log2(w[wpos]) - np.log2(outer[wpos]))))
+    A = derived_states(p, tensor, q_given_s, strategy)
+    vals = np.linalg.eigvalsh(np.concatenate([A, A.sum(axis=0, keepdims=True)]))
+    chi = float(entropy_bits(vals[-1]) - entropy_bits(vals[:-1].ravel()) + entropy_bits(q_u))
+    # mutual_information(w) with the prior p as the state marginal: the row sums
+    # of w differ from p in the last bit, and restarts on a flat optimum tie at that level.
+    leak = kl_divergence(w, np.outer(p, q_u))
     return GPObjectiveReport(chi - leak, chi, leak)
 
 
@@ -441,12 +429,6 @@ def classical_gp_oracle(
                 width *= 0.5
             best_overall = max(best_overall, cur_val)
     return best_overall
-
-
-def classical_leak_check(q_given_s: np.ndarray, p: np.ndarray) -> float:
-    """Leak I(U; S) of a witness, for comparisons against pinched surrogates."""
-    joint = p[:, None] * q_given_s
-    return mutual_information(joint)
 
 
 def witness_conditionals_close(q_a: np.ndarray, q_b: np.ndarray, tol: float) -> bool:

@@ -1,10 +1,15 @@
 """Density-operator arithmetic and entropic functionals.
 
-All logarithms are base two and 0*log(0) is taken as zero. Eigendecomposition
-of Hermitian matrices is the only spectral primitive used anywhere in the
-package; matrix logarithms are always formed spectrally. Eigenvalues in
-[-TAU_EIG, 0) produced by roundoff are clipped to zero before entropies are
-evaluated.
+All logarithms are base two. Every entropy in the package, of a pmf or of a
+spectrum, is evaluated by entropy_bits: -sum x log2 x over the last axis,
+with negative entries (eigenvalue round-off) clipped to zero and 0 log 0 = 0.
+von_neumann_entropy and relative_entropy take one matrix or a stack of them,
+so a solver gets all letter entropies, or all divergences D(rho_u || sigma)
+from one eigendecomposition of sigma (divergence_profile), in one call.
+Support is judged by one rule: sigma's eigenvalues at or below TAU_SUPP span
+its kernel, and rho lies outside the support when it puts more than TAU_SUPP
+of its trace there. Eigendecomposition of Hermitian matrices is the only
+spectral primitive; matrix logarithms are always formed spectrally.
 """
 
 from __future__ import annotations
@@ -148,11 +153,15 @@ def spectrum(rho) -> np.ndarray:
     return vals[::-1].copy()
 
 
+def entropy_bits(x) -> np.ndarray:
+    """-sum x log2 x over the last axis, in bits; negatives count as 0 and 0 log 0 = 0."""
+    x = np.maximum(np.asarray(x, dtype=float), 0.0)
+    return -np.add.reduce(x * np.log2(x + (x == 0)), axis=-1)
+
+
 def shannon_entropy(p) -> float:
     """H(p) in bits; accepts any nonnegative vector summing to ~1."""
-    p = np.asarray(p, dtype=float)
-    p = p[p > 0]
-    return float(-np.sum(p * np.log2(p)))
+    return float(entropy_bits(p))
 
 
 def kl_divergence(p, q) -> float:
@@ -164,33 +173,45 @@ def kl_divergence(p, q) -> float:
     mask = p > 0
     if np.any(q[mask] <= 0):
         return math.inf
-    return float(np.sum(p[mask] * np.log2(p[mask] / q[mask])))
+    return float(np.sum(p[mask] * (np.log2(p[mask]) - np.log2(q[mask]))))
 
 
-def von_neumann_entropy(rho) -> float:
-    """S(rho) = -tr(rho log rho) in bits."""
-    return shannon_entropy(spectrum(rho))
+def von_neumann_entropy(rho) -> float | np.ndarray:
+    """S(rho) = -tr(rho log rho) in bits; a stack (..., d, d) gives an array of entropies."""
+    out = entropy_bits(np.linalg.eigvalsh(_as_matrix(rho)))
+    return float(out) if out.ndim == 0 else out
 
 
-def relative_entropy(rho, sigma) -> float:
-    """Quantum relative entropy D(rho||sigma) in bits.
+def divergence_profile(states, sigma, entropies=None) -> tuple[float, np.ndarray]:
+    """S(sigma) and D(rho || sigma) for every rho of a (..., d, d) stack, from one eigh of sigma.
 
-    Returns +inf when the support of rho is not contained in the support of
-    sigma, judged by eigenvalue threshold TAU_SUPP.
+    ``entropies`` are the states' own S(rho) when the caller already has them.
+    A divergence is +inf when rho puts more than TAU_SUPP of its trace on
+    the eigenvectors of sigma with eigenvalue at most TAU_SUPP.
+    """
+    vals, vecs = np.linalg.eigh(sigma)
+    vals = np.maximum(vals, 0.0)
+    if entropies is None:
+        entropies = von_neumann_entropy(states)
+    support = vals > TAU_SUPP
+    log_vals = np.log2(vals, out=np.zeros_like(vals), where=support)
+    overlaps = np.maximum(np.einsum("ji,...ji->...i", vecs.conj(), states @ vecs).real, 0.0)
+    kernel_mass = overlaps[..., ~support].sum(axis=-1)
+    cross = overlaps[..., support] @ log_vals[support]
+    return float(entropy_bits(vals)), np.where(kernel_mass > TAU_SUPP, np.inf, -entropies - cross)
+
+
+def relative_entropy(rho, sigma) -> float | np.ndarray:
+    """Quantum relative entropy D(rho||sigma) in bits, +inf off the support of sigma.
+
+    rho may be a stack (..., d, d) against one sigma; it then gives an array.
     """
     r = _as_matrix(rho)
     s = _as_matrix(sigma)
-    if r.shape != s.shape:
+    if s.ndim != 2 or r.shape[-2:] != s.shape:
         raise DimensionMismatch(f"shapes {r.shape} and {s.shape} differ")
-    svals, svecs = np.linalg.eigh((s + s.conj().T) / 2.0)
-    overlaps = np.real(np.einsum("ij,jk,ki->i", svecs.conj().T, r, svecs))
-    overlaps = np.clip(overlaps, 0.0, None)
-    kernel = svals <= TAU_SUPP
-    if float(overlaps[kernel].sum()) > TAU_SUPP:
-        return math.inf
-    support = ~kernel
-    cross = float(np.sum(overlaps[support] * np.log2(svals[support])))
-    return -von_neumann_entropy(r) - cross
+    _, div = divergence_profile(r, s)
+    return float(div) if div.ndim == 0 else div
 
 
 def trace_distance(rho, sigma) -> float:
@@ -230,21 +251,15 @@ def holevo_quantity(q, ensemble) -> float:
     """chi(q, ensemble) = S(sum_u q(u) rho_u) - sum_u q(u) S(rho_u)."""
     weights, states = _ensemble_arrays(q, ensemble)
     avg = np.einsum("u,uij->ij", weights, states)
-    inner = sum(
-        w * von_neumann_entropy(states[u]) for u, w in enumerate(weights) if w > 0
-    )
-    return von_neumann_entropy(avg) - inner
+    return von_neumann_entropy(avg) - float(weights @ von_neumann_entropy(states))
 
 
 def holevo_via_divergence(q, ensemble) -> float:
     """Same functional through the identity chi = sum_u q(u) D(rho_u || avg)."""
     weights, states = _ensemble_arrays(q, ensemble)
     avg = np.einsum("u,uij->ij", weights, states)
-    return sum(
-        w * relative_entropy(states[u], avg)
-        for u, w in enumerate(weights)
-        if w > 0
-    )
+    used = weights > 0
+    return float(weights[used] @ relative_entropy(states[used], avg))
 
 
 def pinch(rho, basis: np.ndarray) -> Distribution:

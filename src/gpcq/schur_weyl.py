@@ -17,7 +17,7 @@ from itertools import permutations as iter_permutations
 
 import numpy as np
 
-from .errors import CapExceeded, GpcqError, NotProjection, NumericalRankFailure
+from .errors import CapExceeded, GpcqError, NotProjection, NumericalRankFailure, PreconditionViolated
 from .quantum import kl_divergence, kron_all, shannon_entropy, spectrum, pinch
 from .util import compositions, digit_table
 
@@ -29,8 +29,12 @@ YoungFrame = tuple[int, ...]
 
 
 def young_frames(d: int, n: int) -> list[YoungFrame]:
-    """Partitions of n into at most d parts, in descending lexicographic order."""
+    """Partitions of n into at most d parts, in descending lexicographic order.
 
+    Raises PreconditionViolated for d < 1 or n < 0.
+    """
+    if d < 1 or n < 0:
+        raise PreconditionViolated("d >= 1 and n >= 0", (d, n), "in range")
     out: list[YoungFrame] = []
 
     def extend(prefix, remaining, max_part, slots):

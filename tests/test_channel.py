@@ -17,7 +17,7 @@ from gpcq.channel import (
     product_extension,
     serialize_channel,
 )
-from gpcq.errors import BudgetExceeded, GpcqError, ParseError, TraceNotOne
+from gpcq.errors import BudgetExceeded, GpcqError, ParseError, PreconditionViolated, TraceNotOne
 from gpcq.noncausal import product_witness
 from gpcq.quantum import holevo_quantity, shannon_entropy
 
@@ -237,6 +237,11 @@ class TestProductExtension:
         ch2 = product_extension(purecq, 2)
         for mat in ch2.states.values():
             assert np.trace(mat).real == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_power_is_rejected(self, flip, n):
+        with pytest.raises(PreconditionViolated):
+            product_extension(flip, n)
 
     def test_budget_guard(self, flip):
         with pytest.raises(BudgetExceeded):

@@ -14,7 +14,6 @@ from gpcq.noncausal import (
     _objective,
     _q_step,
     classical_gp_oracle,
-    classical_leak_check,
     default_aux_size,
     gp_objective,
     mutual_information,
@@ -115,6 +114,59 @@ class TestGPObjective:
             gp_objective(flip, UNIFORM_Q, np.array([[0, 2], [1, 0]]))
 
 
+def explicit_objective(ch, q, strat):
+    """chi, leak by per-letter eigvalsh and explicit sums, independent of gpcq.quantum."""
+
+    def vn(mat):
+        return -sum(v * np.log2(v) for v in np.linalg.eigvalsh(mat) if v > 0)
+
+    p = ch.p.probs
+    rho = [[ch.states[(s, x)] for x in ch.input_alphabet] for s in ch.state_alphabet]
+    num_s, num_u = q.shape
+    q_u = [sum(p[s] * q[s, u] for s in range(num_s)) for u in range(num_u)]
+    rho_bar = sum(p[s] * q[s, u] * rho[s][strat[s, u]] for s in range(num_s) for u in range(num_u))
+    chi = vn(rho_bar)
+    leak = 0.0
+    for u in range(num_u):
+        if q_u[u] > 0:
+            rho_u = sum(p[s] * q[s, u] * rho[s][strat[s, u]] for s in range(num_s)) / q_u[u]
+            chi -= q_u[u] * vn(rho_u)
+        for s in range(num_s):
+            if p[s] * q[s, u] > 0:
+                leak += p[s] * q[s, u] * np.log2(q[s, u] / q_u[u])
+    return chi, leak
+
+
+class TestObjectiveKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3]),
+        st.integers(2, 3),
+        st.integers(1, 5),
+    )
+    def test_matches_per_letter_eigvalsh_and_explicit_sums(self, seed, dim, num_states, num_u):
+        # Random-rank outputs and letters with zero weight in some or all rows.
+        rng = np.random.default_rng(seed)
+        states = {
+            (str(s), str(x)): random_density_matrix(dim, rng, rank=int(rng.integers(1, dim + 1)))
+            for s in range(num_states)
+            for x in range(2)
+        }
+        p = rng.dirichlet(np.ones(num_states))
+        ch = build_channel([str(s) for s in range(num_states)], ["0", "1"], dim, states, p)
+        q = rng.dirichlet(np.ones(num_u), size=num_states)
+        q[:, 1:] *= rng.random((num_states, num_u - 1)) > 0.3
+        q[:, 1:][:, rng.random(num_u - 1) < 0.3] = 0.0
+        q /= q.sum(axis=1, keepdims=True)
+        strat = rng.integers(0, 2, size=(num_states, num_u))
+        chi, leak = explicit_objective(ch, q, strat)
+        rep = gp_objective(ch, q, strat)
+        assert rep.holevo == pytest.approx(chi, abs=1e-12)
+        assert rep.leak == pytest.approx(leak, abs=1e-12)
+        assert rep.value == pytest.approx(chi - leak, abs=1e-12)
+
+
 class TestAscentGradient:
     @pytest.mark.parametrize("n", [1, 2])
     def test_closed_form_matches_central_differences(self, suite, n):
@@ -205,12 +257,9 @@ class TestWitnessHelpers:
             witness_conditionals_close(UNIFORM_Q, np.ones((3, 2)) / 2, tol=1.0)
 
     def test_leak_check(self):
-        assert classical_leak_check(UNIFORM_Q, np.array([0.5, 0.5])) == pytest.approx(
-            0.0, abs=1e-12
-        )
-        assert classical_leak_check(np.eye(2), np.array([0.5, 0.5])) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        p = np.array([0.5, 0.5])
+        assert mutual_information(p[:, None] * UNIFORM_Q) == pytest.approx(0.0, abs=1e-12)
+        assert mutual_information(p[:, None] * np.eye(2)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestNoncausalLowerBound:

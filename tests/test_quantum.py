@@ -17,6 +17,8 @@ from gpcq.errors import (
 )
 from gpcq.quantum import (
     Distribution,
+    divergence_profile,
+    entropy_bits,
     holevo_quantity,
     holevo_via_divergence,
     kl_divergence,
@@ -167,6 +169,56 @@ class TestHolevoQuantity:
             b = holevo_via_divergence(q, ens)
             assert abs(a - b) <= 1e-9
             assert -1e-12 <= a <= np.log2(d) + 1e-9
+
+
+def random_stack(rng, dim, count):
+    """Density matrices of random rank, so some lie off the support of their mixture."""
+    return np.stack(
+        [random_density_matrix(dim, rng, rank=int(rng.integers(1, dim + 1))) for _ in range(count)]
+    )
+
+
+def weights_with_zeros(rng, count):
+    """Random weights with some letters (never the first) set to zero."""
+    w = rng.dirichlet(np.ones(count))
+    w[1:][rng.random(count - 1) < 0.4] = 0.0
+    return w / w.sum()
+
+
+class TestEntropyKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.integers(1, 5))
+    def test_stack_calls_equal_one_matrix_calls(self, seed, dim, count):
+        rng = rng_for(seed, "entropy-kernel")
+        states = random_stack(rng, dim, count)
+        weights = weights_with_zeros(rng, count)
+        sigma = np.einsum("u,uij->ij", weights, states)
+
+        entropies = von_neumann_entropy(states)
+        divergences = relative_entropy(states, sigma)
+        s_sigma, profile = divergence_profile(states, sigma, entropies)
+        assert entropies.shape == divergences.shape == (count,)
+        assert s_sigma == pytest.approx(von_neumann_entropy(sigma), abs=1e-12)
+        np.testing.assert_array_equal(profile, divergences)
+        for k in range(count):
+            assert entropies[k] == pytest.approx(von_neumann_entropy(states[k]), abs=1e-12)
+            single = relative_entropy(states[k], sigma)
+            if np.isinf(single):
+                assert divergences[k] == np.inf
+            else:
+                assert divergences[k] == pytest.approx(single, abs=1e-12)
+        assert holevo_quantity(weights, states) == pytest.approx(
+            holevo_via_divergence(weights, states), abs=1e-9
+        )
+
+        pmfs = np.stack([weights, weights[::-1], np.eye(count)[0]])
+        batched = entropy_bits(pmfs)
+        for row, h in zip(pmfs, batched):
+            assert h == pytest.approx(shannon_entropy(row), abs=1e-12)
+
+    def test_roundoff_negatives_and_zeros_contribute_nothing(self):
+        assert entropy_bits([0.5, 0.5, 0.0, -1e-17]) == pytest.approx(1.0, abs=1e-15)
+        assert entropy_bits(np.zeros((2, 3))).tolist() == [0.0, 0.0]
 
 
 class TestKronAll:

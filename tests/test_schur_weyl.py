@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gpcq.errors import CapExceeded, GpcqError
+from gpcq.errors import CapExceeded, GpcqError, PreconditionViolated
 from gpcq.quantum import kl_divergence, kron_all, spectrum
 from gpcq.schur_weyl import (
     DecodeContext,
@@ -39,6 +39,11 @@ class TestFrames:
         assert young_frames(2, 2) == [(2,), (1, 1)]
         assert young_frames(1, 5) == [(5,)]
         assert young_frames(3, 4) == [(4,), (3, 1), (2, 2), (2, 1, 1)]
+
+    @pytest.mark.parametrize("d, n", [(-2, 3), (0, 3), (2, -1)])
+    def test_out_of_range_arguments_are_rejected(self, d, n):
+        with pytest.raises(PreconditionViolated):
+            young_frames(d, n)
 
     def test_row_cap_excludes_tall_frames(self):
         assert (1, 1, 1) not in young_frames(2, 3)
