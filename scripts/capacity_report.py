@@ -10,12 +10,10 @@ import argparse
 import pathlib
 import sys
 
-import numpy as np
-
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from gpcq.causal import causal_capacity, inner_maximize
-from gpcq.channel import derived_states, load_channel
+from gpcq.causal import causal_capacity, state_averaged_holevo
+from gpcq.channel import load_channel
 from gpcq.noncausal import noncausal_lower_bound
 
 
@@ -34,9 +32,7 @@ def main() -> None:
         ch = load_channel(str(path))
         causal = causal_capacity(ch)
         wit = noncausal_lower_bound(ch, restarts=args.restarts, seed=args.seed)
-        identity = np.tile(np.arange(ch.num_inputs), (ch.num_states, 1))
-        avg_states = derived_states(ch.p.probs, ch.tensor(), np.ones(identity.shape), identity)
-        avg = inner_maximize(avg_states)
+        avg = state_averaged_holevo(ch)
         print(
             f"{path.stem:<12} {causal.value:>10.6f} {wit.value:>10.6f} {avg.value:>10.6f}"
         )

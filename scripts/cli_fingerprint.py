@@ -1,0 +1,53 @@
+"""Fingerprint of the seeded CLI outputs on the bundled corpus.
+
+Runs a fixed set of `gpcq` commands, each in a fresh `python -m gpcq.cli`
+with BLAS on one thread, and prints one line per command:
+`sha256(stdout) exit_code argv`. Two runs of the same tree must print the
+same lines; comparing the output of two trees shows which commands changed.
+
+Usage: python3 scripts/cli_fingerprint.py
+"""
+
+import hashlib
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CHANNELS = ("flip", "stuck", "skew", "purecq")
+SCHEMES = ("causal-sequential", "noncausal-sqrt")
+COVERAGE = ["types", "--op", "coverage", "--joint", "0.3,0.2;0.2,0.3", "--n", "2,4,6",
+            "--trials", "30", "--seed", "2", "--json"]
+
+
+def commands() -> list[list[str]]:
+    cmds = []
+    for name in CHANNELS:
+        chan = f"channels/{name}.chan"
+        cmds.append(["causal", chan, "--json"])
+        cmds.append(["holevo", chan, "--json"])
+        cmds.append(["noncausal", chan, "--seed", "3", "--restarts", "4", "--json"])
+    for name in ("stuck", "purecq"):
+        cmds.append(["noncausal", f"channels/{name}.chan", "--n", "2", "--seed", "3", "--restarts", "4", "--json"])
+    for name in CHANNELS:
+        for scheme in SCHEMES:
+            cmds.append(["simulate", f"channels/{name}.chan", "--scheme", scheme, "--rates", "0.25,0.5",
+                         "--n", "2,4", "--seed", "5", "--trials", "4", "--json"])
+    cmds.append(COVERAGE + ["--k", "3"])
+    cmds.append(COVERAGE + ["--k", "0"])
+    return cmds
+
+
+def main() -> None:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    for argv in commands():
+        out = subprocess.run([sys.executable, "-m", "gpcq.cli", *argv], cwd=ROOT, env=env,
+                             capture_output=True)
+        print(hashlib.sha256(out.stdout).hexdigest(), out.returncode, " ".join(argv), flush=True)
+
+
+if __name__ == "__main__":
+    main()

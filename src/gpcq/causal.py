@@ -4,8 +4,9 @@ A Shannon strategy maps each state letter to an input letter; averaging the
 channel over the state turns it into one derived state per strategy. The
 causal capacity is the Holevo maximum over distributions on all |X|^|S|
 strategies (Shannon 1958), so one certified maximization over that derived
-ensemble computes it. The maximization is a pairwise conditional-gradient
-ascent whose duality gap certifies the returned value from below.
+ensemble computes it. The maximization takes pairwise Frank-Wolfe steps,
+and its duality gap certifies the returned value from below. The same solve
+over the constant strategies alone gives the state-averaged Holevo value.
 """
 
 from __future__ import annotations
@@ -77,20 +78,19 @@ def _stats(weights: np.ndarray, states: np.ndarray, entropies: np.ndarray):
     return s_bar - float(weights @ entropies), divergences
 
 
-def inner_maximize(
-    states: np.ndarray,
-    eps: float = INNER_EPS,
-    q0: np.ndarray | None = None,
-) -> InnerSolution:
-    """Maximize Holevo information over weights by pairwise conditional gradient.
+def inner_maximize(states: np.ndarray, eps: float = INNER_EPS) -> InnerSolution:
+    """Maximize Holevo information over weights by pairwise Frank-Wolfe steps.
 
-    The returned gap bounds the distance to the optimum: for any weights q,
-    max_u D(rho_u || rho_bar(q)) is an upper bound on the optimal value, so
-    value + gap >= optimum regardless of convergence. ``iterations`` counts
-    the iterations actually run, also when a solve stalls before INNER_MAX_ITER.
-    Non-finite states, a NaN gap, or a final gap that is not finite raise
-    GpcqError; an infinite gap mid-solve is an honest bound and the ascent
-    goes on.
+    Each step moves weight from the used letter of smallest divergence
+    D(rho_u || rho_bar) to the letter of largest, as far as the slope along
+    that pair stays positive, and is kept only if the value rises; the solve
+    stops when no step does. The returned gap bounds the distance to the
+    optimum: for any weights q, max_u D(rho_u || rho_bar(q)) is an upper bound
+    on the optimal value, so value + gap >= optimum regardless of convergence.
+    ``iterations`` counts the iterations actually run, also when a solve
+    stalls before INNER_MAX_ITER. Non-finite states, a NaN gap, or a final gap
+    that is not finite raise GpcqError; an infinite gap mid-solve is an honest
+    bound and the ascent goes on.
     """
     states = np.asarray(states, dtype=complex)
     if not np.all(np.isfinite(states)):
@@ -99,80 +99,56 @@ def inner_maximize(
     entropies = von_neumann_entropy(states)
     if num == 1:
         return InnerSolution(np.ones(1), 0.0, 0.0, 0, True)
-    q = np.full(num, 1.0 / num) if q0 is None else np.asarray(q0, dtype=float).copy()
 
-    def directional_derivative(base, direction, gamma):
-        point = np.clip(base + gamma * direction, 0.0, None)
-        point /= point.sum()
-        _, div = _stats(point, states, entropies)
-        with np.errstate(invalid="ignore"):
-            terms = direction * div
-        if np.any(np.isnan(terms)):
-            terms = np.where(np.isnan(terms), 0.0, terms)
+    def shifted(gamma):
+        # The current iterate q with weight gamma moved from away to toward.
+        point = q.copy()
+        point[toward] += gamma
+        point[away] -= gamma
+        point = np.clip(point, 0.0, None)
+        return point / point.sum()
+
+    def slope(gamma):
         # A letter the step empties can leave the support of rho_bar: its
         # infinite divergence then makes the slope -inf, and the bisection
         # must shrink the step. Opposite infinities give no slope; shrink too.
-        total = float(terms.sum())
+        _, div = _stats(shifted(gamma), states, entropies)
+        total = float(div[toward] - div[away])
         return -math.inf if math.isnan(total) else total
 
-    def line_search(base, direction, gamma_max):
-        if gamma_max <= 0:
-            return 0.0
-        if directional_derivative(base, direction, gamma_max) >= 0:
-            return gamma_max
-        lo, hi = 0.0, gamma_max
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if directional_derivative(base, direction, mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    best_q, best_chi = q.copy(), -math.inf
+    q = np.full(num, 1.0 / num)
+    chi, div = _stats(q, states, entropies)
     it = 0
     for it in range(1, INNER_MAX_ITER + 1):
-        chi, div = _stats(q, states, entropies)
-        if chi > best_chi:
-            best_chi, best_q = chi, q.copy()
         gap = float(np.max(div) - chi)
         if math.isnan(gap):
             raise GpcqError("inner solve produced a NaN duality gap", iteration=it)
         if gap <= eps:
-            return InnerSolution(best_q, best_chi, max(gap, 0.0), it, True)
+            return InnerSolution(q, chi, max(gap, 0.0), it, True)
 
         toward = int(np.argmax(div))
         active = np.where(q > 1e-15)[0]
         away = int(active[np.argmin(div[active])])
-
-        candidates = []
-        fw_dir = -q.copy()
-        fw_dir[toward] += 1.0
-        candidates.append((fw_dir, 1.0))
-        if toward != away:
-            pw_dir = np.zeros(num)
-            pw_dir[toward], pw_dir[away] = 1.0, -1.0
-            candidates.append((pw_dir, float(q[away])))
-
-        next_q, next_chi = None, chi
-        for direction, gamma_max in candidates:
-            gamma = line_search(q, direction, gamma_max)
-            cand = np.clip(q + gamma * direction, 0.0, None)
-            cand /= cand.sum()
-            cand_chi, _ = _stats(cand, states, entropies)
-            if cand_chi > next_chi:
-                next_q, next_chi = cand, cand_chi
-        if next_q is None:
+        gamma = float(q[away])
+        if slope(gamma) < 0:
+            lo, hi = 0.0, gamma
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if slope(mid) > 0:
+                    lo = mid
+                else:
+                    hi = mid
+            gamma = 0.5 * (lo + hi)
+        cand = shifted(gamma)
+        cand_chi, cand_div = _stats(cand, states, entropies)
+        if not cand_chi > chi:
             break
-        q = next_q
+        q, chi, div = cand, cand_chi, cand_div
 
-    chi, div = _stats(q, states, entropies)
-    if chi > best_chi:
-        best_chi, best_q = chi, q
-    gap = float(np.max(div) - best_chi)
+    gap = float(np.max(div) - chi)
     if not math.isfinite(gap):
         raise GpcqError(f"inner solve ended with a non-finite duality gap after {it} iterations")
-    return InnerSolution(best_q, best_chi, max(gap, 0.0), it, gap <= eps)
+    return InnerSolution(q, chi, max(gap, 0.0), it, gap <= eps)
 
 
 @dataclass(frozen=True)
@@ -218,6 +194,18 @@ def causal_capacity(
         iterations=sol.iterations,
         converged=sol.converged,
     )
+
+
+def state_averaged_holevo(ch: StateChannel, eps: float = INNER_EPS) -> InnerSolution:
+    """Holevo capacity of the state-averaged channel, the rate without state knowledge.
+
+    Input x gives the state sum_s p(s) rho[s, x]: the derived state of the
+    constant strategy x, which is one of the Shannon strategies the causal
+    solve weighs, so the causal capacity is never below this value.
+    """
+    constant = np.tile(np.arange(ch.num_inputs), (ch.num_states, 1))
+    states = derived_states(ch.p.probs, ch.tensor(), np.ones(constant.shape), constant)
+    return inner_maximize(states, eps=eps)
 
 
 def classical_channel_capacity(W: np.ndarray, tol: float = 1e-9) -> float:

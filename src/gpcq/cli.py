@@ -18,8 +18,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .causal import INNER_EPS, causal_capacity, inner_maximize
-from .channel import TAU_COMM, derived_states, load_channel
+from .causal import INNER_EPS, causal_capacity, state_averaged_holevo
+from .channel import TAU_COMM, load_channel
 from .coding import rows_to_csv, simulate_rate_error_curve
 from .errors import GpcqError, NonFinite, PreconditionViolated
 from .method_of_types import (
@@ -294,10 +294,7 @@ def _cmd_noncausal(args) -> None:
 
 
 def _cmd_holevo(args) -> None:
-    ch = load_channel(args.channel)
-    identity = np.tile(np.arange(ch.num_inputs), (ch.num_states, 1))
-    states = derived_states(ch.p.probs, ch.tensor(), np.ones(identity.shape), identity)
-    sol = inner_maximize(states, eps=args.eps)
+    sol = state_averaged_holevo(load_channel(args.channel), eps=args.eps)
     payload = {
         "value": sol.value,
         "gap": sol.gap,

@@ -477,7 +477,7 @@ def simulate_rate_error_curve(
     with the strategy f = columns.T.
     """
     from .causal import causal_capacity
-    from .noncausal import noncausal_lower_bound, trim_witness
+    from .noncausal import _check_witness, noncausal_lower_bound, trim_witness
 
     if scheme not in ("causal-sequential", "noncausal-sqrt"):
         raise GpcqError(f"unknown scheme {scheme!r}")
@@ -507,9 +507,7 @@ def simulate_rate_error_curve(
         if gp_witness is None:
             wit = noncausal_lower_bound(ch, n=1, restarts=restarts, seed=seed)
             gp_witness = trim_witness(wit.q_given_s, wit.strategy, tol=1e-6)
-        q_rows, strat = gp_witness
-        q_rows = np.asarray(q_rows, dtype=float)
-        strat = np.asarray(strat, dtype=np.int64)
+        q_rows, strat = _check_witness(ch, *gp_witness)
         q = p @ q_rows
         weights = q_rows / np.where(q > 0, q, 1.0)
     keepers = q > 1e-9

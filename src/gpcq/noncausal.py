@@ -25,7 +25,7 @@ from .channel import (
     letter_states,
     product_extension,
 )
-from .errors import GpcqError, PreconditionViolated, ShapeMismatch
+from .errors import GpcqError, NonFinite, PreconditionViolated, ShapeMismatch
 from .quantum import entropy_bits, kl_divergence
 from .util import compositions, rng_for
 
@@ -82,18 +82,32 @@ def _objective(p: np.ndarray, tensor: np.ndarray, q_given_s: np.ndarray, strateg
     return GPObjectiveReport(chi - leak, chi, leak)
 
 
-def gp_objective(ch: StateChannel, q_given_s: np.ndarray, strategy: np.ndarray, n: int = 1) -> GPObjectiveReport:
-    """Per-symbol objective of a witness on an (already extended) channel."""
+def _check_witness(ch: StateChannel, q_given_s, strategy) -> tuple[np.ndarray, np.ndarray]:
+    """A witness as (conditionals, strategy) arrays, checked against an (already extended) channel.
+
+    Both tables are (states, aux); conditional rows are finite pmfs and
+    strategy entries are input indices.
+    """
     q_given_s = np.asarray(q_given_s, dtype=float)
     strategy = np.asarray(strategy, dtype=np.int64)
-    if q_given_s.shape != strategy.shape or q_given_s.shape[0] != ch.num_states:
+    if q_given_s.ndim != 2 or q_given_s.shape != strategy.shape or q_given_s.shape[0] != ch.num_states:
         raise ShapeMismatch(
             f"witness shapes {q_given_s.shape}/{strategy.shape} do not match channel with {ch.num_states} states"
         )
+    if not np.all(np.isfinite(q_given_s)):
+        raise NonFinite("conditional entries must be finite")
+    if np.any(q_given_s < 0):
+        raise GpcqError("conditional entries must be non-negative")
     if np.any(np.abs(q_given_s.sum(axis=1) - 1.0) > 1e-8):
         raise GpcqError("conditional rows must sum to 1")
     if np.any((strategy < 0) | (strategy >= ch.num_inputs)):
         raise GpcqError("strategy entries out of input range")
+    return q_given_s, strategy
+
+
+def gp_objective(ch: StateChannel, q_given_s: np.ndarray, strategy: np.ndarray, n: int = 1) -> GPObjectiveReport:
+    """Per-symbol objective of a witness on an (already extended) channel."""
+    q_given_s, strategy = _check_witness(ch, q_given_s, strategy)
     rep = _objective(ch.p.probs, ch.tensor(), q_given_s, strategy)
     return GPObjectiveReport(rep.value / n, rep.holevo / n, rep.leak)
 
@@ -263,7 +277,8 @@ def noncausal_lower_bound(
     state and attains the causal capacity per symbol, and the ascent only
     accepts improvements, so the bound dominates the causal value by
     construction.
-    Explicit witnesses follow, each run at its own auxiliary size; remaining
+    Explicit witnesses follow, each run at its own auxiliary size and checked
+    against the blocklength-n channel as gp_objective checks; remaining
     restarts are random. Ties keep the smallest restart index. An n,
     restarts or aux_size below 1 raises PreconditionViolated.
     """
@@ -284,8 +299,7 @@ def noncausal_lower_bound(
     q_rows = np.tile(causal.q, (ch.num_states, 1))
     strat = np.asarray(causal.strategy.columns, dtype=np.int64).T
     starts = [product_witness(q_rows, strat, ch.num_inputs, n=n)]
-    for q_seed, strat_seed in seed_witnesses:
-        starts.append((np.asarray(q_seed, dtype=float), np.asarray(strat_seed, dtype=np.int64)))
+    starts += [_check_witness(ch_n, q_seed, strat_seed) for q_seed, strat_seed in seed_witnesses]
     num_random = max(restarts - len(starts), 1)
     for r in range(num_random):
         rng = rng_for(seed, n, r)

@@ -238,7 +238,7 @@ def _matched_trace_scan(ch, wit, ns, delta):
                 sigma = np.ones((1, 1), dtype=complex)
                 for s, u in zip(sw, uw):
                     sigma = np.kron(sigma, tensor[s, strat[s, u]])
-                worst = min(worst, float(np.real(np.trace(proj @ sigma))))
+                worst = min(worst, float(np.einsum("ij,ji->", proj, sigma).real))
         out[n] = worst
     return out
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpcq.causal import causal_capacity
+from gpcq.causal import causal_capacity, state_averaged_holevo
 from gpcq.channel import build_channel, product_extension
-from gpcq.errors import GpcqError, PreconditionViolated, ShapeMismatch
+from gpcq.coding import simulate_rate_error_curve
+from gpcq.errors import GpcqError, NonFinite, PreconditionViolated, ShapeMismatch
 from gpcq.noncausal import (
     ClassicalGP,
     _cross_term,
@@ -112,6 +113,36 @@ class TestGPObjective:
             gp_objective(flip, np.array([[0.5, 0.4], [0.5, 0.5]]), INVERTING)
         with pytest.raises(GpcqError, match="input range"):
             gp_objective(flip, UNIFORM_Q, np.array([[0, 2], [1, 0]]))
+
+
+WITNESS_CALLERS = {
+    "gp_objective": lambda ch, wit: gp_objective(ch, *wit),
+    "seed_witnesses": lambda ch, wit: noncausal_lower_bound(ch, restarts=1, seed_witnesses=(wit,)),
+    "gp_witness": lambda ch, wit: simulate_rate_error_curve(
+        ch, "noncausal-sqrt", [0.5], [2], trials=1, seed=0, gp_witness=wit
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "caller, q, strat, error, match",
+    [
+        ("seed_witnesses", np.full((2, 3), 1 / 3), INVERTING, ShapeMismatch, "shapes"),
+        ("gp_witness", np.full((2, 3), 1 / 3), INVERTING, ShapeMismatch, "shapes"),
+        ("seed_witnesses", UNIFORM_Q, np.array([[0, 2], [1, 0]]), GpcqError, "input range"),
+        ("gp_witness", UNIFORM_Q, np.array([[0, 2], [1, 0]]), GpcqError, "input range"),
+        ("seed_witnesses", np.array([[0.9, 0.9], [0.5, 0.5]]), INVERTING, GpcqError, "sum to 1"),
+        ("gp_witness", np.array([[0.9, 0.9], [0.5, 0.5]]), INVERTING, GpcqError, "sum to 1"),
+        ("seed_witnesses", np.array([[1.5, -0.5], [0.5, 0.5]]), INVERTING, GpcqError, "non-negative"),
+        ("gp_objective", np.array([[1.5, -0.5], [0.5, 0.5]]), INVERTING, GpcqError, "non-negative"),
+        ("gp_witness", np.array([[1.5, -0.5], [0.5, 0.5]]), INVERTING, GpcqError, "non-negative"),
+        ("gp_objective", np.array([[np.nan, 0.5], [0.5, 0.5]]), INVERTING, NonFinite, "finite"),
+        ("seed_witnesses", np.array([[np.nan, 0.5], [0.5, 0.5]]), INVERTING, NonFinite, "finite"),
+    ],
+)
+def test_every_witness_entry_point_checks_the_witness(flip, caller, q, strat, error, match):
+    with pytest.raises(error, match=match):
+        WITNESS_CALLERS[caller](flip, (q, strat))
 
 
 def explicit_objective(ch, q, strat):
@@ -323,7 +354,10 @@ class TestNoncausalLowerBound:
 def test_noncausal_is_bracketed_on_random_channels(seed, dim, num_states, num_inputs):
     ch = random_cq_channel(np.random.default_rng(seed), dim, num_states, num_inputs)
     wit = noncausal_lower_bound(ch, restarts=2, seed=seed)
-    assert causal_capacity(ch).value - 1e-9 <= wit.value <= np.log2(dim) + 1e-9
+    causal = causal_capacity(ch)
+    assert causal.value - 1e-9 <= wit.value <= np.log2(dim) + 1e-9
+    # The constant strategies are Shannon strategies: averaged <= causal bound.
+    assert state_averaged_holevo(ch).value <= causal.value + causal.gap + 1e-12
     rep = gp_objective(ch, wit.q_given_s, wit.strategy)
     assert rep.value == pytest.approx(wit.value, abs=1e-12)
 
