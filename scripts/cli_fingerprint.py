@@ -36,6 +36,8 @@ def commands() -> list[list[str]]:
                          "--n", "2,4", "--seed", "5", "--trials", "4", "--json"])
     cmds.append(COVERAGE + ["--k", "3"])
     cmds.append(COVERAGE + ["--k", "0"])
+    for op in ("nearest", "class-size"):
+        cmds.append(["types", "--op", op, "--p", "0.5,0.25,0.25", "--n", "3,10,17", "--json"])
     return cmds
 
 

@@ -38,7 +38,7 @@ from .quantum import (
     trace_distance,
     von_neumann_entropy,
 )
-from .schur_weyl import central_projector, decode_projector, kostka_rank, young_frames
+from .schur_weyl import central_projector, kostka_rank, young_frames
 
 __all__ = [
     "__version__",
@@ -55,7 +55,6 @@ __all__ = [
     "central_projector",
     "classical_embedding",
     "classical_gp_oracle",
-    "decode_projector",
     "derived_states",
     "gp_encoder",
     "gp_objective",

@@ -141,7 +141,7 @@ def build_channel(
                 raise DimensionMismatch(
                     f"rho[{s}|{x}] has shape {mat.shape}, expected ({dim},{dim})"
                 )
-            checked[(s, x)] = validate_density(mat, context=f"rho[{s}|{x}]").matrix
+            checked[(s, x)] = validate_density(mat, context=f"rho[{s}|{x}]")
     return StateChannel(
         state_alphabet,
         input_alphabet,

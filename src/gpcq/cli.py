@@ -23,9 +23,7 @@ from .channel import TAU_COMM, load_channel
 from .coding import rows_to_csv, simulate_rate_error_curve
 from .errors import GpcqError, NonFinite, PreconditionViolated
 from .method_of_types import (
-    is_exact_type,
     nearest_type,
-    nearest_type_exhaustive,
     coverage_probability,
     type_class_size,
     typical_mass,
@@ -316,13 +314,6 @@ def _cmd_holevo(args) -> None:
         )
 
 
-def _best_type(p: np.ndarray, n: int) -> np.ndarray:
-    support = int(np.sum(p > 0))
-    if is_exact_type(p, n) or n >= support * support:
-        return nearest_type(p, n)
-    return nearest_type_exhaustive(p, n)
-
-
 def _types_rows(args) -> list[dict]:
     ns = _parse_ints(args.n)
     if any(n < 1 for n in ns):
@@ -354,7 +345,7 @@ def _types_rows(args) -> list[dict]:
         raise GpcqError("--p must be a probability vector summing to 1")
     for n in ns:
         if args.op == "class-size":
-            counts = _best_type(p, n)
+            counts = nearest_type(p, n)
             res = type_class_size(counts)
             rows.append(
                 {
@@ -365,7 +356,7 @@ def _types_rows(args) -> list[dict]:
                 }
             )
         elif args.op == "nearest":
-            counts = _best_type(p, n)
+            counts = nearest_type(p, n)
             dist = float(np.abs(counts / n - p).sum())
             support = int(np.sum(p > 0))
             rows.append(

@@ -30,7 +30,7 @@ from .method_of_types import (
     covering_hypotheses,
     is_exact_type,
     matched_set_members,
-    nearest_type_exhaustive,
+    nearest_type,
     type_class_words,
 )
 from .quantum import eigenbasis, product_traces
@@ -375,7 +375,7 @@ def _typical_word(q: np.ndarray, n: int, delta: float, rng: np.random.Generator)
         counts = np.bincount(word, minlength=q.size)
         if float(np.abs(counts / n - q).sum()) <= delta:
             return word.astype(np.int64)
-    return type_class_words(nearest_type_exhaustive(q, n), (), rng)
+    return type_class_words(nearest_type(q, n), (), rng)
 
 
 def simulate_noncausal_trial(
@@ -398,11 +398,9 @@ def simulate_noncausal_trial(
     if num_s**n > STATE_WORD_CAP:
         raise CapExceeded(f"|S|^n = {num_s**n} exceeds exact-evaluation cap {STATE_WORD_CAP}")
     p_u = p_su.sum(axis=0)
-    words = type_class_words(nearest_type_exhaustive(p_u, n), (K, M), rng)
+    words = type_class_words(nearest_type(p_u, n), (K, M), rng)
 
-    proj = [
-        sum(ctx.projector(words[k, m]).matrix for k in range(K)) for m in range(M)
-    ]
+    proj = [sum(ctx.projector(words[k, m]) for k in range(K)) for m in range(M)]
     elements, _ = square_root_decoder(proj)
 
     p = ch.p.probs
@@ -445,7 +443,7 @@ def simulate_causal_trial(
     per-letter averaged states.
     """
     words = [_typical_word(q, n, delta, rng) for _ in range(M)]
-    projectors = [ctx.projector(w).matrix for w in words]
+    projectors = [ctx.projector(w) for w in words]
     elements, _ = sequential_decoder(projectors)
     succ = 0.0
     for w, el in zip(words, elements):

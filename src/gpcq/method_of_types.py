@@ -4,6 +4,8 @@ Sequences are integer arrays over an alphabet {0..k-1}; a type is the vector
 of letter counts of a length-n sequence. Exact counts use Python big
 integers, masses are accumulated in log space, and all distances between
 distributions are total-variation style L1 norms unless stated otherwise.
+The nearest denominator-n type to a distribution comes from one exact
+rule (nearest_type): floors plus the largest fractional parts.
 """
 
 from __future__ import annotations
@@ -102,67 +104,37 @@ def type_class_size(counts) -> TypeClassSize:
     return TypeClassSize(size, lower, upper)
 
 
-def is_exact_type(p, n: int, tol: float = 1e-9) -> bool:
+def is_exact_type(p, n: int) -> bool:
     scaled = np.asarray(p, dtype=float) * n
-    return bool(np.all(np.abs(scaled - np.rint(scaled)) <= tol))
+    return bool(np.all(np.abs(scaled - np.rint(scaled)) <= 1e-9))
 
 
 def nearest_type(p, n: int) -> np.ndarray:
-    """Counts of a denominator-n type close to p, preserving zeros.
+    """Counts of the L1-closest denominator-n type to p; zero letters stay zero.
 
-    Every letter except the heaviest is rounded to the nearest multiple of
-    1/n and the heaviest letter takes the remainder, which keeps the L1
-    error at most 2*|support|/n. If p is already a denominator-n type it is
-    returned unchanged; otherwise n >= |support|^2 is required.
+    Every letter gets floor(n p) counts and the n - sum floor(n p) leftover
+    counts go one each to the letters with the largest fractional parts,
+    which is exactly L1-optimal. Fractional parts within 1e-12 count as
+    equal and the later letter wins, the tie rule of enumerating all
+    compositions in order and keeping the first closest one.
     """
     p = np.asarray(p, dtype=float)
     if abs(p.sum() - 1.0) > 1e-9 or np.any(p < 0):
         raise GpcqError("p must be a probability vector")
-    if is_exact_type(p, n):
-        return np.rint(p * n).astype(np.int64)
-    support = int(np.sum(p > 0))
-    if n < support * support:
-        raise PreconditionViolated("n >= |support|^2", n, support * support)
-    heavy = int(np.argmax(p))
-    counts = np.rint(p * n).astype(np.int64)
-    counts[p <= 0] = 0
-    counts[heavy] = n - (counts.sum() - counts[heavy])
-    if counts[heavy] < 0:
-        raise GpcqError(f"rounding failed for {p} at n={n}")
-    l1 = float(np.abs(counts / n - p).sum())
-    if l1 > 2.0 * support / n + 1e-12:
-        raise GpcqError(f"rounded type too far: {l1} > {2.0 * support / n}")
+    counts = np.floor(p * n).astype(np.int64)
+    frac = np.where(p > 0, p * n - counts, -np.inf)
+    for _ in range(n - int(counts.sum())):
+        top = np.flatnonzero(frac >= frac.max() - 1e-12)[-1]
+        counts[top] += 1
+        frac[top] = -np.inf
     return counts
 
 
-def nearest_type_exhaustive(p, n: int) -> np.ndarray:
-    """Exact L1-closest denominator-n type with the same zero pattern.
-
-    Exhaustive search over all admissible types; intended for toy n where
-    the constructive rounding hypothesis n >= |support|^2 fails.
-    """
-    p = np.asarray(p, dtype=float)
-    d = p.size
-    if math.comb(n + d - 1, d - 1) > TYPE_ENUMERATION_CAP:
-        raise CapExceeded(f"too many types to enumerate: C({n + d - 1},{d - 1})")
-    best = None
-    best_l1 = math.inf
-    for f in compositions(n, d):
-        if any(c > 0 and p[i] == 0 for i, c in enumerate(f)):
-            continue
-        l1 = float(np.abs(np.asarray(f) / n - p).sum())
-        if l1 < best_l1 - 1e-15:
-            best, best_l1 = f, l1
-    if best is None:
-        raise GpcqError(f"no admissible type for {p} at n={n}")
-    return np.asarray(best, dtype=np.int64)
-
-
-def typical_types(p, delta: float, n: int, cap: int = TYPE_ENUMERATION_CAP):
+def typical_types(p, delta: float, n: int):
     """All types f with || f/n - p ||_1 <= delta."""
     p = np.asarray(p, dtype=float)
     d = p.size
-    if math.comb(n + d - 1, d - 1) > cap:
+    if math.comb(n + d - 1, d - 1) > TYPE_ENUMERATION_CAP:
         raise CapExceeded(f"too many types to enumerate: C({n + d - 1},{d - 1})")
     out = []
     for f in compositions(n, d):

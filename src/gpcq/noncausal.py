@@ -86,13 +86,13 @@ def _check_witness(ch: StateChannel, q_given_s, strategy) -> tuple[np.ndarray, n
     """A witness as (conditionals, strategy) arrays, checked against an (already extended) channel.
 
     Both tables are (states, aux); conditional rows are finite pmfs and
-    strategy entries are input indices.
+    strategy entries are integer input indices.
     """
     q_given_s = np.asarray(q_given_s, dtype=float)
-    strategy = np.asarray(strategy, dtype=np.int64)
-    if q_given_s.ndim != 2 or q_given_s.shape != strategy.shape or q_given_s.shape[0] != ch.num_states:
+    table = np.asarray(strategy, dtype=float)
+    if q_given_s.ndim != 2 or q_given_s.shape != table.shape or q_given_s.shape[0] != ch.num_states:
         raise ShapeMismatch(
-            f"witness shapes {q_given_s.shape}/{strategy.shape} do not match channel with {ch.num_states} states"
+            f"witness shapes {q_given_s.shape}/{table.shape} do not match channel with {ch.num_states} states"
         )
     if not np.all(np.isfinite(q_given_s)):
         raise NonFinite("conditional entries must be finite")
@@ -100,9 +100,13 @@ def _check_witness(ch: StateChannel, q_given_s, strategy) -> tuple[np.ndarray, n
         raise GpcqError("conditional entries must be non-negative")
     if np.any(np.abs(q_given_s.sum(axis=1) - 1.0) > 1e-8):
         raise GpcqError("conditional rows must sum to 1")
-    if np.any((strategy < 0) | (strategy >= ch.num_inputs)):
+    if not np.all(np.isfinite(table)):
+        raise NonFinite("strategy entries must be finite")
+    if np.any(table != np.rint(table)):
+        raise GpcqError("strategy entries must be integers")
+    if np.any((table < 0) | (table >= ch.num_inputs)):
         raise GpcqError("strategy entries out of input range")
-    return q_given_s, strategy
+    return q_given_s, table.astype(np.int64)
 
 
 def gp_objective(ch: StateChannel, q_given_s: np.ndarray, strategy: np.ndarray, n: int = 1) -> GPObjectiveReport:

@@ -15,8 +15,7 @@ spectral primitive; matrix logarithms are always formed spectrally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,31 +62,8 @@ class Distribution:
         return float(self.probs[self.labels.index(label)])
 
 
-def uniform_distribution(labels: Sequence) -> Distribution:
-    k = len(labels)
-    return Distribution(tuple(labels), np.full(k, 1.0 / k))
-
-
-@dataclass(eq=False)
-class DensityOperator:
-    """Validated density matrix (Hermitian, positive semidefinite, unit trace)."""
-
-    matrix: np.ndarray
-    dim: int = field(init=False)
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        self.dim = self.matrix.shape[0]
-
-
-def _as_matrix(rho) -> np.ndarray:
-    if isinstance(rho, DensityOperator):
-        return rho.matrix
-    return np.asarray(rho, dtype=complex)
-
-
-def validate_density(mat, *, context: str = "") -> DensityOperator:
-    """Check Hermiticity, positivity and unit trace; return the wrapped operator.
+def validate_density(mat, *, context: str = "") -> np.ndarray:
+    """Check Hermiticity, positivity and unit trace; return the checked complex matrix.
 
     Raises NonFinite / NotHermitian / NotPSD / TraceNotOne / DimensionMismatch
     with the offending magnitude in the message. ``context`` is prepended so channel
@@ -108,7 +84,7 @@ def validate_density(mat, *, context: str = "") -> DensityOperator:
     vals = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
     if vals[0] < -TAU_EIG:
         raise NotPSD(f"{tag}most negative eigenvalue {vals[0]:.3e}", eigenvalue=float(vals[0]))
-    return DensityOperator(m)
+    return m
 
 
 def kron_all(mats) -> np.ndarray:
@@ -148,7 +124,7 @@ def product_traces(op, slot_states) -> np.ndarray:
 
 def spectrum(rho) -> np.ndarray:
     """Eigenvalues sorted in non-increasing order, roundoff negatives clipped."""
-    vals = np.linalg.eigvalsh(_as_matrix(rho))
+    vals = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
     vals = np.clip(vals, 0.0, None)
     return vals[::-1].copy()
 
@@ -178,7 +154,7 @@ def kl_divergence(p, q) -> float:
 
 def von_neumann_entropy(rho) -> float | np.ndarray:
     """S(rho) = -tr(rho log rho) in bits; a stack (..., d, d) gives an array of entropies."""
-    out = entropy_bits(np.linalg.eigvalsh(_as_matrix(rho)))
+    out = entropy_bits(np.linalg.eigvalsh(np.asarray(rho, dtype=complex)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -206,8 +182,8 @@ def relative_entropy(rho, sigma) -> float | np.ndarray:
 
     rho may be a stack (..., d, d) against one sigma; it then gives an array.
     """
-    r = _as_matrix(rho)
-    s = _as_matrix(sigma)
+    r = np.asarray(rho, dtype=complex)
+    s = np.asarray(sigma, dtype=complex)
     if s.ndim != 2 or r.shape[-2:] != s.shape:
         raise DimensionMismatch(f"shapes {r.shape} and {s.shape} differ")
     _, div = divergence_profile(r, s)
@@ -216,8 +192,8 @@ def relative_entropy(rho, sigma) -> float | np.ndarray:
 
 def trace_distance(rho, sigma) -> float:
     """Sum of absolute eigenvalues of rho - sigma (ranges over [0, 2])."""
-    r = _as_matrix(rho)
-    s = _as_matrix(sigma)
+    r = np.asarray(rho, dtype=complex)
+    s = np.asarray(sigma, dtype=complex)
     if r.shape != s.shape:
         raise DimensionMismatch(f"shapes {r.shape} and {s.shape} differ")
     vals = np.linalg.eigvalsh(r - s)
@@ -225,18 +201,9 @@ def trace_distance(rho, sigma) -> float:
 
 
 def _ensemble_arrays(q, ensemble) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize (weights, states) input forms to aligned arrays."""
-    if isinstance(q, Distribution):
-        weights = q.probs
-        if isinstance(ensemble, Mapping):
-            states = [
-                _as_matrix(ensemble[label]) for label in q.labels
-            ]
-        else:
-            states = [_as_matrix(m) for m in ensemble]
-    else:
-        weights = np.asarray(q, dtype=float)
-        states = [_as_matrix(m) for m in ensemble]
+    """(weights, states) as aligned arrays."""
+    weights = np.asarray(q, dtype=float)
+    states = [np.asarray(m, dtype=complex) for m in ensemble]
     if len(states) != weights.size:
         raise DimensionMismatch(
             f"{weights.size} weights but {len(states)} states"
@@ -268,7 +235,7 @@ def pinch(rho, basis: np.ndarray) -> Distribution:
     ``basis`` holds the basis vectors as columns. Orthonormality is enforced
     within TAU_HERM.
     """
-    r = _as_matrix(rho)
+    r = np.asarray(rho, dtype=complex)
     b = np.asarray(basis, dtype=complex)
     if b.shape != r.shape:
         raise DimensionMismatch(f"basis shape {b.shape} vs state shape {r.shape}")
@@ -283,5 +250,5 @@ def pinch(rho, basis: np.ndarray) -> Distribution:
 
 def eigenbasis(rho) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues, eigenvectors-as-columns), in descending eigenvalue order."""
-    vals, vecs = np.linalg.eigh(_as_matrix(rho))
+    vals, vecs = np.linalg.eigh(np.asarray(rho, dtype=complex))
     return np.clip(vals[::-1].copy(), 0.0, None), vecs[:, ::-1].copy()

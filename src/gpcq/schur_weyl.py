@@ -6,6 +6,7 @@ from cached conjugacy-class sums with integer characters; frequency
 projectors are diagonal in any product basis and commute with them exactly,
 so typicality-filtered decoding projectors factor into a diagonal mask times
 a sum of central projectors, conjugated back to the original tensor slots.
+Block and decoding projectors are returned as plain arrays.
 """
 
 from __future__ import annotations
@@ -262,9 +263,9 @@ def central_projector(frame: YoungFrame, d: int, n: int) -> np.ndarray:
     return out
 
 
-def _assert_projector(mat: np.ndarray, context: str, tol: float = TAU_PROJ):
+def _assert_projector(mat: np.ndarray, context: str):
     defect = float(np.max(np.abs(mat @ mat - mat)))
-    if defect > tol:
+    if defect > TAU_PROJ:
         raise NotProjection(f"{context}: idempotency defect {defect}")
 
 
@@ -335,37 +336,14 @@ def kostka_rank(freq, frame: YoungFrame, d: int, n: int) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class ASet:
-    """Typicality-filtered (frequency, frame) index pairs for one block.
-
-    Membership separates into a frequency condition against the pinched
-    distribution and a frame condition against the spectrum, so the set is
-    the Cartesian product of the two lists.
-    """
-
-    freqs: tuple[tuple[int, ...], ...]
-    frames: tuple[YoungFrame, ...]
-
-    def __len__(self) -> int:
-        return len(self.freqs) * len(self.frames)
-
-    def pairs(self):
-        for f in self.freqs:
-            for lam in self.frames:
-                yield f, lam
-
-    @property
-    def empty(self) -> bool:
-        return len(self) == 0
-
-
-def a_set(rho: np.ndarray, basis: np.ndarray, m: int, radius: float) -> ASet:
+def a_set(rho: np.ndarray, basis: np.ndarray, m: int, radius: float) -> tuple[tuple, tuple]:
     """Frequencies close to the pinched diagonal, frames close to the spectrum.
 
     Closeness is relative-entropy distance at most ``radius`` for the
     normalized frequency against the pinched distribution and for the
-    normalized frame against the spectrum.
+    normalized frame against the spectrum. Membership separates into these
+    two conditions, so the typicality-filtered (frequency, frame) index set
+    of a block is the Cartesian product of the returned (freqs, frames).
     """
     d = rho.shape[0]
     pinched = pinch(rho, basis).probs
@@ -378,16 +356,10 @@ def a_set(rho: np.ndarray, basis: np.ndarray, m: int, radius: float) -> ASet:
         for lam in young_frames(d, m)
         if kl_divergence(frame_distribution(lam, d), spec) <= radius
     )
-    return ASet(freqs, frames)
+    return freqs, frames
 
 
-@dataclass(frozen=True)
-class BlockProjector:
-    matrix: np.ndarray
-    index_set: ASet
-
-
-def block_projector(rho: np.ndarray, basis: np.ndarray, m: int, radius: float) -> BlockProjector:
+def block_projector(rho: np.ndarray, basis: np.ndarray, m: int, radius: float) -> np.ndarray:
     """Projector summing the filtered (frequency, frame) blocks on m slots.
 
     The Cartesian structure of the index set factorizes the sum into a
@@ -396,34 +368,31 @@ def block_projector(rho: np.ndarray, basis: np.ndarray, m: int, radius: float) -
     product frame.
     """
     d = rho.shape[0]
-    idx = a_set(rho, basis, m, radius)
+    freqs, frames = a_set(rho, basis, m, radius)
     dim = d**m
-    if idx.empty:
-        return BlockProjector(np.zeros((dim, dim), dtype=complex), idx)
+    if not freqs or not frames:
+        return np.zeros((dim, dim), dtype=complex)
     mask = np.zeros(dim)
-    for f in idx.freqs:
+    for f in freqs:
         mask = np.logical_or(mask, frequency_mask(np.asarray(f), d, m)).astype(float)
     p_sum = np.zeros((dim, dim))
-    for lam in idx.frames:
+    for lam in frames:
         p_sum += central_projector(lam, d, m)
     core = mask[:, None] * p_sum * mask[None, :]
     core = 0.5 * (core + core.T)
     _assert_projector(core, f"block projector m={m}")
     rot = kron_all([basis] * m)
     mat = rot @ core @ rot.conj().T
-    mat = 0.5 * (mat + mat.conj().T)
-    return BlockProjector(mat, idx)
-
-
-@dataclass(frozen=True)
-class DecodeProjector:
-    matrix: np.ndarray
-    blocks: tuple[tuple[int, int, int, int], ...]
-    any_empty: bool
+    return 0.5 * (mat + mat.conj().T)
 
 
 class DecodeContext:
-    """Caches per-letter block projectors across codewords of one simulation."""
+    """Decoding projectors of auxiliary words, with per-letter blocks cached.
+
+    The projector of a word groups its positions by letter; each group of
+    size t carries the block projector at divergence radius n*delta/t, and
+    the blocks are placed back on the original slots.
+    """
 
     def __init__(self, states: np.ndarray, basis: np.ndarray, n: int, delta: float):
         self.states = np.asarray(states, dtype=complex)
@@ -431,44 +400,24 @@ class DecodeContext:
         self.n = n
         self.delta = delta
         self.d = self.states.shape[1]
-        self._cache: dict[tuple[int, int], BlockProjector] = {}
+        self._cache: dict[tuple[int, int], np.ndarray] = {}
 
-    def block(self, u: int, t: int) -> BlockProjector:
+    def block(self, u: int, t: int) -> np.ndarray:
         key = (u, t)
         if key not in self._cache:
             radius = self.n * self.delta / t
             self._cache[key] = block_projector(self.states[u], self.basis, t, radius)
         return self._cache[key]
 
-    def projector(self, u_seq) -> DecodeProjector:
+    def projector(self, u_seq) -> np.ndarray:
         u_seq = np.asarray(u_seq, dtype=np.int64)
         if u_seq.size != self.n:
             raise GpcqError(f"word length {u_seq.size} != {self.n}")
         order = np.argsort(u_seq, kind="stable")
-        letters = [int(u) for u in np.unique(u_seq)]
-        blocks_meta, mats, any_empty = [], [], False
-        for u in letters:
-            t = int(np.sum(u_seq == u))
-            blk = self.block(u, t)
-            blocks_meta.append((u, t, len(blk.index_set.freqs), len(blk.index_set.frames)))
-            any_empty = any_empty or blk.index_set.empty
-            mats.append(blk.matrix)
-        mat = kron_all(mats)
+        letters, sizes = np.unique(u_seq, return_counts=True)
+        mat = kron_all(self.block(int(u), int(t)) for u, t in zip(letters, sizes))
         d = self.d
         tensor = mat.reshape((d,) * (2 * self.n))
         inv = np.argsort(order)
         axes = list(inv) + [self.n + a for a in inv]
-        full = np.transpose(tensor, axes=axes).reshape(d**self.n, d**self.n)
-        return DecodeProjector(full, tuple(blocks_meta), any_empty)
-
-
-def decode_projector(u_seq, states: np.ndarray, basis: np.ndarray, delta: float) -> DecodeProjector:
-    """One-shot decoding projector for a word over the auxiliary ensemble.
-
-    Positions are grouped by letter; each group carries a block projector at
-    divergence radius n*delta/t for group size t, and the blocks are placed
-    back on the original slots.
-    """
-    u_seq = np.asarray(u_seq, dtype=np.int64)
-    ctx = DecodeContext(states, basis, int(u_seq.size), delta)
-    return ctx.projector(u_seq)
+        return np.transpose(tensor, axes=axes).reshape(d**self.n, d**self.n)

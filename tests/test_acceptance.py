@@ -14,7 +14,6 @@ from gpcq.method_of_types import (
     joint_type_completion,
     m_set_contains,
     nearest_type,
-    nearest_type_exhaustive,
     type_class_size,
 )
 from gpcq.noncausal import (
@@ -223,7 +222,7 @@ def _matched_trace_scan(ch, wit, ns, delta):
     num_u = p_su.shape[1]
     out = {}
     for n in ns:
-        counts = nearest_type_exhaustive(q_u, n)
+        counts = nearest_type(q_u, n)
         ctx = DecodeContext(states, basis, n, delta)
         u_words = digit_table(num_u, n)
         word_counts = np.stack([(u_words == u).sum(axis=1) for u in range(num_u)], axis=1)
@@ -231,7 +230,7 @@ def _matched_trace_scan(ch, wit, ns, delta):
         s_words = digit_table(ch.num_states, n)
         worst = 1.0
         for uw in u_words:
-            proj = ctx.projector(uw).matrix
+            proj = ctx.projector(uw)
             for sw in s_words:
                 if not m_set_contains(sw, uw, p_su, delta):
                     continue

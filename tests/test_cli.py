@@ -325,6 +325,21 @@ class TestCsvOutputs:
         assert float(value) == pytest.approx(2 / 35, abs=1e-12)
         assert float(upper) == pytest.approx(4 / 7, abs=1e-12)
 
+    def test_types_nearest_reports_the_closest_type(self, capsys):
+        # Counts (5, 2, 3) are at L1 distance 0.1; (6, 2, 2) would be at 0.2.
+        code, out, _ = run_cli(
+            capsys, "types", "--op", "nearest", "--p", "0.5,0.25,0.25", "--n", "10", "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["rows"][0]["value"] == pytest.approx(0.1, abs=1e-12)
+
+    def test_types_class_size_uses_the_closest_type(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "types", "--op", "class-size", "--p", "0.5,0.25,0.25", "--n", "10", "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["rows"][0]["value"] == 2520  # 10! / (5! 2! 3!)
+
     def test_schur_dims_count_multiplicities(self, capsys):
         code, out, _ = run_cli(capsys, "schur", "dims", "--d", "2", "--n", "2")
         assert code == 0

@@ -30,7 +30,7 @@ from gpcq.errors import (
     NotProjection,
     PreconditionViolated,
 )
-from gpcq.method_of_types import m_set_contains, nearest_type_exhaustive
+from gpcq.method_of_types import m_set_contains, nearest_type
 from gpcq.quantum import eigenbasis, kron_all
 from gpcq.schur_weyl import DecodeContext
 from gpcq.util import random_density_matrix, rng_for
@@ -327,10 +327,10 @@ class TestNoncausalTrial:
         # Replay the codebook draw, then evaluate every matched (state word,
         # codeword) pair on its Kronecker-built output state.
         replay = rng_for(8, "trial")
-        base = np.repeat(np.arange(2), nearest_type_exhaustive(p_su.sum(axis=0), n))
+        base = np.repeat(np.arange(2), nearest_type(p_su.sum(axis=0), n))
         words = [[replay.permutation(base) for _ in range(M)] for _ in range(K)]
         elements, _ = square_root_decoder(
-            [sum(ctx.projector(words[k][m]).matrix for k in range(K)) for m in range(M)]
+            [sum(ctx.projector(words[k][m]) for k in range(K)) for m in range(M)]
         )
         expected_err = expected_declares = 0.0
         for m in range(M):

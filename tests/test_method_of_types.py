@@ -1,5 +1,6 @@
 """Method of types: type classes, typical sets, matching, and coverage."""
 
+import functools
 import math
 import tracemalloc
 
@@ -21,7 +22,6 @@ from gpcq.method_of_types import (
     m_set_contains,
     matched_set_members,
     nearest_type,
-    nearest_type_exhaustive,
     type_class_size,
     typical_mass,
     typical_mass_threshold,
@@ -74,6 +74,68 @@ class TestTypeClassSize:
         assert out.lower <= out.size <= out.upper * (1 + 1e-12)
 
 
+@functools.lru_cache(maxsize=None)
+def composition_table(n, d):
+    return np.array(list(compositions(n, d)), dtype=np.int64).reshape(-1, d)
+
+
+def enumerated_nearest_type(p, n):
+    """Reference: the first composition, in enumeration order, at the least L1 distance.
+
+    Distances within 2e-12/n of the least count as equal: moving one count
+    between two letters changes the distance by 2/n times the gap of their
+    fractional parts, so this is the 1e-12 tie rule of nearest_type, and the
+    enumeration order lets the later letter win. Letters of zero mass keep
+    zero counts.
+    """
+    p = np.asarray(p, dtype=float)
+    table = composition_table(n, p.size)
+    l1 = np.abs(table / n - p).sum(axis=1)
+    l1[np.any((table > 0) & (p == 0), axis=1)] = np.inf
+    return table[np.flatnonzero(l1 <= l1.min() + 2e-12 / n)[0]]
+
+
+def seeded_marginals(rng, count):
+    """Dirichlet draws, draws with zero letters, exact rationals, and rationals
+    moved by 3e-14 (a tie under the 1e-12 rule) or 1e-11 (not a tie)."""
+    for i in range(count):
+        d, n = int(rng.integers(2, 6)), int(rng.integers(1, 14))
+        kind = i % 5
+        if kind < 2:
+            p = rng.dirichlet(np.ones(d))
+            if kind == 1:
+                p[rng.random(d) < 0.4] = 0.0
+                p[int(rng.integers(d))] += 1e-3
+                p /= p.sum()
+        else:
+            k = rng.integers(0, 6, d)
+            k[int(rng.integers(d))] += 1
+            p = k / k.sum()
+            used = np.flatnonzero(p > 0)
+            if kind > 2 and used.size > 1:
+                up, down = rng.choice(used, 2, replace=False)
+                eps = 3e-14 if kind == 3 else 1e-11
+                p[up] += eps
+                p[down] -= eps
+        yield p, n
+
+
+# Auxiliary marginals that the seeded `gpcq simulate` runs on the corpus
+# (scripts/cli_fingerprint.py) pass to nearest_type, with the counts they got
+# from the composition enumeration; several sit at or near ties.
+SIMULATED_MARGINALS = [
+    ([0.4999999999989999, 0.5000000000010001], 2, [1, 1]),
+    ([0.4999999999989999, 0.5000000000010001], 4, [2, 2]),
+    ([0.3289993865929327, 0.25, 0.17100061340706732, 0.25], 2, [1, 0, 0, 1]),
+    ([0.49999999999607925, 0.5000000000039208], 2, [1, 1]),
+    ([0.49999999999607925, 0.5000000000039208], 4, [2, 2]),
+    ([0.19863537937312098, 0.45136462062620714, 0.3500000000006718], 2, [0, 1, 1]),
+    ([0.19863537937312098, 0.45136462062620714, 0.3500000000006718], 4, [1, 2, 1]),
+    ([0.5, 0.5], 2, [1, 1]),
+    ([0.5, 0.5], 4, [2, 2]),
+]
+
+
 class TestNearestType:
     def test_exact_type_returned_unchanged(self):
         assert np.array_equal(nearest_type([0.5, 0.5], 4), [2, 2])
@@ -84,13 +146,19 @@ class TestNearestType:
         assert np.array_equal(counts, [3, 4])
         assert np.abs(counts / 7 - [0.4, 0.6]).sum() == pytest.approx(2 / 35, abs=1e-12)
 
-    def test_small_n_rejected(self):
-        with pytest.raises(PreconditionViolated):
-            nearest_type([0.35, 0.33, 0.32], 8)
+    def test_small_n_gets_the_closest_type(self):
+        counts = nearest_type([0.35, 0.33, 0.32], 8)
+        assert np.array_equal(counts, enumerated_nearest_type([0.35, 0.33, 0.32], 8))
+        assert np.array_equal(counts, [3, 3, 2])
 
     def test_zero_pattern_preserved(self):
         counts = nearest_type([0.45, 0.0, 0.55], 9)
         assert counts[1] == 0 and counts.sum() == 9
+
+    def test_refuses_non_distributions(self):
+        for p in ([0.5, 0.6], [1.2, -0.2]):
+            with pytest.raises(GpcqError, match="probability vector"):
+                nearest_type(p, 4)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(0, 40))
@@ -103,16 +171,15 @@ class TestNearestType:
         assert counts.sum() == n
         assert np.abs(counts / n - p).sum() <= 2 * support / n + 1e-12
 
-    def test_exhaustive_agrees_or_beats(self):
-        rg = np.random.default_rng(5)
-        for _ in range(20):
-            p = rg.dirichlet(np.ones(3))
-            n = 11
-            fast = nearest_type(p, n)
-            best = nearest_type_exhaustive(p, n)
-            fast_l1 = np.abs(fast / n - p).sum()
-            best_l1 = np.abs(best / n - p).sum()
-            assert best_l1 <= fast_l1 + 1e-12
+    def test_equals_enumeration_on_seeded_draws(self):
+        for p, n in seeded_marginals(np.random.default_rng(5), 10_000):
+            assert np.array_equal(nearest_type(p, n), enumerated_nearest_type(p, n)), (p.tolist(), n)
+
+    @pytest.mark.parametrize("p, n, counts", SIMULATED_MARGINALS)
+    def test_simulated_marginals_keep_their_counts(self, p, n, counts):
+        assert np.array_equal(nearest_type(p, n), counts)
+        for m in range(1, 14):
+            assert np.array_equal(nearest_type(p, m), enumerated_nearest_type(p, m))
 
 
 class TestTypicalMass:
@@ -146,7 +213,7 @@ class TestTypicalMass:
 
     def test_enumeration_cap(self):
         with pytest.raises(CapExceeded):
-            typical_types([0.25] * 4, 0.1, 600, cap=1000)
+            typical_types([0.25] * 4, 0.1, 600)
 
 
 class TestJointCompletion:

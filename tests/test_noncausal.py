@@ -138,6 +138,8 @@ WITNESS_CALLERS = {
         ("gp_witness", np.array([[1.5, -0.5], [0.5, 0.5]]), INVERTING, GpcqError, "non-negative"),
         ("gp_objective", np.array([[np.nan, 0.5], [0.5, 0.5]]), INVERTING, NonFinite, "finite"),
         ("seed_witnesses", np.array([[np.nan, 0.5], [0.5, 0.5]]), INVERTING, NonFinite, "finite"),
+        ("gp_objective", UNIFORM_Q, np.array([[0.7, 1.9], [1.2, 0.0]]), GpcqError, "integers"),
+        ("gp_objective", UNIFORM_Q, np.array([[np.nan, 1.0], [1.0, 0.0]]), NonFinite, "finite"),
     ],
 )
 def test_every_witness_entry_point_checks_the_witness(flip, caller, q, strat, error, match):

@@ -15,7 +15,6 @@ from gpcq.schur_weyl import (
     character,
     class_size,
     cycle_types,
-    decode_projector,
     frame_dimension_bounds,
     frame_distribution,
     frequency_projector,
@@ -201,14 +200,14 @@ class TestKostka:
 class TestASet:
     def test_wide_radius_takes_everything(self):
         rho = np.diag([0.6, 0.4]).astype(complex)
-        aset = a_set(rho, EYE2, 6, radius=100.0)
-        assert len(aset.freqs) == 7
-        assert aset.frames == tuple(young_frames(2, 6))
+        freqs, frames = a_set(rho, EYE2, 6, radius=100.0)
+        assert len(freqs) == 7
+        assert frames == tuple(young_frames(2, 6))
 
     def test_tight_radius_matches_inline_filter(self):
         rho = np.diag([0.75, 0.25]).astype(complex)
         m, radius = 8, 0.05
-        aset = a_set(rho, EYE2, m, radius)
+        freqs, frames = a_set(rho, EYE2, m, radius)
         expect_freqs = tuple(
             f
             for f in compositions(m, 2)
@@ -219,19 +218,18 @@ class TestASet:
             for lam in young_frames(2, m)
             if kl_divergence(frame_distribution(lam, 2), spectrum(rho)) <= radius
         )
-        assert aset.freqs == expect_freqs == ((6, 2),)
-        assert aset.frames == expect_frames == ((6, 2),)
-        assert len(aset) == 1 and not aset.empty
+        assert freqs == expect_freqs == ((6, 2),)
+        assert frames == expect_frames == ((6, 2),)
 
     def test_basis_controls_the_pinching(self):
         # In the eigenbasis of |+><+| the pinched diagonal is (1, 0); in the
         # computational basis it is (1/2, 1/2).
         plus = np.full((2, 2), 0.5, dtype=complex)
         hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-        eigen = a_set(plus, hadamard, 4, radius=1e-6)
-        comp = a_set(plus, EYE2, 4, radius=1e-6)
-        assert eigen.freqs == ((4, 0),)
-        assert comp.freqs == ((2, 2),)
+        eigen_freqs, _ = a_set(plus, hadamard, 4, radius=1e-6)
+        comp_freqs, _ = a_set(plus, EYE2, 4, radius=1e-6)
+        assert eigen_freqs == ((4, 0),)
+        assert comp_freqs == ((2, 2),)
 
     def test_spectral_weight_bound(self):
         # tr{P_frame sigma^m} <= poly(m) 2^(-m KL(frame || spectrum)).
@@ -252,32 +250,32 @@ class TestDecodeProjectors:
 
     def test_block_projector_idempotent_and_real_diagonal_case(self):
         blk = block_projector(self.STATES[0], EYE2, 3, radius=0.4)
-        assert np.max(np.abs(blk.matrix @ blk.matrix - blk.matrix)) < 1e-8
-        assert np.allclose(blk.matrix, blk.matrix.conj().T, atol=1e-12)
+        assert np.max(np.abs(blk @ blk - blk)) < 1e-8
+        assert np.allclose(blk, blk.conj().T, atol=1e-12)
 
     def test_constant_word_equals_single_block(self):
         ctx = DecodeContext(self.STATES, EYE2, 3, 0.4)
-        word = ctx.projector([1, 1, 1])
-        assert np.allclose(word.matrix, ctx.block(1, 3).matrix, atol=1e-12)
-        assert word.blocks == ((1, 3, len(ctx.block(1, 3).index_set.freqs), len(ctx.block(1, 3).index_set.frames)),)
+        assert np.allclose(ctx.projector([1, 1, 1]), ctx.block(1, 3), atol=1e-12)
 
     def test_permutation_covariance(self):
         ctx = DecodeContext(self.STATES, EYE2, 3, 0.4)
         u = np.array([0, 1, 1])
         perm = (1, 2, 0)
         V = permutation_operator(perm, 2)
-        lhs = V @ ctx.projector(u).matrix @ V.T
-        assert np.allclose(lhs, ctx.projector(u[list(perm)]).matrix, atol=1e-10)
+        lhs = V @ ctx.projector(u) @ V.T
+        assert np.allclose(lhs, ctx.projector(u[list(perm)]), atol=1e-10)
 
     def test_idempotent_mixed_word(self):
-        out = decode_projector([0, 1, 0], self.STATES, EYE2, 0.5)
-        mat = out.matrix
+        mat = DecodeContext(self.STATES, EYE2, 3, 0.5).projector([0, 1, 0])
         assert np.max(np.abs(mat @ mat - mat)) < 1e-8
 
     def test_tiny_radius_flags_empty_blocks(self):
-        out = decode_projector([0, 1], self.STATES, EYE2, 1e-6)
-        assert out.any_empty
-        assert np.allclose(out.matrix, 0.0, atol=1e-12)
+        # Each letter fills one slot at radius n*delta/t = 2e-6; no
+        # frequency of one slot is that close to either pinched diagonal.
+        assert a_set(self.STATES[0], EYE2, 1, 2e-6)[0] == ()
+        assert a_set(self.STATES[1], EYE2, 1, 2e-6)[0] == ()
+        out = DecodeContext(self.STATES, EYE2, 2, 1e-6).projector([0, 1])
+        assert np.allclose(out, 0.0, atol=1e-12)
 
     def test_context_caches_blocks(self):
         ctx = DecodeContext(self.STATES, EYE2, 4, 0.3)
