@@ -181,7 +181,7 @@ def causal_capacity(
     """
     columns = strategy_columns(ch.num_states, ch.num_inputs)
     strategy = columns.T
-    states = derived_states(ch.p.probs, ch.tensor(), np.ones(strategy.shape), strategy)
+    states = derived_states(ch.p, ch.tensor, np.ones(strategy.shape), strategy)
     sol = inner_maximize(states, eps=eps)
     support = sol.q > 0
     return CausalSolution(
@@ -204,7 +204,7 @@ def state_averaged_holevo(ch: StateChannel, eps: float = INNER_EPS) -> InnerSolu
     solve weighs, so the causal capacity is never below this value.
     """
     constant = np.tile(np.arange(ch.num_inputs), (ch.num_states, 1))
-    states = derived_states(ch.p.probs, ch.tensor(), np.ones(constant.shape), constant)
+    states = derived_states(ch.p, ch.tensor, np.ones(constant.shape), constant)
     return inner_maximize(states, eps=eps)
 
 

@@ -12,14 +12,17 @@ chosen by the sender. Channel documents are JSON with fields
 
 The serializer emits decimals with 17 significant digits, which round-trip
 IEEE doubles exactly, so serialize -> parse is the identity on channels.
-Labels are opaque strings; product-extension labels join letters with ":".
+In memory a channel is two arrays, the prior p and the (|S|, |X|, dim, dim)
+state tensor, aligned with the alphabets. Labels are opaque display strings;
+product-extension labels join letters with ":" (a ":" or "\\" inside a
+letter is escaped with "\\").
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Mapping
 
@@ -31,10 +34,12 @@ from .errors import (
     DimensionMismatch,
     GpcqError,
     NonFinite,
+    NotPSD,
     ParseError,
     PreconditionViolated,
+    TraceNotOne,
 )
-from .quantum import Distribution, kron_all, validate_density
+from .quantum import TAU_TR, pinch, validate_density
 
 TAU_COMM = 1e-9
 
@@ -56,38 +61,62 @@ def memory_budget_bytes() -> int:
 
 @dataclass(eq=False)
 class StateChannel:
-    """Validated channel: states rho[(s, x)], state prior p over the s letters."""
+    """Validated channel: prior p over the state letters and states tensor[s, x].
+
+    ``p`` is a 1-D pmf aligned with ``state_alphabet`` and ``tensor`` the
+    (|S|, |X|, dim, dim) array of density matrices aligned with both
+    alphabets. Labels are for display; every solver reads the arrays.
+    """
 
     state_alphabet: tuple[str, ...]
     input_alphabet: tuple[str, ...]
-    dim: int
-    states: Mapping[tuple[str, str], np.ndarray]
-    p: Distribution
+    p: np.ndarray
+    tensor: np.ndarray
     warnings: tuple[str, ...] = ()
-    _tensor: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        ns, nx = len(self.state_alphabet), len(self.input_alphabet)
-        t = np.empty((ns, nx, self.dim, self.dim), dtype=complex)
-        for i, s in enumerate(self.state_alphabet):
-            for j, x in enumerate(self.input_alphabet):
-                t[i, j] = self.states[(s, x)]
-        self._tensor = t
+    @property
+    def dim(self) -> int:
+        return self.tensor.shape[2]
 
     @property
     def num_states(self) -> int:
-        return len(self.state_alphabet)
+        return self.tensor.shape[0]
 
     @property
     def num_inputs(self) -> int:
-        return len(self.input_alphabet)
+        return self.tensor.shape[1]
 
-    def state(self, s: str, x: str) -> np.ndarray:
-        return self.states[(s, x)]
 
-    def tensor(self) -> np.ndarray:
-        """States as an (|S|, |X|, dim, dim) array aligned with the alphabets."""
-        return self._tensor
+def _positive_prior(p, state_alphabet) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Check that p is a pmf over the state letters; keep its positive letters.
+
+    Returns the indices of the positive letters, their renormalized masses
+    and one warning per zero-probability letter.
+    """
+    pvec = np.asarray(p, dtype=float)
+    if pvec.shape != (len(state_alphabet),):
+        raise DimensionMismatch(f"{len(state_alphabet)} labels but masses of shape {pvec.shape}")
+    if not np.all(np.isfinite(pvec)):
+        raise NonFinite("masses must be finite numbers")
+    if np.any(pvec < -TAU_TR):
+        raise NotPSD(f"negative mass {pvec.min():.3e}")
+    total = float(pvec.sum())
+    if abs(total - 1.0) > TAU_TR:
+        raise TraceNotOne(f"masses sum to {total!r}", total=total)
+    keep = np.flatnonzero(pvec > 0)
+    if keep.size == 0:
+        raise AlphabetMismatch("no state letter has positive probability")
+    warnings = [
+        f"state {s!r} has zero probability; removed"
+        for s, w in zip(state_alphabet, pvec)
+        if not w > 0
+    ]
+    return keep, pvec[keep] / pvec[keep].sum(), warnings
+
+
+def _check_states(tensor: np.ndarray, state_alphabet, input_alphabet) -> None:
+    for i, j in np.ndindex(tensor.shape[:2]):
+        validate_density(tensor[i, j], context=f"rho[{state_alphabet[i]}|{input_alphabet[j]}]")
 
 
 def build_channel(
@@ -100,9 +129,10 @@ def build_channel(
 ) -> StateChannel:
     """Validate all pieces and assemble a StateChannel.
 
-    Zero-probability state letters are stripped (recorded in ``warnings``);
-    every remaining (s, x) pair must carry a valid density matrix of the
-    declared dimension.
+    ``states`` maps (s, x) label pairs to matrices and ``p`` lists the state
+    masses in the order of ``state_alphabet``. Zero-probability state
+    letters are stripped (recorded in ``warnings``); every remaining (s, x)
+    pair must carry a valid density matrix of the declared dimension.
     """
     state_alphabet = tuple(str(s) for s in state_alphabet)
     input_alphabet = tuple(str(x) for x in input_alphabet)
@@ -112,44 +142,20 @@ def build_channel(
         raise AlphabetMismatch("duplicate input labels")
     if not input_alphabet:
         raise AlphabetMismatch("empty input alphabet")
-    if isinstance(p, Distribution):
-        if tuple(p.labels) != state_alphabet:
-            raise AlphabetMismatch("p labels do not match the state alphabet")
-        pvec = p.probs
-    else:
-        pvec = np.asarray(p, dtype=float)
-    dist = Distribution(state_alphabet, pvec)
-
-    warnings = list(warnings)
-    keep = [i for i, w in enumerate(dist.probs) if w > 0]
-    dropped = [s for i, s in enumerate(state_alphabet) if i not in keep]
-    for s in dropped:
-        warnings.append(f"state {s!r} has zero probability; removed")
-    if not keep:
-        raise AlphabetMismatch("no state letter has positive probability")
+    keep, pvec, dropped = _positive_prior(p, state_alphabet)
     state_alphabet = tuple(state_alphabet[i] for i in keep)
-    pvec = dist.probs[keep]
-    pvec = pvec / pvec.sum()
 
-    checked = {}
-    for s in state_alphabet:
-        for x in input_alphabet:
-            if (s, x) not in states:
-                raise ParseError(f"missing state ({s},{x})")
-            mat = np.asarray(states[(s, x)], dtype=complex)
-            if mat.shape != (dim, dim):
-                raise DimensionMismatch(
-                    f"rho[{s}|{x}] has shape {mat.shape}, expected ({dim},{dim})"
-                )
-            checked[(s, x)] = validate_density(mat, context=f"rho[{s}|{x}]")
-    return StateChannel(
-        state_alphabet,
-        input_alphabet,
-        dim,
-        checked,
-        Distribution(state_alphabet, pvec),
-        tuple(warnings),
-    )
+    def entry(s, x):
+        if (s, x) not in states:
+            raise ParseError(f"missing state ({s},{x})")
+        mat = np.asarray(states[(s, x)], dtype=complex)
+        if mat.shape != (dim, dim):
+            raise DimensionMismatch(f"rho[{s}|{x}] has shape {mat.shape}, expected ({dim},{dim})")
+        return mat
+
+    tensor = np.array([[entry(s, x) for x in input_alphabet] for s in state_alphabet])
+    _check_states(tensor, state_alphabet, input_alphabet)
+    return StateChannel(state_alphabet, input_alphabet, pvec, tensor, (*warnings, *dropped))
 
 
 def parse_channel(document: str) -> StateChannel:
@@ -235,14 +241,14 @@ def serialize_channel(ch: StateChannel) -> str:
     lines.append(f' "dim": {ch.dim},')
     lines.append(" \"inputs\": [" + ", ".join(json.dumps(x) for x in ch.input_alphabet) + "],")
     p_rows = ",\n".join(
-        f"  {json.dumps(s)}: {_fmt(w)}" for s, w in zip(ch.state_alphabet, ch.p.probs)
+        f"  {json.dumps(s)}: {_fmt(w)}" for s, w in zip(ch.state_alphabet, ch.p)
     )
     lines.append(' "p": {\n' + p_rows + "\n },")
     entries = []
-    for s in ch.state_alphabet:
-        for x in ch.input_alphabet:
+    for s, states in zip(ch.state_alphabet, ch.tensor):
+        for x, mat in zip(ch.input_alphabet, states):
             rows = []
-            for row in ch.states[(s, x)]:
+            for row in mat:
                 cells = ", ".join(f"[{_fmt(v.real)}, {_fmt(v.imag)}]" for v in row)
                 rows.append(f"   [{cells}]")
             entries.append(f'  {json.dumps(f"{s}|{x}")}: [\n' + ",\n".join(rows) + "\n  ]")
@@ -280,12 +286,24 @@ def derived_states(p: np.ndarray, tensor: np.ndarray, weights: np.ndarray, strat
     return np.einsum("su,suij->uij", p[:, None] * weights, letter_states(tensor, strategy))
 
 
+def _joined(letters) -> str:
+    """Product label: the letters joined by ':', with '\\' and ':' inside a letter escaped.
+
+    The escaping keeps the labels of distinct words distinct whatever the
+    letters' labels contain.
+    """
+    escaped = (s.replace("\\", "\\\\").replace(LABEL_JOIN, "\\" + LABEL_JOIN) for s in letters)
+    return LABEL_JOIN.join(escaped)
+
+
 def product_extension(ch: StateChannel, n: int, budget_bytes: int | None = None) -> StateChannel:
     """n-fold memoryless extension with ':'-joined labels.
 
-    The extension materializes |S|^n * |X|^n density matrices of size d^n, so
-    the estimated footprint is checked against the memory budget first
-    (GPCQ_BUDGET_BYTES overrides the 1 GiB default).
+    Word (s_1..s_n, x_1..x_n) carries the state rho[s_1, x_1] (x) ... (x)
+    rho[s_n, x_n] and the mass p(s_1)...p(s_n), with the first letter the
+    most significant index. The extension materializes |S|^n * |X|^n density
+    matrices of size d^n, so the estimated footprint is checked against the
+    memory budget first (GPCQ_BUDGET_BYTES overrides the 1 GiB default).
     """
     if n < 1:
         raise PreconditionViolated("extension power n", n, ">= 1")
@@ -300,82 +318,40 @@ def product_extension(ch: StateChannel, n: int, budget_bytes: int | None = None)
             required_bytes=required,
         )
 
-    def joined(letters):
-        return LABEL_JOIN.join(letters)
-
-    s_seqs = list(iproduct(ch.state_alphabet, repeat=n))
-    x_seqs = list(iproduct(ch.input_alphabet, repeat=n))
-    states = {}
-    for s_seq in s_seqs:
-        for x_seq in x_seqs:
-            states[(joined(s_seq), joined(x_seq))] = kron_all(
-                ch.states[(s, x)] for s, x in zip(s_seq, x_seq)
-            )
-    pvec = []
-    for s_seq in s_seqs:
-        w = 1.0
-        for s in s_seq:
-            w *= ch.p.mass(s)
-        pvec.append(w)
-    return build_channel(
-        [joined(s) for s in s_seqs],
-        [joined(x) for x in x_seqs],
-        d**n,
-        states,
-        np.array(pvec),
-    )
+    tensor, prior = ch.tensor, ch.p
+    for _ in range(n - 1):
+        a, b, m = tensor.shape[:3]
+        tensor = np.einsum("abij,cdkl->acbdikjl", tensor, ch.tensor)
+        tensor = tensor.reshape(a * ns, b * nx, m * d, m * d)
+        prior = np.multiply.outer(prior, ch.p).ravel()
+    state_alphabet = tuple(_joined(w) for w in iproduct(ch.state_alphabet, repeat=n))
+    input_alphabet = tuple(_joined(w) for w in iproduct(ch.input_alphabet, repeat=n))
+    keep, prior, warnings = _positive_prior(prior, state_alphabet)
+    state_alphabet = tuple(state_alphabet[i] for i in keep)
+    tensor = tensor[keep]
+    _check_states(tensor, state_alphabet, input_alphabet)
+    return StateChannel(state_alphabet, input_alphabet, prior, tensor, tuple(warnings))
 
 
-@dataclass(eq=False)
-class ClassicalTable:
-    """Classical reduction of a commuting channel.
+def classical_embedding(ch: StateChannel) -> tuple[np.ndarray | None, float]:
+    """Classical reduction w(y | s, x) of a channel whose states pairwise commute.
 
-    ``table[(s, x)]`` is the output pmf over ``output_labels`` in the common
-    eigenbasis; ``basis`` holds that eigenbasis as columns. ``classical`` is
-    False when some commutator is above tolerance, in which case only
-    ``max_commutator_norm`` is meaningful.
+    Returns (w, worst): ``worst`` is the largest commutator of two channel
+    states in spectral norm, and ``w`` is None when it is above TAU_COMM.
+    Otherwise ``w`` is the (|S|, |X|, dim) array of every state pinched in
+    one shared orthonormal eigenbasis, in which each state is diagonal.
     """
-
-    classical: bool
-    max_commutator_norm: float
-    basis: np.ndarray | None = None
-    table: dict | None = None
-    output_labels: tuple[int, ...] = ()
-
-
-def classical_embedding(ch: StateChannel) -> ClassicalTable:
-    """Joint-diagonalize all channel states when they pairwise commute.
-
-    Commutators are measured in spectral norm. On success the returned table
-    w(y | s, x) reproduces every state as a diagonal matrix in one shared
-    orthonormal basis.
-    """
-    mats = [ch.states[(s, x)] for s in ch.state_alphabet for x in ch.input_alphabet]
-    worst = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            c = mats[i] @ mats[j] - mats[j] @ mats[i]
-            worst = max(worst, float(np.linalg.norm(c, 2)))
+    mats = ch.tensor.reshape(-1, ch.dim, ch.dim)
+    comm = mats[:, None] @ mats[None, :] - mats[None, :] @ mats[:, None]
+    worst = float(np.linalg.norm(comm, 2, axis=(-2, -1)).max())
     if worst > TAU_COMM:
-        return ClassicalTable(classical=False, max_commutator_norm=worst)
-
-    basis = _common_eigenbasis(mats, ch.dim)
-    table = {}
-    for s in ch.state_alphabet:
-        for x in ch.input_alphabet:
-            diag = np.real(np.einsum("ij,jk,ki->i", basis.conj().T, ch.states[(s, x)], basis))
-            diag = np.clip(diag, 0.0, None)
-            table[(s, x)] = diag / diag.sum()
-    return ClassicalTable(
-        classical=True,
-        max_commutator_norm=worst,
-        basis=basis,
-        table=table,
-        output_labels=tuple(range(ch.dim)),
-    )
+        return None, worst
+    basis = _common_eigenbasis(mats)
+    w = np.stack([pinch(m, basis) for m in mats])
+    return w.reshape(ch.num_states, ch.num_inputs, ch.dim), worst
 
 
-def _common_eigenbasis(mats, dim: int) -> np.ndarray:
+def _common_eigenbasis(mats) -> np.ndarray:
     """Eigenbasis of a deterministic random combination of commuting Hermitians."""
     for attempt in range(8):
         rng = np.random.default_rng(1234 + attempt)

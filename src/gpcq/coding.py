@@ -140,8 +140,8 @@ def average_error(
     """
     validate_code(code, ch)
     n, M = code.n, code.num_messages
-    tensor = ch.tensor()
-    p = ch.p.probs
+    tensor = ch.tensor
+    p = ch.p
     terms = sum(len(rows) for rows in code.encoder.values())
 
     def success_trace(m, s_word, x_word):
@@ -403,12 +403,12 @@ def simulate_noncausal_trial(
     proj = [sum(ctx.projector(words[k, m]) for k in range(K)) for m in range(M)]
     elements, _ = square_root_decoder(proj)
 
-    p = ch.p.probs
+    p = ch.p
     s_digits = digit_table(num_s, n)
     mass = p[s_digits].prod(axis=1)
     members = matched_set_members(s_digits, words.reshape(K * M, n), p_su, delta).reshape(-1, K, M)
     # letter_outputs[:, u] stacks the output of every state letter under auxiliary letter u.
-    letter_outputs = letter_states(ch.tensor(), strategy)
+    letter_outputs = letter_states(ch.tensor, strategy)
 
     err_total = 0.0
     declare_total = 0.0
@@ -489,7 +489,7 @@ def simulate_rate_error_curve(
         )
     messages = [[_messages_for_rate(rate, n, ch.dim) for rate in rates] for n in n_list]
 
-    p = ch.p.probs
+    p = ch.p
     causal = scheme == "causal-sequential"
     # Each witness becomes letter weights q(u), weights p(s|u)/p(s) and an
     # (s, u) strategy table, so derived_states gives rho_u directly.
@@ -512,7 +512,7 @@ def simulate_rate_error_curve(
     q = q[keepers] / q[keepers].sum()
     weights, strat = weights[:, keepers], strat[:, keepers]
     p_su = p[:, None] * weights * q[None, :]  # the joint the binned codebook matches against
-    states = derived_states(p, ch.tensor(), weights, strat)
+    states = derived_states(p, ch.tensor, weights, strat)
     _, basis = eigenbasis(np.einsum("u,uij->ij", q, states))
 
     rows: list[SimRow] = []

@@ -23,24 +23,6 @@ TYPE_ENUMERATION_CAP = 10**6
 SEQUENCE_ENUMERATION_CAP = 1 << 20
 
 
-@dataclass(frozen=True)
-class TypeVector:
-    """Letter counts of a length-n sequence over an ordered alphabet."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(c < 0 for c in self.counts):
-            raise GpcqError(f"negative count in {self.counts}")
-
-    @property
-    def n(self) -> int:
-        return sum(self.counts)
-
-    def normalized(self) -> np.ndarray:
-        return np.asarray(self.counts, dtype=float) / self.n
-
-
 def empirical_type(seq, alphabet_size: int) -> np.ndarray:
     seq = np.asarray(seq, dtype=np.int64)
     return np.bincount(seq, minlength=alphabet_size)
@@ -89,11 +71,12 @@ def type_class_size(counts) -> TypeClassSize:
     d is the full alphabet size (the length of ``counts``).
     """
     counts = tuple(int(c) for c in counts)
-    tv = TypeVector(counts)
-    n, d = tv.n, len(counts)
+    if any(c < 0 for c in counts):
+        raise GpcqError(f"negative count in {counts}")
+    n, d = sum(counts), len(counts)
     if n == 0:
         raise GpcqError("empty type")
-    h = shannon_entropy(tv.normalized())
+    h = shannon_entropy(np.asarray(counts, dtype=float) / n)
     upper = 2.0 ** (n * h)
     lower = upper / float((n + 1) ** d)
     size = multinomial_exact(counts)

@@ -112,7 +112,7 @@ def _check_witness(ch: StateChannel, q_given_s, strategy) -> tuple[np.ndarray, n
 def gp_objective(ch: StateChannel, q_given_s: np.ndarray, strategy: np.ndarray, n: int = 1) -> GPObjectiveReport:
     """Per-symbol objective of a witness on an (already extended) channel."""
     q_given_s, strategy = _check_witness(ch, q_given_s, strategy)
-    rep = _objective(ch.p.probs, ch.tensor(), q_given_s, strategy)
+    rep = _objective(ch.p, ch.tensor, q_given_s, strategy)
     return GPObjectiveReport(rep.value / n, rep.holevo / n, rep.leak)
 
 
@@ -291,8 +291,8 @@ def noncausal_lower_bound(
     if restarts < 1:
         raise PreconditionViolated("restarts", restarts, ">= 1")
     ch_n = ch if n == 1 else product_extension(ch, n)
-    p = ch_n.p.probs
-    tensor = ch_n.tensor()
+    p = ch_n.p
+    tensor = ch_n.tensor
     num_states, num_inputs = ch_n.num_states, ch_n.num_inputs
     if aux_size is None:
         aux_size = default_aux_size(ch.num_states, ch.num_inputs, n)
@@ -341,17 +341,10 @@ class ClassicalGP:
 
     @classmethod
     def from_channel(cls, ch: StateChannel) -> "ClassicalGP":
-        emb = classical_embedding(ch)
-        if not emb.classical:
-            raise GpcqError(
-                "channel outputs do not commute; no classical reduction",
-                commutator=emb.max_commutator_norm,
-            )
-        w = np.empty((ch.num_states, ch.num_inputs, ch.dim))
-        for i, s in enumerate(ch.state_alphabet):
-            for j, x in enumerate(ch.input_alphabet):
-                w[i, j] = emb.table[(s, x)]
-        return cls(ch.p.probs.copy(), w)
+        w, worst = classical_embedding(ch)
+        if w is None:
+            raise GpcqError("channel outputs do not commute; no classical reduction", commutator=worst)
+        return cls(ch.p.copy(), w)
 
 
 def _classical_objective_batch(p, w, e_map, Q):

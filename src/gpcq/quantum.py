@@ -15,8 +15,6 @@ spectral primitive; matrix logarithms are always formed spectrally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -34,32 +32,6 @@ TAU_EIG = 1e-9
 TAU_SUPP = 1e-10
 
 LOG2E = math.log2(math.e)
-
-
-@dataclass(eq=False)
-class Distribution:
-    """Probability mass function over an ordered finite label set."""
-
-    labels: tuple
-    probs: np.ndarray
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=float)
-        if len(self.labels) != self.probs.size:
-            raise DimensionMismatch(
-                f"{len(self.labels)} labels but {self.probs.size} masses"
-            )
-        if not np.all(np.isfinite(self.probs)):
-            raise NonFinite("masses must be finite numbers")
-        if np.any(self.probs < -TAU_TR):
-            raise NotPSD(f"negative mass {self.probs.min():.3e}")
-        total = float(self.probs.sum())
-        if abs(total - 1.0) > TAU_TR:
-            raise TraceNotOne(f"masses sum to {total!r}", total=total)
-        self.probs = np.maximum(self.probs, 0.0)
-
-    def mass(self, label) -> float:
-        return float(self.probs[self.labels.index(label)])
 
 
 def validate_density(mat, *, context: str = "") -> np.ndarray:
@@ -229,8 +201,8 @@ def holevo_via_divergence(q, ensemble) -> float:
     return float(weights[used] @ relative_entropy(states[used], avg))
 
 
-def pinch(rho, basis: np.ndarray) -> Distribution:
-    """Diagonal of rho in the given orthonormal basis, as a distribution.
+def pinch(rho, basis: np.ndarray) -> np.ndarray:
+    """Diagonal of rho in the given orthonormal basis, as a pmf.
 
     ``basis`` holds the basis vectors as columns. Orthonormality is enforced
     within TAU_HERM.
@@ -244,8 +216,7 @@ def pinch(rho, basis: np.ndarray) -> Distribution:
         raise BasisNotOrthonormal(f"|B*B - I| = {gram_gap:.3e}")
     diag = np.real(np.einsum("ij,jk,ki->i", b.conj().T, r, b))
     diag = np.clip(diag, 0.0, None)
-    diag = diag / diag.sum()
-    return Distribution(tuple(range(b.shape[0])), diag)
+    return diag / diag.sum()
 
 
 def eigenbasis(rho) -> tuple[np.ndarray, np.ndarray]:

@@ -346,7 +346,7 @@ def a_set(rho: np.ndarray, basis: np.ndarray, m: int, radius: float) -> tuple[tu
     of a block is the Cartesian product of the returned (freqs, frames).
     """
     d = rho.shape[0]
-    pinched = pinch(rho, basis).probs
+    pinched = pinch(rho, basis)
     spec = spectrum(rho)
     freqs = tuple(
         f for f in compositions(m, d) if kl_divergence(np.asarray(f) / m, pinched) <= radius
@@ -372,9 +372,8 @@ def block_projector(rho: np.ndarray, basis: np.ndarray, m: int, radius: float) -
     dim = d**m
     if not freqs or not frames:
         return np.zeros((dim, dim), dtype=complex)
-    mask = np.zeros(dim)
-    for f in freqs:
-        mask = np.logical_or(mask, frequency_mask(np.asarray(f), d, m)).astype(float)
+    types = sequence_types(d, m)
+    mask = np.any(np.all(types[:, None, :] == np.asarray(freqs)[None], axis=2), axis=1).astype(float)
     p_sum = np.zeros((dim, dim))
     for lam in frames:
         p_sum += central_projector(lam, d, m)

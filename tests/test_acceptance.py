@@ -208,13 +208,13 @@ def test_symmetric_group_projector_axioms_and_kostka_agreement():
 def _matched_trace_scan(ch, wit, ns, delta):
     """Worst decode-projector trace over matched state/auxiliary word pairs."""
     q_rows, strat = trim_witness(wit.q_given_s, wit.strategy, tol=1e-6)
-    p_su = ch.p.probs[:, None] * q_rows
+    p_su = ch.p[:, None] * q_rows
     keep = p_su.sum(axis=0) > 1e-9
     p_su = p_su[:, keep]
     p_su /= p_su.sum()
     strat = strat[:, keep]
     q_u = p_su.sum(axis=0)
-    tensor = ch.tensor()
+    tensor = ch.tensor
     picked = tensor[np.arange(ch.num_states)[:, None], strat]
     blended = np.einsum("su,suij->uij", p_su, picked)
     states = blended / q_u[:, None, None]

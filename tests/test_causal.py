@@ -189,10 +189,10 @@ class TestCausalCapacity:
         # (s, u) strategy table handed to derived_states is its transpose.
         strat = Strategy(((0, 0), (1, 0), (1, 1)))
         table = np.asarray(strat.columns).T
-        ens = derived_states(stuck.p.probs, stuck.tensor(), np.ones(table.shape), table)
+        ens = derived_states(stuck.p, stuck.tensor, np.ones(table.shape), table)
         assert ens.shape == (3, 2, 2)
         assert np.allclose(np.trace(ens, axis1=1, axis2=2).real, 1.0, atol=1e-12)
-        p, tensor = stuck.p.probs, stuck.tensor()
+        p, tensor = stuck.p, stuck.tensor
         expected = p[0] * tensor[0, 1] + p[1] * tensor[1, 0]
         assert np.allclose(ens[1], expected, atol=1e-15)
 

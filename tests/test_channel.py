@@ -1,6 +1,9 @@
 """Channel model: parsing, derived states, products, classical reduction."""
 
+import functools
+import itertools
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from gpcq.causal import causal_capacity, classical_channel_capacity
 from gpcq.channel import (
+    TAU_COMM,
     build_channel,
     classical_embedding,
     derived_states,
@@ -17,9 +21,20 @@ from gpcq.channel import (
     product_extension,
     serialize_channel,
 )
-from gpcq.errors import BudgetExceeded, GpcqError, ParseError, PreconditionViolated, TraceNotOne
-from gpcq.noncausal import product_witness
+from gpcq.errors import (
+    BudgetExceeded,
+    DimensionMismatch,
+    GpcqError,
+    NonFinite,
+    NotPSD,
+    ParseError,
+    PreconditionViolated,
+    TraceNotOne,
+)
+from gpcq.noncausal import noncausal_lower_bound, product_witness
 from gpcq.quantum import holevo_quantity, shannon_entropy
+
+CHANNELS = pathlib.Path(__file__).resolve().parent.parent / "channels"
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
@@ -51,7 +66,7 @@ IDENTITY = np.array([[0, 1], [0, 1]])
 
 def unit_states(ch, strategy):
     """derived_states with weights 1: the state-averaged output per column u."""
-    return derived_states(ch.p.probs, ch.tensor(), np.ones(strategy.shape), strategy)
+    return derived_states(ch.p, ch.tensor, np.ones(strategy.shape), strategy)
 
 
 class TestParseSerialize:
@@ -66,8 +81,13 @@ class TestParseSerialize:
             back = parse_channel(text)
             assert back.state_alphabet == ch.state_alphabet
             assert back.input_alphabet == ch.input_alphabet
-            for key, mat in ch.states.items():
-                assert np.array_equal(back.states[key], mat)
+            assert np.array_equal(back.p, ch.p)
+            assert np.array_equal(back.tensor, ch.tensor)
+
+    @pytest.mark.parametrize("name", ["flip", "stuck", "skew", "purecq"])
+    def test_corpus_files_are_the_serialized_generators(self, suite, name):
+        # make_channels.py regenerates channels/ byte for byte.
+        assert serialize_channel(suite[name]) == (CHANNELS / f"{name}.chan").read_text()
 
     def test_missing_state_entry(self, flip):
         doc = json.loads(serialize_channel(flip))
@@ -156,7 +176,32 @@ class TestParseSerialize:
             [1.0, 0.0],
         )
         assert ch.state_alphabet == ("0",)
+        assert ch.tensor.shape == (1, 2, 2, 2) and np.array_equal(ch.p, [1.0])
         assert any("'1'" in w and "zero probability" in w for w in ch.warnings)
+
+
+class TestPrior:
+    STATES = {(s, x): KET0 for s in "xy" for x in "a"}
+
+    def test_prior_is_a_validated_array(self):
+        ch = build_channel("xy", "a", 2, self.STATES, [0.25, 0.75])
+        assert ch.p.shape == (2,) and ch.p.dtype == float
+        assert ch.p.sum() == pytest.approx(1.0)
+        assert (ch.dim, ch.num_states, ch.num_inputs) == (2, 2, 1)
+
+    @pytest.mark.parametrize(
+        "p, error",
+        [
+            ([np.nan, 0.5], NonFinite),
+            ([np.inf, 0.5], NonFinite),
+            ([-0.25, 1.25], NotPSD),
+            ([0.5, 0.5 + 1e-6], TraceNotOne),
+            ([1.0], DimensionMismatch),
+        ],
+    )
+    def test_bad_prior_is_refused(self, p, error):
+        with pytest.raises(error):
+            build_channel("xy", "a", 2, self.STATES, p)
 
 
 class TestDerivedChannel:
@@ -179,7 +224,7 @@ class TestDerivedChannel:
         assert np.allclose(out[1], KET1, atol=1e-12)
 
     def test_conditional_variant_skips_state_average(self, flip):
-        cond = letter_states(flip.tensor(), XOR)
+        cond = letter_states(flip.tensor, XOR)
         assert cond.shape == (2, 2, 2, 2)
         for s in range(2):
             for u in range(2):
@@ -189,8 +234,8 @@ class TestDerivedChannel:
     def test_weights_scale_each_state_letter(self, stuck):
         # A_u = sum_s p(s) weights[s, u] rho[s, strategy[s, u]], term by term.
         weights = np.array([[0.25, 0.75], [0.6, 0.4]])
-        out = derived_states(stuck.p.probs, stuck.tensor(), weights, IDENTITY)
-        tensor, p = stuck.tensor(), stuck.p.probs
+        out = derived_states(stuck.p, stuck.tensor, weights, IDENTITY)
+        tensor, p = stuck.tensor, stuck.p
         for u in range(2):
             expected = sum(p[s] * weights[s, u] * tensor[s, IDENTITY[s, u]] for s in range(2))
             assert np.allclose(out[u], expected, atol=1e-15)
@@ -206,10 +251,10 @@ class TestDerivedChannel:
             (stuck, np.tile(sol.q, (2, 1)), np.asarray(sol.strategy.columns).T),
         ]
         for ch, q, strategy in witnesses:
-            single = derived_states(ch.p.probs, ch.tensor(), q, strategy)
+            single = derived_states(ch.p, ch.tensor, q, strategy)
             ch2 = product_extension(ch, 2)
             q2, strategy2 = product_witness(q, strategy, ch.num_inputs, n=2)
-            pair = derived_states(ch2.p.probs, ch2.tensor(), q2, strategy2)
+            pair = derived_states(ch2.p, ch2.tensor, q2, strategy2)
             nu = q.shape[1]
             assert pair.shape == (nu * nu, 4, 4)
             for u in range(nu):
@@ -221,22 +266,56 @@ class TestProductExtension:
     def test_identity_at_one(self, stuck):
         same = product_extension(stuck, 1)
         assert same.state_alphabet == stuck.state_alphabet
-        for key, mat in stuck.states.items():
-            assert np.array_equal(same.states[key], mat)
+        assert np.array_equal(same.tensor, stuck.tensor)
 
     def test_two_fold_kron(self, flip):
         ch2 = product_extension(flip, 2)
         assert ch2.dim == 4
         assert len(ch2.state_alphabet) == 4
-        got = ch2.states[("0:1", "1:0")]
-        expected = np.kron(flip.states[("0", "1")], flip.states[("1", "0")])
-        assert np.allclose(got, expected, atol=1e-15)
-        assert np.allclose(ch2.p.probs, 0.25)
+        s, x = ch2.state_alphabet.index("0:1"), ch2.input_alphabet.index("1:0")
+        expected = np.kron(flip.tensor[0, 1], flip.tensor[1, 0])
+        assert np.allclose(ch2.tensor[s, x], expected, atol=1e-15)
+        assert np.allclose(ch2.p, 0.25)
+
+    @pytest.mark.parametrize("name", ["flip", "purecq"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_state_is_the_kron_of_its_letters(self, suite, name, n):
+        ch = suite[name]
+        ext = product_extension(ch, n)
+        assert ext.tensor.shape == (ch.num_states**n, ch.num_inputs**n, ch.dim**n, ch.dim**n)
+        s_words = list(itertools.product(range(ch.num_states), repeat=n))
+        x_words = list(itertools.product(range(ch.num_inputs), repeat=n))
+        for i, s_word in enumerate(s_words):
+            for j, x_word in enumerate(x_words):
+                expected = functools.reduce(np.kron, (ch.tensor[s, x] for s, x in zip(s_word, x_word)))
+                assert np.array_equal(ext.tensor[i, j], expected)
+        expected_p = functools.reduce(np.multiply.outer, [ch.p] * n).ravel()
+        assert np.array_equal(ext.p, expected_p)
 
     def test_all_product_traces_one(self, purecq):
         ch2 = product_extension(purecq, 2)
-        for mat in ch2.states.values():
-            assert np.trace(mat).real == pytest.approx(1.0, abs=1e-12)
+        traces = np.trace(ch2.tensor, axis1=2, axis2=3).real
+        assert np.allclose(traces, 1.0, atol=1e-12)
+
+    def test_colon_labels_extend_and_solve(self, flip):
+        # Joined labels "a:b" + "c" and "a" + "b:c" would collide unescaped;
+        # labels are for display, so the numbers match renamed letters.
+        def relabeled(labels):
+            states = {
+                (labels[2 * a + b], x): flip.tensor[a, int(x)] for a in range(2) for b in range(2) for x in "01"
+            }
+            return build_channel(labels, "01", 2, states, [0.25] * 4)
+
+        colon = relabeled(["a", "a:b", "c", "b:c"])
+        plain = relabeled(["s0", "s1", "s2", "s3"])
+        assert parse_channel(serialize_channel(colon)).state_alphabet == colon.state_alphabet
+        ext = product_extension(colon, 2)
+        assert len(set(ext.state_alphabet)) == 16
+        assert np.array_equal(ext.tensor, product_extension(plain, 2).tensor)
+        got = noncausal_lower_bound(colon, n=2, restarts=1, seed=1)
+        want = noncausal_lower_bound(plain, n=2, restarts=1, seed=1)
+        assert got.value == want.value
+        assert np.array_equal(got.q_given_s, want.q_given_s)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_nonpositive_power_is_rejected(self, flip, n):
@@ -255,41 +334,35 @@ class TestProductExtension:
 
 class TestClassicalEmbedding:
     def test_diagonal_channel(self, flip):
-        emb = classical_embedding(flip)
-        assert emb.classical
-        for (s, x), row in emb.table.items():
-            assert np.allclose(row, np.real(np.diag(flip.states[(s, x)])), atol=1e-12)
+        w, _ = classical_embedding(flip)
+        assert w.shape == (2, 2, 2)
+        assert np.allclose(w, np.real(np.diagonal(flip.tensor, axis1=2, axis2=3)), atol=1e-12)
 
     def test_noncommuting_pair(self):
         states = {("0", "a"): KET0, ("0", "b"): PLUS}
         ch = build_channel(["0"], ["a", "b"], 2, states, [1.0])
-        emb = classical_embedding(ch)
-        assert not emb.classical
-        assert emb.max_commutator_norm == pytest.approx(0.5, abs=1e-12)
+        w, worst = classical_embedding(ch)
+        assert w is None
+        assert worst == pytest.approx(0.5, abs=1e-12)
 
     def test_single_state_channel(self):
         ch = build_channel(["0"], ["a"], 2, {("0", "a"): PLUS}, [1.0])
-        assert classical_embedding(ch).classical
+        w, worst = classical_embedding(ch)
+        assert w is not None and worst == 0.0
+        assert np.allclose(np.sort(w[0, 0]), [0.0, 1.0], atol=1e-12)
 
     def test_purecq_not_classical(self, purecq):
-        assert not classical_embedding(purecq).classical
+        w, worst = classical_embedding(purecq)
+        assert w is None and worst > TAU_COMM
 
     def test_holevo_equals_mutual_information_on_diagonals(self, stuck):
         # Feed the classical table back through the Shannon formula; the
         # Holevo quantity of diagonal ensembles must match exactly.
-        emb = classical_embedding(stuck)
-        assert emb.classical
+        table, _ = classical_embedding(stuck)
+        assert table is not None
         ens = unit_states(stuck, IDENTITY)
         q = np.array([0.4, 0.6])
-        w = np.stack(
-            [
-                sum(
-                    stuck.p.probs[i] * np.asarray(emb.table[(s, x)])
-                    for i, s in enumerate(stuck.state_alphabet)
-                )
-                for x in stuck.input_alphabet
-            ]
-        )
+        w = np.einsum("s,sxy->xy", stuck.p, table)
         out = q @ w
         mutual = shannon_entropy(out) - sum(q[x] * shannon_entropy(w[x]) for x in range(2))
         assert holevo_quantity(q, ens) == pytest.approx(mutual, abs=1e-9)
@@ -297,14 +370,6 @@ class TestClassicalEmbedding:
     def test_classical_capacity_cross_check(self, flip):
         # The state-averaged flip channel is a binary symmetric channel with
         # crossover 1/2 and zero capacity.
-        emb = classical_embedding(flip)
-        w = np.stack(
-            [
-                sum(
-                    flip.p.probs[i] * np.asarray(emb.table[(s, x)])
-                    for i, s in enumerate(flip.state_alphabet)
-                )
-                for x in flip.input_alphabet
-            ]
-        )
+        table, _ = classical_embedding(flip)
+        w = np.einsum("s,sxy->xy", flip.p, table)
         assert classical_channel_capacity(w) == pytest.approx(0.0, abs=1e-6)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from gpcq import cli
+from gpcq.channel import build_channel, serialize_channel
 from gpcq.cli import dispatch
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -258,6 +259,24 @@ class TestJsonSchemas:
         assert payload["restart_values"][payload["restart_index"]] == payload["value"]
         assert payload["objective_evals"] > payload["ascent_steps"] > 0
         assert payload["leak_per_symbol"] == payload["leak"]
+
+    def test_colon_labels_solve_at_blocklength_two(self, capsys, tmp_path, flip):
+        # State labels containing the product-label separator ":" solve, and
+        # print what the same channel with plain labels prints.
+        outs = []
+        for labels in (["a", "a:b", "c", "b:c"], ["s0", "s1", "s2", "s3"]):
+            states = {
+                (labels[2 * a + b], x): flip.tensor[a, int(x)] for a in range(2) for b in range(2) for x in "01"
+            }
+            path = tmp_path / f"{labels[1]}.chan"
+            path.write_text(serialize_channel(build_channel(labels, "01", 2, states, [0.25] * 4)))
+            code, out, _ = run_cli(
+                capsys, "noncausal", str(path), "--n", "2", "--seed", "1", "--restarts", "1", "--json"
+            )
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["value"] == pytest.approx(1.0, abs=1e-9)
 
     def test_holevo_payload_frozen_value(self, capsys, channel_dir):
         # State-averaged skew channel: binary symmetric with crossover 0.22.

@@ -310,7 +310,7 @@ class TestNoncausalTrial:
             {(s, x): random_density_matrix(2, gen) for s in labels for x in labels},
             np.array([0.4, 0.6]),
         )
-        tensor, p = ch.tensor(), ch.p.probs
+        tensor, p = ch.tensor, ch.p
         assert np.max(np.abs(tensor[0, 0] @ tensor[1, 1] - tensor[1, 1] @ tensor[0, 0])) > 1e-3
         strategy = np.array([[0, 1], [1, 0]])
         q_rows = np.array([[0.7, 0.3], [0.3, 0.7]])

@@ -67,6 +67,11 @@ class TestTypeClassSize:
             total = sum(type_class_size(f).size for f in compositions(n, d))
             assert total == d**n
 
+    @pytest.mark.parametrize("counts, match", [((3, -1), "negative count"), ((0, 0), "empty type")])
+    def test_invalid_counts_rejected(self, counts, match):
+        with pytest.raises(GpcqError, match=match):
+            type_class_size(counts)
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(0, 9), min_size=2, max_size=4).filter(lambda c: sum(c) > 0))
     def test_sandwich_always_holds(self, counts):

@@ -153,8 +153,8 @@ def explicit_objective(ch, q, strat):
     def vn(mat):
         return -sum(v * np.log2(v) for v in np.linalg.eigvalsh(mat) if v > 0)
 
-    p = ch.p.probs
-    rho = [[ch.states[(s, x)] for x in ch.input_alphabet] for s in ch.state_alphabet]
+    p = ch.p
+    rho = ch.tensor
     num_s, num_u = q.shape
     q_u = [sum(p[s] * q[s, u] for s in range(num_s)) for u in range(num_u)]
     rho_bar = sum(p[s] * q[s, u] * rho[s][strat[s, u]] for s in range(num_s) for u in range(num_u))
@@ -209,7 +209,7 @@ class TestAscentGradient:
         rng = np.random.default_rng(1506 + n)
         h = 1e-6
         for name, ch, ch_n in corpus_blocks(suite, n):
-            p, tensor = ch_n.p.probs, ch_n.tensor()
+            p, tensor = ch_n.p, ch_n.tensor
             num_u = default_aux_size(ch.num_states, ch.num_inputs, n)
             for q, strat in interior_witnesses(ch_n, num_u, rng):
                 fd = np.zeros_like(q)
@@ -229,7 +229,7 @@ class TestAscentGradient:
 
 class TestAscentStep:
     def _assert_step_never_lowers(self, ch_n, num_u, rng, label):
-        p, tensor = ch_n.p.probs, ch_n.tensor()
+        p, tensor = ch_n.p, ch_n.tensor
         for q, strat in interior_witnesses(ch_n, num_u, rng, count=4):
             step = _q_step(p, tensor, q, strat)
             assert np.all(step >= 0) and np.allclose(step.sum(axis=1), 1.0, atol=1e-12)
