@@ -34,6 +34,10 @@ def commands() -> list[list[str]]:
         for scheme in SCHEMES:
             cmds.append(["simulate", f"channels/{name}.chan", "--scheme", scheme, "--rates", "0.25,0.5",
                          "--n", "2,4", "--seed", "5", "--trials", "4", "--json"])
+    # n=6 at rate 1.2: many codewords share a word, so decode projectors repeat.
+    for scheme in SCHEMES:
+        cmds.append(["simulate", "channels/flip.chan", "--scheme", scheme, "--rates", "1.2",
+                     "--n", "6", "--seed", "5", "--trials", "2", "--json"])
     cmds.append(COVERAGE + ["--k", "3"])
     cmds.append(COVERAGE + ["--k", "0"])
     for op in ("nearest", "class-size"):

@@ -3,9 +3,14 @@
 Two decoders are realized on top of the block decoding projectors: the
 square-root measurement normalizing message operators by the inverse square
 root of their sum, and the sequential measurement applying projective tests
-in message order. Errors are evaluated exactly whenever the term count
-allows, every success trace by one product-state contraction
+in message order. Each trial builds the projector of every distinct codeword
+once (DecodeContext.projectors). Errors are evaluated exactly whenever the
+term count allows, every success trace by one product-state contraction
 (quantum.product_traces); encoder Declare failures count as full errors.
+
+validate_povm refuses non-finite elements before any other check on them,
+and tests positivity by a Cholesky factorization of el + 1e-8 I, which
+exists exactly when the least eigenvalue of el exceeds -1e-8.
 """
 
 from __future__ import annotations
@@ -109,16 +114,40 @@ def _check_causal_marginals(code: Code, ch: StateChannel) -> None:
                         )
 
 
+def _operators(projectors: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Complex arrays of a decoder's input, refused when empty or non-finite."""
+    mats = [np.asarray(m, dtype=complex) for m in projectors]
+    if not mats:
+        raise PreconditionViolated("number of operators", 0, ">= 1")
+    for i, m in enumerate(mats):
+        if not np.all(np.isfinite(m)):
+            raise NonFinite(f"operator {i} has a non-finite entry")
+    return mats
+
+
 def validate_povm(elements: Sequence[np.ndarray], dim: int) -> None:
+    """Refuse an empty list, bad elements, and element sums above identity.
+
+    Each element must be finite (checked first), of shape (dim, dim),
+    Hermitian to 1e-8 and positive: el + 1e-8 I must have a Cholesky factor,
+    which holds exactly when the least eigenvalue of el exceeds -1e-8.
+    """
+    if len(elements) == 0:
+        raise PreconditionViolated("number of POVM elements", 0, ">= 1")
     total = np.zeros((dim, dim), dtype=complex)
+    shift = POVM_TOL * np.eye(dim)
     for i, el in enumerate(elements):
         el = np.asarray(el)
+        if not np.all(np.isfinite(el)):
+            raise NonFinite(f"element {i} has a non-finite entry")
         if el.shape != (dim, dim):
             raise InvalidPOVM(f"element {i} has shape {el.shape}, expected ({dim},{dim})")
         if np.max(np.abs(el - el.conj().T)) > 1e-8:
             raise InvalidPOVM(f"element {i} is not Hermitian")
-        if float(np.linalg.eigvalsh(el).min()) < -1e-8:
-            raise InvalidPOVM(f"element {i} has a negative eigenvalue")
+        try:
+            np.linalg.cholesky(el + shift)
+        except np.linalg.LinAlgError:
+            raise InvalidPOVM(f"element {i} has a negative eigenvalue") from None
         total += el
     top = float(np.linalg.eigvalsh(total).max())
     if top > 1.0 + POVM_TOL:
@@ -190,7 +219,7 @@ def square_root_decoder(projectors: Sequence[np.ndarray]):
     projector is returned as the error outcome. Elements sum to the support
     projector exactly, so closure holds to machine precision.
     """
-    mats = [np.asarray(m, dtype=complex) for m in projectors]
+    mats = _operators(projectors)
     dim = mats[0].shape[0]
     total = np.zeros((dim, dim), dtype=complex)
     for m in mats:
@@ -222,11 +251,15 @@ def sequential_decoder(projectors: Sequence[np.ndarray]):
     earlier ones; the telescoping identity keeps the total below identity,
     and the remainder is the error outcome.
     """
-    mats = [np.asarray(m, dtype=complex) for m in projectors]
+    mats = _operators(projectors)
     dim = mats[0].shape[0]
+    checked: set[int] = set()  # ids of arrays already tested; a repeat is the same object
     for i, m in enumerate(mats):
+        if id(m) in checked:
+            continue
         if np.max(np.abs(m - m.conj().T)) > 1e-8 or np.max(np.abs(m @ m - m)) > 1e-7:
             raise NotProjection(f"operator {i} is not a projector")
+        checked.add(id(m))
     eye = np.eye(dim, dtype=complex)
     chain = eye.copy()
     elements = []
@@ -400,7 +433,9 @@ def simulate_noncausal_trial(
     p_u = p_su.sum(axis=0)
     words = type_class_words(nearest_type(p_u, n), (K, M), rng)
 
-    proj = [sum(ctx.projector(words[k, m]) for k in range(K)) for m in range(M)]
+    shared = ctx.projectors(words.reshape(K * M, n))
+    proj = [sum(shared[k * M + m] for k in range(K)) for m in range(M)]
+    del shared  # the per-word projectors are freed before the decoder allocates its own
     elements, _ = square_root_decoder(proj)
 
     p = ch.p
@@ -443,8 +478,7 @@ def simulate_causal_trial(
     per-letter averaged states.
     """
     words = [_typical_word(q, n, delta, rng) for _ in range(M)]
-    projectors = [ctx.projector(w) for w in words]
-    elements, _ = sequential_decoder(projectors)
+    elements, _ = sequential_decoder(ctx.projectors(np.stack(words)))
     succ = 0.0
     for w, el in zip(words, elements):
         succ += _product_trace(el, [derived_states[u] for u in w])

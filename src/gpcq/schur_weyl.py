@@ -420,3 +420,18 @@ class DecodeContext:
         inv = np.argsort(order)
         axes = list(inv) + [self.n + a for a in inv]
         return np.transpose(tensor, axes=axes).reshape(d**self.n, d**self.n)
+
+    def projectors(self, words) -> list[np.ndarray]:
+        """Projector of each row of an (L, n) word array, built once per distinct word.
+
+        Equal rows share one read-only array. The context keeps none of them,
+        so they are freed with the caller's list.
+        """
+        words = np.asarray(words, dtype=np.int64)
+        if words.ndim != 2 or words.shape[1] != self.n:
+            raise GpcqError(f"word array of shape {words.shape} is not (L, {self.n})")
+        distinct, inverse = np.unique(words, axis=0, return_inverse=True)
+        built = [self.projector(w) for w in distinct]
+        for mat in built:
+            mat.setflags(write=False)
+        return [built[i] for i in inverse.reshape(-1)]

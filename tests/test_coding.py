@@ -27,6 +27,7 @@ from gpcq.errors import (
     CapExceeded,
     GpcqError,
     InvalidPOVM,
+    NonFinite,
     NotProjection,
     PreconditionViolated,
 )
@@ -86,6 +87,46 @@ class TestValidation:
     def test_povm_oversubscribed(self):
         with pytest.raises(InvalidPOVM, match="above identity"):
             validate_povm([np.eye(2), np.eye(2) * 0.5], 2)
+
+    # Real rotation by 1 radian: the bound must hold off the diagonal too.
+    ROTATION = np.array([[math.cos(1.0), -math.sin(1.0)], [math.sin(1.0), math.cos(1.0)]])
+
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_povm_positivity_bound_is_minus_1e_8(self, rotate):
+        def element(least):
+            el = np.diag([0.5, least])
+            return self.ROTATION @ el @ self.ROTATION.T if rotate else el
+
+        validate_povm([element(-0.9999999e-8)], 2)
+        with pytest.raises(InvalidPOVM, match="negative"):
+            validate_povm([element(-1.0000001e-8)], 2)
+
+    @pytest.mark.parametrize("bad", [
+        np.full((2, 2), np.nan),
+        np.diag([np.inf, 0.0]),
+        np.diag([0.5, -np.inf]),
+        np.array([[0.5, complex(0.0, np.nan)], [0.0, 0.5]]),
+    ])
+    def test_non_finite_elements_refused(self, bad):
+        with pytest.raises(NonFinite, match="element 1"):
+            validate_povm([KET0, bad], 2)
+        with pytest.raises(NonFinite, match="operator 1"):
+            square_root_decoder([np.eye(2), bad])
+        with pytest.raises(NonFinite, match="operator 0"):
+            sequential_decoder([bad])
+
+    def test_non_finite_checked_before_shape(self):
+        with pytest.raises(NonFinite):
+            validate_povm([np.full((3, 3), np.nan)], 2)
+
+    @pytest.mark.parametrize("check", [
+        lambda: validate_povm([], 2),
+        lambda: square_root_decoder([]),
+        lambda: sequential_decoder([]),
+    ])
+    def test_empty_operator_lists_refused(self, check):
+        with pytest.raises(PreconditionViolated):
+            check()
 
     def test_encoder_rows_must_be_distributions(self, flip):
         enc = {(0, (0,)): [((0,), 0.7)], (0, (1,)): [((0,), 1.0)]}
@@ -195,6 +236,18 @@ class TestSequentialDecoder:
     def test_rejects_non_projectors(self):
         with pytest.raises(NotProjection):
             sequential_decoder([0.5 * np.eye(2)])
+
+    def test_repeated_operator_object_is_checked_and_used_each_time(self):
+        shared = KET0.copy()
+        shared.setflags(write=False)
+        elements, err = sequential_decoder([shared, KET1, shared])
+        assert np.allclose(elements[0], KET0, atol=1e-12)
+        assert np.allclose(elements[1], KET1, atol=1e-12)
+        assert np.allclose(elements[2], 0.0, atol=1e-12)
+        assert np.allclose(err, 0.0, atol=1e-12)
+        bad = 0.5 * np.eye(2, dtype=complex)
+        with pytest.raises(NotProjection, match="operator 0"):
+            sequential_decoder([bad, bad])
 
     def test_order_matters_but_closure_holds(self, rng):
         for _ in range(10):

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from gpcq.channel import derived_states
 from gpcq.errors import CapExceeded, GpcqError, PreconditionViolated
-from gpcq.quantum import kl_divergence, kron_all, spectrum
+from gpcq.quantum import eigenbasis, kl_divergence, kron_all, spectrum
 from gpcq.schur_weyl import (
     DecodeContext,
     a_set,
@@ -287,3 +288,42 @@ class TestDecodeProjectors:
         ctx = DecodeContext(self.STATES, EYE2, 3, 0.4)
         with pytest.raises(GpcqError):
             ctx.projector([0, 1])
+
+    def test_word_array_shape_enforced(self):
+        ctx = DecodeContext(self.STATES, EYE2, 3, 0.4)
+        with pytest.raises(GpcqError):
+            ctx.projectors(np.zeros((4, 2), dtype=np.int64))
+        with pytest.raises(GpcqError):
+            ctx.projectors([0, 1, 1])
+
+
+class TestSharedProjectors:
+    """DecodeContext.projectors builds each distinct word once, bit for bit."""
+
+    @staticmethod
+    def context(ch, q_rows, strategy, n):
+        # The simulator's decode states rho_u and basis for witness (q_rows, strategy).
+        q_rows = np.asarray(q_rows, dtype=float)
+        q = ch.p @ q_rows
+        states = derived_states(ch.p, ch.tensor, q_rows / q, np.asarray(strategy))
+        _, basis = eigenbasis(np.einsum("u,uij->ij", q, states))
+        return DecodeContext(states, basis, n, 0.2)
+
+    @pytest.mark.parametrize("name, q_rows, n", [
+        ("flip", [[0.5, 0.5], [0.5, 0.5]], 6),
+        ("purecq", [[0.7, 0.3], [0.3, 0.7]], 5),
+    ])
+    def test_matches_projector_and_shares_equal_words(self, suite, name, q_rows, n):
+        ctx = self.context(suite[name], q_rows, [[0, 1], [1, 0]], n)
+        drawn = np.random.default_rng(13).integers(0, 2, size=(12, n))
+        words = np.concatenate([drawn, drawn[::3], np.ones((2, n), dtype=np.int64)])
+        out = ctx.projectors(words)
+        assert len(out) == len(words)
+        for i, w in enumerate(words):
+            fresh = ctx.projector(w)
+            assert out[i].dtype == fresh.dtype and out[i].shape == fresh.shape
+            assert out[i].tobytes() == fresh.tobytes()
+            assert not out[i].flags.writeable
+            for j in range(i):
+                assert (out[i] is out[j]) == bool(np.array_equal(words[i], words[j]))
+        assert len({id(m) for m in out}) == len(np.unique(words, axis=0))
