@@ -6,6 +6,9 @@ integers, masses are accumulated in log space, and all distances between
 distributions are total-variation style L1 norms unless stated otherwise.
 The nearest denominator-n type to a distribution comes from one exact
 rule (nearest_type): floors plus the largest fractional parts.
+The module holds what the codebook, the simulator and the ``types`` command
+run: type-class sizes, typical masses, joint-type completion, type-class
+codeword draws, the matched-set test and the covering estimate.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, GpcqError, LengthMismatch, PreconditionViolated
-from .quantum import kl_divergence, shannon_entropy
+from .quantum import shannon_entropy
 from .util import compositions, digit_table, rng_for, wilson_interval
 
 TYPE_ENUMERATION_CAP = 10**6
@@ -68,7 +71,8 @@ class TypeClassSize:
 def type_class_size(counts) -> TypeClassSize:
     """|T_f| with bounds (n+1)^(-d) 2^(n H(fbar)) <= |T_f| <= 2^(n H(fbar)).
 
-    d is the full alphabet size (the length of ``counts``).
+    d is the full alphabet size (the length of ``counts``). A bound beyond the
+    float range raises CapExceeded.
     """
     counts = tuple(int(c) for c in counts)
     if any(c < 0 for c in counts):
@@ -77,8 +81,13 @@ def type_class_size(counts) -> TypeClassSize:
     if n == 0:
         raise GpcqError("empty type")
     h = shannon_entropy(np.asarray(counts, dtype=float) / n)
-    upper = 2.0 ** (n * h)
-    lower = upper / float((n + 1) ** d)
+    try:
+        upper = 2.0 ** (n * h)
+        lower = upper / float((n + 1) ** d)
+    except OverflowError:
+        raise CapExceeded(
+            f"n*H = {n * h + 0.0:.1f} bits: 2^(n*H) or (n+1)^{d} exceeds the float range"
+        ) from None
     size = multinomial_exact(counts)
     if not (lower <= size <= upper * (1 + 1e-12)):
         raise GpcqError(
@@ -141,103 +150,6 @@ def typical_mass(p, delta: float, n: int) -> float:
         lg = log2_multinomial(f) + float(np.sum(f_arr[f_arr > 0] * logs[f_arr > 0]))
         total += 2.0**lg
     return min(total, 1.0)
-
-
-def typical_mass_threshold(p, delta: float, n_max: int) -> int | None:
-    """Smallest n0 <= n_max with mass(n) >= 1 - 2^(-n delta / 2) for all n in [n0, n_max].
-
-    Returns None when the bound fails at n_max itself (for small delta the
-    advertised exponent eventually loses to the true large-deviation rate,
-    so no threshold exists).
-    """
-    good_from = None
-    for n in range(1, n_max + 1):
-        ok = typical_mass(p, delta, n) >= 1.0 - 2.0 ** (-n * delta / 2.0)
-        if ok and good_from is None:
-            good_from = n
-        elif not ok:
-            good_from = None
-    return good_from
-
-
-def conditional_entropy_of_joint(counts: np.ndarray) -> float:
-    """H(A|B) of the empirical joint counts N(a, b), in bits."""
-    counts = np.asarray(counts, dtype=float)
-    n = counts.sum()
-    return shannon_entropy(counts.flatten() / n) - shannon_entropy(counts.sum(axis=0) / n)
-
-
-@dataclass(frozen=True)
-class ConditionalTypeCount:
-    count: int
-    lower: float
-    upper: float
-    conditional_entropy: float
-
-
-def conditional_type_count(a_seq, b_seq, a_size: int, b_size: int) -> ConditionalTypeCount:
-    """Number of sequences sharing the conditional type of a_seq given b_seq.
-
-    Exact value is a product of per-b-block multinomials; the sandwich
-    2^(n (H(A|B) - f(n))) <= count <= 2^(n H(A|B)) with
-    f(n) = |A| |B| log(n+1) / n is checked before returning.
-    """
-    joint = joint_type(a_seq, b_seq, a_size, b_size)
-    n = int(joint.sum())
-    count = 1
-    for b in range(b_size):
-        count *= multinomial_exact(joint[:, b])
-    h_cond = conditional_entropy_of_joint(joint)
-    f_n = a_size * b_size * math.log2(n + 1) / n
-    lower = 2.0 ** (n * (h_cond - f_n))
-    upper = 2.0 ** (n * h_cond)
-    if not (lower <= count <= upper * (1 + 1e-9)):
-        raise GpcqError(
-            f"conditional type sandwich violated: {lower} <= {count} <= {upper}"
-        )
-    return ConditionalTypeCount(count, lower, upper, h_cond)
-
-
-@dataclass(frozen=True)
-class ContinuityReport:
-    entropy_gap: float
-    l1_distance: float
-    l1_bound: float
-    kl_bound: float | None = None
-
-
-def entropy_continuity_check(p, q, kl_budget: float | None = None) -> ContinuityReport:
-    """Entropy-difference bounds from closeness of distributions.
-
-    Checks |H(p) - H(q)| <= -theta log2(theta / |A|) for theta = ||p-q||_1,
-    which requires theta <= 1/2. With ``kl_budget`` = delta such that
-    D(p||q) <= delta, additionally checks the bound with theta replaced by
-    sqrt(2 delta); that surrogate must itself be <= 1/2.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise LengthMismatch(f"shapes {p.shape} and {q.shape} differ")
-    size = p.size
-    theta = float(np.abs(p - q).sum())
-    if theta > 0.5 + 1e-12:
-        raise PreconditionViolated("||p - q||_1 <= 1/2", theta, 0.5)
-    gap = abs(shannon_entropy(p) - shannon_entropy(q))
-    l1_bound = 0.0 if theta == 0 else -theta * math.log2(theta / size)
-    if gap > l1_bound + 1e-12:
-        raise GpcqError(f"continuity bound violated: {gap} > {l1_bound}")
-    kl_bound = None
-    if kl_budget is not None:
-        actual = kl_divergence(p, q)
-        if actual > kl_budget + 1e-12:
-            raise PreconditionViolated("D(p||q) <= delta", actual, kl_budget)
-        surrogate = math.sqrt(2.0 * kl_budget)
-        if surrogate > 0.5 + 1e-12:
-            raise PreconditionViolated("sqrt(2 delta) <= 1/2", surrogate, 0.5)
-        kl_bound = 0.0 if surrogate == 0 else -surrogate * math.log2(surrogate / size)
-        if gap > kl_bound + 1e-12:
-            raise GpcqError(f"divergence continuity bound violated: {gap} > {kl_bound}")
-    return ContinuityReport(gap, theta, l1_bound, kl_bound)
 
 
 def support_floor(p_su: np.ndarray) -> float:
@@ -350,66 +262,6 @@ def matched_set_members(s_words, u_words, p_su: np.ndarray, delta: float) -> np.
         d[np.any((emp > 0) & (cond[:, u][None, :] <= 0), axis=1)] = np.inf
         scores = np.maximum(scores, ((t_u / n) * d)[inverse].reshape(keys.shape))
     return scores <= delta / 2
-
-
-def m_set_contains(s_seq, u_seq, p_su: np.ndarray, delta: float) -> bool:
-    """Whether the state sequence is matched by the auxiliary word.
-
-    One entry of matched_set_members; unequal lengths raise LengthMismatch.
-    """
-    return bool(
-        matched_set_members(np.asarray(s_seq)[None, :], np.asarray(u_seq)[None, :], p_su, delta)[0, 0]
-    )
-
-
-def chernoff_bound(L: int, b: float, nu: float, eps: float) -> float:
-    """Deviation bound 2 exp(-L eps^2 nu / (3 b)) for [0,b]-valued i.i.d. means."""
-    if not 0 < nu <= b:
-        raise PreconditionViolated("0 < nu <= b", (nu, b), "mean within range")
-    if not 0 < eps <= 1:
-        raise PreconditionViolated("0 < eps <= 1", eps, "(0, 1]")
-    return 2.0 * math.exp(-L * eps * eps * nu / (3.0 * b))
-
-
-@dataclass(frozen=True)
-class BernoulliSampler:
-    """Coin with success probability prob; b = 1, nu = prob."""
-
-    prob: float
-
-    @property
-    def b(self) -> float:
-        return 1.0
-
-    @property
-    def nu(self) -> float:
-        return self.prob
-
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return (rng.random(size) < self.prob).astype(float)
-
-
-@dataclass(frozen=True)
-class EmpiricalDeviation:
-    frequency: float
-    bound: float
-    trials: int
-
-
-def chernoff_empirical(sampler, L: int, eps: float, trials: int, seed: int) -> EmpiricalDeviation:
-    """Observed frequency of the mean leaving [(1-eps) nu, (1+eps) nu].
-
-    ``sampler`` exposes b, nu and draw(rng, size). The frequency is compared
-    against the analytic bound by the caller; both are returned.
-    """
-    bound = chernoff_bound(L, sampler.b, sampler.nu, eps)
-    lo, hi = (1 - eps) * sampler.nu, (1 + eps) * sampler.nu
-    hits = 0
-    for t in range(trials):
-        mean = float(np.mean(sampler.draw(rng_for(seed, t), L)))
-        if mean < lo or mean > hi:
-            hits += 1
-    return EmpiricalDeviation(hits / trials, bound, trials)
 
 
 def type_class_words(counts, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:

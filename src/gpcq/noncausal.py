@@ -49,15 +49,6 @@ def default_aux_size(num_states: int, num_inputs: int, n: int) -> int:
     return min((2 * num_states * num_inputs) ** n, DEFAULT_AUX_CAP)
 
 
-def mutual_information(joint: np.ndarray) -> float:
-    """I between the axes of a 2-D joint pmf, in bits: D(joint || product of its marginals)."""
-    joint = np.asarray(joint, dtype=float)
-    total = joint.sum()
-    if not math.isclose(total, 1.0, abs_tol=1e-8):
-        raise GpcqError(f"joint mass {total} is not 1")
-    return kl_divergence(joint, np.outer(joint.sum(axis=1), joint.sum(axis=0)))
-
-
 @dataclass(frozen=True)
 class GPObjectiveReport:
     value: float
@@ -76,8 +67,8 @@ def _objective(p: np.ndarray, tensor: np.ndarray, q_given_s: np.ndarray, strateg
     A = derived_states(p, tensor, q_given_s, strategy)
     vals = np.linalg.eigvalsh(np.concatenate([A, A.sum(axis=0, keepdims=True)]))
     chi = float(entropy_bits(vals[-1]) - entropy_bits(vals[:-1].ravel()) + entropy_bits(q_u))
-    # mutual_information(w) with the prior p as the state marginal: the row sums
-    # of w differ from p in the last bit, and restarts on a flat optimum tie at that level.
+    # I(S; U) of the joint w, taken against the prior p rather than the row sums of w:
+    # those differ from p in the last bit, and restarts on a flat optimum tie at that level.
     leak = kl_divergence(w, np.outer(p, q_u))
     return GPObjectiveReport(chi - leak, chi, leak)
 
@@ -441,10 +432,3 @@ def classical_gp_oracle(
             best_overall = max(best_overall, cur_val)
     return best_overall
 
-
-def witness_conditionals_close(q_a: np.ndarray, q_b: np.ndarray, tol: float) -> bool:
-    """Row-wise divergence closeness of two witness conditional tables."""
-    if q_a.shape != q_b.shape:
-        raise ShapeMismatch(f"shapes {q_a.shape} and {q_b.shape} differ")
-    worst = max(kl_divergence(a, b) for a, b in zip(q_a, q_b))
-    return worst <= tol

@@ -31,8 +31,6 @@ TAU_TR = 1e-9
 TAU_EIG = 1e-9
 TAU_SUPP = 1e-10
 
-LOG2E = math.log2(math.e)
-
 
 def validate_density(mat, *, context: str = "") -> np.ndarray:
     """Check Hermiticity, positivity and unit trace; return the checked complex matrix.

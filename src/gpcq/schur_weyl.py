@@ -2,10 +2,11 @@
 
 Young frames index the isotypic blocks of the commuting symmetric-group and
 general-linear actions on (C^d)^(tensor n). Central projectors are built
-from cached conjugacy-class sums with integer characters; frequency
-projectors are diagonal in any product basis and commute with them exactly,
-so typicality-filtered decoding projectors factor into a diagonal mask times
-a sum of central projectors, conjugated back to the original tensor slots.
+from cached conjugacy-class sums with integer characters. A frequency class
+is a diagonal mask in any product basis (frequency_mask) and commutes with
+them exactly, so typicality-filtered decoding projectors factor into a
+diagonal mask times a sum of central projectors, conjugated back to the
+original tensor slots.
 Block and decoding projectors are returned as plain arrays.
 """
 
@@ -114,12 +115,18 @@ def frame_dimension_bounds(frame: YoungFrame, d: int) -> FrameDimensionBounds:
 
     Upper bound is the multinomial bound 2^(n H(frame/n)); the lower bound
     carries a crude polynomial correction 2^(-2 d^6 log2(2n)) that is valid
-    for every frame and tightens only in the exponent rate.
+    for every frame and tightens only in the exponent rate. An upper bound
+    beyond the float range raises CapExceeded.
     """
     n = sum(frame)
     dim = irrep_dimension(frame)
     h = frame_entropy(frame, d)
-    upper = 2.0 ** (n * h)
+    try:
+        upper = 2.0 ** (n * h)
+    except OverflowError:
+        raise CapExceeded(
+            f"n*H = {n * h:.1f} bits: 2^(n*H) exceeds the float range"
+        ) from None
     lower = upper * 2.0 ** (-2.0 * d**6 * math.log2(2 * n))
     if not (lower <= dim <= upper * (1 + 1e-9)):
         raise GpcqError(f"dimension sandwich violated for {frame}: {lower} <= {dim} <= {upper}")
@@ -129,17 +136,6 @@ def frame_dimension_bounds(frame: YoungFrame, d: int) -> FrameDimensionBounds:
 def cycle_types(n: int) -> list[tuple[int, ...]]:
     """All cycle types (partitions of n), descending lexicographic."""
     return young_frames(n, n)
-
-
-def class_size(cycle_type: tuple[int, ...]) -> int:
-    n = sum(cycle_type)
-    counts: dict[int, int] = {}
-    for k in cycle_type:
-        counts[k] = counts.get(k, 0) + 1
-    denom = 1
-    for k, m in counts.items():
-        denom *= math.factorial(m) * k**m
-    return math.factorial(n) // denom
 
 
 def permutation_cycle_type(perm) -> tuple[int, ...]:
@@ -222,19 +218,6 @@ def class_sums(d: int, n: int) -> dict[tuple[int, ...], np.ndarray]:
     return sums
 
 
-def permutation_operator(perm, d: int) -> np.ndarray:
-    """Matrix of one position permutation on the computational product basis."""
-    perm = tuple(perm)
-    n = len(perm)
-    _check_caps(d, n)
-    digits = digit_table(d, n)
-    place = d ** np.arange(n - 1, -1, -1)
-    dim = d**n
-    op = np.zeros((dim, dim))
-    op[digits[:, perm] @ place, np.arange(dim)] = 1.0
-    return op
-
-
 def central_projector(frame: YoungFrame, d: int, n: int) -> np.ndarray:
     """Projector onto the isotypic block of one frame, real symmetric.
 
@@ -286,22 +269,6 @@ def frequency_mask(freq, d: int, n: int) -> np.ndarray:
     if freq.sum() != n:
         raise GpcqError(f"frequency {freq.tolist()} does not sum to {n}")
     return np.all(sequence_types(d, n) == freq[None, :], axis=1)
-
-
-def frequency_projector(freq, d: int, n: int) -> np.ndarray:
-    return np.diag(frequency_mask(freq, d, n).astype(float))
-
-
-def joint_projector(freq, frame: YoungFrame, d: int, n: int, basis: np.ndarray | None = None) -> np.ndarray:
-    """Frequency-filtered isotypic projector, optionally in a rotated product basis."""
-    mask = frequency_mask(freq, d, n).astype(float)
-    core = mask[:, None] * central_projector(frame, d, n) * mask[None, :]
-    core = 0.5 * (core + core.T)
-    _assert_projector(core, f"joint projector {tuple(freq)}/{frame}")
-    if basis is None:
-        return core
-    rot = kron_all([basis] * n)
-    return rot @ core @ rot.conj().T
 
 
 def kostka_zero_combinatorial(freq, frame: YoungFrame) -> bool:

@@ -1,4 +1,4 @@
-"""Small shared numeric helpers (RNG derivation, intervals, samplers)."""
+"""Small shared numeric helpers: RNG derivation, intervals, random states, digit tables."""
 
 from __future__ import annotations
 
@@ -35,15 +35,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     center = (phat + z * z / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random unitary via QR of a complex Ginibre matrix."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    # fix phases so the factorization is unique
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:

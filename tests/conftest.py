@@ -1,4 +1,7 @@
-"""Shared fixtures: the bundled channel corpus and memoized solver runs."""
+"""Shared fixtures: the bundled channel corpus and memoized solver runs.
+
+random_unitary is a plain helper that test modules import from here.
+"""
 
 import importlib.util
 import pathlib
@@ -94,3 +97,12 @@ def solvers(suite):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-ish random unitary via QR of a complex Ginibre matrix."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(g)
+    # fix phases so the factorization is unique
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))

@@ -12,7 +12,7 @@ from gpcq.coding import simulate_rate_error_curve, square_root_decoder, union_bo
 from gpcq.method_of_types import (
     joint_type,
     joint_type_completion,
-    m_set_contains,
+    matched_set_members,
     nearest_type,
     type_class_size,
 )
@@ -41,18 +41,14 @@ from gpcq.schur_weyl import (
 )
 from gpcq.util import compositions, digit_table, random_density_matrix
 
+from conftest import random_unitary
+
 DIAGONAL = ("flip", "stuck", "skew")
 
 
 def _within(t0: float, budget: float) -> None:
     elapsed = time.monotonic() - t0
     assert elapsed < budget, f"took {elapsed:.1f}s, budget {budget:.0f}s"
-
-
-def _random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def test_entropy_kernel_on_random_ensembles():
@@ -67,7 +63,7 @@ def test_entropy_kernel_on_random_ensembles():
             chi = holevo_quantity(q, states)
             assert -1e-9 <= chi <= cap + 1e-9
             assert abs(chi - holevo_via_divergence(q, states)) <= 1e-9
-            u = _random_unitary(rng, dim)
+            u = random_unitary(dim, rng)
             rotated = u @ states[0] @ u.conj().T
             assert abs(von_neumann_entropy(rotated) - von_neumann_entropy(states[0])) <= 1e-9
             # Pinsker on the diagonal restrictions of the first two members.
@@ -206,7 +202,12 @@ def test_symmetric_group_projector_axioms_and_kostka_agreement():
 
 
 def _matched_trace_scan(ch, wit, ns, delta):
-    """Worst decode-projector trace over matched state/auxiliary word pairs."""
+    """Worst decode-projector trace over matched state/auxiliary word pairs.
+
+    Each sigma is the left-to-right np.kron fold of its letter states, a brute
+    force independent of product_traces; one matched_set_members call per n
+    scores every (state word, auxiliary word) pair.
+    """
     q_rows, strat = trim_witness(wit.q_given_s, wit.strategy, tol=1e-6)
     p_su = ch.p[:, None] * q_rows
     keep = p_su.sum(axis=0) > 1e-9
@@ -228,16 +229,21 @@ def _matched_trace_scan(ch, wit, ns, delta):
         word_counts = np.stack([(u_words == u).sum(axis=1) for u in range(num_u)], axis=1)
         u_words = u_words[np.all(word_counts == counts[None, :], axis=1)]
         s_words = digit_table(ch.num_states, n)
+        members = matched_set_members(s_words, u_words, p_su, delta)
         worst = 1.0
-        for uw in u_words:
+        for uw, matched in zip(u_words, members.T):
             proj = ctx.projector(uw)
-            for sw in s_words:
-                if not m_set_contains(sw, uw, p_su, delta):
-                    continue
-                sigma = np.ones((1, 1), dtype=complex)
-                for s, u in zip(sw, uw):
-                    sigma = np.kron(sigma, tensor[s, strat[s, u]])
-                worst = min(worst, float(np.einsum("ij,ji->", proj, sigma).real))
+            # folds[k] is the kron of the first k letters of the last state word;
+            # a state word refolds only the letters after its shared prefix.
+            folds = [np.ones((1, 1), dtype=complex)]
+            prev = np.full(n, -1)
+            for sw in s_words[matched]:
+                keep = int(np.argmin(sw == prev))
+                del folds[keep + 1 :]
+                for s, u in zip(sw[keep:], uw[keep:]):
+                    folds.append(np.kron(folds[-1], tensor[s, strat[s, u]]))
+                prev = sw
+                worst = min(worst, float(np.einsum("ij,ji->", proj, folds[-1]).real))
         out[n] = worst
     return out
 

@@ -151,6 +151,8 @@ class TestExitCodes:
             (("schur", "frames", "--d", "0", "--n", "3"), "precondition-violated"),
             (("schur", "frames", "--d", "2", "--n", "-1"), "precondition-violated"),
             (("schur", "check", "--d", "2", "--n", "0"), "precondition-violated"),
+            (("types", "--op", "class-size", "--p", "0.5,0.5", "--n", "1100"), "cap-exceeded"),
+            (("schur", "frames", "--d", "2", "--n", "1100"), "cap-exceeded"),
         ],
     )
     def test_bad_input_is_error_code_not_traceback(self, capsys, channel_dir, argv, error):

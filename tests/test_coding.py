@@ -31,7 +31,7 @@ from gpcq.errors import (
     NotProjection,
     PreconditionViolated,
 )
-from gpcq.method_of_types import m_set_contains, nearest_type
+from gpcq.method_of_types import matched_set_members, nearest_type
 from gpcq.quantum import eigenbasis, kron_all
 from gpcq.schur_weyl import DecodeContext
 from gpcq.util import random_density_matrix, rng_for
@@ -309,7 +309,7 @@ class TestGPCodebook:
         s_word = np.array([0] * 6 + [1] * 6)
         out = gp_encoder(book, 1, s_word, seed=4)
         assert out is not DECLARE
-        assert m_set_contains(s_word, out, COVER_JOINT, 0.2)
+        assert matched_set_members([s_word], [out], COVER_JOINT, 0.2)[0, 0]
         ks = admissible_indices(book, 1, s_word)
         assert any(np.array_equal(book.words[k, 1], out) for k in ks)
 
@@ -322,7 +322,9 @@ class TestGPCodebook:
             for m in range(book.M):
                 ks = admissible_indices(book, m, s_word)
                 assert ks == [
-                    k for k in range(book.K) if m_set_contains(s_word, book.words[k, m], COVER_JOINT, 0.3)
+                    k
+                    for k in range(book.K)
+                    if matched_set_members([s_word], [book.words[k, m]], COVER_JOINT, 0.3)[0, 0]
                 ]
                 hits += len(ks)
         assert 0 < hits < 40 * book.M * book.K
@@ -389,7 +391,9 @@ class TestNoncausalTrial:
         for m in range(M):
             for s_word in itertools.product(range(2), repeat=n):
                 mass = math.prod(p[s] for s in s_word)
-                matched = [k for k in range(K) if m_set_contains(s_word, words[k][m], p_su, delta)]
+                matched = [
+                    k for k in range(K) if matched_set_members([s_word], [words[k][m]], p_su, delta)[0, 0]
+                ]
                 if not matched:
                     expected_err += mass
                     expected_declares += mass

@@ -31,7 +31,9 @@ from gpcq.quantum import (
     validate_density,
     von_neumann_entropy,
 )
-from gpcq.util import random_density_matrix, random_unitary, rng_for
+from gpcq.util import random_density_matrix, rng_for
+
+from conftest import random_unitary
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)

@@ -14,24 +14,60 @@ from gpcq.schur_weyl import (
     block_projector,
     central_projector,
     character,
-    class_size,
     cycle_types,
     frame_dimension_bounds,
     frame_distribution,
-    frequency_projector,
+    frequency_mask,
     gl_multiplicity,
     irrep_dimension,
-    joint_projector,
     kostka_rank,
     kostka_zero_combinatorial,
     permutation_cycle_type,
-    permutation_operator,
     sequence_types,
     young_frames,
 )
-from gpcq.util import compositions
+from gpcq.util import compositions, digit_table
 
 EYE2 = np.eye(2, dtype=complex)
+
+
+def class_size(cycle_type: tuple[int, ...]) -> int:
+    """Number of permutations with this cycle type."""
+    n = sum(cycle_type)
+    counts: dict[int, int] = {}
+    for k in cycle_type:
+        counts[k] = counts.get(k, 0) + 1
+    denom = 1
+    for k, m in counts.items():
+        denom *= math.factorial(m) * k**m
+    return math.factorial(n) // denom
+
+
+def permutation_operator(perm, d: int) -> np.ndarray:
+    """Matrix of one position permutation on the computational product basis."""
+    perm = tuple(perm)
+    n = len(perm)
+    digits = digit_table(d, n)
+    place = d ** np.arange(n - 1, -1, -1)
+    dim = d**n
+    op = np.zeros((dim, dim))
+    op[digits[:, perm] @ place, np.arange(dim)] = 1.0
+    return op
+
+
+def frequency_projector(freq, d: int, n: int) -> np.ndarray:
+    return np.diag(frequency_mask(freq, d, n).astype(float))
+
+
+def joint_projector(freq, frame, d: int, n: int, basis: np.ndarray | None = None) -> np.ndarray:
+    """Frequency-filtered isotypic projector, optionally in a rotated product basis."""
+    mask = frequency_mask(freq, d, n).astype(float)
+    core = mask[:, None] * central_projector(frame, d, n) * mask[None, :]
+    core = 0.5 * (core + core.T)
+    if basis is None:
+        return core
+    rot = kron_all([basis] * n)
+    return rot @ core @ rot.conj().T
 
 
 class TestFrames:
@@ -173,6 +209,7 @@ class TestFrequencyProjectors:
 class TestKostka:
     def test_joint_projector_rank_example(self):
         J = joint_projector(np.array([2, 1]), (2, 1), 2, 3)
+        assert np.max(np.abs(J @ J - J)) < 1e-8
         assert np.trace(J) == pytest.approx(2.0, abs=1e-8)
         assert kostka_rank(np.array([2, 1]), (2, 1), 2, 3) == 2
 
