@@ -42,6 +42,15 @@ def commands() -> list[list[str]]:
     cmds.append(COVERAGE + ["--k", "0"])
     for op in ("nearest", "class-size"):
         cmds.append(["types", "--op", op, "--p", "0.5,0.25,0.25", "--n", "3,10,17", "--json"])
+    # Text forms: tables and CSV come from the same payloads as the JSON above.
+    for name in CHANNELS:
+        for command in ("validate", "causal", "holevo"):
+            cmds.append([command, f"channels/{name}.chan"])
+    cmds.append(["noncausal", "channels/stuck.chan", "--seed", "3", "--restarts", "4"])
+    for op in ("class-size", "nearest"):
+        cmds.append(["types", "--op", op, "--p", "0.5,0.25,0.25", "--n", "3,10,17"])
+    for mode in ("frames", "dims", "check"):
+        cmds.append(["schur", mode, "--d", "3", "--n", "4"])
     return cmds
 
 

@@ -1,5 +1,11 @@
 """Command line entry point binding solvers, sweeps, and simulations.
 
+Each command builds one payload and passes it to _emit with its text form:
+an aligned `key  value` table (_table) or a CSV (_csv) rendered from the
+payload by one cell rule, or the simulate CSV of coding.rows_to_csv. With
+--json the payload itself is written as sorted JSON instead. Where a command
+has --out, the selected format goes to that file, otherwise to stdout.
+
 Exit codes: 0 on success, 1 on a domain error (structured message on
 stderr), 2 on usage errors. Every run emits a JSON manifest line to stderr
 with the command line, channel hash, seed, tolerances, version, and wall
@@ -33,10 +39,10 @@ from .quantum import TAU_EIG, TAU_HERM, TAU_SUPP, TAU_TR, shannon_entropy
 from .schur_weyl import (
     TAU_PROJ,
     central_projector,
+    check_frame_table,
     frame_dimension_bounds,
     frame_distribution,
     gl_multiplicity,
-    irrep_dimension,
     young_frames,
 )
 
@@ -100,26 +106,41 @@ def _emit_manifest(argv, channel_path, seed, started) -> None:
     print(json.dumps(manifest, sort_keys=True), file=sys.stderr)
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True))
+def _cell(value) -> str:
+    """One table or CSV cell: floats to 12 digits, booleans lowercase, lists joined."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return f"{value + 0.0:.12g}"
+    if isinstance(value, list):
+        if value and isinstance(value[0], list):
+            return "; ".join(",".join(map(_cell, row)) for row in value)
+        return " ".join(map(_cell, value))
+    return str(value)
 
 
-def _print_table(pairs) -> None:
-    width = max(len(k) for k, _ in pairs)
-    for key, val in pairs:
-        print(f"{key.ljust(width)}  {val}")
+def _table(payload: dict, keys=None) -> str:
+    """Aligned `key  value` lines for the given payload keys (all by default)."""
+    keys = list(payload) if keys is None else keys
+    width = max(len(k) for k in keys)
+    return "".join(f"{k.ljust(width)}  {_cell(payload[k])}\n" for k in keys)
 
 
-def _write_text(text: str, out_path) -> None:
+def _csv(rows: list[dict], columns: list[str]) -> str:
+    lines = [",".join(columns)] + [",".join(_cell(row[c]) for c in columns) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _emit(args, payload, text: str) -> None:
+    """Write the payload as JSON under --json, else the text; to --out if given."""
+    if args.json:
+        text = json.dumps(payload, sort_keys=True) + "\n"
+    out_path = getattr(args, "out", None)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _fmt(x: float) -> str:
-    return f"{x + 0.0:.12g}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,17 +228,8 @@ def _cmd_validate(args) -> None:
         "inputs": list(ch.input_alphabet),
         "warnings": list(ch.warnings),
     }
-    if args.json:
-        _print_json(info)
-    else:
-        _print_table(
-            [
-                ("ok", "true"),
-                ("dim", str(ch.dim)),
-                ("states", " ".join(ch.state_alphabet)),
-                ("inputs", " ".join(ch.input_alphabet)),
-            ]
-        )
+    _emit(args, info, _table(info, ["ok", "dim", "states", "inputs"]))
+    if not args.json:
         for text in ch.warnings:
             print(f"warning: {text}", file=sys.stderr)
 
@@ -235,21 +247,7 @@ def _cmd_causal(args) -> None:
         "iterations": sol.iterations,
         "converged": sol.converged,
     }
-    if args.json:
-        _print_json(payload)
-    else:
-        _print_table(
-            [
-                ("value", _fmt(sol.value)),
-                ("gap", _fmt(sol.gap)),
-                ("aux_size", str(sol.aux_size)),
-                ("q", " ".join(_fmt(x) for x in sol.q)),
-                ("strategy", "; ".join(",".join(map(str, col)) for col in sol.strategy.columns)),
-                ("strategies_searched", str(sol.strategies_searched)),
-                ("iterations", str(sol.iterations)),
-                ("converged", str(sol.converged).lower()),
-            ]
-        )
+    _emit(args, payload, _table(payload))
 
 
 def _cmd_noncausal(args) -> None:
@@ -276,19 +274,8 @@ def _cmd_noncausal(args) -> None:
         "objective_evals": wit.objective_evals,
         "leak_per_symbol": wit.leak_per_symbol,
     }
-    if args.json:
-        _print_json(payload)
-    else:
-        _print_table(
-            [
-                ("value", _fmt(wit.value)),
-                ("holevo", _fmt(wit.holevo)),
-                ("leak", _fmt(wit.leak)),
-                ("n", str(wit.n)),
-                ("aux_size", str(wit.aux_size)),
-                ("restart_index", str(wit.restart_index)),
-            ]
-        )
+    keys = ["value", "holevo", "leak", "n", "aux_size", "restart_index"]
+    _emit(args, payload, _table(payload, keys))
 
 
 def _cmd_holevo(args) -> None:
@@ -300,18 +287,7 @@ def _cmd_holevo(args) -> None:
         "iterations": sol.iterations,
         "converged": sol.converged,
     }
-    if args.json:
-        _print_json(payload)
-    else:
-        _print_table(
-            [
-                ("value", _fmt(sol.value)),
-                ("gap", _fmt(sol.gap)),
-                ("q", " ".join(_fmt(x) for x in sol.q)),
-                ("iterations", str(sol.iterations)),
-                ("converged", str(sol.converged).lower()),
-            ]
-        )
+    _emit(args, payload, _table(payload))
 
 
 def _types_rows(args) -> list[dict]:
@@ -371,26 +347,18 @@ def _types_rows(args) -> list[dict]:
 
 def _cmd_types(args) -> None:
     rows = _types_rows(args)
-    if args.json:
-        _print_json({"op": args.op, "rows": rows})
-        return
-    lines = ["n,value,lower_bound,upper_bound"]
-    for row in rows:
-        value = row["value"]
-        value_text = str(value) if isinstance(value, int) else _fmt(value)
-        lines.append(
-            f"{row['n']},{value_text},{_fmt(row['lower_bound'])},{_fmt(row['upper_bound'])}"
-        )
-    _write_text("\n".join(lines) + "\n", args.out)
+    text = _csv(rows, ["n", "value", "lower_bound", "upper_bound"])
+    _emit(args, {"op": args.op, "rows": rows}, text)
 
 
 def _schur_rows(args) -> list[dict]:
+    check_frame_table(args.d, args.n)
     rows = []
     for frame in young_frames(args.d, args.n):
-        dim = irrep_dimension(frame)
-        if args.mode == "dims":
-            dim = dim * gl_multiplicity(frame, args.d)
         bounds = frame_dimension_bounds(frame, args.d)
+        dim = bounds.dimension
+        if args.mode == "dims":
+            dim *= gl_multiplicity(frame, args.d)
         rows.append(
             {
                 "frame": "+".join(map(str, frame)),
@@ -406,50 +374,39 @@ def _schur_rows(args) -> list[dict]:
 def _cmd_schur(args) -> None:
     if args.d < 1 or args.n < 1:
         raise PreconditionViolated("--d and --n", (args.d, args.n), ">= 1")
-    if args.mode == "check":
-        dim = args.d**args.n
-        total = np.zeros((dim, dim), dtype=complex)
-        worst_idem = 0.0
-        worst_cross = 0.0
-        projectors = []
-        for frame in young_frames(args.d, args.n):
-            proj = central_projector(frame, args.d, args.n)
-            projectors.append(proj)
-            worst_idem = max(worst_idem, float(np.max(np.abs(proj @ proj - proj))))
-            total += proj
-        for i in range(len(projectors)):
-            for j in range(i + 1, len(projectors)):
-                worst_cross = max(
-                    worst_cross, float(np.max(np.abs(projectors[i] @ projectors[j])))
-                )
-        closure = float(np.max(np.abs(total - np.eye(dim))))
-        ok = max(closure, worst_idem, worst_cross) <= TAU_PROJ
-        payload = {
-            "ok": bool(ok),
-            "frames": len(projectors),
-            "dim": dim,
-            "closure_defect": closure,
-            "idempotency_defect": worst_idem,
-            "orthogonality_defect": worst_cross,
-        }
-        if args.json:
-            _print_json(payload)
-        else:
-            _print_table([(k, _fmt(v) if isinstance(v, float) else str(v)) for k, v in payload.items()])
-        if not ok:
-            raise GpcqError(f"projector defects exceed {TAU_PROJ}")
+    if args.mode != "check":
+        rows = _schur_rows(args)
+        text = _csv(rows, ["frame", "dim", "entropy", "lower", "upper"])
+        _emit(args, {"mode": args.mode, "rows": rows}, text)
         return
-    rows = _schur_rows(args)
-    if args.json:
-        _print_json({"mode": args.mode, "rows": rows})
-        return
-    lines = ["frame,dim,entropy,lower,upper"]
-    for row in rows:
-        lines.append(
-            f"{row['frame']},{row['dim']},{_fmt(row['entropy'])},"
-            f"{_fmt(row['lower'])},{_fmt(row['upper'])}"
-        )
-    _write_text("\n".join(lines) + "\n", args.out)
+    dim = args.d**args.n
+    total = np.zeros((dim, dim), dtype=complex)
+    worst_idem = 0.0
+    worst_cross = 0.0
+    projectors = []
+    for frame in young_frames(args.d, args.n):
+        proj = central_projector(frame, args.d, args.n)
+        projectors.append(proj)
+        worst_idem = max(worst_idem, float(np.max(np.abs(proj @ proj - proj))))
+        total += proj
+    for i in range(len(projectors)):
+        for j in range(i + 1, len(projectors)):
+            worst_cross = max(
+                worst_cross, float(np.max(np.abs(projectors[i] @ projectors[j])))
+            )
+    closure = float(np.max(np.abs(total - np.eye(dim))))
+    ok = max(closure, worst_idem, worst_cross) <= TAU_PROJ
+    payload = {
+        "ok": bool(ok),
+        "frames": len(projectors),
+        "dim": dim,
+        "closure_defect": closure,
+        "idempotency_defect": worst_idem,
+        "orthogonality_defect": worst_cross,
+    }
+    _emit(args, payload, _table(payload))
+    if not ok:
+        raise GpcqError(f"projector defects exceed {TAU_PROJ}")
 
 
 def _cmd_simulate(args) -> None:
@@ -465,10 +422,7 @@ def _cmd_simulate(args) -> None:
         delta=args.delta,
         restarts=args.restarts,
     )
-    if args.json:
-        _print_json({"rows": [row.__dict__ for row in rows]})
-        return
-    _write_text(rows_to_csv(rows), args.out)
+    _emit(args, {"rows": [row.__dict__ for row in rows]}, rows_to_csv(rows))
 
 
 HANDLERS = {

@@ -19,12 +19,21 @@ from itertools import permutations as iter_permutations
 
 import numpy as np
 
-from .errors import CapExceeded, GpcqError, NotProjection, NumericalRankFailure, PreconditionViolated
+from .channel import memory_budget_bytes
+from .errors import (
+    BudgetExceeded,
+    CapExceeded,
+    GpcqError,
+    NotProjection,
+    NumericalRankFailure,
+    PreconditionViolated,
+)
 from .quantum import kl_divergence, kron_all, shannon_entropy, spectrum, pinch
 from .util import compositions, digit_table
 
 PERM_GROUP_CAP = 9
 DIM_CAP = 4096
+FRAME_CAP = 100_000
 TAU_PROJ = 1e-8
 
 YoungFrame = tuple[int, ...]
@@ -110,27 +119,64 @@ class FrameDimensionBounds:
     upper: float
 
 
+def _multinomial_bound(frame: YoungFrame, d: int) -> float:
+    """2^(n H(frame/n)); CapExceeded when it is beyond the float range."""
+    n = sum(frame)
+    h = frame_entropy(frame, d)
+    try:
+        return 2.0 ** (n * h)
+    except OverflowError:
+        raise CapExceeded(
+            f"n*H = {n * h:.1f} bits: 2^(n*H) exceeds the float range"
+        ) from None
+
+
 def frame_dimension_bounds(frame: YoungFrame, d: int) -> FrameDimensionBounds:
     """Entropy sandwich on the irrep dimension.
 
     Upper bound is the multinomial bound 2^(n H(frame/n)); the lower bound
     carries a crude polynomial correction 2^(-2 d^6 log2(2n)) that is valid
     for every frame and tightens only in the exponent rate. An upper bound
-    beyond the float range raises CapExceeded.
+    beyond the float range raises CapExceeded before the dimension is computed.
     """
     n = sum(frame)
+    upper = _multinomial_bound(frame, d)
     dim = irrep_dimension(frame)
-    h = frame_entropy(frame, d)
-    try:
-        upper = 2.0 ** (n * h)
-    except OverflowError:
-        raise CapExceeded(
-            f"n*H = {n * h:.1f} bits: 2^(n*H) exceeds the float range"
-        ) from None
     lower = upper * 2.0 ** (-2.0 * d**6 * math.log2(2 * n))
     if not (lower <= dim <= upper * (1 + 1e-9)):
         raise GpcqError(f"dimension sandwich violated for {frame}: {lower} <= {dim} <= {upper}")
     return FrameDimensionBounds(dim, lower, upper)
+
+
+def frame_count(d: int, n: int) -> int:
+    """Number of Young frames of n with at most d rows, counted without listing them.
+
+    By conjugation these are the partitions of n into parts of size at most d.
+    """
+    k = min(d, n)
+    if k < 2:
+        return 1
+    ways = [1] * (n + 1)
+    for part in range(2, k + 1):
+        for m in range(part, n + 1):
+            ways[m] += ways[m - part]
+    return ways[n]
+
+
+def check_frame_table(d: int, n: int) -> None:
+    """Refuse, before any frame is listed, a table of frames of n with at most d rows.
+
+    CapExceeded when the most balanced frame, which has the largest entropy,
+    has a bound 2^(n*H) beyond the float range, or when there are more than
+    FRAME_CAP frames. The entropy check comes first: for d >= 2 it keeps n
+    below about 1,030, which bounds frame_count's n * min(d, n) loop.
+    """
+    k = min(d, n)
+    q, r = divmod(n, k)
+    _multinomial_bound((q + 1,) * r + (q,) * (k - r), d)
+    count = frame_count(d, n)
+    if count > FRAME_CAP:
+        raise CapExceeded(f"{count} frames of n = {n} with at most {d} rows exceed the cap {FRAME_CAP}")
 
 
 def cycle_types(n: int) -> list[tuple[int, ...]]:
@@ -200,15 +246,27 @@ def _check_caps(d: int, n: int):
 
 
 def class_sums(d: int, n: int) -> dict[tuple[int, ...], np.ndarray]:
-    """Sum of position-permutation operators per conjugacy class, cached."""
+    """Sum of position-permutation operators per conjugacy class, cached.
+
+    The p(n) dense d^n x d^n sums are checked against the memory budget
+    (GPCQ_BUDGET_BYTES overrides the 1 GiB default) before any is allocated.
+    """
     key = (d, n)
     if key in _CLASS_SUMS:
         return _CLASS_SUMS[key]
     _check_caps(d, n)
+    dim = d**n
+    types = cycle_types(n)
+    budget = memory_budget_bytes()
+    required = len(types) * dim * dim * 8
+    if required > budget:
+        raise BudgetExceeded(
+            f"class sums need ~{required} bytes, budget is {budget}",
+            required_bytes=required,
+        )
     digits = digit_table(d, n)
     place = d ** np.arange(n - 1, -1, -1)
-    dim = d**n
-    sums = {ct: np.zeros((dim, dim)) for ct in cycle_types(n)}
+    sums = {ct: np.zeros((dim, dim)) for ct in types}
     cols = np.arange(dim)
     for perm in iter_permutations(range(n)):
         ct = permutation_cycle_type(perm)

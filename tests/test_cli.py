@@ -6,6 +6,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -163,6 +164,17 @@ class TestExitCodes:
         payload = json.loads(err.strip().split("\n")[0])
         assert payload["error"] == error
         assert "Traceback" not in err and "nan" not in payload["details"]
+
+    @pytest.mark.parametrize("d, n", [(2, 20000), (100, 100)])
+    def test_large_frame_table_is_refused_before_listing(self, capsys, d, n):
+        # (2, 20000): the balanced frame's 2^(n*H) overflows; (100, 100):
+        # 190,569,292 frames, past the frame cap, though n*H is only ~664 bits.
+        started = time.monotonic()
+        code, out, err = run_cli(capsys, "schur", "frames", "--d", str(d), "--n", str(n))
+        assert time.monotonic() - started < 5.0
+        assert code == 1
+        assert out == ""
+        assert json.loads(err.strip().split("\n")[0])["error"] == "cap-exceeded"
 
     def test_linear_algebra_failure_is_error_code(self, capsys, channel_dir, monkeypatch):
         def fail(args):
@@ -394,6 +406,36 @@ class TestCsvOutputs:
         assert code2 == 0
         assert out2 == ""
         assert target.read_text() == out
+
+
+class TestTextOutputs:
+    def test_causal_table(self, capsys, channel_dir):
+        code, out, _ = run_cli(capsys, "causal", str(channel_dir / "flip.chan"))
+        assert code == 0
+        lines = out.split("\n")
+        assert lines[0] == "value                1"
+        assert "strategy             0,1; 1,0" in lines
+        assert lines[-2:] == ["converged            true", ""]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("types", "--op", "nearest", "--p", "0.5,0.25,0.25", "--n", "3,10", "--json"),
+            ("simulate", "{flip}", "--scheme", "causal-sequential", "--rates", "0.5",
+             "--n", "2", "--trials", "2", "--seed", "5", "--json"),
+            ("schur", "check", "--d", "2", "--n", "3"),
+            ("schur", "frames", "--d", "2", "--n", "3", "--json"),
+        ],
+    )
+    def test_out_file_holds_what_stdout_would(self, capsys, channel_dir, tmp_path, argv):
+        argv = [a.format(flip=channel_dir / "flip.chan") for a in argv]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        target = tmp_path / "result"
+        code, out2, _ = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 0
+        assert out2 == ""
+        assert out and target.read_text() == out
 
 
 class TestReproducibility:

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from gpcq import schur_weyl
 from gpcq.channel import derived_states
-from gpcq.errors import CapExceeded, GpcqError, PreconditionViolated
+from gpcq.errors import BudgetExceeded, CapExceeded, GpcqError, PreconditionViolated
 from gpcq.quantum import eigenbasis, kl_divergence, kron_all, spectrum
 from gpcq.schur_weyl import (
     DecodeContext,
@@ -14,7 +15,9 @@ from gpcq.schur_weyl import (
     block_projector,
     central_projector,
     character,
+    class_sums,
     cycle_types,
+    frame_count,
     frame_dimension_bounds,
     frame_distribution,
     frequency_mask,
@@ -80,6 +83,11 @@ class TestFrames:
     def test_out_of_range_arguments_are_rejected(self, d, n):
         with pytest.raises(PreconditionViolated):
             young_frames(d, n)
+
+    def test_frame_count_matches_enumeration(self):
+        for d in range(1, 7):
+            for n in range(0, 16):
+                assert frame_count(d, n) == len(young_frames(d, n))
 
     def test_row_cap_excludes_tall_frames(self):
         assert (1, 1, 1) not in young_frames(2, 3)
@@ -177,6 +185,17 @@ class TestCentralProjectors:
             central_projector((10,), 2, 10)
         with pytest.raises(CapExceeded):
             sequence_types(5, 8)
+
+    def test_class_sums_respect_memory_budget(self, monkeypatch):
+        # An empty cache forces the allocation path: 3 cycle types of 8 x 8 float64.
+        monkeypatch.setattr(schur_weyl, "_CLASS_SUMS", {})
+        monkeypatch.setenv("GPCQ_BUDGET_BYTES", "1000")
+        with pytest.raises(BudgetExceeded) as info:
+            class_sums(2, 3)
+        assert info.value.details["required_bytes"] == 3 * 8 * 8 * 8
+        assert schur_weyl._CLASS_SUMS == {}
+        monkeypatch.setenv("GPCQ_BUDGET_BYTES", "1536")
+        assert len(class_sums(2, 3)) == 3
 
     def test_cache_returns_readonly(self):
         P = central_projector((2,), 2, 2)
