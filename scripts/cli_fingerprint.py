@@ -51,6 +51,9 @@ def commands() -> list[list[str]]:
         cmds.append(["types", "--op", op, "--p", "0.5,0.25,0.25", "--n", "3,10,17"])
     for mode in ("frames", "dims", "check"):
         cmds.append(["schur", mode, "--d", "3", "--n", "4"])
+    # Past the nine slots that n! class sums allowed, and a one-frame table of huge n.
+    cmds.append(["schur", "check", "--d", "2", "--n", "9"])
+    cmds.append(["schur", "frames", "--d", "1", "--n", "300000", "--json"])
     return cmds
 
 

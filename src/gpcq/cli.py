@@ -38,11 +38,12 @@ from .noncausal import ALT_EPS, noncausal_lower_bound
 from .quantum import TAU_EIG, TAU_HERM, TAU_SUPP, TAU_TR, shannon_entropy
 from .schur_weyl import (
     TAU_PROJ,
-    central_projector,
     check_frame_table,
     frame_dimension_bounds,
     frame_distribution,
+    frequency_classes,
     gl_multiplicity,
+    irrep_dimension,
     young_frames,
 )
 
@@ -379,27 +380,30 @@ def _cmd_schur(args) -> None:
         text = _csv(rows, ["frame", "dim", "entropy", "lower", "upper"])
         _emit(args, {"mode": args.mode, "rows": rows}, text)
         return
-    dim = args.d**args.n
-    total = np.zeros((dim, dim), dtype=complex)
-    worst_idem = 0.0
-    worst_cross = 0.0
-    projectors = []
-    for frame in young_frames(args.d, args.n):
-        proj = central_projector(frame, args.d, args.n)
-        projectors.append(proj)
-        worst_idem = max(worst_idem, float(np.max(np.abs(proj @ proj - proj))))
-        total += proj
-    for i in range(len(projectors)):
-        for j in range(i + 1, len(projectors)):
-            worst_cross = max(
-                worst_cross, float(np.max(np.abs(projectors[i] @ projectors[j])))
-            )
-    closure = float(np.max(np.abs(total - np.eye(dim))))
+    # Slot permutations keep each frequency class, so every projector is block
+    # diagonal over the classes and each defect is the worst over class blocks.
+    # Each frame's traces, summed over the classes, must give its dimension.
+    classes = frequency_classes(args.d, args.n)
+    closure = worst_idem = worst_cross = 0.0
+    traces = dict.fromkeys(young_frames(args.d, args.n), 0.0)
+    for cls in classes.values():
+        for frame, proj in cls.blocks.items():
+            traces[frame] += float(np.trace(proj))
+        blocks = list(cls.blocks.values())
+        closure = max(closure, float(np.max(np.abs(sum(blocks) - np.eye(len(cls.words))))))
+        for i, proj in enumerate(blocks):
+            worst_idem = max(worst_idem, float(np.max(np.abs(proj @ proj - proj))))
+            for other in blocks[i + 1 :]:
+                worst_cross = max(worst_cross, float(np.max(np.abs(proj @ other))))
+    for frame, trace in traces.items():
+        expected = irrep_dimension(frame) * gl_multiplicity(frame, args.d)
+        if abs(trace - expected) > 1e-6:
+            raise GpcqError(f"projector trace {trace} != {expected} for frame {frame}")
     ok = max(closure, worst_idem, worst_cross) <= TAU_PROJ
     payload = {
         "ok": bool(ok),
-        "frames": len(projectors),
-        "dim": dim,
+        "frames": len(traces),
+        "dim": args.d**args.n,
         "closure_defect": closure,
         "idempotency_defect": worst_idem,
         "orthogonality_defect": worst_cross,

@@ -1,40 +1,32 @@
 """Permutation-symmetric projectors on tensor powers of a finite-dim space.
 
 Young frames index the isotypic blocks of the commuting symmetric-group and
-general-linear actions on (C^d)^(tensor n). Central projectors are built
-from cached conjugacy-class sums with integer characters. A frequency class
-is a diagonal mask in any product basis (frequency_mask) and commutes with
-them exactly, so typicality-filtered decoding projectors factor into a
-diagonal mask times a sum of central projectors, conjugated back to the
-original tensor slots.
-Block and decoding projectors are returned as plain arrays.
+general-linear actions on (C^d)^(tensor n). A frequency class, the span of
+the product-basis words with one letter count, is invariant under slot
+permutations, so every isotypic projector is block diagonal over the
+classes. Each class's blocks are eigenprojectors of Jucys-Murphy
+transposition sums on its words, built once per (d, n) and cached
+(frequency_classes). A typicality-filtered decoding projector is the sum of
+the filtered (frequency, frame) blocks, rotated from the product basis into
+the decoding basis. Block and decoding projectors are returned as plain
+arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import permutations as iter_permutations
 
 import numpy as np
 
-from .channel import memory_budget_bytes
-from .errors import (
-    BudgetExceeded,
-    CapExceeded,
-    GpcqError,
-    NotProjection,
-    NumericalRankFailure,
-    PreconditionViolated,
-)
+from .errors import CapExceeded, GpcqError, NotProjection, NumericalRankFailure, PreconditionViolated
 from .quantum import kl_divergence, kron_all, shannon_entropy, spectrum, pinch
 from .util import compositions, digit_table
 
-PERM_GROUP_CAP = 9
 DIM_CAP = 4096
 FRAME_CAP = 100_000
 TAU_PROJ = 1e-8
+TAU_LABEL = 1e-6
 
 YoungFrame = tuple[int, ...]
 
@@ -75,40 +67,47 @@ def frame_entropy(frame: YoungFrame, d: int) -> float:
     return shannon_entropy(frame_distribution(frame, d))
 
 
-def hook_lengths(frame: YoungFrame) -> list[list[int]]:
-    cols = [sum(1 for row in frame if row > j) for j in range(frame[0])] if frame else []
-    return [
-        [frame[i] - j + cols[j] - i - 1 for j in range(frame[i])]
-        for i in range(len(frame))
-    ]
-
-
 def irrep_dimension(frame: YoungFrame) -> int:
-    """Symmetric-group irrep dimension by the hook length formula."""
-    n = sum(frame)
-    denom = 1
-    for row in hook_lengths(frame):
-        for h in row:
-            denom *= h
-    dim, rem = divmod(math.factorial(n), denom)
+    """Symmetric-group irrep dimension from the shifted rows l_i = frame_i + k - i.
+
+    With k rows and L_i = l_1 + ... + l_i, the dimension is
+    prod_{i<j} (l_i - l_j) * prod_i C(L_i, l_i) / ((n+1)(n+2)...L_k): the
+    determinant formula n! prod_{i<j} (l_i - l_j) / prod_i l_i! with the
+    factorials cancelled, so no n! is formed.
+    """
+    n, k = sum(frame), len(frame)
+    ell = [part + k - 1 - i for i, part in enumerate(frame)]
+    num = math.prod(ell[i] - ell[j] for i in range(k) for j in range(i + 1, k))
+    run = 0
+    for length in ell:
+        run += length
+        num *= math.comb(run, length)
+    dim, rem = divmod(num, math.prod(range(n + 1, run + 1)))
     if rem:
-        raise GpcqError(f"hook product does not divide {n}! for frame {frame}")
+        raise GpcqError(f"determinant formula not integral for frame {frame}")
     return dim
 
 
 def gl_multiplicity(frame: YoungFrame, d: int) -> int:
-    """Dimension of the commutant block: hook content formula."""
-    if len(frame) > d:
+    """Dimension of the commutant block: Weyl's prod_{i<j<d} (l_i - l_j + j - i) / (j - i).
+
+    Pairs of two empty rows contribute 1. The pairs of frame row i with the
+    empty rows k..d-1 telescope into C(l_i + d-1-i, l_i) / C(l_i + k-1-i, l_i),
+    so the cost does not grow with d.
+    """
+    k = len(frame)
+    if k > d:
         return 0
-    hooks = hook_lengths(frame)
-    num, den = 1, 1
-    for i, row in enumerate(hooks):
-        for j, h in enumerate(row):
-            num *= d + j - i
-            den *= h
+    num = den = 1
+    for i, part in enumerate(frame):
+        for j in range(i + 1, k):
+            num *= part - frame[j] + j - i
+            den *= j - i
+        num *= math.comb(part + d - 1 - i, part)
+        den *= math.comb(part + k - 1 - i, part)
     mult, rem = divmod(num, den)
     if rem:
-        raise GpcqError(f"hook content not integral for frame {frame}, d={d}")
+        raise GpcqError(f"Weyl formula not integral for frame {frame}, d={d}")
     return mult
 
 
@@ -179,128 +178,93 @@ def check_frame_table(d: int, n: int) -> None:
         raise CapExceeded(f"{count} frames of n = {n} with at most {d} rows exceed the cap {FRAME_CAP}")
 
 
-def cycle_types(n: int) -> list[tuple[int, ...]]:
-    """All cycle types (partitions of n), descending lexicographic."""
-    return young_frames(n, n)
+@dataclass(frozen=True)
+class FrequencyClass:
+    """The words of one letter count and the isotypic blocks on their span.
 
-
-def permutation_cycle_type(perm) -> tuple[int, ...]:
-    perm = tuple(perm)
-    seen = [False] * len(perm)
-    lengths = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length, cur = 0, start
-        while not seen[cur]:
-            seen[cur] = True
-            cur = perm[cur]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
-
-
-def _remove_border_strips(frame: YoungFrame, k: int):
-    """All (smaller frame, sign) results of deleting a length-k border strip."""
-    length = len(frame)
-    beta = [frame[i] + (length - 1 - i) for i in range(length)]
-    beta_set = set(beta)
-    results = []
-    for i, b in enumerate(beta):
-        nb = b - k
-        if nb < 0 or nb in beta_set:
-            continue
-        height = sum(1 for other in beta if nb < other < b)
-        new_beta = sorted((set(beta) - {b}) | {nb}, reverse=True)
-        new_frame = tuple(
-            nb_i - (length - 1 - idx) for idx, nb_i in enumerate(new_beta)
-        )
-        new_frame = tuple(part for part in new_frame if part > 0)
-        results.append((new_frame, (-1) ** height))
-    return results
-
-
-@lru_cache(maxsize=None)
-def character(frame: YoungFrame, cycle_type: tuple[int, ...]) -> int:
-    """Integer symmetric-group character by border-strip recursion."""
-    if sum(frame) != sum(cycle_type):
-        raise GpcqError(f"frame {frame} and cycle type {cycle_type} disagree in size")
-    if not frame:
-        return 1
-    k, rest = cycle_type[0], cycle_type[1:]
-    total = 0
-    for smaller, sign in _remove_border_strips(frame, k):
-        total += sign * character(smaller, rest)
-    return total
-
-
-_CLASS_SUMS: dict[tuple[int, int], dict[tuple[int, ...], np.ndarray]] = {}
-_CENTRAL_PROJECTORS: dict[tuple["YoungFrame", int, int], np.ndarray] = {}
-
-
-def _check_caps(d: int, n: int):
-    if n > PERM_GROUP_CAP:
-        raise CapExceeded(f"n = {n} exceeds permutation-group cap {PERM_GROUP_CAP}")
-    if d**n > DIM_CAP:
-        raise CapExceeded(f"d^n = {d**n} exceeds dimension cap {DIM_CAP}")
-
-
-def class_sums(d: int, n: int) -> dict[tuple[int, ...], np.ndarray]:
-    """Sum of position-permutation operators per conjugacy class, cached.
-
-    The p(n) dense d^n x d^n sums are checked against the memory budget
-    (GPCQ_BUDGET_BYTES overrides the 1 GiB default) before any is allocated.
+    ``words`` are ascending indices in d^t; ``blocks`` maps every frame whose
+    block on the class is nonzero to that block, a read-only projector.
     """
-    key = (d, n)
-    if key in _CLASS_SUMS:
-        return _CLASS_SUMS[key]
-    _check_caps(d, n)
-    dim = d**n
-    types = cycle_types(n)
-    budget = memory_budget_bytes()
-    required = len(types) * dim * dim * 8
-    if required > budget:
-        raise BudgetExceeded(
-            f"class sums need ~{required} bytes, budget is {budget}",
-            required_bytes=required,
-        )
-    digits = digit_table(d, n)
-    place = d ** np.arange(n - 1, -1, -1)
-    sums = {ct: np.zeros((dim, dim)) for ct in types}
-    cols = np.arange(dim)
-    for perm in iter_permutations(range(n)):
-        ct = permutation_cycle_type(perm)
-        rows = digits[:, perm] @ place
-        np.add.at(sums[ct], (rows, cols), 1.0)
-    _CLASS_SUMS[key] = sums
-    return sums
+
+    words: np.ndarray
+    blocks: dict[YoungFrame, np.ndarray]
+
+
+_FREQUENCY_CLASSES: dict[tuple[int, int], dict[tuple[int, ...], FrequencyClass]] = {}
+
+
+def _frequency_class(words: np.ndarray, digits: np.ndarray, d: int, frames: list) -> FrequencyClass:
+    """Isotypic blocks on one class from the Jucys-Murphy elements J_k = sum_{i<k} (i k).
+
+    Each block is an eigenprojector of A = sum_k J_k + alpha sum_k J_k^2 on the
+    class, alpha = pi/(t^2+1). A acts on a frame's block as sum c + alpha sum c^2
+    over the contents c of its boxes; for t <= 12, which DIM_CAP admits, these
+    are at least 4e-3 apart, so each eigenvector takes the frame within
+    TAU_LABEL of its eigenvalue. NumericalRankFailure when an eigenvalue matches
+    no frame or a block's rank is not a multiple of the frame's irrep dimension.
+    """
+    digits = digits[words]
+    size, t = digits.shape
+    place, cols = d ** np.arange(t - 1, -1, -1), np.arange(size)
+    linear, square = np.zeros((size, size)), np.zeros((size, size))
+    for k in range(t):
+        swaps = [np.searchsorted(words, words + (digits[:, k] - digits[:, i]) * (place[i] - place[k]))
+                 for i in range(k)]
+        for swap in swaps:
+            np.add.at(linear, (swap, cols), 1.0)
+            for other in swaps:
+                np.add.at(square, (swap[other], cols), 1.0)
+    alpha = math.pi / (t * t + 1)
+    values, vectors = np.linalg.eigh(linear + alpha * square)
+    contents = [[j - i for i, part in enumerate(lam) for j in range(part)] for lam in frames]
+    gaps = np.abs(values[:, None] - np.array([sum(c) + alpha * sum(x * x for x in c) for c in contents]))
+    label = np.argmin(gaps, axis=1)
+    if np.any(gaps[cols, label] > TAU_LABEL):
+        raise NumericalRankFailure(f"an eigenvalue on {size} words of length {t} matches no frame")
+    blocks = {}
+    for idx in np.flatnonzero(np.bincount(label)):
+        frame, basis = frames[idx], vectors[:, label == idx]
+        if basis.shape[1] % irrep_dimension(frame):
+            raise NumericalRankFailure(f"rank {basis.shape[1]} of {frame} is not a multiple of its dimension")
+        blocks[frame] = basis @ basis.T
+        blocks[frame].setflags(write=False)
+    return FrequencyClass(words, blocks)
+
+
+def frequency_classes(d: int, t: int) -> dict[tuple[int, ...], FrequencyClass]:
+    """Every frequency class of t slots over d letters, keyed by its letter counts.
+
+    Cached per (d, t); CapExceeded when max(d, 2)^t exceeds DIM_CAP, tested on
+    t first so that a huge t forms no huge power. At d = 1 the one word still
+    takes about t^3/3 np.add.at calls, so t is bounded as at d = 2.
+    """
+    if (d, t) not in _FREQUENCY_CLASSES:
+        if t >= DIM_CAP.bit_length() or max(d, 2) ** t > DIM_CAP:
+            raise CapExceeded(f"{max(d, 2)}^{t} exceeds dimension cap {DIM_CAP}")
+        digits, frames = digit_table(d, t), young_frames(d, t)
+        # Each word's class is named by its letters sorted ascending, itself a word.
+        sorted_word = np.sort(digits, axis=1) @ d ** np.arange(t - 1, -1, -1)
+        _FREQUENCY_CLASSES[d, t] = {
+            tuple(int(c) for c in np.bincount(digits[name], minlength=d)):
+                _frequency_class(np.flatnonzero(sorted_word == name), digits, d, frames)
+            for name in np.flatnonzero(np.bincount(sorted_word))
+        }
+    return _FREQUENCY_CLASSES[d, t]
 
 
 def central_projector(frame: YoungFrame, d: int, n: int) -> np.ndarray:
-    """Projector onto the isotypic block of one frame, real symmetric.
+    """Projector onto the isotypic block of one frame: its class blocks on the diagonal.
 
-    Cached per (frame, d, n); the returned array is marked read-only.
+    Real symmetric; its trace must equal irrep_dimension * gl_multiplicity.
     """
-    key = (frame, d, n)
-    if key in _CENTRAL_PROJECTORS:
-        return _CENTRAL_PROJECTORS[key]
-    sums = class_sums(d, n)
-    dim_frame = irrep_dimension(frame)
+    classes = frequency_classes(d, n)
     out = np.zeros((d**n, d**n))
-    for ct, mat in sums.items():
-        chi = character(frame, ct)
-        if chi:
-            out += chi * mat
-    out *= dim_frame / math.factorial(n)
-    out = 0.5 * (out + out.T)
-    _assert_projector(out, f"central projector {frame}")
-    expected = dim_frame * gl_multiplicity(frame, d)
+    for cls in classes.values():
+        if frame in cls.blocks:
+            out[np.ix_(cls.words, cls.words)] = cls.blocks[frame]
+    expected = irrep_dimension(frame) * gl_multiplicity(frame, d)
     if abs(np.trace(out) - expected) > 1e-6:
-        raise GpcqError(
-            f"central projector trace {np.trace(out)} != {expected} for {frame}"
-        )
-    out.setflags(write=False)
-    _CENTRAL_PROJECTORS[key] = out
+        raise GpcqError(f"central projector trace {np.trace(out)} != {expected} for {frame}")
     return out
 
 
@@ -308,25 +272,6 @@ def _assert_projector(mat: np.ndarray, context: str):
     defect = float(np.max(np.abs(mat @ mat - mat)))
     if defect > TAU_PROJ:
         raise NotProjection(f"{context}: idempotency defect {defect}")
-
-
-@lru_cache(maxsize=None)
-def _sequence_types_cached(d: int, n: int):
-    digits = digit_table(d, n)
-    return np.stack([(digits == a).sum(axis=1) for a in range(d)], axis=1)
-
-
-def sequence_types(d: int, n: int) -> np.ndarray:
-    """Letter counts of every length-n sequence, shape (d^n, d)."""
-    _check_caps(d, n)
-    return _sequence_types_cached(d, n)
-
-
-def frequency_mask(freq, d: int, n: int) -> np.ndarray:
-    freq = np.asarray(freq, dtype=np.int64)
-    if freq.sum() != n:
-        raise GpcqError(f"frequency {freq.tolist()} does not sum to {n}")
-    return np.all(sequence_types(d, n) == freq[None, :], axis=1)
 
 
 def kostka_zero_combinatorial(freq, frame: YoungFrame) -> bool:
@@ -345,20 +290,18 @@ def kostka_zero_combinatorial(freq, frame: YoungFrame) -> bool:
 
 
 def kostka_rank(freq, frame: YoungFrame, d: int, n: int) -> int:
-    """Rank of the frequency-filtered isotypic projector via its trace.
+    """Rank of the frame's block on one frequency class, 0 where it has none.
 
-    The product of the commuting diagonal mask and central projector is a
-    projector, so its rank equals its trace restricted to the frequency
-    class. The trace must sit within 1e-6 of an integer.
+    The block is a projector, so its rank is its trace, within 1e-6 of an integer.
     """
-    mask = frequency_mask(freq, d, n)
-    trace = float(np.sum(np.diag(central_projector(frame, d, n))[mask]))
-    rank = round(trace)
-    if abs(trace - rank) > 1e-6:
-        raise NumericalRankFailure(
-            f"trace {trace} not near an integer for {tuple(freq)}/{frame}"
-        )
-    return rank
+    freq = tuple(int(c) for c in freq)
+    cls = frequency_classes(d, n).get(freq)
+    if cls is None:
+        raise GpcqError(f"frequency {freq} is not a count of {n} slots over {d} letters")
+    trace = float(np.trace(cls.blocks[frame])) if frame in cls.blocks else 0.0
+    if abs(trace - round(trace)) > 1e-6:
+        raise NumericalRankFailure(f"trace {trace} not near an integer for {freq}/{frame}")
+    return round(trace)
 
 
 def a_set(rho: np.ndarray, basis: np.ndarray, m: int, radius: float) -> tuple[tuple, tuple]:
@@ -387,22 +330,19 @@ def a_set(rho: np.ndarray, basis: np.ndarray, m: int, radius: float) -> tuple[tu
 def block_projector(rho: np.ndarray, basis: np.ndarray, m: int, radius: float) -> np.ndarray:
     """Projector summing the filtered (frequency, frame) blocks on m slots.
 
-    The Cartesian structure of the index set factorizes the sum into a
-    diagonal frequency mask times a sum of central projectors; both factors
-    commute exactly, and the result is conjugated into the basis-labeled
-    product frame.
+    Each filtered frequency class contributes the sum of its filtered frames'
+    blocks on its own words; the classes are disjoint, so the sum is a
+    projector. It is conjugated into the basis-labeled product frame.
     """
     d = rho.shape[0]
     freqs, frames = a_set(rho, basis, m, radius)
     dim = d**m
     if not freqs or not frames:
         return np.zeros((dim, dim), dtype=complex)
-    types = sequence_types(d, m)
-    mask = np.any(np.all(types[:, None, :] == np.asarray(freqs)[None], axis=2), axis=1).astype(float)
-    p_sum = np.zeros((dim, dim))
-    for lam in frames:
-        p_sum += central_projector(lam, d, m)
-    core = mask[:, None] * p_sum * mask[None, :]
+    core = np.zeros((dim, dim))
+    for freq in freqs:
+        cls = frequency_classes(d, m)[freq]
+        core[np.ix_(cls.words, cls.words)] = sum(cls.blocks[lam] for lam in frames if lam in cls.blocks)
     core = 0.5 * (core + core.T)
     _assert_projector(core, f"block projector m={m}")
     rot = kron_all([basis] * m)

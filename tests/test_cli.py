@@ -14,6 +14,7 @@ import pytest
 from gpcq import cli
 from gpcq.channel import build_channel, serialize_channel
 from gpcq.cli import dispatch
+from gpcq.schur_weyl import FrequencyClass, frequency_classes
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -154,6 +155,10 @@ class TestExitCodes:
             (("schur", "check", "--d", "2", "--n", "0"), "precondition-violated"),
             (("types", "--op", "class-size", "--p", "0.5,0.5", "--n", "1100"), "cap-exceeded"),
             (("schur", "frames", "--d", "2", "--n", "1100"), "cap-exceeded"),
+            (("schur", "check", "--d", "2", "--n", "13"), "cap-exceeded"),
+            (("schur", "check", "--d", "1", "--n", "13"), "cap-exceeded"),
+            (("schur", "check", "--d", "2", "--n", "300000"), "cap-exceeded"),
+            (("schur", "check", "--d", "100", "--n", "100"), "cap-exceeded"),
         ],
     )
     def test_bad_input_is_error_code_not_traceback(self, capsys, channel_dir, argv, error):
@@ -175,6 +180,15 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert json.loads(err.strip().split("\n")[0])["error"] == "cap-exceeded"
+
+    @pytest.mark.parametrize("d, n, rows, limit", [(1, 300000, 1, 5.0), (3, 640, 34454, 10.0)])
+    def test_large_frame_table_is_fast(self, capsys, d, n, rows, limit):
+        # Closed-form dimensions: no n! and no hook list per frame.
+        started = time.monotonic()
+        code, out, _ = run_cli(capsys, "schur", "frames", "--d", str(d), "--n", str(n), "--json")
+        assert time.monotonic() - started < limit
+        assert code == 0
+        assert len(json.loads(out)["rows"]) == rows
 
     def test_linear_algebra_failure_is_error_code(self, capsys, channel_dir, monkeypatch):
         def fail(args):
@@ -390,6 +404,21 @@ class TestCsvOutputs:
         assert payload["ok"] is True
         assert payload["frames"] == 3
         assert payload["closure_defect"] < 1e-8
+
+    def test_schur_check_catches_swapped_frames(self, capsys, monkeypatch):
+        # Swapped labels keep every block a projector, so only the per-frame
+        # traces can tell: on (d, n) = (2, 3) the frame (3) would count 6 states.
+        def swapped(d, n):
+            return {
+                freq: FrequencyClass(cls.words, dict(zip(cls.blocks, reversed(cls.blocks.values()))))
+                for freq, cls in frequency_classes(d, n).items()
+            }
+
+        monkeypatch.setattr(cli, "frequency_classes", swapped)
+        code, out, err = run_cli(capsys, "schur", "check", "--d", "2", "--n", "3")
+        assert code == 1
+        assert out == ""
+        assert json.loads(err.strip().split("\n")[0])["error"] == "error"
 
     def test_simulate_csv_and_out_file(self, capsys, channel_dir, tmp_path):
         args = (

@@ -1,37 +1,105 @@
 """Symmetric-group machinery: frames, projectors, and decoding blocks."""
 
 import math
+from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from gpcq import schur_weyl
 from gpcq.channel import derived_states
-from gpcq.errors import BudgetExceeded, CapExceeded, GpcqError, PreconditionViolated
+from gpcq.errors import CapExceeded, GpcqError, NumericalRankFailure, PreconditionViolated
 from gpcq.quantum import eigenbasis, kl_divergence, kron_all, spectrum
 from gpcq.schur_weyl import (
     DecodeContext,
     a_set,
     block_projector,
     central_projector,
-    character,
-    class_sums,
-    cycle_types,
     frame_count,
     frame_dimension_bounds,
     frame_distribution,
-    frequency_mask,
+    frequency_classes,
     gl_multiplicity,
     irrep_dimension,
     kostka_rank,
     kostka_zero_combinatorial,
-    permutation_cycle_type,
-    sequence_types,
     young_frames,
 )
 from gpcq.util import compositions, digit_table
 
 EYE2 = np.eye(2, dtype=complex)
+
+
+# Reference construction: hook formulas, characters by border-strip recursion
+# and class sums over all n! slot permutations. The package builds the same
+# projectors one frequency class at a time; these check it independently.
+
+
+def hook_lengths(frame) -> list[list[int]]:
+    cols = [sum(1 for row in frame if row > j) for j in range(frame[0])] if frame else []
+    return [[frame[i] - j + cols[j] - i - 1 for j in range(frame[i])] for i in range(len(frame))]
+
+
+def hook_dimension(frame) -> int:
+    """Symmetric-group irrep dimension by the hook length formula."""
+    return math.factorial(sum(frame)) // math.prod(h for row in hook_lengths(frame) for h in row)
+
+
+def hook_content_multiplicity(frame, d: int) -> int:
+    """Dimension of the commutant block by the hook content formula."""
+    if len(frame) > d:
+        return 0
+    num = math.prod(d + j - i for i, row in enumerate(frame) for j in range(row))
+    return num // math.prod(h for row in hook_lengths(frame) for h in row)
+
+
+def cycle_types(n: int) -> list[tuple[int, ...]]:
+    """All cycle types (partitions of n), descending lexicographic."""
+    return young_frames(n, n)
+
+
+def permutation_cycle_type(perm) -> tuple[int, ...]:
+    perm = tuple(perm)
+    seen = [False] * len(perm)
+    lengths = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length, cur = 0, start
+        while not seen[cur]:
+            seen[cur] = True
+            cur = perm[cur]
+            length += 1
+        lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def remove_border_strips(frame, k: int):
+    """All (smaller frame, sign) results of deleting a length-k border strip."""
+    length = len(frame)
+    beta = [frame[i] + (length - 1 - i) for i in range(length)]
+    results = []
+    for b in beta:
+        nb = b - k
+        if nb < 0 or nb in beta:
+            continue
+        height = sum(1 for other in beta if nb < other < b)
+        new_beta = sorted((set(beta) - {b}) | {nb}, reverse=True)
+        smaller = tuple(x - (length - 1 - idx) for idx, x in enumerate(new_beta))
+        results.append((tuple(part for part in smaller if part > 0), (-1) ** height))
+    return results
+
+
+@lru_cache(maxsize=None)
+def character(frame, cycle_type) -> int:
+    """Integer symmetric-group character by border-strip recursion."""
+    if sum(frame) != sum(cycle_type):
+        raise GpcqError(f"frame {frame} and cycle type {cycle_type} disagree in size")
+    if not frame:
+        return 1
+    k, rest = cycle_type[0], cycle_type[1:]
+    return sum(sign * character(smaller, rest) for smaller, sign in remove_border_strips(frame, k))
 
 
 def class_size(cycle_type: tuple[int, ...]) -> int:
@@ -44,6 +112,33 @@ def class_size(cycle_type: tuple[int, ...]) -> int:
     for k, m in counts.items():
         denom *= math.factorial(m) * k**m
     return math.factorial(n) // denom
+
+
+def reference_central_projectors(d: int, n: int) -> dict:
+    """Every frame's isotypic projector, dim/n! sum_sigma chi(sigma) P_sigma, from class sums."""
+    digits = digit_table(d, n)
+    place = d ** np.arange(n - 1, -1, -1)
+    cols = np.arange(d**n)
+    sums = {ct: np.zeros((d**n, d**n)) for ct in cycle_types(n)}
+    for perm in permutations(range(n)):
+        np.add.at(sums[permutation_cycle_type(perm)], (digits[:, perm] @ place, cols), 1.0)
+    return {
+        lam: sum(character(lam, ct) * mat for ct, mat in sums.items()) * (hook_dimension(lam) / math.factorial(n))
+        for lam in young_frames(d, n)
+    }
+
+
+def sequence_types(d: int, n: int) -> np.ndarray:
+    """Letter counts of every length-n sequence, shape (d^n, d)."""
+    digits = digit_table(d, n)
+    return np.stack([(digits == a).sum(axis=1) for a in range(d)], axis=1)
+
+
+def frequency_mask(freq, d: int, n: int) -> np.ndarray:
+    freq = np.asarray(freq, dtype=np.int64)
+    if freq.sum() != n:
+        raise GpcqError(f"frequency {freq.tolist()} does not sum to {n}")
+    return np.all(sequence_types(d, n) == freq[None, :], axis=1)
 
 
 def permutation_operator(perm, d: int) -> np.ndarray:
@@ -102,6 +197,13 @@ class TestFrames:
         for n in range(2, 7):
             for frame in young_frames(n, n):
                 assert irrep_dimension(frame) == character(frame, (1,) * n)
+
+    def test_closed_forms_equal_hook_formulas(self):
+        for n in range(16):
+            for frame in young_frames(max(n, 1), n):
+                assert irrep_dimension(frame) == hook_dimension(frame)
+                for d in (1, 2, 3, 4, 6):
+                    assert gl_multiplicity(frame, d) == hook_content_multiplicity(frame, d)
 
     def test_squared_dimensions_sum_to_group_order(self):
         for n in range(2, 7):
@@ -181,26 +283,90 @@ class TestCentralProjectors:
             assert np.allclose(V @ P @ V.T, P, atol=1e-10)
 
     def test_caps(self):
+        # 2^13 = 8192 and 5^6 = 15625 exceed DIM_CAP = 4096; one letter is
+        # bounded as two are: its one word still takes ~t^3/3 transposition updates.
+        for d in (1, 2):
+            with pytest.raises(CapExceeded):
+                central_projector((13,), d, 13)
         with pytest.raises(CapExceeded):
-            central_projector((10,), 2, 10)
-        with pytest.raises(CapExceeded):
-            sequence_types(5, 8)
-
-    def test_class_sums_respect_memory_budget(self, monkeypatch):
-        # An empty cache forces the allocation path: 3 cycle types of 8 x 8 float64.
-        monkeypatch.setattr(schur_weyl, "_CLASS_SUMS", {})
-        monkeypatch.setenv("GPCQ_BUDGET_BYTES", "1000")
-        with pytest.raises(BudgetExceeded) as info:
-            class_sums(2, 3)
-        assert info.value.details["required_bytes"] == 3 * 8 * 8 * 8
-        assert schur_weyl._CLASS_SUMS == {}
-        monkeypatch.setenv("GPCQ_BUDGET_BYTES", "1536")
-        assert len(class_sums(2, 3)) == 3
+            kostka_rank((6, 0, 0, 0, 0), (6,), 5, 6)
 
     def test_cache_returns_readonly(self):
-        P = central_projector((2,), 2, 2)
+        classes = frequency_classes(2, 2)
+        assert frequency_classes(2, 2) is classes
+        block = classes[(1, 1)].blocks[(2,)]
         with pytest.raises(ValueError):
-            P[0, 0] = 5.0
+            block[0, 0] = 5.0
+
+
+class TestFrequencyClasses:
+    @pytest.mark.parametrize(
+        "d, n",
+        [(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 7)]
+        + [(4, n) for n in range(1, 6)] + [(5, n) for n in range(1, 5)],
+    )
+    def test_blocks_equal_class_sum_reference(self, d, n):
+        reference = reference_central_projectors(d, n)
+        classes = frequency_classes(d, n)
+        assert sorted(classes) == sorted(compositions(n, d))
+        for freq, cls in classes.items():
+            assert np.array_equal(cls.words, np.flatnonzero(frequency_mask(freq, d, n)))
+            rows = np.ix_(cls.words, cls.words)
+            for lam, ref in reference.items():
+                block = cls.blocks.get(lam, np.zeros((len(cls.words),) * 2))
+                assert np.max(np.abs(block - ref[rows])) <= 1e-12
+        for lam, ref in reference.items():
+            assert np.max(np.abs(central_projector(lam, d, n) - ref)) <= 1e-12
+
+    def test_unmatched_eigenvalue_is_refused(self, monkeypatch):
+        monkeypatch.setattr(schur_weyl, "_FREQUENCY_CLASSES", {})
+        monkeypatch.setattr(schur_weyl, "TAU_LABEL", -1.0)
+        with pytest.raises(NumericalRankFailure):
+            frequency_classes(2, 3)
+
+    def test_block_projector_past_nine_slots(self, monkeypatch):
+        # Above nine slots the n! class sums are out of reach. An empty cache
+        # frees the blocks afterwards.
+        monkeypatch.setattr(schur_weyl, "_FREQUENCY_CLASSES", {})
+        t = 10
+        theta = 0.4
+        basis = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]], dtype=complex)
+        rho = basis @ np.diag([0.7, 0.3]) @ basis.conj().T
+        radius = 0.05
+        P = block_projector(rho, basis, t, radius)
+        assert np.max(np.abs(P.imag)) <= 1e-12
+        P = P.real
+        assert np.max(np.abs(P - P.T)) <= 1e-12
+        probe = np.random.default_rng(3).normal(size=(2**t, 4))
+        assert np.max(np.abs(P @ (P @ probe) - P @ probe)) <= 1e-8
+        tensor = P.reshape((2,) * (2 * t))
+        for perm in np.random.default_rng(4).permuted(np.tile(np.arange(t), (3, 1)), axis=1):
+            axes = list(perm) + [t + a for a in perm]
+            assert np.max(np.abs(np.transpose(tensor, axes).reshape(P.shape) - P)) <= 1e-10
+        freqs, frames = a_set(rho, basis, t, radius)
+        assert freqs and frames
+        ranks = sum(kostka_rank(f, lam, 2, t) for f in freqs for lam in frames)
+        assert np.trace(P) == pytest.approx(ranks, abs=1e-8)
+
+    def test_classes_of_twelve_slots(self, monkeypatch):
+        # 2^12 = 4096 words, the most DIM_CAP admits at d = 2. Over two letters
+        # each weight space of a GL(2) irrep is a line, so a frame's block on a
+        # class has the rank of its irrep where the frame dominates the class.
+        monkeypatch.setattr(schur_weyl, "_FREQUENCY_CLASSES", {})
+        traces = dict.fromkeys(young_frames(2, 12), 0.0)
+        for freq, cls in frequency_classes(2, 12).items():
+            total = np.zeros((len(cls.words),) * 2)
+            for lam in young_frames(2, 12):
+                block = cls.blocks.get(lam, np.zeros_like(total))
+                assert np.max(np.abs(block @ block - block)) <= 1e-10
+                assert np.max(np.abs(block - block.T)) <= 1e-12
+                expected = 0 if kostka_zero_combinatorial(freq, lam) else irrep_dimension(lam)
+                assert np.trace(block) == pytest.approx(expected, abs=1e-8)
+                traces[lam] += np.trace(block)
+                total += block
+            assert np.max(np.abs(total - np.eye(len(cls.words)))) <= 1e-10
+        for lam, trace in traces.items():
+            assert trace == pytest.approx(irrep_dimension(lam) * gl_multiplicity(lam, 2), abs=1e-6)
 
 
 class TestFrequencyProjectors:
@@ -231,6 +397,12 @@ class TestKostka:
         assert np.max(np.abs(J @ J - J)) < 1e-8
         assert np.trace(J) == pytest.approx(2.0, abs=1e-8)
         assert kostka_rank(np.array([2, 1]), (2, 1), 2, 3) == 2
+
+    def test_frequency_outside_the_classes_rejected(self):
+        with pytest.raises(GpcqError):
+            kostka_rank((2, 2), (3,), 2, 3)
+        with pytest.raises(GpcqError):
+            kostka_rank((1, 1, 1), (3,), 2, 3)
 
     def test_dominance_decides_vanishing(self):
         # Spectral rank is zero exactly when the frame fails to dominate the
