@@ -38,6 +38,10 @@ def commands() -> list[list[str]]:
     for scheme in SCHEMES:
         cmds.append(["simulate", "channels/flip.chan", "--scheme", scheme, "--rates", "1.2",
                      "--n", "6", "--seed", "5", "--trials", "2", "--json"])
+    # n=8: the decoders run on the nine frequency classes of eight slots.
+    for scheme in SCHEMES:
+        cmds.append(["simulate", "channels/flip.chan", "--scheme", scheme, "--rates", "0.5",
+                     "--n", "8", "--seed", "5", "--trials", "2", "--json"])
     cmds.append(COVERAGE + ["--k", "3"])
     cmds.append(COVERAGE + ["--k", "0"])
     for op in ("nearest", "class-size"):

@@ -386,7 +386,7 @@ def _cmd_schur(args) -> None:
     classes = frequency_classes(args.d, args.n)
     closure = worst_idem = worst_cross = 0.0
     traces = dict.fromkeys(young_frames(args.d, args.n), 0.0)
-    for cls in classes.values():
+    for cls in classes:
         for frame, proj in cls.blocks.items():
             traces[frame] += float(np.trace(proj))
         blocks = list(cls.blocks.values())

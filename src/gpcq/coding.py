@@ -3,10 +3,22 @@
 Two decoders are realized on top of the block decoding projectors: the
 square-root measurement normalizing message operators by the inverse square
 root of their sum, and the sequential measurement applying projective tests
-in message order. Each trial builds the projector of every distinct codeword
-once (DecodeContext.projectors). Errors are evaluated exactly whenever the
-term count allows, every success trace by one product-state contraction
-(quantum.product_traces); encoder Declare failures count as full errors.
+in message order. Every decode operator of a simulation is a
+quantum.BlockStack: for each message, one real block per frequency class of
+the n slots, in the decoding basis frame (schur_weyl.DecodeContext). The
+square-root sum, its eigh, the smoothed elements, the sequential chain,
+validate_povm's checks and the closure check all run block by block. A
+dense operator list, as an explicit code or a test passes it, is the
+one-block case of the same code, and each decoder returns its input's form.
+
+Each trial builds the projector of every distinct codeword once. Letter
+states are rotated into the basis frame, and the success traces of all
+messages come from one quantum.product_traces contraction per chunk of
+messages scattered into dense operators; encoder Declare failures count as
+full errors. The memory model behind BudgetExceeded counts what the decoder
+holds at once: a few stacks of sum_f |f|^2 float64 entries per message, f
+over the frequency classes of n slots (simulate_rate_error_curve says
+which stacks).
 
 validate_povm refuses non-finite elements before any other check on them,
 and tests positivity by a Cholesky factorization of el + 1e-8 I, which
@@ -38,8 +50,8 @@ from .method_of_types import (
     nearest_type,
     type_class_words,
 )
-from .quantum import eigenbasis, product_traces
-from .schur_weyl import DecodeContext
+from .quantum import BlockStack, eigenbasis, product_traces
+from .schur_weyl import DecodeContext, class_partition
 from .util import digit_table, rng_for
 
 EXACT_TERM_CAP = 10**6
@@ -114,42 +126,84 @@ def _check_causal_marginals(code: Code, ch: StateChannel) -> None:
                         )
 
 
-def _operators(projectors: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Complex arrays of a decoder's input, refused when empty or non-finite."""
-    mats = [np.asarray(m, dtype=complex) for m in projectors]
+def _stack(operators, noun: str, dim: int | None = None) -> tuple[BlockStack, bool]:
+    """Operators as a BlockStack, and whether they came as a dense sequence.
+
+    Empty input and non-finite entries are refused first. A dense sequence
+    then becomes the one-block stack once every shape is (dim, dim), dim
+    defaulting to the first operator's.
+    """
+    if isinstance(operators, BlockStack):
+        if len(operators) == 0:
+            raise PreconditionViolated(f"number of {noun}s", 0, ">= 1")
+        bad = _first_flagged(operators, lambda b: ~np.isfinite(b).all(axis=(-2, -1)))
+        if bad is not None:
+            raise NonFinite(f"{noun} {bad} has a non-finite entry")
+        return operators, False
+    mats = [np.asarray(m) for m in operators]
     if not mats:
-        raise PreconditionViolated("number of operators", 0, ">= 1")
+        raise PreconditionViolated(f"number of {noun}s", 0, ">= 1")
+    bad = next((i for i, m in enumerate(mats) if not np.all(np.isfinite(m))), None)
+    if bad is not None:
+        raise NonFinite(f"{noun} {bad} has a non-finite entry")
+    if dim is None:
+        dim = mats[0].shape[0] if mats[0].ndim == 2 else -1
     for i, m in enumerate(mats):
-        if not np.all(np.isfinite(m)):
-            raise NonFinite(f"operator {i} has a non-finite entry")
-    return mats
+        if m.shape != (dim, dim):
+            raise InvalidPOVM(f"{noun} {i} has shape {m.shape}, expected ({dim},{dim})")
+    stacked = np.stack(mats).astype(np.result_type(float, *mats), copy=False)
+    return BlockStack((stacked,), (np.arange(dim),)), True
 
 
-def validate_povm(elements: Sequence[np.ndarray], dim: int) -> None:
+def _first_flagged(stack: BlockStack, flags) -> int | None:
+    """First element that flags(block), one bool per element, marks in any block."""
+    marked = np.zeros(len(stack), dtype=bool)
+    for block in stack.blocks:
+        marked |= flags(block)
+    return int(np.argmax(marked)) if marked.any() else None
+
+
+def _not_hermitian(block: np.ndarray, tol: float) -> np.ndarray:
+    return np.abs(block - block.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > tol
+
+
+def _not_positive(block: np.ndarray) -> np.ndarray:
+    """Elements of the block without a Cholesky factor of el + 1e-8 I."""
+    shifted = block + POVM_TOL * np.eye(block.shape[-1])
+    try:
+        np.linalg.cholesky(shifted)
+        return np.zeros(len(block), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    failed = np.zeros(len(block), dtype=bool)
+    for i, el in enumerate(shifted):
+        try:
+            np.linalg.cholesky(el)
+        except np.linalg.LinAlgError:
+            failed[i] = True
+    return failed
+
+
+def validate_povm(elements, dim: int) -> None:
     """Refuse an empty list, bad elements, and element sums above identity.
 
-    Each element must be finite (checked first), of shape (dim, dim),
-    Hermitian to 1e-8 and positive: el + 1e-8 I must have a Cholesky factor,
-    which holds exactly when the least eigenvalue of el exceeds -1e-8.
+    ``elements`` is a sequence of dense (dim, dim) arrays or a BlockStack.
+    Every element must be finite (checked first, over all elements), of
+    dimension dim, Hermitian to 1e-8 and positive: el + 1e-8 I must have a
+    Cholesky factor, which holds exactly when the least eigenvalue of el
+    exceeds -1e-8. A block-diagonal operator passes each check exactly when
+    each of its blocks does, so every check runs block by block.
     """
-    if len(elements) == 0:
-        raise PreconditionViolated("number of POVM elements", 0, ">= 1")
-    total = np.zeros((dim, dim), dtype=complex)
-    shift = POVM_TOL * np.eye(dim)
-    for i, el in enumerate(elements):
-        el = np.asarray(el)
-        if not np.all(np.isfinite(el)):
-            raise NonFinite(f"element {i} has a non-finite entry")
-        if el.shape != (dim, dim):
-            raise InvalidPOVM(f"element {i} has shape {el.shape}, expected ({dim},{dim})")
-        if np.max(np.abs(el - el.conj().T)) > 1e-8:
-            raise InvalidPOVM(f"element {i} is not Hermitian")
-        try:
-            np.linalg.cholesky(el + shift)
-        except np.linalg.LinAlgError:
-            raise InvalidPOVM(f"element {i} has a negative eigenvalue") from None
-        total += el
-    top = float(np.linalg.eigvalsh(total).max())
+    stack, _ = _stack(elements, "element", dim)
+    if stack.dim != dim:
+        raise InvalidPOVM(f"elements act on dimension {stack.dim}, expected {dim}")
+    bad = _first_flagged(stack, lambda b: _not_hermitian(b, 1e-8))
+    if bad is not None:
+        raise InvalidPOVM(f"element {bad} is not Hermitian")
+    bad = _first_flagged(stack, _not_positive)
+    if bad is not None:
+        raise InvalidPOVM(f"element {bad} has a negative eigenvalue")
+    top = max(float(np.linalg.eigvalsh(block.sum(axis=0)).max()) for block in stack.blocks)
     if top > 1.0 + POVM_TOL:
         raise InvalidPOVM(f"elements sum above identity by {top - 1.0}")
 
@@ -212,65 +266,79 @@ def _product_trace(op: np.ndarray, states) -> float:
     return float(product_traces(op, [st[None] for st in states]).item().real)
 
 
-def square_root_decoder(projectors: Sequence[np.ndarray]):
+def _returned(povm: BlockStack, dense: bool):
+    """(elements, error outcome) of a POVM whose last element is the error outcome, in the input's form."""
+    if dense:
+        return list(povm.blocks[0][:-1]), povm.blocks[0][-1]
+    return (
+        BlockStack(tuple(b[:-1] for b in povm.blocks), povm.index),
+        BlockStack(tuple(b[-1:] for b in povm.blocks), povm.index),
+    )
+
+
+def _hermitian_part(ops: np.ndarray) -> np.ndarray:
+    return 0.5 * (ops + ops.conj().swapaxes(-1, -2))
+
+
+def square_root_decoder(projectors):
     """POVM normalizing each operator by the inverse square root of the sum.
 
     The inverse square root is taken on the support of the sum; the kernel
     projector is returned as the error outcome. Elements sum to the support
-    projector exactly, so closure holds to machine precision.
+    projector exactly, so closure holds to machine precision. Block-diagonal
+    input (a BlockStack) is decoded block by block: one eigh of each block
+    of the sum, with the support judged against the largest eigenvalue of
+    all blocks. The output has the input's form.
     """
-    mats = _operators(projectors)
-    dim = mats[0].shape[0]
-    total = np.zeros((dim, dim), dtype=complex)
-    for m in mats:
-        total += m
-    vals, vecs = np.linalg.eigh(total)
-    top = float(vals.max(initial=0.0))
-    if top <= 0.0:
-        return [np.zeros((dim, dim), dtype=complex) for _ in mats], np.eye(dim, dtype=complex)
-    support = vals > RANK_TOL * top
-    inv_sqrt = np.zeros_like(vals)
-    inv_sqrt[support] = vals[support] ** -0.5
-    smoother = (vecs * inv_sqrt[None, :]) @ vecs.conj().T
-    elements = [smoother @ m @ smoother for m in mats]
-    elements = [0.5 * (e + e.conj().T) for e in elements]
-    support_proj = (vecs[:, support]) @ (vecs[:, support].conj().T)
-    d0 = np.eye(dim, dtype=complex) - support_proj
-    d0 = 0.5 * (d0 + d0.conj().T)
-    validate_povm(list(elements) + [d0], dim)
-    closure = np.max(np.abs(sum(elements) + d0 - np.eye(dim)))
+    stack, dense = _stack(projectors, "operator")
+    spectra = [np.linalg.eigh(block.sum(axis=0)) for block in stack.blocks]
+    top = max(float(vals.max(initial=0.0)) for vals, _ in spectra)
+    povm = []
+    for block, (vals, vecs) in zip(stack.blocks, spectra):
+        support = (vals > RANK_TOL * top) & (top > 0.0)
+        inv_sqrt = np.zeros_like(vals)
+        inv_sqrt[support] = vals[support] ** -0.5
+        smoother = (vecs * inv_sqrt[None, :]) @ vecs.conj().T
+        ops = np.empty((len(block) + 1,) + block.shape[1:], dtype=np.result_type(block, vecs))
+        np.matmul(smoother @ block, smoother, out=ops[:-1])
+        ops[-1] = np.eye(len(vals)) - vecs[:, support] @ vecs[:, support].conj().T
+        povm.append(_hermitian_part(ops))
+    povm = BlockStack(tuple(povm), stack.index)
+    validate_povm(povm, stack.dim)
+    closure = max(float(np.max(np.abs(b.sum(axis=0) - np.eye(b.shape[-1])))) for b in povm.blocks)
     if closure > POVM_TOL:
         raise InvalidPOVM(f"square-root closure defect {closure}")
-    return elements, d0
+    return _returned(povm, dense)
 
 
-def sequential_decoder(projectors: Sequence[np.ndarray]):
+def sequential_decoder(projectors):
     """Effective POVM of projective tests applied in the given order.
 
     Element m is the m-th projector conjugated by the complements of all
     earlier ones; the telescoping identity keeps the total below identity,
-    and the remainder is the error outcome.
+    and the remainder is the error outcome. Block-diagonal input runs the
+    chain block by block; the output has the input's form.
     """
-    mats = _operators(projectors)
-    dim = mats[0].shape[0]
-    checked: set[int] = set()  # ids of arrays already tested; a repeat is the same object
-    for i, m in enumerate(mats):
-        if id(m) in checked:
-            continue
-        if np.max(np.abs(m - m.conj().T)) > 1e-8 or np.max(np.abs(m @ m - m)) > 1e-7:
-            raise NotProjection(f"operator {i} is not a projector")
-        checked.add(id(m))
-    eye = np.eye(dim, dtype=complex)
-    chain = eye.copy()
-    elements = []
-    for m in mats:
-        elements.append(chain.conj().T @ m @ chain)
-        chain = (eye - m) @ chain
-    elements = [0.5 * (e + e.conj().T) for e in elements]
-    d0 = eye - sum(elements)
-    d0 = 0.5 * (d0 + d0.conj().T)
-    validate_povm(list(elements) + [d0], dim)
-    return elements, d0
+    stack, dense = _stack(projectors, "operator")
+    bad = _first_flagged(
+        stack, lambda b: _not_hermitian(b, 1e-8) | (np.abs(b @ b - b).max(axis=(-2, -1)) > 1e-7)
+    )
+    if bad is not None:
+        raise NotProjection(f"operator {bad} is not a projector")
+    povm = []
+    for block in stack.blocks:
+        eye = np.eye(block.shape[-1])
+        ops = np.empty((len(block) + 1,) + block.shape[1:], dtype=np.result_type(block, float))
+        chain = eye
+        for m, proj in enumerate(block):
+            ops[m] = chain.conj().T @ proj @ chain
+            chain = (eye - proj) @ chain
+        ops[:-1] = _hermitian_part(ops[:-1])
+        ops[-1] = _hermitian_part(eye - ops[:-1].sum(axis=0))
+        povm.append(ops)
+    povm = BlockStack(tuple(povm), stack.index)
+    validate_povm(povm, stack.dim)
+    return _returned(povm, dense)
 
 
 def union_bound_gap(sigma: np.ndarray, projectors: Sequence[np.ndarray]):
@@ -377,20 +445,45 @@ class SimRow:
     declares: float
 
 
-def _messages_for_rate(rate: float, n: int, dim: int) -> int:
+def _messages_for_rate(rate: float, n: int, dim: int, stacks: int) -> int:
     """2^(n rate) messages, refused when their decoder cannot fit the memory budget.
 
-    The decoder holds one d^n x d^n complex matrix per message; the footprint
-    is compared in log2 terms, so 2^(n rate) is only formed once it fits.
+    The decoder holds ``stacks`` float64 stacks of class blocks at once,
+    each with sum_f |f|^2 entries per message, f over the frequency classes
+    of n slots; the footprint is compared in log2 terms, so 2^(n rate) is
+    only formed once it fits. CapExceeded first when the n-slot classes are
+    past schur_weyl.DIM_CAP.
     """
     budget = memory_budget_bytes()
-    log2_bytes = max(n * rate, 0.0) + 2 * n * math.log2(dim) + 4
+    entries = sum(words.size**2 for words in class_partition(dim, n).words)
+    log2_bytes = max(n * rate, 0.0) + math.log2(8 * stacks * entries)
     if log2_bytes > math.log2(max(budget, 1)):
         raise BudgetExceeded(
             f"rate {rate} at n={n} needs ~2^{log2_bytes:.1f} bytes of decoder, budget is {budget}",
             log2_bytes=log2_bytes,
         )
     return max(1, math.ceil(2.0 ** (n * rate) - 1e-9))
+
+
+def _success_traces(elements: BlockStack, slots: Sequence[np.ndarray]) -> np.ndarray:
+    """Re tr(E_m · σ_1 ⊗ ... ⊗ σ_n) for every element m and every state its slots list.
+
+    slots[j] has shape (M, ..., L_j, d, d), in the basis frame of the
+    elements; the result is (M, ..., L_1 * ... * L_n). Elements are scattered
+    into dense operators a chunk of messages at a time, one
+    quantum.product_traces contraction per chunk. A chunk's operators and
+    their first contraction hold about as many entries as the block stack.
+    """
+    count, dim = len(elements), elements.dim
+    lead = slots[0].shape[1:-3]
+    width = dim * dim * (1 + math.prod(lead) * slots[0].shape[-3])
+    step = max(1, count * sum(block[0].size for block in elements.blocks) // width)
+    out = np.empty((count, *lead, math.prod(s.shape[-3] for s in slots)))
+    for lo in range(0, count, step):
+        ops = elements.dense(lo, lo + step).reshape((-1,) + (1,) * len(lead) + (dim, dim))
+        traces = product_traces(ops, [s[lo : lo + step] for s in slots])
+        out[lo : lo + step] = traces.reshape(traces.shape[: 1 + len(lead)] + (-1,)).real
+    return out
 
 
 def _mean_ci(values: np.ndarray):
@@ -433,32 +526,30 @@ def simulate_noncausal_trial(
     p_u = p_su.sum(axis=0)
     words = type_class_words(nearest_type(p_u, n), (K, M), rng)
 
-    shared = ctx.projectors(words.reshape(K * M, n))
-    proj = [sum(shared[k * M + m] for k in range(K)) for m in range(M)]
-    del shared  # the per-word projectors are freed before the decoder allocates its own
-    elements, _ = square_root_decoder(proj)
+    distinct, inverse = ctx.projectors(words.reshape(K * M, n))
+    inverse = inverse.reshape(K, M)
+    summed = []
+    for block in distinct.blocks:
+        total = block[inverse[0]]
+        for k in range(1, K):
+            total += block[inverse[k]]
+        summed.append(total)
+    del distinct  # the per-word blocks are freed before the decoder allocates its own
+    elements, _ = square_root_decoder(BlockStack(tuple(summed), ctx.partition.words))
+    del summed
 
     p = ch.p
     s_digits = digit_table(num_s, n)
     mass = p[s_digits].prod(axis=1)
-    members = matched_set_members(s_digits, words.reshape(K * M, n), p_su, delta).reshape(-1, K, M)
-    # letter_outputs[:, u] stacks the output of every state letter under auxiliary letter u.
-    letter_outputs = letter_states(ch.tensor, strategy)
-
-    err_total = 0.0
-    declare_total = 0.0
-    for m in range(M):
-        counts_k = members[:, :, m].sum(axis=1)
-        succ = np.zeros(s_digits.shape[0])
-        for k in range(K):
-            # One trace per state word, in digit_table order.
-            traces = product_traces(elements[m], [letter_outputs[:, u] for u in words[k, m]])
-            succ += members[:, k, m] * traces.reshape(-1).real
-        with np.errstate(invalid="ignore"):
-            succ = np.where(counts_k > 0, succ / np.where(counts_k > 0, counts_k, 1), 0.0)
-        declare_mass = float(mass[counts_k == 0].sum())
-        err_total += float((mass * (1.0 - succ)).sum())
-        declare_total += declare_mass
+    members = matched_set_members(s_digits, words.reshape(K * M, n), p_su, delta).reshape(-1, K, M).T
+    # rotated[:, u] stacks, in the basis frame, the output of every state letter under auxiliary letter u.
+    rotated = ctx.rotate(letter_states(ch.tensor, strategy))
+    # One (M, K, |S|, d, d) stack per slot; traces[m, k] holds one trace per state word, in digit_table order.
+    traces = _success_traces(elements, [np.moveaxis(rotated[:, words[:, :, j].T], 0, 2) for j in range(n)])
+    counts = members.sum(axis=1)
+    succ = (members * traces).sum(axis=1) / np.maximum(counts, 1)  # 0 where no bin matches
+    err_total = float((mass * (1.0 - succ)).sum())
+    declare_total = float((mass * (counts == 0)).sum())
     return err_total / M, declare_total / M
 
 
@@ -477,12 +568,15 @@ def simulate_causal_trial(
     trace of its effective measurement element against the product of
     per-letter averaged states.
     """
-    words = [_typical_word(q, n, delta, rng) for _ in range(M)]
-    elements, _ = sequential_decoder(ctx.projectors(np.stack(words)))
-    succ = 0.0
-    for w, el in zip(words, elements):
-        succ += _product_trace(el, [derived_states[u] for u in w])
-    return 1.0 - succ / M, 0.0
+    words = np.stack([_typical_word(q, n, delta, rng) for _ in range(M)])
+    distinct, inverse = ctx.projectors(words)
+    projectors = BlockStack(tuple(block[inverse] for block in distinct.blocks), ctx.partition.words)
+    del distinct
+    elements, _ = sequential_decoder(projectors)
+    del projectors
+    rotated = ctx.rotate(derived_states)
+    traces = _success_traces(elements, [rotated[words[:, j]][:, None] for j in range(n)])
+    return 1.0 - float(traces.sum()) / M, 0.0
 
 
 def simulate_rate_error_curve(
@@ -521,10 +615,14 @@ def simulate_rate_error_curve(
         raise PreconditionViolated(
             "trials, K, restarts and every n", (trials, K, restarts, list(n_list)), ">= 1"
         )
-    messages = [[_messages_for_rate(rate, n, ch.dim) for rate in rates] for n in n_list]
+    causal = scheme == "causal-sequential"
+    # Stacks held at once: the distinct codeword projectors (up to K per
+    # message) and their sums while building; the projectors, the elements
+    # and per-block temporaries while decoding.
+    stacks = 3 if causal else max(K + 1, 3)
+    messages = [[_messages_for_rate(rate, n, ch.dim, stacks) for rate in rates] for n in n_list]
 
     p = ch.p
-    causal = scheme == "causal-sequential"
     # Each witness becomes letter weights q(u), weights p(s|u)/p(s) and an
     # (s, u) strategy table, so derived_states gives rho_u directly.
     if causal:

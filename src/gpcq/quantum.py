@@ -15,6 +15,8 @@ spectral primitive; matrix logarithms are always formed spectrally.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import (
@@ -57,39 +59,70 @@ def validate_density(mat, *, context: str = "") -> np.ndarray:
     return m
 
 
-def kron_all(mats) -> np.ndarray:
-    """Kronecker product of mats in order, folded left to right from a complex 1x1 one."""
-    out = np.ones((1, 1), dtype=complex)
-    for m in mats:
-        out = np.kron(out, m)
-    return out
-
-
 def product_traces(op, slot_states) -> np.ndarray:
     """Every tr(op · σ_1 ⊗ ... ⊗ σ_n) with σ_k taken from the k-th slot's stack.
 
-    slot_states[k] has shape (L_k, d_k, d_k) and op acts on the product of
-    the slots. The (L_1, ..., L_n) result has the first slot as its most
-    significant index, the order of util.digit_table. op is contracted one
-    slot at a time, so no product state is formed.
+    slot_states[k] has shape (..., L_k, d_k, d_k) and op (..., D, D), D the
+    product of the d_k. Leading axes broadcast against each other and index
+    independent operators: the result has shape (*batch, L_1, ..., L_n), the
+    first slot the most significant candidate index, the order of
+    util.digit_table. op is contracted one slot at a time, so no product
+    state is formed.
     """
     stacks = [np.asarray(s) for s in slot_states]
-    if any(s.ndim != 3 or s.shape[1] != s.shape[2] for s in stacks):
-        raise DimensionMismatch("each slot must be a stack of square matrices, shape (L, d, d)")
-    rest = math.prod(s.shape[1] for s in stacks)
+    if any(s.ndim < 3 or s.shape[-1] != s.shape[-2] for s in stacks):
+        raise DimensionMismatch("each slot must be a stack of square matrices, shape (..., L, d, d)")
+    rest = math.prod(s.shape[-1] for s in stacks)
     op = np.asarray(op)
-    if op.shape != (rest, rest):
+    if op.ndim < 2 or op.shape[-2:] != (rest, rest):
         raise DimensionMismatch(f"operator shape {op.shape} does not act on {rest}-dimensional slots")
-    # Axes (i, I, j, J, lead): row and column of the current slot, of the
-    # slots after it, and one axis over the candidates of the slots before.
-    out = op.reshape(rest, rest, 1)
+    # Axes (*batch, i, I, j, J, lead): row and column of the current slot, of
+    # the slots after it, and one axis over the candidates of the slots before.
+    out = op.reshape(op.shape[:-2] + (rest, rest, 1))
     for s in stacks:
-        d = s.shape[1]
+        d = s.shape[-1]
         rest //= d
         # tr(op · σ ⊗ τ) contracts op's row i with σ's column and its column j with σ's row.
-        out = np.tensordot(out.reshape(d, rest, d, rest, -1), s, axes=([0, 2], [2, 1]))
-        out = out.reshape(rest, rest, -1)
-    return out.reshape([s.shape[0] for s in stacks])
+        x = np.moveaxis(out.reshape(out.shape[:-3] + (d, rest, d, rest, -1)), (-5, -3), (-2, -1))
+        pairs = s.swapaxes(-1, -2).reshape(s.shape[:-2] + (d * d,)).swapaxes(-1, -2)
+        out = x.reshape(x.shape[:-5] + (rest * rest * x.shape[-3], d * d)) @ pairs
+        out = out.reshape(out.shape[:-2] + (rest, rest, -1))
+    return out.reshape(out.shape[:-3] + tuple(s.shape[-3] for s in stacks))
+
+
+@dataclass(frozen=True)
+class BlockStack:
+    """N operators on one space, block diagonal over one partition of its basis.
+
+    ``blocks[c]`` has shape (N, s_c, s_c): block c of every operator, on the
+    basis indices ``index[c]``. The index sets are disjoint and cover
+    range(dim), so a dense matrix is the one-block case.
+    """
+
+    blocks: tuple[np.ndarray, ...]
+    index: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        if len(self.blocks) != len(self.index) or any(
+            b.ndim != 3 or b.shape[1:] != (i.size, i.size) or len(b) != len(self.blocks[0])
+            for b, i in zip(self.blocks, self.index)
+        ):
+            raise DimensionMismatch("blocks must be (N, s_c, s_c) stacks on index sets of sizes s_c")
+
+    @property
+    def dim(self) -> int:
+        return sum(idx.size for idx in self.index)
+
+    def __len__(self) -> int:
+        return self.blocks[0].shape[0]
+
+    def dense(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Operators lo..hi-1 scattered into an (hi - lo, dim, dim) array."""
+        parts = [b[lo:hi] for b in self.blocks]
+        out = np.zeros((parts[0].shape[0], self.dim, self.dim), dtype=np.result_type(*parts))
+        for idx, part in zip(self.index, parts):
+            out[:, idx[:, None], idx[None, :]] = part
+        return out
 
 
 def spectrum(rho) -> np.ndarray:

@@ -4,12 +4,18 @@ Young frames index the isotypic blocks of the commuting symmetric-group and
 general-linear actions on (C^d)^(tensor n). A frequency class, the span of
 the product-basis words with one letter count, is invariant under slot
 permutations, so every isotypic projector is block diagonal over the
-classes. Each class's blocks are eigenprojectors of Jucys-Murphy
+classes. class_partition lists the classes of (d, n) by one sort of the
+words; each class's blocks are eigenprojectors of Jucys-Murphy
 transposition sums on its words, built once per (d, n) and cached
-(frequency_classes). A typicality-filtered decoding projector is the sum of
-the filtered (frequency, frame) blocks, rotated from the product basis into
-the decoding basis. Block and decoding projectors are returned as plain
-arrays.
+(frequency_classes). Central projectors are dense arrays built from them.
+
+Decoding stays in the basis frame, where product vectors are labeled by the
+columns of the decoding basis. There a typicality-filtered block projector
+is a sum of (frequency, frame) blocks, so block_projector returns its class
+blocks; a word's decoding projector is block diagonal over the frequency
+classes of all n slots, and DecodeContext builds it as one real block per
+class. A dense operator in the product frame is basis^(tensor n) · blocks ·
+its adjoint, which the program never forms.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, GpcqError, NotProjection, NumericalRankFailure, PreconditionViolated
-from .quantum import kl_divergence, kron_all, shannon_entropy, spectrum, pinch
+from .quantum import BlockStack, kl_divergence, pinch, shannon_entropy, spectrum
 from .util import compositions, digit_table
 
 DIM_CAP = 4096
@@ -179,6 +185,63 @@ def check_frame_table(d: int, n: int) -> None:
 
 
 @dataclass(frozen=True)
+class ClassPartition:
+    """The frequency classes of the d^t words of t slots over d letters.
+
+    ``words[c]`` lists class c's words ascending, and the classes are ordered
+    by their smallest word, the one whose letters are sorted ascending.
+    ``label[w]`` and ``position[w]`` give word w's class and its index among
+    that class's words. Laying the classes' blocks end to end, row-major,
+    ``row_start[w]`` is where the row of word w starts.
+    """
+
+    d: int
+    t: int
+    words: tuple[np.ndarray, ...]
+    label: np.ndarray
+    position: np.ndarray
+    row_start: np.ndarray
+
+    def index(self, freq) -> int:
+        """Class of the words with letter counts freq; GpcqError when freq counts no word."""
+        counts = [int(c) for c in freq]
+        if len(counts) != self.d or min(counts) < 0 or sum(counts) != self.t:
+            raise GpcqError(f"frequency {tuple(counts)} is not a count of {self.t} slots over {self.d} letters")
+        smallest = 0
+        for letter, count in enumerate(counts):
+            for _ in range(count):
+                smallest = smallest * self.d + letter
+        return int(self.label[smallest])
+
+
+_PARTITIONS: dict[tuple[int, int], ClassPartition] = {}
+
+
+def class_partition(d: int, t: int) -> ClassPartition:
+    """The frequency classes of t slots over d letters, cached per (d, t).
+
+    Keyed by one sort of the d^t words, with no per-class work. CapExceeded
+    when max(d, 2)^t exceeds DIM_CAP, tested on t first so that a huge t
+    forms no huge power.
+    """
+    if (d, t) not in _PARTITIONS:
+        if t >= DIM_CAP.bit_length() or max(d, 2) ** t > DIM_CAP:
+            raise CapExceeded(f"{max(d, 2)}^{t} exceeds dimension cap {DIM_CAP}")
+        # Each word's class is named by its letters sorted ascending, itself a word.
+        names = np.sort(digit_table(d, t), axis=1) @ d ** np.arange(t - 1, -1, -1)
+        _, label = np.unique(names, return_inverse=True)
+        order = np.argsort(label, kind="stable")
+        sizes = np.bincount(label)
+        starts = np.cumsum(sizes) - sizes
+        position = np.empty_like(label)
+        position[order] = np.arange(label.size) - np.repeat(starts, sizes)
+        offsets = np.cumsum(sizes * sizes) - sizes * sizes
+        row_start = offsets[label] + position * sizes[label]
+        _PARTITIONS[d, t] = ClassPartition(d, t, tuple(np.split(order, starts[1:])), label, position, row_start)
+    return _PARTITIONS[d, t]
+
+
+@dataclass(frozen=True)
 class FrequencyClass:
     """The words of one letter count and the isotypic blocks on their span.
 
@@ -190,7 +253,7 @@ class FrequencyClass:
     blocks: dict[YoungFrame, np.ndarray]
 
 
-_FREQUENCY_CLASSES: dict[tuple[int, int], dict[tuple[int, ...], FrequencyClass]] = {}
+_FREQUENCY_CLASSES: dict[tuple[int, int], tuple[FrequencyClass, ...]] = {}
 
 
 def _frequency_class(words: np.ndarray, digits: np.ndarray, d: int, frames: list) -> FrequencyClass:
@@ -231,24 +294,17 @@ def _frequency_class(words: np.ndarray, digits: np.ndarray, d: int, frames: list
     return FrequencyClass(words, blocks)
 
 
-def frequency_classes(d: int, t: int) -> dict[tuple[int, ...], FrequencyClass]:
-    """Every frequency class of t slots over d letters, keyed by its letter counts.
+def frequency_classes(d: int, t: int) -> tuple[FrequencyClass, ...]:
+    """Every frequency class of t slots over d letters, in class_partition(d, t) order.
 
-    Cached per (d, t); CapExceeded when max(d, 2)^t exceeds DIM_CAP, tested on
-    t first so that a huge t forms no huge power. At d = 1 the one word still
-    takes about t^3/3 np.add.at calls, so t is bounded as at d = 2.
+    Cached per (d, t); CapExceeded past DIM_CAP as in class_partition. At
+    d = 1 the one word still takes about t^3/3 np.add.at calls, so t is
+    bounded as at d = 2.
     """
     if (d, t) not in _FREQUENCY_CLASSES:
-        if t >= DIM_CAP.bit_length() or max(d, 2) ** t > DIM_CAP:
-            raise CapExceeded(f"{max(d, 2)}^{t} exceeds dimension cap {DIM_CAP}")
+        part = class_partition(d, t)
         digits, frames = digit_table(d, t), young_frames(d, t)
-        # Each word's class is named by its letters sorted ascending, itself a word.
-        sorted_word = np.sort(digits, axis=1) @ d ** np.arange(t - 1, -1, -1)
-        _FREQUENCY_CLASSES[d, t] = {
-            tuple(int(c) for c in np.bincount(digits[name], minlength=d)):
-                _frequency_class(np.flatnonzero(sorted_word == name), digits, d, frames)
-            for name in np.flatnonzero(np.bincount(sorted_word))
-        }
+        _FREQUENCY_CLASSES[d, t] = tuple(_frequency_class(words, digits, d, frames) for words in part.words)
     return _FREQUENCY_CLASSES[d, t]
 
 
@@ -257,9 +313,8 @@ def central_projector(frame: YoungFrame, d: int, n: int) -> np.ndarray:
 
     Real symmetric; its trace must equal irrep_dimension * gl_multiplicity.
     """
-    classes = frequency_classes(d, n)
     out = np.zeros((d**n, d**n))
-    for cls in classes.values():
+    for cls in frequency_classes(d, n):
         if frame in cls.blocks:
             out[np.ix_(cls.words, cls.words)] = cls.blocks[frame]
     expected = irrep_dimension(frame) * gl_multiplicity(frame, d)
@@ -294,10 +349,8 @@ def kostka_rank(freq, frame: YoungFrame, d: int, n: int) -> int:
 
     The block is a projector, so its rank is its trace, within 1e-6 of an integer.
     """
-    freq = tuple(int(c) for c in freq)
-    cls = frequency_classes(d, n).get(freq)
-    if cls is None:
-        raise GpcqError(f"frequency {freq} is not a count of {n} slots over {d} letters")
+    classes = frequency_classes(d, n)
+    cls = classes[class_partition(d, n).index(freq)]
     trace = float(np.trace(cls.blocks[frame])) if frame in cls.blocks else 0.0
     if abs(trace - round(trace)) > 1e-6:
         raise NumericalRankFailure(f"trace {trace} not near an integer for {freq}/{frame}")
@@ -327,35 +380,38 @@ def a_set(rho: np.ndarray, basis: np.ndarray, m: int, radius: float) -> tuple[tu
     return freqs, frames
 
 
-def block_projector(rho: np.ndarray, basis: np.ndarray, m: int, radius: float) -> np.ndarray:
-    """Projector summing the filtered (frequency, frame) blocks on m slots.
+def block_projector(rho: np.ndarray, basis: np.ndarray, m: int, radius: float) -> dict[int, np.ndarray]:
+    """Class blocks, in the basis frame, of the projector summing the filtered (frequency, frame) blocks on m slots.
 
-    Each filtered frequency class contributes the sum of its filtered frames'
-    blocks on its own words; the classes are disjoint, so the sum is a
-    projector. It is conjugated into the basis-labeled product frame.
+    Keys index class_partition(d, m); each filtered frequency class maps to
+    the sum of its filtered frames' blocks, checked idempotent, and a class
+    absent from the dict is a zero block. The basis frame labels product
+    vectors by basis columns, so the projector in the product frame is
+    basis^(tensor m) · blocks · its adjoint.
     """
     d = rho.shape[0]
     freqs, frames = a_set(rho, basis, m, radius)
-    dim = d**m
-    if not freqs or not frames:
-        return np.zeros((dim, dim), dtype=complex)
-    core = np.zeros((dim, dim))
+    classes, part = frequency_classes(d, m), class_partition(d, m)
+    out = {}
     for freq in freqs:
-        cls = frequency_classes(d, m)[freq]
-        core[np.ix_(cls.words, cls.words)] = sum(cls.blocks[lam] for lam in frames if lam in cls.blocks)
-    core = 0.5 * (core + core.T)
-    _assert_projector(core, f"block projector m={m}")
-    rot = kron_all([basis] * m)
-    mat = rot @ core @ rot.conj().T
-    return 0.5 * (mat + mat.conj().T)
+        c = part.index(freq)
+        picked = [classes[c].blocks[lam] for lam in frames if lam in classes[c].blocks]
+        if picked:
+            block = sum(picked)
+            out[c] = 0.5 * (block + block.T)
+            _assert_projector(out[c], f"block projector m={m}, class {freq}")
+    return out
 
 
 class DecodeContext:
-    """Decoding projectors of auxiliary words, with per-letter blocks cached.
+    """Decoding projectors of auxiliary words as class blocks in the basis frame.
 
-    The projector of a word groups its positions by letter; each group of
-    size t carries the block projector at divergence radius n*delta/t, and
-    the blocks are placed back on the original slots.
+    In the basis frame a word's projector is block diagonal over the
+    frequency classes of n slots (class_partition(d, n)). The projector
+    groups the word's positions by letter; a group of t slots carries the
+    letter's block projector at divergence radius n*delta/t, so the entry at
+    a pair of product words is the product, over groups, of the block
+    projector's entries at their restrictions to the group's slots.
     """
 
     def __init__(self, states: np.ndarray, basis: np.ndarray, n: int, delta: float):
@@ -364,39 +420,77 @@ class DecodeContext:
         self.n = n
         self.delta = delta
         self.d = self.states.shape[1]
+        self.partition = class_partition(self.d, n)
+        digits = digit_table(self.d, n)
+        self._digits = [digits[words] for words in self.partition.words]
         self._cache: dict[tuple[int, int], np.ndarray] = {}
 
+    def rotate(self, states) -> np.ndarray:
+        """Every state of a (..., d, d) stack in the basis frame, real when no entry has an imaginary part."""
+        out = self.basis.conj().T @ np.asarray(states) @ self.basis
+        return out if np.any(out.imag) else out.real
+
     def block(self, u: int, t: int) -> np.ndarray:
+        """Letter u's block projector on t slots, class blocks laid end to end.
+
+        The layout is class_partition(d, t).row_start's, followed by one
+        widest-class row of zeros, so any row start plus any position within
+        a class reads inside the array.
+        """
         key = (u, t)
         if key not in self._cache:
-            radius = self.n * self.delta / t
-            self._cache[key] = block_projector(self.states[u], self.basis, t, radius)
+            part = class_partition(self.d, t)
+            widest = max(words.size for words in part.words)
+            flat = np.zeros(sum(words.size**2 for words in part.words) + widest)
+            for c, block in block_projector(self.states[u], self.basis, t, self.n * self.delta / t).items():
+                start = part.row_start[part.words[c][0]]
+                flat[start : start + block.size] = block.ravel()
+            self._cache[key] = flat
         return self._cache[key]
 
-    def projector(self, u_seq) -> np.ndarray:
+    def projector(self, u_seq) -> tuple[np.ndarray, ...]:
+        """Class blocks of one word's projector, aligned with self.partition.words.
+
+        Two product words' entry is zero unless, for every letter, their
+        restrictions to its slots share a class of that letter's partition;
+        otherwise it is the product of the letters' block entries.
+        """
         u_seq = np.asarray(u_seq, dtype=np.int64)
         if u_seq.size != self.n:
             raise GpcqError(f"word length {u_seq.size} != {self.n}")
-        order = np.argsort(u_seq, kind="stable")
+        order = np.argsort(u_seq.reshape(-1), kind="stable")  # the word's slots grouped by letter
         letters, sizes = np.unique(u_seq, return_counts=True)
-        mat = kron_all(self.block(int(u), int(t)) for u, t in zip(letters, sizes))
-        d = self.d
-        tensor = mat.reshape((d,) * (2 * self.n))
-        inv = np.argsort(order)
-        axes = list(inv) + [self.n + a for a in inv]
-        return np.transpose(tensor, axes=axes).reshape(d**self.n, d**self.n)
+        groups = [
+            (self.block(int(u), int(t)), class_partition(self.d, int(t)), start)
+            for u, t, start in zip(letters, sizes, np.cumsum(sizes) - sizes)
+        ]
+        out = []
+        for digits in self._digits:
+            slots = digits[:, order]
+            block = np.ones((len(slots),) * 2)
+            fine = np.zeros(len(slots), dtype=np.int64)
+            for flat, part, start in groups:
+                sub = slots[:, start : start + part.t] @ self.d ** np.arange(part.t - 1, -1, -1)
+                block *= flat[part.row_start[sub][:, None] + part.position[sub][None, :]]
+                fine = fine * len(part.words) + part.label[sub]
+            block *= fine[:, None] == fine[None, :]
+            out.append(block)
+        return tuple(out)
 
-    def projectors(self, words) -> list[np.ndarray]:
-        """Projector of each row of an (L, n) word array, built once per distinct word.
+    def projectors(self, words) -> tuple[BlockStack, np.ndarray]:
+        """Projectors of the distinct rows of an (L, n) word array, and each row's index among them.
 
-        Equal rows share one read-only array. The context keeps none of them,
-        so they are freed with the caller's list.
+        Each distinct word is built once; the blocks are read-only and the
+        context keeps none of them.
         """
         words = np.asarray(words, dtype=np.int64)
         if words.ndim != 2 or words.shape[1] != self.n:
             raise GpcqError(f"word array of shape {words.shape} is not (L, {self.n})")
         distinct, inverse = np.unique(words, axis=0, return_inverse=True)
-        built = [self.projector(w) for w in distinct]
-        for mat in built:
-            mat.setflags(write=False)
-        return [built[i] for i in inverse.reshape(-1)]
+        blocks = tuple(np.empty((len(distinct), w.size, w.size)) for w in self.partition.words)
+        for i, word in enumerate(distinct):
+            for block, part in zip(blocks, self.projector(word)):
+                block[i] = part
+        for block in blocks:
+            block.setflags(write=False)
+        return BlockStack(blocks, self.partition.words), inverse.reshape(-1)

@@ -42,6 +42,7 @@ from gpcq.schur_weyl import (
 from gpcq.util import compositions, digit_table, random_density_matrix
 
 from conftest import random_unitary
+from dense_reference import dense_projector
 
 DIAGONAL = ("flip", "stuck", "skew")
 
@@ -232,7 +233,7 @@ def _matched_trace_scan(ch, wit, ns, delta):
         members = matched_set_members(s_words, u_words, p_su, delta)
         worst = 1.0
         for uw, matched in zip(u_words, members.T):
-            proj = ctx.projector(uw)
+            proj = dense_projector(ctx, uw)
             # folds[k] is the kron of the first k letters of the last state word;
             # a state word refolds only the letters after its shared prefix.
             folds = [np.ones((1, 1), dtype=complex)]

@@ -409,10 +409,10 @@ class TestCsvOutputs:
         # Swapped labels keep every block a projector, so only the per-frame
         # traces can tell: on (d, n) = (2, 3) the frame (3) would count 6 states.
         def swapped(d, n):
-            return {
-                freq: FrequencyClass(cls.words, dict(zip(cls.blocks, reversed(cls.blocks.values()))))
-                for freq, cls in frequency_classes(d, n).items()
-            }
+            return tuple(
+                FrequencyClass(cls.words, dict(zip(cls.blocks, reversed(cls.blocks.values()))))
+                for cls in frequency_classes(d, n)
+            )
 
         monkeypatch.setattr(cli, "frequency_classes", swapped)
         code, out, err = run_cli(capsys, "schur", "check", "--d", "2", "--n", "3")

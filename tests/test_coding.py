@@ -32,9 +32,11 @@ from gpcq.errors import (
     PreconditionViolated,
 )
 from gpcq.method_of_types import matched_set_members, nearest_type
-from gpcq.quantum import eigenbasis, kron_all
+from gpcq.quantum import BlockStack, eigenbasis
 from gpcq.schur_weyl import DecodeContext
 from gpcq.util import random_density_matrix, rng_for
+
+import dense_reference as ref
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
@@ -219,6 +221,110 @@ class TestSquareRootDecoder:
         assert np.max(np.abs(total - np.eye(dim))) < 1e-9
 
 
+def decode_context(ch, q_rows, n, delta=0.2):
+    """The simulator's decode states and basis for witness q_rows with strategy x = u xor s."""
+    q_rows = np.asarray(q_rows, dtype=float)
+    q = ch.p @ q_rows
+    states = derived_states(ch.p, ch.tensor, q_rows / q, np.array([[0, 1], [1, 0]]))
+    _, basis = eigenbasis(np.einsum("u,uij->ij", q, states))
+    return DecodeContext(states, basis, n, delta)
+
+
+WITNESSES = [("flip", [[0.5, 0.5], [0.5, 0.5]]), ("purecq", [[0.7, 0.3], [0.3, 0.7]])]
+
+
+def random_projector(dim, rng):
+    rho = random_density_matrix(dim, rng, rank=int(rng.integers(1, dim + 1)))
+    vals, vecs = np.linalg.eigh(rho)
+    picked = vecs[:, vals > 1e-9]
+    return picked @ picked.conj().T
+
+
+class TestBlockDecoders:
+    """Block decoders, scattered and rotated back, equal the dense reference decoders."""
+
+    @pytest.mark.parametrize("name, q_rows", WITNESSES)
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_match_dense_reference_on_decode_words(self, suite, name, q_rows, n):
+        ctx = decode_context(suite[name], q_rows, n)
+        words = np.random.default_rng(n).integers(0, 2, size=(8, n))
+        stack, inverse = ctx.projectors(words)
+        dense = [ref.dense_projector(ctx, w) for w in words]
+        # Codewords summed in pairs, as a binned codebook's messages are.
+        pairs = BlockStack(tuple(b[inverse[0::2]] + b[inverse[1::2]] for b in stack.blocks), stack.index)
+        each = BlockStack(tuple(b[inverse] for b in stack.blocks), stack.index)
+        cases = [
+            (square_root_decoder(pairs), ref.square_root_decoder([a + b for a, b in zip(dense[0::2], dense[1::2])])),
+            (sequential_decoder(each), ref.sequential_decoder(dense)),
+        ]
+        for (elements, error), (want, want_error) in cases:
+            got = ref.product_frame_elements(elements, ctx.basis, n)
+            assert max(float(np.abs(g - w).max()) for g, w in zip(got, want)) <= 1e-12
+            assert float(np.abs(ref.product_frame_elements(error, ctx.basis, n)[0] - want_error).max()) <= 1e-12
+
+    @pytest.mark.parametrize("name, q_rows", WITNESSES)
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_reference_projectors_vanish_off_class_blocks(self, suite, name, q_rows, n):
+        ctx = decode_context(suite[name], q_rows, n)
+        inside = np.zeros((2**n, 2**n), dtype=bool)
+        for idx in ctx.partition.words:
+            inside[np.ix_(idx, idx)] = True
+        for w in np.random.default_rng(10 + n).integers(0, 2, size=(6, n)):
+            mat = ref.to_basis_frame(ref.dense_projector(ctx, w), ctx.basis, n)
+            assert float(np.abs(mat[~inside]).max()) <= 1e-14
+
+    def test_match_dense_reference_on_random_block_diagonal_sets(self, rng):
+        for _ in range(30):
+            sizes = rng.integers(1, 5, size=int(rng.integers(1, 5)))
+            cuts = np.split(rng.permutation(int(sizes.sum())), np.cumsum(sizes)[:-1])
+            count = int(rng.integers(1, 6))
+            stack = BlockStack(
+                tuple(np.stack([random_projector(int(s), rng) for _ in range(count)]) for s in sizes),
+                tuple(np.sort(cut) for cut in cuts),
+            )
+            dense = list(stack.dense())
+            for decode, reference in [
+                (square_root_decoder, ref.square_root_decoder),
+                (sequential_decoder, ref.sequential_decoder),
+            ]:
+                (elements, error), (want, want_error) = decode(stack), reference(dense)
+                assert max(float(np.abs(g - w).max()) for g, w in zip(elements.dense(), want)) <= 1e-12
+                assert float(np.abs(error.dense()[0] - want_error).max()) <= 1e-12
+
+    @staticmethod
+    def two_blocks(first, second):
+        """Two elements on a 3-dim space, blocks on indices {0, 2} and {1}."""
+        return BlockStack((np.asarray(first, dtype=float), np.asarray(second, dtype=float)),
+                          (np.array([0, 2]), np.array([1])))
+
+    def test_block_elements_keep_each_error_code(self):
+        half = 0.5 * np.eye(2)
+        validate_povm(self.two_blocks([half, half], [[[0.5]], [[0.5]]]), 3)
+        with pytest.raises(NonFinite, match="element 1"):
+            validate_povm(self.two_blocks([half, half], [[[0.5]], [[np.nan]]]), 3)
+        with pytest.raises(NonFinite, match="element 0"):
+            validate_povm(self.two_blocks([np.full((2, 2), np.inf), half], [[[0.5]], [[0.5]]]), 4)
+        with pytest.raises(InvalidPOVM, match="dimension"):
+            validate_povm(self.two_blocks([half, half], [[[0.5]], [[0.5]]]), 4)
+        with pytest.raises(InvalidPOVM, match="element 1 is not Hermitian"):
+            validate_povm(self.two_blocks([half, [[0.5, 0.1], [0.0, 0.5]]], [[[0.5]], [[0.5]]]), 3)
+        with pytest.raises(InvalidPOVM, match="above identity"):
+            validate_povm(self.two_blocks([half, half], [[[0.5]], [[0.6]]]), 3)
+        with pytest.raises(PreconditionViolated):
+            validate_povm(self.two_blocks(np.zeros((0, 2, 2)), np.zeros((0, 1, 1))), 3)
+
+    def test_block_positivity_bound_is_minus_1e_8(self):
+        rotation = TestValidation.ROTATION
+        for least, ok in [(-0.9999999e-8, True), (-1.0000001e-8, False)]:
+            stack = self.two_blocks([0.5 * np.eye(2), rotation @ np.diag([0.5, least]) @ rotation.T],
+                                    [[[0.5]], [[0.5]]])
+            if ok:
+                validate_povm(stack, 3)
+            else:
+                with pytest.raises(InvalidPOVM, match="element 1 has a negative eigenvalue"):
+                    validate_povm(stack, 3)
+
+
 class TestSequentialDecoder:
     def test_commuting_chain_telescopes(self):
         P1 = np.diag([1.0, 0, 0, 0]).astype(complex)
@@ -385,7 +491,7 @@ class TestNoncausalTrial:
         base = np.repeat(np.arange(2), nearest_type(p_su.sum(axis=0), n))
         words = [[replay.permutation(base) for _ in range(M)] for _ in range(K)]
         elements, _ = square_root_decoder(
-            [sum(ctx.projector(words[k][m]) for k in range(K)) for m in range(M)]
+            [sum(ref.dense_projector(ctx, words[k][m]) for k in range(K)) for m in range(M)]
         )
         expected_err = expected_declares = 0.0
         for m in range(M):
@@ -400,7 +506,7 @@ class TestNoncausalTrial:
                     continue
                 succ = sum(
                     np.trace(
-                        kron_all(tensor[s, strategy[s, u]] for s, u in zip(s_word, words[k][m]))
+                        ref.kron_all(tensor[s, strategy[s, u]] for s, u in zip(s_word, words[k][m]))
                         @ elements[m]
                     ).real
                     for k in matched

@@ -21,7 +21,6 @@ from gpcq.quantum import (
     holevo_quantity,
     holevo_via_divergence,
     kl_divergence,
-    kron_all,
     pinch,
     product_traces,
     relative_entropy,
@@ -34,6 +33,7 @@ from gpcq.quantum import (
 from gpcq.util import random_density_matrix, rng_for
 
 from conftest import random_unitary
+from dense_reference import kron_all
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
@@ -256,6 +256,17 @@ class TestProductTraces:
         out = product_traces(op, [a, b])
         expected = [[np.trace(op @ np.kron(x, y)) for y in b] for x in a]
         assert np.allclose(out, expected, atol=1e-13)
+
+    def test_leading_axes_broadcast(self, rng):
+        # Three operators, each against two candidate groups of slot stacks.
+        ops = rng.normal(size=(3, 1, 4, 4)) + 1j * rng.normal(size=(3, 1, 4, 4))
+        a = rng.normal(size=(3, 2, 2, 2, 2))
+        b = rng.normal(size=(1, 2, 3, 2, 2))
+        out = product_traces(ops, [a, b])
+        assert out.shape == (3, 2, 2, 3)
+        for m, k, i, j in itertools.product(range(3), range(2), range(2), range(3)):
+            expected = np.trace(ops[m, 0] @ np.kron(a[m, k, i], b[0, k, j]))
+            assert abs(out[m, k, i, j] - expected) <= 1e-12
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):

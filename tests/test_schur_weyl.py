@@ -10,12 +10,13 @@ import pytest
 from gpcq import schur_weyl
 from gpcq.channel import derived_states
 from gpcq.errors import CapExceeded, GpcqError, NumericalRankFailure, PreconditionViolated
-from gpcq.quantum import eigenbasis, kl_divergence, kron_all, spectrum
+from gpcq.quantum import eigenbasis, kl_divergence, spectrum
 from gpcq.schur_weyl import (
     DecodeContext,
     a_set,
     block_projector,
     central_projector,
+    class_partition,
     frame_count,
     frame_dimension_bounds,
     frame_distribution,
@@ -27,6 +28,8 @@ from gpcq.schur_weyl import (
     young_frames,
 )
 from gpcq.util import compositions, digit_table
+
+from dense_reference import dense_block_projector, kron_all, scatter
 
 EYE2 = np.eye(2, dtype=complex)
 
@@ -294,7 +297,7 @@ class TestCentralProjectors:
     def test_cache_returns_readonly(self):
         classes = frequency_classes(2, 2)
         assert frequency_classes(2, 2) is classes
-        block = classes[(1, 1)].blocks[(2,)]
+        block = classes[class_partition(2, 2).index((1, 1))].blocks[(2,)]
         with pytest.raises(ValueError):
             block[0, 0] = 5.0
 
@@ -308,8 +311,10 @@ class TestFrequencyClasses:
     def test_blocks_equal_class_sum_reference(self, d, n):
         reference = reference_central_projectors(d, n)
         classes = frequency_classes(d, n)
-        assert sorted(classes) == sorted(compositions(n, d))
-        for freq, cls in classes.items():
+        part = class_partition(d, n)
+        assert sorted(part.index(freq) for freq in compositions(n, d)) == list(range(len(classes)))
+        for freq in compositions(n, d):
+            cls = classes[part.index(freq)]
             assert np.array_equal(cls.words, np.flatnonzero(frequency_mask(freq, d, n)))
             rows = np.ix_(cls.words, cls.words)
             for lam, ref in reference.items():
@@ -333,7 +338,7 @@ class TestFrequencyClasses:
         basis = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]], dtype=complex)
         rho = basis @ np.diag([0.7, 0.3]) @ basis.conj().T
         radius = 0.05
-        P = block_projector(rho, basis, t, radius)
+        P = dense_block_projector(rho, basis, t, radius)
         assert np.max(np.abs(P.imag)) <= 1e-12
         P = P.real
         assert np.max(np.abs(P - P.T)) <= 1e-12
@@ -348,13 +353,52 @@ class TestFrequencyClasses:
         ranks = sum(kostka_rank(f, lam, 2, t) for f in freqs for lam in frames)
         assert np.trace(P) == pytest.approx(ranks, abs=1e-8)
 
+    def test_block_projector_on_twelve_slots_stays_in_class_blocks(self, monkeypatch):
+        # 2^12 = 4096 words: the blocks hold 2,704,156 entries where a dense
+        # projector would hold 16,777,216.
+        monkeypatch.setattr(schur_weyl, "_FREQUENCY_CLASSES", {})
+        t, theta, radius = 12, 0.4, 0.05
+        basis = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]], dtype=complex)
+        rho = basis @ np.diag([0.7, 0.3]) @ basis.conj().T
+        blocks = block_projector(rho, basis, t, radius)
+        part = class_partition(2, t)
+        freqs, frames = a_set(rho, basis, t, radius)
+        assert sorted(blocks) == sorted(part.index(f) for f in freqs)
+        for c, block in blocks.items():
+            assert block.shape == (part.words[c].size,) * 2
+            assert np.max(np.abs(block @ block - block)) <= 1e-8
+            assert np.max(np.abs(block - block.T)) <= 1e-12
+        ranks = sum(kostka_rank(f, lam, 2, t) for f in freqs for lam in frames)
+        assert sum(np.trace(block) for block in blocks.values()) == pytest.approx(ranks, abs=1e-8)
+
+    def test_one_slot_classes_of_many_letters(self, monkeypatch):
+        # 4,096 one-word classes; a class is found from its letter count
+        # without a d-long key per class.
+        monkeypatch.setattr(schur_weyl, "_PARTITIONS", {})
+        monkeypatch.setattr(schur_weyl, "_FREQUENCY_CLASSES", {})
+        d = 4096
+        classes = frequency_classes(d, 1)
+        assert len(classes) == d
+        assert all(cls.words.tolist() == [a] and list(cls.blocks) == [(1,)] for a, cls in enumerate(classes))
+        count = np.zeros(d, dtype=np.int64)
+        count[1234] = 1
+        assert class_partition(d, 1).index(count) == 1234
+
+    def test_class_index_refuses_counts_of_no_word(self):
+        part = class_partition(3, 4)
+        assert part.index((0, 0, 4)) == len(part.words) - 1
+        for bad in [(1, 1, 1), (2, 2), (5, -1, 0), (2, 2, 0, 0)]:
+            with pytest.raises(GpcqError):
+                part.index(bad)
+
     def test_classes_of_twelve_slots(self, monkeypatch):
         # 2^12 = 4096 words, the most DIM_CAP admits at d = 2. Over two letters
         # each weight space of a GL(2) irrep is a line, so a frame's block on a
         # class has the rank of its irrep where the frame dominates the class.
         monkeypatch.setattr(schur_weyl, "_FREQUENCY_CLASSES", {})
         traces = dict.fromkeys(young_frames(2, 12), 0.0)
-        for freq, cls in frequency_classes(2, 12).items():
+        for freq in compositions(12, 2):
+            cls = frequency_classes(2, 12)[class_partition(2, 12).index(freq)]
             total = np.zeros((len(cls.words),) * 2)
             for lam in young_frames(2, 12):
                 block = cls.blocks.get(lam, np.zeros_like(total))
@@ -477,34 +521,44 @@ class TestDecodeProjectors:
         [np.diag([0.8, 0.2]), np.diag([0.3, 0.7])]
     ).astype(complex)
 
+    @staticmethod
+    def dense(ctx, blocks) -> np.ndarray:
+        """One word's class blocks as a dense matrix in the basis frame."""
+        return scatter(blocks, ctx.partition.words, ctx.d**ctx.n)
+
     def test_block_projector_idempotent_and_real_diagonal_case(self):
-        blk = block_projector(self.STATES[0], EYE2, 3, radius=0.4)
+        blk = dense_block_projector(self.STATES[0], EYE2, 3, radius=0.4)
         assert np.max(np.abs(blk @ blk - blk)) < 1e-8
         assert np.allclose(blk, blk.conj().T, atol=1e-12)
+        for block in block_projector(self.STATES[0], EYE2, 3, radius=0.4).values():
+            assert block.dtype == np.float64
+            assert np.max(np.abs(block @ block - block)) < 1e-8
 
     def test_constant_word_equals_single_block(self):
         ctx = DecodeContext(self.STATES, EYE2, 3, 0.4)
-        assert np.allclose(ctx.projector([1, 1, 1]), ctx.block(1, 3), atol=1e-12)
+        blocks = block_projector(self.STATES[1], EYE2, 3, 0.4)
+        for c, got in enumerate(ctx.projector([1, 1, 1])):
+            assert np.allclose(got, blocks.get(c, np.zeros_like(got)), atol=1e-12)
 
     def test_permutation_covariance(self):
         ctx = DecodeContext(self.STATES, EYE2, 3, 0.4)
         u = np.array([0, 1, 1])
         perm = (1, 2, 0)
         V = permutation_operator(perm, 2)
-        lhs = V @ ctx.projector(u) @ V.T
-        assert np.allclose(lhs, ctx.projector(u[list(perm)]), atol=1e-10)
+        lhs = V @ self.dense(ctx, ctx.projector(u)) @ V.T
+        assert np.allclose(lhs, self.dense(ctx, ctx.projector(u[list(perm)])), atol=1e-10)
 
     def test_idempotent_mixed_word(self):
-        mat = DecodeContext(self.STATES, EYE2, 3, 0.5).projector([0, 1, 0])
-        assert np.max(np.abs(mat @ mat - mat)) < 1e-8
+        for block in DecodeContext(self.STATES, EYE2, 3, 0.5).projector([0, 1, 0]):
+            assert np.max(np.abs(block @ block - block)) < 1e-8
 
     def test_tiny_radius_flags_empty_blocks(self):
         # Each letter fills one slot at radius n*delta/t = 2e-6; no
         # frequency of one slot is that close to either pinched diagonal.
         assert a_set(self.STATES[0], EYE2, 1, 2e-6)[0] == ()
         assert a_set(self.STATES[1], EYE2, 1, 2e-6)[0] == ()
-        out = DecodeContext(self.STATES, EYE2, 2, 1e-6).projector([0, 1])
-        assert np.allclose(out, 0.0, atol=1e-12)
+        for block in DecodeContext(self.STATES, EYE2, 2, 1e-6).projector([0, 1]):
+            assert np.allclose(block, 0.0, atol=1e-12)
 
     def test_context_caches_blocks(self):
         ctx = DecodeContext(self.STATES, EYE2, 4, 0.3)
@@ -526,7 +580,7 @@ class TestDecodeProjectors:
 
 
 class TestSharedProjectors:
-    """DecodeContext.projectors builds each distinct word once, bit for bit."""
+    """DecodeContext.projectors builds each distinct word once, bit for bit as projector does."""
 
     @staticmethod
     def context(ch, q_rows, strategy, n):
@@ -545,13 +599,13 @@ class TestSharedProjectors:
         ctx = self.context(suite[name], q_rows, [[0, 1], [1, 0]], n)
         drawn = np.random.default_rng(13).integers(0, 2, size=(12, n))
         words = np.concatenate([drawn, drawn[::3], np.ones((2, n), dtype=np.int64)])
-        out = ctx.projectors(words)
-        assert len(out) == len(words)
+        stack, inverse = ctx.projectors(words)
+        assert inverse.shape == (len(words),)
+        assert len(stack) == len(np.unique(words, axis=0))
+        assert all(not block.flags.writeable for block in stack.blocks)
         for i, w in enumerate(words):
-            fresh = ctx.projector(w)
-            assert out[i].dtype == fresh.dtype and out[i].shape == fresh.shape
-            assert out[i].tobytes() == fresh.tobytes()
-            assert not out[i].flags.writeable
+            for block, fresh in zip(stack.blocks, ctx.projector(w)):
+                assert block.dtype == fresh.dtype and block[inverse[i]].shape == fresh.shape
+                assert block[inverse[i]].tobytes() == fresh.tobytes()
             for j in range(i):
-                assert (out[i] is out[j]) == bool(np.array_equal(words[i], words[j]))
-        assert len({id(m) for m in out}) == len(np.unique(words, axis=0))
+                assert (inverse[i] == inverse[j]) == bool(np.array_equal(words[i], words[j]))
