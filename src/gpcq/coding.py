@@ -15,10 +15,11 @@ Each trial builds the projector of every distinct codeword once. Letter
 states are rotated into the basis frame, and the success traces of all
 messages come from one quantum.product_traces contraction per chunk of
 messages scattered into dense operators; encoder Declare failures count as
-full errors. The memory model behind BudgetExceeded counts what the decoder
-holds at once: a few stacks of sum_f |f|^2 float64 entries per message, f
-over the frequency classes of n slots (simulate_rate_error_curve says
-which stacks).
+full errors. The memory model behind BudgetExceeded is the largest
+footprint of a trial's phases: stacks of sum_f |f|^2 float64 entries per
+message, f over the frequency classes of n slots, class-block temporaries
+of the largest class, and the dense chunk of the success traces
+(_messages_for_rate lists them).
 
 validate_povm refuses non-finite elements before any other check on them,
 and tests positivity by a Cholesky factorization of el + 1e-8 I, which
@@ -445,24 +446,53 @@ class SimRow:
     declares: float
 
 
-def _messages_for_rate(rate: float, n: int, dim: int, stacks: int) -> int:
+def _chunk_entries(dim: int, d: int, candidates: int) -> int:
+    """Entries one message takes in a _success_traces chunk.
+
+    Its dense dim x dim operator, quantum.product_traces' reordered copy of
+    it, and the first slot's contraction over ``candidates`` (broadcast axes
+    times the slot's states) with its reordered copy. Later slots hold no
+    more while a slot lists at most d^2 states.
+    """
+    return 2 * dim * dim + 2 * (dim * dim // (d * d)) * candidates
+
+
+def _messages_for_rate(rate: float, n: int, d: int, held: int, candidates: int) -> int:
     """2^(n rate) messages, refused when their decoder cannot fit the memory budget.
 
-    The decoder holds ``stacks`` float64 stacks of class blocks at once,
-    each with sum_f |f|^2 entries per message, f over the frequency classes
-    of n slots; the footprint is compared in log2 terms, so 2^(n rate) is
+    The model is the largest float64 footprint of a trial's three phases,
+    with E = sum_f |f|^2 and F = max_f |f|^2 over the frequency classes f of
+    n slots and M messages:
+
+    - building codeword projectors: M (held E + F), ``held`` stacks and one
+      class-block temporary;
+    - decoding: (2M + 1) E + 3 (M + 1) F, the decoder input, the POVM with
+      its error outcome, validate_povm's Cholesky copy and factor of the
+      largest class, and one class block more for what peak RSS adds to
+      the arrays (allocator slack, LAPACK copies);
+    - success traces: (M + 1) E and one chunk of _chunk_entries per message.
+
+    The per-message part is compared in log2 terms first, so 2^(n rate) is
     only formed once it fits. CapExceeded first when the n-slot classes are
     past schur_weyl.DIM_CAP.
     """
     budget = memory_budget_bytes()
-    entries = sum(words.size**2 for words in class_partition(dim, n).words)
-    log2_bytes = max(n * rate, 0.0) + math.log2(8 * stacks * entries)
+    sizes = [words.size**2 for words in class_partition(d, n).words]
+    E, F = sum(sizes), max(sizes)
+    per_message = max(held * E + F, 2 * E + 3 * F)
+    log2_bytes = max(n * rate, 0.0) + math.log2(8 * per_message)
+    if log2_bytes <= math.log2(max(budget, 1)):
+        M = max(1, math.ceil(2.0 ** (n * rate) - 1e-9))
+        chunk = _chunk_entries(d**n, d, candidates)
+        traces = (M + 1) * E + max(1, M * E // chunk) * chunk
+        entries = max(M * (held * E + F), (2 * M + 1) * E + 3 * (M + 1) * F, traces)
+        log2_bytes = math.log2(8 * entries)
     if log2_bytes > math.log2(max(budget, 1)):
         raise BudgetExceeded(
             f"rate {rate} at n={n} needs ~2^{log2_bytes:.1f} bytes of decoder, budget is {budget}",
             log2_bytes=log2_bytes,
         )
-    return max(1, math.ceil(2.0 ** (n * rate) - 1e-9))
+    return M
 
 
 def _success_traces(elements: BlockStack, slots: Sequence[np.ndarray]) -> np.ndarray:
@@ -471,13 +501,14 @@ def _success_traces(elements: BlockStack, slots: Sequence[np.ndarray]) -> np.nda
     slots[j] has shape (M, ..., L_j, d, d), in the basis frame of the
     elements; the result is (M, ..., L_1 * ... * L_n). Elements are scattered
     into dense operators a chunk of messages at a time, one
-    quantum.product_traces contraction per chunk. A chunk's operators and
-    their first contraction hold about as many entries as the block stack.
+    quantum.product_traces contraction per chunk. A chunk holds about as
+    many entries as the block stack, and at least one message's
+    _chunk_entries.
     """
     count, dim = len(elements), elements.dim
     lead = slots[0].shape[1:-3]
-    width = dim * dim * (1 + math.prod(lead) * slots[0].shape[-3])
-    step = max(1, count * sum(block[0].size for block in elements.blocks) // width)
+    chunk = _chunk_entries(dim, slots[0].shape[-1], math.prod(lead) * slots[0].shape[-3])
+    step = max(1, count * sum(block[0].size for block in elements.blocks) // chunk)
     out = np.empty((count, *lead, math.prod(s.shape[-3] for s in slots)))
     for lo in range(0, count, step):
         ops = elements.dense(lo, lo + step).reshape((-1,) + (1,) * len(lead) + (dim, dim))
@@ -616,11 +647,11 @@ def simulate_rate_error_curve(
             "trials, K, restarts and every n", (trials, K, restarts, list(n_list)), ">= 1"
         )
     causal = scheme == "causal-sequential"
-    # Stacks held at once: the distinct codeword projectors (up to K per
-    # message) and their sums while building; the projectors, the elements
-    # and per-block temporaries while decoding.
-    stacks = 3 if causal else max(K + 1, 3)
-    messages = [[_messages_for_rate(rate, n, ch.dim, stacks) for rate in rates] for n in n_list]
+    # Stacks held while building: the distinct codeword projectors (up to K
+    # per message) and their sums, or the causal projectors and their copy.
+    # The traces contract against K state lists of |S| states per slot, or one state.
+    held, candidates = (2, 1) if causal else (K + 1, K * ch.num_states)
+    messages = [[_messages_for_rate(rate, n, ch.dim, held, candidates) for rate in rates] for n in n_list]
 
     p = ch.p
     # Each witness becomes letter weights q(u), weights p(s|u)/p(s) and an

@@ -42,7 +42,7 @@ from gpcq.schur_weyl import (
 from gpcq.util import compositions, digit_table, random_density_matrix
 
 from conftest import random_unitary
-from dense_reference import dense_projector
+from dense_reference import scatter
 
 DIAGONAL = ("flip", "stuck", "skew")
 
@@ -231,9 +231,12 @@ def _matched_trace_scan(ch, wit, ns, delta):
         u_words = u_words[np.all(word_counts == counts[None, :], axis=1)]
         s_words = digit_table(ch.num_states, n)
         members = matched_set_members(s_words, u_words, p_su, delta)
+        # Traces are taken in the basis frame of ctx: the package's class
+        # blocks scattered into one matrix against kron products of rotated letters.
+        rotated = ctx.rotate(tensor)
         worst = 1.0
         for uw, matched in zip(u_words, members.T):
-            proj = dense_projector(ctx, uw)
+            proj = scatter(ctx.projector(uw), ctx.partition.words, ch.dim**n)
             # folds[k] is the kron of the first k letters of the last state word;
             # a state word refolds only the letters after its shared prefix.
             folds = [np.ones((1, 1), dtype=complex)]
@@ -242,7 +245,7 @@ def _matched_trace_scan(ch, wit, ns, delta):
                 keep = int(np.argmin(sw == prev))
                 del folds[keep + 1 :]
                 for s, u in zip(sw[keep:], uw[keep:]):
-                    folds.append(np.kron(folds[-1], tensor[s, strat[s, u]]))
+                    folds.append(np.kron(folds[-1], rotated[s, strat[s, u]]))
                 prev = sw
                 worst = min(worst, float(np.einsum("ij,ji->", proj, folds[-1]).real))
         out[n] = worst

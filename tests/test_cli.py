@@ -159,6 +159,10 @@ class TestExitCodes:
             (("schur", "check", "--d", "1", "--n", "13"), "cap-exceeded"),
             (("schur", "check", "--d", "2", "--n", "300000"), "cap-exceeded"),
             (("schur", "check", "--d", "100", "--n", "100"), "cap-exceeded"),
+            (("simulate", "{flip}", "--scheme", "noncausal-sqrt", "--rates", "0.1",
+              "--n", "13", "--seed", "1"), "cap-exceeded"),
+            (("simulate", "{flip}", "--scheme", "causal-sequential", "--rates", "0.1",
+              "--n", "300000", "--seed", "1"), "cap-exceeded"),
         ],
     )
     def test_bad_input_is_error_code_not_traceback(self, capsys, channel_dir, argv, error):

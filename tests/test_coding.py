@@ -2,11 +2,12 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gpcq.channel import build_channel, derived_states
+from gpcq.channel import BUDGET_ENV_VAR, build_channel, derived_states
 from gpcq.coding import (
     DECLARE,
     Code,
@@ -24,6 +25,7 @@ from gpcq.coding import (
     validate_povm,
 )
 from gpcq.errors import (
+    BudgetExceeded,
     CapExceeded,
     GpcqError,
     InvalidPOVM,
@@ -570,6 +572,25 @@ class TestSimulationDriver:
             delta=1.2, causal_witness=self.CAUSAL_WITNESS,
         )
         assert [r.M for r in rows] == [1, 4, 16]
+
+    @pytest.mark.parametrize("scheme", ["causal-sequential", "noncausal-sqrt"])
+    def test_memory_model_bounds_the_traced_peak(self, flip, scheme, monkeypatch):
+        # The budget model must cover every array the run allocates
+        # (tracemalloc sees numpy's) and stay within 25% of their peak.
+        kw = dict(rates=[0.5], n_list=[8], trials=1, seed=5, K=2, delta=0.2,
+                  gp_witness=self.FLIP_WITNESS, causal_witness=self.CAUSAL_WITNESS)
+        simulate_rate_error_curve(flip, scheme, **kw)  # fills the n-slot class caches
+        tracemalloc.start()
+        try:
+            simulate_rate_error_curve(flip, scheme, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setenv(BUDGET_ENV_VAR, str(peak))
+        with pytest.raises(BudgetExceeded):
+            simulate_rate_error_curve(flip, scheme, **kw)
+        monkeypatch.setenv(BUDGET_ENV_VAR, str(int(1.25 * peak)))
+        assert simulate_rate_error_curve(flip, scheme, **kw)[0].M == 16
 
     def test_csv_layout(self):
         rows = [SimRow("noncausal-sqrt", 4, 0.5, 2, 4, 0.25, 0.2, 0.3, 0.125)]
