@@ -42,6 +42,9 @@ def commands() -> list[list[str]]:
     for scheme in SCHEMES:
         cmds.append(["simulate", "channels/flip.chan", "--scheme", scheme, "--rates", "0.5",
                      "--n", "8", "--seed", "5", "--trials", "2", "--json"])
+    # Causal codewords of several letter types: its two trials span 7 and 5 types.
+    cmds.append(["simulate", "channels/stuck.chan", "--scheme", "causal-sequential", "--rates", "0.5",
+                 "--n", "6", "--delta", "0.5", "--seed", "5", "--trials", "2", "--json"])
     cmds.append(COVERAGE + ["--k", "3"])
     cmds.append(COVERAGE + ["--k", "0"])
     for op in ("nearest", "class-size"):

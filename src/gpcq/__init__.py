@@ -11,7 +11,6 @@ from .causal import CausalSolution, causal_capacity, inner_maximize
 from .channel import (
     StateChannel,
     build_channel,
-    classical_embedding,
     derived_states,
     load_channel,
     parse_channel,
@@ -29,7 +28,7 @@ from .coding import (
     square_root_decoder,
 )
 from .errors import GpcqError
-from .noncausal import GPWitness, classical_gp_oracle, gp_objective, noncausal_lower_bound
+from .noncausal import GPWitness, gp_objective, noncausal_lower_bound
 from .quantum import (
     holevo_quantity,
     kl_divergence,
@@ -53,8 +52,6 @@ __all__ = [
     "build_gp_codebook",
     "causal_capacity",
     "central_projector",
-    "classical_embedding",
-    "classical_gp_oracle",
     "derived_states",
     "gp_encoder",
     "gp_objective",

@@ -26,9 +26,6 @@ from .quantum import divergence_profile, von_neumann_entropy
 STRATEGY_CAP = 2**16
 INNER_EPS = 1e-6
 INNER_MAX_ITER = 10**5
-# Blahut-Arimoto iterations allowed before classical_channel_capacity gives
-# up on reaching its certified stop.
-CLASSICAL_MAX_ITER = 10**6
 
 
 @dataclass(frozen=True)
@@ -206,46 +203,3 @@ def state_averaged_holevo(ch: StateChannel, eps: float = INNER_EPS) -> InnerSolu
     constant = np.tile(np.arange(ch.num_inputs), (ch.num_states, 1))
     states = derived_states(ch.p, ch.tensor, np.ones(constant.shape), constant)
     return inner_maximize(states, eps=eps)
-
-
-def classical_channel_capacity(W: np.ndarray, tol: float = 1e-9) -> float:
-    """Capacity of a discrete memoryless channel by Blahut-Arimoto iteration.
-
-    Rows of W are output pmfs per input. For any input pmf q the largest
-    divergence max_x D(W_x || qW) bounds the capacity from above, so the
-    iteration stops once that bound is within tol of the mutual information
-    I(q; W), which is returned. Raises GpcqError, with the final gap, when
-    CLASSICAL_MAX_ITER iterations do not reach that stop.
-    """
-    W = np.asarray(W, dtype=float)
-    log_w = np.log2(np.where(W > 0, W, 1.0))
-    q = np.full(W.shape[0], 1.0 / W.shape[0])
-    for _ in range(CLASSICAL_MAX_ITER):
-        out = q @ W
-        div = np.sum(W * (log_w - np.log2(np.where(out > 0, out, 1.0))), axis=1)
-        value = float(q @ div)
-        gap = float(div.max()) - value
-        if gap <= tol:
-            return value
-        q = q * np.exp2(div - div.max())
-        q /= q.sum()
-    raise GpcqError(
-        f"Blahut-Arimoto gap {gap} still above {tol} after {CLASSICAL_MAX_ITER} iterations",
-        gap=gap,
-        iterations=CLASSICAL_MAX_ITER,
-    )
-
-
-def shannon_strategy_oracle(w: np.ndarray, p: np.ndarray) -> float:
-    """Classical causal capacity via the strategy channel, for cross-checking.
-
-    w has shape (num_states, num_inputs, num_outputs). Each of the |X|^|S|
-    strategies is one input letter of a classical channel whose row is the
-    state-averaged output pmf; its capacity is the causal capacity.
-    """
-    w = np.asarray(w, dtype=float)
-    p = np.asarray(p, dtype=float)
-    num_states, num_inputs, _ = w.shape
-    cols = strategy_columns(num_states, num_inputs)
-    rows = np.einsum("s,usy->uy", p, w[np.arange(num_states)[None, :], cols])
-    return classical_channel_capacity(rows)

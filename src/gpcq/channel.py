@@ -39,7 +39,7 @@ from .errors import (
     PreconditionViolated,
     TraceNotOne,
 )
-from .quantum import TAU_TR, pinch, validate_density
+from .quantum import TAU_TR, validate_density
 
 TAU_COMM = 1e-9
 
@@ -331,40 +331,3 @@ def product_extension(ch: StateChannel, n: int, budget_bytes: int | None = None)
     tensor = tensor[keep]
     _check_states(tensor, state_alphabet, input_alphabet)
     return StateChannel(state_alphabet, input_alphabet, prior, tensor, tuple(warnings))
-
-
-def classical_embedding(ch: StateChannel) -> tuple[np.ndarray | None, float]:
-    """Classical reduction w(y | s, x) of a channel whose states pairwise commute.
-
-    Returns (w, worst): ``worst`` is the largest commutator of two channel
-    states in spectral norm, and ``w`` is None when it is above TAU_COMM.
-    Otherwise ``w`` is the (|S|, |X|, dim) array of every state pinched in
-    one shared orthonormal eigenbasis, in which each state is diagonal.
-    """
-    mats = ch.tensor.reshape(-1, ch.dim, ch.dim)
-    comm = mats[:, None] @ mats[None, :] - mats[None, :] @ mats[:, None]
-    worst = float(np.linalg.norm(comm, 2, axis=(-2, -1)).max())
-    if worst > TAU_COMM:
-        return None, worst
-    basis = _common_eigenbasis(mats)
-    w = np.stack([pinch(m, basis) for m in mats])
-    return w.reshape(ch.num_states, ch.num_inputs, ch.dim), worst
-
-
-def _common_eigenbasis(mats) -> np.ndarray:
-    """Eigenbasis of a deterministic random combination of commuting Hermitians."""
-    for attempt in range(8):
-        rng = np.random.default_rng(1234 + attempt)
-        coeffs = rng.normal(size=len(mats))
-        h = sum(c * m for c, m in zip(coeffs, mats))
-        h = (h + h.conj().T) / 2.0
-        _, basis = np.linalg.eigh(h)
-        off = 0.0
-        for m in mats:
-            rot = basis.conj().T @ m @ basis
-            off = max(off, float(np.max(np.abs(rot - np.diag(np.diagonal(rot))))))
-        if off <= 1e-7:
-            return basis
-    raise GpcqError(
-        "failed to jointly diagonalize a commuting family (degenerate combination)"
-    )

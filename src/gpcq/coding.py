@@ -11,15 +11,18 @@ validate_povm's checks and the closure check all run block by block. A
 dense operator list, as an explicit code or a test passes it, is the
 one-block case of the same code, and each decoder returns its input's form.
 
-Each trial builds the projector of every distinct codeword once. Letter
-states are rotated into the basis frame, and the success traces of all
-messages come from one quantum.product_traces contraction per chunk of
-messages scattered into dense operators; encoder Declare failures count as
-full errors. The memory model behind BudgetExceeded is the largest
-footprint of a trial's phases: stacks of sum_f |f|^2 float64 entries per
-message, f over the frequency classes of n slots, class-block temporaries
-of the largest class, and the dense chunk of the success traces
-(_messages_for_rate lists them).
+Each trial builds one projector per letter type of its codewords and
+gathers every distinct codeword's blocks from its type's by a slot
+permutation (DecodeContext.projectors); a causal trial draws its
+codewords by rejection from batches of candidates. Letter states are
+rotated into the basis frame, and the success traces of all messages come
+from one quantum.product_traces contraction per chunk of messages
+scattered into dense operators; encoder Declare failures count as full
+errors. The memory model behind BudgetExceeded is the largest footprint
+of a trial's phases: stacks of sum_f |f|^2 float64 entries per message, f
+over the frequency classes of n slots, the gather's index arrays,
+class-block temporaries of the largest class, and the dense chunk of the
+success traces (_messages_for_rate lists them).
 
 validate_povm refuses non-finite elements before any other check on them,
 and tests positivity by a Cholesky factorization of el + 1e-8 I, which
@@ -457,14 +460,20 @@ def _chunk_entries(dim: int, d: int, candidates: int) -> int:
     return 2 * dim * dim + 2 * (dim * dim // (d * d)) * candidates
 
 
-def _messages_for_rate(rate: float, n: int, d: int, held: int, candidates: int) -> int:
+def _messages_for_rate(rate: float, n: int, d: int, held: int, candidates: int, one_type: bool) -> int:
     """2^(n rate) messages, refused when their decoder cannot fit the memory budget.
 
-    The model is the largest float64 footprint of a trial's three phases,
-    with E = sum_f |f|^2 and F = max_f |f|^2 over the frequency classes f of
-    n slots and M messages:
+    The model is the largest float64 footprint of a trial's phases, with
+    E = sum_f |f|^2 and F = max_f |f|^2 over the frequency classes f of n
+    slots and M messages:
 
-    - building codeword projectors: M (held E + F), ``held`` stacks and one
+    - gathering codeword projectors: (held - 1) M (E + F + 2 d^n), the
+      distinct words' stack and, for the class being gathered, its int64
+      index (at most F entries per word) and position arrays (at most d^n
+      each), beside the E entries of each letter type's projector: one
+      when ``one_type`` (every codeword has one letter type), else at most
+      one per message;
+    - building the decoder input: M (held E + F), ``held`` stacks and one
       class-block temporary;
     - decoding: (2M + 1) E + 3 (M + 1) F, the decoder input, the POVM with
       its error outcome, validate_povm's Cholesky copy and factor of the
@@ -479,13 +488,15 @@ def _messages_for_rate(rate: float, n: int, d: int, held: int, candidates: int) 
     budget = memory_budget_bytes()
     sizes = [words.size**2 for words in class_partition(d, n).words]
     E, F = sum(sizes), max(sizes)
-    per_message = max(held * E + F, 2 * E + 3 * F)
+    gather = (held - 1) * (E + F + 2 * d**n)
+    per_message = max(gather, held * E + F, 2 * E + 3 * F)
     log2_bytes = max(n * rate, 0.0) + math.log2(8 * per_message)
     if log2_bytes <= math.log2(max(budget, 1)):
         M = max(1, math.ceil(2.0 ** (n * rate) - 1e-9))
         chunk = _chunk_entries(d**n, d, candidates)
         traces = (M + 1) * E + max(1, M * E // chunk) * chunk
-        entries = max(M * (held * E + F), (2 * M + 1) * E + 3 * (M + 1) * F, traces)
+        projectors = M * gather + (1 if one_type else M) * E
+        entries = max(projectors, M * (held * E + F), (2 * M + 1) * E + 3 * (M + 1) * F, traces)
         log2_bytes = math.log2(8 * entries)
     if log2_bytes > math.log2(max(budget, 1)):
         raise BudgetExceeded(
@@ -525,14 +536,32 @@ def _mean_ci(values: np.ndarray):
     return mean, max(mean - half, 0.0), min(mean + half, 1.0)
 
 
-def _typical_word(q: np.ndarray, n: int, delta: float, rng: np.random.Generator) -> np.ndarray:
-    """Word drawn i.i.d. from q conditioned on delta-typicality (rejection)."""
-    for _ in range(1000):
-        word = rng.choice(q.size, size=n, p=q)
-        counts = np.bincount(word, minlength=q.size)
-        if float(np.abs(counts / n - q).sum()) <= delta:
-            return word.astype(np.int64)
-    return type_class_words(nearest_type(q, n), (), rng)
+def _typical_words(q: np.ndarray, n: int, M: int, delta: float, rng: np.random.Generator) -> np.ndarray:
+    """M words, each drawn i.i.d. from q conditioned on delta-typicality by rejection.
+
+    A word is the first typical one of up to 1000 candidates, else a uniform
+    word of the nearest type. Candidates come in batches, each letter the
+    searchsorted of a uniform in q's cdf as Generator.choice(q.size, size=n,
+    p=q) draws it, so the stream is read as by one choice per candidate. No
+    batch passes the current word's 1000th candidate, so a fallback word
+    draws from the same stream position; rows past the M-th word are unused.
+    """
+    cdf = q.cumsum()
+    cdf /= cdf[-1]
+    words: list[np.ndarray] = []
+    tried = 0  # candidates of the current word drawn so far
+    while len(words) < M:
+        # Eight candidates per word still wanted, doubling while none is typical.
+        batch = min(1000 - tried, max(8 * (M - len(words)), tried))
+        rows = cdf.searchsorted(rng.random((batch, n)), side="right")
+        counts = (rows[:, :, None] == np.arange(q.size)).sum(axis=1)
+        typical = np.flatnonzero(np.abs(counts / n - q).sum(axis=1) <= delta)
+        words.extend(rows[typical])
+        tried = batch - 1 - typical[-1] if typical.size else tried + batch
+        if tried == 1000:
+            words.append(type_class_words(nearest_type(q, n), (), rng))
+            tried = 0
+    return np.array(words[:M], dtype=np.int64)
 
 
 def simulate_noncausal_trial(
@@ -599,7 +628,7 @@ def simulate_causal_trial(
     trace of its effective measurement element against the product of
     per-letter averaged states.
     """
-    words = np.stack([_typical_word(q, n, delta, rng) for _ in range(M)])
+    words = _typical_words(q, n, M, delta, rng)
     distinct, inverse = ctx.projectors(words)
     projectors = BlockStack(tuple(block[inverse] for block in distinct.blocks), ctx.partition.words)
     del distinct
@@ -650,8 +679,9 @@ def simulate_rate_error_curve(
     # Stacks held while building: the distinct codeword projectors (up to K
     # per message) and their sums, or the causal projectors and their copy.
     # The traces contract against K state lists of |S| states per slot, or one state.
+    # A binned codebook's words share one letter type; causal words may each have their own.
     held, candidates = (2, 1) if causal else (K + 1, K * ch.num_states)
-    messages = [[_messages_for_rate(rate, n, ch.dim, held, candidates) for rate in rates] for n in n_list]
+    messages = [[_messages_for_rate(rate, n, ch.dim, held, candidates, not causal) for rate in rates] for n in n_list]
 
     p = ch.p
     # Each witness becomes letter weights q(u), weights p(s|u)/p(s) and an

@@ -12,7 +12,6 @@ global solve.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,14 +19,13 @@ import numpy as np
 from .causal import causal_capacity
 from .channel import (
     StateChannel,
-    classical_embedding,
     derived_states,
     letter_states,
     product_extension,
 )
 from .errors import GpcqError, NonFinite, PreconditionViolated, ShapeMismatch
 from .quantum import entropy_bits, kl_divergence
-from .util import compositions, rng_for
+from .util import rng_for
 
 ALT_EPS = 1e-7
 ASCENT_ITERS = 200
@@ -37,10 +35,7 @@ DEFAULT_AUX_CAP = 16
 # only if they raise the exact objective, so the floor shapes the step, not
 # the values.
 EIG_FLOOR = 1e-12
-# classical_gp_oracle polishes the best ORACLE_TOP_SEEDS grid points of each
-# input map, scoring the grid ORACLE_CHUNK points at a time.
-ORACLE_TOP_SEEDS = 3
-ORACLE_CHUNK = 65536
+
 
 
 def default_aux_size(num_states: int, num_inputs: int, n: int) -> int:
@@ -321,114 +316,3 @@ def noncausal_lower_bound(
         ascent_steps=sum(res[3] for res in results),
         objective_evals=sum(res[4] for res in results),
     )
-
-
-@dataclass(frozen=True)
-class ClassicalGP:
-    """Classical state-dependent channel: prior p over states, pmf table w."""
-
-    p: np.ndarray
-    w: np.ndarray
-
-    @classmethod
-    def from_channel(cls, ch: StateChannel) -> "ClassicalGP":
-        w, worst = classical_embedding(ch)
-        if w is None:
-            raise GpcqError("channel outputs do not commute; no classical reduction", commutator=worst)
-        return cls(ch.p.copy(), w)
-
-
-def _classical_objective_batch(p, w, e_map, Q):
-    """Objective at a batch of conditional tables Q of shape (B, S, U)."""
-    B, num_states, num_u = Q.shape
-    joint = p[None, :, None] * Q
-    q_u = joint.sum(axis=1)
-    wy = w[np.arange(num_states)[None, :], e_map]
-    puy = np.einsum("bsu,usy->buy", joint, wy)
-    py = puy.sum(axis=1)
-
-    def masked_sum(a, logarg):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = a * np.log2(np.where(a > 0, logarg, 1.0))
-        return np.where(a > 0, t, 0.0)
-
-    denom_uy = q_u[:, :, None] * py[:, None, :]
-    i_uy = masked_sum(puy, puy / np.where(denom_uy > 0, denom_uy, 1.0)).sum(axis=(1, 2))
-    denom_su = p[None, :, None] * q_u[:, None, :]
-    i_us = masked_sum(joint, joint / np.where(denom_su > 0, denom_su, 1.0)).sum(axis=(1, 2))
-    return i_uy - i_us
-
-
-def _simplex_grid(k: int, resolution: int) -> np.ndarray:
-    pts = np.array(list(compositions(resolution, k)), dtype=float)
-    return pts / resolution
-
-
-def classical_gp_oracle(
-    cgp: ClassicalGP,
-    aux_size: int = 2,
-    grid_step: float = 0.1,
-    refine_rounds: int = 10,
-    eval_budget: int = 8_000_000,
-) -> float:
-    """Grid-plus-refinement maximization of the classical trade-off objective.
-
-    Exhausts deterministic input maps; for each, scans a product grid over
-    the per-state auxiliary conditionals and polishes the best few grid
-    points with shrinking local grids. The grid resolution shrinks from
-    1/grid_step until the total evaluation count fits the budget. The
-    objective is not concave, so this is a high-confidence lower bound used
-    as a cross-check oracle.
-    """
-    p, w = cgp.p, cgp.w
-    num_states, num_inputs, _ = w.shape
-    num_maps = num_inputs ** (aux_size * num_states)
-    res = max(2, round(1.0 / grid_step))
-    while res > 2:
-        count = math.comb(res + aux_size - 1, aux_size - 1) ** num_states * num_maps
-        if count <= eval_budget:
-            break
-        res -= 1
-    grid = _simplex_grid(aux_size, res)
-    G = grid.shape[0]
-    total = G**num_states
-    local = _simplex_grid(aux_size, 8)
-
-    best_overall = -math.inf
-    for flat_map in range(num_maps):
-        digits = np.base_repr(flat_map, base=num_inputs).zfill(aux_size * num_states)
-        e_map = np.array([int(c) for c in digits], dtype=np.int64).reshape(aux_size, num_states)
-
-        scored = []
-        for start in range(0, total, ORACLE_CHUNK):
-            idx = np.arange(start, min(start + ORACLE_CHUNK, total))
-            Q = np.empty((idx.size, num_states, aux_size))
-            rem = idx.copy()
-            for s in range(num_states - 1, -1, -1):
-                Q[:, s, :] = grid[rem % G]
-                rem //= G
-            vals = _classical_objective_batch(p, w, e_map, Q)
-            order = np.argsort(vals)[-ORACLE_TOP_SEEDS:]
-            scored.extend((float(vals[i]), Q[i]) for i in order)
-        scored.sort(key=lambda t: t[0], reverse=True)
-
-        for base_val, base_q in scored[:ORACLE_TOP_SEEDS]:
-            cur_val, cur_q = base_val, base_q
-            width = 2.0 * grid_step
-            for _ in range(refine_rounds):
-                cands = []
-                for s in range(num_states):
-                    mixed = (1 - width) * cur_q[None, s, :] + width * local
-                    for row in mixed:
-                        c = cur_q.copy()
-                        c[s] = row
-                        cands.append(c)
-                cands = np.stack(cands)
-                vals = _classical_objective_batch(p, w, e_map, cands)
-                i = int(np.argmax(vals))
-                if vals[i] > cur_val:
-                    cur_val, cur_q = float(vals[i]), cands[i]
-                width *= 0.5
-            best_overall = max(best_overall, cur_val)
-    return best_overall
-

@@ -13,9 +13,12 @@ Decoding stays in the basis frame, where product vectors are labeled by the
 columns of the decoding basis. There a typicality-filtered block projector
 is a sum of (frequency, frame) blocks, so block_projector returns its class
 blocks; a word's decoding projector is block diagonal over the frequency
-classes of all n slots, and DecodeContext builds it as one real block per
-class. A dense operator in the product frame is basis^(tensor n) · blocks ·
-its adjoint, which the program never forms.
+classes of all n slots, one real block per class. DecodeContext builds one
+projector per letter type, for the sorted word, from its letters' blocks;
+every other word of the type is that projector conjugated by a slot
+permutation, which maps each class onto itself, so its blocks are one
+index gather per class. A dense operator in the product frame is
+basis^(tensor n) · blocks · its adjoint, which the program never forms.
 """
 
 from __future__ import annotations
@@ -407,11 +410,15 @@ class DecodeContext:
     """Decoding projectors of auxiliary words as class blocks in the basis frame.
 
     In the basis frame a word's projector is block diagonal over the
-    frequency classes of n slots (class_partition(d, n)). The projector
-    groups the word's positions by letter; a group of t slots carries the
-    letter's block projector at divergence radius n*delta/t, so the entry at
-    a pair of product words is the product, over groups, of the block
-    projector's entries at their restrictions to the group's slots.
+    frequency classes of n slots (class_partition(d, n)). The projector of
+    a sorted word, one per letter type, groups its slots into runs of equal
+    letters; a run of t slots carries the letter's block projector at
+    divergence radius n*delta/t, so the entry at a pair of product words is
+    the product, over runs, of the block projector's entries at their
+    restrictions to the run's slots. Any other word of the type is its
+    sorted word conjugated by a slot permutation, which maps every class
+    onto itself, so its blocks are one index gather per class from its
+    type's blocks.
     """
 
     def __init__(self, states: np.ndarray, basis: np.ndarray, n: int, delta: float):
@@ -451,46 +458,71 @@ class DecodeContext:
     def projector(self, u_seq) -> tuple[np.ndarray, ...]:
         """Class blocks of one word's projector, aligned with self.partition.words.
 
-        Two product words' entry is zero unless, for every letter, their
-        restrictions to its slots share a class of that letter's partition;
-        otherwise it is the product of the letters' block entries.
+        Built for the sorted word from its letters' blocks: two product
+        words' entry is zero unless, for every run, their restrictions to
+        its slots share a class of that letter's partition; otherwise it is
+        the product of the runs' block entries. An unsorted word's blocks
+        are then gathered from the sorted word's.
         """
-        u_seq = np.asarray(u_seq, dtype=np.int64)
+        u_seq = np.asarray(u_seq, dtype=np.int64).reshape(-1)
         if u_seq.size != self.n:
             raise GpcqError(f"word length {u_seq.size} != {self.n}")
-        order = np.argsort(u_seq.reshape(-1), kind="stable")  # the word's slots grouped by letter
         letters, sizes = np.unique(u_seq, return_counts=True)
-        groups = [
+        runs = [
             (self.block(int(u), int(t)), class_partition(self.d, int(t)), start)
             for u, t, start in zip(letters, sizes, np.cumsum(sizes) - sizes)
         ]
         out = []
         for digits in self._digits:
-            slots = digits[:, order]
-            block = np.ones((len(slots),) * 2)
-            fine = np.zeros(len(slots), dtype=np.int64)
-            for flat, part, start in groups:
-                sub = slots[:, start : start + part.t] @ self.d ** np.arange(part.t - 1, -1, -1)
+            block = np.ones((len(digits),) * 2)
+            fine = np.zeros(len(digits), dtype=np.int64)
+            for flat, part, start in runs:
+                sub = digits[:, start : start + part.t] @ self.d ** np.arange(part.t - 1, -1, -1)
                 block *= flat[part.row_start[sub][:, None] + part.position[sub][None, :]]
                 fine = fine * len(part.words) + part.label[sub]
             block *= fine[:, None] == fine[None, :]
             out.append(block)
+        if np.any(u_seq[1:] < u_seq[:-1]):
+            return tuple(b[0] for b in self._gather([out], np.zeros(1, dtype=np.int64), u_seq[None]))
+        return tuple(out)
+
+    def _gather(self, types, type_of: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Class blocks of every row of words, read from the blocks types[type_of[w]] of its sorted row.
+
+        Sorting row w's slots sends product word a to the word a[order]
+        of the same class, and the row's entry at (a, b) is its sorted
+        row's entry at (a[order], b[order]). The index of a[order] is a's
+        digits weighted by the place values their slots sort to, so each
+        class turns one (W, s_c) array of positions into flat indices of the
+        types' blocks laid end to end.
+        """
+        order = np.argsort(words, axis=1, kind="stable")
+        weights = np.empty_like(order)  # weights[w, order[w, j]] is the place value of position j
+        np.put_along_axis(weights, order, self.d ** np.arange(self.n - 1, -1, -1), axis=1)
+        out = []
+        for c, digits in enumerate(self._digits):
+            size = len(digits)
+            pos = self.partition.position[weights @ digits.T]
+            flat = np.concatenate([blocks[c].ravel() for blocks in types])
+            out.append(flat[(type_of[:, None, None] * size + pos[:, :, None]) * size + pos[:, None, :]])
         return tuple(out)
 
     def projectors(self, words) -> tuple[BlockStack, np.ndarray]:
         """Projectors of the distinct rows of an (L, n) word array, and each row's index among them.
 
-        Each distinct word is built once; the blocks are read-only and the
-        context keeps none of them.
+        projector builds each distinct letter type once, for its sorted
+        word, and every distinct row is gathered from its type's blocks; the
+        blocks are read-only and the context keeps none of them.
         """
         words = np.asarray(words, dtype=np.int64)
         if words.ndim != 2 or words.shape[1] != self.n:
             raise GpcqError(f"word array of shape {words.shape} is not (L, {self.n})")
         distinct, inverse = np.unique(words, axis=0, return_inverse=True)
-        blocks = tuple(np.empty((len(distinct), w.size, w.size)) for w in self.partition.words)
-        for i, word in enumerate(distinct):
-            for block, part in zip(blocks, self.projector(word)):
-                block[i] = part
+        types, type_of = np.unique(np.sort(distinct, axis=1), axis=0, return_inverse=True)
+        if len(types):
+            blocks = self._gather([self.projector(word) for word in types], type_of.reshape(-1), distinct)
+        else:
+            blocks = tuple(np.empty((0, w.size, w.size)) for w in self.partition.words)
         for block in blocks:
             block.setflags(write=False)
         return BlockStack(blocks, self.partition.words), inverse.reshape(-1)

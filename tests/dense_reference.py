@@ -5,13 +5,16 @@ These build the same objects as plain d^n x d^n matrices in the product
 frame, the way the package did before its block form: a letter's block
 projector rotated by basis^(tensor t), a word's projector as the Kronecker
 product of its letters' projectors put back on the word's slots, and both
-decoders by dense matrix algebra.
+decoders by dense matrix algebra. reference_projector builds a word's class
+blocks directly from its letters' blocks, in any slot order, the way the
+package did before it gathered each word from its letter type's projector.
 """
 
 import numpy as np
 
 from gpcq.coding import RANK_TOL
 from gpcq.schur_weyl import block_projector, class_partition
+from gpcq.util import digit_table
 
 
 def kron_all(mats) -> np.ndarray:
@@ -63,6 +66,35 @@ def dense_projector(ctx, u_seq) -> np.ndarray:
     inv = np.argsort(order)
     axes = list(inv) + [ctx.n + a for a in inv]
     return np.transpose(tensor, axes=axes).reshape(ctx.d**ctx.n, ctx.d**ctx.n)
+
+
+def reference_projector(ctx, u_seq) -> tuple[np.ndarray, ...]:
+    """A word's class blocks, aligned with ctx.partition.words, from its letters' blocks at the word's own slots.
+
+    Two product words' entry is zero unless, for every letter, their
+    restrictions to its slots share a class of that letter's partition;
+    otherwise it is the product of the letters' block entries.
+    """
+    u_seq = np.asarray(u_seq, dtype=np.int64).reshape(-1)
+    order = np.argsort(u_seq, kind="stable")  # the word's slots grouped by letter
+    letters, sizes = np.unique(u_seq, return_counts=True)
+    groups = [
+        (ctx.block(int(u), int(t)), class_partition(ctx.d, int(t)), start)
+        for u, t, start in zip(letters, sizes, np.cumsum(sizes) - sizes)
+    ]
+    digits = digit_table(ctx.d, ctx.n)
+    out = []
+    for words in ctx.partition.words:
+        slots = digits[words][:, order]
+        block = np.ones((len(slots),) * 2)
+        fine = np.zeros(len(slots), dtype=np.int64)
+        for flat, part, start in groups:
+            sub = slots[:, start : start + part.t] @ ctx.d ** np.arange(part.t - 1, -1, -1)
+            block *= flat[part.row_start[sub][:, None] + part.position[sub][None, :]]
+            fine = fine * len(part.words) + part.label[sub]
+        block *= fine[:, None] == fine[None, :]
+        out.append(block)
+    return tuple(out)
 
 
 def product_frame_elements(stack, basis, n: int) -> list[np.ndarray]:

@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 
-from gpcq.causal import causal_capacity, inner_maximize, shannon_strategy_oracle
+from gpcq.causal import causal_capacity, inner_maximize
 from gpcq.channel import build_channel
 from gpcq.cli import dispatch
 from gpcq.coding import simulate_rate_error_curve, square_root_decoder, union_bound_gap
@@ -17,8 +17,6 @@ from gpcq.method_of_types import (
     type_class_size,
 )
 from gpcq.noncausal import (
-    ClassicalGP,
-    classical_gp_oracle,
     noncausal_lower_bound,
     product_witness,
     trim_witness,
@@ -41,6 +39,7 @@ from gpcq.schur_weyl import (
 )
 from gpcq.util import compositions, digit_table, random_density_matrix
 
+from classical_oracles import ClassicalGP, classical_gp_oracle, shannon_strategy_oracle
 from conftest import random_unitary
 from dense_reference import scatter
 

@@ -7,21 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import gpcq.causal as causal_module
 from gpcq.causal import (
     INNER_MAX_ITER,
     STRATEGY_CAP,
     Strategy,
     causal_capacity,
-    classical_channel_capacity,
     inner_maximize,
-    shannon_strategy_oracle,
     state_averaged_holevo,
 )
 from gpcq.channel import build_channel, derived_states, letter_states
 from gpcq.errors import CapExceeded, GpcqError
-from gpcq.noncausal import ClassicalGP
 from gpcq.quantum import holevo_quantity
+
+import classical_oracles
+from classical_oracles import ClassicalGP, classical_channel_capacity, shannon_strategy_oracle
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
@@ -221,7 +220,7 @@ class TestClassicalCrossChecks:
     def test_uncertified_capacity_raises_with_gap(self, monkeypatch):
         # This strategy channel needs about 51k iterations to certify.
         _, rows, p = random_classical_channel(np.random.default_rng(1), 3, 3)
-        monkeypatch.setattr(causal_module, "CLASSICAL_MAX_ITER", 1000)
+        monkeypatch.setattr(classical_oracles, "CLASSICAL_MAX_ITER", 1000)
         with pytest.raises(GpcqError) as exc:
             shannon_strategy_oracle(rows, p)
         assert exc.value.details["iterations"] == 1000

@@ -10,11 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpcq.causal import causal_capacity, classical_channel_capacity
+from gpcq.causal import causal_capacity
 from gpcq.channel import (
     TAU_COMM,
     build_channel,
-    classical_embedding,
     derived_states,
     letter_states,
     parse_channel,
@@ -33,6 +32,8 @@ from gpcq.errors import (
 )
 from gpcq.noncausal import noncausal_lower_bound, product_witness
 from gpcq.quantum import holevo_quantity, shannon_entropy
+
+from classical_oracles import classical_channel_capacity, classical_embedding
 
 CHANNELS = pathlib.Path(__file__).resolve().parent.parent / "channels"
 

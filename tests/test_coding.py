@@ -12,6 +12,7 @@ from gpcq.coding import (
     DECLARE,
     Code,
     SimRow,
+    _typical_words,
     admissible_indices,
     average_error,
     build_gp_codebook,
@@ -33,7 +34,7 @@ from gpcq.errors import (
     NotProjection,
     PreconditionViolated,
 )
-from gpcq.method_of_types import matched_set_members, nearest_type
+from gpcq.method_of_types import matched_set_members, nearest_type, type_class_words
 from gpcq.quantum import BlockStack, eigenbasis
 from gpcq.schur_weyl import DecodeContext
 from gpcq.util import random_density_matrix, rng_for
@@ -517,6 +518,40 @@ class TestNoncausalTrial:
         assert 0.0 < expected_declares / M < 1.0
         assert err == pytest.approx(expected_err / M, abs=1e-12)
         assert declares == pytest.approx(expected_declares / M, abs=1e-12)
+
+
+def sequential_typical_words(q, n, M, delta, rng):
+    """Reference draw: one Generator.choice per candidate, up to 1000 per word, then a nearest-type word."""
+    words = []
+    for _ in range(M):
+        for _ in range(1000):
+            word = rng.choice(q.size, size=n, p=q)
+            counts = np.bincount(word, minlength=q.size)
+            if float(np.abs(counts / n - q).sum()) <= delta:
+                words.append(word.astype(np.int64))
+                break
+        else:
+            words.append(type_class_words(nearest_type(q, n), (), rng))
+    return np.stack(words)
+
+
+class TestTypicalWords:
+    """The batched causal codeword draw equals one rng.choice per candidate, word for word."""
+
+    @pytest.mark.parametrize("q, n, delta, Ms", [
+        ((0.5, 0.5), 6, 0.2, (1, 40)),
+        ((0.2, 0.3, 0.5), 6, 0.3, (1, 40)),
+        ((0.25, 0.25, 0.5), 4, 0.0, (1, 40)),  # delta 0 on an exact type
+        ((0.3, 0.7), 2, 0.2, (1, 2)),  # no word is typical: every word falls back
+        ((0.125,) * 8, 8, 0.0, (1, 3)),  # 0.24% typical: about one word in eleven falls back
+    ])
+    def test_batched_draw_equals_the_sequential_draw(self, q, n, delta, Ms):
+        q = np.asarray(q)
+        for M in Ms:
+            for seed in range(30):
+                want = sequential_typical_words(q, n, M, delta, np.random.default_rng(seed))
+                got = _typical_words(q, n, M, delta, np.random.default_rng(seed))
+                assert got.dtype == want.dtype and np.array_equal(got, want), (M, seed)
 
 
 class TestSimulationDriver:

@@ -12,11 +12,9 @@ from gpcq.channel import build_channel, product_extension
 from gpcq.coding import simulate_rate_error_curve
 from gpcq.errors import GpcqError, NonFinite, PreconditionViolated, ShapeMismatch
 from gpcq.noncausal import (
-    ClassicalGP,
     _cross_term,
     _objective,
     _q_step,
-    classical_gp_oracle,
     default_aux_size,
     gp_objective,
     noncausal_lower_bound,
@@ -25,6 +23,8 @@ from gpcq.noncausal import (
 )
 from gpcq.quantum import kl_divergence
 from gpcq.util import random_density_matrix
+
+from classical_oracles import ClassicalGP, classical_gp_oracle
 
 UNIFORM_Q = np.array([[0.5, 0.5], [0.5, 0.5]])
 INVERTING = np.array([[0, 1], [1, 0]])

@@ -29,6 +29,7 @@ from gpcq.schur_weyl import (
 )
 from gpcq.util import compositions, digit_table
 
+import dense_reference as ref
 from dense_reference import dense_block_projector, kron_all, scatter
 
 EYE2 = np.eye(2, dtype=complex)
@@ -609,3 +610,77 @@ class TestSharedProjectors:
                 assert block[inverse[i]].tobytes() == fresh.tobytes()
             for j in range(i):
                 assert (inverse[i] == inverse[j]) == bool(np.array_equal(words[i], words[j]))
+
+
+def type_class(counts) -> np.ndarray:
+    """Every word with these letter counts, ascending."""
+    words = digit_table(len(counts), sum(counts))
+    tally = np.stack([(words == u).sum(axis=1) for u in range(len(counts))], axis=1)
+    return words[(tally == np.asarray(counts)).all(axis=1)]
+
+
+class TestGatheredProjectors:
+    """projectors builds one projector per letter type and gathers every word from it, equal to the per-word reference."""
+
+    # (channel, q_rows, strategy) of two 2-letter witnesses and a 3-letter one.
+    WITNESSES = {
+        "flip": ("flip", [[0.5, 0.5], [0.5, 0.5]], [[0, 1], [1, 0]]),
+        "purecq": ("purecq", [[0.7, 0.3], [0.3, 0.7]], [[0, 1], [1, 0]]),
+        "three-letter": ("purecq", [[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]], [[0, 1, 0], [1, 1, 0]]),
+    }
+
+    def context(self, suite, witness, n):
+        name, q_rows, strategy = self.WITNESSES[witness]
+        return TestSharedProjectors.context(suite[name], q_rows, strategy, n), len(q_rows[0])
+
+    @staticmethod
+    def assert_rows_match_reference(ctx, words, stack, inverse):
+        for w, row in zip(words, inverse):
+            for block, want in zip(stack.blocks, ref.reference_projector(ctx, w)):
+                assert block.dtype == want.dtype and np.array_equal(block[row], want)
+
+    @pytest.mark.parametrize("witness", list(WITNESSES))
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_every_word_of_a_type_matches_the_reference(self, suite, witness, n):
+        ctx, letters = self.context(suite, witness, n)
+        counts = [n // letters + (u < n % letters) for u in range(letters)]
+        words = type_class(counts)
+        stack, inverse = ctx.projectors(words)
+        assert len(stack) == len(words)
+        self.assert_rows_match_reference(ctx, words, stack, inverse)
+
+    @pytest.mark.parametrize("witness", list(WITNESSES))
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_mixed_types_unsorted_and_repeated_rows_match_the_reference(self, suite, witness, n):
+        ctx, letters = self.context(suite, witness, n)
+        drawn = np.random.default_rng(n).integers(0, letters, size=(10, n))
+        words = np.concatenate([drawn, drawn[::-1][:4], np.sort(drawn[:3], axis=1)])
+        assert len(np.unique(np.sort(words, axis=1), axis=0)) >= 2
+        stack, inverse = ctx.projectors(words)
+        assert len(stack) == len(np.unique(words, axis=0))
+        self.assert_rows_match_reference(ctx, words, stack, inverse)
+
+    @pytest.mark.parametrize("witness", list(WITNESSES))
+    def test_projector_of_an_unsorted_word_matches_the_reference(self, suite, witness):
+        ctx, letters = self.context(suite, witness, 6)
+        drawn = np.random.default_rng(3).integers(0, letters, size=(12, 6))
+        unsorted = [w for w in drawn if np.any(w[1:] < w[:-1])]
+        assert len(unsorted) >= 8
+        for w in unsorted:
+            for got, want in zip(ctx.projector(w), ref.reference_projector(ctx, w)):
+                assert np.array_equal(got, want)
+
+    def test_one_projector_build_per_letter_type(self, suite, monkeypatch):
+        ctx, _ = self.context(suite, "three-letter", 5)
+        built = []
+        build = ctx.projector
+        monkeypatch.setattr(ctx, "projector", lambda word: built.append(tuple(word)) or build(word))
+        words = np.random.default_rng(4).integers(0, 3, size=(30, 5))
+        ctx.projectors(words)
+        assert sorted(built) == sorted(set(map(tuple, np.sort(words, axis=1).tolist())))
+
+    def test_empty_word_array_gives_an_empty_stack(self, suite):
+        ctx, _ = self.context(suite, "flip", 4)
+        stack, inverse = ctx.projectors(np.zeros((0, 4), dtype=np.int64))
+        assert len(stack) == 0 and inverse.shape == (0,)
+        assert [b.shape[1:] for b in stack.blocks] == [(w.size, w.size) for w in ctx.partition.words]
