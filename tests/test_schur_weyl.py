@@ -581,7 +581,7 @@ class TestDecodeProjectors:
 
 
 class TestSharedProjectors:
-    """DecodeContext.projectors builds each distinct word once, bit for bit as projector does."""
+    """DecodeContext.projectors holds each distinct word once, bit for bit as projector gives it."""
 
     @staticmethod
     def context(ch, q_rows, strategy, n):
