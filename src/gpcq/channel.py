@@ -41,8 +41,6 @@ from .errors import (
 )
 from .quantum import TAU_TR, validate_density
 
-TAU_COMM = 1e-9
-
 DEFAULT_BUDGET_BYTES = 1 << 30
 BUDGET_ENV_VAR = "GPCQ_BUDGET_BYTES"
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .causal import INNER_EPS, causal_capacity, state_averaged_holevo
-from .channel import TAU_COMM, load_channel
+from .channel import load_channel
 from .coding import rows_to_csv, simulate_rate_error_curve
 from .errors import GpcqError, NonFinite, PreconditionViolated
 from .method_of_types import (
@@ -53,7 +53,6 @@ TOLERANCES = {
     "eigenvalue": TAU_EIG,
     "support": TAU_SUPP,
     "projector": TAU_PROJ,
-    "commutator": TAU_COMM,
     "inner_eps": INNER_EPS,
     "alt_eps": ALT_EPS,
 }
@@ -273,6 +272,7 @@ def _cmd_noncausal(args) -> None:
         "restart_values": list(wit.restart_values),
         "ascent_steps": wit.ascent_steps,
         "objective_evals": wit.objective_evals,
+        "rounds": wit.rounds,
         "leak_per_symbol": wit.leak_per_symbol,
     }
     keys = ["value", "holevo", "leak", "n", "aux_size", "restart_index"]

@@ -8,6 +8,13 @@ multiplicative step on the auxiliary conditionals (a Blahut-Arimoto-style
 update that never lowers the objective) with greedy strategy sweeps.
 Concavity is unknown, so restarts plus structured seeds stand in for a
 global solve.
+
+Every candidate is scored from scratch, in the same operation order as a
+full evaluation, so the search's values and witnesses do not depend on how
+candidates are batched. A sweep cell (s, u) changes only A_u and rho_bar,
+so all inputs of a cell are scored from one eigvalsh of their candidate
+A_u and rho_bar; the ascent gathers the strategy's letter states once and
+carries each accepted step's derived states into the next step.
 """
 
 from __future__ import annotations
@@ -51,15 +58,24 @@ class GPObjectiveReport:
     leak: float
 
 
+def _derived(w: np.ndarray, letters: np.ndarray) -> np.ndarray:
+    """A_u = sum_s w(s,u) letters[s,u], derived_states' einsum on letter states gathered once."""
+    return np.einsum("su,suij->uij", w, letters)
+
+
 def _objective(p: np.ndarray, tensor: np.ndarray, q_given_s: np.ndarray, strategy: np.ndarray) -> GPObjectiveReport:
-    """Unscaled objective chi - leak for one block channel.
+    """Unscaled objective chi - leak for one block channel."""
+    return _score(p, q_given_s, derived_states(p, tensor, q_given_s, strategy))
+
+
+def _score(p: np.ndarray, q_given_s: np.ndarray, A: np.ndarray) -> GPObjectiveReport:
+    """The objective of a witness from its derived states A.
 
     omega = sum_u |u><u| (x) A_u has the spectra of all the A_u = q(u) rho_u,
     so chi = S(rho_bar) - S(omega) + H(q) comes from one eigvalsh over [A_u; rho_bar].
     """
     w = p[:, None] * q_given_s
     q_u = w.sum(axis=0)
-    A = derived_states(p, tensor, q_given_s, strategy)
     vals = np.linalg.eigvalsh(np.concatenate([A, A.sum(axis=0, keepdims=True)]))
     chi = float(entropy_bits(vals[-1]) - entropy_bits(vals[:-1].ravel()) + entropy_bits(q_u))
     # I(S; U) of the joint w, taken against the prior p rather than the row sums of w:
@@ -102,22 +118,22 @@ def gp_objective(ch: StateChannel, q_given_s: np.ndarray, strategy: np.ndarray, 
     return GPObjectiveReport(rep.value / n, rep.holevo / n, rep.leak)
 
 
-def _cross_term(p, tensor, q, strategy) -> np.ndarray:
+def _cross_term(letters: np.ndarray, A: np.ndarray) -> np.ndarray:
     """c(s,u) = tr rho_{s,x(s,u)}(log A_u - log rho_bar), in bits.
 
-    With f = S(rho_bar) + sum_u tr A_u log A_u + sum_s p(s) H(q(.|s)) the
-    partial derivative in q(u|s) is p(s)[c(s,u) - log q(u|s)] up to a per-row
-    constant. One batched eigh over the A_u and rho_bar does the work of a
-    single objective evaluation.
+    letters are the strategy's letter states and A the witness's derived
+    states. With f = S(rho_bar) + sum_u tr A_u log A_u + sum_s p(s) H(q(.|s))
+    the partial derivative in q(u|s) is p(s)[c(s,u) - log q(u|s)] up to a
+    per-row constant. One batched eigh over the A_u and rho_bar does the
+    work of a single objective evaluation.
     """
-    num_u = q.shape[1]
-    A = derived_states(p, tensor, q, strategy)
+    num_u = A.shape[0]
     vals, vecs = np.linalg.eigh(np.concatenate([A, A.sum(axis=0, keepdims=True)]))
     logs = (vecs * np.log2(np.maximum(vals, EIG_FLOOR))[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-    return np.einsum("suij,uji->su", letter_states(tensor, strategy), logs[:num_u] - logs[num_u]).real
+    return np.einsum("suij,uji->su", letters, logs[:num_u] - logs[num_u]).real
 
 
-def _q_step(p, tensor, q, strategy) -> np.ndarray:
+def _q_step(letters: np.ndarray, A: np.ndarray) -> np.ndarray:
     """One multiplicative step: q(u|s) proportional to 2^c(s,u) in every row.
 
     Let G(q; q') = sum_s p(s) sum_u q(u|s)[c'(s,u) - log q(u|s)] with c' taken
@@ -126,58 +142,91 @@ def _q_step(p, tensor, q, strategy) -> np.ndarray:
     processing under the partial trace over U. The step maximises G(.; q')
     row by row, so it never lowers f and stays inside the simplex.
     """
-    c = _cross_term(p, tensor, q, strategy)
+    c = _cross_term(letters, A)
     step = np.exp2(c - c.max(axis=1, keepdims=True))
     return step / step.sum(axis=1, keepdims=True)
 
 
 def _ascend_q(p, tensor, q, strategy, cur):
-    """_q_step from q (objective cur) while the exact objective rises; returns (q, f, steps, evals)."""
+    """_q_step from q (objective cur) while the exact objective rises; returns (q, f, steps, evals).
+
+    The letter states are gathered once, and each accepted candidate's
+    derived states are the next step's.
+    """
+    letters = letter_states(tensor, strategy)
+    A = _derived(p[:, None] * q, letters)
     steps = evals = 0
     for _ in range(ASCENT_ITERS):
-        cand = _q_step(p, tensor, q, strategy)
-        val = _objective(p, tensor, cand, strategy).value
+        cand = _q_step(letters, A)
+        cand_A = _derived(p[:, None] * cand, letters)
+        val = _score(p, cand, cand_A).value
         evals += 1
         if not val > cur:
             break
-        q, cur, steps = cand, val, steps + 1
+        q, A, cur, steps = cand, cand_A, val, steps + 1
     return q, cur, steps, evals
 
 
-def _sweep_strategy(p, tensor, q, strategy, num_inputs: int):
+def _sweep_strategy(p, tensor, q, strategy, num_inputs: int, cur: float):
+    """One greedy pass over the cells (s, u) in order from a witness of objective cur; returns (strategy, value).
+
+    A cell's inputs change only A_u and rho_bar, so a cell scores all of
+    them at once: one einsum gives the candidate A_u (column u's letter
+    state at s replaced by each input's), each candidate rho_bar sums A
+    with row u replaced, and one eigvalsh over those 2|X| states gives
+    every S(rho_bar) and, with row u of the current omega spectrum
+    replaced, every S(omega). H(q) and the leak do not move with the
+    strategy and are computed once. Taking the inputs in order, an input
+    replaces the best so far only if it scores more than 1e-12 higher.
+    """
     strategy = strategy.copy()
-    cur = _objective(p, tensor, q, strategy).value
     num_states, num_u = strategy.shape
+    w = p[:, None] * q
+    q_u = w.sum(axis=0)
+    entropy_q = entropy_bits(q_u)
+    leak = kl_divergence(w, np.outer(p, q_u))
+    letters = letter_states(tensor, strategy)
+    A = _derived(w, letters)
+    spectra = np.linalg.eigvalsh(np.concatenate([A, A.sum(axis=0, keepdims=True)]))[:-1]
     for s in range(num_states):
         for u in range(num_u):
-            best_x, best_val = int(strategy[s, u]), cur
-            for x in range(num_inputs):
-                if x == strategy[s, u]:
-                    continue
-                strategy[s, u] = x
-                val = _objective(p, tensor, q, strategy).value
-                if val > best_val + 1e-12:
-                    best_x, best_val = x, val
-            strategy[s, u] = best_x
-            cur = best_val
+            cand_letters = np.repeat(letters[:, u : u + 1], num_inputs, axis=1)
+            cand_letters[s] = tensor[s]
+            cand_A = _derived(np.repeat(w[:, u : u + 1], num_inputs, axis=1), cand_letters)
+            stack = np.repeat(A[None], num_inputs, axis=0)
+            stack[:, u] = cand_A
+            vals = np.linalg.eigvalsh(np.concatenate([cand_A, stack.sum(axis=1)]))
+            omega = np.repeat(spectra[None], num_inputs, axis=0)
+            omega[:, u] = vals[:num_inputs]
+            chi = entropy_bits(vals[num_inputs:]) - entropy_bits(omega.reshape(num_inputs, -1)) + entropy_q
+            current = best_x = int(strategy[s, u])
+            for x, val in enumerate((chi - leak).tolist()):
+                if x != current and val > cur + 1e-12:
+                    best_x, cur = x, val
+            if best_x != current:
+                strategy[s, u] = best_x
+                letters[s, u] = tensor[s, best_x]
+                A[u] = cand_A[best_x]
+                spectra[u] = vals[best_x]
     return strategy, cur
 
 
 def _alternate(p, tensor, q, strategy, num_inputs, max_rounds):
-    """Returns (q, strategy, value, accepted ascent steps, objective evaluations)."""
+    """Returns (q, strategy, value, accepted ascent steps, candidate scorings, rounds run)."""
     val = _objective(p, tensor, q, strategy).value
-    steps, evals = 0, 1
+    steps, evals, rounds = 0, 1, 0
     for _ in range(max_rounds):
-        q, _, round_steps, round_evals = _ascend_q(p, tensor, q, strategy, val)
-        strategy, new_val = _sweep_strategy(p, tensor, q, strategy, num_inputs)
-        # The sweep evaluates once, then once per alternative input of each cell.
+        q, cur, round_steps, round_evals = _ascend_q(p, tensor, q, strategy, val)
+        strategy, new_val = _sweep_strategy(p, tensor, q, strategy, num_inputs, cur)
+        # A sweep counts as the scoring of its starting witness plus one per alternative input of each cell.
+        rounds += 1
         steps += round_steps
         evals += round_evals + 1 + strategy.size * (num_inputs - 1)
         if new_val <= val + ALT_EPS:
             val = max(val, new_val)
             break
         val = new_val
-    return q, strategy, val, steps, evals
+    return q, strategy, val, steps, evals, rounds
 
 
 def trim_witness(q_given_s: np.ndarray, strategy: np.ndarray, tol: float = 1e-9):
@@ -244,7 +293,10 @@ class GPWitness:
     restarts: int
     restart_values: tuple[float, ...]  # per symbol, one per start in start order
     ascent_steps: int  # accepted q-steps, summed over starts
-    objective_evals: int  # exact objective evaluations, summed over starts
+    # Candidate scorings, summed over starts: the first witness, every q-step
+    # tried, and per sweep its starting witness and each alternative input of each cell.
+    objective_evals: int
+    rounds: int  # alternating rounds (ascent, then sweep) run, summed over starts
 
     @property
     def leak_per_symbol(self) -> float:
@@ -315,4 +367,5 @@ def noncausal_lower_bound(
         restart_values=tuple(v / n for v in values),
         ascent_steps=sum(res[3] for res in results),
         objective_evals=sum(res[4] for res in results),
+        rounds=sum(res[5] for res in results),
     )

@@ -13,11 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from gpcq.causal import strategy_columns
-from gpcq.channel import TAU_COMM, StateChannel
+from gpcq.channel import StateChannel
 from gpcq.errors import GpcqError
 from gpcq.quantum import pinch
 from gpcq.util import compositions
 
+# classical_embedding reduces a channel only when no two of its states have a
+# commutator above TAU_COMM in spectral norm.
+TAU_COMM = 1e-9
 # Blahut-Arimoto iterations allowed before classical_channel_capacity gives
 # up on reaching its certified stop.
 CLASSICAL_MAX_ITER = 10**6

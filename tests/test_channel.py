@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from gpcq.causal import causal_capacity
 from gpcq.channel import (
-    TAU_COMM,
     build_channel,
     derived_states,
     letter_states,
@@ -33,7 +32,7 @@ from gpcq.errors import (
 from gpcq.noncausal import noncausal_lower_bound, product_witness
 from gpcq.quantum import holevo_quantity, shannon_entropy
 
-from classical_oracles import classical_channel_capacity, classical_embedding
+from classical_oracles import TAU_COMM, classical_channel_capacity, classical_embedding
 
 CHANNELS = pathlib.Path(__file__).resolve().parent.parent / "channels"
 

@@ -283,13 +283,14 @@ class TestJsonSchemas:
         assert set(payload) == {
             "ascent_steps", "aux_size", "holevo", "leak", "leak_per_symbol", "n",
             "objective_evals", "q_given_s", "restart_index", "restart_values",
-            "restarts", "strategy", "value",
+            "restarts", "rounds", "strategy", "value",
         }
         assert payload["value"] == pytest.approx(0.7, abs=1e-9)
         assert payload["n"] == 1
         assert len(payload["restart_values"]) == payload["restarts"] == 8
         assert payload["restart_values"][payload["restart_index"]] == payload["value"]
         assert payload["objective_evals"] > payload["ascent_steps"] > 0
+        assert payload["rounds"] >= payload["restarts"]
         assert payload["leak_per_symbol"] == payload["leak"]
 
     def test_colon_labels_solve_at_blocklength_two(self, capsys, tmp_path, flip):

@@ -8,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpcq.causal import causal_capacity, state_averaged_holevo
-from gpcq.channel import build_channel, product_extension
+from gpcq.channel import build_channel, derived_states, letter_states, product_extension
 from gpcq.coding import simulate_rate_error_curve
 from gpcq.errors import GpcqError, NonFinite, PreconditionViolated, ShapeMismatch
 from gpcq.noncausal import (
+    _alternate,
+    _ascend_q,
     _cross_term,
     _objective,
     _q_step,
+    _sweep_strategy,
     default_aux_size,
     gp_objective,
     noncausal_lower_bound,
@@ -24,6 +27,7 @@ from gpcq.noncausal import (
 from gpcq.quantum import kl_divergence
 from gpcq.util import random_density_matrix
 
+import noncausal_reference as reference
 from classical_oracles import ClassicalGP, classical_gp_oracle
 
 UNIFORM_Q = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -231,7 +235,8 @@ class TestAscentGradient:
                         down = _objective(p, tensor, q - bump, strat).value
                         fd[s, u] = (up - down) / (2 * h)
                 fd -= fd.mean(axis=1, keepdims=True)
-                grad = p[:, None] * (_cross_term(p, tensor, q, strat) - np.log2(q))
+                cross = _cross_term(letter_states(tensor, strat), derived_states(p, tensor, q, strat))
+                grad = p[:, None] * (cross - np.log2(q))
                 grad -= grad.mean(axis=1, keepdims=True)
                 scale = float(np.abs(grad).max())
                 assert float(np.abs(grad - fd).max()) <= 1e-6 * scale, (name, n)
@@ -241,7 +246,7 @@ class TestAscentStep:
     def _assert_step_never_lowers(self, ch_n, num_u, rng, label):
         p, tensor = ch_n.p, ch_n.tensor
         for q, strat in interior_witnesses(ch_n, num_u, rng, count=4):
-            step = _q_step(p, tensor, q, strat)
+            step = _q_step(letter_states(tensor, strat), derived_states(p, tensor, q, strat))
             assert np.all(step >= 0) and np.allclose(step.sum(axis=1), 1.0, atol=1e-12)
             before = _objective(p, tensor, q, strat).value
             after = _objective(p, tensor, step, strat).value
@@ -260,6 +265,62 @@ class TestAscentStep:
         for k in range(5):
             ch = random_cq_channel(rng, dim, 2, 2)
             self._assert_step_never_lowers(ch, default_aux_size(2, 2, 1), rng, (dim, k))
+
+
+def search_witnesses(ch, num_u, rng, count=2):
+    """Random witnesses; every second one has q(u|s) = 1e-12 on one column."""
+    for k in range(count):
+        q = rng.dirichlet(np.ones(num_u), size=ch.num_states)
+        if k % 2:
+            q[:, rng.integers(num_u)] = 1e-12
+            q /= q.sum(axis=1, keepdims=True)
+        yield q, rng.integers(0, ch.num_inputs, size=q.shape)
+
+
+class TestSearchMatchesReference:
+    """The batched sweep and the carried-state ascent against the one-candidate-at-a-time loops, bit for bit."""
+
+    def _assert_search_matches(self, ch, q, strat, label, max_rounds=3):
+        p, tensor, num_inputs = ch.p, ch.tensor, ch.num_inputs
+        cur = _objective(p, tensor, q, strat).value
+        strategy, value = _sweep_strategy(p, tensor, q, strat, num_inputs, cur)
+        ref_strategy, ref_value = reference.sweep_strategy(p, tensor, q, strat, num_inputs)
+        assert np.array_equal(strategy, ref_strategy) and value == ref_value, label
+        q_up, *rest = _ascend_q(p, tensor, q, strat, cur)
+        ref_q, *ref_rest = reference.ascend_q(p, tensor, q, strat, cur)
+        assert np.array_equal(q_up, ref_q) and rest == ref_rest, label
+        q_alt, strat_alt, *counts, rounds = _alternate(p, tensor, q, strat, num_inputs, max_rounds)
+        ref_q, ref_strat, *ref_counts = reference.alternate(p, tensor, q, strat, num_inputs, max_rounds)
+        assert np.array_equal(q_alt, ref_q) and np.array_equal(strat_alt, ref_strat), label
+        assert counts == ref_counts and 1 <= rounds <= max_rounds, label
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_corpus(self, suite, n):
+        rng = np.random.default_rng(1910 + n)
+        for name, ch, ch_n in corpus_blocks(suite, n):
+            num_u = default_aux_size(ch.num_states, ch.num_inputs, n)
+            for q, strat in search_witnesses(ch_n, num_u, rng):
+                self._assert_search_matches(ch_n, q, strat, (name, n))
+
+    def test_product_seeds_at_blocklength_two(self, suite):
+        # A converged n=1 search from a random |U| = 6 start, lifted to n=2 as
+        # a product seed with |U| = 36.
+        rng = np.random.default_rng(1936)
+        for name, ch in suite.items():
+            q, strat = next(search_witnesses(ch, default_aux_size(ch.num_states, ch.num_inputs, 1), rng))
+            q, strat = _alternate(ch.p, ch.tensor, q, strat, ch.num_inputs, max_rounds=40)[:2]
+            q, strat = product_witness(q, strat, ch.num_inputs)
+            assert q.shape == (4, 36)
+            self._assert_search_matches(product_extension(ch, 2), q, strat, name, max_rounds=1)
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(2, 3), st.integers(2, 3))
+    def test_random_channels(self, seed, dim, num_states, num_inputs):
+        rng = np.random.default_rng(seed)
+        ch = random_cq_channel(rng, dim, num_states, num_inputs)
+        for num_u in (2, 5, 9):
+            for q, strat in search_witnesses(ch, num_u, rng):
+                self._assert_search_matches(ch, q, strat, (seed, num_u))
 
 
 class TestWitnessHelpers:
@@ -339,6 +400,7 @@ class TestNoncausalLowerBound:
         assert len(wit.restart_values) == wit.restarts == 3
         assert max(wit.restart_values) == wit.restart_values[wit.restart_index] == wit.value
         assert wit.objective_evals > wit.ascent_steps > 0
+        assert wit.restarts <= wit.rounds <= 2 * wit.restarts
         assert wit.leak_per_symbol == wit.leak / 2
 
     @pytest.mark.parametrize("aux_size", [0, -1])
