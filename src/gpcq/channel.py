@@ -294,7 +294,7 @@ def _joined(letters) -> str:
     return LABEL_JOIN.join(escaped)
 
 
-def product_extension(ch: StateChannel, n: int, budget_bytes: int | None = None) -> StateChannel:
+def product_extension(ch: StateChannel, n: int) -> StateChannel:
     """n-fold memoryless extension with ':'-joined labels.
 
     Word (s_1..s_n, x_1..x_n) carries the state rho[s_1, x_1] (x) ... (x)
@@ -307,7 +307,7 @@ def product_extension(ch: StateChannel, n: int, budget_bytes: int | None = None)
         raise PreconditionViolated("extension power n", n, ">= 1")
     if n == 1:
         return ch
-    budget = memory_budget_bytes() if budget_bytes is None else budget_bytes
+    budget = memory_budget_bytes()
     ns, nx, d = ch.num_states, ch.num_inputs, ch.dim
     required = (ns**n) * (nx**n) * (d ** (2 * n)) * 16
     if required > budget:

@@ -11,18 +11,19 @@ validate_povm's checks and the closure check all run block by block. A
 dense operator list, as an explicit code or a test passes it, is the
 one-block case of the same code, and each decoder returns its input's form.
 
-Each trial builds one projector per letter type of its codewords and
-gathers every distinct codeword's blocks from its type's by a slot
-permutation (DecodeContext.projectors); a causal trial draws its
-codewords by rejection from batches of candidates. Letter states are
-rotated into the basis frame, and the success traces of all messages come
-from one quantum.product_traces contraction per chunk of messages
-scattered into dense operators; encoder Declare failures count as full
-errors. The memory model behind BudgetExceeded is the largest footprint
-of a trial's phases: stacks of sum_f |f|^2 float64 entries per message, f
-over the frequency classes of n slots, the gather's index arrays,
-class-block temporaries of the largest class, and the dense chunk of the
-success traces (_messages_for_rate lists them).
+Each trial builds one projector per letter type of its codewords, the
+Kronecker product of its letters' dense blocks, and gathers every distinct
+codeword's class blocks from its type's product by a slot permutation
+(DecodeContext.projectors); a causal trial draws its codewords by
+rejection from batches of candidates. Letter states are rotated into the
+basis frame, and the success traces of all messages come from one
+quantum.product_traces contraction per chunk of messages scattered into
+dense operators; encoder Declare failures count as full errors. The memory
+model behind BudgetExceeded is the largest footprint of a trial's phases:
+stacks of sum_f |f|^2 float64 entries per message, f over the frequency
+classes of n slots, the gather's index arrays, one type's d^n x d^n
+product, class-block temporaries of the largest class, and the dense chunk
+of the success traces (_messages_for_rate lists them).
 
 validate_povm refuses non-finite elements before any other check on them,
 and tests positivity by a Cholesky factorization of el + 1e-8 I, which
@@ -460,19 +461,18 @@ def _chunk_entries(dim: int, d: int, candidates: int) -> int:
     return 2 * dim * dim + 2 * (dim * dim // (d * d)) * candidates
 
 
-def _messages_for_rate(rate: float, n: int, d: int, held: int, candidates: int, one_type: bool) -> int:
+def _messages_for_rate(rate: float, n: int, d: int, held: int, candidates: int) -> int:
     """2^(n rate) messages, refused when their decoder cannot fit the memory budget.
 
     The model is the largest float64 footprint of a trial's phases, with
     E = sum_f |f|^2 and F = max_f |f|^2 over the frequency classes f of n
     slots and M messages:
 
-    - gathering codeword projectors: (held - 1) M (E + F + 2 d^n), the
-      distinct words' stack and, for the class being gathered, its int64
-      index (at most F entries per word) and position arrays (at most d^n
-      each), beside the E entries of each letter type's projector: one
-      when ``one_type`` (every codeword has one letter type), else at most
-      one per message;
+    - gathering codeword projectors: (held - 1) M (E + F + 2 d^n) + d^(2n),
+      the distinct words' stack, the words' int64 gather indices and the
+      slice of them for one letter type (at most d^n entries per word
+      each), the gathered block of the class being read (at most F per
+      word), and the one letter type's Kronecker product held at a time;
     - building the decoder input: M (held E + F), ``held`` stacks and one
       class-block temporary;
     - decoding: (2M + 1) E + 3 (M + 1) F, the decoder input, the POVM with
@@ -495,7 +495,7 @@ def _messages_for_rate(rate: float, n: int, d: int, held: int, candidates: int, 
         M = max(1, math.ceil(2.0 ** (n * rate) - 1e-9))
         chunk = _chunk_entries(d**n, d, candidates)
         traces = (M + 1) * E + max(1, M * E // chunk) * chunk
-        projectors = M * gather + (1 if one_type else M) * E
+        projectors = M * gather + d ** (2 * n)
         entries = max(projectors, M * (held * E + F), (2 * M + 1) * E + 3 * (M + 1) * F, traces)
         log2_bytes = math.log2(8 * entries)
     if log2_bytes > math.log2(max(budget, 1)):
@@ -569,17 +569,17 @@ def simulate_noncausal_trial(
     p_su: np.ndarray,
     strategy: np.ndarray,
     ctx: DecodeContext,
-    n: int,
     K: int,
     M: int,
-    delta: float,
     rng: np.random.Generator,
 ):
     """One binned-codebook round with the square-root decoder, evaluated exactly.
 
-    Returns (error, declare mass). State words are enumerated exhaustively;
-    a Declare (empty bin) counts as a full error for its state mass.
+    Returns (error, declare mass). The blocklength and the matched-set radius
+    are ctx.n and ctx.delta. State words are enumerated exhaustively; a
+    Declare (empty bin) counts as a full error for its state mass.
     """
+    n, delta = ctx.n, ctx.delta
     num_s = p_su.shape[0]
     if num_s**n > STATE_WORD_CAP:
         raise CapExceeded(f"|S|^n = {num_s**n} exceeds exact-evaluation cap {STATE_WORD_CAP}")
@@ -617,18 +617,18 @@ def simulate_causal_trial(
     derived_states: np.ndarray,
     q: np.ndarray,
     ctx: DecodeContext,
-    n: int,
     M: int,
-    delta: float,
     rng: np.random.Generator,
 ):
     """One strategy-codebook round with the sequential decoder, evaluated exactly.
 
-    The state average factorizes, so the expected success of message m is the
-    trace of its effective measurement element against the product of
-    per-letter averaged states.
+    Codewords are ctx.delta-typical words of length ctx.n. The state average
+    factorizes, so the expected success of message m is the trace of its
+    effective measurement element against the product of per-letter averaged
+    states.
     """
-    words = _typical_words(q, n, M, delta, rng)
+    n = ctx.n
+    words = _typical_words(q, n, M, ctx.delta, rng)
     distinct, inverse = ctx.projectors(words)
     projectors = BlockStack(tuple(block[inverse] for block in distinct.blocks), ctx.partition.words)
     del distinct
@@ -679,9 +679,8 @@ def simulate_rate_error_curve(
     # Stacks held while building: the distinct codeword projectors (up to K
     # per message) and their sums, or the causal projectors and their copy.
     # The traces contract against K state lists of |S| states per slot, or one state.
-    # A binned codebook's words share one letter type; causal words may each have their own.
     held, candidates = (2, 1) if causal else (K + 1, K * ch.num_states)
-    messages = [[_messages_for_rate(rate, n, ch.dim, held, candidates, not causal) for rate in rates] for n in n_list]
+    messages = [[_messages_for_rate(rate, n, ch.dim, held, candidates) for rate in rates] for n in n_list]
 
     p = ch.p
     # Each witness becomes letter weights q(u), weights p(s|u)/p(s) and an
@@ -713,11 +712,9 @@ def simulate_rate_error_curve(
         ctx = DecodeContext(states, basis, n, delta)
         for r_idx, (rate, M) in enumerate(zip(rates, counts)):
             results = np.array([
-                simulate_causal_trial(states, q, ctx, n, M, delta, rng_for(seed, "causal", n, r_idx, t))
+                simulate_causal_trial(states, q, ctx, M, rng_for(seed, "causal", n, r_idx, t))
                 if causal
-                else simulate_noncausal_trial(
-                    ch, p_su, strat, ctx, n, K, M, delta, rng_for(seed, "noncausal", n, r_idx, t)
-                )
+                else simulate_noncausal_trial(ch, p_su, strat, ctx, K, M, rng_for(seed, "noncausal", n, r_idx, t))
                 for t in range(trials)
             ])
             err, lo, hi = _mean_ci(results[:, 0])

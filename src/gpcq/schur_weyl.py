@@ -12,17 +12,20 @@ transposition sums on its words, built once per (d, n) and cached
 Decoding stays in the basis frame, where product vectors are labeled by the
 columns of the decoding basis. There a typicality-filtered block projector
 is a sum of (frequency, frame) blocks, so block_projector returns its class
-blocks; a word's decoding projector is block diagonal over the frequency
-classes of all n slots, one real block per class. DecodeContext builds one
-projector per letter type, for the sorted word, from its letters' blocks;
-every other word of the type is that projector conjugated by a slot
-permutation, which maps each class onto itself, so its blocks are one
-index gather per class. A dense operator in the product frame is
-basis^(tensor n) · blocks · its adjoint, which the program never forms.
+blocks. A word's decoding projector is the tensor product of its letters'
+block projectors on the word's slots, and it is block diagonal over the
+frequency classes of all n slots, one real block per class. DecodeContext
+builds each letter type's projector once, as the Kronecker product of its
+letters' dense blocks in ascending letter order; every word of the type is
+that product with its slots permuted, which maps each class onto itself, so
+its blocks are one index gather per class. A dense operator in the product
+frame is basis^(tensor n) · blocks · its adjoint, which the program never
+forms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -193,17 +196,13 @@ class ClassPartition:
 
     ``words[c]`` lists class c's words ascending, and the classes are ordered
     by their smallest word, the one whose letters are sorted ascending.
-    ``label[w]`` and ``position[w]`` give word w's class and its index among
-    that class's words. Laying the classes' blocks end to end, row-major,
-    ``row_start[w]`` is where the row of word w starts.
+    ``label[w]`` is word w's class.
     """
 
     d: int
     t: int
     words: tuple[np.ndarray, ...]
     label: np.ndarray
-    position: np.ndarray
-    row_start: np.ndarray
 
     def index(self, freq) -> int:
         """Class of the words with letter counts freq; GpcqError when freq counts no word."""
@@ -233,14 +232,8 @@ def class_partition(d: int, t: int) -> ClassPartition:
         # Each word's class is named by its letters sorted ascending, itself a word.
         names = np.sort(digit_table(d, t), axis=1) @ d ** np.arange(t - 1, -1, -1)
         _, label = np.unique(names, return_inverse=True)
-        order = np.argsort(label, kind="stable")
-        sizes = np.bincount(label)
-        starts = np.cumsum(sizes) - sizes
-        position = np.empty_like(label)
-        position[order] = np.arange(label.size) - np.repeat(starts, sizes)
-        offsets = np.cumsum(sizes * sizes) - sizes * sizes
-        row_start = offsets[label] + position * sizes[label]
-        _PARTITIONS[d, t] = ClassPartition(d, t, tuple(np.split(order, starts[1:])), label, position, row_start)
+        starts = np.cumsum(np.bincount(label))[:-1]
+        _PARTITIONS[d, t] = ClassPartition(d, t, tuple(np.split(np.argsort(label, kind="stable"), starts)), label)
     return _PARTITIONS[d, t]
 
 
@@ -409,16 +402,15 @@ def block_projector(rho: np.ndarray, basis: np.ndarray, m: int, radius: float) -
 class DecodeContext:
     """Decoding projectors of auxiliary words as class blocks in the basis frame.
 
-    In the basis frame a word's projector is block diagonal over the
-    frequency classes of n slots (class_partition(d, n)). The projector of
-    a sorted word, one per letter type, groups its slots into runs of equal
-    letters; a run of t slots carries the letter's block projector at
-    divergence radius n*delta/t, so the entry at a pair of product words is
-    the product, over runs, of the block projector's entries at their
-    restrictions to the run's slots. Any other word of the type is its
-    sorted word conjugated by a slot permutation, which maps every class
-    onto itself, so its blocks are one index gather per class from its
-    type's blocks.
+    A word's projector is the tensor product, over its letters, of each
+    letter's block projector on the t slots holding it, at divergence radius
+    n*delta/t. A slot permutation maps every frequency class
+    of n slots (class_partition(d, n)) onto itself, so the projector is block
+    diagonal over those classes. Each letter type's product is one Kronecker
+    product, over its letters in ascending order, of the letters' dense
+    d^t x d^t blocks: the projector of the type's sorted word. Any other word
+    of the type is that product with its slots permuted, so each of its class
+    blocks is one index gather from the product.
     """
 
     def __init__(self, states: np.ndarray, basis: np.ndarray, n: int, delta: float):
@@ -438,91 +430,53 @@ class DecodeContext:
         return out if np.any(out.imag) else out.real
 
     def block(self, u: int, t: int) -> np.ndarray:
-        """Letter u's block projector on t slots, class blocks laid end to end.
+        """Letter u's block projector on t slots as one dense real d^t x d^t matrix in the basis frame.
 
-        The layout is class_partition(d, t).row_start's, followed by one
-        widest-class row of zeros, so any row start plus any position within
-        a class reads inside the array.
+        block_projector's class blocks at radius n*delta/t, placed on their
+        words; cached per (u, t).
         """
         key = (u, t)
         if key not in self._cache:
-            part = class_partition(self.d, t)
-            widest = max(words.size for words in part.words)
-            flat = np.zeros(sum(words.size**2 for words in part.words) + widest)
+            words = class_partition(self.d, t).words
+            dense = np.zeros((self.d**t,) * 2)
             for c, block in block_projector(self.states[u], self.basis, t, self.n * self.delta / t).items():
-                start = part.row_start[part.words[c][0]]
-                flat[start : start + block.size] = block.ravel()
-            self._cache[key] = flat
+                dense[np.ix_(words[c], words[c])] = block
+            self._cache[key] = dense
         return self._cache[key]
 
     def projector(self, u_seq) -> tuple[np.ndarray, ...]:
-        """Class blocks of one word's projector, aligned with self.partition.words.
-
-        Built for the sorted word from its letters' blocks: two product
-        words' entry is zero unless, for every run, their restrictions to
-        its slots share a class of that letter's partition; otherwise it is
-        the product of the runs' block entries. An unsorted word's blocks
-        are then gathered from the sorted word's.
-        """
-        u_seq = np.asarray(u_seq, dtype=np.int64).reshape(-1)
-        if u_seq.size != self.n:
-            raise GpcqError(f"word length {u_seq.size} != {self.n}")
-        letters, sizes = np.unique(u_seq, return_counts=True)
-        runs = [
-            (self.block(int(u), int(t)), class_partition(self.d, int(t)), start)
-            for u, t, start in zip(letters, sizes, np.cumsum(sizes) - sizes)
-        ]
-        out = []
-        for digits in self._digits:
-            block = np.ones((len(digits),) * 2)
-            fine = np.zeros(len(digits), dtype=np.int64)
-            for flat, part, start in runs:
-                sub = digits[:, start : start + part.t] @ self.d ** np.arange(part.t - 1, -1, -1)
-                block *= flat[part.row_start[sub][:, None] + part.position[sub][None, :]]
-                fine = fine * len(part.words) + part.label[sub]
-            block *= fine[:, None] == fine[None, :]
-            out.append(block)
-        if np.any(u_seq[1:] < u_seq[:-1]):
-            return tuple(b[0] for b in self._gather([out], np.zeros(1, dtype=np.int64), u_seq[None]))
-        return tuple(out)
-
-    def _gather(self, types, type_of: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Class blocks of every row of words, read from the blocks types[type_of[w]] of its sorted row.
-
-        Sorting row w's slots sends product word a to the word a[order]
-        of the same class, and the row's entry at (a, b) is its sorted
-        row's entry at (a[order], b[order]). The index of a[order] is a's
-        digits weighted by the place values their slots sort to, so each
-        class turns one (W, s_c) array of positions into flat indices of the
-        types' blocks laid end to end.
-        """
-        order = np.argsort(words, axis=1, kind="stable")
-        weights = np.empty_like(order)  # weights[w, order[w, j]] is the place value of position j
-        np.put_along_axis(weights, order, self.d ** np.arange(self.n - 1, -1, -1), axis=1)
-        out = []
-        for c, digits in enumerate(self._digits):
-            size = len(digits)
-            pos = self.partition.position[weights @ digits.T]
-            flat = np.concatenate([blocks[c].ravel() for blocks in types])
-            out.append(flat[(type_of[:, None, None] * size + pos[:, :, None]) * size + pos[:, None, :]])
-        return tuple(out)
+        """Class blocks of one word's projector, aligned with self.partition.words: projectors' one-row case."""
+        stack, _ = self.projectors(np.asarray(u_seq, dtype=np.int64).reshape(1, -1))
+        return tuple(block[0] for block in stack.blocks)
 
     def projectors(self, words) -> tuple[BlockStack, np.ndarray]:
         """Projectors of the distinct rows of an (L, n) word array, and each row's index among them.
 
-        projector builds each distinct letter type once, for its sorted
-        word, and every distinct row is gathered from its type's blocks; the
-        blocks are read-only and the context keeps none of them.
+        Each letter type's Kronecker product is built once, and only one is
+        held at a time. Sorting row w's slots sends product word a to the
+        word a[order] of the same class, and the row's entry at (a, b) is its
+        type's at (a[order], b[order]). The index of a[order] is a's digits
+        weighted by the place values their slots sort to. The blocks are
+        read-only and the context keeps none of them.
         """
         words = np.asarray(words, dtype=np.int64)
         if words.ndim != 2 or words.shape[1] != self.n:
             raise GpcqError(f"word array of shape {words.shape} is not (L, {self.n})")
         distinct, inverse = np.unique(words, axis=0, return_inverse=True)
-        types, type_of = np.unique(np.sort(distinct, axis=1), axis=0, return_inverse=True)
-        if len(types):
-            blocks = self._gather([self.projector(word) for word in types], type_of.reshape(-1), distinct)
-        else:
-            blocks = tuple(np.empty((0, w.size, w.size)) for w in self.partition.words)
+        order = np.argsort(distinct, axis=1, kind="stable")
+        types, type_of = np.unique(np.take_along_axis(distinct, order, axis=1), axis=0, return_inverse=True)
+        weights = np.empty_like(order)  # weights[w, order[w, j]] is the place value of position j
+        np.put_along_axis(weights, order, self.d ** np.arange(self.n - 1, -1, -1), axis=1)
+        index = [weights @ digits.T for digits in self._digits]
+        blocks = tuple(np.empty((len(distinct), len(digits), len(digits))) for digits in self._digits)
+        for k, word in enumerate(types):
+            rows = np.flatnonzero(type_of.reshape(-1) == k)
+            letters, sizes = np.unique(word, return_counts=True)
+            dense = functools.reduce(np.kron, [self.block(int(u), int(t)) for u, t in zip(letters, sizes)])
+            for block, idx in zip(blocks, index):
+                pos = idx[rows]
+                block[rows] = dense[pos[:, :, None], pos[:, None, :]]
+            del dense  # freed before the next type's product is built
         for block in blocks:
             block.setflags(write=False)
         return BlockStack(blocks, self.partition.words), inverse.reshape(-1)

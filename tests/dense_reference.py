@@ -6,8 +6,8 @@ frame, the way the package did before its block form: a letter's block
 projector rotated by basis^(tensor t), a word's projector as the Kronecker
 product of its letters' projectors put back on the word's slots, and both
 decoders by dense matrix algebra. reference_projector builds a word's class
-blocks directly from its letters' blocks, in any slot order, the way the
-package did before it gathered each word from its letter type's projector.
+blocks entry by entry from its letters' class blocks at the word's own
+slots, in any slot order, with no Kronecker product and no gather.
 """
 
 import numpy as np
@@ -69,30 +69,33 @@ def dense_projector(ctx, u_seq) -> np.ndarray:
 
 
 def reference_projector(ctx, u_seq) -> tuple[np.ndarray, ...]:
-    """A word's class blocks, aligned with ctx.partition.words, from its letters' blocks at the word's own slots.
+    """A word's class blocks, aligned with ctx.partition.words, from its letters' class blocks at the word's own slots.
 
-    Two product words' entry is zero unless, for every letter, their
-    restrictions to its slots share a class of that letter's partition;
-    otherwise it is the product of the letters' block entries.
+    The entry at two product words is the product, over the word's letters
+    in ascending order, of the letter's block_projector entry at the two
+    words' restrictions to the slots holding that letter. It is zero when
+    the restrictions fall in different classes of the letter's partition or
+    in a class the letter's projector leaves out.
     """
     u_seq = np.asarray(u_seq, dtype=np.int64).reshape(-1)
-    order = np.argsort(u_seq, kind="stable")  # the word's slots grouped by letter
-    letters, sizes = np.unique(u_seq, return_counts=True)
-    groups = [
-        (ctx.block(int(u), int(t)), class_partition(ctx.d, int(t)), start)
-        for u, t, start in zip(letters, sizes, np.cumsum(sizes) - sizes)
-    ]
     digits = digit_table(ctx.d, ctx.n)
+    letters = []
+    for u in np.unique(u_seq):
+        slots = np.flatnonzero(u_seq == u)
+        t = slots.size
+        blocks = block_projector(ctx.states[u], ctx.basis, t, ctx.n * ctx.delta / t)
+        letters.append((slots, class_partition(ctx.d, t), blocks))
     out = []
     for words in ctx.partition.words:
-        slots = digits[words][:, order]
-        block = np.ones((len(slots),) * 2)
-        fine = np.zeros(len(slots), dtype=np.int64)
-        for flat, part, start in groups:
-            sub = slots[:, start : start + part.t] @ ctx.d ** np.arange(part.t - 1, -1, -1)
-            block *= flat[part.row_start[sub][:, None] + part.position[sub][None, :]]
-            fine = fine * len(part.words) + part.label[sub]
-        block *= fine[:, None] == fine[None, :]
+        block = np.ones((words.size,) * 2)
+        for slots, part, blocks in letters:
+            sub = digits[words][:, slots] @ ctx.d ** np.arange(slots.size - 1, -1, -1)
+            entries = np.zeros_like(block)
+            for c, letter_block in blocks.items():
+                rows = np.flatnonzero(part.label[sub] == c)
+                pos = np.searchsorted(part.words[c], sub[rows])
+                entries[np.ix_(rows, rows)] = letter_block[np.ix_(pos, pos)]
+            block = block * entries
         out.append(block)
     return tuple(out)
 

@@ -322,10 +322,6 @@ class TestProductExtension:
         with pytest.raises(PreconditionViolated):
             product_extension(flip, n)
 
-    def test_budget_guard(self, flip):
-        with pytest.raises(BudgetExceeded):
-            product_extension(flip, 4, budget_bytes=1024)
-
     def test_env_override(self, flip, monkeypatch):
         monkeypatch.setenv("GPCQ_BUDGET_BYTES", "1024")
         with pytest.raises(BudgetExceeded):

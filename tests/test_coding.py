@@ -484,9 +484,7 @@ class TestNoncausalTrial:
         n, K, M, delta = 3, 2, 3, 1.0
         ctx = DecodeContext(blended / p_su.sum(axis=0)[:, None, None], basis, n, delta)
 
-        err, declares = simulate_noncausal_trial(
-            ch, p_su, strategy, ctx, n, K, M, delta, rng_for(8, "trial")
-        )
+        err, declares = simulate_noncausal_trial(ch, p_su, strategy, ctx, K, M, rng_for(8, "trial"))
 
         # Replay the codebook draw, then evaluate every matched (state word,
         # codeword) pair on its Kronecker-built output state.

@@ -1,5 +1,6 @@
 """Symmetric-group machinery: frames, projectors, and decoding blocks."""
 
+import functools
 import math
 from functools import lru_cache
 from itertools import permutations
@@ -620,7 +621,7 @@ def type_class(counts) -> np.ndarray:
 
 
 class TestGatheredProjectors:
-    """projectors builds one projector per letter type and gathers every word from it, equal to the per-word reference."""
+    """projectors builds one Kronecker product per letter type and gathers every word from it, equal to the per-word reference."""
 
     # (channel, q_rows, strategy) of two 2-letter witnesses and a 3-letter one.
     WITNESSES = {
@@ -640,7 +641,7 @@ class TestGatheredProjectors:
                 assert block.dtype == want.dtype and np.array_equal(block[row], want)
 
     @pytest.mark.parametrize("witness", list(WITNESSES))
-    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("n", [4, 6, 7, 8])
     def test_every_word_of_a_type_matches_the_reference(self, suite, witness, n):
         ctx, letters = self.context(suite, witness, n)
         counts = [n // letters + (u < n % letters) for u in range(letters)]
@@ -670,14 +671,33 @@ class TestGatheredProjectors:
             for got, want in zip(ctx.projector(w), ref.reference_projector(ctx, w)):
                 assert np.array_equal(got, want)
 
-    def test_one_projector_build_per_letter_type(self, suite, monkeypatch):
+    @pytest.mark.parametrize("witness", list(WITNESSES))
+    def test_one_letter_words_match_the_reference(self, suite, witness):
+        # A letter on all n slots: its type's product is the letter's own block on t = n slots.
+        ctx, letters = self.context(suite, witness, 6)
+        words = np.repeat(np.arange(letters), 6).reshape(letters, 6)
+        stack, inverse = ctx.projectors(words)
+        assert len(stack) == letters
+        self.assert_rows_match_reference(ctx, words, stack, inverse)
+
+    def test_one_kronecker_build_per_letter_type(self, suite, monkeypatch):
         ctx, _ = self.context(suite, "three-letter", 5)
-        built = []
-        build = ctx.projector
-        monkeypatch.setattr(ctx, "projector", lambda word: built.append(tuple(word)) or build(word))
-        words = np.random.default_rng(4).integers(0, 3, size=(30, 5))
+        fetched, built = [], []
+        fetch = ctx.block
+        monkeypatch.setattr(ctx, "block", lambda u, t: fetched.append((u, t)) or fetch(u, t))
+        fold = functools.reduce
+
+        def reduce(fn, mats):
+            # The letters fetched since the last build are this build's letters.
+            built.append(tuple(fetched))
+            fetched.clear()
+            return fold(fn, mats)
+
+        monkeypatch.setattr(functools, "reduce", reduce)
+        words = np.concatenate([np.random.default_rng(4).integers(0, 3, size=(30, 5)), np.full((2, 5), 2)])
         ctx.projectors(words)
-        assert sorted(built) == sorted(set(map(tuple, np.sort(words, axis=1).tolist())))
+        types = {tuple(zip(*np.unique(w, return_counts=True))) for w in np.sort(words, axis=1)}
+        assert sorted(built) == sorted(types)
 
     def test_empty_word_array_gives_an_empty_stack(self, suite):
         ctx, _ = self.context(suite, "flip", 4)
