@@ -655,7 +655,9 @@ class TestGatheredProjectors:
     def test_mixed_types_unsorted_and_repeated_rows_match_the_reference(self, suite, witness, n):
         ctx, letters = self.context(suite, witness, n)
         drawn = np.random.default_rng(n).integers(0, letters, size=(10, n))
-        words = np.concatenate([drawn, drawn[::-1][:4], np.sort(drawn[:3], axis=1)])
+        # The last rows hold one letter each, on all n slots.
+        one_letter = np.repeat(np.arange(letters), n).reshape(letters, n)
+        words = np.concatenate([drawn, drawn[::-1][:4], np.sort(drawn[:3], axis=1), one_letter])
         assert len(np.unique(np.sort(words, axis=1), axis=0)) >= 2
         stack, inverse = ctx.projectors(words)
         assert len(stack) == len(np.unique(words, axis=0))
@@ -670,15 +672,6 @@ class TestGatheredProjectors:
         for w in unsorted:
             for got, want in zip(ctx.projector(w), ref.reference_projector(ctx, w)):
                 assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("witness", list(WITNESSES))
-    def test_one_letter_words_match_the_reference(self, suite, witness):
-        # A letter on all n slots: its type's product is the letter's own block on t = n slots.
-        ctx, letters = self.context(suite, witness, 6)
-        words = np.repeat(np.arange(letters), 6).reshape(letters, 6)
-        stack, inverse = ctx.projectors(words)
-        assert len(stack) == letters
-        self.assert_rows_match_reference(ctx, words, stack, inverse)
 
     def test_one_kronecker_build_per_letter_type(self, suite, monkeypatch):
         ctx, _ = self.context(suite, "three-letter", 5)
