@@ -28,7 +28,7 @@ from .coding import (
     square_root_decoder,
 )
 from .errors import GpcqError
-from .noncausal import GPWitness, gp_objective, noncausal_lower_bound
+from .noncausal import GPUpperBound, GPWitness, gp_objective, noncausal_lower_bound, noncausal_upper_bound
 from .quantum import (
     holevo_quantity,
     kl_divergence,
@@ -44,6 +44,7 @@ __all__ = [
     "CausalSolution",
     "Code",
     "GPCodebook",
+    "GPUpperBound",
     "GPWitness",
     "GpcqError",
     "StateChannel",
@@ -61,6 +62,7 @@ __all__ = [
     "kostka_rank",
     "load_channel",
     "noncausal_lower_bound",
+    "noncausal_upper_bound",
     "parse_channel",
     "product_extension",
     "relative_entropy",

@@ -162,11 +162,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_c.add_argument("--eps", type=float, default=INNER_EPS)
     p_c.add_argument("--json", action="store_true")
 
-    p_nc = sub.add_parser("noncausal", help="non-causal trade-off lower bound")
+    p_nc = sub.add_parser("noncausal", help="non-causal lower bound bracketed by the informed-decoder bound")
     p_nc.add_argument("channel")
     p_nc.add_argument("--n", type=int, default=1)
     p_nc.add_argument("--aux-size", type=int, default=None)
-    p_nc.add_argument("--restarts", type=int, default=32)
+    p_nc.add_argument("--restarts", type=int, default=32, help="most starts to run")
     p_nc.add_argument("--seed", type=int, default=None)
     p_nc.add_argument("--json", action="store_true")
 
@@ -274,8 +274,12 @@ def _cmd_noncausal(args) -> None:
         "objective_evals": wit.objective_evals,
         "rounds": wit.rounds,
         "leak_per_symbol": wit.leak_per_symbol,
+        "upper": wit.upper,
+        "upper_gap": wit.upper_gap,
+        "certified_optimal": wit.certified_optimal,
     }
     keys = ["value", "holevo", "leak", "n", "aux_size", "restart_index"]
+    keys += ["upper", "upper_gap", "certified_optimal"]
     _emit(args, payload, _table(payload, keys))
 
 

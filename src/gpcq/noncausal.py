@@ -7,7 +7,8 @@ exactly at explicit witnesses and improved by alternating a closed-form
 multiplicative step on the auxiliary conditionals (a Blahut-Arimoto-style
 update that never lowers the objective) with greedy strategy sweeps.
 Concavity is unknown, so restarts plus structured seeds stand in for a
-global solve.
+global solve. The informed-decoder bound caps every blocklength's value
+from above, and the restarts stop once a start reaches it.
 
 Every candidate is scored from scratch, in the same operation order as a
 full evaluation, so the search's values and witnesses do not depend on how
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .causal import causal_capacity
+from .causal import InnerSolution, causal_capacity, inner_maximize
 from .channel import (
     StateChannel,
     derived_states,
@@ -279,6 +280,32 @@ def product_witness(q_given_s: np.ndarray, strategy: np.ndarray, num_inputs: int
 
 
 @dataclass(frozen=True)
+class GPUpperBound:
+    """Informed-decoder bound on the per-symbol non-causal rate; value + gap is certified from above."""
+
+    value: float
+    gap: float
+    per_state: tuple[InnerSolution, ...]  # the Holevo solve of each state's channel, in state order
+
+
+def noncausal_upper_bound(ch: StateChannel) -> GPUpperBound:
+    """The capacity with the state known at both ends, sum_s p(s) C_chi(rho_{s,.}).
+
+    Telling the decoder the state word can only help (Gel'fand-Pinsker 1980;
+    El Gamal-Kim, Network Information Theory, Ch. 7). Per block,
+    chi(U;B^n) - I(U;S^n) <= I(U;B^n S^n) - I(U;S^n) = I(U;B^n|S^n)
+    <= I(X^n;B^n|S^n) <= n sum_s p(s) C_chi(rho_{s,.}), so this single-letter
+    number bounds the per-symbol objective at every blocklength. Each state
+    takes one certified inner_maximize; the p-weighted sum of their values
+    and gaps is returned, and value + gap bounds the optimum from above.
+    """
+    per_state = tuple(inner_maximize(ch.tensor[s]) for s in range(ch.num_states))
+    value = float(ch.p @ np.array([sol.value for sol in per_state]))
+    gap = float(ch.p @ np.array([sol.gap for sol in per_state]))
+    return GPUpperBound(value, gap, per_state)
+
+
+@dataclass(frozen=True)
 class GPWitness:
     """Best witness found: per-symbol value with the realizing conditionals."""
 
@@ -297,10 +324,17 @@ class GPWitness:
     # tried, and per sweep its starting witness and each alternative input of each cell.
     objective_evals: int
     rounds: int  # alternating rounds (ascent, then sweep) run, summed over starts
+    upper: float  # noncausal_upper_bound's value, per symbol
+    upper_gap: float  # its gap: upper + upper_gap is certified from above
 
     @property
     def leak_per_symbol(self) -> float:
         return self.leak / self.n
+
+    @property
+    def certified_optimal(self) -> bool:
+        """The bracket is closed: the value is within ALT_EPS of the certified upper bound."""
+        return self.value >= self.upper + self.upper_gap - ALT_EPS
 
 
 def noncausal_lower_bound(
@@ -321,8 +355,11 @@ def noncausal_lower_bound(
     construction.
     Explicit witnesses follow, each run at its own auxiliary size and checked
     against the blocklength-n channel as gp_objective checks; remaining
-    restarts are random. Ties keep the smallest restart index. An n,
-    restarts or aux_size below 1 raises PreconditionViolated.
+    restarts are random. Ties keep the smallest restart index. The starts
+    run in that order and stop after the first whose per-symbol value is
+    within ALT_EPS of noncausal_upper_bound's certified value, so
+    ``restarts`` is a maximum and the witness reports the starts that ran.
+    An n, restarts or aux_size below 1 raises PreconditionViolated.
     """
     if n < 1:
         raise PreconditionViolated("n", n, ">= 1")
@@ -349,7 +386,12 @@ def noncausal_lower_bound(
         strat0 = rng.integers(0, num_inputs, size=(num_states, aux_size))
         starts.append((q0, strat0))
 
-    results = [_alternate(p, tensor, q0, strat0, num_inputs, max_rounds) for q0, strat0 in starts]
+    upper = noncausal_upper_bound(ch)
+    results = []
+    for q0, strat0 in starts:
+        results.append(_alternate(p, tensor, q0, strat0, num_inputs, max_rounds))
+        if results[-1][2] / n >= upper.value + upper.gap - ALT_EPS:
+            break
     values = [res[2] for res in results]
     best_idx = int(np.argmax(values))  # the first maximum, so ties keep the smallest index
     q_best, strat_best = results[best_idx][:2]
@@ -363,9 +405,11 @@ def noncausal_lower_bound(
         strategy=strat_best,
         aux_size=q_best.shape[1],
         restart_index=best_idx,
-        restarts=len(starts),
+        restarts=len(results),
         restart_values=tuple(v / n for v in values),
         ascent_steps=sum(res[3] for res in results),
         objective_evals=sum(res[4] for res in results),
         rounds=sum(res[5] for res in results),
+        upper=upper.value,
+        upper_gap=upper.gap,
     )

@@ -122,6 +122,8 @@ def test_noncausal_dominates_causal_and_blocklength_two(suite, solvers):
             ch, n=2, restarts=8, seed=7, seed_witnesses=(seed_wit,)
         )
         assert n2.value >= n1.value - 1e-6, (name, n1.value, n2.value)
+        # The informed-decoder bound caps every blocklength per symbol.
+        assert n2.value <= n2.upper + n2.upper_gap + 1e-12, (name, n2.value, n2.upper)
     _within(t0, 300.0)
 
 

@@ -218,13 +218,34 @@ class TestClassicalCrossChecks:
         assert classical_channel_capacity(np.eye(4)) == pytest.approx(2.0, abs=1e-9)
 
     def test_uncertified_capacity_raises_with_gap(self, monkeypatch):
-        # This strategy channel needs about 51k iterations to certify.
+        # Plain Blahut-Arimoto needs about 51k steps to certify this strategy
+        # channel. With 10 steps per support and no Newton steps, no support
+        # of at most |Y| = 3 of its 9 rows reaches the stop.
         _, rows, p = random_classical_channel(np.random.default_rng(1), 3, 3)
-        monkeypatch.setattr(classical_oracles, "CLASSICAL_MAX_ITER", 1000)
+        monkeypatch.setattr(classical_oracles, "CLASSICAL_BA_STEPS", 10)
+        monkeypatch.setattr(classical_oracles, "NEWTON_MAX_ITER", 0)
         with pytest.raises(GpcqError) as exc:
             shannon_strategy_oracle(rows, p)
-        assert exc.value.details["iterations"] == 1000
+        assert exc.value.details["supports"] == 9 + 36 + 84
         assert exc.value.details["gap"] > 1e-9
+
+    @pytest.mark.parametrize(
+        "seed, num_inputs, dim, capacity",
+        [
+            (1, 3, 3, 0.2570913269719035),
+            (1984, 2, 3, 0.22332386308036065),
+            (1763437, 3, 3, 0.5190797383494427),
+            (3187881530, 3, 2, 0.1929588808479167),
+            (30146702, 2, 2, 0.00034231429409634865),
+        ],
+    )
+    def test_oracle_certifies_draws_where_blahut_arimoto_stalls(self, seed, num_inputs, dim, capacity):
+        # Plain Blahut-Arimoto left the last four draws above the 1e-9 stop
+        # after 10^6 steps, and the first needed about 51k. The frozen values
+        # agree with causal_capacity within its gap (at most 6.6e-7); that
+        # solve takes seconds on some of these draws, so it is not rerun here.
+        _, rows, p = random_classical_channel(np.random.default_rng(seed), num_inputs, dim)
+        assert shannon_strategy_oracle(rows, p) == pytest.approx(capacity, abs=1e-9)
 
     def test_strategy_oracle_agrees_on_stuck(self, stuck, solvers):
         gp = ClassicalGP.from_channel(stuck)

@@ -14,6 +14,7 @@ import pytest
 from gpcq import cli
 from gpcq.channel import build_channel, serialize_channel
 from gpcq.cli import dispatch
+from gpcq.noncausal import ALT_EPS
 from gpcq.schur_weyl import FrequencyClass, frequency_classes
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -281,17 +282,31 @@ class TestJsonSchemas:
         assert code == 0
         payload = json.loads(out)
         assert set(payload) == {
-            "ascent_steps", "aux_size", "holevo", "leak", "leak_per_symbol", "n",
+            "ascent_steps", "aux_size", "certified_optimal", "holevo", "leak", "leak_per_symbol", "n",
             "objective_evals", "q_given_s", "restart_index", "restart_values",
-            "restarts", "rounds", "strategy", "value",
+            "restarts", "rounds", "strategy", "upper", "upper_gap", "value",
         }
         assert payload["value"] == pytest.approx(0.7, abs=1e-9)
         assert payload["n"] == 1
-        assert len(payload["restart_values"]) == payload["restarts"] == 8
+        # --restarts is a maximum: the search stops after the first start that
+        # reaches the certified upper bound, here the lifted causal witness.
+        threshold = payload["upper"] + payload["upper_gap"] - ALT_EPS
+        assert payload["certified_optimal"] is True
+        assert len(payload["restart_values"]) == payload["restarts"] == 1
+        assert payload["restart_values"][-1] >= threshold
         assert payload["restart_values"][payload["restart_index"]] == payload["value"]
         assert payload["objective_evals"] > payload["ascent_steps"] > 0
         assert payload["rounds"] >= payload["restarts"]
         assert payload["leak_per_symbol"] == payload["leak"]
+        # purecq's bracket stays open, so every requested start runs.
+        code, out, _ = run_cli(
+            capsys, "noncausal", str(channel_dir / "purecq.chan"),
+            "--seed", "7", "--restarts", "4", "--json",
+        )
+        payload = json.loads(out)
+        assert code == 0 and payload["certified_optimal"] is False
+        assert len(payload["restart_values"]) == payload["restarts"] == 4
+        assert max(payload["restart_values"]) < payload["upper"] + payload["upper_gap"] - ALT_EPS
 
     def test_colon_labels_solve_at_blocklength_two(self, capsys, tmp_path, flip):
         # State labels containing the product-label separator ":" solve, and

@@ -12,6 +12,7 @@ from gpcq.channel import build_channel, derived_states, letter_states, product_e
 from gpcq.coding import simulate_rate_error_curve
 from gpcq.errors import GpcqError, NonFinite, PreconditionViolated, ShapeMismatch
 from gpcq.noncausal import (
+    ALT_EPS,
     _alternate,
     _ascend_q,
     _cross_term,
@@ -21,6 +22,7 @@ from gpcq.noncausal import (
     default_aux_size,
     gp_objective,
     noncausal_lower_bound,
+    noncausal_upper_bound,
     product_witness,
     trim_witness,
 )
@@ -31,6 +33,10 @@ import noncausal_reference as reference
 from classical_oracles import ClassicalGP, classical_gp_oracle
 
 UNIFORM_Q = np.array([[0.5, 0.5], [0.5, 0.5]])
+# Float rounding of an exact value may put a certified lower bound a few ulps
+# above the upper bound (flip's n=1 bound has read 1.0000000000000004 against
+# the upper bound 1), so bracket orderings hold to this tolerance.
+BRACKET_TOL = 1e-12
 INVERTING = np.array([[0, 1], [1, 0]])
 
 
@@ -395,13 +401,40 @@ class TestNoncausalLowerBound:
             assert rep.value == pytest.approx(wit.value, abs=1e-12)
             assert wit.restart_index < wit.restarts
 
-    def test_diagnostics_describe_the_search(self, stuck):
-        wit = noncausal_lower_bound(stuck, n=2, restarts=3, seed=7, max_rounds=2)
-        assert len(wit.restart_values) == wit.restarts == 3
+    def test_bracket_closes_except_on_purecq(self, solvers, suite):
+        frozen_upper = {"flip": 1.0, "stuck": 0.7, "skew": 1.0, "purecq": 0.6008760366928562}
+        for name in suite:
+            wit = solvers.noncausal(name)
+            assert wit.upper == pytest.approx(frozen_upper[name], abs=1e-9), name
+            assert wit.value <= wit.upper + wit.upper_gap + BRACKET_TOL, name
+            if name == "purecq":
+                assert not wit.certified_optimal
+            else:
+                assert wit.value == pytest.approx(wit.upper, abs=1e-9), name
+                assert wit.certified_optimal, name
+
+    @staticmethod
+    def assert_diagnostics(wit):
         assert max(wit.restart_values) == wit.restart_values[wit.restart_index] == wit.value
         assert wit.objective_evals > wit.ascent_steps > 0
         assert wit.restarts <= wit.rounds <= 2 * wit.restarts
         assert wit.leak_per_symbol == wit.leak / 2
+
+    def test_diagnostics_describe_the_search(self, stuck):
+        # The search stops after the first start that closes the bracket.
+        wit = noncausal_lower_bound(stuck, n=2, restarts=3, seed=7, max_rounds=2)
+        closes = [v >= wit.upper + wit.upper_gap - ALT_EPS for v in wit.restart_values]
+        assert wit.certified_optimal
+        assert closes[-1] and not any(closes[:-1])
+        assert len(wit.restart_values) == wit.restarts < 3
+        self.assert_diagnostics(wit)
+
+    def test_every_requested_start_runs_while_the_bracket_is_open(self, purecq):
+        wit = noncausal_lower_bound(purecq, n=2, restarts=3, seed=7, max_rounds=2)
+        assert not wit.certified_optimal
+        assert all(v < wit.upper + wit.upper_gap - ALT_EPS for v in wit.restart_values)
+        assert len(wit.restart_values) == wit.restarts == 3
+        self.assert_diagnostics(wit)
 
     @pytest.mark.parametrize("aux_size", [0, -1])
     def test_empty_auxiliary_alphabet_is_rejected(self, flip, aux_size):
@@ -422,11 +455,29 @@ def test_noncausal_is_bracketed_on_random_channels(seed, dim, num_states, num_in
     ch = random_cq_channel(np.random.default_rng(seed), dim, num_states, num_inputs)
     wit = noncausal_lower_bound(ch, restarts=2, seed=seed)
     causal = causal_capacity(ch)
-    assert causal.value - 1e-9 <= wit.value <= np.log2(dim) + 1e-9
-    # The constant strategies are Shannon strategies: averaged <= causal bound.
-    assert state_averaged_holevo(ch).value <= causal.value + causal.gap + 1e-12
+    # The bracket: averaged <= causal <= LB(n=1) <= UB + gap. The constant
+    # strategies are Shannon strategies, and the first start is the causal witness.
+    assert state_averaged_holevo(ch).value <= causal.value + causal.gap + BRACKET_TOL
+    assert causal.value - 1e-9 <= wit.value <= wit.upper + wit.upper_gap + BRACKET_TOL
     rep = gp_objective(ch, wit.q_given_s, wit.strategy)
     assert rep.value == pytest.approx(wit.value, abs=1e-12)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(1, 3), st.integers(1, 3))
+def test_upper_bound_caps_every_witness(seed, dim, num_states, num_inputs):
+    # Any witness's per-symbol objective is at most I(X;B|S) <= UB, at n = 1 and 2 alike.
+    rng = np.random.default_rng(seed)
+    ch = random_cq_channel(rng, dim, num_states, num_inputs)
+    upper = noncausal_upper_bound(ch)
+    assert len(upper.per_state) == num_states
+    weighted = sum(ch.p[s] * sol.value for s, sol in enumerate(upper.per_state))
+    assert upper.value == pytest.approx(weighted, abs=1e-15)
+    for n in (1, 2):
+        ch_n = ch if n == 1 else product_extension(ch, n)
+        for num_u in (2, 5):
+            for q, strat in interior_witnesses(ch_n, num_u, rng):
+                assert gp_objective(ch_n, q, strat, n=n).value <= upper.value + upper.gap + BRACKET_TOL
 
 
 class TestClassicalOracle:
