@@ -17,16 +17,7 @@ from .channel import (
     product_extension,
     serialize_channel,
 )
-from .coding import (
-    Code,
-    GPCodebook,
-    average_error,
-    build_gp_codebook,
-    gp_encoder,
-    sequential_decoder,
-    simulate_rate_error_curve,
-    square_root_decoder,
-)
+from .coding import sequential_decoder, simulate_rate_error_curve, square_root_decoder
 from .errors import GpcqError
 from .noncausal import GPUpperBound, GPWitness, gp_objective, noncausal_lower_bound, noncausal_upper_bound
 from .quantum import (
@@ -37,29 +28,22 @@ from .quantum import (
     trace_distance,
     von_neumann_entropy,
 )
-from .schur_weyl import central_projector, kostka_rank, young_frames
+from .schur_weyl import young_frames
 
 __all__ = [
     "__version__",
     "CausalSolution",
-    "Code",
-    "GPCodebook",
     "GPUpperBound",
     "GPWitness",
     "GpcqError",
     "StateChannel",
-    "average_error",
     "build_channel",
-    "build_gp_codebook",
     "causal_capacity",
-    "central_projector",
     "derived_states",
-    "gp_encoder",
     "gp_objective",
     "holevo_quantity",
     "inner_maximize",
     "kl_divergence",
-    "kostka_rank",
     "load_channel",
     "noncausal_lower_bound",
     "noncausal_upper_bound",

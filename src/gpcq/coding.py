@@ -8,8 +8,8 @@ quantum.BlockStack: for each message, one real block per frequency class of
 the n slots, in the decoding basis frame (schur_weyl.DecodeContext). The
 square-root sum, its eigh, the smoothed elements, the sequential chain,
 validate_povm's checks and the closure check all run block by block. A
-dense operator list, as an explicit code or a test passes it, is the
-one-block case of the same code, and each decoder returns its input's form.
+dense operator list is the one-block case of the same code, and each
+decoder returns its input's form.
 
 Each trial builds one projector per letter type of its codewords, the
 Kronecker product of its letters' dense blocks, and gathers every distinct
@@ -18,7 +18,8 @@ codeword's class blocks from its type's product by a slot permutation
 rejection from batches of candidates. Letter states are rotated into the
 basis frame, and the success traces of all messages come from one
 quantum.product_traces contraction per chunk of messages scattered into
-dense operators; encoder Declare failures count as full errors. The memory
+dense operators; a state word that no bin of its message matches (a
+declare) counts as a full error. The memory
 model behind BudgetExceeded is the largest footprint of a trial's phases:
 stacks of sum_f |f|^2 float64 entries per message, f over the frequency
 classes of n slots, the gather's index arrays, one type's d^n x d^n
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,87 +49,16 @@ from .errors import (
     NotProjection,
     PreconditionViolated,
 )
-from .method_of_types import (
-    covering_hypotheses,
-    is_exact_type,
-    matched_set_members,
-    nearest_type,
-    type_class_words,
-)
+from .method_of_types import matched_set_members, nearest_type, type_class_words
 from .quantum import BlockStack, eigenbasis, product_traces
 from .schur_weyl import DecodeContext, class_partition
 from .util import digit_table, rng_for
 
-EXACT_TERM_CAP = 10**6
 POVM_TOL = 1e-8
 # Eigenvalues of the square-root sum below RANK_TOL times the largest are its kernel.
 RANK_TOL = 1e-10
 # Largest |S|^n whose state words simulate_noncausal_trial enumerates.
 STATE_WORD_CAP = 4096
-
-
-class Declare:
-    """Sentinel returned when the encoder has no admissible codeword."""
-
-    def __repr__(self):
-        return "Declare"
-
-
-DECLARE = Declare()
-
-
-@dataclass(frozen=True)
-class Code:
-    """Explicit block code: randomized encoder table plus decoder POVM.
-
-    encoder maps (message, state word) to a list of (input word, probability)
-    pairs; povm lists one operator per message, with the identity deficit
-    implicitly assigned to an error outcome. Words are tuples of alphabet
-    indices. A causal tag asserts that input prefixes depend on the state
-    word only through its prefix of the same length.
-    """
-
-    n: int
-    num_messages: int
-    encoder: Mapping[tuple[int, tuple[int, ...]], Sequence[tuple[tuple[int, ...], float]]]
-    povm: Sequence[np.ndarray]
-    causal: bool = False
-
-
-def validate_code(code: Code, ch: StateChannel) -> None:
-    dim = ch.dim**code.n
-    validate_povm(code.povm, dim)
-    for (m, s_word), rows in code.encoder.items():
-        total = sum(prob for _, prob in rows)
-        if abs(total - 1.0) > 1e-9 or any(prob < -1e-12 for _, prob in rows):
-            raise GpcqError(f"encoder row for message {m}, states {s_word} is not a distribution")
-    if code.causal:
-        _check_causal_marginals(code, ch)
-
-
-def _check_causal_marginals(code: Code, ch: StateChannel) -> None:
-    """Input prefixes may depend on the state word only through its prefix."""
-    n = code.n
-    for m in range(code.num_messages):
-        for t in range(1, n + 1):
-            marginals: dict[tuple[int, ...], dict[tuple[int, ...], float]] = {}
-            for (msg, s_word), rows in code.encoder.items():
-                if msg != m:
-                    continue
-                prefix = s_word[:t]
-                marg = marginals.setdefault(prefix, {})
-                probe: dict[tuple[int, ...], float] = {}
-                for x_word, prob in rows:
-                    probe[x_word[:t]] = probe.get(x_word[:t], 0.0) + prob
-                if not marg:
-                    marg.update(probe)
-                else:
-                    keys = set(marg) | set(probe)
-                    worst = max(abs(marg.get(k, 0.0) - probe.get(k, 0.0)) for k in keys)
-                    if worst > 1e-9:
-                        raise GpcqError(
-                            f"causal marginal violated at message {m}, prefix length {t}"
-                        )
 
 
 def _stack(operators, noun: str, dim: int | None = None) -> tuple[BlockStack, bool]:
@@ -213,64 +143,6 @@ def validate_povm(elements, dim: int) -> None:
         raise InvalidPOVM(f"elements sum above identity by {top - 1.0}")
 
 
-def average_error(
-    code: Code,
-    ch: StateChannel,
-    seed: int | None = None,
-    samples: int = 20000,
-    term_cap: int = EXACT_TERM_CAP,
-) -> float:
-    """Average error of an explicit code: exact when enumerable, else sampled.
-
-    Exact mode sums p(state word) * encoder probability * success trace over
-    every term; Monte Carlo (requires a seed) samples state and input words
-    from their laws and averages the same success trace.
-    """
-    validate_code(code, ch)
-    n, M = code.n, code.num_messages
-    tensor = ch.tensor
-    p = ch.p
-    terms = sum(len(rows) for rows in code.encoder.values())
-
-    def success_trace(m, s_word, x_word):
-        return _product_trace(code.povm[m], [tensor[s, x] for s, x in zip(s_word, x_word)])
-
-    if terms <= term_cap:
-        success = 0.0
-        for (m, s_word), rows in code.encoder.items():
-            weight = math.prod(p[s] for s in s_word)
-            for x_word, prob in rows:
-                if prob == 0.0:
-                    continue
-                success += weight * prob * success_trace(m, s_word, x_word)
-        err = 1.0 - success / M
-        return min(max(err, 0.0), 1.0)
-
-    if seed is None:
-        raise CapExceeded(
-            f"{terms} exact terms exceed cap {term_cap} and no seed given for sampling"
-        )
-    rng = rng_for(seed, "code-error")
-    hits = 0.0
-    by_message: dict[int, list[tuple[int, ...]]] = {}
-    for (m, s_word) in code.encoder:
-        by_message.setdefault(m, []).append(s_word)
-    for _ in range(samples):
-        m = int(rng.integers(M))
-        s_word = tuple(int(rng.choice(len(p), p=p)) for _ in range(n))
-        rows = code.encoder[(m, s_word)]
-        probs = np.array([pr for _, pr in rows])
-        x_word = rows[int(rng.choice(len(rows), p=probs / probs.sum()))][0]
-        hits += success_trace(m, s_word, x_word)
-    err = 1.0 - hits / samples
-    return min(max(err, 0.0), 1.0)
-
-
-def _product_trace(op: np.ndarray, states) -> float:
-    """Real part of tr(op · states[0] ⊗ states[1] ⊗ ...)."""
-    return float(product_traces(op, [st[None] for st in states]).item().real)
-
-
 def _returned(povm: BlockStack, dense: bool):
     """(elements, error outcome) of a POVM whose last element is the error outcome, in the input's form."""
     if dense:
@@ -344,97 +216,6 @@ def sequential_decoder(projectors):
     povm = BlockStack(tuple(povm), stack.index)
     validate_povm(povm, stack.dim)
     return _returned(povm, dense)
-
-
-def union_bound_gap(sigma: np.ndarray, projectors: Sequence[np.ndarray]):
-    """Loss of sequential testing against its square-root deviation bound.
-
-    Returns (loss, bound) with loss = tr(sigma) - tr(P_L...P_1 sigma P_1...P_L)
-    and bound = 2 sqrt(sum_k tr((1 - P_k) sigma)); the inequality loss <=
-    bound holds for any sub-normalized sigma and any projector sequence.
-    """
-    sigma = np.asarray(sigma, dtype=complex)
-    dim = sigma.shape[0]
-    chain = np.eye(dim, dtype=complex)
-    miss = 0.0
-    for p in projectors:
-        chain = np.asarray(p) @ chain
-        miss += float(np.real(np.trace((np.eye(dim) - p) @ sigma)))
-    survived = float(np.real(np.trace(chain @ sigma @ chain.conj().T)))
-    loss = float(np.real(np.trace(sigma))) - survived
-    bound = 2.0 * math.sqrt(max(miss, 0.0))
-    return loss, bound
-
-
-@dataclass(frozen=True)
-class GPCodebook:
-    """Binned codebook of auxiliary words, all from one exact type class.
-
-    words has shape (K, M, n); p_su is the witness joint over (state, aux)
-    whose conditionals drive the matched-set test at radius delta; regime_ok
-    records whether the asymptotic covering hypotheses held (they cannot at
-    desk-scale n, so this is a report, not a gate).
-    """
-
-    words: np.ndarray
-    p_su: np.ndarray
-    delta: float
-    regime_ok: bool
-
-    @property
-    def K(self) -> int:
-        return self.words.shape[0]
-
-    @property
-    def M(self) -> int:
-        return self.words.shape[1]
-
-    @property
-    def n(self) -> int:
-        return self.words.shape[2]
-
-
-def build_gp_codebook(
-    p_su: np.ndarray,
-    n: int,
-    K: int,
-    M: int,
-    delta: float,
-    seed: int,
-) -> GPCodebook:
-    """K*M codewords drawn i.i.d. uniformly from the auxiliary type class.
-
-    The auxiliary marginal must be an exact denominator-n type. The asymptotic
-    covering hypotheses are evaluated and recorded; they are not enforced
-    because simulation blocklengths sit far below them.
-    """
-    p_su = np.asarray(p_su, dtype=float)
-    p_u = p_su.sum(axis=0)
-    if not is_exact_type(p_u, n):
-        raise PreconditionViolated(
-            "auxiliary marginal is a denominator-n type", (p_u * n).tolist(), "integers"
-        )
-    regime_ok, _ = covering_hypotheses(p_su, n, delta)
-    counts = np.rint(p_u * n).astype(np.int64)
-    words = type_class_words(counts, (K, M), rng_for(seed, "gp-codebook"))
-    return GPCodebook(words, p_su, delta, regime_ok)
-
-
-def admissible_indices(codebook: GPCodebook, m: int, s_word) -> list[int]:
-    """Bins of message m whose codeword matches the state word."""
-    members = matched_set_members(
-        np.asarray(s_word)[None, :], codebook.words[:, m], codebook.p_su, codebook.delta
-    )
-    return np.flatnonzero(members[0]).tolist()
-
-
-def gp_encoder(codebook: GPCodebook, m: int, s_word, seed: int):
-    """Uniform choice among matching codewords of the bin; Declare when none."""
-    ks = admissible_indices(codebook, m, s_word)
-    if not ks:
-        return DECLARE
-    rng = rng_for(seed, "gp-encode", m, tuple(int(s) for s in s_word))
-    return codebook.words[int(rng.choice(ks)), m]
 
 
 @dataclass(frozen=True)
@@ -576,8 +357,10 @@ def simulate_noncausal_trial(
     """One binned-codebook round with the square-root decoder, evaluated exactly.
 
     Returns (error, declare mass). The blocklength and the matched-set radius
-    are ctx.n and ctx.delta. State words are enumerated exhaustively; a
-    Declare (empty bin) counts as a full error for its state mass.
+    are ctx.n and ctx.delta. State words are enumerated exhaustively; the
+    encoder picks uniformly among the message's bins whose codeword matches
+    the state word, and a declare (no bin matches) counts as a full error
+    for its state mass.
     """
     n, delta = ctx.n, ctx.delta
     num_s = p_su.shape[0]

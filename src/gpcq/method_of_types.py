@@ -6,9 +6,9 @@ integers, masses are accumulated in log space, and all distances between
 distributions are total-variation style L1 norms unless stated otherwise.
 The nearest denominator-n type to a distribution comes from one exact
 rule (nearest_type): floors plus the largest fractional parts.
-The module holds what the codebook, the simulator and the ``types`` command
-run: type-class sizes, typical masses, joint-type completion, type-class
-codeword draws, the matched-set test and the covering estimate.
+The module holds what the simulator and the ``types`` command run:
+type-class sizes, typical masses, type-class codeword draws, the
+matched-set test and the covering estimate.
 """
 
 from __future__ import annotations
@@ -24,21 +24,6 @@ from .util import compositions, digit_table, rng_for, wilson_interval
 
 TYPE_ENUMERATION_CAP = 10**6
 SEQUENCE_ENUMERATION_CAP = 1 << 20
-
-
-def empirical_type(seq, alphabet_size: int) -> np.ndarray:
-    seq = np.asarray(seq, dtype=np.int64)
-    return np.bincount(seq, minlength=alphabet_size)
-
-
-def joint_type(a_seq, b_seq, a_size: int, b_size: int) -> np.ndarray:
-    """Pair counts N(a, b) of two aligned sequences, shape (a_size, b_size)."""
-    a_seq = np.asarray(a_seq, dtype=np.int64)
-    b_seq = np.asarray(b_seq, dtype=np.int64)
-    if a_seq.shape != b_seq.shape:
-        raise LengthMismatch(f"lengths {a_seq.size} and {b_seq.size} differ")
-    flat = np.bincount(a_seq * b_size + b_seq, minlength=a_size * b_size)
-    return flat.reshape(a_size, b_size)
 
 
 def multinomial_exact(counts) -> int:
@@ -160,70 +145,6 @@ def support_floor(p_su: np.ndarray) -> float:
     return float(vals.min())
 
 
-def joint_type_completion(s_seq, p_su: np.ndarray, delta: float) -> np.ndarray:
-    """Pair a state sequence with an auxiliary sequence of prescribed type.
-
-    Given s_seq whose type is within delta of the S-marginal of p_su, and an
-    auxiliary marginal that is an exact denominator-n type, builds u_seq in
-    the type class of that marginal with joint empirical distribution within
-    2*delta of p_su (L1). Hypotheses checked: delta < beta/2 and
-    n > 4 |U| max(|S|, 1/beta) for beta the smallest positive joint mass.
-    """
-    s_seq = np.asarray(s_seq, dtype=np.int64)
-    p_su = np.asarray(p_su, dtype=float)
-    num_s, num_u = p_su.shape
-    n = s_seq.size
-    p_s = p_su.sum(axis=1)
-    p_u = p_su.sum(axis=0)
-    if not is_exact_type(p_u, n):
-        raise PreconditionViolated("n * p_U integral", (p_u * n).tolist(), "integers")
-    beta = support_floor(p_su)
-    if not delta < beta / 2:
-        raise PreconditionViolated("delta < beta/2", delta, beta / 2)
-    n_floor = 4 * num_u * max(num_s, 1.0 / beta)
-    if not n > n_floor:
-        raise PreconditionViolated("n > 4 |U| max(|S|, 1/beta)", n, n_floor)
-    s_counts = empirical_type(s_seq, num_s)
-    s_gap = float(np.abs(s_counts / n - p_s).sum())
-    if s_gap > delta + 1e-12:
-        raise PreconditionViolated("state sequence delta-typical", s_gap, delta)
-
-    target_u = np.rint(p_u * n).astype(np.int64)
-    joint_counts = np.zeros((num_s, num_u), dtype=np.int64)
-    for s in range(num_s - 1):
-        block = int(s_counts[s])
-        if block == 0:
-            continue
-        w = p_su[s] / p_s[s] if p_s[s] > 0 else np.zeros(num_u)
-        row = np.rint(w * block).astype(np.int64)
-        row[w <= 0] = 0
-        heavy = int(np.argmax(w))
-        row[heavy] = block - (row.sum() - row[heavy])
-        if row[heavy] < 0:
-            raise GpcqError(f"completion failed rounding row for state {s}")
-        joint_counts[s] = row
-    last = num_s - 1
-    joint_counts[last] = target_u - joint_counts[:last].sum(axis=0)
-    if np.any(joint_counts[last] < 0):
-        raise GpcqError("completion failed: remainder row went negative")
-    if int(joint_counts[last].sum()) != int(s_counts[last]):
-        raise GpcqError("completion failed: block sizes inconsistent")
-
-    gap = float(np.abs(joint_counts / n - p_su).sum())
-    if gap > 2.0 * delta + 1e-12:
-        raise GpcqError(f"completion exceeded 2*delta: {gap} > {2 * delta}")
-
-    u_seq = np.empty(n, dtype=np.int64)
-    cursor = {s: 0 for s in range(num_s)}
-    fills = {
-        s: np.repeat(np.arange(num_u), joint_counts[s]) for s in range(num_s)
-    }
-    for i, s in enumerate(s_seq):
-        u_seq[i] = fills[int(s)][cursor[int(s)]]
-        cursor[int(s)] += 1
-    return u_seq
-
-
 def matched_set_members(s_words, u_words, p_su: np.ndarray, delta: float) -> np.ndarray:
     """Which auxiliary words match which state words, as a (T, W) bool array.
 
@@ -289,8 +210,9 @@ class CoverageResult:
 def covering_hypotheses(p_su: np.ndarray, n: int, delta: float) -> tuple[bool, str]:
     """Whether delta < beta/2 and n > 4 |U| max(|S|, 1/beta) hold, with a note.
 
-    beta is the smallest positive joint mass; these are the covering
-    hypotheses of joint_type_completion, reported instead of enforced.
+    beta is the smallest positive joint mass; these are the hypotheses under
+    which every delta-typical state sequence has a completion to a joint
+    type within 2*delta of p_su, reported instead of enforced.
     """
     num_s, num_u = p_su.shape
     beta = support_floor(p_su)

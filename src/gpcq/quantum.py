@@ -224,14 +224,6 @@ def holevo_quantity(q, ensemble) -> float:
     return von_neumann_entropy(avg) - float(weights @ von_neumann_entropy(states))
 
 
-def holevo_via_divergence(q, ensemble) -> float:
-    """Same functional through the identity chi = sum_u q(u) D(rho_u || avg)."""
-    weights, states = _ensemble_arrays(q, ensemble)
-    avg = np.einsum("u,uij->ij", weights, states)
-    used = weights > 0
-    return float(weights[used] @ relative_entropy(states[used], avg))
-
-
 def pinch(rho, basis: np.ndarray) -> np.ndarray:
     """Diagonal of rho in the given orthonormal basis, as a pmf.
 

@@ -7,7 +7,7 @@ permutations, so every isotypic projector is block diagonal over the
 classes. class_partition lists the classes of (d, n) by one sort of the
 words; each class's blocks are eigenprojectors of Jucys-Murphy
 transposition sums on its words, built once per (d, n) and cached
-(frequency_classes). Central projectors are dense arrays built from them.
+(frequency_classes).
 
 Decoding stays in the basis frame, where product vectors are labeled by the
 columns of the decoding basis. There a typicality-filtered block projector
@@ -304,53 +304,10 @@ def frequency_classes(d: int, t: int) -> tuple[FrequencyClass, ...]:
     return _FREQUENCY_CLASSES[d, t]
 
 
-def central_projector(frame: YoungFrame, d: int, n: int) -> np.ndarray:
-    """Projector onto the isotypic block of one frame: its class blocks on the diagonal.
-
-    Real symmetric; its trace must equal irrep_dimension * gl_multiplicity.
-    """
-    out = np.zeros((d**n, d**n))
-    for cls in frequency_classes(d, n):
-        if frame in cls.blocks:
-            out[np.ix_(cls.words, cls.words)] = cls.blocks[frame]
-    expected = irrep_dimension(frame) * gl_multiplicity(frame, d)
-    if abs(np.trace(out) - expected) > 1e-6:
-        raise GpcqError(f"central projector trace {np.trace(out)} != {expected} for {frame}")
-    return out
-
-
 def _assert_projector(mat: np.ndarray, context: str):
     defect = float(np.max(np.abs(mat @ mat - mat)))
     if defect > TAU_PROJ:
         raise NotProjection(f"{context}: idempotency defect {defect}")
-
-
-def kostka_zero_combinatorial(freq, frame: YoungFrame) -> bool:
-    """True when the frame fails to dominate the sorted frequency vector."""
-    sorted_f = sorted((int(c) for c in freq), reverse=True)
-    width = max(len(sorted_f), len(frame))
-    lam = list(frame) + [0] * (width - len(frame))
-    fv = sorted_f + [0] * (width - len(sorted_f))
-    run_l = run_f = 0
-    for i in range(width):
-        run_l += lam[i]
-        run_f += fv[i]
-        if run_l < run_f:
-            return True
-    return False
-
-
-def kostka_rank(freq, frame: YoungFrame, d: int, n: int) -> int:
-    """Rank of the frame's block on one frequency class, 0 where it has none.
-
-    The block is a projector, so its rank is its trace, within 1e-6 of an integer.
-    """
-    classes = frequency_classes(d, n)
-    cls = classes[class_partition(d, n).index(freq)]
-    trace = float(np.trace(cls.blocks[frame])) if frame in cls.blocks else 0.0
-    if abs(trace - round(trace)) > 1e-6:
-        raise NumericalRankFailure(f"trace {trace} not near an integer for {freq}/{frame}")
-    return round(trace)
 
 
 def a_set(rho: np.ndarray, basis: np.ndarray, m: int, radius: float) -> tuple[tuple, tuple]:

@@ -1,4 +1,4 @@
-"""Small shared numeric helpers: RNG derivation, intervals, random states, digit tables."""
+"""Small shared numeric helpers: RNG derivation, intervals, digit tables, compositions."""
 
 from __future__ import annotations
 
@@ -35,14 +35,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     center = (phat + z * z / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
-
-
-def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    """Random density matrix G G† / tr with Ginibre G of the given rank."""
-    r = dim if rank is None else rank
-    g = rng.normal(size=(dim, r)) + 1j * rng.normal(size=(dim, r))
-    m = g @ g.conj().T
-    return m / np.trace(m).real
 
 
 def digit_table(d: int, n: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Shared fixtures: the bundled channel corpus and memoized solver runs.
 
-random_unitary is a plain helper that test modules import from here.
+random_unitary and random_density_matrix are plain helpers that test modules
+import from here.
 """
 
 import importlib.util
@@ -106,3 +107,11 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     # fix phases so the factorization is unique
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
+    """Random density matrix G G† / tr with Ginibre G of the given rank."""
+    r = dim if rank is None else rank
+    g = rng.normal(size=(dim, r)) + 1j * rng.normal(size=(dim, r))
+    m = g @ g.conj().T
+    return m / np.trace(m).real

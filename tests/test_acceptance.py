@@ -8,10 +8,8 @@ import numpy as np
 from gpcq.causal import causal_capacity, inner_maximize
 from gpcq.channel import build_channel
 from gpcq.cli import dispatch
-from gpcq.coding import simulate_rate_error_curve, square_root_decoder, union_bound_gap
+from gpcq.coding import simulate_rate_error_curve, square_root_decoder
 from gpcq.method_of_types import (
-    joint_type,
-    joint_type_completion,
     matched_set_members,
     nearest_type,
     type_class_size,
@@ -24,23 +22,28 @@ from gpcq.noncausal import (
 from gpcq.quantum import (
     eigenbasis,
     holevo_quantity,
-    holevo_via_divergence,
     kl_divergence,
     von_neumann_entropy,
 )
 from gpcq.schur_weyl import (
     DecodeContext,
-    central_projector,
     frame_dimension_bounds,
     irrep_dimension,
-    kostka_rank,
-    kostka_zero_combinatorial,
     young_frames,
 )
-from gpcq.util import compositions, digit_table, random_density_matrix
+from gpcq.util import compositions, digit_table
 
 from classical_oracles import ClassicalGP, classical_gp_oracle, shannon_strategy_oracle
-from conftest import random_unitary
+from code_reference import (
+    central_projector,
+    holevo_via_divergence,
+    joint_type,
+    joint_type_completion,
+    kostka_rank,
+    kostka_zero_combinatorial,
+    union_bound_gap,
+)
+from conftest import random_density_matrix, random_unitary
 from dense_reference import scatter
 
 DIAGONAL = ("flip", "stuck", "skew")

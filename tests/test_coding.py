@@ -1,4 +1,4 @@
-"""Explicit codes, decoders, binned codebooks, and the simulation driver."""
+"""Decoders, the simulated trials against their explicit codes, and the simulation driver."""
 
 import itertools
 import math
@@ -9,25 +9,18 @@ import pytest
 
 from gpcq.channel import BUDGET_ENV_VAR, build_channel, derived_states
 from gpcq.coding import (
-    DECLARE,
-    Code,
     SimRow,
     _typical_words,
-    admissible_indices,
-    average_error,
-    build_gp_codebook,
-    gp_encoder,
     rows_to_csv,
     sequential_decoder,
+    simulate_causal_trial,
     simulate_noncausal_trial,
     simulate_rate_error_curve,
     square_root_decoder,
-    union_bound_gap,
     validate_povm,
 )
 from gpcq.errors import (
     BudgetExceeded,
-    CapExceeded,
     GpcqError,
     InvalidPOVM,
     NonFinite,
@@ -37,9 +30,19 @@ from gpcq.errors import (
 from gpcq.method_of_types import matched_set_members, nearest_type, type_class_words
 from gpcq.quantum import BlockStack, eigenbasis
 from gpcq.schur_weyl import DecodeContext
-from gpcq.util import random_density_matrix, rng_for
+from gpcq.util import rng_for
 
 import dense_reference as ref
+from code_reference import (
+    Code,
+    admissible_indices,
+    average_error,
+    binned_code,
+    binned_row,
+    causal_code,
+    union_bound_gap,
+)
+from conftest import random_density_matrix
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
@@ -169,19 +172,6 @@ class TestAverageError:
         enc = {(m, (s,)): [((m,), 1.0)] for m in range(2) for s in range(2)}
         code = Code(1, 2, enc, BASIS_POVM_2, causal=True)
         assert average_error(code, stuck) == pytest.approx(0.15, abs=1e-12)
-
-    def test_monte_carlo_matches_exact(self, stuck):
-        enc = {(m, (s,)): [((m,), 1.0)] for m in range(2) for s in range(2)}
-        code = Code(1, 2, enc, BASIS_POVM_2, causal=True)
-        exact = average_error(code, stuck)
-        sampled = average_error(code, stuck, seed=5, term_cap=0)
-        assert sampled == pytest.approx(exact, abs=0.02)
-
-    def test_sampling_requires_seed(self, stuck):
-        enc = {(m, (s,)): [((m,), 1.0)] for m in range(2) for s in range(2)}
-        code = Code(1, 2, enc, BASIS_POVM_2)
-        with pytest.raises(CapExceeded, match="no seed"):
-            average_error(code, stuck, term_cap=0)
 
 
 class TestSquareRootDecoder:
@@ -393,54 +383,42 @@ class TestUnionBoundGap:
         assert bound == pytest.approx(0.0, abs=1e-9)
 
 
-class TestGPCodebook:
-    def test_words_live_on_the_type_class(self):
-        book = build_gp_codebook(COVER_JOINT, n=12, K=8, M=3, delta=0.2, seed=1)
-        assert book.words.shape == (8, 3, 12)
-        assert book.K == 8 and book.M == 3 and book.n == 12
-        counts = np.stack(
-            [(book.words == u).sum(axis=2) for u in range(2)], axis=-1
-        )
-        assert np.all(counts == 6)
-        assert not book.regime_ok  # desk-scale n is far below the covering floor
+# Identity strategy x = u: a binned row then lists the matched codewords themselves.
+IDENTITY = np.array([[0, 1], [0, 1]])
 
-    def test_same_seed_same_words(self):
-        a = build_gp_codebook(COVER_JOINT, n=8, K=4, M=2, delta=0.2, seed=9)
-        b = build_gp_codebook(COVER_JOINT, n=8, K=4, M=2, delta=0.2, seed=9)
-        assert np.array_equal(a.words, b.words)
 
-    def test_marginal_must_be_exact_type(self):
-        with pytest.raises(PreconditionViolated):
-            build_gp_codebook(COVER_JOINT, n=7, K=2, M=2, delta=0.2, seed=1)
+class TestBinnedEncoderRows:
+    """The explicit code's binned encoder rows: uniform over the matched bins, empty on a declare."""
 
     def test_encoder_returns_matching_word(self):
-        book = build_gp_codebook(COVER_JOINT, n=12, K=64, M=2, delta=0.2, seed=3)
+        words = type_class_words(nearest_type(COVER_JOINT.sum(axis=0), 12), (64, 2), rng_for(3, "bins"))
         s_word = np.array([0] * 6 + [1] * 6)
-        out = gp_encoder(book, 1, s_word, seed=4)
-        assert out is not DECLARE
-        assert matched_set_members([s_word], [out], COVER_JOINT, 0.2)[0, 0]
-        ks = admissible_indices(book, 1, s_word)
-        assert any(np.array_equal(book.words[k, 1], out) for k in ks)
+        row = binned_row(words, 1, s_word, COVER_JOINT, 0.2, IDENTITY)
+        ks = admissible_indices(words, 1, s_word, COVER_JOINT, 0.2)
+        assert row and len(row) == len(ks)
+        for (x_word, prob), k in zip(row, ks):
+            assert prob == 1.0 / len(ks)
+            assert x_word == tuple(words[k, 1])
+            assert matched_set_members([s_word], [x_word], COVER_JOINT, 0.2)[0, 0]
 
     def test_admissible_indices_match_per_bin_membership(self):
-        book = build_gp_codebook(COVER_JOINT, n=8, K=16, M=3, delta=0.3, seed=5)
+        words = type_class_words(nearest_type(COVER_JOINT.sum(axis=0), 8), (16, 3), rng_for(5, "bins"))
         rng = rng_for(6, "states")
         hits = 0
         for _ in range(40):
             s_word = rng.integers(0, 2, size=8)
-            for m in range(book.M):
-                ks = admissible_indices(book, m, s_word)
+            for m in range(3):
+                ks = admissible_indices(words, m, s_word, COVER_JOINT, 0.3)
                 assert ks == [
-                    k
-                    for k in range(book.K)
-                    if matched_set_members([s_word], [book.words[k, m]], COVER_JOINT, 0.3)[0, 0]
+                    k for k in range(16) if matched_set_members([s_word], [words[k, m]], COVER_JOINT, 0.3)[0, 0]
                 ]
                 hits += len(ks)
-        assert 0 < hits < 40 * book.M * book.K
+        assert 0 < hits < 40 * 3 * 16
 
     def test_encoder_declares_when_no_bin_matches(self):
-        book = build_gp_codebook(COVER_JOINT, n=12, K=2, M=1, delta=1e-9, seed=3)
-        assert gp_encoder(book, 0, np.zeros(12, dtype=np.int64), seed=1) is DECLARE
+        words = type_class_words(nearest_type(COVER_JOINT.sum(axis=0), 12), (2, 1), rng_for(3, "bins"))
+        s_word = np.zeros(12, dtype=np.int64)
+        assert binned_row(words, 0, s_word, COVER_JOINT, 1e-9, IDENTITY) == []
 
     def test_declare_frequency_agrees_with_coverage(self):
         # Coverage at these parameters is estimated at 1.0; declares over
@@ -449,73 +427,89 @@ class TestGPCodebook:
 
         cov = coverage_probability(COVER_JOINT, n=12, K=64, delta=0.2, trials=500, seed=77)
         p_s = COVER_JOINT.sum(axis=1)
+        counts = nearest_type(COVER_JOINT.sum(axis=0), 12)
         declares = 0
         trials = 300
         for t in range(trials):
-            book = build_gp_codebook(COVER_JOINT, n=12, K=64, M=1, delta=0.2, seed=900 + t)
+            words = type_class_words(counts, (64, 1), rng_for(900 + t, "bins"))
             rng = rng_for(901, t)
             while True:
                 s_word = rng.choice(2, size=12, p=p_s)
                 if np.abs(np.bincount(s_word, minlength=2) / 12 - p_s).sum() <= 0.2:
                     break
-            if gp_encoder(book, 0, s_word, seed=902 + t) is DECLARE:
+            if not binned_row(words, 0, s_word, COVER_JOINT, 0.2, IDENTITY):
                 declares += 1
         freq = declares / trials
         sigma = math.sqrt(max(cov.estimate * (1 - cov.estimate), 1e-4) / trials)
         assert abs(freq - (1.0 - cov.estimate)) <= 3 * sigma + 0.005
 
 
-class TestNoncausalTrial:
-    def test_matches_kron_brute_force_on_non_commuting_channel(self):
-        gen = rng_for(3, "non-commuting")
-        labels = ["0", "1"]
-        ch = build_channel(
-            labels, labels, 2,
-            {(s, x): random_density_matrix(2, gen) for s in labels for x in labels},
-            np.array([0.4, 0.6]),
-        )
-        tensor, p = ch.tensor, ch.p
-        assert np.max(np.abs(tensor[0, 0] @ tensor[1, 1] - tensor[1, 1] @ tensor[0, 0])) > 1e-3
-        strategy = np.array([[0, 1], [1, 0]])
-        q_rows = np.array([[0.7, 0.3], [0.3, 0.7]])
-        p_su = p[:, None] * q_rows
-        blended = derived_states(p, tensor, q_rows, strategy)
-        _, basis = eigenbasis(blended.sum(axis=0))
-        n, K, M, delta = 3, 2, 3, 1.0
-        ctx = DecodeContext(blended / p_su.sum(axis=0)[:, None, None], basis, n, delta)
+def non_commuting_channel():
+    """Two states, two inputs, and random qubit outputs, some of which do not commute."""
+    gen = rng_for(3, "non-commuting")
+    labels = ["0", "1"]
+    ch = build_channel(
+        labels, labels, 2,
+        {(s, x): random_density_matrix(2, gen) for s in labels for x in labels},
+        np.array([0.4, 0.6]),
+    )
+    assert np.max(np.abs(ch.tensor[0, 0] @ ch.tensor[1, 1] - ch.tensor[1, 1] @ ch.tensor[0, 0])) > 1e-3
+    return ch
 
-        err, declares = simulate_noncausal_trial(ch, p_su, strategy, ctx, K, M, rng_for(8, "trial"))
 
-        # Replay the codebook draw, then evaluate every matched (state word,
-        # codeword) pair on its Kronecker-built output state.
-        replay = rng_for(8, "trial")
-        base = np.repeat(np.arange(2), nearest_type(p_su.sum(axis=0), n))
-        words = [[replay.permutation(base) for _ in range(M)] for _ in range(K)]
-        elements, _ = square_root_decoder(
-            [sum(ref.dense_projector(ctx, words[k][m]) for k in range(K)) for m in range(M)]
-        )
-        expected_err = expected_declares = 0.0
-        for m in range(M):
-            for s_word in itertools.product(range(2), repeat=n):
-                mass = math.prod(p[s] for s in s_word)
-                matched = [
-                    k for k in range(K) if matched_set_members([s_word], [words[k][m]], p_su, delta)[0, 0]
-                ]
-                if not matched:
-                    expected_err += mass
-                    expected_declares += mass
-                    continue
-                succ = sum(
-                    np.trace(
-                        ref.kron_all(tensor[s, strategy[s, u]] for s, u in zip(s_word, words[k][m]))
-                        @ elements[m]
-                    ).real
-                    for k in matched
+# The trials' witnesses: x = u xor s, with q(u|s) for the binned trial and
+# q(u|s) = q(u), which leaks nothing about the state, for the causal one.
+XOR = np.array([[0, 1], [1, 0]])
+ORACLE_Q_ROWS = {"binned": [[0.7, 0.3], [0.3, 0.7]], "causal": [[0.5, 0.5], [0.5, 0.5]]}
+ORACLE_DELTA = 0.6
+
+
+class TestTrialOracle:
+    """Both simulated trials, written as explicit codes, have the trial's error under exact average_error.
+
+    Each case replays the trial's codeword draw from the same seeded
+    generator, decodes the codewords' dense product-frame projectors with the
+    package decoders, and writes the encoder: a binned row is uniform over the
+    message's matched bins (none on a declare), a causal row sends
+    x_i = f_{u_i}(s_i). At radius 0.6 every (channel, scheme) has a case that
+    neither always nor never declares (binned) or errs (causal).
+    """
+
+    @pytest.mark.parametrize("scheme", ["binned", "causal"])
+    @pytest.mark.parametrize("name", ["flip", "stuck", "skew", "purecq", "non-commuting"])
+    def test_trial_error_equals_explicit_code_error(self, suite, name, scheme):
+        ch = non_commuting_channel() if name == "non-commuting" else suite[name]
+        q_rows = np.array(ORACLE_Q_ROWS[scheme])
+        q = ch.p @ q_rows
+        p_su = ch.p[:, None] * q_rows
+        states = derived_states(ch.p, ch.tensor, q_rows / q, XOR)
+        _, basis = eigenbasis(np.einsum("u,uij->ij", q, states))
+        informative = []
+        for n, (M, K) in itertools.product([2, 3, 4], [(2, 2), (3, 2), (4, 1)]):
+            ctx = DecodeContext(states, basis, n, ORACLE_DELTA)
+            if scheme == "binned":
+                err, declares = simulate_noncausal_trial(ch, p_su, XOR, ctx, K, M, rng_for(8, "oracle", n, M))
+                words = type_class_words(nearest_type(q, n), (K, M), rng_for(8, "oracle", n, M))
+                povm, _ = square_root_decoder(
+                    [sum(ref.dense_projector(ctx, w) for w in words[:, m]) for m in range(M)]
                 )
-                expected_err += mass * (1.0 - succ / len(matched))
-        assert 0.0 < expected_declares / M < 1.0
-        assert err == pytest.approx(expected_err / M, abs=1e-12)
-        assert declares == pytest.approx(expected_declares / M, abs=1e-12)
+                code = binned_code(words, p_su, XOR, ORACLE_DELTA, povm)
+                declared = sum(
+                    math.prod(ch.p[s] for s in s_word)
+                    for m in range(M)
+                    for s_word in itertools.product(range(ch.num_states), repeat=n)
+                    if (m, s_word) not in code.encoder
+                ) / M
+                assert declares == pytest.approx(declared, abs=1e-12), (n, M, K)
+                informative.append(0.0 < declares < 1.0)
+            else:
+                err, _ = simulate_causal_trial(states, q, ctx, M, rng_for(8, "oracle", n, M))
+                words = sequential_typical_words(q, n, M, ORACLE_DELTA, rng_for(8, "oracle", n, M))
+                povm, _ = sequential_decoder([ref.dense_projector(ctx, w) for w in words])
+                code = causal_code(words, XOR, ch.num_states, povm)
+                informative.append(0.0 < err < 1.0)
+            assert abs(average_error(code, ch) - err) <= 1e-12, (n, M, K)
+        assert any(informative)
 
 
 def sequential_typical_words(q, n, M, delta, rng):

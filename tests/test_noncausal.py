@@ -27,10 +27,10 @@ from gpcq.noncausal import (
     trim_witness,
 )
 from gpcq.quantum import kl_divergence
-from gpcq.util import random_density_matrix
 
 import noncausal_reference as reference
 from classical_oracles import ClassicalGP, classical_gp_oracle
+from conftest import random_density_matrix
 
 UNIFORM_Q = np.array([[0.5, 0.5], [0.5, 0.5]])
 # Float rounding of an exact value may put a certified lower bound a few ulps

@@ -13,7 +13,6 @@ CALLERS = [
     *sorted(PACKAGE.glob("*.py")),
     *sorted((REPO / "scripts").glob("*.py")),
     *sorted((REPO / "perfbench").glob("*.py")),
-    REPO / "tests" / "test_acceptance.py",
 ]
 
 

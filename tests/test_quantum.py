@@ -19,7 +19,6 @@ from gpcq.quantum import (
     divergence_profile,
     entropy_bits,
     holevo_quantity,
-    holevo_via_divergence,
     kl_divergence,
     pinch,
     product_traces,
@@ -30,9 +29,10 @@ from gpcq.quantum import (
     validate_density,
     von_neumann_entropy,
 )
-from gpcq.util import random_density_matrix, rng_for
+from gpcq.util import rng_for
 
-from conftest import random_unitary
+from code_reference import holevo_via_divergence
+from conftest import random_density_matrix, random_unitary
 from dense_reference import kron_all
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)

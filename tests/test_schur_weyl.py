@@ -16,7 +16,6 @@ from gpcq.schur_weyl import (
     DecodeContext,
     a_set,
     block_projector,
-    central_projector,
     class_partition,
     frame_count,
     frame_dimension_bounds,
@@ -24,13 +23,12 @@ from gpcq.schur_weyl import (
     frequency_classes,
     gl_multiplicity,
     irrep_dimension,
-    kostka_rank,
-    kostka_zero_combinatorial,
     young_frames,
 )
 from gpcq.util import compositions, digit_table
 
 import dense_reference as ref
+from code_reference import central_projector, kostka_rank, kostka_zero_combinatorial
 from dense_reference import dense_block_projector, kron_all, scatter
 
 EYE2 = np.eye(2, dtype=complex)
