@@ -17,14 +17,18 @@ codeword's class blocks from its type's product by a slot permutation
 (DecodeContext.projectors); a causal trial draws its codewords by
 rejection from batches of candidates. Letter states are rotated into the
 basis frame, and the success traces of all messages come from one
-quantum.product_traces contraction per chunk of messages scattered into
-dense operators; a state word that no bin of its message matches (a
-declare) counts as a full error. The memory
-model behind BudgetExceeded is the largest footprint of a trial's phases:
-stacks of sum_f |f|^2 float64 entries per message, f over the frequency
-classes of n slots, the gather's index arrays, one type's d^n x d^n
-product, class-block temporaries of the largest class, and the dense chunk
-of the success traces (_messages_for_rate lists them).
+quantum.product_traces contraction per chunk of messages. The chunk's
+class blocks are scattered straight into the slot-paired layout, each
+slot's row and column digit adjacent (BlockStack.paired), with no dense
+matrix or transpose in between. A state word that no bin of its message
+matches (a declare) counts as a full error.
+The memory model behind BudgetExceeded is the largest footprint of a
+trial's phases: stacks of sum_f |f|^2 float64 entries per message, f over
+the frequency classes of n slots, the gather's index arrays, one type's
+d^n x d^n product, class-block temporaries of the largest class, and the
+paired chunk of the success traces with the two slot outputs its
+contraction holds at once, plus the tables a trial keeps throughout
+(_messages_for_rate lists them).
 
 validate_povm refuses non-finite elements before any other check on them,
 and tests positivity by a Cholesky factorization of el + 1e-8 I, which
@@ -59,6 +63,9 @@ POVM_TOL = 1e-8
 RANK_TOL = 1e-10
 # Largest |S|^n whose state words simulate_noncausal_trial enumerates.
 STATE_WORD_CAP = 4096
+# Entries the memory model allows for a trial's small arrays, cached letter
+# blocks and interpreter objects (3,000 to 3,700 of them measured at n = 8 on flip).
+TABLE_SLACK = 2**13
 
 
 def _stack(operators, noun: str, dim: int | None = None) -> tuple[BlockStack, bool]:
@@ -231,18 +238,24 @@ class SimRow:
     declares: float
 
 
-def _chunk_entries(dim: int, d: int, candidates: int) -> int:
+def _chunk_entries(dim: int, d: int, per_slot: Sequence[int]) -> int:
     """Entries one message takes in a _success_traces chunk.
 
-    Its dense dim x dim operator, quantum.product_traces' reordered copy of
-    it, and the first slot's contraction over ``candidates`` (broadcast axes
-    times the slot's states) with its reordered copy. Later slots hold no
-    more while a slot lists at most d^2 states.
+    Its paired dim² operator, and the two consecutive slot outputs of
+    quantum.product_traces that are alive while a slot's matmul runs. Slot
+    k's output holds dim²/d^(2k) entries for each of per_slot[0] ...
+    per_slot[k-1] candidates, where per_slot[0] is the broadcast axes times
+    the first slot's states and per_slot[j] the (j+1)-th slot's states.
     """
-    return 2 * dim * dim + 2 * (dim * dim // (d * d)) * candidates
+    outs, size, candidates = [], dim * dim, 1
+    for count in per_slot:
+        size //= d * d
+        candidates *= count
+        outs.append(size * candidates)
+    return dim * dim + max(a + b for a, b in zip(outs, outs[1:] + [0]))
 
 
-def _messages_for_rate(rate: float, n: int, d: int, held: int, candidates: int) -> int:
+def _messages_for_rate(rate: float, n: int, d: int, held: int, lead: int, states: int) -> int:
     """2^(n rate) messages, refused when their decoder cannot fit the memory budget.
 
     The model is the largest float64 footprint of a trial's phases, with
@@ -260,11 +273,19 @@ def _messages_for_rate(rate: float, n: int, d: int, held: int, candidates: int) 
       its error outcome, validate_povm's Cholesky copy and factor of the
       largest class, and one class block more for what peak RSS adds to
       the arrays (allocator slack, LAPACK copies);
-    - success traces: (M + 1) E and one chunk of _chunk_entries per message.
+    - success traces: (M + 1) E and one chunk of _chunk_entries per message
+      (its paired operator and the two slot outputs alive at once).
 
-    The per-message part is compared in log2 terms first, so 2^(n rate) is
-    only formed once it fits. CapExceeded first when the n-slot classes are
-    past schur_weyl.DIM_CAP.
+    The traces contract each message against ``lead`` lists of ``states``
+    states per slot: K lists of |S| for a binned trial, one state for a
+    causal one. Every phase also counts the tables a trial keeps throughout:
+    the decode context's n d^n word digits; the W = min(states^n,
+    STATE_WORD_CAP) state words with their n digits and M lead traces each
+    (a binned trial refuses more state words); and TABLE_SLACK entries of
+    small arrays, cached letter blocks and interpreter objects. The
+    per-message part is compared in log2 terms first, so 2^(n rate) is only
+    formed once it fits. CapExceeded first when the n-slot classes are past
+    schur_weyl.DIM_CAP.
     """
     budget = memory_budget_bytes()
     sizes = [words.size**2 for words in class_partition(d, n).words]
@@ -274,10 +295,11 @@ def _messages_for_rate(rate: float, n: int, d: int, held: int, candidates: int) 
     log2_bytes = max(n * rate, 0.0) + math.log2(8 * per_message)
     if log2_bytes <= math.log2(max(budget, 1)):
         M = max(1, math.ceil(2.0 ** (n * rate) - 1e-9))
-        chunk = _chunk_entries(d**n, d, candidates)
+        chunk = _chunk_entries(d**n, d, [lead * states] + [states] * (n - 1))
         traces = (M + 1) * E + max(1, M * E // chunk) * chunk
         projectors = M * gather + d ** (2 * n)
-        entries = max(projectors, M * (held * E + F), (2 * M + 1) * E + 3 * (M + 1) * F, traces)
+        tables = n * d**n + min(states**n, STATE_WORD_CAP) * (n + M * lead) + TABLE_SLACK
+        entries = tables + max(projectors, M * (held * E + F), (2 * M + 1) * E + 3 * (M + 1) * F, traces)
         log2_bytes = math.log2(8 * entries)
     if log2_bytes > math.log2(max(budget, 1)):
         raise BudgetExceeded(
@@ -291,19 +313,20 @@ def _success_traces(elements: BlockStack, slots: Sequence[np.ndarray]) -> np.nda
     """Re tr(E_m · σ_1 ⊗ ... ⊗ σ_n) for every element m and every state its slots list.
 
     slots[j] has shape (M, ..., L_j, d, d), in the basis frame of the
-    elements; the result is (M, ..., L_1 * ... * L_n). Elements are scattered
-    into dense operators a chunk of messages at a time, one
-    quantum.product_traces contraction per chunk. A chunk holds about as
-    many entries as the block stack, and at least one message's
-    _chunk_entries.
+    elements; the result is (M, ..., L_1 * ... * L_n). The elements' class
+    blocks are scattered a chunk of messages at a time into the slot-paired
+    layout (BlockStack.paired), one quantum.product_traces contraction per
+    chunk. A chunk holds about as many entries as the block stack, and at
+    least one message's _chunk_entries.
     """
-    count, dim = len(elements), elements.dim
+    count, dim, d = len(elements), elements.dim, slots[0].shape[-1]
     lead = slots[0].shape[1:-3]
-    chunk = _chunk_entries(dim, slots[0].shape[-1], math.prod(lead) * slots[0].shape[-3])
+    per_slot = [math.prod(lead) * slots[0].shape[-3]] + [s.shape[-3] for s in slots[1:]]
+    chunk = _chunk_entries(dim, d, per_slot)
     step = max(1, count * sum(block[0].size for block in elements.blocks) // chunk)
     out = np.empty((count, *lead, math.prod(s.shape[-3] for s in slots)))
     for lo in range(0, count, step):
-        ops = elements.dense(lo, lo + step).reshape((-1,) + (1,) * len(lead) + (dim, dim))
+        ops = elements.paired(d, lo, lo + step).reshape((-1,) + (1,) * len(lead) + (dim * dim,))
         traces = product_traces(ops, [s[lo : lo + step] for s in slots])
         out[lo : lo + step] = traces.reshape(traces.shape[: 1 + len(lead)] + (-1,)).real
     return out
@@ -385,10 +408,10 @@ def simulate_noncausal_trial(
     s_digits = digit_table(num_s, n)
     mass = p[s_digits].prod(axis=1)
     members = matched_set_members(s_digits, words.reshape(K * M, n), p_su, delta).reshape(-1, K, M).T
-    # rotated[:, u] stacks, in the basis frame, the output of every state letter under auxiliary letter u.
-    rotated = ctx.rotate(letter_states(ch.tensor, strategy))
+    # rotated[u] stacks, in the basis frame, the output of every state letter under auxiliary letter u.
+    rotated = ctx.rotate(letter_states(ch.tensor, strategy)).swapaxes(0, 1)
     # One (M, K, |S|, d, d) stack per slot; traces[m, k] holds one trace per state word, in digit_table order.
-    traces = _success_traces(elements, [np.moveaxis(rotated[:, words[:, :, j].T], 0, 2) for j in range(n)])
+    traces = _success_traces(elements, [rotated[words[:, :, j].T] for j in range(n)])
     counts = members.sum(axis=1)
     succ = (members * traces).sum(axis=1) / np.maximum(counts, 1)  # 0 where no bin matches
     err_total = float((mass * (1.0 - succ)).sum())
@@ -462,8 +485,8 @@ def simulate_rate_error_curve(
     # Stacks held while building: the distinct codeword projectors (up to K
     # per message) and their sums, or the causal projectors and their copy.
     # The traces contract against K state lists of |S| states per slot, or one state.
-    held, candidates = (2, 1) if causal else (K + 1, K * ch.num_states)
-    messages = [[_messages_for_rate(rate, n, ch.dim, held, candidates) for rate in rates] for n in n_list]
+    held, lead, states = (2, 1, 1) if causal else (K + 1, K, ch.num_states)
+    messages = [[_messages_for_rate(rate, n, ch.dim, held, lead, states) for rate in rates] for n in n_list]
 
     p = ch.p
     # Each witness becomes letter weights q(u), weights p(s|u)/p(s) and an

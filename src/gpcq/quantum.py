@@ -62,32 +62,35 @@ def validate_density(mat, *, context: str = "") -> np.ndarray:
 def product_traces(op, slot_states) -> np.ndarray:
     """Every tr(op · σ_1 ⊗ ... ⊗ σ_n) with σ_k taken from the k-th slot's stack.
 
-    slot_states[k] has shape (..., L_k, d_k, d_k) and op (..., D, D), D the
-    product of the d_k. Leading axes broadcast against each other and index
-    independent operators: the result has shape (*batch, L_1, ..., L_n), the
-    first slot the most significant candidate index, the order of
-    util.digit_table. op is contracted one slot at a time, so no product
-    state is formed.
+    slot_states[k] has shape (..., L_k, d_k, d_k), and op (..., D²), D the
+    product of the d_k, holds each operator in the slot-paired layout: its
+    entry at row a and column b, both digit words in util.digit_table order,
+    sits at position sum_k (a_k d_k + b_k) prod_{l>k} d_l², so every slot's
+    row and column digit are adjacent (BlockStack.paired scatters into it).
+    Leading axes broadcast against each other and index independent
+    operators: the result has shape (*batch, L_1, ..., L_n), the first slot
+    the most significant candidate index, the order of util.digit_table.
+    op is contracted one slot at a time, each slot one matmul on contiguous
+    reshapes: no product state is formed and op is never reordered (matmul
+    casts a real op once when the states are complex).
     """
     stacks = [np.asarray(s) for s in slot_states]
     if any(s.ndim < 3 or s.shape[-1] != s.shape[-2] for s in stacks):
         raise DimensionMismatch("each slot must be a stack of square matrices, shape (..., L, d, d)")
-    rest = math.prod(s.shape[-1] for s in stacks)
+    size = math.prod(s.shape[-1] ** 2 for s in stacks)
     op = np.asarray(op)
-    if op.ndim < 2 or op.shape[-2:] != (rest, rest):
-        raise DimensionMismatch(f"operator shape {op.shape} does not act on {rest}-dimensional slots")
-    # Axes (*batch, i, I, j, J, lead): row and column of the current slot, of
-    # the slots after it, and one axis over the candidates of the slots before.
-    out = op.reshape(op.shape[:-2] + (rest, rest, 1))
+    if op.ndim < 1 or op.shape[-1] != size:
+        raise DimensionMismatch(f"operator shape {op.shape} is not a paired operator of {size} entries")
+    # Axes (*batch, lead, rest): the candidates of the slots contracted so
+    # far, then the paired entries of the slots after them.
+    out = op[..., None, :]
     for s in stacks:
         d = s.shape[-1]
-        rest //= d
-        # tr(op · σ ⊗ τ) contracts op's row i with σ's column and its column j with σ's row.
-        x = np.moveaxis(out.reshape(out.shape[:-3] + (d, rest, d, rest, -1)), (-5, -3), (-2, -1))
-        pairs = s.swapaxes(-1, -2).reshape(s.shape[:-2] + (d * d,)).swapaxes(-1, -2)
-        out = x.reshape(x.shape[:-5] + (rest * rest * x.shape[-3], d * d)) @ pairs
-        out = out.reshape(out.shape[:-2] + (rest, rest, -1))
-    return out.reshape(out.shape[:-3] + tuple(s.shape[-3] for s in stacks))
+        # pairs[l, i d + j] = σ_l[j, i]: op's row digit i meets σ's column, its column digit j σ's row.
+        pairs = s.swapaxes(-1, -2).reshape(s.shape[:-2] + (d * d,))
+        out = pairs[..., None, :, :] @ out.reshape(out.shape[:-1] + (d * d, out.shape[-1] // (d * d)))
+        out = out.reshape(out.shape[:-3] + (out.shape[-3] * out.shape[-2], out.shape[-1]))
+    return out.reshape(out.shape[:-2] + tuple(s.shape[-3] for s in stacks))
 
 
 @dataclass(frozen=True)
@@ -116,12 +119,24 @@ class BlockStack:
     def __len__(self) -> int:
         return self.blocks[0].shape[0]
 
-    def dense(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Operators lo..hi-1 scattered into an (hi - lo, dim, dim) array."""
+    def paired(self, d: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Operators lo..hi-1 scattered into an (hi - lo, dim²) array in product_traces' slot-paired layout.
+
+        dim must be a power of d, every slot's dimension. Entry (a, b) goes
+        to d spread[a] + spread[b], where spread[a] = sum_k a_k (d²)^(n-k)
+        reads a's base-d digits in base d², so each block is one fancy
+        assignment and no dim x dim index table is formed.
+        """
+        spread = np.zeros(1, dtype=np.int64)
+        while spread.size < self.dim and d > 1:
+            spread = (spread[:, None] * (d * d) + np.arange(d)).reshape(-1)
+        if spread.size != self.dim:
+            raise DimensionMismatch(f"dimension {self.dim} is not a power of {d}")
         parts = [b[lo:hi] for b in self.blocks]
-        out = np.zeros((parts[0].shape[0], self.dim, self.dim), dtype=np.result_type(*parts))
+        out = np.zeros((parts[0].shape[0], self.dim**2), dtype=np.result_type(*parts))
         for idx, part in zip(self.index, parts):
-            out[:, idx[:, None], idx[None, :]] = part
+            pos = spread[idx]
+            out[:, d * pos[:, None] + pos] = part
         return out
 
 

@@ -7,7 +7,10 @@ projector rotated by basis^(tensor t), a word's projector as the Kronecker
 product of its letters' projectors put back on the word's slots, and both
 decoders by dense matrix algebra. reference_projector builds a word's class
 blocks entry by entry from its letters' class blocks at the word's own
-slots, in any slot order, with no Kronecker product and no gather.
+slots, in any slot order, with no Kronecker product and no gather. dense
+scatters a BlockStack into plain matrices, and paired moves plain matrices
+into quantum.product_traces' slot-paired layout by one transpose, so the
+package's direct scatter (BlockStack.paired) is checked against both.
 """
 
 import numpy as np
@@ -31,6 +34,27 @@ def scatter(blocks, index, dim: int) -> np.ndarray:
     for block, idx in zip(blocks, index):
         out[np.ix_(idx, idx)] = block
     return out
+
+
+def dense(stack, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Operators lo..hi-1 of a BlockStack scattered into an (hi - lo, dim, dim) array."""
+    parts = [b[lo:hi] for b in stack.blocks]
+    out = np.zeros((parts[0].shape[0], stack.dim, stack.dim), dtype=np.result_type(*parts))
+    for idx, part in zip(stack.index, parts):
+        out[:, idx[:, None], idx[None, :]] = part
+    return out
+
+
+def paired(op, dims) -> np.ndarray:
+    """Dense operators (..., D, D) on slots of dimensions dims, moved to product_traces' slot-paired layout (..., D²).
+
+    The row and column digits of each slot are made adjacent by one
+    transpose of the (..., d_1, ..., d_n, d_1, ..., d_n) view.
+    """
+    op = np.asarray(op)
+    lead, n = op.shape[:-2], len(dims)
+    axes = list(range(len(lead))) + [len(lead) + a for k in range(n) for a in (k, n + k)]
+    return op.reshape(lead + tuple(dims) * 2).transpose(axes).reshape(lead + (op.shape[-1] ** 2,))
 
 
 def to_product_frame(mat: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:
@@ -102,7 +126,7 @@ def reference_projector(ctx, u_seq) -> tuple[np.ndarray, ...]:
 
 def product_frame_elements(stack, basis, n: int) -> list[np.ndarray]:
     """Every operator of a BlockStack on n slots, as a dense matrix in the product frame."""
-    return [to_product_frame(mat, basis, n) for mat in stack.dense()]
+    return [to_product_frame(mat, basis, n) for mat in dense(stack)]
 
 
 def square_root_decoder(projectors):

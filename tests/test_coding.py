@@ -10,6 +10,8 @@ import pytest
 from gpcq.channel import BUDGET_ENV_VAR, build_channel, derived_states
 from gpcq.coding import (
     SimRow,
+    _chunk_entries,
+    _success_traces,
     _typical_words,
     rows_to_csv,
     sequential_decoder,
@@ -29,7 +31,7 @@ from gpcq.errors import (
 )
 from gpcq.method_of_types import matched_set_members, nearest_type, type_class_words
 from gpcq.quantum import BlockStack, eigenbasis
-from gpcq.schur_weyl import DecodeContext
+from gpcq.schur_weyl import DecodeContext, class_partition
 from gpcq.util import rng_for
 
 import dense_reference as ref
@@ -275,14 +277,14 @@ class TestBlockDecoders:
                 tuple(np.stack([random_projector(int(s), rng) for _ in range(count)]) for s in sizes),
                 tuple(np.sort(cut) for cut in cuts),
             )
-            dense = list(stack.dense())
+            dense = list(ref.dense(stack))
             for decode, reference in [
                 (square_root_decoder, ref.square_root_decoder),
                 (sequential_decoder, ref.sequential_decoder),
             ]:
                 (elements, error), (want, want_error) = decode(stack), reference(dense)
-                assert max(float(np.abs(g - w).max()) for g, w in zip(elements.dense(), want)) <= 1e-12
-                assert float(np.abs(error.dense()[0] - want_error).max()) <= 1e-12
+                assert max(float(np.abs(g - w).max()) for g, w in zip(ref.dense(elements), want)) <= 1e-12
+                assert float(np.abs(ref.dense(error)[0] - want_error).max()) <= 1e-12
 
     @staticmethod
     def two_blocks(first, second):
@@ -316,6 +318,28 @@ class TestBlockDecoders:
             else:
                 with pytest.raises(InvalidPOVM, match="element 1 has a negative eigenvalue"):
                     validate_povm(stack, 3)
+
+
+class TestSuccessTraces:
+    @pytest.mark.parametrize("lead, L", [((2,), 2), ((), 1)])
+    def test_chunks_keep_every_trace_and_match_the_kron_fold(self, rng, lead, L):
+        # The binned trial's slot shape (K state lists of |S| states) and the causal one's (one state).
+        d, n, count = 2, 3, 23
+        part = class_partition(d, n)
+        elements = BlockStack(tuple(rng.normal(size=(count, w.size, w.size)) for w in part.words), part.words)
+        slots = [rng.normal(size=(count, *lead, L, d, d)) for _ in range(n)]
+        E = sum(w.size**2 for w in part.words)
+        assert count * E // _chunk_entries(d**n, d, [math.prod(lead) * L] + [L] * (n - 1)) > 1
+        got = _success_traces(elements, slots)
+        assert got.shape == (count, *lead, L**n)
+        for m in range(count):
+            one = BlockStack(tuple(b[m : m + 1] for b in elements.blocks), elements.index)
+            assert np.array_equal(got[m : m + 1], _success_traces(one, [s[m : m + 1] for s in slots]))
+        mats = ref.dense(elements)
+        for m, k in itertools.product(range(count), np.ndindex(*lead)):
+            for w, idx in enumerate(itertools.product(range(L), repeat=n)):
+                state = ref.kron_all(slots[j][(m, *k, i)] for j, i in enumerate(idx))
+                assert abs(got[(m, *k, w)] - np.trace(mats[m] @ state).real) <= 1e-12
 
 
 class TestSequentialDecoder:
@@ -600,11 +624,20 @@ class TestSimulationDriver:
         )
         assert [r.M for r in rows] == [1, 4, 16]
 
-    @pytest.mark.parametrize("scheme", ["causal-sequential", "noncausal-sqrt"])
-    def test_memory_model_bounds_the_traced_peak(self, flip, scheme, monkeypatch):
+    @pytest.mark.parametrize(
+        "scheme, rate, M",
+        [
+            pytest.param("causal-sequential", 0.5, 16, id="causal-sequential"),
+            pytest.param("noncausal-sqrt", 0.5, 16, id="noncausal-sqrt"),
+            # One message: the success-trace chunk is the largest phase.
+            pytest.param("causal-sequential", 0.0, 1, id="causal-sequential-one-message"),
+            pytest.param("noncausal-sqrt", 0.0, 1, id="noncausal-sqrt-one-message"),
+        ],
+    )
+    def test_memory_model_bounds_the_traced_peak(self, flip, scheme, rate, M, monkeypatch):
         # The budget model must cover every array the run allocates
         # (tracemalloc sees numpy's) and stay within 25% of their peak.
-        kw = dict(rates=[0.5], n_list=[8], trials=1, seed=5, K=2, delta=0.2,
+        kw = dict(rates=[rate], n_list=[8], trials=1, seed=5, K=2, delta=0.2,
                   gp_witness=self.FLIP_WITNESS, causal_witness=self.CAUSAL_WITNESS)
         simulate_rate_error_curve(flip, scheme, **kw)  # fills the n-slot class caches
         tracemalloc.start()
@@ -617,7 +650,7 @@ class TestSimulationDriver:
         with pytest.raises(BudgetExceeded):
             simulate_rate_error_curve(flip, scheme, **kw)
         monkeypatch.setenv(BUDGET_ENV_VAR, str(int(1.25 * peak)))
-        assert simulate_rate_error_curve(flip, scheme, **kw)[0].M == 16
+        assert simulate_rate_error_curve(flip, scheme, **kw)[0].M == M
 
     def test_csv_layout(self):
         rows = [SimRow("noncausal-sqrt", 4, 0.5, 2, 4, 0.25, 0.2, 0.3, 0.125)]

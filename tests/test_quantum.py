@@ -16,6 +16,7 @@ from gpcq.errors import (
     TraceNotOne,
 )
 from gpcq.quantum import (
+    BlockStack,
     divergence_profile,
     entropy_bits,
     holevo_quantity,
@@ -33,7 +34,7 @@ from gpcq.util import rng_for
 
 from code_reference import holevo_via_divergence
 from conftest import random_density_matrix, random_unitary
-from dense_reference import kron_all
+from dense_reference import dense, kron_all, paired
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
@@ -243,7 +244,7 @@ class TestProductTraces:
         slots = [
             (rng.normal(size=(L, d, d)) + 1j * rng.normal(size=(L, d, d))) / d for L in sizes
         ]
-        out = product_traces(op, slots)
+        out = product_traces(paired(op, [d] * len(sizes)), slots)
         assert out.shape == tuple(sizes)
         for idx in itertools.product(*(range(L) for L in sizes)):
             state = kron_all(slots[k][i] for k, i in enumerate(idx))
@@ -253,7 +254,7 @@ class TestProductTraces:
         a = np.stack([random_density_matrix(2, rng) for _ in range(2)])
         b = np.stack([random_density_matrix(3, rng) for _ in range(3)])
         op = random_density_matrix(6, rng)
-        out = product_traces(op, [a, b])
+        out = product_traces(paired(op, [2, 3]), [a, b])
         expected = [[np.trace(op @ np.kron(x, y)) for y in b] for x in a]
         assert np.allclose(out, expected, atol=1e-13)
 
@@ -262,7 +263,7 @@ class TestProductTraces:
         ops = rng.normal(size=(3, 1, 4, 4)) + 1j * rng.normal(size=(3, 1, 4, 4))
         a = rng.normal(size=(3, 2, 2, 2, 2))
         b = rng.normal(size=(1, 2, 3, 2, 2))
-        out = product_traces(ops, [a, b])
+        out = product_traces(paired(ops, [2, 2]), [a, b])
         assert out.shape == (3, 2, 2, 3)
         for m, k, i, j in itertools.product(range(3), range(2), range(2), range(3)):
             expected = np.trace(ops[m, 0] @ np.kron(a[m, k, i], b[0, k, j]))
@@ -270,9 +271,31 @@ class TestProductTraces:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
-            product_traces(np.eye(4), [np.eye(2)[None]] * 3)
+            product_traces(np.ones(16), [np.eye(2)[None]] * 3)
         with pytest.raises(DimensionMismatch):
-            product_traces(np.eye(4), [np.eye(2), np.eye(2)])
+            product_traces(np.eye(4), [np.eye(2)[None]] * 2)
+        with pytest.raises(DimensionMismatch):
+            product_traces(np.ones(16), [np.eye(2), np.eye(2)])
+
+
+class TestBlockStackPaired:
+    @pytest.mark.parametrize("d, n", [(2, 1), (2, 3), (3, 2), (3, 3)])
+    def test_scatter_equals_permuted_dense(self, rng, d, n):
+        # Random blocks on a random partition of the d^n basis indices.
+        for _ in range(10):
+            cuts = np.sort(rng.choice(np.arange(1, d**n), size=int(rng.integers(0, min(4, d**n))), replace=False))
+            index = tuple(np.sort(part) for part in np.split(rng.permutation(d**n), cuts))
+            count = int(rng.integers(1, 5))
+            stack = BlockStack(tuple(rng.normal(size=(count, i.size, i.size)) for i in index), index)
+            lo, hi = sorted(rng.integers(0, count + 1, size=2))
+            got = stack.paired(d, lo, hi)
+            assert got.shape == (hi - lo, d ** (2 * n))
+            assert np.array_equal(got, paired(dense(stack, lo, hi), [d] * n))
+
+    def test_dimension_not_a_power_of_the_slot_dimension(self):
+        stack = BlockStack((np.ones((1, 6, 6)),), (np.arange(6),))
+        with pytest.raises(DimensionMismatch):
+            stack.paired(2)
 
 
 class TestPinch:
