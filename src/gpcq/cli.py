@@ -94,12 +94,12 @@ def _sha256(path: str) -> str | None:
         return None
 
 
-def _emit_manifest(argv, channel_path, seed, started) -> None:
+def _emit_manifest(argv, channel_path, seed, started, inner_eps) -> None:
     manifest = {
         "cmdline": ["gpcq", *argv],
         "channel_sha256": _sha256(channel_path) if channel_path else None,
         "seed": seed,
-        "tolerances": TOLERANCES,
+        "tolerances": {**TOLERANCES, "inner_eps": inner_eps},
         "version": __version__,
         "wall_time_s": round(time.monotonic() - started, 6),
     }
@@ -469,7 +469,7 @@ def dispatch(argv) -> int:
         message = {"error": "linalg", "message": str(exc)}
     if message is not None:
         print(json.dumps(message, sort_keys=True), file=sys.stderr)
-    _emit_manifest(argv, channel_path, seed, started)
+    _emit_manifest(argv, channel_path, seed, started, getattr(args, "eps", INNER_EPS))
     return 0 if message is None else 1
 
 

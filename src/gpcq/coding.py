@@ -11,24 +11,25 @@ validate_povm's checks and the closure check all run block by block. A
 dense operator list is the one-block case of the same code, and each
 decoder returns its input's form.
 
-Each trial builds one projector per letter type of its codewords, the
-Kronecker product of its letters' dense blocks, and gathers every distinct
-codeword's class blocks from its type's product by a slot permutation
-(DecodeContext.projectors); a causal trial draws its codewords by
-rejection from batches of candidates. Letter states are rotated into the
-basis frame, and the success traces of all messages come from one
-quantum.product_traces contraction per chunk of messages. The chunk's
-class blocks are scattered straight into the slot-paired layout, each
-slot's row and column digit adjacent (BlockStack.paired), with no dense
-matrix or transpose in between. A state word that no bin of its message
-matches (a declare) counts as a full error.
+A trial's decoder input is one DecodeContext.projectors call on its
+(messages, codewords per message, n) word array: each message's operator
+is the sum of its codewords' projectors, K bins for a binned trial and one
+codeword for a causal one, and every distinct codeword is gathered once
+from its letter type's Kronecker product by a slot permutation. A causal
+trial draws its codewords by rejection from batches of candidates. Letter
+states are rotated into the basis frame, and the success traces of all
+messages come from one quantum.product_traces contraction per chunk of
+messages. The chunk's class blocks are scattered straight into the
+slot-paired layout, each slot's row and column digit adjacent
+(BlockStack.paired), with no dense matrix or transpose in between. A state
+word that no bin of its message matches (a declare) counts as a full error.
 The memory model behind BudgetExceeded is the largest footprint of a
 trial's phases: stacks of sum_f |f|^2 float64 entries per message, f over
 the frequency classes of n slots, the gather's index arrays, one type's
-d^n x d^n product, class-block temporaries of the largest class, and the
-paired chunk of the success traces with the two slot outputs its
-contraction holds at once, plus the tables a trial keeps throughout
-(_messages_for_rate lists them).
+d^n x d^n product with the letter blocks it is built from, class-block
+temporaries of the largest class, and the paired chunk of the success
+traces with the two slot outputs its contraction holds at once, plus the
+tables a trial keeps throughout (_messages_for_rate lists them).
 
 validate_povm refuses non-finite elements before any other check on them,
 and tests positivity by a Cholesky factorization of el + 1e-8 I, which
@@ -64,7 +65,7 @@ RANK_TOL = 1e-10
 # Largest |S|^n whose state words simulate_noncausal_trial enumerates.
 STATE_WORD_CAP = 4096
 # Entries the memory model allows for a trial's small arrays, cached letter
-# blocks and interpreter objects (3,000 to 3,700 of them measured at n = 8 on flip).
+# class blocks and interpreter objects (3,000 to 3,700 of them measured at n = 8 on flip).
 TABLE_SLACK = 2**13
 
 
@@ -255,20 +256,25 @@ def _chunk_entries(dim: int, d: int, per_slot: Sequence[int]) -> int:
     return dim * dim + max(a + b for a, b in zip(outs, outs[1:] + [0]))
 
 
-def _messages_for_rate(rate: float, n: int, d: int, held: int, lead: int, states: int) -> int:
+def _messages_for_rate(rate: float, n: int, d: int, lead: int, states: int) -> int:
     """2^(n rate) messages, refused when their decoder cannot fit the memory budget.
 
-    The model is the largest float64 footprint of a trial's phases, with
-    E = sum_f |f|^2 and F = max_f |f|^2 over the frequency classes f of n
-    slots and M messages:
+    A message's decode operator sums ``lead`` codeword projectors, and its
+    traces contract against ``lead`` lists of ``states`` states per slot: K
+    bins and K lists of |S| states for a binned trial, one codeword and one
+    state for a causal one. The model is the largest float64 footprint of a
+    trial's phases, with E = sum_f |f|^2 and F = max_f |f|^2 over the
+    frequency classes f of n slots and M messages:
 
-    - gathering codeword projectors: (held - 1) M (E + F + 2 d^n) + d^(2n),
-      the distinct words' stack, the words' int64 gather indices and the
-      slice of them for one letter type (at most d^n entries per word
-      each), the gathered block of the class being read (at most F per
-      word), and the one letter type's Kronecker product held at a time;
-    - building the decoder input: M (held E + F), ``held`` stacks and one
-      class-block temporary;
+    - gathering codeword projectors: lead M (E + F + 2 d^n) + d^(2n) +
+      2 d^(2n-2), the distinct words' stack, the words' int64 gather
+      indices and the slice of them for one letter type (at most d^n
+      entries per word each), the gathered block of the class being read
+      (at most F per word), and the one letter type's Kronecker product
+      held at a time with the dense letter blocks and partial product it
+      is built from (at most 2 d^(2n-2) entries);
+    - building the decoder input: M ((lead + 1) E + F), the distinct
+      words' stack, the per-message sums and one class-block temporary;
     - decoding: (2M + 1) E + 3 (M + 1) F, the decoder input, the POVM with
       its error outcome, validate_povm's Cholesky copy and factor of the
       largest class, and one class block more for what peak RSS adds to
@@ -276,30 +282,30 @@ def _messages_for_rate(rate: float, n: int, d: int, held: int, lead: int, states
     - success traces: (M + 1) E and one chunk of _chunk_entries per message
       (its paired operator and the two slot outputs alive at once).
 
-    The traces contract each message against ``lead`` lists of ``states``
-    states per slot: K lists of |S| for a binned trial, one state for a
-    causal one. Every phase also counts the tables a trial keeps throughout:
-    the decode context's n d^n word digits; the W = min(states^n,
-    STATE_WORD_CAP) state words with their n digits and M lead traces each
-    (a binned trial refuses more state words); and TABLE_SLACK entries of
-    small arrays, cached letter blocks and interpreter objects. The
-    per-message part is compared in log2 terms first, so 2^(n rate) is only
-    formed once it fits. CapExceeded first when the n-slot classes are past
-    schur_weyl.DIM_CAP.
+    Every phase also counts the tables a trial keeps throughout: the decode
+    context's n d^n word digits; the W = states^n state words with their n
+    digits and M lead traces each; and TABLE_SLACK entries of small arrays,
+    cached letter class blocks and interpreter objects. The per-message
+    part is compared in log2 terms first, so 2^(n rate) is only formed once
+    it fits. CapExceeded first when the n-slot classes are past
+    schur_weyl.DIM_CAP, then when W exceeds STATE_WORD_CAP, the state words
+    a binned trial enumerates.
     """
     budget = memory_budget_bytes()
     sizes = [words.size**2 for words in class_partition(d, n).words]
+    if states**n > STATE_WORD_CAP:
+        raise CapExceeded(f"|S|^n = {states**n} exceeds exact-evaluation cap {STATE_WORD_CAP}")
     E, F = sum(sizes), max(sizes)
-    gather = (held - 1) * (E + F + 2 * d**n)
-    per_message = max(gather, held * E + F, 2 * E + 3 * F)
+    gather = lead * (E + F + 2 * d**n)
+    per_message = max(gather, (lead + 1) * E + F, 2 * E + 3 * F)
     log2_bytes = max(n * rate, 0.0) + math.log2(8 * per_message)
     if log2_bytes <= math.log2(max(budget, 1)):
         M = max(1, math.ceil(2.0 ** (n * rate) - 1e-9))
         chunk = _chunk_entries(d**n, d, [lead * states] + [states] * (n - 1))
         traces = (M + 1) * E + max(1, M * E // chunk) * chunk
-        projectors = M * gather + d ** (2 * n)
-        tables = n * d**n + min(states**n, STATE_WORD_CAP) * (n + M * lead) + TABLE_SLACK
-        entries = tables + max(projectors, M * (held * E + F), (2 * M + 1) * E + 3 * (M + 1) * F, traces)
+        projectors = M * gather + d ** (2 * n) + 2 * d ** (2 * n - 2)
+        tables = n * d**n + states**n * (n + M * lead) + TABLE_SLACK
+        entries = tables + max(projectors, M * ((lead + 1) * E + F), (2 * M + 1) * E + 3 * (M + 1) * F, traces)
         log2_bytes = math.log2(8 * entries)
     if log2_bytes > math.log2(max(budget, 1)):
         raise BudgetExceeded(
@@ -392,17 +398,7 @@ def simulate_noncausal_trial(
     p_u = p_su.sum(axis=0)
     words = type_class_words(nearest_type(p_u, n), (K, M), rng)
 
-    distinct, inverse = ctx.projectors(words.reshape(K * M, n))
-    inverse = inverse.reshape(K, M)
-    summed = []
-    for block in distinct.blocks:
-        total = block[inverse[0]]
-        for k in range(1, K):
-            total += block[inverse[k]]
-        summed.append(total)
-    del distinct  # the per-word blocks are freed before the decoder allocates its own
-    elements, _ = square_root_decoder(BlockStack(tuple(summed), ctx.partition.words))
-    del summed
+    elements, _ = square_root_decoder(ctx.projectors(words.swapaxes(0, 1)))
 
     p = ch.p
     s_digits = digit_table(num_s, n)
@@ -435,11 +431,7 @@ def simulate_causal_trial(
     """
     n = ctx.n
     words = _typical_words(q, n, M, ctx.delta, rng)
-    distinct, inverse = ctx.projectors(words)
-    projectors = BlockStack(tuple(block[inverse] for block in distinct.blocks), ctx.partition.words)
-    del distinct
-    elements, _ = sequential_decoder(projectors)
-    del projectors
+    elements, _ = sequential_decoder(ctx.projectors(words[:, None]))
     rotated = ctx.rotate(derived_states)
     traces = _success_traces(elements, [rotated[words[:, j]][:, None] for j in range(n)])
     return 1.0 - float(traces.sum()) / M, 0.0
@@ -466,7 +458,7 @@ def simulate_rate_error_curve(
     Witnesses are solved once per channel unless supplied. Both decode
     against rho_u = sum_s p(s|u) rho[s, f(s, u)]: a causal witness (q,
     columns) leaks nothing about the state, so it is the witness q(u|s) = q(u)
-    with the strategy f = columns.T.
+    with the strategy f = columns.T, and is checked as that witness.
     """
     from .causal import causal_capacity
     from .noncausal import _check_witness, noncausal_lower_bound, trim_witness
@@ -482,11 +474,9 @@ def simulate_rate_error_curve(
             "trials, K, restarts and every n", (trials, K, restarts, list(n_list)), ">= 1"
         )
     causal = scheme == "causal-sequential"
-    # Stacks held while building: the distinct codeword projectors (up to K
-    # per message) and their sums, or the causal projectors and their copy.
-    # The traces contract against K state lists of |S| states per slot, or one state.
-    held, lead, states = (2, 1, 1) if causal else (K + 1, K, ch.num_states)
-    messages = [[_messages_for_rate(rate, n, ch.dim, held, lead, states) for rate in rates] for n in n_list]
+    # A message sums K bins against K lists of |S| states per slot, or one codeword against one state.
+    lead, states = (1, 1) if causal else (K, ch.num_states)
+    messages = [[_messages_for_rate(rate, n, ch.dim, lead, states) for rate in rates] for n in n_list]
 
     p = ch.p
     # Each witness becomes letter weights q(u), weights p(s|u)/p(s) and an
@@ -497,7 +487,7 @@ def simulate_rate_error_curve(
             causal_witness = (sol.q, sol.strategy.columns)
         q, columns = causal_witness
         q = np.asarray(q, dtype=float)
-        strat = np.asarray(columns, dtype=np.int64).T
+        _, strat = _check_witness(ch, np.tile(q, (ch.num_states, 1)), np.asarray(columns).T)
         weights = np.ones(strat.shape)
     else:
         if gp_witness is None:

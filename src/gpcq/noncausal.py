@@ -354,11 +354,13 @@ def noncausal_lower_bound(
     accepts improvements, so the bound dominates the causal value by
     construction.
     Explicit witnesses follow, each run at its own auxiliary size and checked
-    against the blocklength-n channel as gp_objective checks; remaining
-    restarts are random. Ties keep the smallest restart index. The starts
-    run in that order and stop after the first whose per-symbol value is
-    within ALT_EPS of noncausal_upper_bound's certified value, so
-    ``restarts`` is a maximum and the witness reports the starts that ran.
+    against the blocklength-n channel as gp_objective checks; these always
+    run, and random starts fill up to ``restarts`` starts, possibly none.
+    Ties keep the smallest restart index. The starts run in that order and
+    stop after the first whose per-symbol value is within ALT_EPS of
+    noncausal_upper_bound's certified value, so ``restarts`` is a maximum
+    (unless explicit witnesses pass it) and the witness reports the starts
+    that ran.
     An n, restarts or aux_size below 1 raises PreconditionViolated.
     """
     if n < 1:
@@ -379,8 +381,7 @@ def noncausal_lower_bound(
     strat = np.asarray(causal.strategy.columns, dtype=np.int64).T
     starts = [product_witness(q_rows, strat, ch.num_inputs, n=n)]
     starts += [_check_witness(ch_n, q_seed, strat_seed) for q_seed, strat_seed in seed_witnesses]
-    num_random = max(restarts - len(starts), 1)
-    for r in range(num_random):
+    for r in range(restarts - len(starts)):
         rng = rng_for(seed, n, r)
         q0 = rng.dirichlet(np.ones(aux_size), size=num_states)
         strat0 = rng.integers(0, num_inputs, size=(num_states, aux_size))

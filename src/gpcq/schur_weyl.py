@@ -357,7 +357,7 @@ def block_projector(rho: np.ndarray, basis: np.ndarray, m: int, radius: float) -
 
 
 class DecodeContext:
-    """Decoding projectors of auxiliary words as class blocks in the basis frame.
+    """Decode operators of auxiliary words as class blocks in the basis frame.
 
     A word's projector is the tensor product, over its letters, of each
     letter's block projector on the t slots holding it, at divergence radius
@@ -367,7 +367,8 @@ class DecodeContext:
     product, over its letters in ascending order, of the letters' dense
     d^t x d^t blocks: the projector of the type's sorted word. Any other word
     of the type is that product with its slots permuted, so each of its class
-    blocks is one index gather from the product.
+    blocks is one index gather from the product. A message's decode operator
+    sums its codewords' projectors (projectors).
     """
 
     def __init__(self, states: np.ndarray, basis: np.ndarray, n: int, delta: float):
@@ -379,7 +380,7 @@ class DecodeContext:
         self.partition = class_partition(self.d, n)
         digits = digit_table(self.d, n)
         self._digits = [digits[words] for words in self.partition.words]
-        self._cache: dict[tuple[int, int], np.ndarray] = {}
+        self._cache: dict[tuple[int, int], dict[int, np.ndarray]] = {}
 
     def rotate(self, states) -> np.ndarray:
         """Every state of a (..., d, d) stack in the basis frame, real when no entry has an imaginary part."""
@@ -389,37 +390,45 @@ class DecodeContext:
     def block(self, u: int, t: int) -> np.ndarray:
         """Letter u's block projector on t slots as one dense real d^t x d^t matrix in the basis frame.
 
-        block_projector's class blocks at radius n*delta/t, placed on their
-        words; cached per (u, t).
+        block_projector's class blocks at radius n*delta/t, cached per (u, t)
+        and placed on their words anew on each call.
         """
         key = (u, t)
         if key not in self._cache:
-            words = class_partition(self.d, t).words
-            dense = np.zeros((self.d**t,) * 2)
-            for c, block in block_projector(self.states[u], self.basis, t, self.n * self.delta / t).items():
-                dense[np.ix_(words[c], words[c])] = block
-            self._cache[key] = dense
-        return self._cache[key]
+            self._cache[key] = block_projector(self.states[u], self.basis, t, self.n * self.delta / t)
+        words = class_partition(self.d, t).words
+        dense = np.zeros((self.d**t,) * 2)
+        for c, block in self._cache[key].items():
+            dense[np.ix_(words[c], words[c])] = block
+        return dense
 
-    def projector(self, u_seq) -> tuple[np.ndarray, ...]:
-        """Class blocks of one word's projector, aligned with self.partition.words: projectors' one-row case."""
-        stack, _ = self.projectors(np.asarray(u_seq, dtype=np.int64).reshape(1, -1))
-        return tuple(block[0] for block in stack.blocks)
+    def projectors(self, words) -> BlockStack:
+        """Decode operators of an (L, K, n) word array: row l sums, in k order, the projectors of words[l, k].
 
-    def projectors(self, words) -> tuple[BlockStack, np.ndarray]:
-        """Projectors of the distinct rows of an (L, n) word array, and each row's index among them.
-
-        Each letter type's Kronecker product is built once, and only one is
-        held at a time. Sorting row w's slots sends product word a to the
-        word a[order] of the same class, and the row's entry at (a, b) is its
-        type's at (a[order], b[order]). The index of a[order] is a's digits
-        weighted by the place values their slots sort to. The blocks are
-        read-only and the context keeps none of them.
+        Each distinct word is gathered once (_gather, whose index arrays are
+        freed before the sums) into a stack the context does not keep.
         """
         words = np.asarray(words, dtype=np.int64)
-        if words.ndim != 2 or words.shape[1] != self.n:
-            raise GpcqError(f"word array of shape {words.shape} is not (L, {self.n})")
-        distinct, inverse = np.unique(words, axis=0, return_inverse=True)
+        if words.ndim != 3 or words.shape[1] < 1 or words.shape[2] != self.n:
+            raise GpcqError(f"word array of shape {words.shape} is not (L, K, {self.n}) with K >= 1")
+        distinct, inverse = np.unique(words.reshape(-1, self.n), axis=0, return_inverse=True)
+        inverse = inverse.reshape(words.shape[:2])
+        summed = []
+        for block in self._gather(distinct):
+            total = block[inverse[:, 0]]
+            for column in inverse.T[1:]:
+                total += block[column]
+            summed.append(total)
+        return BlockStack(tuple(summed), self.partition.words)
+
+    def _gather(self, distinct: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Class blocks of each row's projector for a (D, n) array of distinct words.
+
+        One letter type's Kronecker product is held at a time. Sorting row w's
+        slots sends product word a to a[order], in the same class, and the row's
+        entry at (a, b) is its type's at (a[order], b[order]); the index of
+        a[order] is a's digits weighted by the place values their slots sort to.
+        """
         order = np.argsort(distinct, axis=1, kind="stable")
         types, type_of = np.unique(np.take_along_axis(distinct, order, axis=1), axis=0, return_inverse=True)
         weights = np.empty_like(order)  # weights[w, order[w, j]] is the place value of position j
@@ -434,6 +443,4 @@ class DecodeContext:
                 pos = idx[rows]
                 block[rows] = dense[pos[:, :, None], pos[:, None, :]]
             del dense  # freed before the next type's product is built
-        for block in blocks:
-            block.setflags(write=False)
-        return BlockStack(blocks, self.partition.words), inverse.reshape(-1)
+        return blocks

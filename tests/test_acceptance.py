@@ -240,7 +240,7 @@ def _matched_trace_scan(ch, wit, ns, delta):
         rotated = ctx.rotate(tensor)
         worst = 1.0
         for uw, matched in zip(u_words, members.T):
-            proj = scatter(ctx.projector(uw), ctx.partition.words, ch.dim**n)
+            proj = scatter([b[0] for b in ctx.projectors(uw[None, None]).blocks], ctx.partition.words, ch.dim**n)
             # folds[k] is the kron of the first k letters of the last state word;
             # a state word refolds only the letters after its shared prefix.
             folds = [np.ones((1, 1), dtype=complex)]

@@ -513,6 +513,16 @@ class TestReproducibility:
         digest = hashlib.sha256((channel_dir / "purecq.chan").read_bytes()).hexdigest()
         assert manifest["channel_sha256"] == digest
 
+    @pytest.mark.parametrize("command", ["causal", "holevo"])
+    def test_manifest_reports_the_eps_the_run_used(self, capsys, channel_dir, command):
+        path = str(channel_dir / "stuck.chan")
+        code, out, err = run_cli(capsys, command, path, "--eps", "0.01", "--json")
+        assert code == 0
+        assert last_manifest(err)["tolerances"]["inner_eps"] == 0.01
+        code, _, err = run_cli(capsys, command, path, "--json")
+        assert code == 0
+        assert last_manifest(err)["tolerances"]["inner_eps"] == cli.INNER_EPS != 0.01
+
     def test_manifest_echoes_seed(self, capsys, channel_dir):
         code, _, err = run_cli(
             capsys, "noncausal", str(channel_dir / "flip.chan"),

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gpcq import noncausal
 from gpcq.channel import BUDGET_ENV_VAR, build_channel, derived_states
 from gpcq.coding import (
     SimRow,
@@ -23,6 +24,7 @@ from gpcq.coding import (
 )
 from gpcq.errors import (
     BudgetExceeded,
+    CapExceeded,
     GpcqError,
     InvalidPOVM,
     NonFinite,
@@ -243,11 +245,10 @@ class TestBlockDecoders:
     def test_match_dense_reference_on_decode_words(self, suite, name, q_rows, n):
         ctx = decode_context(suite[name], q_rows, n)
         words = np.random.default_rng(n).integers(0, 2, size=(8, n))
-        stack, inverse = ctx.projectors(words)
         dense = [ref.dense_projector(ctx, w) for w in words]
         # Codewords summed in pairs, as a binned codebook's messages are.
-        pairs = BlockStack(tuple(b[inverse[0::2]] + b[inverse[1::2]] for b in stack.blocks), stack.index)
-        each = BlockStack(tuple(b[inverse] for b in stack.blocks), stack.index)
+        pairs = ctx.projectors(words.reshape(4, 2, n))
+        each = ctx.projectors(words[:, None])
         cases = [
             (square_root_decoder(pairs), ref.square_root_decoder([a + b for a, b in zip(dense[0::2], dense[1::2])])),
             (sequential_decoder(each), ref.sequential_decoder(dense)),
@@ -616,6 +617,19 @@ class TestSimulationDriver:
                 flip, scheme, [0.5], [2], trials=1, seed=0,
                 gp_witness=self.FLIP_WITNESS, causal_witness=self.CAUSAL_WITNESS, **kw,
             )
+
+    def test_state_word_cap_is_refused_before_any_solve(self, monkeypatch):
+        # Three states at n = 8 are 3^8 = 6561 state words, past STATE_WORD_CAP;
+        # n = 2 would fit, so the refusal must come before its witness and trials.
+        states = {(s, x): KET0 if (i + int(x)) % 2 else PLUS for i, s in enumerate("abc") for x in "01"}
+        ch = build_channel(list("abc"), "01", 2, states, [0.4, 0.4, 0.2])
+
+        def solve(*args, **kwargs):
+            raise AssertionError("the witness was solved before the cap was checked")
+
+        monkeypatch.setattr(noncausal, "noncausal_lower_bound", solve)
+        with pytest.raises(CapExceeded, match="6561"):
+            simulate_rate_error_curve(ch, "noncausal-sqrt", [0.25], [2, 8], trials=1, seed=0)
 
     def test_message_count_follows_rate(self, flip):
         rows = simulate_rate_error_curve(

@@ -141,6 +141,10 @@ WITNESS_CALLERS = {
     "gp_witness": lambda ch, wit: simulate_rate_error_curve(
         ch, "noncausal-sqrt", [0.5], [2], trials=1, seed=0, gp_witness=wit
     ),
+    # A causal witness is (q, columns): the rows q(u|s) = q(u) with strategy columns.T.
+    "causal_witness": lambda ch, wit: simulate_rate_error_curve(
+        ch, "causal-sequential", [0.5], [2], trials=1, seed=0, causal_witness=wit
+    ),
 }
 
 
@@ -160,6 +164,12 @@ WITNESS_CALLERS = {
         ("seed_witnesses", np.array([[np.nan, 0.5], [0.5, 0.5]]), INVERTING, NonFinite, "finite"),
         ("gp_objective", UNIFORM_Q, np.array([[0.7, 1.9], [1.2, 0.0]]), GpcqError, "integers"),
         ("gp_objective", UNIFORM_Q, np.array([[np.nan, 1.0], [1.0, 0.0]]), NonFinite, "finite"),
+        ("causal_witness", np.array([0.5, 0.5]), np.array([[0, 5], [1, 0]]), GpcqError, "input range"),
+        ("causal_witness", np.array([0.5, 0.5]), np.array([[0, 1, 0], [1, 0, 1]]), ShapeMismatch, "shapes"),
+        ("causal_witness", np.array([np.nan, 1.0]), INVERTING, NonFinite, "finite"),
+        ("causal_witness", np.array([-0.5, 1.5]), INVERTING, GpcqError, "non-negative"),
+        ("causal_witness", np.array([0.9, 0.9]), INVERTING, GpcqError, "sum to 1"),
+        ("causal_witness", np.array([0.5, 0.5]), np.array([[0.7, 1.0], [1.0, 0.0]]), GpcqError, "integers"),
     ],
 )
 def test_every_witness_entry_point_checks_the_witness(flip, caller, q, strat, error, match):
@@ -383,8 +393,8 @@ class TestNoncausalLowerBound:
             assert solvers.noncausal(name).value >= solvers.causal(name).value - 1e-9
 
     def test_blocklength_two_dominates_causal_by_construction(self, suite, solvers):
-        # One round from one random start, so the bound rests on the lifted
-        # single-letter causal seed rather than on the search.
+        # One round from the lifted single-letter causal start alone (restarts=1
+        # runs no random start), so the bound rests on that seed, not on a search.
         for name, ch in suite.items():
             wit = noncausal_lower_bound(ch, n=2, restarts=1, max_rounds=1)
             assert wit.value >= solvers.causal(name).value - 1e-9, name
@@ -435,6 +445,17 @@ class TestNoncausalLowerBound:
         assert all(v < wit.upper + wit.upper_gap - ALT_EPS for v in wit.restart_values)
         assert len(wit.restart_values) == wit.restarts == 3
         self.assert_diagnostics(wit)
+
+    @pytest.mark.parametrize("seeded, restarts, runs", [(False, 1, 1), (True, 1, 2), (True, 2, 2), (True, 4, 4)])
+    def test_restarts_is_a_maximum_that_only_explicit_seeds_pass(self, purecq, seeded, restarts, runs):
+        # The bracket stays open on purecq, so only the count stops the search.
+        # The lifted start and every explicit seed always run; random starts
+        # fill up to restarts, so restarts=1 alone runs the lifted start only.
+        first = noncausal_lower_bound(purecq, restarts=1, seed=3)
+        seeds = ((first.q_given_s, first.strategy),) if seeded else ()
+        wit = noncausal_lower_bound(purecq, restarts=restarts, seed=3, seed_witnesses=seeds)
+        assert not wit.certified_optimal
+        assert len(wit.restart_values) == wit.restarts == runs
 
     @pytest.mark.parametrize("aux_size", [0, -1])
     def test_empty_auxiliary_alphabet_is_rejected(self, flip, aux_size):

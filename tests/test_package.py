@@ -34,7 +34,11 @@ def _name_tokens(path: pathlib.Path) -> list[tuple[int, str]]:
 
 
 def _public_definitions(path: pathlib.Path):
-    """Each public module-level name with the lines of its own definition."""
+    """(reported name, token, lines of its own definition) of each public name.
+
+    The public names are the module-level ones and the public methods and
+    properties of module-level classes; dunder methods are exempt.
+    """
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -46,18 +50,22 @@ def _public_definitions(path: pathlib.Path):
             continue
         for name in names:
             if not name.startswith("_"):
-                yield name, range(node.lineno, node.end_lineno + 1)
+                yield name, name, range(node.lineno, node.end_lineno + 1)
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, range(item.lineno, item.end_lineno + 1)
 
 
 def test_every_public_name_is_exported_or_used_by_the_program():
     tokens = {path: _name_tokens(path) for path in CALLERS}
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for name, own_lines in _public_definitions(path):
+        for name, token, own_lines in _public_definitions(path):
             if name in gpcq.__all__:
                 continue
             used = any(
-                tok == name and (caller != path or line not in own_lines)
+                tok == token and (caller != path or line not in own_lines)
                 for caller, found in tokens.items()
                 for line, tok in found
             )

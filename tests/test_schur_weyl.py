@@ -516,6 +516,11 @@ class TestASet:
                 assert tr <= (2 * m) ** 4 * 2.0 ** (-m * rate) + 1e-12
 
 
+def word_blocks(ctx, word) -> tuple[np.ndarray, ...]:
+    """One word's class blocks, aligned with ctx.partition.words: projectors' one-row, one-codeword case."""
+    return tuple(block[0] for block in ctx.projectors(np.asarray(word)[None, None]).blocks)
+
+
 class TestDecodeProjectors:
     STATES = np.stack(
         [np.diag([0.8, 0.2]), np.diag([0.3, 0.7])]
@@ -537,7 +542,7 @@ class TestDecodeProjectors:
     def test_constant_word_equals_single_block(self):
         ctx = DecodeContext(self.STATES, EYE2, 3, 0.4)
         blocks = block_projector(self.STATES[1], EYE2, 3, 0.4)
-        for c, got in enumerate(ctx.projector([1, 1, 1])):
+        for c, got in enumerate(word_blocks(ctx, [1, 1, 1])):
             assert np.allclose(got, blocks.get(c, np.zeros_like(got)), atol=1e-12)
 
     def test_permutation_covariance(self):
@@ -545,11 +550,11 @@ class TestDecodeProjectors:
         u = np.array([0, 1, 1])
         perm = (1, 2, 0)
         V = permutation_operator(perm, 2)
-        lhs = V @ self.dense(ctx, ctx.projector(u)) @ V.T
-        assert np.allclose(lhs, self.dense(ctx, ctx.projector(u[list(perm)])), atol=1e-10)
+        lhs = V @ self.dense(ctx, word_blocks(ctx, u)) @ V.T
+        assert np.allclose(lhs, self.dense(ctx, word_blocks(ctx, u[list(perm)])), atol=1e-10)
 
     def test_idempotent_mixed_word(self):
-        for block in DecodeContext(self.STATES, EYE2, 3, 0.5).projector([0, 1, 0]):
+        for block in word_blocks(DecodeContext(self.STATES, EYE2, 3, 0.5), [0, 1, 0]):
             assert np.max(np.abs(block @ block - block)) < 1e-8
 
     def test_tiny_radius_flags_empty_blocks(self):
@@ -557,30 +562,42 @@ class TestDecodeProjectors:
         # frequency of one slot is that close to either pinched diagonal.
         assert a_set(self.STATES[0], EYE2, 1, 2e-6)[0] == ()
         assert a_set(self.STATES[1], EYE2, 1, 2e-6)[0] == ()
-        for block in DecodeContext(self.STATES, EYE2, 2, 1e-6).projector([0, 1]):
+        for block in word_blocks(DecodeContext(self.STATES, EYE2, 2, 1e-6), [0, 1]):
             assert np.allclose(block, 0.0, atol=1e-12)
 
     def test_context_caches_blocks(self):
+        # The context keeps each letter's class blocks per slot count, and no
+        # dense matrix: block() places them anew on every call.
         ctx = DecodeContext(self.STATES, EYE2, 4, 0.3)
-        ctx.projector([0, 0, 1, 1])
-        ctx.projector([1, 0, 1, 0])
+        ctx.projectors([[[0, 0, 1, 1]], [[1, 0, 1, 0]]])
         assert set(ctx._cache) == {(0, 2), (1, 2)}
+        for (u, t), cached in ctx._cache.items():
+            want = block_projector(self.STATES[u], EYE2, t, 4 * 0.3 / t)
+            assert cached.keys() == want.keys()
+            assert all(np.array_equal(cached[c], want[c]) for c in want)
+        dense = ctx.block(0, 2)
+        assert dense.shape == (4, 4) and ctx.block(0, 2) is not dense
+        assert np.array_equal(dense, ctx.block(0, 2))
 
     def test_word_length_enforced(self):
         ctx = DecodeContext(self.STATES, EYE2, 3, 0.4)
         with pytest.raises(GpcqError):
-            ctx.projector([0, 1])
+            ctx.projectors([[[0, 1]]])
 
     def test_word_array_shape_enforced(self):
         ctx = DecodeContext(self.STATES, EYE2, 3, 0.4)
         with pytest.raises(GpcqError):
-            ctx.projectors(np.zeros((4, 2), dtype=np.int64))
+            ctx.projectors(np.zeros((4, 2, 2), dtype=np.int64))
+        with pytest.raises(GpcqError):
+            ctx.projectors(np.zeros((4, 3), dtype=np.int64))
+        with pytest.raises(GpcqError):
+            ctx.projectors(np.zeros((4, 0, 3), dtype=np.int64))
         with pytest.raises(GpcqError):
             ctx.projectors([0, 1, 1])
 
 
 class TestSharedProjectors:
-    """DecodeContext.projectors holds each distinct word once, bit for bit as projector gives it."""
+    """DecodeContext.projectors sums each row's codewords in k order, bit for bit, and gathers each distinct word once."""
 
     @staticmethod
     def context(ch, q_rows, strategy, n):
@@ -595,20 +612,24 @@ class TestSharedProjectors:
         ("flip", [[0.5, 0.5], [0.5, 0.5]], 6),
         ("purecq", [[0.7, 0.3], [0.3, 0.7]], 5),
     ])
-    def test_matches_projector_and_shares_equal_words(self, suite, name, q_rows, n):
+    def test_rows_sum_their_codewords_and_share_equal_words(self, suite, name, q_rows, n, monkeypatch):
         ctx = self.context(suite[name], q_rows, [[0, 1], [1, 0]], n)
         drawn = np.random.default_rng(13).integers(0, 2, size=(12, n))
+        # 18 codewords, three per message, repeated within and across messages.
         words = np.concatenate([drawn, drawn[::3], np.ones((2, n), dtype=np.int64)])
-        stack, inverse = ctx.projectors(words)
-        assert inverse.shape == (len(words),)
-        assert len(stack) == len(np.unique(words, axis=0))
-        assert all(not block.flags.writeable for block in stack.blocks)
-        for i, w in enumerate(words):
-            for block, fresh in zip(stack.blocks, ctx.projector(w)):
-                assert block.dtype == fresh.dtype and block[inverse[i]].shape == fresh.shape
-                assert block[inverse[i]].tobytes() == fresh.tobytes()
-            for j in range(i):
-                assert (inverse[i] == inverse[j]) == bool(np.array_equal(words[i], words[j]))
+        gathered = []
+        gather = ctx._gather
+        monkeypatch.setattr(ctx, "_gather", lambda distinct: gathered.append(len(distinct)) or gather(distinct))
+        stack = ctx.projectors(words.reshape(6, 3, n))
+        assert gathered == [len(np.unique(words, axis=0))] and gathered[0] < len(words)
+        assert len(stack) == 6
+        singles = [word_blocks(ctx, w) for w in words]
+        for c, block in enumerate(stack.blocks):
+            for m in range(6):
+                want = singles[3 * m][c].copy()
+                for k in (1, 2):
+                    want += singles[3 * m + k][c]
+                assert block.dtype == want.dtype and block[m].tobytes() == want.tobytes()
 
 
 def type_class(counts) -> np.ndarray:
@@ -637,8 +658,9 @@ class TestGatheredProjectors:
         return TestSharedProjectors.context(suite[name], q_rows, strategy, n), len(q_rows[0])
 
     @staticmethod
-    def assert_rows_match_reference(ctx, words, stack, inverse):
-        for w, row in zip(words, inverse):
+    def assert_rows_match_reference(ctx, words, stack):
+        assert len(stack) == len(words)
+        for row, w in enumerate(words):
             for block, want in zip(stack.blocks, ref.reference_projector(ctx, w)):
                 assert block.dtype == want.dtype and np.array_equal(block[row], want)
 
@@ -650,9 +672,7 @@ class TestGatheredProjectors:
         words = type_class(counts)
         # A zero reference would make the comparison vacuous.
         assert any(np.any(want) for want in ref.reference_projector(ctx, words[0]))
-        stack, inverse = ctx.projectors(words)
-        assert len(stack) == len(words)
-        self.assert_rows_match_reference(ctx, words, stack, inverse)
+        self.assert_rows_match_reference(ctx, words, ctx.projectors(words[:, None]))
 
     @pytest.mark.parametrize("witness", list(WITNESSES))
     @pytest.mark.parametrize("n", [4, 6, 8])
@@ -663,9 +683,7 @@ class TestGatheredProjectors:
         one_letter = np.repeat(np.arange(letters), n).reshape(letters, n)
         words = np.concatenate([drawn, drawn[::-1][:4], np.sort(drawn[:3], axis=1), one_letter])
         assert len(np.unique(np.sort(words, axis=1), axis=0)) >= 2
-        stack, inverse = ctx.projectors(words)
-        assert len(stack) == len(np.unique(words, axis=0))
-        self.assert_rows_match_reference(ctx, words, stack, inverse)
+        self.assert_rows_match_reference(ctx, words, ctx.projectors(words[:, None]))
 
     @pytest.mark.parametrize("witness", list(WITNESSES))
     def test_projector_of_an_unsorted_word_matches_the_reference(self, suite, witness):
@@ -674,7 +692,7 @@ class TestGatheredProjectors:
         unsorted = [w for w in drawn if np.any(w[1:] < w[:-1])]
         assert len(unsorted) >= 8
         for w in unsorted:
-            for got, want in zip(ctx.projector(w), ref.reference_projector(ctx, w)):
+            for got, want in zip(word_blocks(ctx, w), ref.reference_projector(ctx, w)):
                 assert np.array_equal(got, want)
 
     def test_one_kronecker_build_per_letter_type(self, suite, monkeypatch):
@@ -692,12 +710,12 @@ class TestGatheredProjectors:
 
         monkeypatch.setattr(functools, "reduce", reduce)
         words = np.concatenate([np.random.default_rng(4).integers(0, 3, size=(30, 5)), np.full((2, 5), 2)])
-        ctx.projectors(words)
+        ctx.projectors(words[:, None])
         types = {tuple(zip(*np.unique(w, return_counts=True))) for w in np.sort(words, axis=1)}
         assert sorted(built) == sorted(types)
 
     def test_empty_word_array_gives_an_empty_stack(self, suite):
         ctx, _ = self.context(suite, "flip", 4)
-        stack, inverse = ctx.projectors(np.zeros((0, 4), dtype=np.int64))
-        assert len(stack) == 0 and inverse.shape == (0,)
+        stack = ctx.projectors(np.zeros((0, 2, 4), dtype=np.int64))
+        assert len(stack) == 0
         assert [b.shape[1:] for b in stack.blocks] == [(w.size, w.size) for w in ctx.partition.words]
