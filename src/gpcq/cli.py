@@ -273,6 +273,7 @@ def _cmd_noncausal(args) -> None:
         "ascent_steps": wit.ascent_steps,
         "objective_evals": wit.objective_evals,
         "rounds": wit.rounds,
+        "decompositions": wit.decompositions,
         "leak_per_symbol": wit.leak_per_symbol,
         "upper": wit.upper,
         "upper_gap": wit.upper_gap,

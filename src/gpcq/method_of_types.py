@@ -188,12 +188,14 @@ def matched_set_members(s_words, u_words, p_su: np.ndarray, delta: float) -> np.
 def type_class_words(counts, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """Words drawn i.i.d. uniformly from the type class with these letter counts.
 
-    The result has shape ``shape + (n,)`` with n = sum(counts). Each word is
-    one rng.permutation of the sorted word, drawn in C order over ``shape``.
+    The result has shape ``shape + (n,)`` with n = sum(counts). One
+    rng.permuted call shuffles a row per word, in C order over ``shape``;
+    it draws the same words, and leaves the generator in the same state, as
+    one rng.permutation of the sorted word per word.
     """
-    base = np.repeat(np.arange(len(counts)), counts)
-    words = [rng.permutation(base) for _ in range(math.prod(shape))]
-    return np.array(words, dtype=np.int64).reshape(*shape, base.size)
+    base = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    words = rng.permuted(np.tile(base, (math.prod(shape), 1)), axis=1)
+    return words.reshape(*shape, base.size)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,10 @@ Every candidate is scored from scratch, in the same operation order as a
 full evaluation, so the search's values and witnesses do not depend on how
 candidates are batched. A sweep cell (s, u) changes only A_u and rho_bar,
 so all inputs of a cell are scored from one eigvalsh of their candidate
-A_u and rho_bar; the ascent gathers the strategy's letter states once and
-carries each accepted step's derived states into the next step.
+A_u and rho_bar. The ascent gathers the strategy's letter states once, and
+one eigh of a candidate's [A_u; rho_bar] stack gives both its score and,
+once it is accepted, the logarithms of the next step; so an ascent makes
+one decomposition per scored candidate plus one for its start.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .channel import (
     product_extension,
 )
 from .errors import GpcqError, NonFinite, PreconditionViolated, ShapeMismatch
-from .quantum import entropy_bits, kl_divergence
+from .quantum import entropy_bits
 from .util import rng_for
 
 ALT_EPS = 1e-7
@@ -64,24 +66,42 @@ def _derived(w: np.ndarray, letters: np.ndarray) -> np.ndarray:
     return np.einsum("su,suij->uij", w, letters)
 
 
+def _stack(A: np.ndarray) -> np.ndarray:
+    """The stack [A_u; rho_bar] with rho_bar = sum_u A_u last, the one input of every decomposition."""
+    return np.concatenate([A, A.sum(axis=0, keepdims=True)])
+
+
 def _objective(p: np.ndarray, tensor: np.ndarray, q_given_s: np.ndarray, strategy: np.ndarray) -> GPObjectiveReport:
     """Unscaled objective chi - leak for one block channel."""
-    return _score(p, q_given_s, derived_states(p, tensor, q_given_s, strategy))
+    return _score(p, q_given_s, np.linalg.eigvalsh(_stack(derived_states(p, tensor, q_given_s, strategy))))
 
 
-def _score(p: np.ndarray, q_given_s: np.ndarray, A: np.ndarray) -> GPObjectiveReport:
-    """The objective of a witness from its derived states A.
+def _entropy_and_leak(p: np.ndarray, q_given_s: np.ndarray) -> tuple[float, float]:
+    """H(q) and the leak I(S; U) = D(w || p (x) q) of the joint w(s,u) = p(s) q(u|s), in bits.
 
-    omega = sum_u |u><u| (x) A_u has the spectra of all the A_u = q(u) rho_u,
-    so chi = S(rho_bar) - S(omega) + H(q) comes from one eigvalsh over [A_u; rho_bar].
+    The leak is taken against the prior p rather than the row sums of w:
+    those differ from p in the last bit, and restarts on a flat optimum tie
+    at that level. kl_divergence would give +inf off the support of p (x) q,
+    but w(s,u) > 0 implies p(s) q(u) > 0, so every term with w(s,u) > 0 is
+    finite (+inf only if p(s) q(u) underflows, as there); terms with
+    w(s,u) = 0 are 0, so no mask or gather is needed.
     """
     w = p[:, None] * q_given_s
     q_u = w.sum(axis=0)
-    vals = np.linalg.eigvalsh(np.concatenate([A, A.sum(axis=0, keepdims=True)]))
-    chi = float(entropy_bits(vals[-1]) - entropy_bits(vals[:-1].ravel()) + entropy_bits(q_u))
-    # I(S; U) of the joint w, taken against the prior p rather than the row sums of w:
-    # those differ from p in the last bit, and restarts on a flat optimum tie at that level.
-    leak = kl_divergence(w, np.outer(p, q_u))
+    off = w == 0
+    terms = w * (np.log2(w + off) - np.log2(p[:, None] * q_u + off))
+    return float(entropy_bits(q_u)), float(np.add.reduce(terms.ravel()))
+
+
+def _score(p: np.ndarray, q_given_s: np.ndarray, vals: np.ndarray) -> GPObjectiveReport:
+    """The objective of a witness from the spectra of its stack [A_u; rho_bar], rho_bar last.
+
+    omega = sum_u |u><u| (x) A_u has the spectra of all the A_u = q(u) rho_u,
+    so chi = S(rho_bar) - S(omega) + H(q). The spectra may come from eigvalsh
+    or eigh, which are different LAPACK drivers and agree only to the last bits.
+    """
+    entropy_q, leak = _entropy_and_leak(p, q_given_s)
+    chi = float(entropy_bits(vals[-1]) - entropy_bits(vals[:-1].ravel()) + entropy_q)
     return GPObjectiveReport(chi - leak, chi, leak)
 
 
@@ -119,23 +139,23 @@ def gp_objective(ch: StateChannel, q_given_s: np.ndarray, strategy: np.ndarray, 
     return GPObjectiveReport(rep.value / n, rep.holevo / n, rep.leak)
 
 
-def _cross_term(letters: np.ndarray, A: np.ndarray) -> np.ndarray:
+def _cross_term(letters: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """c(s,u) = tr rho_{s,x(s,u)}(log A_u - log rho_bar), in bits.
 
-    letters are the strategy's letter states and A the witness's derived
-    states. With f = S(rho_bar) + sum_u tr A_u log A_u + sum_s p(s) H(q(.|s))
-    the partial derivative in q(u|s) is p(s)[c(s,u) - log q(u|s)] up to a
-    per-row constant. One batched eigh over the A_u and rho_bar does the
-    work of a single objective evaluation.
+    letters are the strategy's letter states and (vals, vecs) the eigh of
+    the witness's _stack of derived states A_u and rho_bar. With
+    f = S(rho_bar) + sum_u tr A_u log A_u + sum_s p(s) H(q(.|s)) the partial
+    derivative in q(u|s) is p(s)[c(s,u) - log q(u|s)] up to a per-row
+    constant. The decomposition is the one that scored the witness, so the
+    cross term makes none of its own.
     """
-    num_u = A.shape[0]
-    vals, vecs = np.linalg.eigh(np.concatenate([A, A.sum(axis=0, keepdims=True)]))
+    num_u = letters.shape[1]
     logs = (vecs * np.log2(np.maximum(vals, EIG_FLOOR))[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
     return np.einsum("suij,uji->su", letters, logs[:num_u] - logs[num_u]).real
 
 
-def _q_step(letters: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """One multiplicative step: q(u|s) proportional to 2^c(s,u) in every row.
+def _q_step(letters: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """One multiplicative step from the eigh of a witness's _stack: q(u|s) proportional to 2^c(s,u) in every row.
 
     Let G(q; q') = sum_s p(s) sum_u q(u|s)[c'(s,u) - log q(u|s)] with c' taken
     at q'. Then G(q'; q') = f(q') and, with omega = sum_u |u><u| (x) A_u,
@@ -143,7 +163,7 @@ def _q_step(letters: np.ndarray, A: np.ndarray) -> np.ndarray:
     processing under the partial trace over U. The step maximises G(.; q')
     row by row, so it never lowers f and stays inside the simplex.
     """
-    c = _cross_term(letters, A)
+    c = _cross_term(letters, vals, vecs)
     step = np.exp2(c - c.max(axis=1, keepdims=True))
     return step / step.sum(axis=1, keepdims=True)
 
@@ -151,44 +171,49 @@ def _q_step(letters: np.ndarray, A: np.ndarray) -> np.ndarray:
 def _ascend_q(p, tensor, q, strategy, cur):
     """_q_step from q (objective cur) while the exact objective rises; returns (q, f, steps, evals).
 
-    The letter states are gathered once, and each accepted candidate's
-    derived states are the next step's.
+    The letter states are gathered once. Each candidate is scored from the
+    eigenvalues of one eigh of its _stack, and an accepted candidate's
+    decomposition is the next step's, so a call makes evals + 1 of them:
+    the start's and one per scored candidate. That is steps + 2 when a
+    rejected candidate ends the ascent before ASCENT_ITERS.
     """
     letters = letter_states(tensor, strategy)
-    A = _derived(p[:, None] * q, letters)
+    vals, vecs = np.linalg.eigh(_stack(_derived(p[:, None] * q, letters)))
     steps = evals = 0
     for _ in range(ASCENT_ITERS):
-        cand = _q_step(letters, A)
-        cand_A = _derived(p[:, None] * cand, letters)
-        val = _score(p, cand, cand_A).value
+        cand = _q_step(letters, vals, vecs)
+        cand_vals, cand_vecs = np.linalg.eigh(_stack(_derived(p[:, None] * cand, letters)))
+        val = _score(p, cand, cand_vals).value
         evals += 1
         if not val > cur:
             break
-        q, A, cur, steps = cand, cand_A, val, steps + 1
+        q, vals, vecs, cur, steps = cand, cand_vals, cand_vecs, val, steps + 1
     return q, cur, steps, evals
 
 
-def _sweep_strategy(p, tensor, q, strategy, num_inputs: int, cur: float):
-    """One greedy pass over the cells (s, u) in order from a witness of objective cur; returns (strategy, value).
+def _sweep_strategy(p, tensor, q, strategy, num_inputs: int):
+    """One greedy pass over the cells (s, u) in order; returns (strategy, value).
 
-    A cell's inputs change only A_u and rho_bar, so a cell scores all of
-    them at once: one einsum gives the candidate A_u (column u's letter
-    state at s replaced by each input's), each candidate rho_bar sums A
-    with row u replaced, and one eigvalsh over those 2|X| states gives
-    every S(rho_bar) and, with row u of the current omega spectrum
-    replaced, every S(omega). H(q) and the leak do not move with the
-    strategy and are computed once. Taking the inputs in order, an input
-    replaces the best so far only if it scores more than 1e-12 higher.
+    The pass starts from the witness's exact objective, scored from one
+    eigvalsh of its [A_u; rho_bar] stack. A cell's inputs change only A_u
+    and rho_bar, so a cell scores all of them at once: one einsum gives the
+    candidate A_u (column u's letter state at s replaced by each input's),
+    each candidate rho_bar sums A with row u replaced, and one eigvalsh over
+    those 2|X| states gives every S(rho_bar) and, with row u of the current
+    omega spectrum replaced, every S(omega). H(q) and the leak do not move
+    with the strategy and are computed once. Taking the inputs in order, an
+    input replaces the best so far only if it scores more than 1e-12 higher.
+    A pass makes 1 + |S||U| decompositions.
     """
     strategy = strategy.copy()
     num_states, num_u = strategy.shape
     w = p[:, None] * q
-    q_u = w.sum(axis=0)
-    entropy_q = entropy_bits(q_u)
-    leak = kl_divergence(w, np.outer(p, q_u))
+    entropy_q, leak = _entropy_and_leak(p, q)
     letters = letter_states(tensor, strategy)
     A = _derived(w, letters)
-    spectra = np.linalg.eigvalsh(np.concatenate([A, A.sum(axis=0, keepdims=True)]))[:-1]
+    stack_vals = np.linalg.eigvalsh(_stack(A))
+    cur = _score(p, q, stack_vals).value
+    spectra = stack_vals[:-1]
     for s in range(num_states):
         for u in range(num_u):
             cand_letters = np.repeat(letters[:, u : u + 1], num_inputs, axis=1)
@@ -213,21 +238,31 @@ def _sweep_strategy(p, tensor, q, strategy, num_inputs: int, cur: float):
 
 
 def _alternate(p, tensor, q, strategy, num_inputs, max_rounds):
-    """Returns (q, strategy, value, accepted ascent steps, candidate scorings, rounds run)."""
+    """Returns (q, strategy, value, accepted ascent steps, candidate scorings, rounds run, decompositions).
+
+    A round alternates an ascent and a sweep; the ascent's own value decides
+    only which of its steps to keep, and the sweep rescores its result, so
+    the value returned is always the returned witness's _objective (an
+    ascent step that gains less than the eigh/eigvalsh difference may
+    leave it a few ulps below the round's start).
+    Decompositions are the eigvalsh and eigh calls: one for the first
+    witness, evals + 1 per ascent and 1 + |S||U| per sweep.
+    """
     val = _objective(p, tensor, q, strategy).value
-    steps, evals, rounds = 0, 1, 0
+    steps, evals, rounds, decompositions = 0, 1, 0, 1
     for _ in range(max_rounds):
-        q, cur, round_steps, round_evals = _ascend_q(p, tensor, q, strategy, val)
-        strategy, new_val = _sweep_strategy(p, tensor, q, strategy, num_inputs, cur)
+        q, _, round_steps, round_evals = _ascend_q(p, tensor, q, strategy, val)
+        strategy, new_val = _sweep_strategy(p, tensor, q, strategy, num_inputs)
         # A sweep counts as the scoring of its starting witness plus one per alternative input of each cell.
         rounds += 1
         steps += round_steps
         evals += round_evals + 1 + strategy.size * (num_inputs - 1)
-        if new_val <= val + ALT_EPS:
-            val = max(val, new_val)
-            break
+        decompositions += (round_evals + 1) + (1 + strategy.size)
+        converged = new_val <= val + ALT_EPS
         val = new_val
-    return q, strategy, val, steps, evals, rounds
+        if converged:
+            break
+    return q, strategy, val, steps, evals, rounds, decompositions
 
 
 def trim_witness(q_given_s: np.ndarray, strategy: np.ndarray, tol: float = 1e-9):
@@ -324,6 +359,10 @@ class GPWitness:
     # tried, and per sweep its starting witness and each alternative input of each cell.
     objective_evals: int
     rounds: int  # alternating rounds (ascent, then sweep) run, summed over starts
+    # eigvalsh and eigh calls of the starts' searches, summed over starts: per start
+    # one for the first witness, per ascent one per scored candidate plus one for
+    # its start, and per sweep one for its starting witness plus one per cell.
+    decompositions: int
     upper: float  # noncausal_upper_bound's value, per symbol
     upper_gap: float  # its gap: upper + upper_gap is certified from above
 
@@ -411,6 +450,7 @@ def noncausal_lower_bound(
         ascent_steps=sum(res[3] for res in results),
         objective_evals=sum(res[4] for res in results),
         rounds=sum(res[5] for res in results),
+        decompositions=sum(res[6] for res in results),
         upper=upper.value,
         upper_gap=upper.gap,
     )

@@ -2,21 +2,31 @@
 
 These are the non-causal search loops the way the package ran them before
 it scored a sweep cell's inputs together and carried the ascent's letter
-and derived states: every candidate, in the sweep and in the ascent, is one
-full exact objective evaluation, and every q-step rebuilds the derived
-states from the witness. The package must reproduce them bit for bit.
+states and decompositions: every sweep candidate is one full exact
+objective evaluation, and every q-step rebuilds the derived states from
+the witness and decomposes them afresh. An ascent candidate is scored from
+the eigenvalues of its own eigh, the decomposition its next step would
+use, rather than from eigvalsh; the two LAPACK drivers agree only to the
+last bits. The package must reproduce these loops bit for bit.
 """
 
+import numpy as np
+
 from gpcq.channel import derived_states, letter_states
-from gpcq.noncausal import ALT_EPS, ASCENT_ITERS, _objective, _q_step
+from gpcq.noncausal import ALT_EPS, ASCENT_ITERS, _objective, _q_step, _score, _stack
+
+
+def stack_eigh(p, tensor, q, strategy):
+    """eigh of the witness's stack [A_u; rho_bar], its derived states built afresh."""
+    return np.linalg.eigh(_stack(derived_states(p, tensor, q, strategy)))
 
 
 def ascend_q(p, tensor, q, strategy, cur):
     """_q_step from q (objective cur) while the exact objective rises; returns (q, f, steps, evals)."""
     steps = evals = 0
     for _ in range(ASCENT_ITERS):
-        cand = _q_step(letter_states(tensor, strategy), derived_states(p, tensor, q, strategy))
-        val = _objective(p, tensor, cand, strategy).value
+        cand = _q_step(letter_states(tensor, strategy), *stack_eigh(p, tensor, q, strategy))
+        val = _score(p, cand, stack_eigh(p, tensor, cand, strategy)[0]).value
         evals += 1
         if not val > cur:
             break
@@ -53,8 +63,8 @@ def alternate(p, tensor, q, strategy, num_inputs, max_rounds):
         strategy, new_val = sweep_strategy(p, tensor, q, strategy, num_inputs)
         steps += round_steps
         evals += round_evals + 1 + strategy.size * (num_inputs - 1)
-        if new_val <= val + ALT_EPS:
-            val = max(val, new_val)
-            break
+        converged = new_val <= val + ALT_EPS
         val = new_val
+        if converged:
+            break
     return q, strategy, val, steps, evals

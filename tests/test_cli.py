@@ -282,8 +282,8 @@ class TestJsonSchemas:
         assert code == 0
         payload = json.loads(out)
         assert set(payload) == {
-            "ascent_steps", "aux_size", "certified_optimal", "holevo", "leak", "leak_per_symbol", "n",
-            "objective_evals", "q_given_s", "restart_index", "restart_values",
+            "ascent_steps", "aux_size", "certified_optimal", "decompositions", "holevo", "leak",
+            "leak_per_symbol", "n", "objective_evals", "q_given_s", "restart_index", "restart_values",
             "restarts", "rounds", "strategy", "upper", "upper_gap", "value",
         }
         assert payload["value"] == pytest.approx(0.7, abs=1e-9)

@@ -497,6 +497,28 @@ class TestTypeClassWords:
         assert np.array_equal(a.reshape(8, 8), [rng.permutation(base) for _ in range(8)])
 
 
+def per_word_draws(counts, shape, rng):
+    """Type-class words drawn one rng.permutation of the sorted word at a time, in C order over shape."""
+    base = np.repeat(np.arange(len(counts)), counts)
+    words = [rng.permutation(base) for _ in range(math.prod(shape))]
+    return np.array(words, dtype=np.int64).reshape(*shape, base.size)
+
+
+class TestTypeClassWordsMatchPerWordDraws:
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 5)])
+    @pytest.mark.parametrize("counts", [(3, 2), (0, 4, 1), (2, 0, 0, 3), (1,)])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_words_and_next_draw_match(self, seed, counts, shape):
+        ours, theirs = rng_for(seed, "words"), rng_for(seed, "words")
+        words = type_class_words(counts, shape, ours)
+        expected = per_word_draws(counts, shape, theirs)
+        assert words.shape == expected.shape == shape + (sum(counts),)
+        assert words.dtype == np.int64
+        assert np.array_equal(words, expected)
+        # The generator is left where the per-word loop leaves it.
+        assert ours.random() == theirs.random()
+
+
 class TestCoverage:
     def test_saturating_window_always_covers(self):
         # delta/2 above the largest possible divergence makes every word match.

@@ -11,13 +11,16 @@ from gpcq.causal import causal_capacity, state_averaged_holevo
 from gpcq.channel import build_channel, derived_states, letter_states, product_extension
 from gpcq.coding import simulate_rate_error_curve
 from gpcq.errors import GpcqError, NonFinite, PreconditionViolated, ShapeMismatch
+import gpcq.noncausal as noncausal
 from gpcq.noncausal import (
     ALT_EPS,
+    ASCENT_ITERS,
     _alternate,
     _ascend_q,
     _cross_term,
     _objective,
     _q_step,
+    _stack,
     _sweep_strategy,
     default_aux_size,
     gp_objective,
@@ -251,7 +254,8 @@ class TestAscentGradient:
                         down = _objective(p, tensor, q - bump, strat).value
                         fd[s, u] = (up - down) / (2 * h)
                 fd -= fd.mean(axis=1, keepdims=True)
-                cross = _cross_term(letter_states(tensor, strat), derived_states(p, tensor, q, strat))
+                stack = _stack(derived_states(p, tensor, q, strat))
+                cross = _cross_term(letter_states(tensor, strat), *np.linalg.eigh(stack))
                 grad = p[:, None] * (cross - np.log2(q))
                 grad -= grad.mean(axis=1, keepdims=True)
                 scale = float(np.abs(grad).max())
@@ -262,7 +266,7 @@ class TestAscentStep:
     def _assert_step_never_lowers(self, ch_n, num_u, rng, label):
         p, tensor = ch_n.p, ch_n.tensor
         for q, strat in interior_witnesses(ch_n, num_u, rng, count=4):
-            step = _q_step(letter_states(tensor, strat), derived_states(p, tensor, q, strat))
+            step = _q_step(letter_states(tensor, strat), *np.linalg.eigh(_stack(derived_states(p, tensor, q, strat))))
             assert np.all(step >= 0) and np.allclose(step.sum(axis=1), 1.0, atol=1e-12)
             before = _objective(p, tensor, q, strat).value
             after = _objective(p, tensor, step, strat).value
@@ -299,13 +303,13 @@ class TestSearchMatchesReference:
     def _assert_search_matches(self, ch, q, strat, label, max_rounds=3):
         p, tensor, num_inputs = ch.p, ch.tensor, ch.num_inputs
         cur = _objective(p, tensor, q, strat).value
-        strategy, value = _sweep_strategy(p, tensor, q, strat, num_inputs, cur)
+        strategy, value = _sweep_strategy(p, tensor, q, strat, num_inputs)
         ref_strategy, ref_value = reference.sweep_strategy(p, tensor, q, strat, num_inputs)
         assert np.array_equal(strategy, ref_strategy) and value == ref_value, label
         q_up, *rest = _ascend_q(p, tensor, q, strat, cur)
         ref_q, *ref_rest = reference.ascend_q(p, tensor, q, strat, cur)
         assert np.array_equal(q_up, ref_q) and rest == ref_rest, label
-        q_alt, strat_alt, *counts, rounds = _alternate(p, tensor, q, strat, num_inputs, max_rounds)
+        q_alt, strat_alt, *counts, rounds, _ = _alternate(p, tensor, q, strat, num_inputs, max_rounds)
         ref_q, ref_strat, *ref_counts = reference.alternate(p, tensor, q, strat, num_inputs, max_rounds)
         assert np.array_equal(q_alt, ref_q) and np.array_equal(strat_alt, ref_strat), label
         assert counts == ref_counts and 1 <= rounds <= max_rounds, label
@@ -337,6 +341,58 @@ class TestSearchMatchesReference:
         for num_u in (2, 5, 9):
             for q, strat in search_witnesses(ch, num_u, rng):
                 self._assert_search_matches(ch, q, strat, (seed, num_u))
+
+
+def count_decompositions(monkeypatch, active=lambda: True):
+    """Wrap np.linalg.eigh and eigvalsh; the returned list's one entry counts the calls made while active()."""
+    calls = [0]
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _original=getattr(np.linalg, name), **kwargs):
+            calls[0] += active()
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestDecompositionCounts:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_ascent_makes_one_decomposition_per_scored_candidate_and_one_for_its_start(self, suite, monkeypatch, n):
+        calls = count_decompositions(monkeypatch)
+        rng = np.random.default_rng(2525 + n)
+        stopped_early = []
+        for name, ch, ch_n in corpus_blocks(suite, n):
+            num_u = default_aux_size(ch.num_states, ch.num_inputs, n)
+            for q, strat in search_witnesses(ch_n, num_u, rng):
+                cur = _objective(ch_n.p, ch_n.tensor, q, strat).value
+                calls[0] = 0
+                _, _, steps, evals = _ascend_q(ch_n.p, ch_n.tensor, q, strat, cur)
+                assert calls[0] == evals + 1, (name, n)
+                if steps < ASCENT_ITERS:
+                    # A rejected candidate ended the ascent.
+                    assert calls[0] == steps + 2, (name, n)
+                    stopped_early.append(steps)
+        assert stopped_early and max(stopped_early) > 0
+
+    @pytest.mark.parametrize("n, max_rounds", [(1, 40), (2, 2)])
+    def test_witness_counts_every_decomposition_of_the_search(self, suite, monkeypatch, n, max_rounds):
+        # Only calls made inside a start's search count: the causal seed's
+        # solve, the upper bound and the final report are not the search.
+        inside = [False]
+        calls = count_decompositions(monkeypatch, lambda: inside[0])
+
+        def alternate(*args, _original=noncausal._alternate):
+            inside[0] = True
+            try:
+                return _original(*args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(noncausal, "_alternate", alternate)
+        for name, ch in suite.items():
+            calls[0] = 0
+            wit = noncausal_lower_bound(ch, n=n, restarts=3, seed=25, max_rounds=max_rounds)
+            assert wit.decompositions == calls[0] > 0, (name, n)
 
 
 class TestWitnessHelpers:
