@@ -9,27 +9,40 @@ the n slots, in the decoding basis frame (schur_weyl.DecodeContext). The
 square-root sum, its eigh, the smoothed elements, the sequential chain,
 validate_povm's checks and the closure check all run block by block. A
 dense operator list is the one-block case of the same code, and each
-decoder returns its input's form.
+decoder returns its input's form. Leading batch axes of a BlockStack index
+independent POVMs: each keeps its own support, error outcome, closure and
+sum check, and the sequential chain advances every POVM of the batch one
+message at a time.
 
-A trial's decoder input is one DecodeContext.projectors call on its
-(messages, codewords per message, n) word array: each message's operator
-is the sum of its codewords' projectors, K bins for a binned trial and one
-codeword for a causal one, and every distinct codeword is gathered once
-from its letter type's Kronecker product by a slot permutation. A causal
-trial draws its codewords by rejection from batches of candidates. Letter
-states are rotated into the basis frame, and the success traces of all
-messages come from one quantum.product_traces contraction per chunk of
+A simulation point's trials run in batches. Each trial draws its codewords
+from its own generator, and a batch's decoder input is one
+DecodeContext.projectors call on the (trials * messages, codewords per
+message, n) word array: each message's operator is the sum of its
+codewords' projectors, K bins for a binned trial and one codeword for a
+causal one, and every distinct codeword is gathered once from its letter
+type's Kronecker product by a slot permutation. A causal trial draws its
+codewords by rejection from batches of candidates. Letter states are
+rotated into the basis frame, and the success traces of all messages of a
+batch come from one quantum.product_traces contraction per chunk of
 messages. The chunk's class blocks are scattered straight into the
 slot-paired layout, each slot's row and column digit adjacent
 (BlockStack.paired), with no dense matrix or transpose in between. A state
 word that no bin of its message matches (a declare) counts as a full error.
-The memory model behind BudgetExceeded is the largest footprint of a
-trial's phases: stacks of sum_f |f|^2 float64 entries per message, f over
-the frequency classes of n slots, the gather's index arrays, one type's
-d^n x d^n product with the letter blocks it is built from, class-block
-temporaries of the largest class, and the paired chunk of the success
-traces with the two slot outputs its contraction holds at once, plus the
-tables a trial keeps throughout (_messages_for_rate lists them).
+Each trial's error and declare mass are summed in the order a lone trial
+sums them, so results do not depend on the batching and reruns are
+byte-identical.
+
+The memory model behind BudgetExceeded (_batch_entries) is the largest
+footprint of a batch's phases: stacks of sum_f |f|^2 float64 entries per
+message and trial, f over the frequency classes of n slots, the gather's
+index arrays, one type's d^n x d^n product with the letter blocks it is
+built from, class-block temporaries of the largest class, the paired
+chunk of the success traces with the two slot outputs its contraction
+holds at once, and the matched-set test's temporaries, plus the tables a
+batch keeps throughout. Every rate is
+checked at one trial, and a batch holds the most trials whose model stays
+within the largest single trial of the curve, so batching changes neither
+the budget check nor the largest modelled footprint.
 
 validate_povm refuses non-finite elements before any other check on them,
 and tests positivity by a Cholesky factorization of el + 1e-8 I, which
@@ -38,6 +51,7 @@ exists exactly when the least eigenvalue of el exceeds -1e-8.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -67,6 +81,8 @@ STATE_WORD_CAP = 4096
 # Entries the memory model allows for a trial's small arrays, cached letter
 # class blocks and interpreter objects (3,000 to 3,700 of them measured at n = 8 on flip).
 TABLE_SLACK = 2**13
+# Entries the matched-set test holds per (state word, codeword) pair at its peak.
+MATCHED_PAIR_ENTRIES = 10
 
 
 def _stack(operators, noun: str, dim: int | None = None) -> tuple[BlockStack, bool]:
@@ -99,11 +115,15 @@ def _stack(operators, noun: str, dim: int | None = None) -> tuple[BlockStack, bo
 
 
 def _first_flagged(stack: BlockStack, flags) -> int | None:
-    """First element that flags(block), one bool per element, marks in any block."""
-    marked = np.zeros(len(stack), dtype=bool)
+    """Element index, within its own list, of the first element that flags(block) marks in any block.
+
+    flags gives one bool per element, shape (*batch, N); the first is taken
+    in C order, so in the first list that has one.
+    """
+    marked = np.zeros(stack.blocks[0].shape[:-2], dtype=bool)
     for block in stack.blocks:
         marked |= flags(block)
-    return int(np.argmax(marked)) if marked.any() else None
+    return int(np.argmax(marked)) % len(stack) if marked.any() else None
 
 
 def _not_hermitian(block: np.ndarray, tol: float) -> np.ndarray:
@@ -113,15 +133,15 @@ def _not_hermitian(block: np.ndarray, tol: float) -> np.ndarray:
 def _not_positive(block: np.ndarray) -> np.ndarray:
     """Elements of the block without a Cholesky factor of el + 1e-8 I."""
     shifted = block + POVM_TOL * np.eye(block.shape[-1])
+    failed = np.zeros(block.shape[:-2], dtype=bool)
     try:
         np.linalg.cholesky(shifted)
-        return np.zeros(len(block), dtype=bool)
+        return failed
     except np.linalg.LinAlgError:
         pass
-    failed = np.zeros(len(block), dtype=bool)
-    for i, el in enumerate(shifted):
+    for i in np.ndindex(failed.shape):
         try:
-            np.linalg.cholesky(el)
+            np.linalg.cholesky(shifted[i])
         except np.linalg.LinAlgError:
             failed[i] = True
     return failed
@@ -130,12 +150,15 @@ def _not_positive(block: np.ndarray) -> np.ndarray:
 def validate_povm(elements, dim: int) -> None:
     """Refuse an empty list, bad elements, and element sums above identity.
 
-    ``elements`` is a sequence of dense (dim, dim) arrays or a BlockStack.
-    Every element must be finite (checked first, over all elements), of
-    dimension dim, Hermitian to 1e-8 and positive: el + 1e-8 I must have a
-    Cholesky factor, which holds exactly when the least eigenvalue of el
-    exceeds -1e-8. A block-diagonal operator passes each check exactly when
-    each of its blocks does, so every check runs block by block.
+    ``elements`` is a sequence of dense (dim, dim) arrays or a BlockStack,
+    whose leading batch axes index independent POVMs. Every element must be
+    finite (checked first, over all elements), of dimension dim, Hermitian
+    to 1e-8 and positive: el + 1e-8 I must have a Cholesky factor, which
+    holds exactly when the least eigenvalue of el exceeds -1e-8. A
+    block-diagonal operator passes each check exactly when each of its
+    blocks does, so every check runs block by block. A refused element is
+    named by its index in its own POVM, and each POVM's sum is checked
+    against the identity on its own.
     """
     stack, _ = _stack(elements, "element", dim)
     if stack.dim != dim:
@@ -146,9 +169,10 @@ def validate_povm(elements, dim: int) -> None:
     bad = _first_flagged(stack, _not_positive)
     if bad is not None:
         raise InvalidPOVM(f"element {bad} has a negative eigenvalue")
-    top = max(float(np.linalg.eigvalsh(block.sum(axis=0)).max()) for block in stack.blocks)
-    if top > 1.0 + POVM_TOL:
-        raise InvalidPOVM(f"elements sum above identity by {top - 1.0}")
+    top = np.max([np.linalg.eigvalsh(block.sum(axis=-3)).max(axis=-1) for block in stack.blocks], axis=0)
+    over = top[top > 1.0 + POVM_TOL]
+    if over.size:
+        raise InvalidPOVM(f"elements sum above identity by {float(over[0]) - 1.0}")
 
 
 def _returned(povm: BlockStack, dense: bool):
@@ -156,13 +180,17 @@ def _returned(povm: BlockStack, dense: bool):
     if dense:
         return list(povm.blocks[0][:-1]), povm.blocks[0][-1]
     return (
-        BlockStack(tuple(b[:-1] for b in povm.blocks), povm.index),
-        BlockStack(tuple(b[-1:] for b in povm.blocks), povm.index),
+        BlockStack(tuple(b[..., :-1, :, :] for b in povm.blocks), povm.index),
+        BlockStack(tuple(b[..., -1:, :, :] for b in povm.blocks), povm.index),
     )
 
 
+def _adjoint(ops: np.ndarray) -> np.ndarray:
+    return ops.conj().swapaxes(-1, -2)
+
+
 def _hermitian_part(ops: np.ndarray) -> np.ndarray:
-    return 0.5 * (ops + ops.conj().swapaxes(-1, -2))
+    return 0.5 * (ops + _adjoint(ops))
 
 
 def square_root_decoder(projectors):
@@ -173,24 +201,27 @@ def square_root_decoder(projectors):
     projector exactly, so closure holds to machine precision. Block-diagonal
     input (a BlockStack) is decoded block by block: one eigh of each block
     of the sum, with the support judged against the largest eigenvalue of
-    all blocks. The output has the input's form.
+    all blocks. Leading batch axes of a BlockStack index independent
+    operator lists, each decoded with its own sum, support and error
+    outcome. The output has the input's form.
     """
     stack, dense = _stack(projectors, "operator")
-    spectra = [np.linalg.eigh(block.sum(axis=0)) for block in stack.blocks]
-    top = max(float(vals.max(initial=0.0)) for vals, _ in spectra)
+    spectra = [np.linalg.eigh(block.sum(axis=-3)) for block in stack.blocks]
+    top = np.max([vals.max(axis=-1, initial=0.0) for vals, _ in spectra], axis=0)[..., None]
     povm = []
     for block, (vals, vecs) in zip(stack.blocks, spectra):
         support = (vals > RANK_TOL * top) & (top > 0.0)
         inv_sqrt = np.zeros_like(vals)
         inv_sqrt[support] = vals[support] ** -0.5
-        smoother = (vecs * inv_sqrt[None, :]) @ vecs.conj().T
-        ops = np.empty((len(block) + 1,) + block.shape[1:], dtype=np.result_type(block, vecs))
-        np.matmul(smoother @ block, smoother, out=ops[:-1])
-        ops[-1] = np.eye(len(vals)) - vecs[:, support] @ vecs[:, support].conj().T
+        smoother = ((vecs * inv_sqrt[..., None, :]) @ _adjoint(vecs))[..., None, :, :]
+        kept = vecs * support[..., None, :]
+        ops = np.empty(block.shape[:-3] + (len(stack) + 1,) + block.shape[-2:], dtype=np.result_type(block, vecs))
+        np.matmul(smoother @ block, smoother, out=ops[..., :-1, :, :])
+        ops[..., -1, :, :] = np.eye(vals.shape[-1]) - kept @ _adjoint(kept)
         povm.append(_hermitian_part(ops))
     povm = BlockStack(tuple(povm), stack.index)
     validate_povm(povm, stack.dim)
-    closure = max(float(np.max(np.abs(b.sum(axis=0) - np.eye(b.shape[-1])))) for b in povm.blocks)
+    closure = max(float(np.max(np.abs(b.sum(axis=-3) - np.eye(b.shape[-1])))) for b in povm.blocks)
     if closure > POVM_TOL:
         raise InvalidPOVM(f"square-root closure defect {closure}")
     return _returned(povm, dense)
@@ -202,7 +233,9 @@ def sequential_decoder(projectors):
     Element m is the m-th projector conjugated by the complements of all
     earlier ones; the telescoping identity keeps the total below identity,
     and the remainder is the error outcome. Block-diagonal input runs the
-    chain block by block; the output has the input's form.
+    chain block by block, and leading batch axes of a BlockStack index
+    independent chains, advanced together one message at a time. The output
+    has the input's form.
     """
     stack, dense = _stack(projectors, "operator")
     bad = _first_flagged(
@@ -213,13 +246,15 @@ def sequential_decoder(projectors):
     povm = []
     for block in stack.blocks:
         eye = np.eye(block.shape[-1])
-        ops = np.empty((len(block) + 1,) + block.shape[1:], dtype=np.result_type(block, float))
+        ops = np.empty(block.shape[:-3] + (len(stack) + 1,) + block.shape[-2:], dtype=np.result_type(block, float))
         chain = eye
-        for m, proj in enumerate(block):
-            ops[m] = chain.conj().T @ proj @ chain
+        for m in range(len(stack)):
+            proj = block[..., m, :, :]
+            ops[..., m, :, :] = _adjoint(chain) @ proj @ chain
             chain = (eye - proj) @ chain
-        ops[:-1] = _hermitian_part(ops[:-1])
-        ops[-1] = _hermitian_part(eye - ops[:-1].sum(axis=0))
+        elements = ops[..., :-1, :, :]
+        elements[...] = _hermitian_part(elements)
+        ops[..., -1, :, :] = _hermitian_part(eye - elements.sum(axis=-3))
         povm.append(ops)
     povm = BlockStack(tuple(povm), stack.index)
     validate_povm(povm, stack.dim)
@@ -256,57 +291,78 @@ def _chunk_entries(dim: int, d: int, per_slot: Sequence[int]) -> int:
     return dim * dim + max(a + b for a, b in zip(outs, outs[1:] + [0]))
 
 
-def _messages_for_rate(rate: float, n: int, d: int, lead: int, states: int) -> int:
-    """2^(n rate) messages, refused when their decoder cannot fit the memory budget.
+def _batch_entries(trials: int, M: int, n: int, d: int, lead: int, states: int) -> int:
+    """Float64 entries that a batch of ``trials`` trials of M messages holds at its largest phase.
 
     A message's decode operator sums ``lead`` codeword projectors, and its
     traces contract against ``lead`` lists of ``states`` states per slot: K
     bins and K lists of |S| states for a binned trial, one codeword and one
-    state for a causal one. The model is the largest float64 footprint of a
-    trial's phases, with E = sum_f |f|^2 and F = max_f |f|^2 over the
-    frequency classes f of n slots and M messages:
+    state for a causal one. With T = trials, E = sum_f |f|^2 and F =
+    max_f |f|^2 over the frequency classes f of n slots, the phases are:
 
-    - gathering codeword projectors: lead M (E + F + 2 d^n) + d^(2n) +
+    - gathering codeword projectors: T lead M (E + F + 2 d^n) + d^(2n) +
       2 d^(2n-2), the distinct words' stack, the words' int64 gather
       indices and the slice of them for one letter type (at most d^n
       entries per word each), the gathered block of the class being read
       (at most F per word), and the one letter type's Kronecker product
-      held at a time with the dense letter blocks and partial product it
-      is built from (at most 2 d^(2n-2) entries);
-    - building the decoder input: M ((lead + 1) E + F), the distinct
+      held at a time, shared by the batch, with the dense letter blocks and
+      partial product it is built from (at most 2 d^(2n-2) entries);
+    - building the decoder input: T M ((lead + 1) E + F), the distinct
       words' stack, the per-message sums and one class-block temporary;
-    - decoding: (2M + 1) E + 3 (M + 1) F, the decoder input, the POVM with
-      its error outcome, validate_povm's Cholesky copy and factor of the
-      largest class, and one class block more for what peak RSS adds to
-      the arrays (allocator slack, LAPACK copies);
-    - success traces: (M + 1) E and one chunk of _chunk_entries per message
-      (its paired operator and the two slot outputs alive at once).
+    - decoding: T ((2M + 1) E + 3 (M + 1) F), each trial's decoder input
+      and POVM with its error outcome, validate_povm's Cholesky copy and
+      factor of the largest class, and one class block more for what peak
+      RSS adds to the arrays (allocator slack, LAPACK copies);
+    - success traces: T (M + 1) E and one chunk of _chunk_entries per
+      message of the batch (its paired operator and the two slot outputs
+      alive at once);
+    - the matched-set test of a binned trial: 10 W T M lead, the
+      method_of_types.matched_set_members temporaries (keys, their sort
+      and inverse, scores: 8.2 to 9.5 entries per pair of a state word and
+      a codeword under tracemalloc at n = 4 to 10), run before any decode
+      operator exists.
 
-    Every phase also counts the tables a trial keeps throughout: the decode
+    Every phase also counts the tables a batch keeps throughout: the decode
     context's n d^n word digits; the W = states^n state words with their n
-    digits and M lead traces each; and TABLE_SLACK entries of small arrays,
-    cached letter class blocks and interpreter objects. The per-message
-    part is compared in log2 terms first, so 2^(n rate) is only formed once
-    it fits. CapExceeded first when the n-slot classes are past
-    schur_weyl.DIM_CAP, then when W exceeds STATE_WORD_CAP, the state words
-    a binned trial enumerates.
+    digits, shared by the batch, and T M lead traces each; and TABLE_SLACK
+    entries of small arrays, cached letter class blocks and interpreter
+    objects. At T = 1 this is one trial's footprint.
+    """
+    sizes = [words.size**2 for words in class_partition(d, n).words]
+    E, F = sum(sizes), max(sizes)
+    chunk = _chunk_entries(d**n, d, [lead * states] + [states] * (n - 1))
+    gather = trials * M * lead * (E + F + 2 * d**n) + d ** (2 * n) + 2 * d ** (2 * n - 2)
+    build = trials * M * ((lead + 1) * E + F)
+    decode = trials * ((2 * M + 1) * E + 3 * (M + 1) * F)
+    traces = trials * (M + 1) * E + max(1, trials * M * E // chunk) * chunk
+    matched = MATCHED_PAIR_ENTRIES * states**n * trials * M * lead
+    tables = n * d**n + states**n * (n + trials * M * lead) + TABLE_SLACK
+    return tables + max(gather, build, decode, traces, matched)
+
+
+def _messages_for_rate(rate: float, n: int, d: int, lead: int, states: int) -> int:
+    """2^(n rate) messages, refused when one trial of them cannot fit the memory budget.
+
+    The model is _batch_entries of one trial: the largest float64 footprint
+    of its phases. Its per-message terms (a message's gather entries, its
+    lead + 1 decoder-input stacks, its two decoding stacks, its matched-set
+    temporaries) are compared in log2 terms first, so 2^(n rate) is only
+    formed once it fits. Rates are at least 0, so M is at least one message.
+    CapExceeded first when the n-slot classes are past schur_weyl.DIM_CAP,
+    then when states^n exceeds STATE_WORD_CAP, the state words a binned
+    trial enumerates.
     """
     budget = memory_budget_bytes()
     sizes = [words.size**2 for words in class_partition(d, n).words]
     if states**n > STATE_WORD_CAP:
         raise CapExceeded(f"|S|^n = {states**n} exceeds exact-evaluation cap {STATE_WORD_CAP}")
     E, F = sum(sizes), max(sizes)
-    gather = lead * (E + F + 2 * d**n)
-    per_message = max(gather, (lead + 1) * E + F, 2 * E + 3 * F)
-    log2_bytes = max(n * rate, 0.0) + math.log2(8 * per_message)
+    matched = MATCHED_PAIR_ENTRIES * states**n * lead
+    per_message = max(lead * (E + F + 2 * d**n), (lead + 1) * E + F, 2 * E + 3 * F, matched)
+    log2_bytes = n * rate + math.log2(8 * per_message)
     if log2_bytes <= math.log2(max(budget, 1)):
-        M = max(1, math.ceil(2.0 ** (n * rate) - 1e-9))
-        chunk = _chunk_entries(d**n, d, [lead * states] + [states] * (n - 1))
-        traces = (M + 1) * E + max(1, M * E // chunk) * chunk
-        projectors = M * gather + d ** (2 * n) + 2 * d ** (2 * n - 2)
-        tables = n * d**n + states**n * (n + M * lead) + TABLE_SLACK
-        entries = tables + max(projectors, M * ((lead + 1) * E + F), (2 * M + 1) * E + 3 * (M + 1) * F, traces)
-        log2_bytes = math.log2(8 * entries)
+        M = math.ceil(2.0 ** (n * rate) - 1e-9)
+        log2_bytes = math.log2(8 * _batch_entries(1, M, n, d, lead, states))
     if log2_bytes > math.log2(max(budget, 1)):
         raise BudgetExceeded(
             f"rate {rate} at n={n} needs ~2^{log2_bytes:.1f} bytes of decoder, budget is {budget}",
@@ -374,6 +430,11 @@ def _typical_words(q: np.ndarray, n: int, M: int, delta: float, rng: np.random.G
     return np.array(words[:M], dtype=np.int64)
 
 
+def _round_sums(x: np.ndarray) -> np.ndarray:
+    """The sum of each x[t] over its entries in C order: one pairwise sum per round, as if it ran alone."""
+    return np.ascontiguousarray(x).reshape(len(x), -1).sum(axis=1)
+
+
 def simulate_noncausal_trial(
     ch: StateChannel,
     p_su: np.ndarray,
@@ -381,38 +442,45 @@ def simulate_noncausal_trial(
     ctx: DecodeContext,
     K: int,
     M: int,
-    rng: np.random.Generator,
-):
-    """One binned-codebook round with the square-root decoder, evaluated exactly.
+    rngs: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """Binned-codebook rounds with the square-root decoder, one per generator, evaluated exactly.
 
-    Returns (error, declare mass). The blocklength and the matched-set radius
+    Returns a (T, 2) array, one (error, declare mass) row per generator in
+    rngs; round t draws its codebook from rngs[t] alone, so its row does not
+    depend on the other rounds. The blocklength and the matched-set radius
     are ctx.n and ctx.delta. State words are enumerated exhaustively; the
     encoder picks uniformly among the message's bins whose codeword matches
     the state word, and a declare (no bin matches) counts as a full error
-    for its state mass.
+    for its state mass. The T rounds share one projectors call, one
+    batched decoder call and one _success_traces call.
     """
     n, delta = ctx.n, ctx.delta
     num_s = p_su.shape[0]
     if num_s**n > STATE_WORD_CAP:
         raise CapExceeded(f"|S|^n = {num_s**n} exceeds exact-evaluation cap {STATE_WORD_CAP}")
-    p_u = p_su.sum(axis=0)
-    words = type_class_words(nearest_type(p_u, n), (K, M), rng)
-
-    elements, _ = square_root_decoder(ctx.projectors(words.swapaxes(0, 1)))
-
-    p = ch.p
+    counts = nearest_type(p_su.sum(axis=0), n)
+    # (T, M, K, n): round t's bins of message m.
+    words = np.stack([type_class_words(counts, (K, M), rng) for rng in rngs]).swapaxes(1, 2)
+    T = len(words)
     s_digits = digit_table(num_s, n)
-    mass = p[s_digits].prod(axis=1)
-    members = matched_set_members(s_digits, words.reshape(K * M, n), p_su, delta).reshape(-1, K, M).T
+    mass = ch.p[s_digits].prod(axis=1)
+    # The matched-set test runs before any decode operator is alive.
+    members = matched_set_members(s_digits, words.reshape(-1, n), p_su, delta)
+    members = members.reshape(-1, T, M, K).transpose(1, 2, 3, 0)
+    elements = square_root_decoder(ctx.projectors(words.reshape(T * M, K, n)).reshape(T, M))[0].reshape(T * M)
     # rotated[u] stacks, in the basis frame, the output of every state letter under auxiliary letter u.
     rotated = ctx.rotate(letter_states(ch.tensor, strategy)).swapaxes(0, 1)
-    # One (M, K, |S|, d, d) stack per slot; traces[m, k] holds one trace per state word, in digit_table order.
-    traces = _success_traces(elements, [rotated[words[:, :, j].T] for j in range(n)])
-    counts = members.sum(axis=1)
-    succ = (members * traces).sum(axis=1) / np.maximum(counts, 1)  # 0 where no bin matches
-    err_total = float((mass * (1.0 - succ)).sum())
-    declare_total = float((mass * (counts == 0)).sum())
-    return err_total / M, declare_total / M
+    # One (T M, K, |S|, d, d) stack per slot; traces[t, m, k] holds one trace per state word, in digit_table order.
+    slots = [rotated[words[..., j].reshape(T * M, K)] for j in range(n)]
+    traces = _success_traces(elements, slots).reshape(members.shape)
+    del elements  # freed before the trace arithmetic
+    hits = members.sum(axis=2)
+    succ = (members * traces).sum(axis=2) / np.maximum(hits, 1)  # 0 where no bin matches
+    err = _round_sums(mass * (1.0 - succ))
+    # Declares are summed state word by state word over the messages.
+    declares = _round_sums(mass[:, None] * (hits == 0).swapaxes(1, 2))
+    return np.column_stack([err, declares]) / M
 
 
 def simulate_causal_trial(
@@ -420,21 +488,25 @@ def simulate_causal_trial(
     q: np.ndarray,
     ctx: DecodeContext,
     M: int,
-    rng: np.random.Generator,
-):
-    """One strategy-codebook round with the sequential decoder, evaluated exactly.
+    rngs: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """Strategy-codebook rounds with the sequential decoder, one per generator, evaluated exactly.
 
-    Codewords are ctx.delta-typical words of length ctx.n. The state average
-    factorizes, so the expected success of message m is the trace of its
-    effective measurement element against the product of per-letter averaged
-    states.
+    Returns a (T, 2) array, one (error, 0) row per generator in rngs; round
+    t draws its codewords from rngs[t] alone. Codewords are ctx.delta-typical
+    words of length ctx.n. The state average factorizes, so the expected
+    success of message m is the trace of its effective measurement element
+    against the product of per-letter averaged states. The T rounds share
+    one projectors call, one batched decoder call and one _success_traces
+    call.
     """
     n = ctx.n
-    words = _typical_words(q, n, M, ctx.delta, rng)
-    elements, _ = sequential_decoder(ctx.projectors(words[:, None]))
+    words = np.stack([_typical_words(q, n, M, ctx.delta, rng) for rng in rngs])
+    T = len(words)
+    elements = sequential_decoder(ctx.projectors(words.reshape(T * M, 1, n)).reshape(T, M))[0].reshape(T * M)
     rotated = ctx.rotate(derived_states)
-    traces = _success_traces(elements, [rotated[words[:, j]][:, None] for j in range(n)])
-    return 1.0 - float(traces.sum()) / M, 0.0
+    traces = _success_traces(elements, [rotated[words[..., j].reshape(-1)][:, None] for j in range(n)])
+    return np.column_stack([1.0 - _round_sums(traces.reshape(T, M)) / M, np.zeros(T)])
 
 
 def simulate_rate_error_curve(
@@ -458,7 +530,11 @@ def simulate_rate_error_curve(
     Witnesses are solved once per channel unless supplied. Both decode
     against rho_u = sum_s p(s|u) rho[s, f(s, u)]: a causal witness (q,
     columns) leaks nothing about the state, so it is the witness q(u|s) = q(u)
-    with the strategy f = columns.T, and is checked as that witness.
+    with the strategy f = columns.T, and is checked as that witness. Each
+    (n, rate) point runs its trials in batches of the most trials whose
+    memory model stays within the curve's largest single trial; trial t
+    draws from rng_for(seed, scheme tag, n, rate index, t), so a row does
+    not depend on the batching.
     """
     from .causal import causal_capacity
     from .noncausal import _check_witness, noncausal_lower_bound, trim_witness
@@ -469,14 +545,21 @@ def simulate_rate_error_curve(
         raise NonFinite(f"rates {list(rates)} and delta {delta} must be finite")
     if delta < 0:
         raise PreconditionViolated("delta", delta, ">= 0")
+    if any(r < 0 for r in rates):
+        raise PreconditionViolated("every rate", list(rates), ">= 0")
     if trials < 1 or K < 1 or restarts < 1 or any(n < 1 for n in n_list):
         raise PreconditionViolated(
             "trials, K, restarts and every n", (trials, K, restarts, list(n_list)), ">= 1"
         )
     causal = scheme == "causal-sequential"
     # A message sums K bins against K lists of |S| states per slot, or one codeword against one state.
-    lead, states = (1, 1) if causal else (K, ch.num_states)
-    messages = [[_messages_for_rate(rate, n, ch.dim, lead, states) for rate in rates] for n in n_list]
+    lead, per_list = (1, 1) if causal else (K, ch.num_states)
+    messages = [[_messages_for_rate(rate, n, ch.dim, lead, per_list) for rate in rates] for n in n_list]
+    # Each point's trials run in batches that hold no more than the curve's largest single trial.
+    cap = max(
+        (_batch_entries(1, M, n, ch.dim, lead, per_list) for n, counts in zip(n_list, messages) for M in counts),
+        default=0,
+    )
 
     p = ch.p
     # Each witness becomes letter weights q(u), weights p(s|u)/p(s) and an
@@ -503,16 +586,24 @@ def simulate_rate_error_curve(
     states = derived_states(p, ch.tensor, weights, strat)
     _, basis = eigenbasis(np.einsum("u,uij->ij", q, states))
 
+    tag = "causal" if causal else "noncausal"
     rows: list[SimRow] = []
     for n, counts in zip(n_list, messages):
         ctx = DecodeContext(states, basis, n, delta)
         for r_idx, (rate, M) in enumerate(zip(rates, counts)):
-            results = np.array([
-                simulate_causal_trial(states, q, ctx, M, rng_for(seed, "causal", n, r_idx, t))
-                if causal
-                else simulate_noncausal_trial(ch, p_su, strat, ctx, K, M, rng_for(seed, "noncausal", n, r_idx, t))
-                for t in range(trials)
-            ])
+            # The most trials whose batch model is within cap; the model grows with the trial count.
+            size = bisect.bisect_right(
+                range(1, trials + 1), cap, key=lambda t: _batch_entries(t, M, n, ch.dim, lead, per_list)
+            )
+            batches = []
+            for first in range(0, trials, size):
+                rngs = [rng_for(seed, tag, n, r_idx, t) for t in range(first, min(first + size, trials))]
+                batches.append(
+                    simulate_causal_trial(states, q, ctx, M, rngs)
+                    if causal
+                    else simulate_noncausal_trial(ch, p_su, strat, ctx, K, M, rngs)
+                )
+            results = np.concatenate(batches)
             err, lo, hi = _mean_ci(results[:, 0])
             declares = float(np.mean(results[:, 1]))
             rows.append(SimRow(scheme, n, float(rate), 1 if causal else K, M, err, lo, hi, declares))

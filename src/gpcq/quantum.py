@@ -97,9 +97,10 @@ def product_traces(op, slot_states) -> np.ndarray:
 class BlockStack:
     """N operators on one space, block diagonal over one partition of its basis.
 
-    ``blocks[c]`` has shape (N, s_c, s_c): block c of every operator, on the
-    basis indices ``index[c]``. The index sets are disjoint and cover
-    range(dim), so a dense matrix is the one-block case.
+    ``blocks[c]`` has shape (*batch, N, s_c, s_c): block c of every operator,
+    on the basis indices ``index[c]``. Leading batch axes, the same for every
+    block, index independent lists of N operators. The index sets are
+    disjoint and cover range(dim), so a dense matrix is the one-block case.
     """
 
     blocks: tuple[np.ndarray, ...]
@@ -107,25 +108,31 @@ class BlockStack:
 
     def __post_init__(self):
         if len(self.blocks) != len(self.index) or any(
-            b.ndim != 3 or b.shape[1:] != (i.size, i.size) or len(b) != len(self.blocks[0])
+            b.ndim < 3 or b.shape[-2:] != (i.size, i.size) or b.shape[:-2] != self.blocks[0].shape[:-2]
             for b, i in zip(self.blocks, self.index)
         ):
-            raise DimensionMismatch("blocks must be (N, s_c, s_c) stacks on index sets of sizes s_c")
+            raise DimensionMismatch("blocks must be (*batch, N, s_c, s_c) stacks on index sets of sizes s_c")
 
     @property
     def dim(self) -> int:
         return sum(idx.size for idx in self.index)
 
     def __len__(self) -> int:
-        return self.blocks[0].shape[0]
+        """N, the operators in each list."""
+        return self.blocks[0].shape[-3]
+
+    def reshape(self, *lead: int) -> BlockStack:
+        """The same operators with their leading (batch and list) axes reshaped to ``lead``."""
+        return BlockStack(tuple(b.reshape(*lead, *b.shape[-2:]) for b in self.blocks), self.index)
 
     def paired(self, d: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Operators lo..hi-1 scattered into an (hi - lo, dim²) array in product_traces' slot-paired layout.
 
-        dim must be a power of d, every slot's dimension. Entry (a, b) goes
-        to d spread[a] + spread[b], where spread[a] = sum_k a_k (d²)^(n-k)
-        reads a's base-d digits in base d², so each block is one fancy
-        assignment and no dim x dim index table is formed.
+        The stack has no batch axes. dim must be a power of d, every slot's
+        dimension. Entry (a, b) goes to d spread[a] + spread[b], where
+        spread[a] = sum_k a_k (d²)^(n-k) reads a's base-d digits in base d²,
+        so each block is one fancy assignment and no dim x dim index table is
+        formed.
         """
         spread = np.zeros(1, dtype=np.int64)
         while spread.size < self.dim and d > 1:

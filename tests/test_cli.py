@@ -150,6 +150,10 @@ class TestExitCodes:
               "--n", "2", "--restarts", "0", "--seed", "1"), "precondition-violated"),
             (("simulate", "{flip}", "--scheme", "causal-sequential", "--rates", "0.5",
               "--n", "2", "--delta", "-1", "--seed", "1"), "precondition-violated"),
+            (("simulate", "{flip}", "--scheme", "noncausal-sqrt", "--rates", "-0.5",
+              "--n", "4", "--trials", "2", "--seed", "1"), "precondition-violated"),
+            (("simulate", "{flip}", "--scheme", "causal-sequential", "--rates", "0.5,-0.25",
+              "--n", "4", "--trials", "2", "--seed", "1"), "precondition-violated"),
             (("schur", "dims", "--d", "-2", "--n", "3"), "precondition-violated"),
             (("schur", "frames", "--d", "0", "--n", "3"), "precondition-violated"),
             (("schur", "frames", "--d", "2", "--n", "-1"), "precondition-violated"),

@@ -7,11 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gpcq import noncausal
+from gpcq import coding, noncausal
 from gpcq.channel import BUDGET_ENV_VAR, build_channel, derived_states
 from gpcq.coding import (
     SimRow,
     _chunk_entries,
+    _mean_ci,
     _success_traces,
     _typical_words,
     rows_to_csv,
@@ -321,6 +322,97 @@ class TestBlockDecoders:
                     validate_povm(stack, 3)
 
 
+class TestDecoderBatches:
+    """A BlockStack with a batch axis decodes and validates as each of its lists alone, bit for bit."""
+
+    INDEX = (np.array([0, 3, 4]), np.array([1, 5]), np.array([2]))
+
+    @classmethod
+    def batch(cls, members) -> BlockStack:
+        """The members' blocks stacked along a leading batch axis."""
+        return BlockStack(tuple(np.stack(blocks) for blocks in zip(*members)), cls.INDEX)
+
+    @classmethod
+    def member(cls, rng, count=4, scale=1.0, empty=()) -> list:
+        """Blocks of count random projectors times scale, zero on the blocks listed in empty."""
+        return [
+            np.stack([scale * (c not in empty) * random_projector(idx.size, rng) for _ in range(count)])
+            for c, idx in enumerate(cls.INDEX)
+        ]
+
+    @staticmethod
+    def raised(call) -> tuple:
+        with pytest.raises(GpcqError) as info:
+            call()
+        return type(info.value), str(info.value)
+
+    def decoded(self, rng):
+        """(decoder, its batched input, what it returns) for both decoders.
+
+        The middle list's sum vanishes on block 1. For the square-root decoder
+        that list is also scaled by 1e-12, below RANK_TOL of the other lists'
+        sums, so only a support judged list by list keeps its elements.
+        """
+        out = []
+        for decode, scale in [(sequential_decoder, 1.0), (square_root_decoder, 1e-12)]:
+            stack = self.batch([self.member(rng), self.member(rng, scale=scale, empty=(1,)), self.member(rng)])
+            out.append((decode, stack, decode(stack)))
+        return out
+
+    def test_batch_decodes_as_each_list_alone(self, rng):
+        for decode, stack, (elements, error) in self.decoded(rng):
+            for t in range(3):
+                alone, alone_error = decode(BlockStack(tuple(b[t] for b in stack.blocks), self.INDEX))
+                for got, want in [(elements, alone), (error, alone_error)]:
+                    assert all(np.array_equal(g[t], w) for g, w in zip(got.blocks, want.blocks)), (decode, t)
+            assert np.array_equal(error.blocks[1][1, 0], np.eye(2))
+        # The scaled list keeps its support: its error outcome vanishes off block 1.
+        assert float(np.abs(error.blocks[0][1, 0]).max()) <= 1e-12
+
+    def test_each_list_is_checked_against_identity_on_its_own(self, rng):
+        # Every list of the batch is a complete POVM, so the lists' elements
+        # together sum to three identities; the batch still passes.
+        for _, _, (elements, error) in self.decoded(rng):
+            povm = BlockStack(tuple(np.concatenate(pair, axis=-3) for pair in zip(elements.blocks, error.blocks)),
+                              self.INDEX)
+            validate_povm(povm, 6)
+            with pytest.raises(InvalidPOVM, match="above identity"):
+                validate_povm(povm.reshape(-1), 6)
+
+    def corrupt(self, stack, block, entry, value):
+        """A copy of stack with entry (row, col) of element 2 of list 1 in the given block set to value."""
+        blocks = [b.copy() for b in stack.blocks]
+        blocks[block][(1, 2) + entry] = value
+        return BlockStack(tuple(blocks), self.INDEX)
+
+    @pytest.mark.parametrize("block, entry, value, text", [
+        (0, (0, 0), np.nan, "element 2 has a non-finite entry"),
+        (0, (0, 1), 0.3, "element 2 is not Hermitian"),
+        (2, (0, 0), -0.1, "element 2 has a negative eigenvalue"),
+        (2, (0, 0), 1.5, "elements sum above identity"),
+    ])
+    def test_bad_element_is_named_by_its_own_list(self, rng, block, entry, value, text):
+        _, _, (elements, error) = self.decoded(rng)[0]
+        povm = BlockStack(tuple(np.concatenate(pair, axis=-3) for pair in zip(elements.blocks, error.blocks)),
+                          self.INDEX)
+        bad = self.corrupt(povm, block, entry, value)
+        alone = BlockStack(tuple(b[1] for b in bad.blocks), self.INDEX)
+        got = self.raised(lambda: validate_povm(bad, 6))
+        assert got == self.raised(lambda: validate_povm(alone, 6))
+        assert text in got[1]
+
+    @pytest.mark.parametrize("decode, value, error", [
+        (square_root_decoder, np.inf, NonFinite),
+        (sequential_decoder, 0.5, NotProjection),
+    ])
+    def test_bad_operator_is_named_by_its_own_list(self, rng, decode, value, error):
+        stack = self.batch([self.member(rng), self.member(rng), self.member(rng)])
+        bad = self.corrupt(stack, 2, (0, 0), value)
+        got = self.raised(lambda: decode(bad))
+        assert got == self.raised(lambda: decode(BlockStack(tuple(b[1] for b in bad.blocks), self.INDEX)))
+        assert got[0] is error and "operator 2 " in got[1]
+
+
 class TestSuccessTraces:
     @pytest.mark.parametrize("lead, L", [((2,), 2), ((), 1)])
     def test_chunks_keep_every_trace_and_match_the_kron_fold(self, rng, lead, L):
@@ -513,7 +605,7 @@ class TestTrialOracle:
         for n, (M, K) in itertools.product([2, 3, 4], [(2, 2), (3, 2), (4, 1)]):
             ctx = DecodeContext(states, basis, n, ORACLE_DELTA)
             if scheme == "binned":
-                err, declares = simulate_noncausal_trial(ch, p_su, XOR, ctx, K, M, rng_for(8, "oracle", n, M))
+                [(err, declares)] = simulate_noncausal_trial(ch, p_su, XOR, ctx, K, M, [rng_for(8, "oracle", n, M)])
                 words = type_class_words(nearest_type(q, n), (K, M), rng_for(8, "oracle", n, M))
                 povm, _ = square_root_decoder(
                     [sum(ref.dense_projector(ctx, w) for w in words[:, m]) for m in range(M)]
@@ -528,7 +620,7 @@ class TestTrialOracle:
                 assert declares == pytest.approx(declared, abs=1e-12), (n, M, K)
                 informative.append(0.0 < declares < 1.0)
             else:
-                err, _ = simulate_causal_trial(states, q, ctx, M, rng_for(8, "oracle", n, M))
+                [(err, _)] = simulate_causal_trial(states, q, ctx, M, [rng_for(8, "oracle", n, M)])
                 words = sequential_typical_words(q, n, M, ORACLE_DELTA, rng_for(8, "oracle", n, M))
                 povm, _ = sequential_decoder([ref.dense_projector(ctx, w) for w in words])
                 code = causal_code(words, XOR, ch.num_states, povm)
@@ -618,6 +710,47 @@ class TestSimulationDriver:
                 gp_witness=self.FLIP_WITNESS, causal_witness=self.CAUSAL_WITNESS, **kw,
             )
 
+    @pytest.mark.parametrize("scheme", ["causal-sequential", "noncausal-sqrt"])
+    def test_negative_rate_rejected(self, flip, scheme):
+        kw = dict(trials=2, seed=1, gp_witness=self.FLIP_WITNESS, causal_witness=self.CAUSAL_WITNESS)
+        with pytest.raises(PreconditionViolated, match="rate"):
+            simulate_rate_error_curve(flip, scheme, [0.5, -0.5], [4], **kw)
+        assert simulate_rate_error_curve(flip, scheme, [0.0], [4], **kw)[0].M == 1
+
+    # Stuck's prior makes the error and declare sums round, so their order shows.
+    @pytest.mark.parametrize("scheme", ["causal-sequential", "noncausal-sqrt"])
+    @pytest.mark.parametrize("name", ["flip", "purecq", "stuck"])
+    def test_uneven_batches_equal_one_trial_at_a_time(self, suite, name, scheme, monkeypatch):
+        ch, n, trials, seed, rates = suite[name], 4, 10, 3, (0.5, 1.2)
+        ctx = decode_context(ch, self.FLIP_WITNESS[0], n)
+        q, p_su = np.array([0.5, 0.5]), ch.p[:, None] * self.FLIP_WITNESS[0]
+        causal = scheme == "causal-sequential"
+
+        def one(M, rngs):
+            if causal:
+                return simulate_causal_trial(ctx.states, q, ctx, M, rngs)
+            return simulate_noncausal_trial(ch, p_su, XOR, ctx, 2, M, rngs)
+
+        sizes = {}
+
+        def counted(*args):
+            rngs = args[-1]
+            sizes.setdefault(args[-2], []).append(len(rngs))
+            return simulate_causal_trial(*args) if causal else simulate_noncausal_trial(*args)
+
+        monkeypatch.setattr(coding, "simulate_causal_trial" if causal else "simulate_noncausal_trial", counted)
+        rows = simulate_rate_error_curve(ch, scheme, rates, [n], trials, seed, K=2, delta=0.2,
+                                         gp_witness=self.FLIP_WITNESS, causal_witness=self.CAUSAL_WITNESS)
+        monkeypatch.undo()
+        # The cap splits the small-rate point's ten trials into batches of unequal size.
+        assert len(set(sizes[4])) == 2 and sum(sizes[4]) == trials and sizes[28] == [1] * trials
+        tag = "causal" if causal else "noncausal"
+        for r_idx, (rate, row) in enumerate(zip(rates, rows)):
+            results = np.concatenate([one(row.M, [rng_for(seed, tag, n, r_idx, t)]) for t in range(trials)])
+            err, lo, hi = _mean_ci(results[:, 0])
+            want = SimRow(scheme, n, rate, 1 if causal else 2, row.M, err, lo, hi, float(np.mean(results[:, 1])))
+            assert row == want
+
     def test_state_word_cap_is_refused_before_any_solve(self, monkeypatch):
         # Three states at n = 8 are 3^8 = 6561 state words, past STATE_WORD_CAP;
         # n = 2 would fit, so the refusal must come before its witness and trials.
@@ -639,19 +772,23 @@ class TestSimulationDriver:
         assert [r.M for r in rows] == [1, 4, 16]
 
     @pytest.mark.parametrize(
-        "scheme, rate, M",
+        "scheme, rates, trials, Ms",
         [
-            pytest.param("causal-sequential", 0.5, 16, id="causal-sequential"),
-            pytest.param("noncausal-sqrt", 0.5, 16, id="noncausal-sqrt"),
+            pytest.param("causal-sequential", [0.5], 1, [16], id="causal-sequential"),
+            pytest.param("noncausal-sqrt", [0.5], 1, [16], id="noncausal-sqrt"),
             # One message: the success-trace chunk is the largest phase.
-            pytest.param("causal-sequential", 0.0, 1, id="causal-sequential-one-message"),
-            pytest.param("noncausal-sqrt", 0.0, 1, id="noncausal-sqrt-one-message"),
+            pytest.param("causal-sequential", [0.0], 1, [1], id="causal-sequential-one-message"),
+            pytest.param("noncausal-sqrt", [0.0], 1, [1], id="noncausal-sqrt-one-message"),
+            # Rate 0.25 runs its five trials in batches of three and two, each
+            # within the model of one rate-0.5 trial.
+            pytest.param("causal-sequential", [0.25, 0.5], 5, [4, 16], id="causal-sequential-batched"),
+            pytest.param("noncausal-sqrt", [0.25, 0.5], 5, [4, 16], id="noncausal-sqrt-batched"),
         ],
     )
-    def test_memory_model_bounds_the_traced_peak(self, flip, scheme, rate, M, monkeypatch):
+    def test_memory_model_bounds_the_traced_peak(self, flip, scheme, rates, trials, Ms, monkeypatch):
         # The budget model must cover every array the run allocates
         # (tracemalloc sees numpy's) and stay within 25% of their peak.
-        kw = dict(rates=[rate], n_list=[8], trials=1, seed=5, K=2, delta=0.2,
+        kw = dict(rates=rates, n_list=[8], trials=trials, seed=5, K=2, delta=0.2,
                   gp_witness=self.FLIP_WITNESS, causal_witness=self.CAUSAL_WITNESS)
         simulate_rate_error_curve(flip, scheme, **kw)  # fills the n-slot class caches
         tracemalloc.start()
@@ -664,7 +801,7 @@ class TestSimulationDriver:
         with pytest.raises(BudgetExceeded):
             simulate_rate_error_curve(flip, scheme, **kw)
         monkeypatch.setenv(BUDGET_ENV_VAR, str(int(1.25 * peak)))
-        assert simulate_rate_error_curve(flip, scheme, **kw)[0].M == M
+        assert [row.M for row in simulate_rate_error_curve(flip, scheme, **kw)] == Ms
 
     def test_csv_layout(self):
         rows = [SimRow("noncausal-sqrt", 4, 0.5, 2, 4, 0.25, 0.2, 0.3, 0.125)]
