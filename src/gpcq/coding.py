@@ -19,30 +19,25 @@ from its own generator, and a batch's decoder input is one
 DecodeContext.projectors call on the (trials * messages, codewords per
 message, n) word array: each message's operator is the sum of its
 codewords' projectors, K bins for a binned trial and one codeword for a
-causal one, and every distinct codeword is gathered once from its letter
-type's Kronecker product by a slot permutation. A causal trial draws its
-codewords by rejection from batches of candidates. Letter states are
-rotated into the basis frame, and the success traces of all messages of a
-batch come from one quantum.product_traces contraction per chunk of
-messages. The chunk's class blocks are scattered straight into the
-slot-paired layout, each slot's row and column digit adjacent
-(BlockStack.paired), with no dense matrix or transpose in between. A state
-word that no bin of its message matches (a declare) counts as a full error.
+causal one, and every distinct codeword is gathered once, by a slot
+permutation, from its letter type's projector, built from the letters'
+class blocks. A causal trial draws its codewords by rejection from batches
+of candidates. Letter states are rotated into the basis frame, and the
+success traces of all messages of a batch come from one
+quantum.product_traces contraction per chunk of messages. The chunk's
+class blocks are scattered straight into the slot-paired layout, each
+slot's row and column digit adjacent (BlockStack.paired), with no dense
+matrix or transpose in between. A state word that no bin of its message
+matches (a declare) counts as a full error.
 Each trial's error and declare mass are summed in the order a lone trial
 sums them, so results do not depend on the batching and reruns are
 byte-identical.
 
 The memory model behind BudgetExceeded (_batch_entries) is the largest
-footprint of a batch's phases: stacks of sum_f |f|^2 float64 entries per
-message and trial, f over the frequency classes of n slots, the gather's
-index arrays, one type's d^n x d^n product with the letter blocks it is
-built from, class-block temporaries of the largest class, the paired
-chunk of the success traces with the two slot outputs its contraction
-holds at once, and the matched-set test's temporaries, plus the tables a
-batch keeps throughout. Every rate is
-checked at one trial, and a batch holds the most trials whose model stays
-within the largest single trial of the curve, so batching changes neither
-the budget check nor the largest modelled footprint.
+float64 footprint of a batch's phases, plus the tables a batch keeps
+throughout. Every rate is checked at one trial, and a batch holds the most
+trials whose model stays within the largest single trial of the curve, so
+batching changes neither the budget check nor the largest modelled footprint.
 
 validate_povm refuses non-finite elements before any other check on them,
 and tests positivity by a Cholesky factorization of el + 1e-8 I, which
@@ -300,13 +295,13 @@ def _batch_entries(trials: int, M: int, n: int, d: int, lead: int, states: int) 
     state for a causal one. With T = trials, E = sum_f |f|^2 and F =
     max_f |f|^2 over the frequency classes f of n slots, the phases are:
 
-    - gathering codeword projectors: T lead M (E + F + 2 d^n) + d^(2n) +
-      2 d^(2n-2), the distinct words' stack, the words' int64 gather
+    - gathering codeword projectors: T lead M (E + F + 2 d^n) + 4 F +
+      (3 n + 2) d^n, the distinct words' stack, the words' int64 gather
       indices and the slice of them for one letter type (at most d^n
       entries per word each), the gathered block of the class being read
-      (at most F per word), and the one letter type's Kronecker product
-      held at a time, shared by the batch, with the dense letter blocks and
-      partial product it is built from (at most 2 d^(2n-2) entries);
+      (at most F per word), and one letter type's build, shared by the
+      batch: its class block with one letter's int64 indices, mask and
+      factor (4 F), and three d^n index arrays per letter, at most n letters;
     - building the decoder input: T M ((lead + 1) E + F), the distinct
       words' stack, the per-message sums and one class-block temporary;
     - decoding: T ((2M + 1) E + 3 (M + 1) F), each trial's decoder input
@@ -331,7 +326,7 @@ def _batch_entries(trials: int, M: int, n: int, d: int, lead: int, states: int) 
     sizes = [words.size**2 for words in class_partition(d, n).words]
     E, F = sum(sizes), max(sizes)
     chunk = _chunk_entries(d**n, d, [lead * states] + [states] * (n - 1))
-    gather = trials * M * lead * (E + F + 2 * d**n) + d ** (2 * n) + 2 * d ** (2 * n - 2)
+    gather = trials * M * lead * (E + F + 2 * d**n) + 4 * F + (3 * n + 2) * d**n
     build = trials * M * ((lead + 1) * E + F)
     decode = trials * ((2 * M + 1) * E + 3 * (M + 1) * F)
     traces = trials * (M + 1) * E + max(1, trials * M * E // chunk) * chunk

@@ -15,17 +15,15 @@ is a sum of (frequency, frame) blocks, so block_projector returns its class
 blocks. A word's decoding projector is the tensor product of its letters'
 block projectors on the word's slots, and it is block diagonal over the
 frequency classes of all n slots, one real block per class. DecodeContext
-builds each letter type's projector once, as the Kronecker product of its
-letters' dense blocks in ascending letter order; every word of the type is
-that product with its slots permuted, which maps each class onto itself, so
-its blocks are one index gather per class. A dense operator in the product
-frame is basis^(tensor n) · blocks · its adjoint, which the program never
-forms.
+builds each letter type's projector once, one class block at a time from
+its letters' class blocks; every word of the type is that projector with
+its slots permuted, which maps each class onto itself, so its blocks are
+one index gather per class. A dense operator in the product frame is
+basis^(tensor n) · blocks · its adjoint, which the program never forms.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -196,13 +194,14 @@ class ClassPartition:
 
     ``words[c]`` lists class c's words ascending, and the classes are ordered
     by their smallest word, the one whose letters are sorted ascending.
-    ``label[w]`` is word w's class.
+    ``label[w]`` is word w's class, ``rank[w]`` its place in ``words[label[w]]``.
     """
 
     d: int
     t: int
     words: tuple[np.ndarray, ...]
     label: np.ndarray
+    rank: np.ndarray
 
     def index(self, freq) -> int:
         """Class of the words with letter counts freq; GpcqError when freq counts no word."""
@@ -232,8 +231,9 @@ def class_partition(d: int, t: int) -> ClassPartition:
         # Each word's class is named by its letters sorted ascending, itself a word.
         names = np.sort(digit_table(d, t), axis=1) @ d ** np.arange(t - 1, -1, -1)
         _, label = np.unique(names, return_inverse=True)
-        starts = np.cumsum(np.bincount(label))[:-1]
-        _PARTITIONS[d, t] = ClassPartition(d, t, tuple(np.split(np.argsort(label, kind="stable"), starts)), label)
+        order, sizes = np.argsort(label, kind="stable"), np.bincount(label)
+        starts = np.cumsum(sizes) - sizes
+        _PARTITIONS[d, t] = ClassPartition(d, t, tuple(np.split(order, starts[1:])), label, np.argsort(order) - starts[label])
     return _PARTITIONS[d, t]
 
 
@@ -361,14 +361,9 @@ class DecodeContext:
 
     A word's projector is the tensor product, over its letters, of each
     letter's block projector on the t slots holding it, at divergence radius
-    n*delta/t. A slot permutation maps every frequency class
-    of n slots (class_partition(d, n)) onto itself, so the projector is block
-    diagonal over those classes. Each letter type's product is one Kronecker
-    product, over its letters in ascending order, of the letters' dense
-    d^t x d^t blocks: the projector of the type's sorted word. Any other word
-    of the type is that product with its slots permuted, so each of its class
-    blocks is one index gather from the product. A message's decode operator
-    sums its codewords' projectors (projectors).
+    n*delta/t; it is block diagonal over the frequency classes of n slots
+    (class_partition(d, n)). A message's decode operator sums its codewords'
+    projectors (projectors).
     """
 
     def __init__(self, states: np.ndarray, basis: np.ndarray, n: int, delta: float):
@@ -378,39 +373,44 @@ class DecodeContext:
         self.delta = delta
         self.d = self.states.shape[1]
         self.partition = class_partition(self.d, n)
-        digits = digit_table(self.d, n)
-        self._digits = [digits[words] for words in self.partition.words]
-        self._cache: dict[tuple[int, int], dict[int, np.ndarray]] = {}
+        ends = np.cumsum([0] + [words.size for words in self.partition.words])
+        self._spans = [slice(a, b) for a, b in zip(ends, ends[1:])]  # class c's rows of _digits
+        self._digits = digit_table(self.d, n)[np.concatenate(self.partition.words)]
+        self._cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def rotate(self, states) -> np.ndarray:
         """Every state of a (..., d, d) stack in the basis frame, real when no entry has an imaginary part."""
         out = self.basis.conj().T @ np.asarray(states) @ self.basis
         return out if np.any(out.imag) else out.real
 
-    def block(self, u: int, t: int) -> np.ndarray:
-        """Letter u's block projector on t slots as one dense real d^t x d^t matrix in the basis frame.
+    def _letter(self, u: int, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Letter u's block_projector class blocks on t slots, cached per (u, t) as (values, row_start, column).
 
-        block_projector's class blocks at radius n*delta/t, cached per (u, t)
-        and placed on their words anew on each call.
+        values is 0.0, then each block in C order. The entry at words x, y of one
+        class is values[row_start[x] + column[y]]; both are 0 in a class left out.
         """
-        key = (u, t)
-        if key not in self._cache:
-            self._cache[key] = block_projector(self.states[u], self.basis, t, self.n * self.delta / t)
-        words = class_partition(self.d, t).words
-        dense = np.zeros((self.d**t,) * 2)
-        for c, block in self._cache[key].items():
-            dense[np.ix_(words[c], words[c])] = block
-        return dense
+        if (u, t) not in self._cache:
+            blocks = block_projector(self.states[u], self.basis, t, self.n * self.delta / t)
+            part, row_start = class_partition(self.d, t), np.zeros(self.d**t, dtype=np.int64)
+            starts = np.cumsum([1] + [block.size for block in blocks.values()])
+            for (c, block), start in zip(blocks.items(), starts):
+                row_start[part.words[c]] = start + len(block) * np.arange(len(block))
+            values = np.concatenate([np.zeros(1), *(block.ravel() for block in blocks.values())])
+            self._cache[u, t] = values, row_start, np.where(row_start > 0, part.rank, 0)
+        return self._cache[u, t]
 
     def projectors(self, words) -> BlockStack:
         """Decode operators of an (L, K, n) word array: row l sums, in k order, the projectors of words[l, k].
 
         Each distinct word is gathered once (_gather, whose index arrays are
         freed before the sums) into a stack the context does not keep.
+        GpcqError for a letter outside range(len(states)).
         """
         words = np.asarray(words, dtype=np.int64)
         if words.ndim != 3 or words.shape[1] < 1 or words.shape[2] != self.n:
             raise GpcqError(f"word array of shape {words.shape} is not (L, K, {self.n}) with K >= 1")
+        if words.size and (words.min() < 0 or words.max() >= len(self.states)):
+            raise GpcqError(f"word letters span [{words.min()}, {words.max()}], outside range({len(self.states)})")
         distinct, inverse = np.unique(words.reshape(-1, self.n), axis=0, return_inverse=True)
         inverse = inverse.reshape(words.shape[:2])
         summed = []
@@ -424,23 +424,31 @@ class DecodeContext:
     def _gather(self, distinct: np.ndarray) -> tuple[np.ndarray, ...]:
         """Class blocks of each row's projector for a (D, n) array of distinct words.
 
-        One letter type's Kronecker product is held at a time. Sorting row w's
-        slots sends product word a to a[order], in the same class, and the row's
-        entry at (a, b) is its type's at (a[order], b[order]); the index of
-        a[order] is a's digits weighted by the place values their slots sort to.
+        A letter type's projector, its sorted word's, is built one class block
+        at a time: its entry at words a, b is the product, left to right over
+        the letters as the tensor product's left fold rounds it, of each
+        letter's entry (_letter) at a's and b's segments, 0.0 where those lie in
+        different classes. Row w's entry at (a, b) is its type's at (a[order],
+        b[order]); a[order] is a's digits weighted by the place values their slots sort to.
         """
         order = np.argsort(distinct, axis=1, kind="stable")
         types, type_of = np.unique(np.take_along_axis(distinct, order, axis=1), axis=0, return_inverse=True)
         weights = np.empty_like(order)  # weights[w, order[w, j]] is the place value of position j
         np.put_along_axis(weights, order, self.d ** np.arange(self.n - 1, -1, -1), axis=1)
-        index = [weights @ digits.T for digits in self._digits]
-        blocks = tuple(np.empty((len(distinct), len(digits), len(digits))) for digits in self._digits)
+        pos = self.partition.rank[weights @ self._digits.T]
+        blocks = tuple(np.empty((len(distinct), words.size, words.size)) for words in self.partition.words)
         for k, word in enumerate(types):
-            rows = np.flatnonzero(type_of.reshape(-1) == k)
-            letters, sizes = np.unique(word, return_counts=True)
-            dense = functools.reduce(np.kron, [self.block(int(u), int(t)) for u, t in zip(letters, sizes)])
-            for block, idx in zip(blocks, index):
-                pos = idx[rows]
-                block[rows] = dense[pos[:, :, None], pos[:, None, :]]
-            del dense  # freed before the next type's product is built
+            rows, segments = np.flatnonzero(type_of.reshape(-1) == k), []
+            for u, first, t in zip(*np.unique(word, return_index=True, return_counts=True)):
+                values, row_start, column = self._letter(int(u), int(t))
+                seg = self._digits[:, first : first + t] @ self.d ** np.arange(t - 1, -1, -1)
+                segments.append((values, row_start[seg], column[seg], class_partition(self.d, t).label[seg]))
+            for block, span in zip(blocks, self._spans):
+                product = np.ones((span.stop - span.start,) * 2)
+                for values, row_start, column, label in segments:
+                    idx = row_start[span, None] + column[None, span]
+                    idx[label[span, None] != label[None, span]] = 0
+                    product *= values[idx]
+                at = pos[rows, span]
+                block[rows] = product[at[:, :, None], at[:, None, :]]
         return blocks

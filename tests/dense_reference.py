@@ -5,12 +5,14 @@ These build the same objects as plain d^n x d^n matrices in the product
 frame, the way the package did before its block form: a letter's block
 projector rotated by basis^(tensor t), a word's projector as the Kronecker
 product of its letters' projectors put back on the word's slots, and both
-decoders by dense matrix algebra. reference_projector builds a word's class
-blocks entry by entry from its letters' class blocks at the word's own
-slots, in any slot order, with no Kronecker product and no gather. dense
-scatters a BlockStack into plain matrices, and paired moves plain matrices
-into quantum.product_traces' slot-paired layout by one transpose, so the
-package's direct scatter (BlockStack.paired) is checked against both.
+decoders by dense matrix algebra. letter_block is a letter's projector as
+one dense matrix in the basis frame, which the package no longer forms.
+reference_projector builds a word's class blocks entry by entry from its
+letters' class blocks at the word's own slots, in any slot order, with no
+Kronecker product and no gather. dense scatters a BlockStack into plain
+matrices, and paired moves plain matrices into quantum.product_traces'
+slot-paired layout by one transpose, so the package's direct scatter
+(BlockStack.paired) is checked against both.
 """
 
 import numpy as np
@@ -65,6 +67,18 @@ def to_product_frame(mat: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:
 def to_basis_frame(mat: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:
     rot = kron_all([basis] * n)
     return rot.conj().T @ mat @ rot
+
+
+def letter_block(ctx, u: int, t: int) -> np.ndarray:
+    """Letter u's block projector on t slots of a DecodeContext as one dense real d^t x d^t matrix in the basis frame.
+
+    Its class blocks from block_projector at radius n*delta/t, placed on
+    their words, and 0 wherever two words lie in different classes or in a
+    class the projector leaves out.
+    """
+    part = class_partition(ctx.d, t)
+    blocks = block_projector(ctx.states[u], ctx.basis, t, ctx.n * ctx.delta / t)
+    return scatter(list(blocks.values()), [part.words[c] for c in blocks], ctx.d**t)
 
 
 def dense_block_projector(rho, basis, m: int, radius: float) -> np.ndarray:

@@ -663,6 +663,38 @@ class TestTypicalWords:
                 assert got.dtype == want.dtype and np.array_equal(got, want), (M, seed)
 
 
+# float.hex of (err, ci_low, ci_high, declares) for every row of `gpcq simulate
+# channels/<name>.chan --scheme <scheme> --rates 0.25,0.5 --n 2,4 --seed 5
+# --trials 4`, keyed by (name, scheme, n, rate). Any change in the last bit of
+# a simulated error or declare mass moves one of them.
+PINNED_ROWS = {
+    ("flip", "causal-sequential", 2, 0.25): ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    ("flip", "causal-sequential", 2, 0.5): ("0x1.8000000000000p-2", "0x1.0a3d70a3d70a4p-3", "0x1.3d70a3d70a3d7p-1", "0x0.0p+0"),
+    ("flip", "causal-sequential", 4, 0.25): ("0x1.0000000000000p-3", "0x0.0p+0", "0x1.7ae147ae147aep-2", "0x0.0p+0"),
+    ("flip", "causal-sequential", 4, 0.5): ("0x1.8000000000000p-3", "0x1.0a3d70a3d70a4p-4", "0x1.3d70a3d70a3d7p-2", "0x0.0p+0"),
+    ("flip", "noncausal-sqrt", 2, 0.25): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("flip", "noncausal-sqrt", 2, 0.5): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("flip", "noncausal-sqrt", 4, 0.25): ("0x1.7e00000000000p-1", "0x1.6a66666666666p-1", "0x1.919999999999ap-1", "0x1.6000000000000p-1"),
+    ("flip", "noncausal-sqrt", 4, 0.5): ("0x1.9180000000000p-1", "0x1.81df020c85208p-1", "0x1.a120fdf37adf8p-1", "0x1.5c00000000000p-1"),
+    ("purecq", "causal-sequential", 2, 0.25): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x0.0p+0"),
+    ("purecq", "causal-sequential", 2, 0.5): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x0.0p+0"),
+    ("purecq", "causal-sequential", 4, 0.25): ("0x1.ea80000000000p-1", "0x1.dfb851eb851ecp-1", "0x1.f547ae147ae14p-1", "0x0.0p+0"),
+    ("purecq", "causal-sequential", 4, 0.5): ("0x1.e344000000000p-1", "0x1.db03462142794p-1", "0x1.eb84b9debd86cp-1", "0x0.0p+0"),
+    ("purecq", "noncausal-sqrt", 2, 0.25): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("purecq", "noncausal-sqrt", 2, 0.5): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("purecq", "noncausal-sqrt", 4, 0.25): ("0x1.b9c12f3672fe9p-1", "0x1.af29eddcfc0fbp-1", "0x1.c458708fe9ed7p-1", "0x1.6000000000000p-1"),
+    ("purecq", "noncausal-sqrt", 4, 0.5): ("0x1.c441cb6622c50p-1", "0x1.bbc26c57c467fp-1", "0x1.ccc12a7481221p-1", "0x1.5c00000000000p-1"),
+    ("stuck", "causal-sequential", 2, 0.25): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x0.0p+0"),
+    ("stuck", "causal-sequential", 2, 0.5): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x0.0p+0"),
+    ("stuck", "causal-sequential", 4, 0.25): ("0x1.051eb851eb852p-1", "0x1.051eb851eb852p-1", "0x1.051eb851eb852p-1", "0x0.0p+0"),
+    ("stuck", "causal-sequential", 4, 0.5): ("0x1.051eb851eb852p-1", "0x1.051eb851eb852p-1", "0x1.051eb851eb852p-1", "0x0.0p+0"),
+    ("stuck", "noncausal-sqrt", 2, 0.25): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("stuck", "noncausal-sqrt", 2, 0.5): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("stuck", "noncausal-sqrt", 4, 0.25): ("0x1.ffffffffffffep-1", "0x1.ffffffffffffep-1", "0x1.ffffffffffffep-1", "0x1.ffffffffffffep-1"),
+    ("stuck", "noncausal-sqrt", 4, 0.5): ("0x1.ffffffffffffep-1", "0x1.ffffffffffffep-1", "0x1.ffffffffffffep-1", "0x1.fffffffffffffp-1"),
+}
+
+
 class TestSimulationDriver:
     FLIP_WITNESS = (np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([[0, 1], [1, 0]]))
     CAUSAL_WITNESS = (np.array([0.5, 0.5]), np.array([[0, 1], [1, 0]]))
@@ -700,6 +732,14 @@ class TestSimulationDriver:
         by = {(r.rate, r.n): r for r in rows}
         assert abs(by[(0.5, 4)].err - 0.1875) <= 1e-12
         assert by[(0.5, 4)].M == 4
+
+    @pytest.mark.parametrize("scheme", ["causal-sequential", "noncausal-sqrt"])
+    @pytest.mark.parametrize("name", ["flip", "purecq", "stuck"])
+    def test_seeded_curves_are_pinned_to_the_bit(self, suite, name, scheme):
+        rows = simulate_rate_error_curve(suite[name], scheme, rates=[0.25, 0.5], n_list=[2, 4], trials=4, seed=5)
+        got = {(name, scheme, r.n, r.rate): tuple(x.hex() for x in (r.err, r.ci_low, r.ci_high, r.declares))
+               for r in rows}
+        assert got == {key: pins for key, pins in PINNED_ROWS.items() if key[:2] == (name, scheme)}
 
     @pytest.mark.parametrize("scheme", ["causal-sequential", "noncausal-sqrt"])
     @pytest.mark.parametrize("kw", [dict(delta=-1.0), dict(restarts=0), dict(restarts=-5)])

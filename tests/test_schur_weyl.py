@@ -1,7 +1,7 @@
 """Symmetric-group machinery: frames, projectors, and decoding blocks."""
 
-import functools
 import math
+import tracemalloc
 from functools import lru_cache
 from itertools import permutations
 
@@ -316,6 +316,8 @@ class TestFrequencyClasses:
         for freq in compositions(n, d):
             cls = classes[part.index(freq)]
             assert np.array_equal(cls.words, np.flatnonzero(frequency_mask(freq, d, n)))
+            assert np.all(part.label[cls.words] == part.index(freq))
+            assert np.array_equal(part.rank[cls.words], np.arange(cls.words.size))
             rows = np.ix_(cls.words, cls.words)
             for lam, ref in reference.items():
                 block = cls.blocks.get(lam, np.zeros((len(cls.words),) * 2))
@@ -565,24 +567,59 @@ class TestDecodeProjectors:
         for block in word_blocks(DecodeContext(self.STATES, EYE2, 2, 1e-6), [0, 1]):
             assert np.allclose(block, 0.0, atol=1e-12)
 
-    def test_context_caches_blocks(self):
-        # The context keeps each letter's class blocks per slot count, and no
-        # dense matrix: block() places them anew on every call.
+    def test_context_packs_the_letter_class_blocks(self):
+        # The context caches each letter's class blocks per slot count, packed
+        # with one 0.0 in front, and no dense matrix; the reference's dense
+        # letter block is read back from them entry by entry.
         ctx = DecodeContext(self.STATES, EYE2, 4, 0.3)
         ctx.projectors([[[0, 0, 1, 1]], [[1, 0, 1, 0]]])
         assert set(ctx._cache) == {(0, 2), (1, 2)}
-        for (u, t), cached in ctx._cache.items():
+        label = class_partition(2, 2).label
+        for (u, t), (values, row_start, column) in ctx._cache.items():
             want = block_projector(self.STATES[u], EYE2, t, 4 * 0.3 / t)
-            assert cached.keys() == want.keys()
-            assert all(np.array_equal(cached[c], want[c]) for c in want)
-        dense = ctx.block(0, 2)
-        assert dense.shape == (4, 4) and ctx.block(0, 2) is not dense
-        assert np.array_equal(dense, ctx.block(0, 2))
+            assert values.shape == (1 + sum(block.size for block in want.values()),) and values[0] == 0.0
+            entries = values[np.where(label[:, None] == label[None, :], row_start[:, None] + column[None, :], 0)]
+            assert np.array_equal(entries, ref.letter_block(ctx, u, t))
+
+    def test_block_projector_runs_once_per_letter_and_slot_count(self, monkeypatch):
+        ctx = DecodeContext(self.STATES, EYE2, 4, 0.3)
+        calls = []
+        build = schur_weyl.block_projector
+
+        def counted(rho, basis, m, radius):
+            calls.append((next(u for u in (0, 1) if np.array_equal(rho, self.STATES[u])), m))
+            return build(rho, basis, m, radius)
+
+        monkeypatch.setattr(schur_weyl, "block_projector", counted)
+        ctx.projectors([[[0, 0, 1, 1]], [[1, 0, 1, 0]], [[1, 1, 1, 0]]])
+        ctx.projectors([[[0, 1, 1, 0]], [[0, 0, 0, 0]], [[1, 1, 1, 0]]])
+        assert sorted(calls) == [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3)]
+
+    def test_one_letter_word_peaks_below_half_a_dense_product(self):
+        # A dense d^n x d^n type product at n = 10 alone is 8 MiB; the class
+        # blocks of the gather and the sums are 1.4 MiB each.
+        ctx = DecodeContext(self.STATES, EYE2, 10, 0.3)
+        word = np.zeros((1, 1, 10), dtype=np.int64)
+        ctx.projectors(word)
+        tracemalloc.start()
+        try:
+            ctx.projectors(word)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_word_length_enforced(self):
         ctx = DecodeContext(self.STATES, EYE2, 3, 0.4)
         with pytest.raises(GpcqError):
             ctx.projectors([[[0, 1]]])
+
+    def test_out_of_range_letters_refused(self):
+        ctx = DecodeContext(self.STATES, EYE2, 2, 0.4)
+        for word in ([0, -1], [2, 0], [1, 5]):
+            with pytest.raises(GpcqError, match="range"):
+                ctx.projectors([[word]])
+        assert len(ctx.projectors([[[0, 1]]])) == 1
 
     def test_word_array_shape_enforced(self):
         ctx = DecodeContext(self.STATES, EYE2, 3, 0.4)
@@ -640,7 +677,7 @@ def type_class(counts) -> np.ndarray:
 
 
 class TestGatheredProjectors:
-    """projectors builds one Kronecker product per letter type and gathers every word from it, equal to the per-word reference."""
+    """projectors builds each letter type's class blocks once and gathers every word from them, equal to the per-word reference."""
 
     # (channel, q_rows, strategy) of two 2-letter witnesses and a 3-letter one.
     WITNESSES = {
@@ -695,24 +732,19 @@ class TestGatheredProjectors:
             for got, want in zip(word_blocks(ctx, w), ref.reference_projector(ctx, w)):
                 assert np.array_equal(got, want)
 
-    def test_one_kronecker_build_per_letter_type(self, suite, monkeypatch):
+    def test_each_letter_type_is_built_once_per_call(self, suite, monkeypatch):
         ctx, _ = self.context(suite, "three-letter", 5)
-        fetched, built = [], []
-        fetch = ctx.block
-        monkeypatch.setattr(ctx, "block", lambda u, t: fetched.append((u, t)) or fetch(u, t))
-        fold = functools.reduce
-
-        def reduce(fn, mats):
-            # The letters fetched since the last build are this build's letters.
-            built.append(tuple(fetched))
-            fetched.clear()
-            return fold(fn, mats)
-
-        monkeypatch.setattr(functools, "reduce", reduce)
+        fetched = []
+        fetch = ctx._letter
+        monkeypatch.setattr(ctx, "_letter", lambda u, t: fetched.append((u, t)) or fetch(u, t))
         words = np.concatenate([np.random.default_rng(4).integers(0, 3, size=(30, 5)), np.full((2, 5), 2)])
-        ctx.projectors(words[:, None])
         types = {tuple(zip(*np.unique(w, return_counts=True))) for w in np.sort(words, axis=1)}
-        assert sorted(built) == sorted(types)
+        for _ in range(2):  # cold, then with every letter cached
+            fetched.clear()
+            ctx.projectors(np.concatenate([words, words[::-1]])[:, None])
+            # A type's build fetches each of its letters once, so the fetches
+            # are the letters of the distinct types, each type once.
+            assert sorted(fetched) == sorted(letter for word in types for letter in word)
 
     def test_empty_word_array_gives_an_empty_stack(self, suite):
         ctx, _ = self.context(suite, "flip", 4)
