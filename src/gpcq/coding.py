@@ -11,33 +11,39 @@ validate_povm's checks and the closure check all run block by block. A
 dense operator list is the one-block case of the same code, and each
 decoder returns its input's form. Leading batch axes of a BlockStack index
 independent POVMs: each keeps its own support, error outcome, closure and
-sum check, and the sequential chain advances every POVM of the batch one
-message at a time.
+sum check. The sequential measurement is a SequentialChain fed a chunk of
+messages at a time; it keeps one chain operator per class and POVM and the
+running element sum, so each element is formed, checked and dropped with
+its chunk, and sequential_decoder is the one-chunk case.
 
 A simulation point's trials run in batches. Each trial draws its codewords
-from its own generator, and a batch's decoder input is one
-DecodeContext.projectors call on the (trials * messages, codewords per
-message, n) word array: each message's operator is the sum of its
-codewords' projectors, K bins for a binned trial and one codeword for a
-causal one, and every distinct codeword is gathered once, by a slot
-permutation, from its letter type's projector, built from the letters'
-class blocks. A causal trial draws its codewords by rejection from batches
-of candidates. Letter states are rotated into the basis frame, and the
-success traces of all messages of a batch come from one
-quantum.product_traces contraction per chunk of messages. The chunk's
-class blocks are scattered straight into the slot-paired layout, each
-slot's row and column digit adjacent (BlockStack.paired), with no dense
+from its own generator. A binned batch's decoder input is one
+DecodeContext.projectors call on the (trials * messages, K, n) word array,
+each message's operator the sum of its K bins' projectors; a causal batch
+makes one projectors call per chunk of messages of every trial, one
+codeword per message, and advances one chain with it. Every distinct
+codeword is gathered once, by a slot permutation, from its letter type's
+projector, built from the letters' class blocks. A causal trial draws its
+codewords by rejection from batches of candidates. Letter states are
+rotated into the basis frame, and the success traces of a batch, or of a
+chunk, come from one quantum.product_traces contraction per chunk of
+messages. The chunk's class blocks are scattered straight into the
+slot-paired layout, each slot's row and column digit adjacent
+(BlockStack.paired, at positions the class partition keeps), with no dense
 matrix or transpose in between. A state word that no bin of its message
-matches (a declare) counts as a full error.
-Each trial's error and declare mass are summed in the order a lone trial
-sums them, so results do not depend on the batching and reruns are
-byte-identical.
+matches (a declare) counts as a full error. Each trial's error and declare
+mass are summed in the order a lone trial sums them, so results depend on
+neither the batching nor the chunking, and reruns are byte-identical.
 
 The memory model behind BudgetExceeded (_batch_entries) is the largest
 float64 footprint of a batch's phases, plus the tables a batch keeps
-throughout. Every rate is checked at one trial, and a batch holds the most
-trials whose model stays within the largest single trial of the curve, so
-batching changes neither the budget check nor the largest modelled footprint.
+throughout. Batches stay within the curve's largest one-trial, whole-list
+footprint. A binned rate is checked at one whole trial and its batch holds
+the most trials within that cap, so the largest trial runs alone. A causal
+rate is refused only when one message per chunk of one trial does not fit;
+its point runs the most trials that fit at one message per chunk, with the
+most messages per chunk that fit, and where a whole list exceeds the budget
+the chunks leave STREAM_HEADROOM of the budget free.
 
 validate_povm refuses non-finite elements before any other check on them,
 and tests positivity by a Cholesky factorization of el + 1e-8 I, which
@@ -78,19 +84,23 @@ STATE_WORD_CAP = 4096
 TABLE_SLACK = 2**13
 # Entries the matched-set test holds per (state word, codeword) pair at its peak.
 MATCHED_PAIR_ENTRIES = 10
+# Share of the memory budget that a chain streamed to fit it leaves free: peak RSS exceeds the
+# model by the interpreter, BLAS buffers and freed heap the allocator keeps (130-170 MiB at n = 12).
+STREAM_HEADROOM = 0.125
 
 
-def _stack(operators, noun: str, dim: int | None = None) -> tuple[BlockStack, bool]:
+def _stack(operators, noun: str, dim: int | None = None, first: int = 0) -> tuple[BlockStack, bool]:
     """Operators as a BlockStack, and whether they came as a dense sequence.
 
-    Empty input and non-finite entries are refused first. A dense sequence
-    then becomes the one-block stack once every shape is (dim, dim), dim
-    defaulting to the first operator's.
+    Empty input and non-finite entries are refused first, an operator named
+    by first plus its index in its own list. A dense sequence then becomes
+    the one-block stack once every shape is (dim, dim), dim defaulting to the
+    first operator's.
     """
     if isinstance(operators, BlockStack):
         if len(operators) == 0:
             raise PreconditionViolated(f"number of {noun}s", 0, ">= 1")
-        bad = _first_flagged(operators, lambda b: ~np.isfinite(b).all(axis=(-2, -1)))
+        bad = _first_flagged(operators, lambda b: ~np.isfinite(b).all(axis=(-2, -1)), first)
         if bad is not None:
             raise NonFinite(f"{noun} {bad} has a non-finite entry")
         return operators, False
@@ -99,18 +109,18 @@ def _stack(operators, noun: str, dim: int | None = None) -> tuple[BlockStack, bo
         raise PreconditionViolated(f"number of {noun}s", 0, ">= 1")
     bad = next((i for i, m in enumerate(mats) if not np.all(np.isfinite(m))), None)
     if bad is not None:
-        raise NonFinite(f"{noun} {bad} has a non-finite entry")
+        raise NonFinite(f"{noun} {first + bad} has a non-finite entry")
     if dim is None:
         dim = mats[0].shape[0] if mats[0].ndim == 2 else -1
     for i, m in enumerate(mats):
         if m.shape != (dim, dim):
-            raise InvalidPOVM(f"{noun} {i} has shape {m.shape}, expected ({dim},{dim})")
+            raise InvalidPOVM(f"{noun} {first + i} has shape {m.shape}, expected ({dim},{dim})")
     stacked = np.stack(mats).astype(np.result_type(float, *mats), copy=False)
     return BlockStack((stacked,), (np.arange(dim),)), True
 
 
-def _first_flagged(stack: BlockStack, flags) -> int | None:
-    """Element index, within its own list, of the first element that flags(block) marks in any block.
+def _first_flagged(stack: BlockStack, flags, first: int = 0) -> int | None:
+    """first plus the index, within its own list, of the first element that flags(block) marks in any block.
 
     flags gives one bool per element, shape (*batch, N); the first is taken
     in C order, so in the first list that has one.
@@ -118,11 +128,15 @@ def _first_flagged(stack: BlockStack, flags) -> int | None:
     marked = np.zeros(stack.blocks[0].shape[:-2], dtype=bool)
     for block in stack.blocks:
         marked |= flags(block)
-    return int(np.argmax(marked)) % len(stack) if marked.any() else None
+    return first + int(np.argmax(marked)) % len(stack) if marked.any() else None
 
 
 def _not_hermitian(block: np.ndarray, tol: float) -> np.ndarray:
     return np.abs(block - block.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > tol
+
+
+def _not_projector(block: np.ndarray) -> np.ndarray:
+    return _not_hermitian(block, 1e-8) | (np.abs(block @ block - block).max(axis=(-2, -1)) > 1e-7)
 
 
 def _not_positive(block: np.ndarray) -> np.ndarray:
@@ -142,6 +156,24 @@ def _not_positive(block: np.ndarray) -> np.ndarray:
     return failed
 
 
+def _check_elements(stack: BlockStack, first: int = 0) -> None:
+    """Refuse a non-Hermitian or non-positive element, named by first plus its index in its own POVM."""
+    bad = _first_flagged(stack, lambda b: _not_hermitian(b, 1e-8), first)
+    if bad is not None:
+        raise InvalidPOVM(f"element {bad} is not Hermitian")
+    bad = _first_flagged(stack, _not_positive, first)
+    if bad is not None:
+        raise InvalidPOVM(f"element {bad} has a negative eigenvalue")
+
+
+def _check_sum(totals: Sequence[np.ndarray]) -> None:
+    """Refuse POVMs whose elements sum above identity, given the sum's class blocks, (*batch, s, s) each."""
+    top = np.max([np.linalg.eigvalsh(total).max(axis=-1) for total in totals], axis=0)
+    over = top[top > 1.0 + POVM_TOL]
+    if over.size:
+        raise InvalidPOVM(f"elements sum above identity by {float(over[0]) - 1.0}")
+
+
 def validate_povm(elements, dim: int) -> None:
     """Refuse an empty list, bad elements, and element sums above identity.
 
@@ -158,26 +190,15 @@ def validate_povm(elements, dim: int) -> None:
     stack, _ = _stack(elements, "element", dim)
     if stack.dim != dim:
         raise InvalidPOVM(f"elements act on dimension {stack.dim}, expected {dim}")
-    bad = _first_flagged(stack, lambda b: _not_hermitian(b, 1e-8))
-    if bad is not None:
-        raise InvalidPOVM(f"element {bad} is not Hermitian")
-    bad = _first_flagged(stack, _not_positive)
-    if bad is not None:
-        raise InvalidPOVM(f"element {bad} has a negative eigenvalue")
-    top = np.max([np.linalg.eigvalsh(block.sum(axis=-3)).max(axis=-1) for block in stack.blocks], axis=0)
-    over = top[top > 1.0 + POVM_TOL]
-    if over.size:
-        raise InvalidPOVM(f"elements sum above identity by {float(over[0]) - 1.0}")
+    _check_elements(stack)
+    _check_sum([block.sum(axis=-3) for block in stack.blocks])
 
 
-def _returned(povm: BlockStack, dense: bool):
-    """(elements, error outcome) of a POVM whose last element is the error outcome, in the input's form."""
+def _returned(elements: BlockStack, error: BlockStack, dense: bool):
+    """(elements, error outcome) in the input's form: a list and one matrix when it came dense."""
     if dense:
-        return list(povm.blocks[0][:-1]), povm.blocks[0][-1]
-    return (
-        BlockStack(tuple(b[..., :-1, :, :] for b in povm.blocks), povm.index),
-        BlockStack(tuple(b[..., -1:, :, :] for b in povm.blocks), povm.index),
-    )
+        return list(elements.blocks[0]), error.blocks[0][0]
+    return elements, error
 
 
 def _adjoint(ops: np.ndarray) -> np.ndarray:
@@ -185,7 +206,10 @@ def _adjoint(ops: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_part(ops: np.ndarray) -> np.ndarray:
-    return 0.5 * (ops + _adjoint(ops))
+    """0.5 (ops + ops^H), scaled in place so that one temporary is formed."""
+    out = ops + _adjoint(ops)
+    out *= 0.5
+    return out
 
 
 def square_root_decoder(projectors):
@@ -219,41 +243,104 @@ def square_root_decoder(projectors):
     closure = max(float(np.max(np.abs(b.sum(axis=-3) - np.eye(b.shape[-1])))) for b in povm.blocks)
     if closure > POVM_TOL:
         raise InvalidPOVM(f"square-root closure defect {closure}")
-    return _returned(povm, dense)
+    return _returned(
+        BlockStack(tuple(b[..., :-1, :, :] for b in povm.blocks), povm.index),
+        BlockStack(tuple(b[..., -1:, :, :] for b in povm.blocks), povm.index),
+        dense,
+    )
+
+
+def _chain_step(chain, ops: np.ndarray):
+    """Overwrite each projector of ops (..., N, s, s) by chain^H P chain, in message order; return the advanced chain."""
+    eye = np.eye(ops.shape[-1])
+    for m in range(ops.shape[-3]):
+        proj = ops[..., m, :, :]
+        conjugated, complement = _adjoint(chain) @ proj, eye - proj
+        np.matmul(conjugated, chain, out=proj)
+        chain = complement @ chain
+    return chain
+
+
+class SequentialChain:
+    """The sequential measurement of a list of projectors, fed a chunk of messages at a time.
+
+    Element m is the m-th projector conjugated by the complements of all
+    earlier ones, the chain (1 - P_{m-1}) ... (1 - P_1); the telescoping
+    identity keeps the total below identity, and the remainder is the error
+    outcome. advance takes the next messages' projectors, in a BlockStack or
+    a dense sequence, checks that each is a projector, forms their elements,
+    checks each as validate_povm does and returns them; a refused operator
+    or element is named by its index in its own list. Between chunks the
+    chain keeps only one chain operator per class and list and the running
+    sum of the elements, added in message order, so every element and the
+    error outcome are those of the whole list at once, bit for bit. close
+    returns the error outcome, identity minus that sum, and checks it and
+    the sum against the identity. Leading batch axes of a BlockStack index
+    independent lists, advanced together, and the classes of one size
+    advance together, one matmul per message for all of them.
+    """
+
+    def __init__(self):
+        self.count = 0  # messages advanced so far
+
+    def advance(self, projectors) -> BlockStack:
+        """The checked elements of the next messages."""
+        stack, _ = _stack(projectors, "operator", first=self.count)
+        bad = _first_flagged(stack, _not_projector, self.count)
+        if bad is not None:
+            raise NotProjection(f"operator {bad} is not a projector")
+        if self.count == 0:
+            self.index, sizes = stack.index, [idx.size for idx in stack.index]
+            self.groups = [[c for c, s in enumerate(sizes) if s == size] for size in dict.fromkeys(sizes)]
+            self.chains = [np.eye(sizes[group[0]]) for group in self.groups]
+            self.totals = [None] * len(self.groups)
+        blocks = [None] * len(self.index)
+        for g, group in enumerate(self.groups):
+            for c, block in zip(group, self._elements(g, [stack.blocks[c] for c in group])):
+                blocks[c] = block
+        elements = BlockStack(tuple(blocks), stack.index)
+        _stack(elements, "element", first=self.count)  # finite entries first, as validate_povm checks them
+        _check_elements(elements, self.count)
+        self.count += len(stack)
+        return elements
+
+    def _elements(self, g: int, blocks: list) -> np.ndarray:
+        """Group g's elements, (G, *batch, N, s, s), from its classes' projector blocks; its chain and sum advance."""
+        ops = np.stack(blocks).astype(np.result_type(float, *blocks), copy=False)
+        self.chains[g] = _chain_step(self.chains[g], ops)
+        ops = _hermitian_part(ops)
+        total = self.totals[g]
+        # The running sum leads the chunk, so one sum over the message axis adds in message order.
+        summed = ops if total is None else np.concatenate([total[..., None, :, :], ops], axis=-3)
+        self.totals[g] = summed.sum(axis=-3)
+        return ops
+
+    def close(self) -> BlockStack:
+        """The checked error outcome, a one-element list per batch entry."""
+        if self.count == 0:
+            raise PreconditionViolated("number of operators", 0, ">= 1")
+        blocks, totals = [None] * len(self.index), [None] * len(self.index)
+        for group, total in zip(self.groups, self.totals):
+            error = _hermitian_part(np.eye(total.shape[-1]) - total)
+            for c, t, e in zip(group, total, error):
+                blocks[c], totals[c] = e[..., None, :, :], t + e
+        error = BlockStack(tuple(blocks), self.index)
+        _stack(error, "element", first=self.count)
+        _check_elements(error, self.count)
+        _check_sum(totals)
+        return error
 
 
 def sequential_decoder(projectors):
-    """Effective POVM of projective tests applied in the given order.
+    """Effective POVM of projective tests applied in the given order: the one-chunk SequentialChain.
 
-    Element m is the m-th projector conjugated by the complements of all
-    earlier ones; the telescoping identity keeps the total below identity,
-    and the remainder is the error outcome. Block-diagonal input runs the
-    chain block by block, and leading batch axes of a BlockStack index
-    independent chains, advanced together one message at a time. The output
-    has the input's form.
+    Block-diagonal input runs the chain block by block, and leading batch
+    axes of a BlockStack index independent chains. The output has the
+    input's form.
     """
-    stack, dense = _stack(projectors, "operator")
-    bad = _first_flagged(
-        stack, lambda b: _not_hermitian(b, 1e-8) | (np.abs(b @ b - b).max(axis=(-2, -1)) > 1e-7)
-    )
-    if bad is not None:
-        raise NotProjection(f"operator {bad} is not a projector")
-    povm = []
-    for block in stack.blocks:
-        eye = np.eye(block.shape[-1])
-        ops = np.empty(block.shape[:-3] + (len(stack) + 1,) + block.shape[-2:], dtype=np.result_type(block, float))
-        chain = eye
-        for m in range(len(stack)):
-            proj = block[..., m, :, :]
-            ops[..., m, :, :] = _adjoint(chain) @ proj @ chain
-            chain = (eye - proj) @ chain
-        elements = ops[..., :-1, :, :]
-        elements[...] = _hermitian_part(elements)
-        ops[..., -1, :, :] = _hermitian_part(eye - elements.sum(axis=-3))
-        povm.append(ops)
-    povm = BlockStack(tuple(povm), stack.index)
-    validate_povm(povm, stack.dim)
-    return _returned(povm, dense)
+    chain = SequentialChain()
+    elements = chain.advance(projectors)
+    return _returned(elements, chain.close(), not isinstance(projectors, BlockStack))
 
 
 @dataclass(frozen=True)
@@ -286,31 +373,38 @@ def _chunk_entries(dim: int, d: int, per_slot: Sequence[int]) -> int:
     return dim * dim + max(a + b for a, b in zip(outs, outs[1:] + [0]))
 
 
-def _batch_entries(trials: int, M: int, n: int, d: int, lead: int, states: int) -> int:
+def _batch_entries(trials: int, M: int, n: int, d: int, lead: int, states: int, chunk: int | None = None) -> int:
     """Float64 entries that a batch of ``trials`` trials of M messages holds at its largest phase.
 
     A message's decode operator sums ``lead`` codeword projectors, and its
     traces contract against ``lead`` lists of ``states`` states per slot: K
     bins and K lists of |S| states for a binned trial, one codeword and one
-    state for a causal one. With T = trials, E = sum_f |f|^2 and F =
-    max_f |f|^2 over the frequency classes f of n slots, the phases are:
+    state for a causal one. ``chunk`` is None for the square-root decoder,
+    which decodes each list whole, and the messages per chunk of the
+    sequential chain (SequentialChain), which is fed C = chunk messages of
+    every list at a time; C = M for the square-root decoder. With T = trials,
+    E = sum_f |f|^2 and F = max_f |f|^2 over the frequency classes f of n
+    slots, the phases are:
 
-    - gathering codeword projectors: T lead M (E + F + 2 d^n) + 4 F +
+    - gathering codeword projectors: T lead C (E + F + 2 d^n) + 4 F +
       (3 n + 2) d^n, the distinct words' stack, the words' int64 gather
       indices and the slice of them for one letter type (at most d^n
       entries per word each), the gathered block of the class being read
       (at most F per word), and one letter type's build, shared by the
       batch: its class block with one letter's int64 indices, mask and
       factor (4 F), and three d^n index arrays per letter, at most n letters;
-    - building the decoder input: T M ((lead + 1) E + F), the distinct
+    - building the decoder input: T C ((lead + 1) E + F), the distinct
       words' stack, the per-message sums and one class-block temporary;
-    - decoding: T ((2M + 1) E + 3 (M + 1) F), each trial's decoder input
-      and POVM with its error outcome, validate_povm's Cholesky copy and
-      factor of the largest class, and one class block more for what peak
-      RSS adds to the arrays (allocator slack, LAPACK copies);
-    - success traces: T (M + 1) E and one chunk of _chunk_entries per
-      message of the batch (its paired operator and the two slot outputs
-      alive at once);
+    - decoding: for the square-root decoder T ((2M + 1) E + 3 (M + 1) F),
+      each trial's decoder input and POVM with its error outcome,
+      validate_povm's Cholesky copy and factor of the largest class, and
+      one class block more for what peak RSS adds to the arrays (allocator
+      slack, LAPACK copies); for the chain T C (2 E + 3 F), a chunk's input
+      and elements with the same checks;
+    - success traces: the elements, T (M + 1) E with the error outcome for
+      the square-root decoder and T C E for the chain, and one chunk of
+      _chunk_entries per message of the chunk (its paired operator and the
+      two slot outputs alive at once);
     - the matched-set test of a binned trial: 10 W T M lead, the
       method_of_types.matched_set_members temporaries (keys, their sort
       and inverse, scores: 8.2 to 9.5 entries per pair of a state word and
@@ -318,46 +412,58 @@ def _batch_entries(trials: int, M: int, n: int, d: int, lead: int, states: int) 
       operator exists.
 
     Every phase also counts the tables a batch keeps throughout: the decode
-    context's n d^n word digits; the W = states^n state words with their n
-    digits, shared by the batch, and T M lead traces each; and TABLE_SLACK
-    entries of small arrays, cached letter class blocks and interpreter
-    objects. At T = 1 this is one trial's footprint.
+    context's n d^n word digits and the E slot-paired positions of the
+    n-slot classes (ClassPartition.pairs); the T M lead codewords' n digits
+    each; the W = states^n state words with their n digits, shared by the
+    batch, and T M lead traces each; the chain's 2 T E chain operators and
+    running sums; and TABLE_SLACK entries of small arrays, cached letter
+    class blocks and interpreter objects. At T = 1 this is one trial's footprint.
     """
     sizes = [words.size**2 for words in class_partition(d, n).words]
     E, F = sum(sizes), max(sizes)
-    chunk = _chunk_entries(d**n, d, [lead * states] + [states] * (n - 1))
-    gather = trials * M * lead * (E + F + 2 * d**n) + 4 * F + (3 * n + 2) * d**n
-    build = trials * M * ((lead + 1) * E + F)
-    decode = trials * ((2 * M + 1) * E + 3 * (M + 1) * F)
-    traces = trials * (M + 1) * E + max(1, trials * M * E // chunk) * chunk
+    C = M if chunk is None else chunk
+    per_message = _chunk_entries(d**n, d, [lead * states] + [states] * (n - 1))
+    gather = trials * C * lead * (E + F + 2 * d**n) + 4 * F + (3 * n + 2) * d**n
+    build = trials * C * ((lead + 1) * E + F)
+    if chunk is None:
+        decode = trials * ((2 * M + 1) * E + 3 * (M + 1) * F)
+        elements, chain = trials * (M + 1) * E, 0
+    else:
+        decode, elements, chain = trials * C * (2 * E + 3 * F), trials * C * E, 2 * trials * E
+    traces = elements + max(1, trials * C * E // per_message) * per_message
     matched = MATCHED_PAIR_ENTRIES * states**n * trials * M * lead
-    tables = n * d**n + states**n * (n + trials * M * lead) + TABLE_SLACK
+    tables = n * d**n + E + trials * M * lead * n + states**n * (n + trials * M * lead) + chain + TABLE_SLACK
     return tables + max(gather, build, decode, traces, matched)
 
 
-def _messages_for_rate(rate: float, n: int, d: int, lead: int, states: int) -> int:
+def _messages_for_rate(rate: float, n: int, d: int, lead: int, states: int, streamed: bool) -> int:
     """2^(n rate) messages, refused when one trial of them cannot fit the memory budget.
 
     The model is _batch_entries of one trial: the largest float64 footprint
-    of its phases. Its per-message terms (a message's gather entries, its
-    lead + 1 decoder-input stacks, its two decoding stacks, its matched-set
-    temporaries) are compared in log2 terms first, so 2^(n rate) is only
-    formed once it fits. Rates are at least 0, so M is at least one message.
-    CapExceeded first when the n-slot classes are past schur_weyl.DIM_CAP,
-    then when states^n exceeds STATE_WORD_CAP, the state words a binned
-    trial enumerates.
+    of its phases, for the sequential chain (streamed) one message per
+    chunk, for the square-root decoder the whole list. Its per-message terms
+    (the codewords' digits and traces; for a whole list also a message's
+    gather entries, its lead + 1 decoder-input stacks, its two decoding
+    stacks, its matched-set temporaries) are compared in log2 terms first,
+    so 2^(n rate) is only formed once it fits. Rates are at least 0, so M is
+    at least one message. CapExceeded first when the n-slot classes are past
+    schur_weyl.DIM_CAP, then when states^n exceeds STATE_WORD_CAP, the
+    state words a binned trial enumerates.
     """
     budget = memory_budget_bytes()
     sizes = [words.size**2 for words in class_partition(d, n).words]
     if states**n > STATE_WORD_CAP:
         raise CapExceeded(f"|S|^n = {states**n} exceeds exact-evaluation cap {STATE_WORD_CAP}")
     E, F = sum(sizes), max(sizes)
-    matched = MATCHED_PAIR_ENTRIES * states**n * lead
-    per_message = max(lead * (E + F + 2 * d**n), (lead + 1) * E + F, 2 * E + 3 * F, matched)
+    if streamed:
+        per_message = lead * (n + states**n)
+    else:
+        matched = MATCHED_PAIR_ENTRIES * states**n * lead
+        per_message = max(lead * (E + F + 2 * d**n), (lead + 1) * E + F, 2 * E + 3 * F, matched)
     log2_bytes = n * rate + math.log2(8 * per_message)
     if log2_bytes <= math.log2(max(budget, 1)):
         M = math.ceil(2.0 ** (n * rate) - 1e-9)
-        log2_bytes = math.log2(8 * _batch_entries(1, M, n, d, lead, states))
+        log2_bytes = math.log2(8 * _batch_entries(1, M, n, d, lead, states, 1 if streamed else None))
     if log2_bytes > math.log2(max(budget, 1)):
         raise BudgetExceeded(
             f"rate {rate} at n={n} needs ~2^{log2_bytes:.1f} bytes of decoder, budget is {budget}",
@@ -370,20 +476,21 @@ def _success_traces(elements: BlockStack, slots: Sequence[np.ndarray]) -> np.nda
     """Re tr(E_m · σ_1 ⊗ ... ⊗ σ_n) for every element m and every state its slots list.
 
     slots[j] has shape (M, ..., L_j, d, d), in the basis frame of the
-    elements; the result is (M, ..., L_1 * ... * L_n). The elements' class
-    blocks are scattered a chunk of messages at a time into the slot-paired
-    layout (BlockStack.paired), one quantum.product_traces contraction per
-    chunk. A chunk holds about as many entries as the block stack, and at
+    elements, which are blocked over class_partition(d, n) as
+    DecodeContext.projectors blocks them; the result is (M, ..., L_1 * ...
+    * L_n). The elements' class blocks are scattered a chunk of messages at
+    a time into the slot-paired layout (BlockStack.paired, at the positions
+    the partition keeps), one quantum.product_traces contraction per chunk. A chunk holds about as many entries as the block stack, and at
     least one message's _chunk_entries.
     """
     count, dim, d = len(elements), elements.dim, slots[0].shape[-1]
-    lead = slots[0].shape[1:-3]
+    pairs, lead = class_partition(d, len(slots)).pairs, slots[0].shape[1:-3]
     per_slot = [math.prod(lead) * slots[0].shape[-3]] + [s.shape[-3] for s in slots[1:]]
     chunk = _chunk_entries(dim, d, per_slot)
     step = max(1, count * sum(block[0].size for block in elements.blocks) // chunk)
     out = np.empty((count, *lead, math.prod(s.shape[-3] for s in slots)))
     for lo in range(0, count, step):
-        ops = elements.paired(d, lo, lo + step).reshape((-1,) + (1,) * len(lead) + (dim * dim,))
+        ops = elements.paired(pairs, lo, lo + step).reshape((-1,) + (1,) * len(lead) + (dim * dim,))
         traces = product_traces(ops, [s[lo : lo + step] for s in slots])
         out[lo : lo + step] = traces.reshape(traces.shape[: 1 + len(lead)] + (-1,)).real
     return out
@@ -484,6 +591,7 @@ def simulate_causal_trial(
     ctx: DecodeContext,
     M: int,
     rngs: Sequence[np.random.Generator],
+    chunk: int,
 ) -> np.ndarray:
     """Strategy-codebook rounds with the sequential decoder, one per generator, evaluated exactly.
 
@@ -491,17 +599,24 @@ def simulate_causal_trial(
     t draws its codewords from rngs[t] alone. Codewords are ctx.delta-typical
     words of length ctx.n. The state average factorizes, so the expected
     success of message m is the trace of its effective measurement element
-    against the product of per-letter averaged states. The T rounds share
-    one projectors call, one batched decoder call and one _success_traces
-    call.
+    against the product of per-letter averaged states. The T rounds advance
+    one SequentialChain together, chunk messages at a time: each chunk is
+    one projectors call, one advance and one _success_traces call, and its
+    elements are dropped before the next.
     """
     n = ctx.n
     words = np.stack([_typical_words(q, n, M, ctx.delta, rng) for rng in rngs])
     T = len(words)
-    elements = sequential_decoder(ctx.projectors(words.reshape(T * M, 1, n)).reshape(T, M))[0].reshape(T * M)
     rotated = ctx.rotate(derived_states)
-    traces = _success_traces(elements, [rotated[words[..., j].reshape(-1)][:, None] for j in range(n)])
-    return np.column_stack([1.0 - _round_sums(traces.reshape(T, M)) / M, np.zeros(T)])
+    chain, traces = SequentialChain(), np.empty((T, M))
+    for lo in range(0, M, chunk):
+        part = words[:, lo : lo + chunk]
+        elements = chain.advance(ctx.projectors(part.reshape(-1, 1, n)).reshape(T, -1)).reshape(-1)
+        slots = [rotated[part[..., j].reshape(-1)][:, None] for j in range(n)]
+        traces[:, lo : lo + chunk] = _success_traces(elements, slots).reshape(T, -1)
+        del elements, slots  # freed before the next chunk is gathered
+    chain.close()
+    return np.column_stack([1.0 - _round_sums(traces) / M, np.zeros(T)])
 
 
 def simulate_rate_error_curve(
@@ -526,10 +641,13 @@ def simulate_rate_error_curve(
     against rho_u = sum_s p(s|u) rho[s, f(s, u)]: a causal witness (q,
     columns) leaks nothing about the state, so it is the witness q(u|s) = q(u)
     with the strategy f = columns.T, and is checked as that witness. Each
-    (n, rate) point runs its trials in batches of the most trials whose
-    memory model stays within the curve's largest single trial; trial t
-    draws from rng_for(seed, scheme tag, n, rate index, t), so a row does
-    not depend on the batching.
+    (n, rate) point runs its trials in batches whose memory model stays
+    within the curve's largest one-trial, whole-list footprint: the most
+    trials for noncausal-sqrt, and for causal-sequential the most trials at
+    one message per chunk with the most messages per chunk (within
+    1 - STREAM_HEADROOM of the budget, where that is smaller). Trial t draws
+    from rng_for(seed, scheme tag, n, rate index, t), so a row depends on
+    neither the batching nor the chunking.
     """
     from .causal import causal_capacity
     from .noncausal import _check_witness, noncausal_lower_bound, trim_witness
@@ -549,12 +667,17 @@ def simulate_rate_error_curve(
     causal = scheme == "causal-sequential"
     # A message sums K bins against K lists of |S| states per slot, or one codeword against one state.
     lead, per_list = (1, 1) if causal else (K, ch.num_states)
-    messages = [[_messages_for_rate(rate, n, ch.dim, lead, per_list) for rate in rates] for n in n_list]
-    # Each point's trials run in batches that hold no more than the curve's largest single trial.
+    messages = [[_messages_for_rate(rate, n, ch.dim, lead, per_list, causal) for rate in rates] for n in n_list]
+    # Batches hold no more than the curve's largest one-trial, whole-list footprint. Where that
+    # exceeds the budget the chain streams, and its chunks leave the budget's last STREAM_HEADROOM
+    # to what the model does not count.
     cap = max(
-        (_batch_entries(1, M, n, ch.dim, lead, per_list) for n, counts in zip(n_list, messages) for M in counts),
+        (_batch_entries(1, M, n, ch.dim, lead, per_list, M if causal else None)
+         for n, counts in zip(n_list, messages) for M in counts),
         default=0,
     )
+    if causal:
+        cap = min(cap, int((1.0 - STREAM_HEADROOM) * memory_budget_bytes()) // 8)
 
     p = ch.p
     # Each witness becomes letter weights q(u), weights p(s|u)/p(s) and an
@@ -586,15 +709,22 @@ def simulate_rate_error_curve(
     for n, counts in zip(n_list, messages):
         ctx = DecodeContext(states, basis, n, delta)
         for r_idx, (rate, M) in enumerate(zip(rates, counts)):
-            # The most trials whose batch model is within cap; the model grows with the trial count.
-            size = bisect.bisect_right(
-                range(1, trials + 1), cap, key=lambda t: _batch_entries(t, M, n, ch.dim, lead, per_list)
-            )
+            # The most trials whose batch model is within cap (at one message per chunk for the
+            # chain), then the chain's most messages per chunk; the model grows with both.
+            # At least one of each: one message per chunk of one trial always fits the budget.
+            chunk = 1 if causal else None
+            size = max(1, bisect.bisect_right(
+                range(1, trials + 1), cap, key=lambda t: _batch_entries(t, M, n, ch.dim, lead, per_list, chunk)
+            ))
+            if causal:
+                chunk = max(1, bisect.bisect_right(
+                    range(1, M + 1), cap, key=lambda c: _batch_entries(size, M, n, ch.dim, lead, per_list, c)
+                ))
             batches = []
             for first in range(0, trials, size):
                 rngs = [rng_for(seed, tag, n, r_idx, t) for t in range(first, min(first + size, trials))]
                 batches.append(
-                    simulate_causal_trial(states, q, ctx, M, rngs)
+                    simulate_causal_trial(states, q, ctx, M, rngs, chunk)
                     if causal
                     else simulate_noncausal_trial(ch, p_su, strat, ctx, K, M, rngs)
                 )

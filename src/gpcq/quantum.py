@@ -125,26 +125,34 @@ class BlockStack:
         """The same operators with their leading (batch and list) axes reshaped to ``lead``."""
         return BlockStack(tuple(b.reshape(*lead, *b.shape[-2:]) for b in self.blocks), self.index)
 
-    def paired(self, d: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    def paired(self, pairs: tuple[np.ndarray, ...], lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Operators lo..hi-1 scattered into an (hi - lo, dim²) array in product_traces' slot-paired layout.
 
-        The stack has no batch axes. dim must be a power of d, every slot's
-        dimension. Entry (a, b) goes to d spread[a] + spread[b], where
-        spread[a] = sum_k a_k (d²)^(n-k) reads a's base-d digits in base d²,
-        so each block is one fancy assignment and no dim x dim index table is
-        formed.
+        The stack has no batch axes; pairs[c] holds index set c's positions in
+        that layout (slot_pairs), so each block is one fancy assignment.
         """
-        spread = np.zeros(1, dtype=np.int64)
-        while spread.size < self.dim and d > 1:
-            spread = (spread[:, None] * (d * d) + np.arange(d)).reshape(-1)
-        if spread.size != self.dim:
-            raise DimensionMismatch(f"dimension {self.dim} is not a power of {d}")
         parts = [b[lo:hi] for b in self.blocks]
         out = np.zeros((parts[0].shape[0], self.dim**2), dtype=np.result_type(*parts))
-        for idx, part in zip(self.index, parts):
-            pos = spread[idx]
-            out[:, d * pos[:, None] + pos] = part
+        for pos, part in zip(pairs, parts):
+            out[:, pos] = part
         return out
+
+
+def slot_pairs(index: tuple[np.ndarray, ...], d: int) -> tuple[np.ndarray, ...]:
+    """Each index set's (s, s) positions in product_traces' slot-paired layout, for BlockStack.paired.
+
+    The sets cover range(dim), and dim must be a power of d, every slot's
+    dimension. Entry (a, b) goes to d spread[a] + spread[b], where
+    spread[a] = sum_k a_k (d²)^(n-k) reads a's base-d digits in base d², so
+    no dim x dim index table is formed.
+    """
+    dim = sum(idx.size for idx in index)
+    spread = np.zeros(1, dtype=np.int64)
+    while spread.size < dim and d > 1:
+        spread = (spread[:, None] * (d * d) + np.arange(d)).reshape(-1)
+    if spread.size != dim:
+        raise DimensionMismatch(f"dimension {dim} is not a power of {d}")
+    return tuple(d * spread[idx][:, None] + spread[idx] for idx in index)
 
 
 def spectrum(rho) -> np.ndarray:

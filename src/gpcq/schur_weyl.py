@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CapExceeded, GpcqError, NotProjection, NumericalRankFailure, PreconditionViolated
-from .quantum import BlockStack, kl_divergence, pinch, shannon_entropy, spectrum
+from .quantum import BlockStack, kl_divergence, pinch, shannon_entropy, slot_pairs, spectrum
 from .util import compositions, digit_table
 
 DIM_CAP = 4096
@@ -195,6 +196,8 @@ class ClassPartition:
     ``words[c]`` lists class c's words ascending, and the classes are ordered
     by their smallest word, the one whose letters are sorted ascending.
     ``label[w]`` is word w's class, ``rank[w]`` its place in ``words[label[w]]``.
+    ``pairs`` holds each class's slot-paired positions (quantum.slot_pairs),
+    built on first use and kept with the partition.
     """
 
     d: int
@@ -213,6 +216,10 @@ class ClassPartition:
             for _ in range(count):
                 smallest = smallest * self.d + letter
         return int(self.label[smallest])
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, ...]:
+        return slot_pairs(self.words, self.d)
 
 
 _PARTITIONS: dict[tuple[int, int], ClassPartition] = {}
@@ -250,6 +257,21 @@ class FrequencyClass:
 
 
 _FREQUENCY_CLASSES: dict[tuple[int, int], tuple[FrequencyClass, ...]] = {}
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an int (L, t) array and each row's index among them, as np.unique(axis=0) gives them.
+
+    One lexsort over the columns, the first the primary key, then a compare of
+    adjacent sorted rows: no structured-dtype sort and no packed key to overflow.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ranked[first], inverse
 
 
 def _frequency_class(words: np.ndarray, digits: np.ndarray, d: int, frames: list) -> FrequencyClass:
@@ -411,7 +433,7 @@ class DecodeContext:
             raise GpcqError(f"word array of shape {words.shape} is not (L, K, {self.n}) with K >= 1")
         if words.size and (words.min() < 0 or words.max() >= len(self.states)):
             raise GpcqError(f"word letters span [{words.min()}, {words.max()}], outside range({len(self.states)})")
-        distinct, inverse = np.unique(words.reshape(-1, self.n), axis=0, return_inverse=True)
+        distinct, inverse = _unique_rows(words.reshape(-1, self.n))
         inverse = inverse.reshape(words.shape[:2])
         summed = []
         for block in self._gather(distinct):
@@ -432,13 +454,13 @@ class DecodeContext:
         b[order]); a[order] is a's digits weighted by the place values their slots sort to.
         """
         order = np.argsort(distinct, axis=1, kind="stable")
-        types, type_of = np.unique(np.take_along_axis(distinct, order, axis=1), axis=0, return_inverse=True)
+        types, type_of = _unique_rows(np.take_along_axis(distinct, order, axis=1))
         weights = np.empty_like(order)  # weights[w, order[w, j]] is the place value of position j
         np.put_along_axis(weights, order, self.d ** np.arange(self.n - 1, -1, -1), axis=1)
         pos = self.partition.rank[weights @ self._digits.T]
         blocks = tuple(np.empty((len(distinct), words.size, words.size)) for words in self.partition.words)
         for k, word in enumerate(types):
-            rows, segments = np.flatnonzero(type_of.reshape(-1) == k), []
+            rows, segments = np.flatnonzero(type_of == k), []
             for u, first, t in zip(*np.unique(word, return_index=True, return_counts=True)):
                 values, row_start, column = self._letter(int(u), int(t))
                 seg = self._digits[:, first : first + t] @ self.d ** np.arange(t - 1, -1, -1)

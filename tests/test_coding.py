@@ -10,6 +10,7 @@ import pytest
 from gpcq import coding, noncausal
 from gpcq.channel import BUDGET_ENV_VAR, build_channel, derived_states
 from gpcq.coding import (
+    SequentialChain,
     SimRow,
     _chunk_entries,
     _mean_ci,
@@ -413,6 +414,92 @@ class TestDecoderBatches:
         assert got[0] is error and "operator 2 " in got[1]
 
 
+    def streamed(self, stack, chunk=2):
+        """Feed a batched stack to one SequentialChain chunk messages at a time, then close it."""
+        chain = SequentialChain()
+        for lo in range(0, len(stack), chunk):
+            chain.advance(BlockStack(tuple(b[..., lo : lo + chunk, :, :] for b in stack.blocks), self.INDEX))
+        return chain.close()
+
+    @pytest.mark.parametrize("value, error, text", [
+        (0.5, NotProjection, "operator 2 is not a projector"),
+        (np.inf, NonFinite, "operator 2 has a non-finite entry"),
+    ])
+    def test_bad_operator_in_a_later_chunk_is_named_by_its_own_list(self, rng, value, error, text):
+        stack = self.batch([self.member(rng), self.member(rng), self.member(rng)])
+        bad = self.corrupt(stack, 2, (0, 0), value)  # the first operator of list 1's second chunk
+        got = self.raised(lambda: self.streamed(bad))
+        assert got == self.raised(lambda: self.streamed(BlockStack(tuple(b[1] for b in bad.blocks), self.INDEX)))
+        assert got == self.raised(lambda: sequential_decoder(bad))
+        assert got == (error, text)
+
+    @pytest.mark.parametrize("block, entry, value, text", [
+        (0, (0, 0), np.nan, "element 2 has a non-finite entry"),
+        (0, (0, 1), 0.3, "element 2 is not Hermitian"),
+        (2, (0, 0), -0.1, "element 2 has a negative eigenvalue"),
+    ])
+    def test_bad_element_in_a_later_chunk_is_named_by_its_own_list(self, rng, monkeypatch, block, entry, value, text):
+        # Once armed with a list, the chain's Hermitian part spoils that list's first element of the chunk in one block.
+        armed, hermitian_part = [], coding._hermitian_part
+
+        def spoiled(ops):
+            out = hermitian_part(ops)
+            if armed and out.ndim == 5 and out.shape[-1] == self.INDEX[block].size:
+                out[(0, armed[0], 0) + entry] = value
+            return out
+
+        def streamed(stack, t):
+            chain, armed[:] = SequentialChain(), []
+            chain.advance(BlockStack(tuple(b[..., :2, :, :] for b in stack.blocks), self.INDEX))
+            armed.append(t)
+            chain.advance(BlockStack(tuple(b[..., 2:, :, :] for b in stack.blocks), self.INDEX))
+
+        monkeypatch.setattr(coding, "_hermitian_part", spoiled)
+        stack = self.batch([self.member(rng), self.member(rng), self.member(rng)])
+        got = self.raised(lambda: streamed(stack, 1))
+        assert got == self.raised(lambda: streamed(BlockStack(tuple(b[1:2] for b in stack.blocks), self.INDEX), 0))
+        assert text in got[1]
+
+
+class TestStreamedChain:
+    """Chunks of a causal batch give the whole list's elements, error outcome and traces, bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("name", ["flip", "purecq", "stuck"])
+    def test_chunks_equal_the_whole_list_and_each_trial_alone(self, suite, name, n):
+        ch, M, T = suite[name], 9, 3
+        ctx, q = decode_context(ch, [[0.5, 0.5], [0.5, 0.5]], n), np.array([0.5, 0.5])
+        words = np.stack([_typical_words(q, n, M, ctx.delta, rng_for(4, name, n, t)) for t in range(T)])
+        rotated = ctx.rotate(ctx.states)
+
+        def traced(elements, part):
+            """Each element's success trace, (T, messages), against its codeword's product state."""
+            slots = [rotated[part[..., j].reshape(-1)][:, None] for j in range(n)]
+            return _success_traces(elements.reshape(-1), slots).reshape(len(part), -1)
+
+        def same(got, want):
+            return all(np.array_equal(g, w) for g, w in zip(got.blocks, want.blocks))
+
+        whole, whole_error = sequential_decoder(ctx.projectors(words.reshape(T * M, 1, n)).reshape(T, M))
+        whole_traces = traced(whole, words)
+        for chunk in (1, 2, 7, M):
+            chain = SequentialChain()
+            for lo in range(0, M, chunk):
+                part = words[:, lo : lo + chunk]
+                got = chain.advance(ctx.projectors(part.reshape(-1, 1, n)).reshape(T, -1))
+                assert same(got, BlockStack(tuple(b[:, lo : lo + chunk] for b in whole.blocks), whole.index)), chunk
+                assert np.array_equal(traced(got, part), whole_traces[:, lo : lo + chunk]), chunk
+            assert same(chain.close(), whole_error), chunk
+            rows = simulate_causal_trial(ctx.states, q, ctx, M, [rng_for(4, name, n, t) for t in range(T)], chunk)
+            alone = [simulate_causal_trial(ctx.states, q, ctx, M, [rng_for(4, name, n, t)], M) for t in range(T)]
+            assert np.array_equal(rows, np.concatenate(alone)), chunk
+        for t in range(T):
+            alone, alone_error = sequential_decoder(ctx.projectors(words[t].reshape(M, 1, n)))
+            assert same(alone, BlockStack(tuple(b[t] for b in whole.blocks), whole.index)), t
+            assert same(alone_error, BlockStack(tuple(b[t] for b in whole_error.blocks), whole.index)), t
+            assert np.array_equal(traced(alone.reshape(1, M), words[t : t + 1]), whole_traces[t : t + 1]), t
+
+
 class TestSuccessTraces:
     @pytest.mark.parametrize("lead, L", [((2,), 2), ((), 1)])
     def test_chunks_keep_every_trace_and_match_the_kron_fold(self, rng, lead, L):
@@ -620,7 +707,7 @@ class TestTrialOracle:
                 assert declares == pytest.approx(declared, abs=1e-12), (n, M, K)
                 informative.append(0.0 < declares < 1.0)
             else:
-                [(err, _)] = simulate_causal_trial(states, q, ctx, M, [rng_for(8, "oracle", n, M)])
+                [(err, _)] = simulate_causal_trial(states, q, ctx, M, [rng_for(8, "oracle", n, M)], M)
                 words = sequential_typical_words(q, n, M, ORACLE_DELTA, rng_for(8, "oracle", n, M))
                 povm, _ = sequential_decoder([ref.dense_projector(ctx, w) for w in words])
                 code = causal_code(words, XOR, ch.num_states, povm)
@@ -768,22 +855,28 @@ class TestSimulationDriver:
 
         def one(M, rngs):
             if causal:
-                return simulate_causal_trial(ctx.states, q, ctx, M, rngs)
+                return simulate_causal_trial(ctx.states, q, ctx, M, rngs, M)
             return simulate_noncausal_trial(ch, p_su, XOR, ctx, 2, M, rngs)
 
-        sizes = {}
+        sizes, chunks = {}, {}
 
         def counted(*args):
-            rngs = args[-1]
-            sizes.setdefault(args[-2], []).append(len(rngs))
+            # A causal call ends (M, rngs, chunk), a binned one (M, rngs).
+            M, rngs = args[-3:-1] if causal else args[-2:]
+            sizes.setdefault(M, []).append(len(rngs))
+            chunks[M] = args[-1] if causal else M
             return simulate_causal_trial(*args) if causal else simulate_noncausal_trial(*args)
 
         monkeypatch.setattr(coding, "simulate_causal_trial" if causal else "simulate_noncausal_trial", counted)
         rows = simulate_rate_error_curve(ch, scheme, rates, [n], trials, seed, K=2, delta=0.2,
                                          gp_witness=self.FLIP_WITNESS, causal_witness=self.CAUSAL_WITNESS)
         monkeypatch.undo()
-        # The cap splits the small-rate point's ten trials into batches of unequal size.
-        assert len(set(sizes[4])) == 2 and sum(sizes[4]) == trials and sizes[28] == [1] * trials
+        if causal:
+            # The chain streams: each point's ten trials run in one call, the rate-1.2 point in several chunks.
+            assert sizes == {4: [trials], 28: [trials]} and math.ceil(28 / chunks[28]) >= 2
+        else:
+            # The cap splits the small-rate point's ten trials into batches of unequal size.
+            assert len(set(sizes[4])) == 2 and sum(sizes[4]) == trials and sizes[28] == [1] * trials
         tag = "causal" if causal else "noncausal"
         for r_idx, (rate, row) in enumerate(zip(rates, rows)):
             results = np.concatenate([one(row.M, [rng_for(seed, tag, n, r_idx, t)]) for t in range(trials)])
@@ -823,6 +916,8 @@ class TestSimulationDriver:
             # within the model of one rate-0.5 trial.
             pytest.param("causal-sequential", [0.25, 0.5], 5, [4, 16], id="causal-sequential-batched"),
             pytest.param("noncausal-sqrt", [0.25, 0.5], 5, [4, 16], id="noncausal-sqrt-batched"),
+            # The rate-1.0 point's four trials stream in chunks shorter than its 256 messages.
+            pytest.param("causal-sequential", [0.5, 1.0], 4, [16, 256], id="causal-sequential-chunked"),
         ],
     )
     def test_memory_model_bounds_the_traced_peak(self, flip, scheme, rates, trials, Ms, monkeypatch):
@@ -830,16 +925,40 @@ class TestSimulationDriver:
         # (tracemalloc sees numpy's) and stay within 25% of their peak.
         kw = dict(rates=rates, n_list=[8], trials=trials, seed=5, K=2, delta=0.2,
                   gp_witness=self.FLIP_WITNESS, causal_witness=self.CAUSAL_WITNESS)
+        causal = scheme == "causal-sequential"
         simulate_rate_error_curve(flip, scheme, **kw)  # fills the n-slot class caches
-        tracemalloc.start()
-        try:
-            simulate_rate_error_curve(flip, scheme, **kw)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        plans = []  # (trials, M, chunk) of every trial call
+
+        def traced():
+            trial = simulate_causal_trial if causal else simulate_noncausal_trial
+
+            def planned(*args):
+                # A causal call ends (M, rngs, chunk), a binned one (M, rngs).
+                plans.append((len(args[-2]), args[-3], args[-1]) if causal else (len(args[-1]), args[-2], None))
+                return trial(*args)
+
+            monkeypatch.setattr(coding, trial.__name__, planned)
+            tracemalloc.start()
+            try:
+                rows = simulate_rate_error_curve(flip, scheme, **kw)
+                return rows, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                monkeypatch.setattr(coding, trial.__name__, trial)
+
+        _, peak = traced()
+        lead, states = (1, 1) if causal else (2, flip.num_states)
+        model = 8 * max(coding._batch_entries(t, M, 8, flip.dim, lead, states, chunk) for t, M, chunk in plans)
+        assert peak <= model <= 1.25 * peak
         monkeypatch.setenv(BUDGET_ENV_VAR, str(peak))
-        with pytest.raises(BudgetExceeded):
-            simulate_rate_error_curve(flip, scheme, **kw)
+        if causal and Ms != [1]:
+            # The chain refuses only when one message per chunk does not fit: below the
+            # run's model it takes shorter chunks, and stays within the budget.
+            rows, streamed_peak = traced()
+            assert [row.M for row in rows] == Ms and streamed_peak <= peak
+        else:
+            with pytest.raises(BudgetExceeded):
+                simulate_rate_error_curve(flip, scheme, **kw)
         monkeypatch.setenv(BUDGET_ENV_VAR, str(int(1.25 * peak)))
         assert [row.M for row in simulate_rate_error_curve(flip, scheme, **kw)] == Ms
 

@@ -25,11 +25,13 @@ from gpcq.quantum import (
     product_traces,
     relative_entropy,
     shannon_entropy,
+    slot_pairs,
     spectrum,
     trace_distance,
     validate_density,
     von_neumann_entropy,
 )
+from gpcq.schur_weyl import class_partition
 from gpcq.util import rng_for
 
 from code_reference import holevo_via_divergence
@@ -288,14 +290,18 @@ class TestBlockStackPaired:
             count = int(rng.integers(1, 5))
             stack = BlockStack(tuple(rng.normal(size=(count, i.size, i.size)) for i in index), index)
             lo, hi = sorted(rng.integers(0, count + 1, size=2))
-            got = stack.paired(d, lo, hi)
+            got = stack.paired(slot_pairs(index, d), lo, hi)
             assert got.shape == (hi - lo, d ** (2 * n))
             assert np.array_equal(got, paired(dense(stack, lo, hi), [d] * n))
 
     def test_dimension_not_a_power_of_the_slot_dimension(self):
-        stack = BlockStack((np.ones((1, 6, 6)),), (np.arange(6),))
         with pytest.raises(DimensionMismatch):
-            stack.paired(2)
+            slot_pairs((np.arange(6),), 2)
+
+    def test_partition_keeps_its_pairs(self):
+        part = class_partition(2, 5)
+        assert part.pairs is part.pairs
+        assert all(np.array_equal(a, b) for a, b in zip(part.pairs, slot_pairs(part.words, 2)))
 
 
 class TestPinch:

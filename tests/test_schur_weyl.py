@@ -14,6 +14,7 @@ from gpcq.errors import CapExceeded, GpcqError, NumericalRankFailure, Preconditi
 from gpcq.quantum import eigenbasis, kl_divergence, spectrum
 from gpcq.schur_weyl import (
     DecodeContext,
+    _unique_rows,
     a_set,
     block_projector,
     class_partition,
@@ -674,6 +675,20 @@ def type_class(counts) -> np.ndarray:
     words = digit_table(len(counts), sum(counts))
     tally = np.stack([(words == u).sum(axis=1) for u in range(len(counts))], axis=1)
     return words[(tally == np.asarray(counts)).all(axis=1)]
+
+
+def test_unique_rows_equal_numpy_unique():
+    # Word arrays of the decode gather's sizes; repeats drawn from a few rows so that most rows recur.
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        L, n, letters = int(rng.integers(0, 2000)), int(rng.integers(1, 13)), int(rng.integers(1, 41))
+        rows = rng.integers(0, letters, size=(L, n))
+        if rng.random() < 0.5 and L:
+            rows = rows[rng.integers(0, max(1, L // 10), size=L)]
+        distinct, inverse = _unique_rows(rows)
+        want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+        assert distinct.dtype == want.dtype and np.array_equal(distinct, want)
+        assert np.array_equal(inverse, want_inverse.reshape(-1))
 
 
 class TestGatheredProjectors:
