@@ -1,7 +1,8 @@
 """Rate-error sweeps for both coding schemes on one channel.
 
-Writes one CSV per scheme into the output directory. The flip channel with
-the canonical binary witness shows the textbook picture: below capacity the
+Writes one CSV per scheme into the output directory through
+`gpcq simulate ... --out`, and prints it. The flip channel with the
+canonical binary witness shows the textbook picture: below capacity the
 error falls with blocklength, above capacity it stays pinned near 1.
 
 Usage: python3 scripts/rate_error_sweep.py [channel] [--out results/]
@@ -13,8 +14,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from gpcq.channel import load_channel
-from gpcq.coding import rows_to_csv, simulate_rate_error_curve
+from gpcq.cli import dispatch
 
 
 def main() -> None:
@@ -27,29 +27,17 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=2024)
     args = ap.parse_args()
 
-    ch = load_channel(args.channel)
-    rates = [float(r) for r in args.rates.split(",")]
-    n_list = [int(n) for n in args.n.split(",")]
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     for scheme in ("causal-sequential", "noncausal-sqrt"):
-        rows = simulate_rate_error_curve(
-            ch,
-            scheme,
-            rates=rates,
-            n_list=n_list,
-            trials=args.trials,
-            seed=args.seed,
-        )
         path = out / f"{pathlib.Path(args.channel).stem}_{scheme}.csv"
-        path.write_text(rows_to_csv(rows))
+        argv = ["simulate", args.channel, "--scheme", scheme, "--rates", args.rates, "--n", args.n,
+                "--trials", str(args.trials), "--seed", str(args.seed), "--out", str(path)]
+        if dispatch(argv) != 0:
+            sys.exit(1)
         print(f"wrote {path}")
-        for row in rows:
-            print(
-                f"  {scheme} n={row.n} rate={row.rate:.3g} M={row.M}"
-                f" err={row.err:.4f} [{row.ci_low:.4f}, {row.ci_high:.4f}]"
-            )
+        sys.stdout.write(path.read_text())
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .channel import StateChannel, derived_states
-from .errors import CapExceeded, GpcqError
+from .errors import CapExceeded, GpcqError, PreconditionViolated
 from .quantum import divergence_profile, von_neumann_entropy
 
 # Largest strategy count |X|^|S| solved for; the only guard against channel
@@ -61,9 +61,9 @@ def _as_strategy(columns: np.ndarray) -> Strategy:
 class InnerSolution:
     """Certified maximizer of Holevo information over the weight simplex."""
 
-    q: np.ndarray
     value: float
     gap: float
+    q: np.ndarray
     iterations: int
     converged: bool
 
@@ -87,15 +87,18 @@ def inner_maximize(states: np.ndarray, eps: float = INNER_EPS) -> InnerSolution:
     ``iterations`` counts the iterations actually run, also when a solve
     stalls before INNER_MAX_ITER. Non-finite states, a NaN gap, or a final gap
     that is not finite raise GpcqError; an infinite gap mid-solve is an honest
-    bound and the ascent goes on.
+    bound and the ascent goes on. An eps below 0, which no gap can meet,
+    raises PreconditionViolated; eps = 0 is allowed.
     """
+    if not eps >= 0:
+        raise PreconditionViolated("eps", eps, ">= 0")
     states = np.asarray(states, dtype=complex)
     if not np.all(np.isfinite(states)):
         raise GpcqError("ensemble states have non-finite entries")
     num = states.shape[0]
     entropies = von_neumann_entropy(states)
     if num == 1:
-        return InnerSolution(np.ones(1), 0.0, 0.0, 0, True)
+        return InnerSolution(0.0, 0.0, np.ones(1), 0, True)
 
     def shifted(gamma):
         # The current iterate q with weight gamma moved from away to toward.
@@ -121,7 +124,7 @@ def inner_maximize(states: np.ndarray, eps: float = INNER_EPS) -> InnerSolution:
         if math.isnan(gap):
             raise GpcqError("inner solve produced a NaN duality gap", iteration=it)
         if gap <= eps:
-            return InnerSolution(q, chi, max(gap, 0.0), it, True)
+            return InnerSolution(chi, max(gap, 0.0), q, it, True)
 
         toward = int(np.argmax(div))
         active = np.where(q > 1e-15)[0]
@@ -145,7 +148,7 @@ def inner_maximize(states: np.ndarray, eps: float = INNER_EPS) -> InnerSolution:
     gap = float(np.max(div) - chi)
     if not math.isfinite(gap):
         raise GpcqError(f"inner solve ended with a non-finite duality gap after {it} iterations")
-    return InnerSolution(q, chi, max(gap, 0.0), it, gap <= eps)
+    return InnerSolution(chi, max(gap, 0.0), q, it, gap <= eps)
 
 
 @dataclass(frozen=True)
@@ -158,9 +161,9 @@ class CausalSolution:
 
     value: float
     gap: float
+    aux_size: int
     q: np.ndarray
     strategy: Strategy
-    aux_size: int
     strategies_searched: int
     iterations: int
     converged: bool
@@ -184,9 +187,9 @@ def causal_capacity(
     return CausalSolution(
         value=sol.value,
         gap=sol.gap,
+        aux_size=int(support.sum()),
         q=sol.q[support],
         strategy=_as_strategy(columns[support]),
-        aux_size=int(support.sum()),
         strategies_searched=len(columns),
         iterations=sol.iterations,
         converged=sol.converged,

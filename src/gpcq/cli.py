@@ -2,9 +2,11 @@
 
 Each command builds one payload and passes it to _emit with its text form:
 an aligned `key  value` table (_table) or a CSV (_csv) rendered from the
-payload by one cell rule, or the simulate CSV of coding.rows_to_csv. With
---json the payload itself is written as sorted JSON instead. Where a command
-has --out, the selected format goes to that file, otherwise to stdout.
+payload by one cell rule. The causal, noncausal, holevo and simulate
+payloads are the fields of their result dataclasses (_payload), so every
+result field is reported. With --json the payload itself is written as
+sorted JSON instead. Where a command has --out, the selected format goes to
+that file, otherwise to stdout.
 
 Exit codes: 0 on success, 1 on a domain error (structured message on
 stderr), 2 on usage errors. Every run emits a JSON manifest line to stderr
@@ -15,6 +17,7 @@ time; results go to stdout (or --out) so reruns are byte-comparable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -24,9 +27,9 @@ import time
 import numpy as np
 
 from . import __version__
-from .causal import INNER_EPS, causal_capacity, state_averaged_holevo
+from .causal import INNER_EPS, Strategy, causal_capacity, state_averaged_holevo
 from .channel import load_channel
-from .coding import rows_to_csv, simulate_rate_error_curve
+from .coding import SimRow, simulate_rate_error_curve
 from .errors import GpcqError, NonFinite, PreconditionViolated
 from .method_of_types import (
     nearest_type,
@@ -117,6 +120,22 @@ def _cell(value) -> str:
             return "; ".join(",".join(map(_cell, row)) for row in value)
         return " ".join(map(_cell, value))
     return str(value)
+
+
+def _plain(value):
+    """A result field as a JSON value: arrays and tuples become lists, a Strategy its columns."""
+    if isinstance(value, Strategy):
+        value = value.columns
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
+
+
+def _payload(result) -> dict:
+    """The fields of a result dataclass, in declaration order, as JSON values."""
+    return {field.name: _plain(getattr(result, field.name)) for field in dataclasses.fields(result)}
 
 
 def _table(payload: dict, keys=None) -> str:
@@ -235,72 +254,31 @@ def _cmd_validate(args) -> None:
 
 
 def _cmd_causal(args) -> None:
-    ch = load_channel(args.channel)
-    sol = causal_capacity(ch, eps=args.eps)
-    payload = {
-        "value": sol.value,
-        "gap": sol.gap,
-        "aux_size": sol.aux_size,
-        "q": [float(x) for x in sol.q],
-        "strategy": [list(col) for col in sol.strategy.columns],
-        "strategies_searched": sol.strategies_searched,
-        "iterations": sol.iterations,
-        "converged": sol.converged,
-    }
+    payload = _payload(causal_capacity(load_channel(args.channel), eps=args.eps))
     _emit(args, payload, _table(payload))
 
 
 def _cmd_noncausal(args) -> None:
-    ch = load_channel(args.channel)
     wit = noncausal_lower_bound(
-        ch,
-        n=args.n,
-        aux_size=args.aux_size,
-        restarts=args.restarts,
-        seed=args.seed,
+        load_channel(args.channel), n=args.n, aux_size=args.aux_size, restarts=args.restarts, seed=args.seed
     )
-    payload = {
-        "value": wit.value,
-        "holevo": wit.holevo,
-        "leak": wit.leak,
-        "n": wit.n,
-        "aux_size": wit.aux_size,
-        "q_given_s": [[float(x) for x in row] for row in wit.q_given_s],
-        "strategy": [[int(x) for x in row] for row in wit.strategy],
-        "restart_index": wit.restart_index,
-        "restarts": wit.restarts,
-        "restart_values": list(wit.restart_values),
-        "ascent_steps": wit.ascent_steps,
-        "objective_evals": wit.objective_evals,
-        "rounds": wit.rounds,
-        "decompositions": wit.decompositions,
-        "leak_per_symbol": wit.leak_per_symbol,
-        "upper": wit.upper,
-        "upper_gap": wit.upper_gap,
-        "certified_optimal": wit.certified_optimal,
-    }
+    payload = _payload(wit)
     keys = ["value", "holevo", "leak", "n", "aux_size", "restart_index"]
     keys += ["upper", "upper_gap", "certified_optimal"]
     _emit(args, payload, _table(payload, keys))
 
 
 def _cmd_holevo(args) -> None:
-    sol = state_averaged_holevo(load_channel(args.channel), eps=args.eps)
-    payload = {
-        "value": sol.value,
-        "gap": sol.gap,
-        "q": [float(x) for x in sol.q],
-        "iterations": sol.iterations,
-        "converged": sol.converged,
-    }
+    payload = _payload(state_averaged_holevo(load_channel(args.channel), eps=args.eps))
     _emit(args, payload, _table(payload))
 
 
-def _types_rows(args) -> list[dict]:
+def _types_rows(args) -> list[tuple]:
+    """One (n, value, lower bound, upper bound) row per --n."""
     ns = _parse_ints(args.n)
     if any(n < 1 for n in ns):
         raise PreconditionViolated("every --n >= 1", ns, ">= 1")
-    rows: list[dict] = []
+    rows = []
     if args.op == "coverage":
         if args.joint is None:
             raise GpcqError("types --op coverage requires --joint")
@@ -311,14 +289,10 @@ def _types_rows(args) -> list[dict]:
             # coverage_probability refuses both.
             joint = joint / total
         for n in ns:
-            res = coverage_probability(
-                joint, n, args.k, args.delta, trials=args.trials, seed=args.seed
-            )
+            res = coverage_probability(joint, n, args.k, args.delta, trials=args.trials, seed=args.seed)
             if not res.hypotheses_hold:
                 print(f"note: n={n}: {res.hypothesis_note}", file=sys.stderr)
-            rows.append(
-                {"n": n, "value": res.estimate, "lower_bound": res.ci_low, "upper_bound": res.ci_high}
-            )
+            rows.append((n, res.estimate, res.ci_low, res.ci_high))
         return rows
     if args.p is None:
         raise GpcqError(f"types --op {args.op} requires --p")
@@ -327,37 +301,25 @@ def _types_rows(args) -> list[dict]:
         raise GpcqError("--p must be a probability vector summing to 1")
     for n in ns:
         if args.op == "class-size":
-            counts = nearest_type(p, n)
-            res = type_class_size(counts)
-            rows.append(
-                {
-                    "n": n,
-                    "value": res.size,
-                    "lower_bound": res.lower,
-                    "upper_bound": res.upper,
-                }
-            )
+            res = type_class_size(nearest_type(p, n))
+            rows.append((n, res.size, res.lower, res.upper))
         elif args.op == "nearest":
-            counts = nearest_type(p, n)
-            dist = float(np.abs(counts / n - p).sum())
-            support = int(np.sum(p > 0))
-            rows.append(
-                {"n": n, "value": dist, "lower_bound": 0.0, "upper_bound": 2.0 * support / n}
-            )
+            dist = float(np.abs(nearest_type(p, n) / n - p).sum())
+            rows.append((n, dist, 0.0, 2.0 * int(np.sum(p > 0)) / n))
         else:
-            mass = typical_mass(p, args.delta, n)
             guaranteed = max(0.0, 1.0 - 2.0 ** (-n * args.delta / 2.0))
-            rows.append({"n": n, "value": mass, "lower_bound": guaranteed, "upper_bound": 1.0})
+            rows.append((n, typical_mass(p, args.delta, n), guaranteed, 1.0))
     return rows
 
 
 def _cmd_types(args) -> None:
-    rows = _types_rows(args)
-    text = _csv(rows, ["n", "value", "lower_bound", "upper_bound"])
-    _emit(args, {"op": args.op, "rows": rows}, text)
+    columns = ["n", "value", "lower_bound", "upper_bound"]
+    rows = [dict(zip(columns, row)) for row in _types_rows(args)]
+    _emit(args, {"op": args.op, "rows": rows}, _csv(rows, columns))
 
 
-def _schur_rows(args) -> list[dict]:
+def _schur_rows(args) -> list[tuple]:
+    """One (frame, dimension, entropy, lower bound, upper bound) row per Young frame."""
     check_frame_table(args.d, args.n)
     rows = []
     for frame in young_frames(args.d, args.n):
@@ -365,15 +327,8 @@ def _schur_rows(args) -> list[dict]:
         dim = bounds.dimension
         if args.mode == "dims":
             dim *= gl_multiplicity(frame, args.d)
-        rows.append(
-            {
-                "frame": "+".join(map(str, frame)),
-                "dim": dim,
-                "entropy": shannon_entropy(frame_distribution(frame, args.d)) + 0.0,
-                "lower": bounds.lower,
-                "upper": bounds.upper,
-            }
-        )
+        entropy = shannon_entropy(frame_distribution(frame, args.d)) + 0.0
+        rows.append(("+".join(map(str, frame)), dim, entropy, bounds.lower, bounds.upper))
     return rows
 
 
@@ -381,9 +336,9 @@ def _cmd_schur(args) -> None:
     if args.d < 1 or args.n < 1:
         raise PreconditionViolated("--d and --n", (args.d, args.n), ">= 1")
     if args.mode != "check":
-        rows = _schur_rows(args)
-        text = _csv(rows, ["frame", "dim", "entropy", "lower", "upper"])
-        _emit(args, {"mode": args.mode, "rows": rows}, text)
+        columns = ["frame", "dim", "entropy", "lower", "upper"]
+        rows = [dict(zip(columns, row)) for row in _schur_rows(args)]
+        _emit(args, {"mode": args.mode, "rows": rows}, _csv(rows, columns))
         return
     # Slot permutations keep each frequency class, so every projector is block
     # diagonal over the classes and each defect is the worst over class blocks.
@@ -431,7 +386,8 @@ def _cmd_simulate(args) -> None:
         delta=args.delta,
         restarts=args.restarts,
     )
-    _emit(args, {"rows": [row.__dict__ for row in rows]}, rows_to_csv(rows))
+    rows = [_payload(row) for row in rows]
+    _emit(args, {"rows": rows}, _csv(rows, [field.name for field in dataclasses.fields(SimRow)]))
 
 
 HANDLERS = {

@@ -436,34 +436,27 @@ def _batch_entries(trials: int, M: int, n: int, d: int, lead: int, states: int, 
     return tables + max(gather, build, decode, traces, matched)
 
 
-def _messages_for_rate(rate: float, n: int, d: int, lead: int, states: int, streamed: bool) -> int:
+def _messages_for_rate(rate: float, n: int, d: int, lead: int, states: int, chunk: int | None) -> int:
     """2^(n rate) messages, refused when one trial of them cannot fit the memory budget.
 
-    The model is _batch_entries of one trial: the largest float64 footprint
-    of its phases, for the sequential chain (streamed) one message per
-    chunk, for the square-root decoder the whole list. Its per-message terms
-    (the codewords' digits and traces; for a whole list also a message's
-    gather entries, its lead + 1 decoder-input stacks, its two decoding
-    stacks, its matched-set temporaries) are compared in log2 terms first,
-    so 2^(n rate) is only formed once it fits. Rates are at least 0, so M is
-    at least one message. CapExceeded first when the n-slot classes are past
-    schur_weyl.DIM_CAP, then when states^n exceeds STATE_WORD_CAP, the
-    state words a binned trial enumerates.
+    The one check is _batch_entries of one trial of M messages, fed ``chunk``
+    messages at a time: 1 for the sequential chain, None for the square-root
+    decoder's whole list. Before M is formed, its log2 is bounded below by
+    the per-message table term every plan holds, lead (n + states^n) entries
+    for the codewords' digits and traces, so 2^(n rate) is only formed once
+    that fits. Rates are at least 0, so M is at least one message.
+    CapExceeded first when the n-slot classes are past schur_weyl.DIM_CAP,
+    then when states^n exceeds STATE_WORD_CAP, the state words a binned
+    trial enumerates.
     """
-    budget = memory_budget_bytes()
-    sizes = [words.size**2 for words in class_partition(d, n).words]
+    class_partition(d, n)  # CapExceeded past schur_weyl.DIM_CAP
     if states**n > STATE_WORD_CAP:
         raise CapExceeded(f"|S|^n = {states**n} exceeds exact-evaluation cap {STATE_WORD_CAP}")
-    E, F = sum(sizes), max(sizes)
-    if streamed:
-        per_message = lead * (n + states**n)
-    else:
-        matched = MATCHED_PAIR_ENTRIES * states**n * lead
-        per_message = max(lead * (E + F + 2 * d**n), (lead + 1) * E + F, 2 * E + 3 * F, matched)
-    log2_bytes = n * rate + math.log2(8 * per_message)
+    budget = memory_budget_bytes()
+    log2_bytes = n * rate + math.log2(8 * lead * (n + states**n))
     if log2_bytes <= math.log2(max(budget, 1)):
         M = math.ceil(2.0 ** (n * rate) - 1e-9)
-        log2_bytes = math.log2(8 * _batch_entries(1, M, n, d, lead, states, 1 if streamed else None))
+        log2_bytes = math.log2(8 * _batch_entries(1, M, n, d, lead, states, chunk))
     if log2_bytes > math.log2(max(budget, 1)):
         raise BudgetExceeded(
             f"rate {rate} at n={n} needs ~2^{log2_bytes:.1f} bytes of decoder, budget is {budget}",
@@ -667,7 +660,9 @@ def simulate_rate_error_curve(
     causal = scheme == "causal-sequential"
     # A message sums K bins against K lists of |S| states per slot, or one codeword against one state.
     lead, per_list = (1, 1) if causal else (K, ch.num_states)
-    messages = [[_messages_for_rate(rate, n, ch.dim, lead, per_list, causal) for rate in rates] for n in n_list]
+    # A point's plan starts from one message per chunk for the chain, the whole list for the square root.
+    first_chunk = 1 if causal else None
+    messages = [[_messages_for_rate(rate, n, ch.dim, lead, per_list, first_chunk) for rate in rates] for n in n_list]
     # Batches hold no more than the curve's largest one-trial, whole-list footprint. Where that
     # exceeds the budget the chain streams, and its chunks leave the budget's last STREAM_HEADROOM
     # to what the model does not count.
@@ -712,7 +707,7 @@ def simulate_rate_error_curve(
             # The most trials whose batch model is within cap (at one message per chunk for the
             # chain), then the chain's most messages per chunk; the model grows with both.
             # At least one of each: one message per chunk of one trial always fits the budget.
-            chunk = 1 if causal else None
+            chunk = first_chunk
             size = max(1, bisect.bisect_right(
                 range(1, trials + 1), cap, key=lambda t: _batch_entries(t, M, n, ch.dim, lead, per_list, chunk)
             ))
@@ -733,13 +728,3 @@ def simulate_rate_error_curve(
             declares = float(np.mean(results[:, 1]))
             rows.append(SimRow(scheme, n, float(rate), 1 if causal else K, M, err, lo, hi, declares))
     return rows
-
-
-def rows_to_csv(rows: Sequence[SimRow]) -> str:
-    out = ["scheme,n,rate,K,M,err,ci_low,ci_high,declares"]
-    for r in rows:
-        out.append(
-            f"{r.scheme},{r.n},{r.rate:.10g},{r.K},{r.M},"
-            f"{r.err:.10g},{r.ci_low:.10g},{r.ci_high:.10g},{r.declares:.10g}"
-        )
-    return "\n".join(out) + "\n"

@@ -22,6 +22,7 @@ one decomposition per scored candidate plus one for its start.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +32,10 @@ from .channel import (
     StateChannel,
     derived_states,
     letter_states,
+    memory_budget_bytes,
     product_extension,
 )
-from .errors import GpcqError, NonFinite, PreconditionViolated, ShapeMismatch
+from .errors import BudgetExceeded, GpcqError, NonFinite, PreconditionViolated, ShapeMismatch
 from .quantum import entropy_bits
 from .util import rng_for
 
@@ -365,15 +367,9 @@ class GPWitness:
     decompositions: int
     upper: float  # noncausal_upper_bound's value, per symbol
     upper_gap: float  # its gap: upper + upper_gap is certified from above
-
-    @property
-    def leak_per_symbol(self) -> float:
-        return self.leak / self.n
-
-    @property
-    def certified_optimal(self) -> bool:
-        """The bracket is closed: the value is within ALT_EPS of the certified upper bound."""
-        return self.value >= self.upper + self.upper_gap - ALT_EPS
+    leak_per_symbol: float  # leak / n
+    # The bracket is closed: the value is within ALT_EPS of the certified upper bound.
+    certified_optimal: bool
 
 
 def noncausal_lower_bound(
@@ -394,13 +390,16 @@ def noncausal_lower_bound(
     construction.
     Explicit witnesses follow, each run at its own auxiliary size and checked
     against the blocklength-n channel as gp_objective checks; these always
-    run, and random starts fill up to ``restarts`` starts, possibly none.
+    run, and random starts fill up to ``restarts`` starts, possibly none,
+    each drawn from its own generator only when the search reaches it.
     Ties keep the smallest restart index. The starts run in that order and
     stop after the first whose per-symbol value is within ALT_EPS of
     noncausal_upper_bound's certified value, so ``restarts`` is a maximum
     (unless explicit witnesses pass it) and the witness reports the starts
     that ran.
-    An n, restarts or aux_size below 1 raises PreconditionViolated.
+    An n, restarts or aux_size below 1 raises PreconditionViolated, and an
+    aux_size whose per-start arrays exceed memory_budget_bytes() raises
+    BudgetExceeded before any start runs.
     """
     if n < 1:
         raise PreconditionViolated("n", n, ">= 1")
@@ -415,20 +414,30 @@ def noncausal_lower_bound(
     if aux_size < 1:
         raise PreconditionViolated("aux_size", aux_size, ">= 1")
 
+    # A start's largest arrays: the letter-state stack and the sweep's |X|-fold candidate stack,
+    # (|S| + |X|) aux_size complex dim x dim matrices.
+    start_bytes = 16 * (num_states + num_inputs) * aux_size * ch_n.dim**2
+    budget = memory_budget_bytes()
+    if start_bytes > budget:
+        raise BudgetExceeded(
+            f"aux_size {aux_size} needs {start_bytes} bytes per start, budget is {budget}", start_bytes=start_bytes
+        )
+
     causal = causal_capacity(ch)
     q_rows = np.tile(causal.q, (ch.num_states, 1))
     strat = np.asarray(causal.strategy.columns, dtype=np.int64).T
     starts = [product_witness(q_rows, strat, ch.num_inputs, n=n)]
     starts += [_check_witness(ch_n, q_seed, strat_seed) for q_seed, strat_seed in seed_witnesses]
-    for r in range(restarts - len(starts)):
-        rng = rng_for(seed, n, r)
-        q0 = rng.dirichlet(np.ones(aux_size), size=num_states)
-        strat0 = rng.integers(0, num_inputs, size=(num_states, aux_size))
-        starts.append((q0, strat0))
+
+    def random_starts():
+        for r in range(restarts - len(starts)):
+            rng = rng_for(seed, n, r)
+            q0 = rng.dirichlet(np.ones(aux_size), size=num_states)
+            yield q0, rng.integers(0, num_inputs, size=(num_states, aux_size))
 
     upper = noncausal_upper_bound(ch)
     results = []
-    for q0, strat0 in starts:
+    for q0, strat0 in itertools.chain(starts, random_starts()):
         results.append(_alternate(p, tensor, q0, strat0, num_inputs, max_rounds))
         if results[-1][2] / n >= upper.value + upper.gap - ALT_EPS:
             break
@@ -453,4 +462,6 @@ def noncausal_lower_bound(
         decompositions=sum(res[6] for res in results),
         upper=upper.value,
         upper_gap=upper.gap,
+        leak_per_symbol=report.leak / n,
+        certified_optimal=report.value / n >= upper.value + upper.gap - ALT_EPS,
     )

@@ -16,7 +16,7 @@ from gpcq.causal import (
     state_averaged_holevo,
 )
 from gpcq.channel import build_channel, derived_states, letter_states
-from gpcq.errors import CapExceeded, GpcqError
+from gpcq.errors import CapExceeded, GpcqError, PreconditionViolated
 from gpcq.quantum import holevo_quantity
 
 import classical_oracles
@@ -117,6 +117,12 @@ class TestInnerMaximize:
         assert not sol.converged
         assert sol.iterations < INNER_MAX_ITER
         assert sol.gap <= 1e-6
+
+    @pytest.mark.parametrize("eps", [-1.0, -1e-12, float("nan")])
+    def test_unreachable_eps_is_refused(self, eps):
+        # No gap is below a negative eps, so such a solve could only stall.
+        with pytest.raises(PreconditionViolated):
+            inner_maximize(PLUS[None], eps=eps)
 
     def test_step_that_empties_a_pure_letter_still_converges(self):
         # At the far end of a step toward KET0 the mixed letters leave the

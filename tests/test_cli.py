@@ -1,5 +1,6 @@
 """Command line surface: exit codes, JSON schemas, CSV layouts, manifests."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -12,9 +13,11 @@ import numpy as np
 import pytest
 
 from gpcq import cli
+from gpcq.causal import CausalSolution, InnerSolution
 from gpcq.channel import build_channel, serialize_channel
 from gpcq.cli import dispatch
-from gpcq.noncausal import ALT_EPS
+from gpcq.coding import SimRow
+from gpcq.noncausal import ALT_EPS, GPWitness
 from gpcq.schur_weyl import FrequencyClass, frequency_classes
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -144,6 +147,10 @@ class TestExitCodes:
               "--n", "2", "--seed", "1"), "budget-exceeded"),
             (("simulate", "{flip}", "--scheme", "noncausal-sqrt", "--rates", "0.5,40",
               "--n", "2", "--seed", "1"), "budget-exceeded"),
+            (("causal", "{flip}", "--eps", "-1"), "precondition-violated"),
+            (("holevo", "{flip}", "--eps", "-0.5"), "precondition-violated"),
+            (("noncausal", "{flip}", "--aux-size", "20000000", "--seed", "1", "--restarts", "2"),
+             "budget-exceeded"),
             (("noncausal", "{flip}", "--n", "0", "--seed", "1"), "precondition-violated"),
             (("noncausal", "{flip}", "--restarts", "-5", "--seed", "1"), "precondition-violated"),
             (("simulate", "{flip}", "--scheme", "noncausal-sqrt", "--rates", "0.5",
@@ -312,6 +319,20 @@ class TestJsonSchemas:
         assert len(payload["restart_values"]) == payload["restarts"] == 4
         assert max(payload["restart_values"]) < payload["upper"] + payload["upper_gap"] - ALT_EPS
 
+    @pytest.mark.parametrize(
+        "argv, result",
+        [
+            (("causal",), CausalSolution),
+            (("noncausal", "--seed", "3", "--restarts", "2"), GPWitness),
+            (("holevo",), InnerSolution),
+        ],
+    )
+    def test_payload_keys_are_the_result_fields(self, capsys, channel_dir, argv, result):
+        # Every field of the result is reported, so a new field needs no CLI edit.
+        code, out, _ = run_cli(capsys, argv[0], str(channel_dir / "purecq.chan"), *argv[1:], "--json")
+        assert code == 0
+        assert sorted(json.loads(out)) == sorted(field.name for field in dataclasses.fields(result))
+
     def test_colon_labels_solve_at_blocklength_two(self, capsys, tmp_path, flip):
         # State labels containing the product-label separator ":" solve, and
         # print what the same channel with plain labels prints.
@@ -459,6 +480,27 @@ class TestCsvOutputs:
         assert code2 == 0
         assert out2 == ""
         assert target.read_text() == out
+
+
+    def test_simulate_csv_columns_are_the_row_fields(self, capsys, channel_dir, monkeypatch):
+        # The header is SimRow's fields in order, and every cell follows the
+        # tables' rule: floats to 12 significant digits.
+        rows = [
+            SimRow("noncausal-sqrt", 4, 0.5, 2, 4, 0.25, 0.2, 0.3, 0.125),
+            SimRow("causal-sequential", 6, 1.2, 1, 148, 2 / 3, 0.1 + 0.2, 1 / 7, 0.0),
+        ]
+        monkeypatch.setattr(cli, "simulate_rate_error_curve", lambda *args, **kwargs: rows)
+        code, out, _ = run_cli(
+            capsys, "simulate", str(channel_dir / "flip.chan"), "--scheme", "causal-sequential",
+            "--rates", "0.5", "--n", "4", "--seed", "1",
+        )
+        assert code == 0
+        assert out.split("\n") == [
+            ",".join(field.name for field in dataclasses.fields(SimRow)),
+            "noncausal-sqrt,4,0.5,2,4,0.25,0.2,0.3,0.125",
+            "causal-sequential,6,1.2,1,148,0.666666666667,0.3,0.142857142857,0",
+            "",
+        ]
 
 
 class TestTextOutputs:

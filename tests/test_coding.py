@@ -16,7 +16,6 @@ from gpcq.coding import (
     _mean_ci,
     _success_traces,
     _typical_words,
-    rows_to_csv,
     sequential_decoder,
     simulate_causal_trial,
     simulate_noncausal_trial,
@@ -962,10 +961,31 @@ class TestSimulationDriver:
         monkeypatch.setenv(BUDGET_ENV_VAR, str(int(1.25 * peak)))
         assert [row.M for row in simulate_rate_error_curve(flip, scheme, **kw)] == Ms
 
-    def test_csv_layout(self):
-        rows = [SimRow("noncausal-sqrt", 4, 0.5, 2, 4, 0.25, 0.2, 0.3, 0.125)]
-        text = rows_to_csv(rows)
-        lines = text.strip().split("\n")
-        assert lines[0] == "scheme,n,rate,K,M,err,ci_low,ci_high,declares"
-        assert lines[1] == "noncausal-sqrt,4,0.5,2,4,0.25,0.2,0.3,0.125"
-        assert text.endswith("\n")
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize(
+        "lead, states, chunk",
+        [(1, 1, 1), (2, 2, None), (3, 2, None), (2, 3, None), (1, 2, None)],
+        ids=["causal", "binned-K2-S2", "binned-K3-S2", "binned-K2-S3", "binned-K1-S2"],
+    )
+    def test_message_count_is_the_one_trial_model_check(self, d, lead, states, chunk, monkeypatch):
+        # _messages_for_rate gives the M, or the error, of forming 2^(n rate)
+        # messages and checking one trial's _batch_entries against the budget.
+        rates = [0, 0.1, 0.25, 0.375, 0.5, 0.75, 1, 1.2, 1.5, 2, 3, 5, 10, 40, 700]
+        for budget, n, rate in itertools.product([2**b for b in range(16, 34)], range(1, 13), rates):
+            monkeypatch.setenv(BUDGET_ENV_VAR, str(budget))
+            try:
+                class_partition(d, n)
+                if states**n > coding.STATE_WORD_CAP:
+                    raise CapExceeded("state words")
+                # Past 2^64 messages of at least one entry each, no budget here fits.
+                M = math.ceil(2.0 ** (n * rate) - 1e-9) if n * rate <= 64 else None
+                if M is None or 8 * coding._batch_entries(1, M, n, d, lead, states, chunk) > budget:
+                    raise BudgetExceeded("one trial")
+                want = M
+            except (CapExceeded, BudgetExceeded) as exc:
+                want = type(exc)
+            try:
+                got = coding._messages_for_rate(rate, n, d, lead, states, chunk)
+            except (CapExceeded, BudgetExceeded) as exc:
+                got = type(exc)
+            assert got == want, (budget, n, rate)

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpcq.causal import causal_capacity, state_averaged_holevo
-from gpcq.channel import build_channel, derived_states, letter_states, product_extension
+from gpcq.channel import BUDGET_ENV_VAR, build_channel, derived_states, letter_states, product_extension
 from gpcq.coding import simulate_rate_error_curve
-from gpcq.errors import GpcqError, NonFinite, PreconditionViolated, ShapeMismatch
+from gpcq.errors import BudgetExceeded, GpcqError, NonFinite, PreconditionViolated, ShapeMismatch
 import gpcq.noncausal as noncausal
 from gpcq.noncausal import (
     ALT_EPS,
@@ -30,6 +30,7 @@ from gpcq.noncausal import (
     trim_witness,
 )
 from gpcq.quantum import kl_divergence
+from gpcq.util import rng_for
 
 import noncausal_reference as reference
 from classical_oracles import ClassicalGP, classical_gp_oracle
@@ -522,6 +523,30 @@ class TestNoncausalLowerBound:
     def test_nonpositive_blocklength_or_restarts_is_rejected(self, flip, kw):
         with pytest.raises(PreconditionViolated):
             noncausal_lower_bound(flip, seed=1, **{"restarts": 2, **kw})
+
+    @pytest.mark.parametrize("name, restarts, draws", [("flip", 1000, 0), ("purecq", 4, 3)])
+    def test_random_starts_are_drawn_as_the_search_reaches_them(self, suite, monkeypatch, name, restarts, draws):
+        # flip's lifted causal start closes the bracket, so none of its 999 random
+        # starts is drawn; purecq's bracket stays open, so all three are.
+        keys = []
+
+        def counted(*key):
+            keys.append(key)
+            return rng_for(*key)
+
+        monkeypatch.setattr(noncausal, "rng_for", counted)
+        wit = noncausal_lower_bound(suite[name], restarts=restarts, seed=1)
+        assert keys == [(1, 1, r) for r in range(draws)]
+        assert wit.restarts == draws + 1
+
+    def test_aux_size_past_the_budget_is_refused_before_any_start(self, flip, monkeypatch):
+        # A flip start holds (|S| + |X|) aux_size complex 2 x 2 states: 256 bytes per letter.
+        monkeypatch.setenv(BUDGET_ENV_VAR, str(256 * 40))
+        with monkeypatch.context() as patched:
+            patched.setattr(noncausal, "_alternate", lambda *args: pytest.fail("a start ran"))
+            with pytest.raises(BudgetExceeded, match="aux_size 41"):
+                noncausal_lower_bound(flip, aux_size=41, restarts=2, seed=1)
+        assert noncausal_lower_bound(flip, aux_size=40, restarts=2, seed=1).value == pytest.approx(1.0, abs=1e-9)
 
 
 @settings(max_examples=10, deadline=None)
