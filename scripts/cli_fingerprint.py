@@ -61,6 +61,8 @@ def commands() -> list[list[str]]:
     # Past the nine slots that n! class sums allowed, and a one-frame table of huge n.
     cmds.append(["schur", "check", "--d", "2", "--n", "9"])
     cmds.append(["schur", "frames", "--d", "1", "--n", "300000", "--json"])
+    # Twelve slots, the most DIM_CAP admits at d = 2: the largest frame bases.
+    cmds.append(["schur", "check", "--d", "2", "--n", "12"])
     return cmds
 
 

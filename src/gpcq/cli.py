@@ -42,9 +42,9 @@ from .quantum import TAU_EIG, TAU_HERM, TAU_SUPP, TAU_TR, shannon_entropy
 from .schur_weyl import (
     TAU_PROJ,
     check_frame_table,
+    class_partition,
     frame_dimension_bounds,
     frame_distribution,
-    frequency_classes,
     gl_multiplicity,
     irrep_dimension,
     young_frames,
@@ -343,14 +343,14 @@ def _cmd_schur(args) -> None:
     # Slot permutations keep each frequency class, so every projector is block
     # diagonal over the classes and each defect is the worst over class blocks.
     # Each frame's traces, summed over the classes, must give its dimension.
-    classes = frequency_classes(args.d, args.n)
+    part = class_partition(args.d, args.n)
     closure = worst_idem = worst_cross = 0.0
     traces = dict.fromkeys(young_frames(args.d, args.n), 0.0)
-    for cls in classes:
-        for frame, proj in cls.blocks.items():
+    for words, bases in zip(part.words, part.bases):
+        blocks = [basis @ basis.T for basis in bases.values()]
+        for frame, proj in zip(bases, blocks):
             traces[frame] += float(np.trace(proj))
-        blocks = list(cls.blocks.values())
-        closure = max(closure, float(np.max(np.abs(sum(blocks) - np.eye(len(cls.words))))))
+        closure = max(closure, float(np.max(np.abs(sum(blocks) - np.eye(len(words))))))
         for i, proj in enumerate(blocks):
             worst_idem = max(worst_idem, float(np.max(np.abs(proj @ proj - proj))))
             for other in blocks[i + 1 :]:

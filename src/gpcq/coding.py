@@ -688,7 +688,7 @@ def simulate_rate_error_curve(
     else:
         if gp_witness is None:
             wit = noncausal_lower_bound(ch, n=1, restarts=restarts, seed=seed)
-            gp_witness = trim_witness(wit.q_given_s, wit.strategy, tol=1e-6)
+            gp_witness = trim_witness(wit.q_given_s, wit.strategy)
         q_rows, strat = _check_witness(ch, *gp_witness)
         q = p @ q_rows
         weights = q_rows / np.where(q > 0, q, 1.0)

@@ -47,6 +47,7 @@ DEFAULT_AUX_CAP = 16
 # only if they raise the exact objective, so the floor shapes the step, not
 # the values.
 EIG_FLOOR = 1e-12
+TRIM_TOL = 1e-6  # trim_witness's weight and proportionality tolerance
 
 
 
@@ -267,15 +268,15 @@ def _alternate(p, tensor, q, strategy, num_inputs, max_rounds):
     return q, strategy, val, steps, evals, rounds, decompositions
 
 
-def trim_witness(q_given_s: np.ndarray, strategy: np.ndarray, tol: float = 1e-9):
-    """Drop unused auxiliary letters and merge exact duplicates.
+def trim_witness(q_given_s: np.ndarray, strategy: np.ndarray):
+    """Drop auxiliary letters with no weight above TRIM_TOL and merge duplicates.
 
     Letters with the same strategy column and proportional conditional
     weights produce identical derived states and posteriors, so summing
     their weights preserves the objective exactly while shrinking the
     alphabet (solvers often split one optimal letter across several).
     """
-    active = np.where(q_given_s.max(axis=0) > tol)[0]
+    active = np.where(q_given_s.max(axis=0) > TRIM_TOL)[0]
     if active.size == 0:
         active = np.array([0])
     q = q_given_s[:, active]
@@ -289,7 +290,7 @@ def trim_witness(q_given_s: np.ndarray, strategy: np.ndarray, tol: float = 1e-9)
             if not np.array_equal(strat[:, u], strat[:, v]):
                 continue
             cross = np.outer(q[:, u], q[:, v])
-            if np.max(np.abs(cross - cross.T)) <= tol:
+            if np.max(np.abs(cross - cross.T)) <= TRIM_TOL:
                 q[:, v] += q[:, u]
                 merged = True
                 break
@@ -414,9 +415,15 @@ def noncausal_lower_bound(
     if aux_size < 1:
         raise PreconditionViolated("aux_size", aux_size, ">= 1")
 
-    # A start's largest arrays: the letter-state stack and the sweep's |X|-fold candidate stack,
-    # (|S| + |X|) aux_size complex dim x dim matrices.
-    start_bytes = 16 * (num_states + num_inputs) * aux_size * ch_n.dim**2
+    # What a start holds at its peak: the |S| aux letter states (complex dim x dim) with the larger of the
+    # ascent's four (aux + 1)-stacks (eigh vectors; in the cross term the scaled vectors, their conjugate and
+    # product) and a sweep cell's A, its |S||X| + |X| candidate letter states and A_u, and two |X|-fold stacks
+    # of A (the last cell's is freed once the next is built); the cell's |X| aux dim omega spectra, six (|S|, aux)
+    # witness tables and the (aux + 1) dim stack spectra; the block channel and 16 KiB that do not grow with aux.
+    sweep = (1 + 2 * num_inputs) * aux_size + (num_states + 1) * num_inputs
+    matrices = num_states * (aux_size + num_inputs) + max(4 * (aux_size + 1), sweep)
+    floats = (num_inputs * ch_n.dim + 6 * num_states) * aux_size + (aux_size + 1) * ch_n.dim
+    start_bytes = 16 * ch_n.dim**2 * matrices + 8 * floats + 2**14
     budget = memory_budget_bytes()
     if start_bytes > budget:
         raise BudgetExceeded(

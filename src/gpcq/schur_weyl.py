@@ -5,9 +5,10 @@ general-linear actions on (C^d)^(tensor n). A frequency class, the span of
 the product-basis words with one letter count, is invariant under slot
 permutations, so every isotypic projector is block diagonal over the
 classes. class_partition lists the classes of (d, n) by one sort of the
-words; each class's blocks are eigenprojectors of Jucys-Murphy
-transposition sums on its words, built once per (d, n) and cached
-(frequency_classes).
+words and caches them per (d, n); each class's blocks are eigenspaces of
+Jucys-Murphy transposition sums on its words, kept with the partition as
+orthonormal bases (ClassPartition.bases), not as projectors: a block's
+projector V V^T is formed where it is used.
 
 Decoding stays in the basis frame, where product vectors are labeled by the
 columns of the decoding basis. There a typicality-filtered block projector
@@ -196,8 +197,11 @@ class ClassPartition:
     ``words[c]`` lists class c's words ascending, and the classes are ordered
     by their smallest word, the one whose letters are sorted ascending.
     ``label[w]`` is word w's class, ``rank[w]`` its place in ``words[label[w]]``.
-    ``pairs`` holds each class's slot-paired positions (quantum.slot_pairs),
-    built on first use and kept with the partition.
+    ``pairs`` holds each class's slot-paired positions (quantum.slot_pairs)
+    and ``bases`` maps, per class, every frame whose isotypic block on the
+    class is nonzero to a read-only orthonormal basis of that block, its
+    columns indexed like ``words[c]``; both are built on first use and kept
+    with the partition.
     """
 
     d: int
@@ -221,6 +225,11 @@ class ClassPartition:
     def pairs(self) -> tuple[np.ndarray, ...]:
         return slot_pairs(self.words, self.d)
 
+    @cached_property
+    def bases(self) -> tuple[dict[YoungFrame, np.ndarray], ...]:
+        digits, frames = digit_table(self.d, self.t), young_frames(self.d, self.t)
+        return tuple(_class_bases(words, digits, self.d, frames) for words in self.words)
+
 
 _PARTITIONS: dict[tuple[int, int], ClassPartition] = {}
 
@@ -230,7 +239,8 @@ def class_partition(d: int, t: int) -> ClassPartition:
 
     Keyed by one sort of the d^t words, with no per-class work. CapExceeded
     when max(d, 2)^t exceeds DIM_CAP, tested on t first so that a huge t
-    forms no huge power.
+    forms no huge power; at d = 1 the one word's bases still take about
+    t^3/3 np.add.at calls.
     """
     if (d, t) not in _PARTITIONS:
         if t >= DIM_CAP.bit_length() or max(d, 2) ** t > DIM_CAP:
@@ -242,21 +252,6 @@ def class_partition(d: int, t: int) -> ClassPartition:
         starts = np.cumsum(sizes) - sizes
         _PARTITIONS[d, t] = ClassPartition(d, t, tuple(np.split(order, starts[1:])), label, np.argsort(order) - starts[label])
     return _PARTITIONS[d, t]
-
-
-@dataclass(frozen=True)
-class FrequencyClass:
-    """The words of one letter count and the isotypic blocks on their span.
-
-    ``words`` are ascending indices in d^t; ``blocks`` maps every frame whose
-    block on the class is nonzero to that block, a read-only projector.
-    """
-
-    words: np.ndarray
-    blocks: dict[YoungFrame, np.ndarray]
-
-
-_FREQUENCY_CLASSES: dict[tuple[int, int], tuple[FrequencyClass, ...]] = {}
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -274,10 +269,10 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranked[first], inverse
 
 
-def _frequency_class(words: np.ndarray, digits: np.ndarray, d: int, frames: list) -> FrequencyClass:
-    """Isotypic blocks on one class from the Jucys-Murphy elements J_k = sum_{i<k} (i k).
+def _class_bases(words: np.ndarray, digits: np.ndarray, d: int, frames: list) -> dict[YoungFrame, np.ndarray]:
+    """Isotypic block bases on one class from the Jucys-Murphy elements J_k = sum_{i<k} (i k).
 
-    Each block is an eigenprojector of A = sum_k J_k + alpha sum_k J_k^2 on the
+    Each block is an eigenspace of A = sum_k J_k + alpha sum_k J_k^2 on the
     class, alpha = pi/(t^2+1). A acts on a frame's block as sum c + alpha sum c^2
     over the contents c of its boxes; for t <= 12, which DIM_CAP admits, these
     are at least 4e-3 apart, so each eigenvector takes the frame within
@@ -302,28 +297,14 @@ def _frequency_class(words: np.ndarray, digits: np.ndarray, d: int, frames: list
     label = np.argmin(gaps, axis=1)
     if np.any(gaps[cols, label] > TAU_LABEL):
         raise NumericalRankFailure(f"an eigenvalue on {size} words of length {t} matches no frame")
-    blocks = {}
+    bases = {}
     for idx in np.flatnonzero(np.bincount(label)):
         frame, basis = frames[idx], vectors[:, label == idx]
         if basis.shape[1] % irrep_dimension(frame):
             raise NumericalRankFailure(f"rank {basis.shape[1]} of {frame} is not a multiple of its dimension")
-        blocks[frame] = basis @ basis.T
-        blocks[frame].setflags(write=False)
-    return FrequencyClass(words, blocks)
-
-
-def frequency_classes(d: int, t: int) -> tuple[FrequencyClass, ...]:
-    """Every frequency class of t slots over d letters, in class_partition(d, t) order.
-
-    Cached per (d, t); CapExceeded past DIM_CAP as in class_partition. At
-    d = 1 the one word still takes about t^3/3 np.add.at calls, so t is
-    bounded as at d = 2.
-    """
-    if (d, t) not in _FREQUENCY_CLASSES:
-        part = class_partition(d, t)
-        digits, frames = digit_table(d, t), young_frames(d, t)
-        _FREQUENCY_CLASSES[d, t] = tuple(_frequency_class(words, digits, d, frames) for words in part.words)
-    return _FREQUENCY_CLASSES[d, t]
+        bases[frame] = basis
+        basis.setflags(write=False)
+    return bases
 
 
 def _assert_projector(mat: np.ndarray, context: str):
@@ -359,20 +340,20 @@ def block_projector(rho: np.ndarray, basis: np.ndarray, m: int, radius: float) -
     """Class blocks, in the basis frame, of the projector summing the filtered (frequency, frame) blocks on m slots.
 
     Keys index class_partition(d, m); each filtered frequency class maps to
-    the sum of its filtered frames' blocks, checked idempotent, and a class
-    absent from the dict is a zero block. The basis frame labels product
+    the sum, in frame order, of its filtered frames' blocks V V^T (V their
+    bases), checked idempotent, and a class absent from the dict is a zero block. The basis frame labels product
     vectors by basis columns, so the projector in the product frame is
     basis^(tensor m) · blocks · its adjoint.
     """
     d = rho.shape[0]
     freqs, frames = a_set(rho, basis, m, radius)
-    classes, part = frequency_classes(d, m), class_partition(d, m)
+    part = class_partition(d, m)
     out = {}
     for freq in freqs:
         c = part.index(freq)
-        picked = [classes[c].blocks[lam] for lam in frames if lam in classes[c].blocks]
+        picked = [part.bases[c][lam] for lam in frames if lam in part.bases[c]]
         if picked:
-            block = sum(picked)
+            block = sum(v @ v.T for v in picked)
             out[c] = 0.5 * (block + block.T)
             _assert_projector(out[c], f"block projector m={m}, class {freq}")
     return out

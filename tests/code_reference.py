@@ -34,7 +34,7 @@ from gpcq.coding import validate_povm
 from gpcq.errors import GpcqError, LengthMismatch, NumericalRankFailure, PreconditionViolated
 from gpcq.method_of_types import is_exact_type, matched_set_members, support_floor
 from gpcq.quantum import _ensemble_arrays, relative_entropy
-from gpcq.schur_weyl import YoungFrame, class_partition, frequency_classes, gl_multiplicity, irrep_dimension
+from gpcq.schur_weyl import YoungFrame, class_partition, gl_multiplicity, irrep_dimension
 
 from dense_reference import kron_all
 
@@ -169,9 +169,10 @@ def central_projector(frame: YoungFrame, d: int, n: int) -> np.ndarray:
     Real symmetric; its trace must equal irrep_dimension * gl_multiplicity.
     """
     out = np.zeros((d**n, d**n))
-    for cls in frequency_classes(d, n):
-        if frame in cls.blocks:
-            out[np.ix_(cls.words, cls.words)] = cls.blocks[frame]
+    part = class_partition(d, n)
+    for words, bases in zip(part.words, part.bases):
+        if frame in bases:
+            out[np.ix_(words, words)] = bases[frame] @ bases[frame].T
     expected = irrep_dimension(frame) * gl_multiplicity(frame, d)
     if abs(np.trace(out) - expected) > 1e-6:
         raise GpcqError(f"central projector trace {np.trace(out)} != {expected} for {frame}")
@@ -198,9 +199,9 @@ def kostka_rank(freq, frame: YoungFrame, d: int, n: int) -> int:
 
     The block is a projector, so its rank is its trace, within 1e-6 of an integer.
     """
-    classes = frequency_classes(d, n)
-    cls = classes[class_partition(d, n).index(freq)]
-    trace = float(np.trace(cls.blocks[frame])) if frame in cls.blocks else 0.0
+    part = class_partition(d, n)
+    bases = part.bases[part.index(freq)]
+    trace = float(np.trace(bases[frame] @ bases[frame].T)) if frame in bases else 0.0
     if abs(trace - round(trace)) > 1e-6:
         raise NumericalRankFailure(f"trace {trace} not near an integer for {freq}/{frame}")
     return round(trace)

@@ -213,7 +213,7 @@ def _matched_trace_scan(ch, wit, ns, delta):
     force independent of product_traces; one matched_set_members call per n
     scores every (state word, auxiliary word) pair.
     """
-    q_rows, strat = trim_witness(wit.q_given_s, wit.strategy, tol=1e-6)
+    q_rows, strat = trim_witness(wit.q_given_s, wit.strategy)
     p_su = ch.p[:, None] * q_rows
     keep = p_su.sum(axis=0) > 1e-9
     p_su = p_su[:, keep]

@@ -12,13 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from gpcq import cli
+from gpcq import cli, schur_weyl
 from gpcq.causal import CausalSolution, InnerSolution
 from gpcq.channel import build_channel, serialize_channel
 from gpcq.cli import dispatch
 from gpcq.coding import SimRow
 from gpcq.noncausal import ALT_EPS, GPWitness
-from gpcq.schur_weyl import FrequencyClass, frequency_classes
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -453,13 +452,10 @@ class TestCsvOutputs:
     def test_schur_check_catches_swapped_frames(self, capsys, monkeypatch):
         # Swapped labels keep every block a projector, so only the per-frame
         # traces can tell: on (d, n) = (2, 3) the frame (3) would count 6 states.
-        def swapped(d, n):
-            return tuple(
-                FrequencyClass(cls.words, dict(zip(cls.blocks, reversed(cls.blocks.values()))))
-                for cls in frequency_classes(d, n)
-            )
-
-        monkeypatch.setattr(cli, "frequency_classes", swapped)
+        monkeypatch.setattr(schur_weyl, "_PARTITIONS", {})
+        part = schur_weyl.class_partition(2, 3)
+        swapped = tuple(dict(zip(bases, reversed(bases.values()))) for bases in part.bases)
+        monkeypatch.setitem(vars(part), "bases", swapped)
         code, out, err = run_cli(capsys, "schur", "check", "--d", "2", "--n", "3")
         assert code == 1
         assert out == ""

@@ -1,6 +1,7 @@
 """Non-causal lower bound: witness objective, ascent, and classical oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -540,13 +541,32 @@ class TestNoncausalLowerBound:
         assert wit.restarts == draws + 1
 
     def test_aux_size_past_the_budget_is_refused_before_any_start(self, flip, monkeypatch):
-        # A flip start holds (|S| + |X|) aux_size complex 2 x 2 states: 256 bytes per letter.
-        monkeypatch.setenv(BUDGET_ENV_VAR, str(256 * 40))
+        # A flip start is counted at 7 aux + 10 complex 2 x 2 matrices, 18 aux + 2
+        # floats and 16 KiB: 592 bytes per letter plus 17,040, so 40,720 at aux 40.
+        monkeypatch.setenv(BUDGET_ENV_VAR, str(592 * 40 + 17_040))
         with monkeypatch.context() as patched:
             patched.setattr(noncausal, "_alternate", lambda *args: pytest.fail("a start ran"))
             with pytest.raises(BudgetExceeded, match="aux_size 41"):
                 noncausal_lower_bound(flip, aux_size=41, restarts=2, seed=1)
         assert noncausal_lower_bound(flip, aux_size=40, restarts=2, seed=1).value == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("aux_size", [300, 1000])
+    def test_aux_size_check_covers_a_start(self, purecq, monkeypatch, aux_size):
+        # purecq's bracket stays open, so its random start runs a full round.
+        kw = dict(aux_size=aux_size, restarts=2, seed=1, max_rounds=1)
+        with monkeypatch.context() as patched:
+            patched.setenv(BUDGET_ENV_VAR, "0")
+            with pytest.raises(BudgetExceeded) as refused:
+                noncausal_lower_bound(purecq, **kw)
+        check = refused.value.details["start_bytes"]
+        noncausal_lower_bound(purecq, **kw)
+        tracemalloc.start()
+        try:
+            noncausal_lower_bound(purecq, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= check <= 2 * peak
 
 
 @settings(max_examples=10, deadline=None)

@@ -21,7 +21,6 @@ from gpcq.schur_weyl import (
     frame_count,
     frame_dimension_bounds,
     frame_distribution,
-    frequency_classes,
     gl_multiplicity,
     irrep_dimension,
     young_frames,
@@ -296,14 +295,14 @@ class TestCentralProjectors:
             kostka_rank((6, 0, 0, 0, 0), (6,), 5, 6)
 
     def test_cache_returns_readonly(self):
-        classes = frequency_classes(2, 2)
-        assert frequency_classes(2, 2) is classes
-        block = classes[class_partition(2, 2).index((1, 1))].blocks[(2,)]
+        part = class_partition(2, 2)
+        assert class_partition(2, 2) is part and part.bases is part.bases
+        basis = part.bases[part.index((1, 1))][(2,)]
         with pytest.raises(ValueError):
-            block[0, 0] = 5.0
+            basis[0, 0] = 5.0
 
 
-class TestFrequencyClasses:
+class TestClassBases:
     @pytest.mark.parametrize(
         "d, n",
         [(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 7)]
@@ -311,31 +310,34 @@ class TestFrequencyClasses:
     )
     def test_blocks_equal_class_sum_reference(self, d, n):
         reference = reference_central_projectors(d, n)
-        classes = frequency_classes(d, n)
         part = class_partition(d, n)
-        assert sorted(part.index(freq) for freq in compositions(n, d)) == list(range(len(classes)))
+        assert sorted(part.index(freq) for freq in compositions(n, d)) == list(range(len(part.bases)))
         for freq in compositions(n, d):
-            cls = classes[part.index(freq)]
-            assert np.array_equal(cls.words, np.flatnonzero(frequency_mask(freq, d, n)))
-            assert np.all(part.label[cls.words] == part.index(freq))
-            assert np.array_equal(part.rank[cls.words], np.arange(cls.words.size))
-            rows = np.ix_(cls.words, cls.words)
+            c = part.index(freq)
+            words, bases = part.words[c], part.bases[c]
+            assert np.array_equal(words, np.flatnonzero(frequency_mask(freq, d, n)))
+            assert np.all(part.label[words] == c)
+            assert np.array_equal(part.rank[words], np.arange(words.size))
+            # The frames' bases together are one orthonormal basis of the class.
+            columns = np.hstack(list(bases.values()))
+            assert np.max(np.abs(columns.T @ columns - np.eye(words.size))) <= 1e-12
+            rows = np.ix_(words, words)
             for lam, ref in reference.items():
-                block = cls.blocks.get(lam, np.zeros((len(cls.words),) * 2))
+                block = bases[lam] @ bases[lam].T if lam in bases else np.zeros((words.size,) * 2)
                 assert np.max(np.abs(block - ref[rows])) <= 1e-12
         for lam, ref in reference.items():
             assert np.max(np.abs(central_projector(lam, d, n) - ref)) <= 1e-12
 
     def test_unmatched_eigenvalue_is_refused(self, monkeypatch):
-        monkeypatch.setattr(schur_weyl, "_FREQUENCY_CLASSES", {})
+        monkeypatch.setattr(schur_weyl, "_PARTITIONS", {})
         monkeypatch.setattr(schur_weyl, "TAU_LABEL", -1.0)
         with pytest.raises(NumericalRankFailure):
-            frequency_classes(2, 3)
+            class_partition(2, 3).bases
 
     def test_block_projector_past_nine_slots(self, monkeypatch):
         # Above nine slots the n! class sums are out of reach. An empty cache
-        # frees the blocks afterwards.
-        monkeypatch.setattr(schur_weyl, "_FREQUENCY_CLASSES", {})
+        # frees the bases afterwards.
+        monkeypatch.setattr(schur_weyl, "_PARTITIONS", {})
         t = 10
         theta = 0.4
         basis = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]], dtype=complex)
@@ -359,7 +361,7 @@ class TestFrequencyClasses:
     def test_block_projector_on_twelve_slots_stays_in_class_blocks(self, monkeypatch):
         # 2^12 = 4096 words: the blocks hold 2,704,156 entries where a dense
         # projector would hold 16,777,216.
-        monkeypatch.setattr(schur_weyl, "_FREQUENCY_CLASSES", {})
+        monkeypatch.setattr(schur_weyl, "_PARTITIONS", {})
         t, theta, radius = 12, 0.4, 0.05
         basis = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]], dtype=complex)
         rho = basis @ np.diag([0.7, 0.3]) @ basis.conj().T
@@ -378,14 +380,27 @@ class TestFrequencyClasses:
         # 4,096 one-word classes; a class is found from its letter count
         # without a d-long key per class.
         monkeypatch.setattr(schur_weyl, "_PARTITIONS", {})
-        monkeypatch.setattr(schur_weyl, "_FREQUENCY_CLASSES", {})
         d = 4096
-        classes = frequency_classes(d, 1)
-        assert len(classes) == d
-        assert all(cls.words.tolist() == [a] and list(cls.blocks) == [(1,)] for a, cls in enumerate(classes))
+        part = class_partition(d, 1)
+        assert len(part.bases) == d
+        assert all(words.tolist() == [a] and list(bases) == [(1,)]
+                   for a, (words, bases) in enumerate(zip(part.words, part.bases)))
         count = np.zeros(d, dtype=np.int64)
         count[1234] = 1
         assert class_partition(d, 1).index(count) == 1234
+
+    def test_bases_keep_one_entry_per_class_entry(self, monkeypatch):
+        # The bases of a class fill one square of its size; the parent kept a
+        # dense projector per frame instead, 7.3 MiB at (2, 10).
+        monkeypatch.setattr(schur_weyl, "_PARTITIONS", {})
+        part = class_partition(2, 10)
+        tracemalloc.start()
+        try:
+            part.bases
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept <= 8 * sum(words.size**2 for words in part.words) + 64 * 2**10
 
     def test_class_index_refuses_counts_of_no_word(self):
         part = class_partition(3, 4)
@@ -398,20 +413,21 @@ class TestFrequencyClasses:
         # 2^12 = 4096 words, the most DIM_CAP admits at d = 2. Over two letters
         # each weight space of a GL(2) irrep is a line, so a frame's block on a
         # class has the rank of its irrep where the frame dominates the class.
-        monkeypatch.setattr(schur_weyl, "_FREQUENCY_CLASSES", {})
+        monkeypatch.setattr(schur_weyl, "_PARTITIONS", {})
         traces = dict.fromkeys(young_frames(2, 12), 0.0)
+        part = class_partition(2, 12)
         for freq in compositions(12, 2):
-            cls = frequency_classes(2, 12)[class_partition(2, 12).index(freq)]
-            total = np.zeros((len(cls.words),) * 2)
+            bases, size = part.bases[part.index(freq)], part.words[part.index(freq)].size
+            total = np.zeros((size, size))
             for lam in young_frames(2, 12):
-                block = cls.blocks.get(lam, np.zeros_like(total))
+                block = bases[lam] @ bases[lam].T if lam in bases else np.zeros_like(total)
                 assert np.max(np.abs(block @ block - block)) <= 1e-10
                 assert np.max(np.abs(block - block.T)) <= 1e-12
                 expected = 0 if kostka_zero_combinatorial(freq, lam) else irrep_dimension(lam)
                 assert np.trace(block) == pytest.approx(expected, abs=1e-8)
                 traces[lam] += np.trace(block)
                 total += block
-            assert np.max(np.abs(total - np.eye(len(cls.words)))) <= 1e-10
+            assert np.max(np.abs(total - np.eye(size))) <= 1e-10
         for lam, trace in traces.items():
             assert trace == pytest.approx(irrep_dimension(lam) * gl_multiplicity(lam, 2), abs=1e-6)
 
