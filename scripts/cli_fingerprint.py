@@ -30,6 +30,9 @@ def commands() -> list[list[str]]:
         cmds.append(["noncausal", chan, "--seed", "3", "--restarts", "4", "--json"])
     for name in ("stuck", "purecq"):
         cmds.append(["noncausal", f"channels/{name}.chan", "--n", "2", "--seed", "3", "--restarts", "4", "--json"])
+    # purecq's bracket stays open, so its random starts run as batches: 31 at the default 32 restarts, 7 at n = 2.
+    cmds.append(["noncausal", "channels/purecq.chan", "--seed", "3", "--json"])
+    cmds.append(["noncausal", "channels/purecq.chan", "--n", "2", "--seed", "3", "--restarts", "8", "--json"])
     for name in CHANNELS:
         for scheme in SCHEMES:
             cmds.append(["simulate", f"channels/{name}.chan", "--scheme", scheme, "--rates", "0.25,0.5",

@@ -264,8 +264,8 @@ def _cmd_noncausal(args) -> None:
     )
     payload = _payload(wit)
     keys = ["value", "holevo", "leak", "n", "aux_size", "restart_index"]
-    keys += ["upper", "upper_gap", "certified_optimal"]
-    _emit(args, payload, _table(payload, keys))
+    keys += ["upper", "upper_gap", "certified_optimal", "capped_starts"]
+    _emit(args, payload, _table({**payload, "capped_starts": sum(wit.restart_capped)}, keys))
 
 
 def _cmd_holevo(args) -> None:

@@ -18,12 +18,23 @@ A_u and rho_bar. The ascent gathers the strategy's letter states once, and
 one eigh of a candidate's [A_u; rho_bar] stack gives both its score and,
 once it is accepted, the logarithms of the next step; so an ascent makes
 one decomposition per scored candidate plus one for its start.
+
+Starts run in batches along a leading start axis: one eigh, eigvalsh or
+einsum call serves every live start, and a start leaves the live arrays
+when its ascent stops rising or its rounds end. Explicit starts run one per
+batch; random ones are drawn a batch at a time, as many as
+memory_budget_bytes() holds at the per-start count that bounds aux_size.
+Results are read in start order and the search stops at the first start
+that closes the bracket, discarding the later starts of its batch. A
+start's arithmetic and counters are those of running it alone; only the
+number of LAPACK calls falls.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +47,7 @@ from .channel import (
     product_extension,
 )
 from .errors import BudgetExceeded, GpcqError, NonFinite, PreconditionViolated, ShapeMismatch
-from .quantum import entropy_bits
+from .quantum import entropy_bits, xlogx_bits
 from .util import rng_for
 
 ALT_EPS = 1e-7
@@ -64,23 +75,25 @@ class GPObjectiveReport:
     leak: float
 
 
-def _derived(w: np.ndarray, letters: np.ndarray) -> np.ndarray:
-    """A_u = sum_s w(s,u) letters[s,u], derived_states' einsum on letter states gathered once."""
-    return np.einsum("su,suij->uij", w, letters)
+def _derived(w: np.ndarray, letters: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A_u = sum_s w(s,u) letters[s,u] per start, derived_states' einsum on letter states gathered once."""
+    return np.einsum("...su,...suij->...uij", w, letters, out=out)
 
 
 def _stack(A: np.ndarray) -> np.ndarray:
     """The stack [A_u; rho_bar] with rho_bar = sum_u A_u last, the one input of every decomposition."""
-    return np.concatenate([A, A.sum(axis=0, keepdims=True)])
+    return np.concatenate([A, np.add.reduce(A, axis=-3, keepdims=True)], axis=-3)
 
 
 def _objective(p: np.ndarray, tensor: np.ndarray, q_given_s: np.ndarray, strategy: np.ndarray) -> GPObjectiveReport:
     """Unscaled objective chi - leak for one block channel."""
-    return _score(p, q_given_s, np.linalg.eigvalsh(_stack(derived_states(p, tensor, q_given_s, strategy))))
+    vals = np.linalg.eigvalsh(_stack(derived_states(p, tensor, q_given_s, strategy)))
+    rep = _score(p, p[:, None] * q_given_s, vals)
+    return GPObjectiveReport(float(rep.value), float(rep.holevo), float(rep.leak))
 
 
-def _entropy_and_leak(p: np.ndarray, q_given_s: np.ndarray) -> tuple[float, float]:
-    """H(q) and the leak I(S; U) = D(w || p (x) q) of the joint w(s,u) = p(s) q(u|s), in bits.
+def _entropy_and_leak(p: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """H(q) and the leak I(S; U) = D(w || p (x) q) of the joint w(s,u) = p(s) q(u|s), in bits, per start.
 
     The leak is taken against the prior p rather than the row sums of w:
     those differ from p in the last bit, and restarts on a flat optimum tie
@@ -89,22 +102,24 @@ def _entropy_and_leak(p: np.ndarray, q_given_s: np.ndarray) -> tuple[float, floa
     finite (+inf only if p(s) q(u) underflows, as there); terms with
     w(s,u) = 0 are 0, so no mask or gather is needed.
     """
-    w = p[:, None] * q_given_s
-    q_u = w.sum(axis=0)
+    q_u = np.add.reduce(w, axis=-2, keepdims=True)
     off = w == 0
     terms = w * (np.log2(w + off) - np.log2(p[:, None] * q_u + off))
-    return float(entropy_bits(q_u)), float(np.add.reduce(terms.ravel()))
+    return entropy_bits(q_u[..., 0, :]), np.add.reduce(terms.reshape(terms.shape[:-2] + (-1,)), axis=-1)
 
 
-def _score(p: np.ndarray, q_given_s: np.ndarray, vals: np.ndarray) -> GPObjectiveReport:
-    """The objective of a witness from the spectra of its stack [A_u; rho_bar], rho_bar last.
+def _score(p: np.ndarray, w: np.ndarray, vals: np.ndarray) -> GPObjectiveReport:
+    """The objective of witnesses from their joints w(s,u) = p(s) q(u|s) and the spectra of their stacks [A_u; rho_bar].
 
+    rho_bar is last in each stack. Any leading start axes of w and vals give one value per start.
     omega = sum_u |u><u| (x) A_u has the spectra of all the A_u = q(u) rho_u,
     so chi = S(rho_bar) - S(omega) + H(q). The spectra may come from eigvalsh
     or eigh, which are different LAPACK drivers and agree only to the last bits.
     """
-    entropy_q, leak = _entropy_and_leak(p, q_given_s)
-    chi = float(entropy_bits(vals[-1]) - entropy_bits(vals[:-1].ravel()) + entropy_q)
+    entropy_q, leak = _entropy_and_leak(p, w)
+    terms = xlogx_bits(vals)
+    minus_omega = np.add.reduce(terms[..., :-1, :].reshape(vals.shape[:-2] + (-1,)), axis=-1)
+    chi = minus_omega - np.add.reduce(terms[..., -1, :], axis=-1) + entropy_q
     return GPObjectiveReport(chi - leak, chi, leak)
 
 
@@ -143,7 +158,7 @@ def gp_objective(ch: StateChannel, q_given_s: np.ndarray, strategy: np.ndarray, 
 
 
 def _cross_term(letters: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """c(s,u) = tr rho_{s,x(s,u)}(log A_u - log rho_bar), in bits.
+    """c(s,u) = tr rho_{s,x(s,u)}(log A_u - log rho_bar), in bits, over any leading start axes.
 
     letters are the strategy's letter states and (vals, vecs) the eigh of
     the witness's _stack of derived states A_u and rho_bar. With
@@ -152,9 +167,9 @@ def _cross_term(letters: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> np.n
     constant. The decomposition is the one that scored the witness, so the
     cross term makes none of its own.
     """
-    num_u = letters.shape[1]
-    logs = (vecs * np.log2(np.maximum(vals, EIG_FLOOR))[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-    return np.einsum("suij,uji->su", letters, logs[:num_u] - logs[num_u]).real
+    num_u = letters.shape[-3]
+    logs = (vecs * np.log2(np.maximum(vals, EIG_FLOOR))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return np.einsum("...suij,...uji->...su", letters, logs[..., :num_u, :, :] - logs[..., num_u:, :, :]).real
 
 
 def _q_step(letters: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -167,105 +182,179 @@ def _q_step(letters: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> np.ndarr
     row by row, so it never lowers f and stays inside the simplex.
     """
     c = _cross_term(letters, vals, vecs)
-    step = np.exp2(c - c.max(axis=1, keepdims=True))
-    return step / step.sum(axis=1, keepdims=True)
+    step = np.exp2(c - np.maximum.reduce(c, axis=-1, keepdims=True))
+    return step / np.add.reduce(step, axis=-1, keepdims=True)
 
 
 def _ascend_q(p, tensor, q, strategy, cur):
-    """_q_step from q (objective cur) while the exact objective rises; returns (q, f, steps, evals).
+    """_q_step from each start's q (objective cur) while its exact objective rises.
 
-    The letter states are gathered once. Each candidate is scored from the
-    eigenvalues of one eigh of its _stack, and an accepted candidate's
-    decomposition is the next step's, so a call makes evals + 1 of them:
-    the start's and one per scored candidate. That is steps + 2 when a
-    rejected candidate ends the ascent before ASCENT_ITERS.
+    q and strategy are (starts, |S|, |U|) and cur has one entry per start;
+    returns per start (q, f, steps, evals, capped), capped when the ascent
+    ran ASCENT_ITERS steps. The letter states are gathered once. Each
+    candidate is scored from the eigenvalues of one eigh of its _stack, and
+    an accepted candidate's decomposition is the next step's, so a start
+    makes evals + 1 of them: its first and one per scored candidate. That is
+    steps + 2 when a rejected candidate ends its ascent before ASCENT_ITERS.
+    A start whose candidate does not rise leaves the live arrays, so every
+    call serves only the starts still ascending.
     """
-    letters = letter_states(tensor, strategy)
-    vals, vecs = np.linalg.eigh(_stack(_derived(p[:, None] * q, letters)))
-    steps = evals = 0
-    for _ in range(ASCENT_ITERS):
+    q_out, f_out, evals = np.empty_like(q), np.empty_like(cur), np.empty(len(q), dtype=np.int64)
+    capped = np.zeros(len(q), dtype=bool)
+    live = np.arange(len(q))
+    p_col, letters = p[:, None], letter_states(tensor, strategy)
+    vals, vecs = np.linalg.eigh(_stack(_derived(p_col * q, letters)))
+    for it in range(ASCENT_ITERS):
         cand = _q_step(letters, vals, vecs)
-        cand_vals, cand_vecs = np.linalg.eigh(_stack(_derived(p[:, None] * cand, letters)))
-        val = _score(p, cand, cand_vals).value
-        evals += 1
-        if not val > cur:
-            break
-        q, vals, vecs, cur, steps = cand, cand_vals, cand_vecs, val, steps + 1
-    return q, cur, steps, evals
+        w = p_col * cand
+        vals, vecs = np.linalg.eigh(_stack(_derived(w, letters)))
+        val = _score(p, w, vals).value
+        rise = val > cur
+        rises = rise.tolist()
+        if False in rises:
+            fall = ~rise
+            ended = live[fall]
+            q_out[ended], f_out[ended], evals[ended] = q[fall], cur[fall], it + 1
+            if True not in rises:
+                break
+            live, letters, cand, vals, vecs, val = (a[rise] for a in (live, letters, cand, vals, vecs, val))
+        q, cur = cand, val
+    else:
+        q_out[live], f_out[live], evals[live], capped[live] = q, cur, ASCENT_ITERS, True
+    return q_out, f_out, evals - 1 + capped, evals, capped
 
 
 def _sweep_strategy(p, tensor, q, strategy, num_inputs: int):
-    """One greedy pass over the cells (s, u) in order; returns (strategy, value).
+    """One greedy pass of every start over the cells (s, u) in order; returns (strategy, value) per start.
 
-    The pass starts from the witness's exact objective, scored from one
-    eigvalsh of its [A_u; rho_bar] stack. A cell's inputs change only A_u
-    and rho_bar, so a cell scores all of them at once: one einsum gives the
-    candidate A_u (column u's letter state at s replaced by each input's),
-    each candidate rho_bar sums A with row u replaced, and one eigvalsh over
-    those 2|X| states gives every S(rho_bar) and, with row u of the current
-    omega spectrum replaced, every S(omega). H(q) and the leak do not move
-    with the strategy and are computed once. Taking the inputs in order, an
-    input replaces the best so far only if it scores more than 1e-12 higher.
-    A pass makes 1 + |S||U| decompositions.
+    q and strategy are (starts, |S|, |U|). The pass starts from each
+    witness's exact objective, scored from one eigvalsh of its [A_u; rho_bar]
+    stack. A cell's inputs change only A_u and rho_bar, so a cell scores all
+    of them for every start at once: one einsum gives the candidate A_u
+    (column u's letter state at s replaced by each input's), each candidate
+    rho_bar sums the |X|-fold stack of A with row u replaced, and one
+    eigvalsh over those 2|X| states per start gives every S(rho_bar) and,
+    with row u of the current omega spectrum's x log x terms replaced, every
+    S(omega). The stack and the omega terms are built once per pass, and row
+    u is put back after each cell. H(q) and the leak do not move with the strategy
+    and are computed once. Taking the inputs in order, an input replaces the
+    best so far only if it scores more than 1e-12 higher. A pass makes
+    1 + |S||U| decompositions per start.
     """
     strategy = strategy.copy()
-    num_states, num_u = strategy.shape
+    num_starts, num_states, num_u = strategy.shape
     w = p[:, None] * q
-    entropy_q, leak = _entropy_and_leak(p, q)
+    entropy_q, leak = _entropy_and_leak(p, w)
     letters = letter_states(tensor, strategy)
     A = _derived(w, letters)
     stack_vals = np.linalg.eigvalsh(_stack(A))
-    cur = _score(p, q, stack_vals).value
-    spectra = stack_vals[:-1]
+    cur = _score(p, w, stack_vals).value.tolist()
+    row_terms = xlogx_bits(stack_vals[:, :-1])  # the x log x terms of each A_u's spectrum
+    stack = np.repeat(A[:, None], num_inputs, axis=1)
+    omega = np.repeat(row_terms[:, None], num_inputs, axis=1)
+    # A cell's decomposition input: its |X| candidate A_u, then their |X| candidate rho_bar.
+    cell = np.empty((num_starts, 2 * num_inputs) + A.shape[-2:], dtype=A.dtype)
+    cand_A = cell[:, :num_inputs]
+    # A cell's candidate letter states (column u's, row s replaced by each input's) and their weights.
+    cand_letters = np.empty((num_starts, num_states, num_inputs) + A.shape[-2:], dtype=letters.dtype)
+    w_cells = np.broadcast_to(w[..., None], w.shape + (num_inputs,))
+    entropy_q, leak = entropy_q[:, None], leak[:, None]
     for s in range(num_states):
         for u in range(num_u):
-            cand_letters = np.repeat(letters[:, u : u + 1], num_inputs, axis=1)
-            cand_letters[s] = tensor[s]
-            cand_A = _derived(np.repeat(w[:, u : u + 1], num_inputs, axis=1), cand_letters)
-            stack = np.repeat(A[None], num_inputs, axis=0)
-            stack[:, u] = cand_A
-            vals = np.linalg.eigvalsh(np.concatenate([cand_A, stack.sum(axis=1)]))
-            omega = np.repeat(spectra[None], num_inputs, axis=0)
-            omega[:, u] = vals[:num_inputs]
-            chi = entropy_bits(vals[num_inputs:]) - entropy_bits(omega.reshape(num_inputs, -1)) + entropy_q
-            current = best_x = int(strategy[s, u])
-            for x, val in enumerate((chi - leak).tolist()):
-                if x != current and val > cur + 1e-12:
-                    best_x, cur = x, val
-            if best_x != current:
-                strategy[s, u] = best_x
-                letters[s, u] = tensor[s, best_x]
-                A[u] = cand_A[best_x]
-                spectra[u] = vals[best_x]
-    return strategy, cur
+            cand_letters[:] = letters[:, :, u, None]
+            cand_letters[:, s] = tensor[s]
+            _derived(w_cells[:, :, u], cand_letters, out=cand_A)
+            stack[:, :, u] = cand_A
+            np.add.reduce(stack, axis=2, out=cell[:, num_inputs:])
+            terms = xlogx_bits(np.linalg.eigvalsh(cell))
+            omega[:, :, u] = terms[:, :num_inputs]
+            chi = np.add.reduce(omega.reshape(num_starts, num_inputs, -1), axis=-1)
+            chi -= np.add.reduce(terms[:, num_inputs:], axis=-1)
+            scores = (chi + entropy_q - leak).tolist()
+            for r, row in enumerate(scores):
+                current = best_x = int(strategy[r, s, u])
+                for x, val in enumerate(row):
+                    if x != current and val > cur[r] + 1e-12:
+                        best_x, cur[r] = x, val
+                if best_x != current:
+                    strategy[r, s, u] = best_x
+                    letters[r, s, u] = tensor[s, best_x]
+                    A[r, u] = cand_A[r, best_x]
+                    row_terms[r, u] = terms[r, best_x]
+            stack[:, :, u] = A[:, None, u]
+            omega[:, :, u] = row_terms[:, None, u]
+    return strategy, np.array(cur)
 
 
-def _alternate(p, tensor, q, strategy, num_inputs, max_rounds):
-    """Returns (q, strategy, value, accepted ascent steps, candidate scorings, rounds run, decompositions).
+class _Run(NamedTuple):
+    """What one start of an _alternate batch did, counted as if it ran alone."""
 
-    A round alternates an ascent and a sweep; the ascent's own value decides
-    only which of its steps to keep, and the sweep rescores its result, so
-    the value returned is always the returned witness's _objective (an
-    ascent step that gains less than the eigh/eigvalsh difference may
-    leave it a few ulps below the round's start).
-    Decompositions are the eigvalsh and eigh calls: one for the first
-    witness, evals + 1 per ascent and 1 + |S||U| per sweep.
+    value: float
+    ascent_steps: int  # accepted q-steps
+    objective_evals: int  # candidate scorings
+    rounds: int
+    decompositions: int  # eigvalsh and eigh decompositions
+    capped: bool  # stopped at max_rounds, not by the ALT_EPS rule
+    ascents_capped: int  # ascents that ran ASCENT_ITERS steps
+
+
+def _alternate(p, tensor, q, strategy, num_inputs, max_rounds, closes=lambda value: False):
+    """Alternate ascents and sweeps on a batch of starts, q and strategy (starts, |S|, |U|).
+
+    A round is an ascent and a sweep; the ascent's own value decides only
+    which of its steps to keep, and the sweep rescores its result, so the
+    value returned is always the returned witness's _objective (an ascent
+    step that gains less than the eigh/eigvalsh difference may leave it a
+    few ulps below the round's start). A start leaves the live arrays once
+    its round gains at most ALT_EPS or it has run max_rounds rounds, so
+    every round serves only the starts still running; each start's
+    arithmetic is that of running it alone. Decompositions are the eigvalsh
+    and eigh calls a start would make alone: one for its first witness,
+    evals + 1 per ascent and 1 + |S||U| per sweep.
+
+    Returns one (q, strategy, _Run) per start, in start order. Finished
+    starts are read in that order, and the batch stops at the first whose
+    block value satisfies closes: the results end there, and later starts,
+    finished or not, are discarded.
     """
-    val = _objective(p, tensor, q, strategy).value
-    steps, evals, rounds, decompositions = 0, 1, 0, 1
-    for _ in range(max_rounds):
-        q, _, round_steps, round_evals = _ascend_q(p, tensor, q, strategy, val)
+    cells = strategy[0].size
+    w = p[:, None] * q
+    val = _score(p, w, np.linalg.eigvalsh(_stack(_derived(w, letter_states(tensor, strategy))))).value
+    runs = [None] * len(q)
+    live = np.arange(len(q))
+    # Per live start: accepted q-steps, ascent scorings and capped ascents, summed over its rounds.
+    steps, evals, ascents_capped = np.zeros((3, len(q)), dtype=np.int64)
+    converged = np.zeros(len(q), dtype=bool)
+    read = 0
+    for rounds in itertools.count():
+        done = converged | (rounds >= max_rounds)
+        ended = [i for i, end in enumerate(done.tolist()) if end]
+        if ended:
+            for i in ended:
+                # A sweep counts as the scoring of its starting witness plus one per alternative input of each cell.
+                runs[live[i]] = q[i].copy(), strategy[i].copy(), _Run(
+                    value=float(val[i]),
+                    ascent_steps=int(steps[i]),
+                    objective_evals=1 + int(evals[i]) + rounds * (1 + cells * (num_inputs - 1)),
+                    rounds=rounds,
+                    decompositions=1 + int(evals[i]) + rounds * (2 + cells),
+                    capped=not converged[i],
+                    ascents_capped=int(ascents_capped[i]),
+                )
+            while read < len(runs) and runs[read] is not None:
+                read += 1
+                if closes(runs[read - 1][2].value):
+                    return runs[:read]
+            if read == len(runs):
+                return runs
+            live, q, strategy, val, steps, evals, ascents_capped = (
+                a[~done] for a in (live, q, strategy, val, steps, evals, ascents_capped)
+            )
+        q, _, round_steps, round_evals, round_capped = _ascend_q(p, tensor, q, strategy, val)
         strategy, new_val = _sweep_strategy(p, tensor, q, strategy, num_inputs)
-        # A sweep counts as the scoring of its starting witness plus one per alternative input of each cell.
-        rounds += 1
-        steps += round_steps
-        evals += round_evals + 1 + strategy.size * (num_inputs - 1)
-        decompositions += (round_evals + 1) + (1 + strategy.size)
+        steps, evals, ascents_capped = steps + round_steps, evals + round_evals, ascents_capped + round_capped
         converged = new_val <= val + ALT_EPS
         val = new_val
-        if converged:
-            break
-    return q, strategy, val, steps, evals, rounds, decompositions
 
 
 def trim_witness(q_given_s: np.ndarray, strategy: np.ndarray):
@@ -362,10 +451,16 @@ class GPWitness:
     # tried, and per sweep its starting witness and each alternative input of each cell.
     objective_evals: int
     rounds: int  # alternating rounds (ascent, then sweep) run, summed over starts
-    # eigvalsh and eigh calls of the starts' searches, summed over starts: per start
-    # one for the first witness, per ascent one per scored candidate plus one for
-    # its start, and per sweep one for its starting witness plus one per cell.
+    # eigvalsh and eigh decompositions of the starts' searches, each start's counted
+    # as if it ran alone (a batch shares one call among its starts), summed over
+    # starts: per start one for the first witness, per ascent one per scored
+    # candidate plus one for its start, and per sweep one for its starting witness
+    # plus one per cell.
     decompositions: int
+    restart_rounds: tuple[int, ...]  # rounds run by each start, in start order
+    # Per start: it stopped at max_rounds, not because a round gained at most ALT_EPS.
+    restart_capped: tuple[bool, ...]
+    ascents_capped: int  # ascents that ran ASCENT_ITERS steps, summed over starts
     upper: float  # noncausal_upper_bound's value, per symbol
     upper_gap: float  # its gap: upper + upper_gap is certified from above
     leak_per_symbol: float  # leak / n
@@ -391,13 +486,19 @@ def noncausal_lower_bound(
     construction.
     Explicit witnesses follow, each run at its own auxiliary size and checked
     against the blocklength-n channel as gp_objective checks; these always
-    run, and random starts fill up to ``restarts`` starts, possibly none,
-    each drawn from its own generator only when the search reaches it.
-    Ties keep the smallest restart index. The starts run in that order and
-    stop after the first whose per-symbol value is within ALT_EPS of
-    noncausal_upper_bound's certified value, so ``restarts`` is a maximum
-    (unless explicit witnesses pass it) and the witness reports the starts
-    that ran.
+    run, and random starts fill up to ``restarts`` starts, possibly none.
+    Ties keep the smallest restart index. The starts are read in that order
+    and the search stops after the first whose per-symbol value is within
+    ALT_EPS of noncausal_upper_bound's certified value, so ``restarts`` is a
+    maximum (unless explicit witnesses pass it) and the witness reports the
+    starts that ran.
+    The lifted start and each explicit witness run alone; random starts run
+    in batches of min(remaining, memory_budget_bytes() // start_bytes), each
+    start drawn from its own generator when the search reaches its batch. A
+    batch stops once a start closes the bracket and every earlier start of
+    the batch has finished, and discards its later starts. Values, witnesses
+    and counters are those of running the starts one by one: the counters
+    count each start's decompositions, not the LAPACK calls a batch shares.
     An n, restarts or aux_size below 1 raises PreconditionViolated, and an
     aux_size whose per-start arrays exceed memory_budget_bytes() raises
     BudgetExceeded before any start runs.
@@ -415,13 +516,17 @@ def noncausal_lower_bound(
     if aux_size < 1:
         raise PreconditionViolated("aux_size", aux_size, ">= 1")
 
-    # What a start holds at its peak: the |S| aux letter states (complex dim x dim) with the larger of the
-    # ascent's four (aux + 1)-stacks (eigh vectors; in the cross term the scaled vectors, their conjugate and
-    # product) and a sweep cell's A, its |S||X| + |X| candidate letter states and A_u, and two |X|-fold stacks
-    # of A (the last cell's is freed once the next is built); the cell's |X| aux dim omega spectra, six (|S|, aux)
-    # witness tables and the (aux + 1) dim stack spectra; the block channel and 16 KiB that do not grow with aux.
+    # What a start holds at its peak. A batch of k starts holds k times this, and the search holds one batch
+    # and the best witness so far (two of the witness tables below), so a batch takes budget // start_bytes
+    # starts. Counted: the |S| aux letter states (complex dim x dim) with the largest of the ascent's four
+    # (aux + 1)-stacks (eigh vectors; in the cross term the scaled vectors, their conjugate and product), its
+    # compaction when starts leave (a copy of the live starts' letter states and eigh vectors beside the old),
+    # and a sweep cell's A, its |S||X| + |X| candidate letter states and A_u, and its |X|-fold stack of A, with
+    # room for one more; the cell's |X| aux dim omega terms, six (|S|, aux) witness tables and the (aux + 1) dim
+    # stack spectra; the block channel and 16 KiB that do not grow with aux.
     sweep = (1 + 2 * num_inputs) * aux_size + (num_states + 1) * num_inputs
-    matrices = num_states * (aux_size + num_inputs) + max(4 * (aux_size + 1), sweep)
+    compaction = num_states * aux_size + 2 * (aux_size + 1)
+    matrices = num_states * (aux_size + num_inputs) + max(4 * (aux_size + 1), compaction, sweep)
     floats = (num_inputs * ch_n.dim + 6 * num_states) * aux_size + (aux_size + 1) * ch_n.dim
     start_bytes = 16 * ch_n.dim**2 * matrices + 8 * floats + 2**14
     budget = memory_budget_bytes()
@@ -436,21 +541,31 @@ def noncausal_lower_bound(
     starts = [product_witness(q_rows, strat, ch.num_inputs, n=n)]
     starts += [_check_witness(ch_n, q_seed, strat_seed) for q_seed, strat_seed in seed_witnesses]
 
-    def random_starts():
-        for r in range(restarts - len(starts)):
-            rng = rng_for(seed, n, r)
-            q0 = rng.dirichlet(np.ones(aux_size), size=num_states)
-            yield q0, rng.integers(0, num_inputs, size=(num_states, aux_size))
+    def batches():
+        for q0, strat0 in starts:
+            yield q0[None], strat0[None]
+        num_random, size = restarts - len(starts), budget // start_bytes
+        for first in range(0, num_random, size):
+            rngs = [rng_for(seed, n, r) for r in range(first, min(first + size, num_random))]
+            yield (
+                np.stack([rng.dirichlet(np.ones(aux_size), size=num_states) for rng in rngs]),
+                np.stack([rng.integers(0, num_inputs, size=(num_states, aux_size)) for rng in rngs]),
+            )
 
     upper = noncausal_upper_bound(ch)
-    results = []
-    for q0, strat0 in itertools.chain(starts, random_starts()):
-        results.append(_alternate(p, tensor, q0, strat0, num_inputs, max_rounds))
-        if results[-1][2] / n >= upper.value + upper.gap - ALT_EPS:
+    target = upper.value + upper.gap - ALT_EPS
+    runs, best = [], None
+    for q0, strat0 in batches():
+        for q_run, strat_run, run in _alternate(
+            p, tensor, q0, strat0, num_inputs, max_rounds, closes=lambda value: value / n >= target
+        ):
+            if best is None or run.value > best[0]:  # strict, so ties keep the smallest index
+                best = run.value, len(runs), q_run, strat_run
+            runs.append(run)
+        del q0, strat0  # before the next batch is drawn
+        if runs[-1].value / n >= target:
             break
-    values = [res[2] for res in results]
-    best_idx = int(np.argmax(values))  # the first maximum, so ties keep the smallest index
-    q_best, strat_best = results[best_idx][:2]
+    _, best_idx, q_best, strat_best = best
     report = _objective(p, tensor, q_best, strat_best)
     return GPWitness(
         n=n,
@@ -461,14 +576,17 @@ def noncausal_lower_bound(
         strategy=strat_best,
         aux_size=q_best.shape[1],
         restart_index=best_idx,
-        restarts=len(results),
-        restart_values=tuple(v / n for v in values),
-        ascent_steps=sum(res[3] for res in results),
-        objective_evals=sum(res[4] for res in results),
-        rounds=sum(res[5] for res in results),
-        decompositions=sum(res[6] for res in results),
+        restarts=len(runs),
+        restart_values=tuple(run.value / n for run in runs),
+        ascent_steps=sum(run.ascent_steps for run in runs),
+        objective_evals=sum(run.objective_evals for run in runs),
+        rounds=sum(run.rounds for run in runs),
+        decompositions=sum(run.decompositions for run in runs),
+        restart_rounds=tuple(run.rounds for run in runs),
+        restart_capped=tuple(run.capped for run in runs),
+        ascents_capped=sum(run.ascents_capped for run in runs),
         upper=upper.value,
         upper_gap=upper.gap,
         leak_per_symbol=report.leak / n,
-        certified_optimal=report.value / n >= upper.value + upper.gap - ALT_EPS,
+        certified_optimal=report.value / n >= target,
     )

@@ -3,6 +3,8 @@
 All logarithms are base two. Every entropy in the package, of a pmf or of a
 spectrum, is evaluated by entropy_bits: -sum x log2 x over the last axis,
 with negative entries (eigenvalue round-off) clipped to zero and 0 log 0 = 0.
+Its per-entry terms are xlogx_bits, for a caller that sums one pass over a
+stack of spectra in several ways.
 von_neumann_entropy and relative_entropy take one matrix or a stack of them,
 so a solver gets all letter entropies, or all divergences D(rho_u || sigma)
 from one eigendecomposition of sigma (divergence_profile), in one call.
@@ -162,10 +164,15 @@ def spectrum(rho) -> np.ndarray:
     return vals[::-1].copy()
 
 
+def xlogx_bits(x) -> np.ndarray:
+    """x log2 x entrywise, the terms entropy_bits sums; negatives count as 0 and 0 log 0 = 0."""
+    x = np.maximum(np.asarray(x, dtype=float), 0.0)
+    return x * np.log2(x + (x == 0))
+
+
 def entropy_bits(x) -> np.ndarray:
     """-sum x log2 x over the last axis, in bits; negatives count as 0 and 0 log 0 = 0."""
-    x = np.maximum(np.asarray(x, dtype=float), 0.0)
-    return -np.add.reduce(x * np.log2(x + (x == 0)), axis=-1)
+    return -np.add.reduce(xlogx_bits(x), axis=-1)
 
 
 def shannon_entropy(p) -> float:

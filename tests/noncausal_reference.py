@@ -26,7 +26,7 @@ def ascend_q(p, tensor, q, strategy, cur):
     steps = evals = 0
     for _ in range(ASCENT_ITERS):
         cand = _q_step(letter_states(tensor, strategy), *stack_eigh(p, tensor, q, strategy))
-        val = _score(p, cand, stack_eigh(p, tensor, cand, strategy)[0]).value
+        val = _score(p, p[:, None] * cand, stack_eigh(p, tensor, cand, strategy)[0]).value
         evals += 1
         if not val > cur:
             break
@@ -55,16 +55,32 @@ def sweep_strategy(p, tensor, q, strategy, num_inputs: int):
 
 
 def alternate(p, tensor, q, strategy, num_inputs, max_rounds):
-    """Returns (q, strategy, value, accepted ascent steps, objective evaluations)."""
+    """Returns (q, strategy, value, accepted ascent steps, objective evaluations, rounds)."""
     val = _objective(p, tensor, q, strategy).value
-    steps, evals = 0, 1
+    steps, evals, rounds = 0, 1, 0
     for _ in range(max_rounds):
         q, _, round_steps, round_evals = ascend_q(p, tensor, q, strategy, val)
         strategy, new_val = sweep_strategy(p, tensor, q, strategy, num_inputs)
         steps += round_steps
         evals += round_evals + 1 + strategy.size * (num_inputs - 1)
+        rounds += 1
         converged = new_val <= val + ALT_EPS
         val = new_val
         if converged:
             break
-    return q, strategy, val, steps, evals
+    return q, strategy, val, steps, evals, rounds
+
+
+def search(p, tensor, num_inputs, starts, max_rounds, closes):
+    """alternate on each start in turn, stopping after the first whose value closes; returns (best index, runs).
+
+    This is the non-causal search the way the package ran it before it
+    batched its random starts: one start at a time, each run to its end.
+    The best index is the first maximum, so ties keep the smallest index.
+    """
+    runs = []
+    for q, strategy in starts:
+        runs.append(alternate(p, tensor, q, strategy, num_inputs, max_rounds))
+        if closes(runs[-1][2]):
+            break
+    return int(np.argmax([run[2] for run in runs])), runs

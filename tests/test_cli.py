@@ -292,9 +292,9 @@ class TestJsonSchemas:
         assert code == 0
         payload = json.loads(out)
         assert set(payload) == {
-            "ascent_steps", "aux_size", "certified_optimal", "decompositions", "holevo", "leak",
-            "leak_per_symbol", "n", "objective_evals", "q_given_s", "restart_index", "restart_values",
-            "restarts", "rounds", "strategy", "upper", "upper_gap", "value",
+            "ascent_steps", "ascents_capped", "aux_size", "certified_optimal", "decompositions", "holevo",
+            "leak", "leak_per_symbol", "n", "objective_evals", "q_given_s", "restart_capped", "restart_index",
+            "restart_rounds", "restart_values", "restarts", "rounds", "strategy", "upper", "upper_gap", "value",
         }
         assert payload["value"] == pytest.approx(0.7, abs=1e-9)
         assert payload["n"] == 1
@@ -317,6 +317,17 @@ class TestJsonSchemas:
         assert code == 0 and payload["certified_optimal"] is False
         assert len(payload["restart_values"]) == payload["restarts"] == 4
         assert max(payload["restart_values"]) < payload["upper"] + payload["upper_gap"] - ALT_EPS
+        assert len(payload["restart_rounds"]) == len(payload["restart_capped"]) == 4
+        assert sum(payload["restart_rounds"]) == payload["rounds"]
+
+    def test_noncausal_table_counts_capped_starts(self, capsys, channel_dir):
+        argv = ("noncausal", str(channel_dir / "purecq.chan"), "--n", "2", "--seed", "3", "--restarts", "3")
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        capped = sum(json.loads(out)["restart_capped"])
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[-1].split() == ["capped_starts", str(capped)]
 
     @pytest.mark.parametrize(
         "argv, result",

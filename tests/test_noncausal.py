@@ -1,5 +1,6 @@
 """Non-causal lower bound: witness objective, ascent, and classical oracle."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -305,16 +306,17 @@ class TestSearchMatchesReference:
     def _assert_search_matches(self, ch, q, strat, label, max_rounds=3):
         p, tensor, num_inputs = ch.p, ch.tensor, ch.num_inputs
         cur = _objective(p, tensor, q, strat).value
-        strategy, value = _sweep_strategy(p, tensor, q, strat, num_inputs)
+        (strategy,), (value,) = _sweep_strategy(p, tensor, q[None], strat[None], num_inputs)
         ref_strategy, ref_value = reference.sweep_strategy(p, tensor, q, strat, num_inputs)
         assert np.array_equal(strategy, ref_strategy) and value == ref_value, label
-        q_up, *rest = _ascend_q(p, tensor, q, strat, cur)
+        (q_up,), *rest, _ = _ascend_q(p, tensor, q[None], strat[None], np.array([cur]))
         ref_q, *ref_rest = reference.ascend_q(p, tensor, q, strat, cur)
-        assert np.array_equal(q_up, ref_q) and rest == ref_rest, label
-        q_alt, strat_alt, *counts, rounds, _ = _alternate(p, tensor, q, strat, num_inputs, max_rounds)
+        assert np.array_equal(q_up, ref_q) and [r[0] for r in rest] == ref_rest, label
+        ((q_alt, strat_alt, run),) = _alternate(p, tensor, q[None], strat[None], num_inputs, max_rounds)
         ref_q, ref_strat, *ref_counts = reference.alternate(p, tensor, q, strat, num_inputs, max_rounds)
         assert np.array_equal(q_alt, ref_q) and np.array_equal(strat_alt, ref_strat), label
-        assert counts == ref_counts and 1 <= rounds <= max_rounds, label
+        counts = [run.value, run.ascent_steps, run.objective_evals, run.rounds]
+        assert counts == ref_counts and 1 <= run.rounds <= max_rounds, label
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_corpus(self, suite, n):
@@ -330,7 +332,7 @@ class TestSearchMatchesReference:
         rng = np.random.default_rng(1936)
         for name, ch in suite.items():
             q, strat = next(search_witnesses(ch, default_aux_size(ch.num_states, ch.num_inputs, 1), rng))
-            q, strat = _alternate(ch.p, ch.tensor, q, strat, ch.num_inputs, max_rounds=40)[:2]
+            ((q, strat, _),) = _alternate(ch.p, ch.tensor, q[None], strat[None], ch.num_inputs, max_rounds=40)
             q, strat = product_witness(q, strat, ch.num_inputs)
             assert q.shape == (4, 36)
             self._assert_search_matches(product_extension(ch, 2), q, strat, name, max_rounds=1)
@@ -345,13 +347,135 @@ class TestSearchMatchesReference:
                 self._assert_search_matches(ch, q, strat, (seed, num_u))
 
 
+def lifted_causal_start(ch, n):
+    """The search's first start: the single-letter causal witness as an n-fold product."""
+    causal = causal_capacity(ch)
+    q_rows = np.tile(causal.q, (ch.num_states, 1))
+    return product_witness(q_rows, np.asarray(causal.strategy.columns).T, ch.num_inputs, n=n)
+
+
+def drawn_starts(ch_n, aux_size, seed, n, count):
+    """The search's random starts 0, ..., count - 1, each from its own generator."""
+    for r in range(count):
+        rng = rng_for(seed, n, r)
+        q = rng.dirichlet(np.ones(aux_size), size=ch_n.num_states)
+        yield q, rng.integers(0, ch_n.num_inputs, size=(ch_n.num_states, aux_size))
+
+
+def assert_same_witness(a, b):
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y, field.name
+
+
+def record_batches(monkeypatch, name):
+    """Wrap noncausal's function `name`; the returned list gets the start count of each call's batch."""
+    sizes = []
+
+    def recorded(p, tensor, q, *args, _original=getattr(noncausal, name), **kwargs):
+        sizes.append(len(q))
+        return _original(p, tensor, q, *args, **kwargs)
+
+    monkeypatch.setattr(noncausal, name, recorded)
+    return sizes
+
+
+class TestBatchedStarts:
+    """A batch of starts gives each start the bits, witness and counters of running it alone."""
+
+    def _assert_batch_matches_lone_starts(self, ch, starts, label, max_rounds=40):
+        p, tensor, num_inputs = ch.p, ch.tensor, ch.num_inputs
+        q, strat = (np.stack(table) for table in zip(*starts))
+        batch = _alternate(p, tensor, q, strat, num_inputs, max_rounds)
+        assert len(batch) == len(starts), label
+        for (q_b, strat_b, run_b), (q0, strat0) in zip(batch, starts):
+            ((q_1, strat_1, run_1),) = _alternate(p, tensor, q0[None], strat0[None], num_inputs, max_rounds)
+            assert np.array_equal(q_b, q_1) and np.array_equal(strat_b, strat_1) and run_b == run_1, label
+
+    @pytest.mark.parametrize("n, max_rounds", [(1, 40), (2, 2)])
+    def test_corpus(self, suite, n, max_rounds):
+        rng = np.random.default_rng(3110 + n)
+        for name, ch, ch_n in corpus_blocks(suite, n):
+            num_u = default_aux_size(ch.num_states, ch.num_inputs, n)
+            starts = list(search_witnesses(ch_n, num_u, rng, count=4 if n == 1 else 3))
+            self._assert_batch_matches_lone_starts(ch_n, starts, (name, n), max_rounds)
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(2, 3), st.integers(2, 3))
+    def test_random_channels(self, seed, dim, num_states, num_inputs):
+        rng = np.random.default_rng(seed)
+        ch = random_cq_channel(rng, dim, num_states, num_inputs)
+        for num_u in (2, 5):
+            self._assert_batch_matches_lone_starts(ch, list(search_witnesses(ch, num_u, rng, count=4)), (seed, num_u))
+
+    @pytest.mark.parametrize("n, restarts, max_rounds", [(1, 6, 40), (2, 3, 2)])
+    def test_search_matches_the_sequential_reference(self, suite, n, restarts, max_rounds):
+        # The same starts in the same order, with the same stop rule, one start at a time.
+        for name, ch, ch_n in corpus_blocks(suite, n):
+            wit = noncausal_lower_bound(ch, n=n, restarts=restarts, seed=11, max_rounds=max_rounds)
+            target = wit.upper + wit.upper_gap - ALT_EPS
+            aux_size = default_aux_size(ch.num_states, ch.num_inputs, n)
+            starts = [lifted_causal_start(ch, n), *drawn_starts(ch_n, aux_size, 11, n, restarts - 1)]
+            best, runs = reference.search(
+                ch_n.p, ch_n.tensor, ch_n.num_inputs, starts, max_rounds, lambda value: value / n >= target
+            )
+            assert wit.restart_values == tuple(run[2] / n for run in runs), name
+            assert wit.restart_index == best, name
+            assert np.array_equal(wit.q_given_s, runs[best][0]) and np.array_equal(wit.strategy, runs[best][1]), name
+            assert (wit.ascent_steps, wit.objective_evals) == tuple(sum(run[k] for run in runs) for k in (3, 4)), name
+            assert wit.restart_rounds == tuple(run[5] for run in runs), name
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_a_batch_holds_the_starts_the_budget_allows(self, purecq, monkeypatch, k):
+        # purecq's bracket stays open, so all eight starts run: the lifted one alone, then seven random ones.
+        kw = dict(restarts=8, seed=2)
+        unbounded = noncausal_lower_bound(purecq, **kw)
+        with monkeypatch.context() as patched:
+            patched.setenv(BUDGET_ENV_VAR, "0")
+            with pytest.raises(BudgetExceeded) as refused:
+                noncausal_lower_bound(purecq, **kw)
+        monkeypatch.setenv(BUDGET_ENV_VAR, str(k * refused.value.details["start_bytes"]))
+        sizes = record_batches(monkeypatch, "_alternate")
+        wit = noncausal_lower_bound(purecq, **kw)
+        assert sizes == [1] + [k] * (7 // k) + [7 % k] * (7 % k > 0)
+        assert_same_witness(wit, unbounded)
+
+    def test_the_closing_start_ends_its_batch(self, stuck, monkeypatch):
+        # At n = 2 stuck's lifted start closes the bracket, so the search runs no random batch; the
+        # batch is run directly on its random starts 0 and 3, which close it after 3 and 2 rounds alone.
+        ch = product_extension(stuck, 2)
+        upper = noncausal_upper_bound(stuck)
+
+        def closes(value):
+            return value / 2 >= upper.value + upper.gap - ALT_EPS
+
+        starts = list(drawn_starts(ch, default_aux_size(2, 2, 2), 7, 2, 4))
+        alone = [_alternate(ch.p, ch.tensor, q[None], s[None], ch.num_inputs, 40)[0] for q, s in starts]
+        assert [run.rounds for _, _, run in alone] == [3, 3, 3, 2] and all(closes(run.value) for _, _, run in alone)
+        sizes = record_batches(monkeypatch, "_sweep_strategy")
+        for order, rounds in [((3, 0), [2, 2]), ((0, 3), [2, 2, 1])]:
+            sizes.clear()
+            q, strat = (np.stack([starts[r][k] for r in order]) for k in (0, 1))
+            ((q_b, strat_b, run),) = _alternate(ch.p, ch.tensor, q, strat, ch.num_inputs, 40, closes)
+            # Only the first start is reported. Started first, start 3 ends the batch after its two rounds and
+            # start 0 is discarded unfinished; started second, start 3 is discarded once start 0 finishes.
+            q_1, strat_1, run_1 = alone[order[0]]
+            assert np.array_equal(q_b, q_1) and np.array_equal(strat_b, strat_1) and run == run_1, order
+            assert sizes == rounds, order
+
+
 def count_decompositions(monkeypatch, active=lambda: True):
-    """Wrap np.linalg.eigh and eigvalsh; the returned list's one entry counts the calls made while active()."""
+    """Wrap np.linalg.eigh and eigvalsh; the returned list's one entry counts the starts served while active().
+
+    Every decomposition of the search takes a leading start axis, so a call
+    counts the length of that axis: the decompositions of its starts, each as
+    if it ran alone.
+    """
     calls = [0]
     for name in ("eigh", "eigvalsh"):
-        def counted(*args, _original=getattr(np.linalg, name), **kwargs):
-            calls[0] += active()
-            return _original(*args, **kwargs)
+        def counted(a, *args, _original=getattr(np.linalg, name), **kwargs):
+            calls[0] += active() and len(a)
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
@@ -368,7 +492,7 @@ class TestDecompositionCounts:
             for q, strat in search_witnesses(ch_n, num_u, rng):
                 cur = _objective(ch_n.p, ch_n.tensor, q, strat).value
                 calls[0] = 0
-                _, _, steps, evals = _ascend_q(ch_n.p, ch_n.tensor, q, strat, cur)
+                _, _, (steps,), (evals,), _ = _ascend_q(ch_n.p, ch_n.tensor, q[None], strat[None], np.array([cur]))
                 assert calls[0] == evals + 1, (name, n)
                 if steps < ASCENT_ITERS:
                     # A rejected candidate ended the ascent.
@@ -383,10 +507,10 @@ class TestDecompositionCounts:
         inside = [False]
         calls = count_decompositions(monkeypatch, lambda: inside[0])
 
-        def alternate(*args, _original=noncausal._alternate):
+        def alternate(*args, _original=noncausal._alternate, **kwargs):
             inside[0] = True
             try:
-                return _original(*args)
+                return _original(*args, **kwargs)
             finally:
                 inside[0] = False
 
@@ -504,6 +628,22 @@ class TestNoncausalLowerBound:
         assert len(wit.restart_values) == wit.restarts == 3
         self.assert_diagnostics(wit)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_per_start_outcomes_add_up(self, suite, n):
+        for name, ch in suite.items():
+            wit = noncausal_lower_bound(ch, n=n, restarts=4, seed=3)
+            assert len(wit.restart_rounds) == len(wit.restart_capped) == wit.restarts, name
+            assert sum(wit.restart_rounds) == wit.rounds, name
+            assert 0 <= wit.ascents_capped <= wit.rounds, name
+
+    def test_a_start_cut_at_max_rounds_is_capped(self, purecq):
+        # With one round, every random start still gains in it; the lifted causal start is
+        # already where its round leaves it, so the ALT_EPS rule stops it instead.
+        wit = noncausal_lower_bound(purecq, n=2, restarts=4, seed=3, max_rounds=1)
+        assert wit.restart_rounds == (1, 1, 1, 1)
+        assert wit.restart_capped == (False, True, True, True)
+        assert noncausal_lower_bound(purecq, n=2, restarts=4, seed=3).restart_capped == (False,) * 4
+
     @pytest.mark.parametrize("seeded, restarts, runs", [(False, 1, 1), (True, 1, 2), (True, 2, 2), (True, 4, 4)])
     def test_restarts_is_a_maximum_that_only_explicit_seeds_pass(self, purecq, seeded, restarts, runs):
         # The bracket stays open on purecq, so only the count stops the search.
@@ -545,7 +685,7 @@ class TestNoncausalLowerBound:
         # floats and 16 KiB: 592 bytes per letter plus 17,040, so 40,720 at aux 40.
         monkeypatch.setenv(BUDGET_ENV_VAR, str(592 * 40 + 17_040))
         with monkeypatch.context() as patched:
-            patched.setattr(noncausal, "_alternate", lambda *args: pytest.fail("a start ran"))
+            patched.setattr(noncausal, "_alternate", lambda *args, **kwargs: pytest.fail("a start ran"))
             with pytest.raises(BudgetExceeded, match="aux_size 41"):
                 noncausal_lower_bound(flip, aux_size=41, restarts=2, seed=1)
         assert noncausal_lower_bound(flip, aux_size=40, restarts=2, seed=1).value == pytest.approx(1.0, abs=1e-9)
