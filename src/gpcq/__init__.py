@@ -17,7 +17,7 @@ from .channel import (
     product_extension,
     serialize_channel,
 )
-from .coding import sequential_decoder, simulate_rate_error_curve, square_root_decoder
+from .coding import sequential_decoder, simulate_rate_error_curve, square_root_decoder, validate_povm
 from .errors import GpcqError
 from .noncausal import GPUpperBound, GPWitness, gp_objective, noncausal_lower_bound, noncausal_upper_bound
 from .quantum import (
@@ -56,6 +56,7 @@ __all__ = [
     "simulate_rate_error_curve",
     "square_root_decoder",
     "trace_distance",
+    "validate_povm",
     "von_neumann_entropy",
     "young_frames",
 ]

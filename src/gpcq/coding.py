@@ -1,49 +1,36 @@
 """Random-coding schemes and exact error evaluation at desk scale.
 
-Two decoders are realized on top of the block decoding projectors: the
-square-root measurement normalizing message operators by the inverse square
-root of their sum, and the sequential measurement applying projective tests
-in message order. Every decode operator of a simulation is a
-quantum.BlockStack: for each message, one real block per frequency class of
-the n slots, in the decoding basis frame (schur_weyl.DecodeContext). The
-square-root sum, its eigh, the smoothed elements, the sequential chain,
-validate_povm's checks and the closure check all run block by block. A
-dense operator list is the one-block case of the same code, and each
-decoder returns its input's form. Leading batch axes of a BlockStack index
-independent POVMs: each keeps its own support, error outcome, closure and
-sum check. The sequential measurement is a SequentialChain fed a chunk of
-messages at a time; it keeps one chain operator per class and POVM and the
-running element sum, so each element is formed, checked and dropped with
-its chunk, and sequential_decoder is the one-chunk case.
+Two decoders are realized on the block decoding projectors, each a
+quantum.BlockStack of one real block per frequency class of the n slots in
+the decoding basis frame (schur_weyl.DecodeContext): the square-root
+measurement and the sequential one. Both have one streamed shape (_Stream):
+advance forms, checks and returns a chunk of messages' elements and adds
+them to the element sum; close returns the error outcome and checks the sum
+against identity. SequentialChain keeps a chain operator per class between
+chunks. SquareRoot is built by a first pass that sums the chunks, then takes
+one eigh per class of the sum and keeps its eigenvectors.
+square_root_decoder and sequential_decoder are the one-chunk cases; a dense
+operator list is the one-block case. Leading batch axes of a BlockStack
+index independent POVMs, each with its own support, error outcome and checks.
 
-A simulation point's trials run in batches. Each trial draws its codewords
-from its own generator. A binned batch's decoder input is one
-DecodeContext.projectors call on the (trials * messages, K, n) word array,
-each message's operator the sum of its K bins' projectors; a causal batch
-makes one projectors call per chunk of messages of every trial, one
-codeword per message, and advances one chain with it. Every distinct
-codeword is gathered once, by a slot permutation, from its letter type's
-projector, built from the letters' class blocks. A causal trial draws its
-codewords by rejection from batches of candidates. Letter states are
-rotated into the basis frame, and the success traces of a batch, or of a
-chunk, come from one quantum.product_traces contraction per chunk of
-messages. The chunk's class blocks are scattered straight into the
-slot-paired layout, each slot's row and column digit adjacent
-(BlockStack.paired, at positions the class partition keeps), with no dense
-matrix or transpose in between. A state word that no bin of its message
-matches (a declare) counts as a full error. Each trial's error and declare
-mass are summed in the order a lone trial sums them, so results depend on
-neither the batching nor the chunking, and reruns are byte-identical.
+Both trials run one chunk loop (_decoded_traces): per chunk of messages of
+every trial of a batch, one DecodeContext.projectors call, one advance and
+one _success_traces call. The square root's two passes gather each chunk
+twice, unless the plan is one chunk, whose one gather serves both. A binned
+message sums its K bins' projectors, a causal message has one codeword, and
+each trial draws from its own generator. A state word that no bin of its
+message matches (a declare) counts as a full error. Each trial's error and
+declare mass are summed in the order a lone trial sums them, so results
+depend on neither the batching nor the chunking, and reruns are
+byte-identical.
 
 The memory model behind BudgetExceeded (_batch_entries) is the largest
-float64 footprint of a batch's phases, plus the tables a batch keeps
-throughout. Batches stay within the curve's largest one-trial, whole-list
-footprint. A binned rate is checked at one whole trial and its batch holds
-the most trials within that cap, so the largest trial runs alone. A causal
-rate is refused only when one message per chunk of one trial does not fit;
-its point runs the most trials that fit at one message per chunk, with the
-most messages per chunk that fit, and where a whole list exceeds the budget
-the chunks leave STREAM_HEADROOM of the budget free.
+float64 footprint of a batch's phases, plus the tables a batch keeps. A
+rate is refused only when one message per chunk of one trial does not fit
+the budget. A point's batches stay within the curve's largest one-trial,
+whole-list footprint and within 1 - STREAM_HEADROOM of the budget: the most
+trials that fit at a starting chunk (one message for the chain, the whole
+list for the square root), then the most messages per chunk that fit.
 
 validate_povm refuses non-finite elements before any other check on them,
 and tests positivity by a Cholesky factorization of el + 1e-8 I, which
@@ -84,7 +71,7 @@ STATE_WORD_CAP = 4096
 TABLE_SLACK = 2**13
 # Entries the matched-set test holds per (state word, codeword) pair at its peak.
 MATCHED_PAIR_ENTRIES = 10
-# Share of the memory budget that a chain streamed to fit it leaves free: peak RSS exceeds the
+# Share of the memory budget that a decoder streamed to fit it leaves free: peak RSS exceeds the
 # model by the interpreter, BLAS buffers and freed heap the allocator keeps (130-170 MiB at n = 12).
 STREAM_HEADROOM = 0.125
 
@@ -194,13 +181,6 @@ def validate_povm(elements, dim: int) -> None:
     _check_sum([block.sum(axis=-3) for block in stack.blocks])
 
 
-def _returned(elements: BlockStack, error: BlockStack, dense: bool):
-    """(elements, error outcome) in the input's form: a list and one matrix when it came dense."""
-    if dense:
-        return list(elements.blocks[0]), error.blocks[0][0]
-    return elements, error
-
-
 def _adjoint(ops: np.ndarray) -> np.ndarray:
     return ops.conj().swapaxes(-1, -2)
 
@@ -212,42 +192,89 @@ def _hermitian_part(ops: np.ndarray) -> np.ndarray:
     return out
 
 
-def square_root_decoder(projectors):
-    """POVM normalizing each operator by the inverse square root of the sum.
+def _running_sums(totals, blocks) -> list:
+    """Each (*batch, N, s, s) block summed onto its running total in message order: the total leads the chunk."""
+    if totals is None:
+        return [block.sum(axis=-3) for block in blocks]
+    return [np.concatenate([t[..., None, :, :], b], axis=-3).sum(axis=-3) for t, b in zip(totals, blocks)]
 
-    The inverse square root is taken on the support of the sum; the kernel
-    projector is returned as the error outcome. Elements sum to the support
-    projector exactly, so closure holds to machine precision. Block-diagonal
-    input (a BlockStack) is decoded block by block: one eigh of each block
-    of the sum, with the support judged against the largest eigenvalue of
-    all blocks. Leading batch axes of a BlockStack index independent
-    operator lists, each decoded with its own sum, support and error
-    outcome. The output has the input's form.
+
+class _Stream:
+    """A decoder fed a chunk of messages at a time, by its rule _elements and _error.
+
+    advance takes the next messages' operators, in a BlockStack or a dense
+    sequence, forms their elements, checks each as validate_povm does, adds
+    them to the element sum and returns them; a refused operator or element
+    is named by its index in its own list. close returns the error outcome,
+    checked as an element, and checks its closure defect and the largest
+    eigenvalue of the element sum plus it. Batch axes index independent lists.
     """
-    stack, dense = _stack(projectors, "operator")
-    spectra = [np.linalg.eigh(block.sum(axis=-3)) for block in stack.blocks]
-    top = np.max([vals.max(axis=-1, initial=0.0) for vals, _ in spectra], axis=0)[..., None]
-    povm = []
-    for block, (vals, vecs) in zip(stack.blocks, spectra):
-        support = (vals > RANK_TOL * top) & (top > 0.0)
-        inv_sqrt = np.zeros_like(vals)
-        inv_sqrt[support] = vals[support] ** -0.5
-        smoother = ((vecs * inv_sqrt[..., None, :]) @ _adjoint(vecs))[..., None, :, :]
-        kept = vecs * support[..., None, :]
-        ops = np.empty(block.shape[:-3] + (len(stack) + 1,) + block.shape[-2:], dtype=np.result_type(block, vecs))
-        np.matmul(smoother @ block, smoother, out=ops[..., :-1, :, :])
-        ops[..., -1, :, :] = np.eye(vals.shape[-1]) - kept @ _adjoint(kept)
-        povm.append(_hermitian_part(ops))
-    povm = BlockStack(tuple(povm), stack.index)
-    validate_povm(povm, stack.dim)
-    closure = max(float(np.max(np.abs(b.sum(axis=-3) - np.eye(b.shape[-1])))) for b in povm.blocks)
-    if closure > POVM_TOL:
-        raise InvalidPOVM(f"square-root closure defect {closure}")
-    return _returned(
-        BlockStack(tuple(b[..., :-1, :, :] for b in povm.blocks), povm.index),
-        BlockStack(tuple(b[..., -1:, :, :] for b in povm.blocks), povm.index),
-        dense,
-    )
+
+    count = 0  # messages advanced so far
+    totals = None  # per class, the sum of the elements advanced
+
+    def advance(self, operators) -> BlockStack:
+        """The checked elements of the next messages."""
+        stack, _ = _stack(operators, "operator", first=self.count)
+        self.index = stack.index
+        elements = self._elements(stack)
+        _stack(elements, "element", first=self.count)  # finite entries first, as validate_povm checks them
+        _check_elements(elements, self.count)
+        self.totals = _running_sums(self.totals, elements.blocks)
+        self.count += len(stack)
+        return elements
+
+    def close(self) -> BlockStack:
+        """The checked error outcome, a one-element list per batch entry."""
+        if self.count == 0:
+            raise PreconditionViolated("number of operators", 0, ">= 1")
+        error = BlockStack(tuple(e[..., None, :, :] for e in self._error()), self.index)
+        _stack(error, "element", first=self.count)
+        _check_elements(error, self.count)
+        sums = [total + e[..., 0, :, :] for total, e in zip(self.totals, error.blocks)]
+        _check_sum(sums)
+        closure = max(float(np.max(np.abs(total - np.eye(total.shape[-1])))) for total in sums)
+        if closure > POVM_TOL:
+            raise InvalidPOVM(f"closure defect {closure}")
+        return error
+
+
+class SquareRoot(_Stream):
+    """The square-root measurement of a list of operators, fed in two passes of chunks of messages.
+
+    The first pass builds it from an iterable of the list's chunks,
+    BlockStacks summed per class in message order. One eigh per class of the
+    sum gives its inverse square root on the support, judged against the
+    largest eigenvalue of all blocks. advance takes the same chunks again and
+    forms each element sum^(-1/2) P sum^(-1/2); close returns the kernel
+    projector as the error outcome, so closure holds to machine precision.
+    Between chunks it keeps the eigenvectors and the element sum.
+    """
+
+    def __init__(self, chunks):
+        sums = None
+        for stack in chunks:
+            sums = _running_sums(sums, stack.blocks)
+            del stack  # freed before the next chunk is gathered
+        spectra = [np.linalg.eigh(total) for total in sums]
+        top = np.max([vals.max(axis=-1, initial=0.0) for vals, _ in spectra], axis=0)[..., None]
+        self.factors = []  # per class, the eigenvectors, inverse square roots and support
+        for vals, vecs in spectra:
+            support = (vals > RANK_TOL * top) & (top > 0.0)
+            inv_sqrt = np.zeros_like(vals)
+            inv_sqrt[support] = vals[support] ** -0.5
+            self.factors.append((vecs, inv_sqrt, support))
+
+    def _elements(self, stack: BlockStack) -> BlockStack:
+        blocks = []
+        for block, (vecs, inv_sqrt, _) in zip(stack.blocks, self.factors):
+            smoother = ((vecs * inv_sqrt[..., None, :]) @ _adjoint(vecs))[..., None, :, :]
+            blocks.append(_hermitian_part(np.matmul(smoother @ block, smoother)))
+        return BlockStack(tuple(blocks), stack.index)
+
+    def _error(self) -> list:
+        kept = [vecs * support[..., None, :] for vecs, _, support in self.factors]
+        return [_hermitian_part(np.eye(k.shape[-1]) - k @ _adjoint(k)) for k in kept]
 
 
 def _chain_step(chain, ops: np.ndarray):
@@ -261,86 +288,55 @@ def _chain_step(chain, ops: np.ndarray):
     return chain
 
 
-class SequentialChain:
+class SequentialChain(_Stream):
     """The sequential measurement of a list of projectors, fed a chunk of messages at a time.
 
     Element m is the m-th projector conjugated by the complements of all
     earlier ones, the chain (1 - P_{m-1}) ... (1 - P_1); the telescoping
-    identity keeps the total below identity, and the remainder is the error
-    outcome. advance takes the next messages' projectors, in a BlockStack or
-    a dense sequence, checks that each is a projector, forms their elements,
-    checks each as validate_povm does and returns them; a refused operator
-    or element is named by its index in its own list. Between chunks the
-    chain keeps only one chain operator per class and list and the running
-    sum of the elements, added in message order, so every element and the
-    error outcome are those of the whole list at once, bit for bit. close
-    returns the error outcome, identity minus that sum, and checks it and
-    the sum against the identity. Leading batch axes of a BlockStack index
-    independent lists, advanced together, and the classes of one size
-    advance together, one matmul per message for all of them.
+    identity keeps the total below identity, and the remainder, identity
+    minus the element sum, is the error outcome. advance also checks that
+    each operator is a projector. Between chunks it keeps one chain operator
+    per class and list and the element sum. The classes of one size advance
+    together, one matmul per message for all of them.
     """
 
-    def __init__(self):
-        self.count = 0  # messages advanced so far
-
-    def advance(self, projectors) -> BlockStack:
-        """The checked elements of the next messages."""
-        stack, _ = _stack(projectors, "operator", first=self.count)
+    def _elements(self, stack: BlockStack) -> BlockStack:
         bad = _first_flagged(stack, _not_projector, self.count)
         if bad is not None:
             raise NotProjection(f"operator {bad} is not a projector")
         if self.count == 0:
-            self.index, sizes = stack.index, [idx.size for idx in stack.index]
+            sizes = [idx.size for idx in stack.index]
             self.groups = [[c for c, s in enumerate(sizes) if s == size] for size in dict.fromkeys(sizes)]
             self.chains = [np.eye(sizes[group[0]]) for group in self.groups]
-            self.totals = [None] * len(self.groups)
-        blocks = [None] * len(self.index)
+        blocks = [None] * len(stack.index)
         for g, group in enumerate(self.groups):
-            for c, block in zip(group, self._elements(g, [stack.blocks[c] for c in group])):
+            picked = [stack.blocks[c] for c in group]
+            ops = np.stack(picked).astype(np.result_type(float, *picked), copy=False)
+            self.chains[g] = _chain_step(self.chains[g], ops)
+            for c, block in zip(group, _hermitian_part(ops)):
                 blocks[c] = block
-        elements = BlockStack(tuple(blocks), stack.index)
-        _stack(elements, "element", first=self.count)  # finite entries first, as validate_povm checks them
-        _check_elements(elements, self.count)
-        self.count += len(stack)
-        return elements
+        return BlockStack(tuple(blocks), stack.index)
 
-    def _elements(self, g: int, blocks: list) -> np.ndarray:
-        """Group g's elements, (G, *batch, N, s, s), from its classes' projector blocks; its chain and sum advance."""
-        ops = np.stack(blocks).astype(np.result_type(float, *blocks), copy=False)
-        self.chains[g] = _chain_step(self.chains[g], ops)
-        ops = _hermitian_part(ops)
-        total = self.totals[g]
-        # The running sum leads the chunk, so one sum over the message axis adds in message order.
-        summed = ops if total is None else np.concatenate([total[..., None, :, :], ops], axis=-3)
-        self.totals[g] = summed.sum(axis=-3)
-        return ops
+    def _error(self) -> list:
+        return [_hermitian_part(np.eye(total.shape[-1]) - total) for total in self.totals]
 
-    def close(self) -> BlockStack:
-        """The checked error outcome, a one-element list per batch entry."""
-        if self.count == 0:
-            raise PreconditionViolated("number of operators", 0, ">= 1")
-        blocks, totals = [None] * len(self.index), [None] * len(self.index)
-        for group, total in zip(self.groups, self.totals):
-            error = _hermitian_part(np.eye(total.shape[-1]) - total)
-            for c, t, e in zip(group, total, error):
-                blocks[c], totals[c] = e[..., None, :, :], t + e
-        error = BlockStack(tuple(blocks), self.index)
-        _stack(error, "element", first=self.count)
-        _check_elements(error, self.count)
-        _check_sum(totals)
-        return error
+
+def _decoded(opened, operators):
+    """(elements, error outcome) of the decoder opened([stack]) fed a whole list as one chunk, in the list's form."""
+    stack, dense = _stack(operators, "operator")
+    decoder = opened([stack])
+    elements, error = decoder.advance(stack), decoder.close()
+    return (list(elements.blocks[0]), error.blocks[0][0]) if dense else (elements, error)
+
+
+def square_root_decoder(projectors):
+    """The one-chunk SquareRoot: (elements, error outcome) in the input's form, a list and one matrix when dense."""
+    return _decoded(SquareRoot, projectors)
 
 
 def sequential_decoder(projectors):
-    """Effective POVM of projective tests applied in the given order: the one-chunk SequentialChain.
-
-    Block-diagonal input runs the chain block by block, and leading batch
-    axes of a BlockStack index independent chains. The output has the
-    input's form.
-    """
-    chain = SequentialChain()
-    elements = chain.advance(projectors)
-    return _returned(elements, chain.close(), not isinstance(projectors, BlockStack))
+    """The one-chunk SequentialChain: (elements, error outcome) in the input's form, a list and one matrix when dense."""
+    return _decoded(lambda chunks: SequentialChain(), projectors)
 
 
 @dataclass(frozen=True)
@@ -373,18 +369,15 @@ def _chunk_entries(dim: int, d: int, per_slot: Sequence[int]) -> int:
     return dim * dim + max(a + b for a, b in zip(outs, outs[1:] + [0]))
 
 
-def _batch_entries(trials: int, M: int, n: int, d: int, lead: int, states: int, chunk: int | None = None) -> int:
+def _batch_entries(trials: int, M: int, n: int, d: int, lead: int, states: int, chunk: int) -> int:
     """Float64 entries that a batch of ``trials`` trials of M messages holds at its largest phase.
 
     A message's decode operator sums ``lead`` codeword projectors, and its
     traces contract against ``lead`` lists of ``states`` states per slot: K
     bins and K lists of |S| states for a binned trial, one codeword and one
-    state for a causal one. ``chunk`` is None for the square-root decoder,
-    which decodes each list whole, and the messages per chunk of the
-    sequential chain (SequentialChain), which is fed C = chunk messages of
-    every list at a time; C = M for the square-root decoder. With T = trials,
-    E = sum_f |f|^2 and F = max_f |f|^2 over the frequency classes f of n
-    slots, the phases are:
+    state for a causal one. Either decoder is fed C = chunk messages of every
+    trial at a time (_decoded_traces). With T = trials, E = sum_f |f|^2 and
+    F = max_f |f|^2 over the frequency classes f of n slots, the phases are:
 
     - gathering codeword projectors: T lead C (E + F + 2 d^n) + 4 F +
       (3 n + 2) d^n, the distinct words' stack, the words' int64 gather
@@ -395,14 +388,10 @@ def _batch_entries(trials: int, M: int, n: int, d: int, lead: int, states: int, 
       factor (4 F), and three d^n index arrays per letter, at most n letters;
     - building the decoder input: T C ((lead + 1) E + F), the distinct
       words' stack, the per-message sums and one class-block temporary;
-    - decoding: for the square-root decoder T ((2M + 1) E + 3 (M + 1) F),
-      each trial's decoder input and POVM with its error outcome,
-      validate_povm's Cholesky copy and factor of the largest class, and
-      one class block more for what peak RSS adds to the arrays (allocator
-      slack, LAPACK copies); for the chain T C (2 E + 3 F), a chunk's input
-      and elements with the same checks;
-    - success traces: the elements, T (M + 1) E with the error outcome for
-      the square-root decoder and T C E for the chain, and one chunk of
+    - decoding: T C (2 E + 3 F), a chunk's input and elements, the Cholesky
+      copy and factor of the largest class, and one class block more for
+      what peak RSS adds to the arrays (allocator slack, LAPACK copies);
+    - success traces: the chunk's elements, T C E, and one chunk of
       _chunk_entries per message of the chunk (its paired operator and the
       two slot outputs alive at once);
     - the matched-set test of a binned trial: 10 W T M lead, the
@@ -415,33 +404,33 @@ def _batch_entries(trials: int, M: int, n: int, d: int, lead: int, states: int, 
     context's n d^n word digits and the E slot-paired positions of the
     n-slot classes (ClassPartition.pairs); the T M lead codewords' n digits
     each; the W = states^n state words with their n digits, shared by the
-    batch, and T M lead traces each; the chain's 2 T E chain operators and
-    running sums; and TABLE_SLACK entries of small arrays, cached letter
-    class blocks and interpreter objects. At T = 1 this is one trial's footprint.
+    batch, and T M lead traces each; and TABLE_SLACK entries of small
+    arrays, cached letter class blocks and interpreter objects. The
+    decoder's 2 T E kept between chunks (chain operators or eigenvectors,
+    and the element sum) count in decoding, tracing, and the gather and
+    build of a chunk after the first. Left out is the process-wide cache of
+    frame bases (ClassPartition.bases), filled once: E(d, t) entries per t,
+    at most 2 E(d, n) over t <= n at d >= 2 (E(d, a) E(d, b) <= E(d, a + b)
+    and E(d, 1) = d), 41 MiB at d = 2, n = 12, within STREAM_HEADROOM.
     """
     sizes = [words.size**2 for words in class_partition(d, n).words]
-    E, F = sum(sizes), max(sizes)
-    C = M if chunk is None else chunk
+    E, F, C = sum(sizes), max(sizes), chunk
+    state = 2 * trials * E
     per_message = _chunk_entries(d**n, d, [lead * states] + [states] * (n - 1))
-    gather = trials * C * lead * (E + F + 2 * d**n) + 4 * F + (3 * n + 2) * d**n
-    build = trials * C * ((lead + 1) * E + F)
-    if chunk is None:
-        decode = trials * ((2 * M + 1) * E + 3 * (M + 1) * F)
-        elements, chain = trials * (M + 1) * E, 0
-    else:
-        decode, elements, chain = trials * C * (2 * E + 3 * F), trials * C * E, 2 * trials * E
-    traces = elements + max(1, trials * C * E // per_message) * per_message
+    gather = trials * C * lead * (E + F + 2 * d**n) + 4 * F + (3 * n + 2) * d**n + (C < M) * state
+    build = trials * C * ((lead + 1) * E + F) + (C < M) * state
+    decode = trials * C * (2 * E + 3 * F) + state
+    traces = trials * C * E + max(1, trials * C * E // per_message) * per_message + state
     matched = MATCHED_PAIR_ENTRIES * states**n * trials * M * lead
-    tables = n * d**n + E + trials * M * lead * n + states**n * (n + trials * M * lead) + chain + TABLE_SLACK
+    tables = n * d**n + E + trials * M * lead * n + states**n * (n + trials * M * lead) + TABLE_SLACK
     return tables + max(gather, build, decode, traces, matched)
 
 
-def _messages_for_rate(rate: float, n: int, d: int, lead: int, states: int, chunk: int | None) -> int:
+def _messages_for_rate(rate: float, n: int, d: int, lead: int, states: int) -> int:
     """2^(n rate) messages, refused when one trial of them cannot fit the memory budget.
 
-    The one check is _batch_entries of one trial of M messages, fed ``chunk``
-    messages at a time: 1 for the sequential chain, None for the square-root
-    decoder's whole list. Before M is formed, its log2 is bounded below by
+    The one check is _batch_entries of one trial of M messages fed one
+    message per chunk. Before M is formed, its log2 is bounded below by
     the per-message table term every plan holds, lead (n + states^n) entries
     for the codewords' digits and traces, so 2^(n rate) is only formed once
     that fits. Rates are at least 0, so M is at least one message.
@@ -456,7 +445,7 @@ def _messages_for_rate(rate: float, n: int, d: int, lead: int, states: int, chun
     log2_bytes = n * rate + math.log2(8 * lead * (n + states**n))
     if log2_bytes <= math.log2(max(budget, 1)):
         M = math.ceil(2.0 ** (n * rate) - 1e-9)
-        log2_bytes = math.log2(8 * _batch_entries(1, M, n, d, lead, states, chunk))
+        log2_bytes = math.log2(8 * _batch_entries(1, M, n, d, lead, states, 1))
     if log2_bytes > math.log2(max(budget, 1)):
         raise BudgetExceeded(
             f"rate {rate} at n={n} needs ~2^{log2_bytes:.1f} bytes of decoder, budget is {budget}",
@@ -530,6 +519,37 @@ def _round_sums(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x).reshape(len(x), -1).sum(axis=1)
 
 
+def _decoded_traces(opened, ctx: DecodeContext, words: np.ndarray, rotated: np.ndarray, chunk: int):
+    """Every trial's success traces, decoded ``chunk`` messages of every trial at a time.
+
+    words is (T, M, *bins, n): a message's decode operator sums its bins'
+    projectors, and its element is traced against every product of the
+    basis-frame states rotated[u], an (L, d, d) stack per letter u, on the
+    slots holding u; the result is (T, M, *bins, L^n). opened(chunks) gives
+    the decoder from the chunks' operators, which only the square root reads
+    (its first pass). Then each chunk is one DecodeContext.projectors call,
+    one advance and one _success_traces call, and the decoder closes: the
+    square root gathers each chunk twice, unless the plan is one chunk.
+    """
+    T, M, n = len(words), words.shape[1], ctx.n
+
+    def projectors(lo: int) -> BlockStack:
+        part = words[:, lo : lo + chunk]
+        return ctx.projectors(part.reshape(T * part.shape[1], -1, n)).reshape(T, -1)
+
+    held = projectors(0) if chunk >= M else None  # a one-chunk plan's only gather
+    decoder = opened(projectors(lo) if held is None else held for lo in range(0, M, chunk))
+    traces = np.empty(words.shape[:-1] + (rotated.shape[1] ** n,))
+    for lo in range(0, M, chunk):
+        elements = decoder.advance(projectors(lo) if held is None else held).reshape(-1)
+        held, part = None, words[:, lo : lo + chunk]  # the decoder input is freed before the traces
+        slots = [rotated[part[..., j].reshape(len(elements), *part.shape[2:-1])] for j in range(n)]
+        traces[:, lo : lo + chunk] = _success_traces(elements, slots).reshape(part.shape[:-1] + (-1,))
+        del elements, slots  # freed before the next chunk is gathered
+    decoder.close()
+    return traces
+
+
 def simulate_noncausal_trial(
     ch: StateChannel,
     p_su: np.ndarray,
@@ -538,6 +558,7 @@ def simulate_noncausal_trial(
     K: int,
     M: int,
     rngs: Sequence[np.random.Generator],
+    chunk: int,
 ) -> np.ndarray:
     """Binned-codebook rounds with the square-root decoder, one per generator, evaluated exactly.
 
@@ -547,13 +568,11 @@ def simulate_noncausal_trial(
     are ctx.n and ctx.delta. State words are enumerated exhaustively; the
     encoder picks uniformly among the message's bins whose codeword matches
     the state word, and a declare (no bin matches) counts as a full error
-    for its state mass. The T rounds share one projectors call, one
-    batched decoder call and one _success_traces call.
+    for its state mass. The T rounds are decoded together, chunk messages at
+    a time (_decoded_traces).
     """
     n, delta = ctx.n, ctx.delta
     num_s = p_su.shape[0]
-    if num_s**n > STATE_WORD_CAP:
-        raise CapExceeded(f"|S|^n = {num_s**n} exceeds exact-evaluation cap {STATE_WORD_CAP}")
     counts = nearest_type(p_su.sum(axis=0), n)
     # (T, M, K, n): round t's bins of message m.
     words = np.stack([type_class_words(counts, (K, M), rng) for rng in rngs]).swapaxes(1, 2)
@@ -563,13 +582,10 @@ def simulate_noncausal_trial(
     # The matched-set test runs before any decode operator is alive.
     members = matched_set_members(s_digits, words.reshape(-1, n), p_su, delta)
     members = members.reshape(-1, T, M, K).transpose(1, 2, 3, 0)
-    elements = square_root_decoder(ctx.projectors(words.reshape(T * M, K, n)).reshape(T, M))[0].reshape(T * M)
-    # rotated[u] stacks, in the basis frame, the output of every state letter under auxiliary letter u.
+    # rotated[u] stacks, in the basis frame, the output of every state letter under auxiliary letter u;
+    # traces[t, m, k] holds one trace per state word, in digit_table order.
     rotated = ctx.rotate(letter_states(ch.tensor, strategy)).swapaxes(0, 1)
-    # One (T M, K, |S|, d, d) stack per slot; traces[t, m, k] holds one trace per state word, in digit_table order.
-    slots = [rotated[words[..., j].reshape(T * M, K)] for j in range(n)]
-    traces = _success_traces(elements, slots).reshape(members.shape)
-    del elements  # freed before the trace arithmetic
+    traces = _decoded_traces(SquareRoot, ctx, words, rotated, chunk)
     hits = members.sum(axis=2)
     succ = (members * traces).sum(axis=2) / np.maximum(hits, 1)  # 0 where no bin matches
     err = _round_sums(mass * (1.0 - succ))
@@ -592,24 +608,12 @@ def simulate_causal_trial(
     t draws its codewords from rngs[t] alone. Codewords are ctx.delta-typical
     words of length ctx.n. The state average factorizes, so the expected
     success of message m is the trace of its effective measurement element
-    against the product of per-letter averaged states. The T rounds advance
-    one SequentialChain together, chunk messages at a time: each chunk is
-    one projectors call, one advance and one _success_traces call, and its
-    elements are dropped before the next.
+    against the product of per-letter averaged states. The T rounds are
+    decoded together, chunk messages at a time (_decoded_traces).
     """
-    n = ctx.n
-    words = np.stack([_typical_words(q, n, M, ctx.delta, rng) for rng in rngs])
-    T = len(words)
-    rotated = ctx.rotate(derived_states)
-    chain, traces = SequentialChain(), np.empty((T, M))
-    for lo in range(0, M, chunk):
-        part = words[:, lo : lo + chunk]
-        elements = chain.advance(ctx.projectors(part.reshape(-1, 1, n)).reshape(T, -1)).reshape(-1)
-        slots = [rotated[part[..., j].reshape(-1)][:, None] for j in range(n)]
-        traces[:, lo : lo + chunk] = _success_traces(elements, slots).reshape(T, -1)
-        del elements, slots  # freed before the next chunk is gathered
-    chain.close()
-    return np.column_stack([1.0 - _round_sums(traces) / M, np.zeros(T)])
+    words = np.stack([_typical_words(q, ctx.n, M, ctx.delta, rng) for rng in rngs])
+    traces = _decoded_traces(lambda chunks: SequentialChain(), ctx, words, ctx.rotate(derived_states)[:, None], chunk)
+    return np.column_stack([1.0 - _round_sums(traces) / M, np.zeros(len(words))])
 
 
 def simulate_rate_error_curve(
@@ -633,14 +637,15 @@ def simulate_rate_error_curve(
     Witnesses are solved once per channel unless supplied. Both decode
     against rho_u = sum_s p(s|u) rho[s, f(s, u)]: a causal witness (q,
     columns) leaks nothing about the state, so it is the witness q(u|s) = q(u)
-    with the strategy f = columns.T, and is checked as that witness. Each
-    (n, rate) point runs its trials in batches whose memory model stays
-    within the curve's largest one-trial, whole-list footprint: the most
-    trials for noncausal-sqrt, and for causal-sequential the most trials at
-    one message per chunk with the most messages per chunk (within
-    1 - STREAM_HEADROOM of the budget, where that is smaller). Trial t draws
-    from rng_for(seed, scheme tag, n, rate index, t), so a row depends on
-    neither the batching nor the chunking.
+    with the strategy f = columns.T, and is checked as that witness. Both
+    decoders stream chunks of messages (_decoded_traces). Each (n, rate)
+    point runs its trials in batches whose memory model stays within the
+    curve's largest one-trial, whole-list footprint and within
+    1 - STREAM_HEADROOM of the budget: the most trials at a starting chunk,
+    one message for causal-sequential and the whole list for noncausal-sqrt,
+    then the most messages per chunk. Trial t draws from rng_for(seed,
+    scheme tag, n, rate index, t), so a row depends on neither the batching
+    nor the chunking.
     """
     from .causal import causal_capacity
     from .noncausal import _check_witness, noncausal_lower_bound, trim_witness
@@ -660,20 +665,14 @@ def simulate_rate_error_curve(
     causal = scheme == "causal-sequential"
     # A message sums K bins against K lists of |S| states per slot, or one codeword against one state.
     lead, per_list = (1, 1) if causal else (K, ch.num_states)
-    # A point's plan starts from one message per chunk for the chain, the whole list for the square root.
-    first_chunk = 1 if causal else None
-    messages = [[_messages_for_rate(rate, n, ch.dim, lead, per_list, first_chunk) for rate in rates] for n in n_list]
-    # Batches hold no more than the curve's largest one-trial, whole-list footprint. Where that
-    # exceeds the budget the chain streams, and its chunks leave the budget's last STREAM_HEADROOM
-    # to what the model does not count.
-    cap = max(
-        (_batch_entries(1, M, n, ch.dim, lead, per_list, M if causal else None)
-         for n, counts in zip(n_list, messages) for M in counts),
-        default=0,
+    messages = [[_messages_for_rate(rate, n, ch.dim, lead, per_list) for rate in rates] for n in n_list]
+    # Batches hold no more than the curve's largest one-trial, whole-list footprint. Where that exceeds
+    # the budget, the chunks leave the budget's last STREAM_HEADROOM to what the model does not count.
+    cap = min(
+        max((_batch_entries(1, M, n, ch.dim, lead, per_list, M) for n, counts in zip(n_list, messages) for M in counts),
+            default=0),
+        int((1.0 - STREAM_HEADROOM) * memory_budget_bytes()) // 8,
     )
-    if causal:
-        cap = min(cap, int((1.0 - STREAM_HEADROOM) * memory_budget_bytes()) // 8)
-
     p = ch.p
     # Each witness becomes letter weights q(u), weights p(s|u)/p(s) and an
     # (s, u) strategy table, so derived_states gives rho_u directly.
@@ -704,24 +703,25 @@ def simulate_rate_error_curve(
     for n, counts in zip(n_list, messages):
         ctx = DecodeContext(states, basis, n, delta)
         for r_idx, (rate, M) in enumerate(zip(rates, counts)):
-            # The most trials whose batch model is within cap (at one message per chunk for the
-            # chain), then the chain's most messages per chunk; the model grows with both.
-            # At least one of each: one message per chunk of one trial always fits the budget.
-            chunk = first_chunk
+            # The most trials within cap at the starting chunk, then the most messages per chunk, at least
+            # one of each. The chain starts at one message, the square root at the whole list: on flip at
+            # n = 6, rate 1.2 (2 cores, one BLAS thread), six chain trials in chunks of 23 messages take
+            # 88.3 ms and six lone whole-list trials 105.9 ms; six lone square-root trials take 61.9 ms,
+            # one six-trial batch 76.8 ms, and a second gather of the point's projectors 5.8 ms.
+            chunk = 1 if causal else M
             size = max(1, bisect.bisect_right(
                 range(1, trials + 1), cap, key=lambda t: _batch_entries(t, M, n, ch.dim, lead, per_list, chunk)
             ))
-            if causal:
-                chunk = max(1, bisect.bisect_right(
-                    range(1, M + 1), cap, key=lambda c: _batch_entries(size, M, n, ch.dim, lead, per_list, c)
-                ))
+            chunk = max(1, bisect.bisect_right(
+                range(1, M + 1), cap, key=lambda c: _batch_entries(size, M, n, ch.dim, lead, per_list, c)
+            ))
             batches = []
             for first in range(0, trials, size):
                 rngs = [rng_for(seed, tag, n, r_idx, t) for t in range(first, min(first + size, trials))]
                 batches.append(
                     simulate_causal_trial(states, q, ctx, M, rngs, chunk)
                     if causal
-                    else simulate_noncausal_trial(ch, p_su, strat, ctx, K, M, rngs)
+                    else simulate_noncausal_trial(ch, p_su, strat, ctx, K, M, rngs, chunk)
                 )
             results = np.concatenate(batches)
             err, lo, hi = _mean_ci(results[:, 0])

@@ -499,14 +499,13 @@ def noncausal_lower_bound(
     the batch has finished, and discards its later starts. Values, witnesses
     and counters are those of running the starts one by one: the counters
     count each start's decompositions, not the LAPACK calls a batch shares.
-    An n, restarts or aux_size below 1 raises PreconditionViolated, and an
-    aux_size whose per-start arrays exceed memory_budget_bytes() raises
-    BudgetExceeded before any start runs.
+    An n, restarts, max_rounds or aux_size below 1 raises
+    PreconditionViolated, and an aux_size whose per-start arrays exceed
+    memory_budget_bytes() raises BudgetExceeded before any start runs.
     """
-    if n < 1:
-        raise PreconditionViolated("n", n, ">= 1")
-    if restarts < 1:
-        raise PreconditionViolated("restarts", restarts, ">= 1")
+    for name, value in (("n", n), ("restarts", restarts), ("max_rounds", max_rounds)):
+        if value < 1:
+            raise PreconditionViolated(name, value, ">= 1")
     ch_n = ch if n == 1 else product_extension(ch, n)
     p = ch_n.p
     tensor = ch_n.tensor

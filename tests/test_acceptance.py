@@ -44,7 +44,7 @@ from code_reference import (
     union_bound_gap,
 )
 from conftest import random_density_matrix, random_unitary
-from dense_reference import scatter
+from dense_reference import kron_all, scatter
 
 DIAGONAL = ("flip", "stuck", "skew")
 
@@ -206,12 +206,13 @@ def test_symmetric_group_projector_axioms_and_kostka_agreement():
     _within(t0, 300.0)
 
 
-def _matched_trace_scan(ch, wit, ns, delta):
-    """Worst decode-projector trace over matched state/auxiliary word pairs.
+def _matched_pairs(ch, wit, n, delta):
+    """The witness's decode context at n, its letter states and its matched word pairs.
 
-    Each sigma is the left-to-right np.kron fold of its letter states, a brute
-    force independent of product_traces; one matched_set_members call per n
-    scores every (state word, auxiliary word) pair.
+    letters[s, u] is state letter s's output under auxiliary letter u in the
+    basis frame of ctx. The auxiliary words are those of the witness's
+    nearest type, and members[a, b] says whether state word a matches
+    auxiliary word b; one matched_set_members call scores every pair.
     """
     q_rows, strat = trim_witness(wit.q_given_s, wit.strategy)
     p_su = ch.p[:, None] * q_rows
@@ -220,39 +221,58 @@ def _matched_trace_scan(ch, wit, ns, delta):
     p_su /= p_su.sum()
     strat = strat[:, keep]
     q_u = p_su.sum(axis=0)
-    tensor = ch.tensor
-    picked = tensor[np.arange(ch.num_states)[:, None], strat]
+    picked = ch.tensor[np.arange(ch.num_states)[:, None], strat]
     blended = np.einsum("su,suij->uij", p_su, picked)
-    states = blended / q_u[:, None, None]
     _, basis = eigenbasis(blended.sum(axis=0))
-    num_u = p_su.shape[1]
+    ctx = DecodeContext(blended / q_u[:, None, None], basis, n, delta)
+    u_words = digit_table(len(q_u), n)
+    word_counts = np.stack([(u_words == u).sum(axis=1) for u in range(len(q_u))], axis=1)
+    u_words = u_words[np.all(word_counts == nearest_type(q_u, n)[None, :], axis=1)]
+    s_words = digit_table(ch.num_states, n)
+    letters = ctx.rotate(ch.tensor)[np.arange(ch.num_states)[:, None], strat]
+    return ctx, letters, s_words, u_words, matched_set_members(s_words, u_words, p_su, delta)
+
+
+def _pair_trace(ctx, letters, s_word, u_word) -> float:
+    """tr(P_u sigma_s) of one word pair, by brute force independent of product_traces.
+
+    P_u is the package's class blocks of u's decode projector scattered into
+    one matrix, and sigma_s the left-to-right np.kron fold of the pair's
+    letter states.
+    """
+    proj = scatter([b[0] for b in ctx.projectors(u_word[None, None]).blocks], ctx.partition.words, ctx.d**ctx.n)
+    return float(np.einsum("ij,ji->", proj, kron_all(letters[s, u] for s, u in zip(s_word, u_word))).real)
+
+
+def _joint_types(s_words, u_words, num_s, num_u):
+    """Each (state word, auxiliary word) pair's joint type, the count of every (s, u) letter pair, as one int64 key."""
+    n = s_words.shape[1]
+    assert (n + 1) ** (num_s * num_u) < 2**62
+    radix = (n + 1) ** np.arange(num_s * num_u, dtype=np.int64)
+    return sum(radix[s_words * num_u + u] @ (u_words == u).T.astype(np.int64) for u in range(num_u))
+
+
+# (channel, n) with no matched pair at delta = 0.2, where the trace floor checks nothing:
+# on stuck and skew no four-slot state word is within divergence delta/2 of the witness's p(s|u).
+NO_MATCHED_PAIR = {("stuck", 4), ("skew", 4)}
+
+
+def _matched_trace_scan(ch, wit, ns, delta):
+    """Worst decode-projector trace over matched state/auxiliary word pairs, None where no pair matches.
+
+    A word's decode projector is covariant under slot permutations and the
+    pair's product state permutes with it, so a trace depends on its pair
+    through the pair's joint type only: one representative pair per joint
+    type is traced (_pair_trace).
+    """
     out = {}
     for n in ns:
-        counts = nearest_type(q_u, n)
-        ctx = DecodeContext(states, basis, n, delta)
-        u_words = digit_table(num_u, n)
-        word_counts = np.stack([(u_words == u).sum(axis=1) for u in range(num_u)], axis=1)
-        u_words = u_words[np.all(word_counts == counts[None, :], axis=1)]
-        s_words = digit_table(ch.num_states, n)
-        members = matched_set_members(s_words, u_words, p_su, delta)
-        # Traces are taken in the basis frame of ctx: the package's class
-        # blocks scattered into one matrix against kron products of rotated letters.
-        rotated = ctx.rotate(tensor)
-        worst = 1.0
-        for uw, matched in zip(u_words, members.T):
-            proj = scatter([b[0] for b in ctx.projectors(uw[None, None]).blocks], ctx.partition.words, ch.dim**n)
-            # folds[k] is the kron of the first k letters of the last state word;
-            # a state word refolds only the letters after its shared prefix.
-            folds = [np.ones((1, 1), dtype=complex)]
-            prev = np.full(n, -1)
-            for sw in s_words[matched]:
-                keep = int(np.argmin(sw == prev))
-                del folds[keep + 1 :]
-                for s, u in zip(sw[keep:], uw[keep:]):
-                    folds.append(np.kron(folds[-1], rotated[s, strat[s, u]]))
-                prev = sw
-                worst = min(worst, float(np.einsum("ij,ji->", proj, folds[-1]).real))
-        out[n] = worst
+        ctx, letters, s_words, u_words, members = _matched_pairs(ch, wit, n, delta)
+        keys = _joint_types(s_words, u_words, *letters.shape[:2])
+        a, b = np.nonzero(members)
+        _, first = np.unique(keys[a, b], return_index=True)
+        traces = [_pair_trace(ctx, letters, s_words[a[i]], u_words[b[i]]) for i in first]
+        out[n] = min(traces) if traces else None
     return out
 
 
@@ -288,8 +308,18 @@ def test_decoder_closure_union_bound_and_matched_traces(suite, solvers):
         worst = _matched_trace_scan(ch, solvers.noncausal(name), (4, 6, 8), delta)
         records[name] = worst
         for n, trace in worst.items():
+            assert (trace is None) == ((name, n) in NO_MATCHED_PAIR), (name, n)
             floor = 1.0 - 2.0 ** (-n * delta / 2)
-            assert trace >= floor, (name, n, trace, floor)
+            assert trace is None or trace >= floor, (name, n, trace, floor)
+        # The covariance the scan rests on: a slot permutation of a matched pair keeps its trace.
+        for n in (4, 6):
+            ctx, letters, s_words, u_words, members = _matched_pairs(ch, solvers.noncausal(name), n, delta)
+            a, b = np.nonzero(members)
+            for i in rng.choice(len(a), size=min(len(a), 5), replace=False):
+                perm = rng.permutation(n)
+                trace = _pair_trace(ctx, letters, s_words[a[i]], u_words[b[i]])
+                permuted = _pair_trace(ctx, letters, s_words[a[i]][perm], u_words[b[i]][perm])
+                assert abs(permuted - trace) <= 1e-14, (name, n, perm)
     print(f"matched-trace scan at delta={delta}: {records}")
     _within(t0, 600.0)
 

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from gpcq import coding, noncausal
-from gpcq.channel import BUDGET_ENV_VAR, build_channel, derived_states
+from gpcq.channel import BUDGET_ENV_VAR, build_channel, derived_states, letter_states
 from gpcq.coding import (
     SequentialChain,
     SimRow,
+    SquareRoot,
     _chunk_entries,
     _mean_ci,
     _success_traces,
@@ -461,39 +462,64 @@ class TestDecoderBatches:
 
 
 class TestStreamedChain:
-    """Chunks of a causal batch give the whole list's elements, error outcome and traces, bit for bit."""
+    """Chunks of a batch give the whole list's elements, error outcome and traces, bit for bit, for both decoders."""
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     @pytest.mark.parametrize("name", ["flip", "purecq", "stuck"])
-    def test_chunks_equal_the_whole_list_and_each_trial_alone(self, suite, name, n):
-        ch, M, T = suite[name], 9, 3
-        ctx, q = decode_context(ch, [[0.5, 0.5], [0.5, 0.5]], n), np.array([0.5, 0.5])
-        words = np.stack([_typical_words(q, n, M, ctx.delta, rng_for(4, name, n, t)) for t in range(T)])
-        rotated = ctx.rotate(ctx.states)
+    @pytest.mark.parametrize("decoder", [SequentialChain, SquareRoot])
+    def test_chunks_equal_the_whole_list_and_each_trial_alone(self, suite, name, n, decoder):
+        ch, M, T, K = suite[name], 9, 3, 2
+        q_rows = np.array([[0.5, 0.5], [0.5, 0.5]])
+        ctx, q = decode_context(ch, q_rows, n), np.array([0.5, 0.5])
+
+        def rngs(ts):
+            return [rng_for(4, name, n, t) for t in ts]
+
+        if decoder is SequentialChain:
+            # (T, M, n): one codeword per message, traced against its product state.
+            words = np.stack([_typical_words(q, n, M, ctx.delta, rng) for rng in rngs(range(T))])
+            rotated, decode = ctx.rotate(ctx.states)[:, None], sequential_decoder
+
+            def trial(ts, chunk):
+                return simulate_causal_trial(ctx.states, q, ctx, M, rngs(ts), chunk)
+        else:
+            # (T, M, K, n): K bins per message, each traced against every state word.
+            p_su = ch.p[:, None] * q_rows
+            counts = nearest_type(p_su.sum(axis=0), n)
+            words = np.stack([type_class_words(counts, (K, M), rng) for rng in rngs(range(T))]).swapaxes(1, 2)
+            rotated, decode = ctx.rotate(letter_states(ch.tensor, XOR)).swapaxes(0, 1), square_root_decoder
+
+            def trial(ts, chunk):
+                return simulate_noncausal_trial(ch, p_su, XOR, ctx, K, M, rngs(ts), chunk)
+
+        def gathered(part):
+            return ctx.projectors(part.reshape(part.shape[0] * part.shape[1], -1, n)).reshape(len(part), -1)
 
         def traced(elements, part):
-            """Each element's success trace, (T, messages), against its codeword's product state."""
-            slots = [rotated[part[..., j].reshape(-1)][:, None] for j in range(n)]
-            return _success_traces(elements.reshape(-1), slots).reshape(len(part), -1)
+            """Each element's success traces, (T, messages, ...), as the trials slot them."""
+            slots = [rotated[part[..., j].reshape(-1, *part.shape[2:-1])] for j in range(n)]
+            got = _success_traces(elements.reshape(-1), slots)
+            return got.reshape(len(part), -1, *got.shape[1:])
 
         def same(got, want):
             return all(np.array_equal(g, w) for g, w in zip(got.blocks, want.blocks))
 
-        whole, whole_error = sequential_decoder(ctx.projectors(words.reshape(T * M, 1, n)).reshape(T, M))
+        whole, whole_error = decode(gathered(words))
         whole_traces = traced(whole, words)
         for chunk in (1, 2, 7, M):
-            chain = SequentialChain()
+            # The square root's first pass reads the chunks once before they are advanced.
+            first_pass = (gathered(words[:, lo : lo + chunk]) for lo in range(0, M, chunk))
+            stream = SquareRoot(first_pass) if decoder is SquareRoot else SequentialChain()
             for lo in range(0, M, chunk):
                 part = words[:, lo : lo + chunk]
-                got = chain.advance(ctx.projectors(part.reshape(-1, 1, n)).reshape(T, -1))
+                got = stream.advance(gathered(part))
                 assert same(got, BlockStack(tuple(b[:, lo : lo + chunk] for b in whole.blocks), whole.index)), chunk
                 assert np.array_equal(traced(got, part), whole_traces[:, lo : lo + chunk]), chunk
-            assert same(chain.close(), whole_error), chunk
-            rows = simulate_causal_trial(ctx.states, q, ctx, M, [rng_for(4, name, n, t) for t in range(T)], chunk)
-            alone = [simulate_causal_trial(ctx.states, q, ctx, M, [rng_for(4, name, n, t)], M) for t in range(T)]
-            assert np.array_equal(rows, np.concatenate(alone)), chunk
+            assert same(stream.close(), whole_error), chunk
+            alone = [trial([t], M) for t in range(T)]
+            assert np.array_equal(trial(range(T), chunk), np.concatenate(alone)), chunk
         for t in range(T):
-            alone, alone_error = sequential_decoder(ctx.projectors(words[t].reshape(M, 1, n)))
+            alone, alone_error = decode(gathered(words[t : t + 1]).reshape(-1))
             assert same(alone, BlockStack(tuple(b[t] for b in whole.blocks), whole.index)), t
             assert same(alone_error, BlockStack(tuple(b[t] for b in whole_error.blocks), whole.index)), t
             assert np.array_equal(traced(alone.reshape(1, M), words[t : t + 1]), whole_traces[t : t + 1]), t
@@ -691,7 +717,7 @@ class TestTrialOracle:
         for n, (M, K) in itertools.product([2, 3, 4], [(2, 2), (3, 2), (4, 1)]):
             ctx = DecodeContext(states, basis, n, ORACLE_DELTA)
             if scheme == "binned":
-                [(err, declares)] = simulate_noncausal_trial(ch, p_su, XOR, ctx, K, M, [rng_for(8, "oracle", n, M)])
+                [(err, declares)] = simulate_noncausal_trial(ch, p_su, XOR, ctx, K, M, [rng_for(8, "oracle", n, M)], M)
                 words = type_class_words(nearest_type(q, n), (K, M), rng_for(8, "oracle", n, M))
                 povm, _ = square_root_decoder(
                     [sum(ref.dense_projector(ctx, w) for w in words[:, m]) for m in range(M)]
@@ -855,15 +881,14 @@ class TestSimulationDriver:
         def one(M, rngs):
             if causal:
                 return simulate_causal_trial(ctx.states, q, ctx, M, rngs, M)
-            return simulate_noncausal_trial(ch, p_su, XOR, ctx, 2, M, rngs)
+            return simulate_noncausal_trial(ch, p_su, XOR, ctx, 2, M, rngs, M)
 
         sizes, chunks = {}, {}
 
         def counted(*args):
-            # A causal call ends (M, rngs, chunk), a binned one (M, rngs).
-            M, rngs = args[-3:-1] if causal else args[-2:]
+            # Both trial calls end (M, rngs, chunk).
+            M, rngs, chunks[M] = args[-3:]
             sizes.setdefault(M, []).append(len(rngs))
-            chunks[M] = args[-1] if causal else M
             return simulate_causal_trial(*args) if causal else simulate_noncausal_trial(*args)
 
         monkeypatch.setattr(coding, "simulate_causal_trial" if causal else "simulate_noncausal_trial", counted)
@@ -917,6 +942,7 @@ class TestSimulationDriver:
             pytest.param("noncausal-sqrt", [0.25, 0.5], 5, [4, 16], id="noncausal-sqrt-batched"),
             # The rate-1.0 point's four trials stream in chunks shorter than its 256 messages.
             pytest.param("causal-sequential", [0.5, 1.0], 4, [16, 256], id="causal-sequential-chunked"),
+            pytest.param("noncausal-sqrt", [0.5, 1.0], 4, [16, 256], id="noncausal-sqrt-chunked"),
         ],
     )
     def test_memory_model_bounds_the_traced_peak(self, flip, scheme, rates, trials, Ms, monkeypatch):
@@ -932,8 +958,8 @@ class TestSimulationDriver:
             trial = simulate_causal_trial if causal else simulate_noncausal_trial
 
             def planned(*args):
-                # A causal call ends (M, rngs, chunk), a binned one (M, rngs).
-                plans.append((len(args[-2]), args[-3], args[-1]) if causal else (len(args[-1]), args[-2], None))
+                # Both trial calls end (M, rngs, chunk).
+                plans.append((len(args[-2]), args[-3], args[-1]))
                 return trial(*args)
 
             monkeypatch.setattr(coding, trial.__name__, planned)
@@ -950,9 +976,9 @@ class TestSimulationDriver:
         model = 8 * max(coding._batch_entries(t, M, 8, flip.dim, lead, states, chunk) for t, M, chunk in plans)
         assert peak <= model <= 1.25 * peak
         monkeypatch.setenv(BUDGET_ENV_VAR, str(peak))
-        if causal and Ms != [1]:
-            # The chain refuses only when one message per chunk does not fit: below the
-            # run's model it takes shorter chunks, and stays within the budget.
+        if Ms != [1]:
+            # A rate is refused only when one message per chunk does not fit: below the
+            # run's model the decoders take shorter chunks, and stay within the budget.
             rows, streamed_peak = traced()
             assert [row.M for row in rows] == Ms and streamed_peak <= peak
         else:
@@ -961,15 +987,29 @@ class TestSimulationDriver:
         monkeypatch.setenv(BUDGET_ENV_VAR, str(int(1.25 * peak)))
         assert [row.M for row in simulate_rate_error_curve(flip, scheme, **kw)] == Ms
 
+    def test_frame_bases_are_within_twice_the_n_slot_class_entries(self):
+        # The memory model leaves the cached frame bases out; its docstring bounds them by 2 E(d, n).
+        def E(d, t):
+            return sum(words.size**2 for words in class_partition(d, t).words)
+
+        for d, cap in [(2, 12), (3, 7)]:  # the largest t that schur_weyl.DIM_CAP admits
+            for a, b in itertools.product(range(1, cap), repeat=2):
+                assert a + b > cap or E(d, a) * E(d, b) <= E(d, a + b), (d, a, b)
+            for n in range(1, cap + 1):
+                assert sum(E(d, t) for t in range(1, n + 1)) <= 2 * E(d, n), (d, n)
+        for d, t in [(2, 1), (2, 4), (2, 6), (3, 2), (3, 4)]:
+            bases = class_partition(d, t).bases
+            assert sum(basis.size for frames in bases for basis in frames.values()) == E(d, t), (d, t)
+
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize(
-        "lead, states, chunk",
-        [(1, 1, 1), (2, 2, None), (3, 2, None), (2, 3, None), (1, 2, None)],
+        "lead, states",
+        [(1, 1), (2, 2), (3, 2), (2, 3), (1, 2)],
         ids=["causal", "binned-K2-S2", "binned-K3-S2", "binned-K2-S3", "binned-K1-S2"],
     )
-    def test_message_count_is_the_one_trial_model_check(self, d, lead, states, chunk, monkeypatch):
-        # _messages_for_rate gives the M, or the error, of forming 2^(n rate)
-        # messages and checking one trial's _batch_entries against the budget.
+    def test_message_count_is_the_one_trial_model_check(self, d, lead, states, monkeypatch):
+        # _messages_for_rate gives the M, or the error, of forming 2^(n rate) messages
+        # and checking one trial's _batch_entries, at one message per chunk, against the budget.
         rates = [0, 0.1, 0.25, 0.375, 0.5, 0.75, 1, 1.2, 1.5, 2, 3, 5, 10, 40, 700]
         for budget, n, rate in itertools.product([2**b for b in range(16, 34)], range(1, 13), rates):
             monkeypatch.setenv(BUDGET_ENV_VAR, str(budget))
@@ -979,13 +1019,13 @@ class TestSimulationDriver:
                     raise CapExceeded("state words")
                 # Past 2^64 messages of at least one entry each, no budget here fits.
                 M = math.ceil(2.0 ** (n * rate) - 1e-9) if n * rate <= 64 else None
-                if M is None or 8 * coding._batch_entries(1, M, n, d, lead, states, chunk) > budget:
+                if M is None or 8 * coding._batch_entries(1, M, n, d, lead, states, 1) > budget:
                     raise BudgetExceeded("one trial")
                 want = M
             except (CapExceeded, BudgetExceeded) as exc:
                 want = type(exc)
             try:
-                got = coding._messages_for_rate(rate, n, d, lead, states, chunk)
+                got = coding._messages_for_rate(rate, n, d, lead, states)
             except (CapExceeded, BudgetExceeded) as exc:
                 got = type(exc)
             assert got == want, (budget, n, rate)

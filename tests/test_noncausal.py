@@ -660,7 +660,9 @@ class TestNoncausalLowerBound:
         with pytest.raises(PreconditionViolated):
             noncausal_lower_bound(flip, aux_size=aux_size, restarts=2, seed=1)
 
-    @pytest.mark.parametrize("kw", [dict(n=0), dict(n=-1), dict(restarts=0), dict(restarts=-5)])
+    @pytest.mark.parametrize("kw", [
+        dict(n=0), dict(n=-1), dict(restarts=0), dict(restarts=-5), dict(max_rounds=0), dict(max_rounds=-1),
+    ])
     def test_nonpositive_blocklength_or_restarts_is_rejected(self, flip, kw):
         with pytest.raises(PreconditionViolated):
             noncausal_lower_bound(flip, seed=1, **{"restarts": 2, **kw})
