@@ -198,14 +198,16 @@ def von_neumann_entropy(rho) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def divergence_profile(states, sigma, entropies=None) -> tuple[float, np.ndarray]:
+def divergence_profile(states, eig, entropies=None) -> tuple[float, np.ndarray]:
     """S(sigma) and D(rho || sigma) for every rho of a (..., d, d) stack, from one eigh of sigma.
 
-    ``entropies`` are the states' own S(rho) when the caller already has them.
+    ``eig`` is sigma's (eigenvalues, eigenvectors) from np.linalg.eigh, so a
+    caller that needs the decomposition again keeps it. ``entropies`` are the
+    states' own S(rho) when the caller already has them.
     A divergence is +inf when rho puts more than TAU_SUPP of its trace on
     the eigenvectors of sigma with eigenvalue at most TAU_SUPP.
     """
-    vals, vecs = np.linalg.eigh(sigma)
+    vals, vecs = eig
     vals = np.maximum(vals, 0.0)
     if entropies is None:
         entropies = von_neumann_entropy(states)
@@ -226,7 +228,7 @@ def relative_entropy(rho, sigma) -> float | np.ndarray:
     s = np.asarray(sigma, dtype=complex)
     if s.ndim != 2 or r.shape[-2:] != s.shape:
         raise DimensionMismatch(f"shapes {r.shape} and {s.shape} differ")
-    _, div = divergence_profile(r, s)
+    _, div = divergence_profile(r, np.linalg.eigh(s))
     return float(div) if div.ndim == 0 else div
 
 

@@ -16,8 +16,9 @@ for the message's one codeword u, so it passes the prefix-marginal check.
 
 The rest are exact forms the program does not run: the sequential-testing
 union bound, central projectors and Kostka ranks read off the frequency
-classes, joint types with a joint-type completion, and the Holevo quantity
-as a weighted divergence sum.
+classes, joint types with a joint-type completion, the Holevo quantity
+as a weighted divergence sum, and the 60-step bisection for the pairwise
+Frank-Wolfe step length that inner_maximize's Newton search replaced.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from gpcq.causal import _shifted, _stats
 from gpcq.channel import StateChannel
 from gpcq.coding import validate_povm
 from gpcq.errors import GpcqError, LengthMismatch, NumericalRankFailure, PreconditionViolated
@@ -285,3 +287,30 @@ def holevo_via_divergence(q, ensemble) -> float:
     avg = np.einsum("u,uij->ij", weights, states)
     used = weights > 0
     return float(weights[used] @ relative_entropy(states[used], avg))
+
+
+def bisection_step_length(q, toward, away, states, entropies) -> tuple[float, int]:
+    """The pairwise Frank-Wolfe step length by 60 halvings of [0, q[away]], and the decompositions used.
+
+    The step inner_maximize took before its Newton search: the full step
+    q[away] when the slope D(rho_toward || rho_bar) - D(rho_away || rho_bar)
+    is nonnegative there, else the midpoint of a bracket halved 60 times on
+    the slope's sign, one rho_bar eigh per slope. A NaN slope counts as -inf.
+    """
+
+    def slope(gamma):
+        _, div, _ = _stats(_shifted(q, toward, away, gamma), states, entropies)
+        total = float(div[toward] - div[away])
+        return -math.inf if math.isnan(total) else total
+
+    gamma = float(q[away])
+    if not slope(gamma) < 0:
+        return gamma, 1
+    lo, hi = 0.0, gamma
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if slope(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), 61

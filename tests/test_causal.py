@@ -8,23 +8,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpcq.causal import (
+    INNER_EPS,
     INNER_MAX_ITER,
     STRATEGY_CAP,
     Strategy,
+    _shifted,
+    _slope_derivative,
+    _stats,
+    _step_length,
     causal_capacity,
     inner_maximize,
     state_averaged_holevo,
 )
 from gpcq.channel import build_channel, derived_states, letter_states
 from gpcq.errors import CapExceeded, GpcqError, PreconditionViolated
-from gpcq.quantum import holevo_quantity
+from gpcq.quantum import holevo_quantity, von_neumann_entropy
 
 import classical_oracles
 from classical_oracles import ClassicalGP, classical_channel_capacity, shannon_strategy_oracle
+from code_reference import bisection_step_length
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
+MINUS = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
 
 CHI_ZERO_PLUS = 0.6008760366928562
 STUCK_CLOSED_FORM = 0.5036919334848172  # log2(1 + 0.7 * 0.3**(3/7))
@@ -140,6 +147,133 @@ class TestInnerMaximize:
             inner_maximize(np.stack([bad, KET1]))
 
 
+def first_pair(states, q):
+    """The iterate's stats and the (toward, away) pair inner_maximize would step along from q."""
+    entropies = von_neumann_entropy(states)
+    _, div, eig = _stats(q, states, entropies)
+    active = np.where(q > 1e-15)[0]
+    return entropies, div, eig, int(np.argmax(div)), int(active[np.argmin(div[active])])
+
+
+def pair_slope(states, entropies, q, toward, away, gamma):
+    """The slope D(rho_toward || rho_bar) - D(rho_away || rho_bar) after a step of gamma, and rho_bar's eigh."""
+    _, div, eig = _stats(_shifted(q, toward, away, gamma), states, entropies)
+    return div[toward] - div[away], eig
+
+
+class TestLineSearch:
+    @pytest.mark.parametrize("kind", ["classical", "cq"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_newton_step_matches_the_bisection(self, kind, dim):
+        # The first step from uniform weights, on seeded ensembles of two and three letters.
+        rng = np.random.default_rng([dim, kind == "cq"])
+        searched = 0
+        for num in [2, 3] * 15:
+            if kind == "cq":
+                states = random_ensemble(rng, num=num, dim=dim)
+            else:
+                states = np.stack([np.diag(r) for r in rng.dirichlet(np.ones(dim), size=num)]).astype(complex)
+            q = np.full(num, 1 / num)
+            entropies, div, eig, toward, away = first_pair(states, q)
+            gamma, evals = _step_length(q, toward, away, states, entropies, div, eig)
+            reference, _ = bisection_step_length(q, toward, away, states, entropies)
+            assert abs(gamma - reference) <= 1e-12 * q[away]
+            searched += evals > 1
+        assert searched >= 20  # most steps stop inside [0, q[away]], so the Newton search ran
+
+    @pytest.mark.parametrize(
+        "states, q, toward, away",
+        [
+            # rho_bar = I/2 at the start: every eigenvalue pair is degenerate, the
+            # f[a, a] = 1/a branch; the step toward PLUS does not commute with rho_bar.
+            (np.stack([PLUS, MINUS, KET0, KET1]), np.full(4, 0.25), 0, 2),
+            (np.stack([KET0, KET1]), np.full(2, 0.5), 0, 1),
+            # The step toward KET0 empties the mixed letter: at its far end rho_bar is KET0,
+            # the mixed letter's divergence is infinite and the search must fall back.
+            (np.stack([np.diag([0.78, 0.22]), KET0]).astype(complex), np.array([0.9, 0.1]), 1, 0),
+            (random_ensemble(np.random.default_rng(11), num=3, dim=3), np.array([0.2, 0.5, 0.3]), 2, 1),
+        ],
+    )
+    def test_slope_derivative_matches_a_central_difference(self, states, q, toward, away):
+        entropies = von_neumann_entropy(states)
+        delta = states[toward] - states[away]
+        h = 1e-6 * q[away]
+        for gamma in q[away] * np.array([0.0, 0.1, 0.5, 0.9, 0.99]):
+            _, eig = pair_slope(states, entropies, q, toward, away, gamma)
+            ahead, _ = pair_slope(states, entropies, q, toward, away, gamma + h)
+            behind, _ = pair_slope(states, entropies, q, toward, away, max(gamma - h, 0.0))
+            central = (ahead - behind) / (gamma + h - max(gamma - h, 0.0))
+            derivative = _slope_derivative(eig, delta)
+            assert derivative < 0
+            assert derivative == pytest.approx(central, rel=1e-6)
+
+    def test_step_that_empties_a_letter_falls_back_and_matches_the_bisection(self):
+        states = np.stack([np.diag([0.78, 0.22]), KET0]).astype(complex)
+        q = np.array([0.9, 0.1])
+        entropies, div, eig, toward, away = first_pair(states, q)
+        assert (toward, away) == (1, 0)
+        far, _ = pair_slope(states, entropies, q, toward, away, q[away])
+        assert far == -np.inf
+        gamma, _ = _step_length(q, toward, away, states, entropies, div, eig)
+        reference, _ = bisection_step_length(q, toward, away, states, entropies)
+        assert 0 < gamma < q[away]
+        assert abs(gamma - reference) <= 1e-12 * q[away]
+
+
+def found_draw(seed, num_inputs, dim):
+    return random_classical_channel(np.random.default_rng(seed), num_inputs, dim)
+
+
+class TestSolveCost:
+    # Iterations and decompositions of the causal solve. With the 60-step bisection
+    # the three took 67, 46,522 and 34,868 decompositions; the ceilings are about a
+    # fifth of those.
+    @pytest.mark.parametrize(
+        "seed, num_inputs, dim, iterations, ceiling",
+        [(1763437, 3, 3, 757, 9_300), (3187881530, 3, 2, 570, 6_970)],
+    )
+    def test_found_draws(self, seed, num_inputs, dim, iterations, ceiling):
+        ch, rows, p = found_draw(seed, num_inputs, dim)
+        sol = causal_capacity(ch)
+        assert sol.converged and sol.gap <= INNER_EPS
+        assert sol.iterations == iterations
+        assert sol.decompositions <= ceiling
+        # The oracle is certified within 1e-9.
+        assert sol.value - 1e-9 <= shannon_strategy_oracle(rows, p) <= sol.value + sol.gap + 1e-9
+
+    def test_stuck(self, solvers):
+        sol = solvers.causal("stuck")
+        assert sol.converged and sol.gap <= INNER_EPS
+        assert sol.iterations == 2
+        assert sol.decompositions <= 13
+
+    @pytest.mark.parametrize("seed", [0, 2, 5])
+    def test_a_kernel_every_state_shares_leaves_the_search_unchanged(self, seed):
+        # A zero row and column added to every state is a kernel of every rho_bar;
+        # the slope's derivative sums over the support only, so no Newton step
+        # becomes a bisection step.
+        states = random_ensemble(np.random.default_rng(seed), num=3, dim=2)
+        padded = np.zeros((3, 3, 3), dtype=complex)
+        padded[:, :2, :2] = states
+        sol, wider = inner_maximize(states), inner_maximize(padded)
+        assert (wider.iterations, wider.decompositions) == (sol.iterations, sol.decompositions)
+        assert wider.value == pytest.approx(sol.value, abs=1e-12)
+
+    def test_decompositions_count_each_eigh_and_the_entropies(self, monkeypatch):
+        calls = []
+        real_eigh = np.linalg.eigh
+
+        def counted(mat):
+            calls.append(1)
+            return real_eigh(mat)
+
+        states = random_ensemble(np.random.default_rng(4), num=4, dim=3)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        sol = inner_maximize(states)
+        assert sol.decompositions == len(calls) + 4
+        assert inner_maximize(PLUS[None]).decompositions == 1
+
+
 class TestCausalCapacity:
     def test_stateless_orthogonal_channel_is_one_bit(self):
         ch = build_channel(["0"], "01", 2, {("0", "0"): KET0, ("0", "1"): KET1}, [1.0])
@@ -248,8 +382,8 @@ class TestClassicalCrossChecks:
     def test_oracle_certifies_draws_where_blahut_arimoto_stalls(self, seed, num_inputs, dim, capacity):
         # Plain Blahut-Arimoto left the last four draws above the 1e-9 stop
         # after 10^6 steps, and the first needed about 51k. The frozen values
-        # agree with causal_capacity within its gap (at most 6.6e-7); that
-        # solve takes seconds on some of these draws, so it is not rerun here.
+        # agree with causal_capacity within its gap (at most 6.6e-7);
+        # TestSolveCost checks that on the third and fourth draws.
         _, rows, p = random_classical_channel(np.random.default_rng(seed), num_inputs, dim)
         assert shannon_strategy_oracle(rows, p) == pytest.approx(capacity, abs=1e-9)
 

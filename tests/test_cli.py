@@ -273,7 +273,7 @@ class TestJsonSchemas:
         assert code == 0
         payload = json.loads(out)
         assert set(payload) == {
-            "aux_size", "converged", "gap", "iterations", "q",
+            "aux_size", "converged", "decompositions", "gap", "iterations", "q",
             "strategies_searched", "strategy", "value",
         }
         assert payload["value"] == pytest.approx(1.0, abs=1e-6)
@@ -368,7 +368,7 @@ class TestJsonSchemas:
         )
         assert code == 0
         payload = json.loads(out)
-        assert set(payload) == {"converged", "gap", "iterations", "q", "value"}
+        assert set(payload) == {"converged", "decompositions", "gap", "iterations", "q", "value"}
         assert payload["converged"] is True
         assert payload["value"] == pytest.approx(0.23983249703803433, abs=5e-6)
 
@@ -517,7 +517,7 @@ class TestTextOutputs:
         lines = out.split("\n")
         assert lines[0] == "value                1"
         assert "strategy             0,1; 1,0" in lines
-        assert lines[-2:] == ["converged            true", ""]
+        assert lines[-3:] == ["converged            true", "decompositions       9", ""]
 
     @pytest.mark.parametrize(
         "argv",

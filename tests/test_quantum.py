@@ -194,7 +194,7 @@ class TestEntropyKernel:
 
         entropies = von_neumann_entropy(states)
         divergences = relative_entropy(states, sigma)
-        s_sigma, profile = divergence_profile(states, sigma, entropies)
+        s_sigma, profile = divergence_profile(states, np.linalg.eigh(sigma), entropies)
         assert entropies.shape == divergences.shape == (count,)
         assert s_sigma == pytest.approx(von_neumann_entropy(sigma), abs=1e-12)
         np.testing.assert_array_equal(profile, divergences)
