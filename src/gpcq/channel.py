@@ -21,6 +21,7 @@ letter is escaped with "\\").
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from itertools import product as iproduct
@@ -300,8 +301,9 @@ def product_extension(ch: StateChannel, n: int) -> StateChannel:
     Word (s_1..s_n, x_1..x_n) carries the state rho[s_1, x_1] (x) ... (x)
     rho[s_n, x_n] and the mass p(s_1)...p(s_n), with the first letter the
     most significant index. The extension materializes |S|^n * |X|^n density
-    matrices of size d^n, so the estimated footprint is checked against the
-    memory budget first (GPCQ_BUDGET_BYTES overrides the 1 GiB default).
+    matrices of size d^n, so the log2 of its footprint is checked against the
+    memory budget first (GPCQ_BUDGET_BYTES overrides the 1 GiB default), and
+    no power of n is formed before it fits.
     """
     if n < 1:
         raise PreconditionViolated("extension power n", n, ">= 1")
@@ -309,11 +311,10 @@ def product_extension(ch: StateChannel, n: int) -> StateChannel:
         return ch
     budget = memory_budget_bytes()
     ns, nx, d = ch.num_states, ch.num_inputs, ch.dim
-    required = (ns**n) * (nx**n) * (d ** (2 * n)) * 16
-    if required > budget:
+    log2_bytes = n * math.log2(ns * nx * d * d) + 4
+    if log2_bytes > math.log2(max(budget, 1)):
         raise BudgetExceeded(
-            f"product extension needs ~{required} bytes, budget is {budget}",
-            required_bytes=required,
+            f"product extension needs ~2^{log2_bytes:.1f} bytes, budget is {budget}", log2_bytes=log2_bytes
         )
 
     tensor, prior = ch.tensor, ch.p

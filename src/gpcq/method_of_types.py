@@ -24,6 +24,7 @@ from .util import compositions, digit_table, rng_for, wilson_interval
 
 TYPE_ENUMERATION_CAP = 10**6
 SEQUENCE_ENUMERATION_CAP = 1 << 20
+NEAREST_TYPE_CAP = 1 << 53  # float64 holds every integer below it
 
 
 def multinomial_exact(counts) -> int:
@@ -93,17 +94,31 @@ def nearest_type(p, n: int) -> np.ndarray:
     counts go one each to the letters with the largest fractional parts,
     which is exactly L1-optimal. Fractional parts within 1e-12 count as
     equal and the later letter wins, the tie rule of enumerating all
-    compositions in order and keeping the first closest one.
+    compositions in order and keeping the first closest one. A p that sums
+    to 1 only within 1e-9 may leave more counts than letters, or too many
+    floors: each further count then moves the L1 distance by the same 1/n
+    wherever it goes, and the last letters of positive mass take or give
+    it. An n of 2^53 or more raises CapExceeded before any count is formed:
+    n p is then no longer exact to the unit in float64.
     """
     p = np.asarray(p, dtype=float)
     if abs(p.sum() - 1.0) > 1e-9 or np.any(p < 0):
         raise GpcqError("p must be a probability vector")
+    if n >= NEAREST_TYPE_CAP:
+        raise CapExceeded(f"n is at least 2^53 = {NEAREST_TYPE_CAP}, past which n * p is not exact in float64")
     counts = np.floor(p * n).astype(np.int64)
     frac = np.where(p > 0, p * n - counts, -np.inf)
-    for _ in range(n - int(counts.sum())):
+    positive = np.flatnonzero(p > 0)
+    leftover = n - int(counts.sum())
+    for _ in range(min(leftover, positive.size)):
         top = np.flatnonzero(frac >= frac.max() - 1e-12)[-1]
         counts[top] += 1
         frac[top] = -np.inf
+    counts[positive[-1]] += max(leftover - positive.size, 0)
+    for i in positive[::-1]:  # floors past n are given up by the last letters
+        take = min(max(-leftover, 0), int(counts[i]))
+        counts[i] -= take
+        leftover += take
     return counts
 
 
@@ -257,8 +272,9 @@ def coverage_probability(
     p_u = p_su.sum(axis=0)
     if not is_exact_type(p_u, n):
         raise PreconditionViolated("n * p_U integral", (p_u * n).tolist(), "integers")
-    if num_s**n > SEQUENCE_ENUMERATION_CAP:
-        raise CapExceeded(f"|S|^n = {num_s**n} exceeds enumeration cap {SEQUENCE_ENUMERATION_CAP}")
+    # Tested on n first, so that a huge n forms no huge power.
+    if num_s > 1 and (n >= SEQUENCE_ENUMERATION_CAP.bit_length() or num_s**n > SEQUENCE_ENUMERATION_CAP):
+        raise CapExceeded(f"|S|^n = {num_s}^{n} exceeds enumeration cap {SEQUENCE_ENUMERATION_CAP}")
     hypotheses, note = covering_hypotheses(p_su, n, delta)
 
     seqs = digit_table(num_s, n)

@@ -24,15 +24,16 @@ einsum call serves every live start, and a start leaves the live arrays
 when its ascent stops rising or its rounds end. Explicit starts run one per
 batch; random ones are drawn a batch at a time, as many as
 memory_budget_bytes() holds at the per-start count that bounds aux_size.
-Results are read in start order and the search stops at the first start
-that closes the bracket, discarding the later starts of its batch. A
+The search reads one stream of finished starts in start order, drawing a
+batch only when the stream reaches it; it keeps the best witness, releases
+each other one once read, and stops at the first start that closes the
+bracket, which ends its batch and discards the batch's later starts. A
 start's arithmetic and counters are those of running it alone; only the
 number of LAPACK calls falls.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -298,63 +299,58 @@ class _Run(NamedTuple):
     ascents_capped: int  # ascents that ran ASCENT_ITERS steps
 
 
-def _alternate(p, tensor, q, strategy, num_inputs, max_rounds, closes=lambda value: False):
+def _alternate(p, tensor, q, strategy, num_inputs, max_rounds):
     """Alternate ascents and sweeps on a batch of starts, q and strategy (starts, |S|, |U|).
 
     A round is an ascent and a sweep; the ascent's own value decides only
-    which of its steps to keep, and the sweep rescores its result, so the
-    value returned is always the returned witness's _objective (an ascent
-    step that gains less than the eigh/eigvalsh difference may leave it a
-    few ulps below the round's start). A start leaves the live arrays once
-    its round gains at most ALT_EPS or it has run max_rounds rounds, so
-    every round serves only the starts still running; each start's
-    arithmetic is that of running it alone. Decompositions are the eigvalsh
-    and eigh calls a start would make alone: one for its first witness,
-    evals + 1 per ascent and 1 + |S||U| per sweep.
+    which of its steps to keep, and the sweep rescores its result, so a
+    start's value is always its witness's _objective (an ascent step that
+    gains less than the eigh/eigvalsh difference may leave it a few ulps
+    below the round's start). A start leaves the live arrays once its round
+    gains at most ALT_EPS or it has run max_rounds rounds, so every round
+    serves only the starts still running; each start's arithmetic is that
+    of running it alone. Decompositions are the eigvalsh and eigh calls a
+    start would make alone: one for its first witness, evals + 1 per ascent
+    and 1 + |S||U| per sweep.
 
-    Returns one (q, strategy, _Run) per start, in start order. Finished
-    starts are read in that order, and the batch stops at the first whose
-    block value satisfies closes: the results end there, and later starts,
-    finished or not, are discarded.
+    Yields one (q, strategy, _Run) per start, in start order, as soon as
+    that start and every earlier one have finished; rounds run only when
+    the next start to yield is still live. A caller that stops iterating
+    ends the batch, and its later starts, finished or not, are discarded.
     """
     cells = strategy[0].size
     w = p[:, None] * q
     val = _score(p, w, np.linalg.eigvalsh(_stack(_derived(w, letter_states(tensor, strategy))))).value
-    runs = [None] * len(q)
+    del w  # not held through the rounds, where the batch's peak is
     live = np.arange(len(q))
-    # Per live start: accepted q-steps, ascent scorings and capped ascents, summed over its rounds.
-    steps, evals, ascents_capped = np.zeros((3, len(q)), dtype=np.int64)
-    converged = np.zeros(len(q), dtype=bool)
-    read = 0
-    for rounds in itertools.count():
-        done = converged | (rounds >= max_rounds)
-        ended = [i for i, end in enumerate(done.tolist()) if end]
-        if ended:
-            for i in ended:
-                # A sweep counts as the scoring of its starting witness plus one per alternative input of each cell.
-                runs[live[i]] = q[i].copy(), strategy[i].copy(), _Run(
-                    value=float(val[i]),
-                    ascent_steps=int(steps[i]),
-                    objective_evals=1 + int(evals[i]) + rounds * (1 + cells * (num_inputs - 1)),
-                    rounds=rounds,
-                    decompositions=1 + int(evals[i]) + rounds * (2 + cells),
-                    capped=not converged[i],
-                    ascents_capped=int(ascents_capped[i]),
-                )
-            while read < len(runs) and runs[read] is not None:
-                read += 1
-                if closes(runs[read - 1][2].value):
-                    return runs[:read]
-            if read == len(runs):
-                return runs
-            live, q, strategy, val, steps, evals, ascents_capped = (
-                a[~done] for a in (live, q, strategy, val, steps, evals, ascents_capped)
-            )
-        q, _, round_steps, round_evals, round_capped = _ascend_q(p, tensor, q, strategy, val)
-        strategy, new_val = _sweep_strategy(p, tensor, q, strategy, num_inputs)
-        steps, evals, ascents_capped = steps + round_steps, evals + round_evals, ascents_capped + round_capped
-        converged = new_val <= val + ALT_EPS
-        val = new_val
+    # Per start: accepted q-steps, ascent scorings, capped ascents and rounds, summed over its rounds, and its
+    # last round's value and ALT_EPS test; then the witnesses of finished starts not yet yielded, by start.
+    steps, evals, ascents_capped, rounds = np.zeros((4, len(q)), dtype=np.int64)
+    value, converged, finished = np.empty_like(val), np.zeros(len(q), dtype=bool), {}
+    for start in range(len(q)):
+        while start not in finished:
+            q, _, round_steps, round_evals, round_capped = _ascend_q(p, tensor, q, strategy, val)
+            strategy, new_val = _sweep_strategy(p, tensor, q, strategy, num_inputs)
+            steps[live] += round_steps
+            evals[live] += round_evals
+            ascents_capped[live] += round_capped
+            rounds[live] += 1
+            stop = new_val <= val + ALT_EPS
+            value[live], converged[live] = new_val, stop
+            done = stop | (rounds[live] >= max_rounds)
+            finished.update(zip(live[done].tolist(), zip(q[done], strategy[done])))
+            live, q, strategy, val = (a[~done] for a in (live, q, strategy, new_val))
+        q_start, strategy_start = finished.pop(start)
+        # A sweep counts as the scoring of its starting witness plus one per alternative input of each cell.
+        yield q_start.copy(), strategy_start.copy(), _Run(
+            value=float(value[start]),
+            ascent_steps=int(steps[start]),
+            objective_evals=1 + int(evals[start]) + int(rounds[start]) * (1 + cells * (num_inputs - 1)),
+            rounds=int(rounds[start]),
+            decompositions=1 + int(evals[start]) + int(rounds[start]) * (2 + cells),
+            capped=not converged[start],
+            ascents_capped=int(ascents_capped[start]),
+        )
 
 
 def trim_witness(q_given_s: np.ndarray, strategy: np.ndarray):
@@ -492,11 +488,12 @@ def noncausal_lower_bound(
     ALT_EPS of noncausal_upper_bound's certified value, so ``restarts`` is a
     maximum (unless explicit witnesses pass it) and the witness reports the
     starts that ran.
-    The lifted start and each explicit witness run alone; random starts run
-    in batches of min(remaining, memory_budget_bytes() // start_bytes), each
-    start drawn from its own generator when the search reaches its batch. A
-    batch stops once a start closes the bracket and every earlier start of
-    the batch has finished, and discards its later starts. Values, witnesses
+    The starts arrive as one stream of finished starts: the lifted start and
+    each explicit witness as one-start batches, then random batches of
+    min(remaining, memory_budget_bytes() // start_bytes), each start drawn
+    from its own generator when the stream reaches its batch. The loop keeps
+    the best witness, releases each other one once read, and leaves the
+    stream at the closing start, which ends its batch. Values, witnesses
     and counters are those of running the starts one by one: the counters
     count each start's decompositions, not the LAPACK calls a batch shares.
     An n, restarts, max_rounds or aux_size below 1 raises
@@ -540,29 +537,27 @@ def noncausal_lower_bound(
     starts = [product_witness(q_rows, strat, ch.num_inputs, n=n)]
     starts += [_check_witness(ch_n, q_seed, strat_seed) for q_seed, strat_seed in seed_witnesses]
 
-    def batches():
+    def finished_starts():
         for q0, strat0 in starts:
-            yield q0[None], strat0[None]
+            yield from _alternate(p, tensor, q0[None], strat0[None], num_inputs, max_rounds)
         num_random, size = restarts - len(starts), budget // start_bytes
         for first in range(0, num_random, size):
             rngs = [rng_for(seed, n, r) for r in range(first, min(first + size, num_random))]
-            yield (
+            yield from _alternate(
+                p, tensor,
                 np.stack([rng.dirichlet(np.ones(aux_size), size=num_states) for rng in rngs]),
                 np.stack([rng.integers(0, num_inputs, size=(num_states, aux_size)) for rng in rngs]),
+                num_inputs, max_rounds,
             )
 
     upper = noncausal_upper_bound(ch)
     target = upper.value + upper.gap - ALT_EPS
     runs, best = [], None
-    for q0, strat0 in batches():
-        for q_run, strat_run, run in _alternate(
-            p, tensor, q0, strat0, num_inputs, max_rounds, closes=lambda value: value / n >= target
-        ):
-            if best is None or run.value > best[0]:  # strict, so ties keep the smallest index
-                best = run.value, len(runs), q_run, strat_run
-            runs.append(run)
-        del q0, strat0  # before the next batch is drawn
-        if runs[-1].value / n >= target:
+    for q_run, strat_run, run in finished_starts():
+        if best is None or run.value > best[0]:  # strict, so ties keep the smallest index
+            best = run.value, len(runs), q_run, strat_run
+        runs.append(run)
+        if run.value / n >= target:
             break
     _, best_idx, q_best, strat_best = best
     report = _objective(p, tensor, q_best, strat_best)

@@ -322,6 +322,14 @@ class TestProductExtension:
         with pytest.raises(PreconditionViolated):
             product_extension(flip, n)
 
+    @pytest.mark.parametrize("n", [100_000, 10**12])
+    def test_huge_power_is_refused_by_its_log2_footprint(self, flip, n):
+        # flip's block footprint is 2^(4n + 4) bytes, far past any budget and any printable integer.
+        with pytest.raises(BudgetExceeded) as refused:
+            product_extension(flip, n)
+        assert refused.value.code == "budget-exceeded"
+        assert refused.value.details["log2_bytes"] == 4 * n + 4
+
     def test_env_override(self, flip, monkeypatch):
         monkeypatch.setenv("GPCQ_BUDGET_BYTES", "1024")
         with pytest.raises(BudgetExceeded):

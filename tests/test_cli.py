@@ -205,6 +205,29 @@ class TestExitCodes:
         assert code == 0
         assert len(json.loads(out)["rows"]) == rows
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (("noncausal", "{flip}", "--n", "100000", "--seed", "1"), "budget-exceeded"),
+            (("noncausal", "{flip}", "--n", "1000000000000", "--seed", "1"), "budget-exceeded"),
+            (("types", "--op", "coverage", "--joint", "0.3,0.2;0.2,0.3", "--n", "2000000", "--seed", "1",
+              "--trials", "2"), "cap-exceeded"),
+            (("types", "--op", "coverage", "--joint", "0.3,0.2;0.2,0.3", "--n", "1e19", "--seed", "1",
+              "--trials", "2"), "cap-exceeded"),
+            (("types", "--op", "nearest", "--p", "0.5,0.5", "--n", "1e19"), "cap-exceeded"),
+            (("types", "--op", "class-size", "--p", "0.5,0.5", "--n", "1e19"), "cap-exceeded"),
+        ],
+    )
+    def test_huge_n_is_refused_at_once(self, capsys, channel_dir, argv, error):
+        # Each size is refused before a power of n, or a count loop over n, is formed.
+        argv = [a.format(flip=channel_dir / "flip.chan") for a in argv]
+        started = time.monotonic()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.monotonic() - started < 1.0
+        assert code == 1 and out == ""
+        payload = json.loads(err.strip().split("\n")[0])
+        assert payload["error"] == error and "Traceback" not in err
+
     def test_linear_algebra_failure_is_error_code(self, capsys, channel_dir, monkeypatch):
         def fail(args):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")

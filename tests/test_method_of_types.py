@@ -171,6 +171,29 @@ class TestNearestType:
             with pytest.raises(GpcqError, match="probability vector"):
                 nearest_type(p, 4)
 
+    @pytest.mark.parametrize("n", [2**53, 2**53 + 1, 10**19, 10**400])
+    def test_n_from_2_to_the_53_is_refused(self, n):
+        with pytest.raises(CapExceeded, match="2\\^53"):
+            nearest_type([0.5, 0.5], n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 5),
+        st.one_of(st.integers(1, 10**6), st.integers(1, 2**53 - 1), st.just(2**53 - 1)),
+        st.sampled_from([0.0, 1e-16, -1e-16, 9e-10, -9e-10]),
+    )
+    def test_every_accepted_n_gets_counts_that_sum_to_n(self, seed, d, n, shift):
+        # shift moves p's sum off 1 by up to the 1e-9 that nearest_type accepts, which at a large n
+        # leaves far more leftover counts than letters, or floors that sum past n.
+        p = np.random.default_rng(seed).dirichlet(np.ones(d))
+        p[-1] = max(p[-1] + shift, 0.0)
+        if abs(p.sum() - 1.0) > 1e-9:
+            return
+        counts = nearest_type(p, n)
+        assert counts.sum() == n and np.all(counts >= 0) and np.all(counts[p == 0] == 0)
+        assert np.abs(counts / n - p).sum() <= 2 * np.count_nonzero(p) / n + abs(p.sum() - 1.0) + 1e-12
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(0, 40))
     def test_rounding_distance_bound(self, seed, d, extra):

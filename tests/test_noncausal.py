@@ -386,7 +386,7 @@ class TestBatchedStarts:
     def _assert_batch_matches_lone_starts(self, ch, starts, label, max_rounds=40):
         p, tensor, num_inputs = ch.p, ch.tensor, ch.num_inputs
         q, strat = (np.stack(table) for table in zip(*starts))
-        batch = _alternate(p, tensor, q, strat, num_inputs, max_rounds)
+        batch = list(_alternate(p, tensor, q, strat, num_inputs, max_rounds))
         assert len(batch) == len(starts), label
         for (q_b, strat_b, run_b), (q0, strat0) in zip(batch, starts):
             ((q_1, strat_1, run_1),) = _alternate(p, tensor, q0[None], strat0[None], num_inputs, max_rounds)
@@ -450,18 +450,40 @@ class TestBatchedStarts:
             return value / 2 >= upper.value + upper.gap - ALT_EPS
 
         starts = list(drawn_starts(ch, default_aux_size(2, 2, 2), 7, 2, 4))
-        alone = [_alternate(ch.p, ch.tensor, q[None], s[None], ch.num_inputs, 40)[0] for q, s in starts]
+        alone = [next(_alternate(ch.p, ch.tensor, q[None], s[None], ch.num_inputs, 40)) for q, s in starts]
         assert [run.rounds for _, _, run in alone] == [3, 3, 3, 2] and all(closes(run.value) for _, _, run in alone)
         sizes = record_batches(monkeypatch, "_sweep_strategy")
         for order, rounds in [((3, 0), [2, 2]), ((0, 3), [2, 2, 1])]:
             sizes.clear()
             q, strat = (np.stack([starts[r][k] for r in order]) for k in (0, 1))
-            ((q_b, strat_b, run),) = _alternate(ch.p, ch.tensor, q, strat, ch.num_inputs, 40, closes)
-            # Only the first start is reported. Started first, start 3 ends the batch after its two rounds and
+            read = []
+            for q_b, strat_b, run in _alternate(ch.p, ch.tensor, q, strat, ch.num_inputs, 40):
+                read.append(run)
+                if closes(run.value):
+                    break
+            # Only the first start is read. Started first, start 3 ends the batch after its two rounds and
             # start 0 is discarded unfinished; started second, start 3 is discarded once start 0 finishes.
             q_1, strat_1, run_1 = alone[order[0]]
-            assert np.array_equal(q_b, q_1) and np.array_equal(strat_b, strat_1) and run == run_1, order
+            assert np.array_equal(q_b, q_1) and np.array_equal(strat_b, strat_1) and read == [run_1], order
             assert sizes == rounds, order
+
+    def test_a_finished_start_is_yielded_before_its_batch_ends(self, stuck, monkeypatch):
+        # Stuck's random starts 3 and 0 at n = 2 finish after 2 and 3 rounds alone. In a batch with start 3
+        # first, the first start comes out after two rounds of both; start 0's third round runs only when the
+        # stream is read on.
+        ch = product_extension(stuck, 2)
+        starts = list(drawn_starts(ch, default_aux_size(2, 2, 2), 7, 2, 4))
+        alone = [next(_alternate(ch.p, ch.tensor, starts[r][0][None], starts[r][1][None], ch.num_inputs, 40))
+                 for r in (3, 0)]
+        assert [run.rounds for _, _, run in alone] == [2, 3]
+        sizes = record_batches(monkeypatch, "_sweep_strategy")
+        q, strat = (np.stack([starts[r][k] for r in (3, 0)]) for k in (0, 1))
+        stream = _alternate(ch.p, ch.tensor, q, strat, ch.num_inputs, 40)
+        for (q_1, strat_1, run_1), rounds in zip(alone, ([2, 2], [2, 2, 1])):
+            q_b, strat_b, run = next(stream)
+            assert np.array_equal(q_b, q_1) and np.array_equal(strat_b, strat_1) and run == run_1
+            assert sizes == rounds
+        assert next(stream, None) is None
 
 
 def count_decompositions(monkeypatch, active=lambda: True):
@@ -510,7 +532,7 @@ class TestDecompositionCounts:
         def alternate(*args, _original=noncausal._alternate, **kwargs):
             inside[0] = True
             try:
-                return _original(*args, **kwargs)
+                yield from _original(*args, **kwargs)
             finally:
                 inside[0] = False
 
