@@ -27,10 +27,12 @@ byte-identical.
 The memory model behind BudgetExceeded (_batch_entries) is the largest
 float64 footprint of a batch's phases, plus the tables a batch keeps. A
 rate is refused only when one message per chunk of one trial does not fit
-the budget. A point's batches stay within the curve's largest one-trial,
-whole-list footprint and within 1 - STREAM_HEADROOM of the budget: the most
-trials that fit at a starting chunk (one message for the chain, the whole
-list for the square root), then the most messages per chunk that fit.
+the budget. A point's batches stay within the larger of the curve's largest
+one-trial, whole-list footprint and BATCH_FLOOR (1 MiB, so that the heaviest
+point of a small curve batches its trials while they stay near a core's L2
+cache), and within 1 - STREAM_HEADROOM of the budget: the most trials that
+fit at a starting chunk (one message for the chain, the whole list for the
+square root), then the most messages per chunk that fit.
 
 validate_povm refuses non-finite elements before any other check on them,
 and tests positivity by a Cholesky factorization of el + 1e-8 I, which
@@ -74,6 +76,9 @@ MATCHED_PAIR_ENTRIES = 10
 # Share of the memory budget that a decoder streamed to fit it leaves free: peak RSS exceeds the
 # model by the interpreter, BLAS buffers and freed heap the allocator keeps (130-170 MiB at n = 12).
 STREAM_HEADROOM = 0.125
+# Float64 entries (1 MiB) a point's batches may hold even past the curve's largest one-trial,
+# whole-list model (simulate_rate_error_curve gives the timings behind it).
+BATCH_FLOOR = 2**17
 
 
 def _stack(operators, noun: str, dim: int | None = None, first: int = 0) -> tuple[BlockStack, bool]:
@@ -640,12 +645,15 @@ def simulate_rate_error_curve(
     with the strategy f = columns.T, and is checked as that witness. Both
     decoders stream chunks of messages (_decoded_traces). Each (n, rate)
     point runs its trials in batches whose memory model stays within the
-    curve's largest one-trial, whole-list footprint and within
-    1 - STREAM_HEADROOM of the budget: the most trials at a starting chunk,
-    one message for causal-sequential and the whole list for noncausal-sqrt,
-    then the most messages per chunk. Trial t draws from rng_for(seed,
-    scheme tag, n, rate index, t), so a row depends on neither the batching
-    nor the chunking.
+    larger of the curve's largest one-trial, whole-list footprint and
+    BATCH_FLOOR, and within 1 - STREAM_HEADROOM of the budget: the most
+    trials at a starting chunk, one message for causal-sequential and the
+    whole list for noncausal-sqrt, then the most messages per chunk. The
+    floor lets the heaviest point of a small curve batch its trials, which
+    pays while a batch's working set stays near a core's L2 cache; larger
+    curves keep the footprint of their heaviest lone trial. Trial t draws
+    from rng_for(seed, scheme tag, n, rate index, t), so a row depends on
+    neither the batching nor the chunking.
     """
     from .causal import causal_capacity
     from .noncausal import _check_witness, noncausal_lower_bound, trim_witness
@@ -666,11 +674,16 @@ def simulate_rate_error_curve(
     # A message sums K bins against K lists of |S| states per slot, or one codeword against one state.
     lead, per_list = (1, 1) if causal else (K, ch.num_states)
     messages = [[_messages_for_rate(rate, n, ch.dim, lead, per_list) for rate in rates] for n in n_list]
-    # Batches hold no more than the curve's largest one-trial, whole-list footprint. Where that exceeds
-    # the budget, the chunks leave the budget's last STREAM_HEADROOM to what the model does not count.
+    # Batches hold no more than the curve's largest one-trial, whole-list footprint or BATCH_FLOOR,
+    # whichever is larger. Where that exceeds the budget, the chunks leave the budget's last
+    # STREAM_HEADROOM to what the model does not count. The floor lets the heaviest point of a small
+    # curve batch its trials, which pays while a batch stays near a 2 MiB per-core L2 cache: six
+    # trials on one core of a 2-core machine, one BLAS thread, took at batches of 1 / 2 / 3 / 6 trials
+    # 22.0 / 13.9 / 12.8 / 16.3 ms on purecq at n = 5, rate 1.2 (0.52 MB per trial), 13.7 / 7.9 /
+    # 5.3 / 3.4 ms at n = 4, and 61.4 / 58.3 / 57.4 / 69.4 ms on flip at n = 6 (3.8 MB per trial).
     cap = min(
-        max((_batch_entries(1, M, n, ch.dim, lead, per_list, M) for n, counts in zip(n_list, messages) for M in counts),
-            default=0),
+        max([BATCH_FLOOR, *(_batch_entries(1, M, n, ch.dim, lead, per_list, M)
+                            for n, counts in zip(n_list, messages) for M in counts)]),
         int((1.0 - STREAM_HEADROOM) * memory_budget_bytes()) // 8,
     )
     p = ch.p

@@ -272,8 +272,12 @@ def coverage_probability(
     p_u = p_su.sum(axis=0)
     if not is_exact_type(p_u, n):
         raise PreconditionViolated("n * p_U integral", (p_u * n).tolist(), "integers")
-    # Tested on n first, so that a huge n forms no huge power.
-    if num_s > 1 and (n >= SEQUENCE_ENUMERATION_CAP.bit_length() or num_s**n > SEQUENCE_ENUMERATION_CAP):
+    # Tested on n first, so that a huge n forms no huge power. One state has one state word, but
+    # its table row still holds n digits.
+    if num_s == 1:
+        if n > SEQUENCE_ENUMERATION_CAP:
+            raise CapExceeded(f"n = {n} digits of one state word exceed enumeration cap {SEQUENCE_ENUMERATION_CAP}")
+    elif n >= SEQUENCE_ENUMERATION_CAP.bit_length() or num_s**n > SEQUENCE_ENUMERATION_CAP:
         raise CapExceeded(f"|S|^n = {num_s}^{n} exceeds enumeration cap {SEQUENCE_ENUMERATION_CAP}")
     hypotheses, note = covering_hypotheses(p_su, n, delta)
 

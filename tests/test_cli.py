@@ -214,6 +214,11 @@ class TestExitCodes:
               "--trials", "2"), "cap-exceeded"),
             (("types", "--op", "coverage", "--joint", "0.3,0.2;0.2,0.3", "--n", "1e19", "--seed", "1",
               "--trials", "2"), "cap-exceeded"),
+            # One state: one state word, but a table row of n digits.
+            (("types", "--op", "coverage", "--joint", "0.5,0.5", "--n", "1e19", "--seed", "1", "--trials", "2"),
+             "cap-exceeded"),
+            (("types", "--op", "coverage", "--joint", "0.5,0.5", "--n", "100000000", "--seed", "1",
+              "--trials", "2"), "cap-exceeded"),
             (("types", "--op", "nearest", "--p", "0.5,0.5", "--n", "1e19"), "cap-exceeded"),
             (("types", "--op", "class-size", "--p", "0.5,0.5", "--n", "1e19"), "cap-exceeded"),
         ],

@@ -10,6 +10,8 @@ import pytest
 from gpcq import coding, noncausal
 from gpcq.channel import BUDGET_ENV_VAR, build_channel, derived_states, letter_states
 from gpcq.coding import (
+    BATCH_FLOOR,
+    STREAM_HEADROOM,
     SequentialChain,
     SimRow,
     SquareRoot,
@@ -869,44 +871,93 @@ class TestSimulationDriver:
             simulate_rate_error_curve(flip, scheme, [0.5, -0.5], [4], **kw)
         assert simulate_rate_error_curve(flip, scheme, [0.0], [4], **kw)[0].M == 1
 
+    def lone_row(self, ch, scheme, n, r_idx, rate, M, trials, seed):
+        """A curve's row for one point, its trials run one at a time on the curve's generators."""
+        ctx = decode_context(ch, self.FLIP_WITNESS[0], n)
+        causal = scheme == "causal-sequential"
+        tag = "causal" if causal else "noncausal"
+        results = []
+        for t in range(trials):
+            rngs = [rng_for(seed, tag, n, r_idx, t)]
+            results.append(
+                simulate_causal_trial(ctx.states, np.array([0.5, 0.5]), ctx, M, rngs, M)
+                if causal
+                else simulate_noncausal_trial(ch, ch.p[:, None] * self.FLIP_WITNESS[0], XOR, ctx, 2, M, rngs, M)
+            )
+        results = np.concatenate(results)
+        err, lo, hi = _mean_ci(results[:, 0])
+        return SimRow(scheme, n, rate, 1 if causal else 2, M, err, lo, hi, float(np.mean(results[:, 1])))
+
+    @staticmethod
+    def planned(monkeypatch, causal, plans, stub=False):
+        """Record (M, trials, chunk) of every trial call; a stub returns zero error and declare mass."""
+        trial = simulate_causal_trial if causal else simulate_noncausal_trial
+
+        def run(*args):
+            # Both trial calls end (M, rngs, chunk).
+            plans.append((args[-3], len(args[-2]), args[-1]))
+            return np.zeros((len(args[-2]), 2)) if stub else trial(*args)
+
+        monkeypatch.setattr(coding, trial.__name__, run)
+
     # Stuck's prior makes the error and declare sums round, so their order shows.
     @pytest.mark.parametrize("scheme", ["causal-sequential", "noncausal-sqrt"])
     @pytest.mark.parametrize("name", ["flip", "purecq", "stuck"])
     def test_uneven_batches_equal_one_trial_at_a_time(self, suite, name, scheme, monkeypatch):
         ch, n, trials, seed, rates = suite[name], 4, 10, 3, (0.5, 1.2)
-        ctx = decode_context(ch, self.FLIP_WITNESS[0], n)
-        q, p_su = np.array([0.5, 0.5]), ch.p[:, None] * self.FLIP_WITNESS[0]
         causal = scheme == "causal-sequential"
-
-        def one(M, rngs):
-            if causal:
-                return simulate_causal_trial(ctx.states, q, ctx, M, rngs, M)
-            return simulate_noncausal_trial(ch, p_su, XOR, ctx, 2, M, rngs, M)
-
-        sizes, chunks = {}, {}
-
-        def counted(*args):
-            # Both trial calls end (M, rngs, chunk).
-            M, rngs, chunks[M] = args[-3:]
-            sizes.setdefault(M, []).append(len(rngs))
-            return simulate_causal_trial(*args) if causal else simulate_noncausal_trial(*args)
-
-        monkeypatch.setattr(coding, "simulate_causal_trial" if causal else "simulate_noncausal_trial", counted)
+        # BATCH_FLOOR holds all ten trials and the chain's whole list here, so the budget sets the cap,
+        # at the curve's largest one-trial, whole-list model.
+        lead, states = (1, 1) if causal else (2, ch.num_states)
+        model = max(coding._batch_entries(1, M, n, ch.dim, lead, states, M) for M in (4, 28))
+        assert model < BATCH_FLOOR
+        monkeypatch.setenv(BUDGET_ENV_VAR, str(math.ceil(8 * model / (1 - STREAM_HEADROOM))))
+        plans = []
+        self.planned(monkeypatch, causal, plans)
         rows = simulate_rate_error_curve(ch, scheme, rates, [n], trials, seed, K=2, delta=0.2,
                                          gp_witness=self.FLIP_WITNESS, causal_witness=self.CAUSAL_WITNESS)
         monkeypatch.undo()
+        sizes, chunks = {}, {}
+        for M, size, chunks[M] in plans:
+            sizes.setdefault(M, []).append(size)
         if causal:
             # The chain streams: each point's ten trials run in one call, the rate-1.2 point in several chunks.
             assert sizes == {4: [trials], 28: [trials]} and math.ceil(28 / chunks[28]) >= 2
         else:
             # The cap splits the small-rate point's ten trials into batches of unequal size.
             assert len(set(sizes[4])) == 2 and sum(sizes[4]) == trials and sizes[28] == [1] * trials
-        tag = "causal" if causal else "noncausal"
         for r_idx, (rate, row) in enumerate(zip(rates, rows)):
-            results = np.concatenate([one(row.M, [rng_for(seed, tag, n, r_idx, t)]) for t in range(trials)])
-            err, lo, hi = _mean_ci(results[:, 0])
-            want = SimRow(scheme, n, rate, 1 if causal else 2, row.M, err, lo, hi, float(np.mean(results[:, 1])))
+            want = self.lone_row(ch, scheme, n, r_idx, rate, row.M, trials, seed)
             assert row == want
+
+    def test_batch_floor_batches_the_heaviest_small_point(self, purecq, flip, monkeypatch):
+        # The simulate_cq curve's heaviest point, n = 5 at rate 1.2 (64 messages, a 0.5 MB model per
+        # trial), runs its six trials in batches, each within BATCH_FLOOR, with the lone trials' rows.
+        rates, n_list, trials, seed = [0.25, 1.2], [4, 5], 6, 3
+        plans = []
+        self.planned(monkeypatch, False, plans)
+        rows = simulate_rate_error_curve(purecq, "noncausal-sqrt", rates, n_list, trials, seed, K=2, delta=0.2,
+                                         gp_witness=self.FLIP_WITNESS)
+        monkeypatch.undo()
+        n_of = {row.M: row.n for row in rows}
+        assert sorted(n_of) == [2, 3, 28, 64] and n_of[64] == 5
+        heaviest = [size for M, size, _ in plans if M == 64]
+        assert sum(heaviest) == trials and min(heaviest) > 1
+        for M, size, chunk in plans:
+            assert coding._batch_entries(size, M, n_of[M], purecq.dim, 2, purecq.num_states, chunk) <= BATCH_FLOOR
+        for i, row in enumerate(rows):
+            assert row == self.lone_row(purecq, "noncausal-sqrt", row.n, i % len(rates), row.rate, row.M, trials, seed)
+
+        # The simulate_flip curves' largest trials (3.8 MB square root, 3.4 MB chain) are past the
+        # floor, so their plans stay as they were: lone square-root trials and one chain batch at n = 6.
+        small = [(2, 6, 2), (6, 6, 6), (4, 6, 4), (28, 6, 28), (8, 6, 8)]
+        for scheme, heavy in [("noncausal-sqrt", [(148, 1, 148)] * 6), ("causal-sequential", [(148, 6, 23)])]:
+            plans = []
+            self.planned(monkeypatch, scheme == "causal-sequential", plans, stub=True)
+            simulate_rate_error_curve(flip, scheme, [0.5, 1.2], [2, 4, 6], 6, seed, K=2, delta=0.2,
+                                      gp_witness=self.FLIP_WITNESS, causal_witness=self.CAUSAL_WITNESS)
+            monkeypatch.undo()
+            assert plans == small + heavy, scheme
 
     def test_state_word_cap_is_refused_before_any_solve(self, monkeypatch):
         # Three states at n = 8 are 3^8 = 6561 state words, past STATE_WORD_CAP;
@@ -929,29 +980,34 @@ class TestSimulationDriver:
         assert [r.M for r in rows] == [1, 4, 16]
 
     @pytest.mark.parametrize(
-        "scheme, rates, trials, Ms",
+        "name, n, scheme, rates, trials, Ms",
         [
-            pytest.param("causal-sequential", [0.5], 1, [16], id="causal-sequential"),
-            pytest.param("noncausal-sqrt", [0.5], 1, [16], id="noncausal-sqrt"),
+            pytest.param("flip", 8, "causal-sequential", [0.5], 1, [16], id="causal-sequential"),
+            pytest.param("flip", 8, "noncausal-sqrt", [0.5], 1, [16], id="noncausal-sqrt"),
             # One message: the success-trace chunk is the largest phase.
-            pytest.param("causal-sequential", [0.0], 1, [1], id="causal-sequential-one-message"),
-            pytest.param("noncausal-sqrt", [0.0], 1, [1], id="noncausal-sqrt-one-message"),
+            pytest.param("flip", 8, "causal-sequential", [0.0], 1, [1], id="causal-sequential-one-message"),
+            pytest.param("flip", 8, "noncausal-sqrt", [0.0], 1, [1], id="noncausal-sqrt-one-message"),
             # Rate 0.25 runs its five trials in batches of three and two, each
             # within the model of one rate-0.5 trial.
-            pytest.param("causal-sequential", [0.25, 0.5], 5, [4, 16], id="causal-sequential-batched"),
-            pytest.param("noncausal-sqrt", [0.25, 0.5], 5, [4, 16], id="noncausal-sqrt-batched"),
+            pytest.param("flip", 8, "causal-sequential", [0.25, 0.5], 5, [4, 16], id="causal-sequential-batched"),
+            pytest.param("flip", 8, "noncausal-sqrt", [0.25, 0.5], 5, [4, 16], id="noncausal-sqrt-batched"),
             # The rate-1.0 point's four trials stream in chunks shorter than its 256 messages.
-            pytest.param("causal-sequential", [0.5, 1.0], 4, [16, 256], id="causal-sequential-chunked"),
-            pytest.param("noncausal-sqrt", [0.5, 1.0], 4, [16, 256], id="noncausal-sqrt-chunked"),
+            pytest.param("flip", 8, "causal-sequential", [0.5, 1.0], 4, [16, 256], id="causal-sequential-chunked"),
+            pytest.param("flip", 8, "noncausal-sqrt", [0.5, 1.0], 4, [16, 256], id="noncausal-sqrt-chunked"),
+            # BATCH_FLOOR, not the one-trial model, sets the cap: purecq's rate-1.2 point runs batches of two
+            # trials, flip's chain six trials in chunks of 24 messages.
+            pytest.param("purecq", 5, "noncausal-sqrt", [0.25, 1.2], 6, [3, 64], id="noncausal-sqrt-floor"),
+            pytest.param("flip", 5, "causal-sequential", [0.25, 1.2], 6, [3, 64], id="causal-sequential-floor"),
         ],
     )
-    def test_memory_model_bounds_the_traced_peak(self, flip, scheme, rates, trials, Ms, monkeypatch):
+    def test_memory_model_bounds_the_traced_peak(self, suite, name, n, scheme, rates, trials, Ms, monkeypatch):
         # The budget model must cover every array the run allocates
         # (tracemalloc sees numpy's) and stay within 25% of their peak.
-        kw = dict(rates=rates, n_list=[8], trials=trials, seed=5, K=2, delta=0.2,
+        ch = suite[name]
+        kw = dict(rates=rates, n_list=[n], trials=trials, seed=5, K=2, delta=0.2,
                   gp_witness=self.FLIP_WITNESS, causal_witness=self.CAUSAL_WITNESS)
         causal = scheme == "causal-sequential"
-        simulate_rate_error_curve(flip, scheme, **kw)  # fills the n-slot class caches
+        simulate_rate_error_curve(ch, scheme, **kw)  # fills the n-slot class caches
         plans = []  # (trials, M, chunk) of every trial call
 
         def traced():
@@ -965,15 +1021,15 @@ class TestSimulationDriver:
             monkeypatch.setattr(coding, trial.__name__, planned)
             tracemalloc.start()
             try:
-                rows = simulate_rate_error_curve(flip, scheme, **kw)
+                rows = simulate_rate_error_curve(ch, scheme, **kw)
                 return rows, tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
                 monkeypatch.setattr(coding, trial.__name__, trial)
 
         _, peak = traced()
-        lead, states = (1, 1) if causal else (2, flip.num_states)
-        model = 8 * max(coding._batch_entries(t, M, 8, flip.dim, lead, states, chunk) for t, M, chunk in plans)
+        lead, states = (1, 1) if causal else (2, ch.num_states)
+        model = 8 * max(coding._batch_entries(t, M, n, ch.dim, lead, states, chunk) for t, M, chunk in plans)
         assert peak <= model <= 1.25 * peak
         monkeypatch.setenv(BUDGET_ENV_VAR, str(peak))
         if Ms != [1]:
@@ -983,9 +1039,9 @@ class TestSimulationDriver:
             assert [row.M for row in rows] == Ms and streamed_peak <= peak
         else:
             with pytest.raises(BudgetExceeded):
-                simulate_rate_error_curve(flip, scheme, **kw)
+                simulate_rate_error_curve(ch, scheme, **kw)
         monkeypatch.setenv(BUDGET_ENV_VAR, str(int(1.25 * peak)))
-        assert [row.M for row in simulate_rate_error_curve(flip, scheme, **kw)] == Ms
+        assert [row.M for row in simulate_rate_error_curve(ch, scheme, **kw)] == Ms
 
     def test_frame_bases_are_within_twice_the_n_slot_class_entries(self):
         # The memory model leaves the cached frame bases out; its docstring bounds them by 2 E(d, n).

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from gpcq.errors import CapExceeded, GpcqError, LengthMismatch, PreconditionViolated
 from gpcq.method_of_types import (
+    SEQUENCE_ENUMERATION_CAP,
     coverage_probability,
     matched_set_members,
     multinomial_exact,
@@ -565,6 +566,20 @@ class TestCoverage:
         small = coverage_probability(COVER_JOINT, n=10, K=4, delta=0.2, trials=200, seed=9)
         large = coverage_probability(COVER_JOINT, n=10, K=40, delta=0.2, trials=200, seed=9)
         assert large.estimate >= small.estimate - 1e-12
+
+    def test_one_state_table_is_capped_at_n_digits(self):
+        # One state has one state word, whose table row holds n digits: past the cap, no table is formed.
+        one_state = np.array([[0.5, 0.5]])
+        assert coverage_probability(one_state, n=40, K=2, delta=0.2, trials=2, seed=1).estimate == 1.0
+        tracemalloc.start()
+        try:
+            for n in (SEQUENCE_ENUMERATION_CAP + 2, 10**8, 10**19):
+                with pytest.raises(CapExceeded):
+                    coverage_probability(one_state, n=n, K=2, delta=0.2, trials=2, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_marginal_must_be_exact_type(self):
         with pytest.raises(PreconditionViolated):
