@@ -6,7 +6,10 @@ closed, and the Holevo value of the state-averaged channel (no state
 knowledge baseline). Exits 1 if a lower bound exceeds its certified upper
 bound by more than BRACKET_TOL.
 
-Usage: python3 scripts/capacity_report.py [channels-dir] [--seed N]
+The non-causal bound at n = 1 is one deterministic solve, so the report
+takes no seed.
+
+Usage: python3 scripts/capacity_report.py [channels-dir]
 """
 
 import argparse
@@ -26,8 +29,6 @@ BRACKET_TOL = 1e-12
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("channels_dir", nargs="?", default="channels")
-    ap.add_argument("--seed", type=int, default=2024)
-    ap.add_argument("--restarts", type=int, default=16)
     args = ap.parse_args()
 
     paths = sorted(pathlib.Path(args.channels_dir).glob("*.chan"))
@@ -41,7 +42,7 @@ def main() -> None:
     for path in paths:
         ch = load_channel(str(path))
         causal = causal_capacity(ch)
-        wit = noncausal_lower_bound(ch, restarts=args.restarts, seed=args.seed)
+        wit = noncausal_lower_bound(ch)
         avg = state_averaged_holevo(ch)
         print(
             f"{path.stem:<12} {causal.value:>10.6f} {wit.value:>10.6f} {wit.upper:>10.6f} {wit.upper_gap:>9.2e}"

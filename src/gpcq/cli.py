@@ -184,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_nc = sub.add_parser("noncausal", help="non-causal lower bound bracketed by the informed-decoder bound")
     p_nc.add_argument("channel")
     p_nc.add_argument("--n", type=int, default=1)
-    p_nc.add_argument("--aux-size", type=int, default=None)
-    p_nc.add_argument("--restarts", type=int, default=32, help="most starts to run")
+    p_nc.add_argument("--aux-size", type=int, default=None, help="letters of a random start; applies at n >= 2")
+    p_nc.add_argument("--restarts", type=int, default=32, help="most starts of the search; applies at n >= 2")
     p_nc.add_argument("--seed", type=int, default=None)
     p_nc.add_argument("--json", action="store_true")
 
@@ -222,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--k", type=int, default=2, help="codewords per bin (noncausal)")
     p_sim.add_argument("--delta", type=float, default=0.2)
-    p_sim.add_argument("--restarts", type=int, default=8)
     p_sim.add_argument("--out", default=None)
     p_sim.add_argument("--json", action="store_true")
 
@@ -384,7 +383,6 @@ def _cmd_simulate(args) -> None:
         seed=args.seed,
         K=args.k,
         delta=args.delta,
-        restarts=args.restarts,
     )
     rows = [_payload(row) for row in rows]
     _emit(args, {"rows": rows}, _csv(rows, [field.name for field in dataclasses.fields(SimRow)]))

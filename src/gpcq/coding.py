@@ -59,7 +59,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .method_of_types import matched_set_members, nearest_type, type_class_words
-from .quantum import BlockStack, eigenbasis, product_traces
+from .quantum import BlockStack, decoding_basis, product_traces
 from .schur_weyl import DecodeContext, class_partition
 from .util import digit_table, rng_for
 
@@ -632,15 +632,16 @@ def simulate_rate_error_curve(
     delta: float = 0.2,
     causal_witness=None,
     gp_witness=None,
-    restarts: int = 8,
 ) -> list[SimRow]:
     """Expected-error sweep over (rate, n) for one scheme, deterministic in seed.
 
     causal-sequential draws message codewords from the optimal strategy
     weights and decodes sequentially; noncausal-sqrt builds a binned codebook
     from a trade-off witness and decodes with the square-root measurement.
-    Witnesses are solved once per channel unless supplied. Both decode
-    against rho_u = sum_s p(s|u) rho[s, f(s, u)]: a causal witness (q,
+    Witnesses are solved once per channel unless supplied (the non-causal
+    one by the n = 1 solve, which no seed changes). Both decode against
+    rho_u = sum_s p(s|u) rho[s, f(s, u)], pinched in quantum.decoding_basis
+    of their average: a causal witness (q,
     columns) leaks nothing about the state, so it is the witness q(u|s) = q(u)
     with the strategy f = columns.T, and is checked as that witness. Both
     decoders stream chunks of messages (_decoded_traces). Each (n, rate)
@@ -666,10 +667,8 @@ def simulate_rate_error_curve(
         raise PreconditionViolated("delta", delta, ">= 0")
     if any(r < 0 for r in rates):
         raise PreconditionViolated("every rate", list(rates), ">= 0")
-    if trials < 1 or K < 1 or restarts < 1 or any(n < 1 for n in n_list):
-        raise PreconditionViolated(
-            "trials, K, restarts and every n", (trials, K, restarts, list(n_list)), ">= 1"
-        )
+    if trials < 1 or K < 1 or any(n < 1 for n in n_list):
+        raise PreconditionViolated("trials, K and every n", (trials, K, list(n_list)), ">= 1")
     causal = scheme == "causal-sequential"
     # A message sums K bins against K lists of |S| states per slot, or one codeword against one state.
     lead, per_list = (1, 1) if causal else (K, ch.num_states)
@@ -699,7 +698,7 @@ def simulate_rate_error_curve(
         weights = np.ones(strat.shape)
     else:
         if gp_witness is None:
-            wit = noncausal_lower_bound(ch, n=1, restarts=restarts, seed=seed)
+            wit = noncausal_lower_bound(ch)
             gp_witness = trim_witness(wit.q_given_s, wit.strategy)
         q_rows, strat = _check_witness(ch, *gp_witness)
         q = p @ q_rows
@@ -709,7 +708,7 @@ def simulate_rate_error_curve(
     weights, strat = weights[:, keepers], strat[:, keepers]
     p_su = p[:, None] * weights * q[None, :]  # the joint the binned codebook matches against
     states = derived_states(p, ch.tensor, weights, strat)
-    _, basis = eigenbasis(np.einsum("u,uij->ij", q, states))
+    basis = decoding_basis(q, states)
 
     tag = "causal" if causal else "noncausal"
     rows: list[SimRow] = []

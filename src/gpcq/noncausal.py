@@ -3,12 +3,19 @@
 The n-letter objective trades the Holevo information of the auxiliary
 ensemble against the classical information leaked about the state block.
 Only certified-from-below values are reported: the objective is evaluated
-exactly at explicit witnesses and improved by alternating a closed-form
-multiplicative step on the auxiliary conditionals (a Blahut-Arimoto-style
-update that never lowers the objective) with greedy strategy sweeps.
-Concavity is unknown, so restarts plus structured seeds stand in for a
-global solve. The informed-decoder bound caps every blocklength's value
-from above, and the restarts stop once a start reaches it.
+exactly at explicit witnesses. The informed-decoder bound caps every
+blocklength's value from above.
+
+At n = 1 the value is one concave maximization. For a fixed strategy table
+chi(U;B) - I(U;S) = I(SU;B) - I(S;UB) is concave in q(u|s), and the
+auxiliary alphabet can be taken to be the Shannon strategies (Shannon
+1958), so one ascent of a closed-form multiplicative step on q(t|s) (a
+Blahut-Arimoto-style update that never lowers the objective), from uniform
+weights on every strategy, solves it; the causal solution is kept where it
+is at least as good, so the bound dominates the causal capacity by
+construction. At n >= 2 a search alternates that step with greedy strategy
+sweeps, from the n = 1 witness's n-fold product, explicit witnesses and
+random restarts, and stops once a start reaches the upper bound.
 
 Every candidate is scored from scratch, in the same operation order as a
 full evaluation, so the search's values and witnesses do not depend on how
@@ -19,10 +26,10 @@ one eigh of a candidate's [A_u; rho_bar] stack gives both its score and,
 once it is accepted, the logarithms of the next step; so an ascent makes
 one decomposition per scored candidate plus one for its start.
 
-Starts run in batches along a leading start axis: one eigh, eigvalsh or
-einsum call serves every live start, and a start leaves the live arrays
-when its ascent stops rising or its rounds end. Explicit starts run one per
-batch; random ones are drawn a batch at a time, as many as
+The search's starts run in batches along a leading start axis: one eigh,
+eigvalsh or einsum call serves every live start, and a start leaves the
+live arrays when its ascent stops rising or its rounds end. Explicit starts
+run one per batch; random ones are drawn a batch at a time, as many as
 memory_budget_bytes() holds at the per-start count that bounds aux_size.
 The search reads one stream of finished starts in start order, drawing a
 batch only when the stream reaches it; it keeps the best witness, releases
@@ -39,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .causal import InnerSolution, causal_capacity, inner_maximize
+from .causal import INNER_MAX_ITER, InnerSolution, causal_capacity, inner_maximize, strategy_columns
 from .channel import (
     StateChannel,
     derived_states,
@@ -64,8 +71,7 @@ TRIM_TOL = 1e-6  # trim_witness's weight and proportionality tolerance
 
 
 def default_aux_size(num_states: int, num_inputs: int, n: int) -> int:
-    if n == 1:
-        return num_states * (num_inputs + 1)
+    """The search's random starts' auxiliary size at blocklength n >= 2."""
     return min((2 * num_states * num_inputs) ** n, DEFAULT_AUX_CAP)
 
 
@@ -187,16 +193,16 @@ def _q_step(letters: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> np.ndarr
     return step / np.add.reduce(step, axis=-1, keepdims=True)
 
 
-def _ascend_q(p, tensor, q, strategy, cur):
-    """_q_step from each start's q (objective cur) while its exact objective rises.
+def _ascend_q(p, tensor, q, strategy, cur, max_steps: int = ASCENT_ITERS):
+    """_q_step from each start's q (objective cur) while its exact objective rises, for at most max_steps steps.
 
     q and strategy are (starts, |S|, |U|) and cur has one entry per start;
     returns per start (q, f, steps, evals, capped), capped when the ascent
-    ran ASCENT_ITERS steps. The letter states are gathered once. Each
+    ran max_steps steps. The letter states are gathered once. Each
     candidate is scored from the eigenvalues of one eigh of its _stack, and
     an accepted candidate's decomposition is the next step's, so a start
     makes evals + 1 of them: its first and one per scored candidate. That is
-    steps + 2 when a rejected candidate ends its ascent before ASCENT_ITERS.
+    steps + 2 when a rejected candidate ends its ascent before max_steps.
     A start whose candidate does not rise leaves the live arrays, so every
     call serves only the starts still ascending.
     """
@@ -205,7 +211,7 @@ def _ascend_q(p, tensor, q, strategy, cur):
     live = np.arange(len(q))
     p_col, letters = p[:, None], letter_states(tensor, strategy)
     vals, vecs = np.linalg.eigh(_stack(_derived(p_col * q, letters)))
-    for it in range(ASCENT_ITERS):
+    for it in range(max_steps):
         cand = _q_step(letters, vals, vecs)
         w = p_col * cand
         vals, vecs = np.linalg.eigh(_stack(_derived(w, letters)))
@@ -221,7 +227,7 @@ def _ascend_q(p, tensor, q, strategy, cur):
             live, letters, cand, vals, vecs, val = (a[rise] for a in (live, letters, cand, vals, vecs, val))
         q, cur = cand, val
     else:
-        q_out[live], f_out[live], evals[live], capped[live] = q, cur, ASCENT_ITERS, True
+        q_out[live], f_out[live], evals[live], capped[live] = q, cur, max_steps, True
     return q_out, f_out, evals - 1 + capped, evals, capped
 
 
@@ -296,7 +302,7 @@ class _Run(NamedTuple):
     rounds: int
     decompositions: int  # eigvalsh and eigh decompositions
     capped: bool  # stopped at max_rounds, not by the ALT_EPS rule
-    ascents_capped: int  # ascents that ran ASCENT_ITERS steps
+    ascents_capped: int  # ascents that hit their step cap
 
 
 def _alternate(p, tensor, q, strategy, num_inputs, max_rounds):
@@ -430,7 +436,12 @@ def noncausal_upper_bound(ch: StateChannel) -> GPUpperBound:
 
 @dataclass(frozen=True)
 class GPWitness:
-    """Best witness found: per-symbol value with the realizing conditionals."""
+    """Best witness found: per-symbol value with the realizing conditionals.
+
+    A start is a candidate the call scored: at n = 1 the causal witness and,
+    when that does not close the bracket, the concave solve, which counts as
+    one round (an ascent alone); at n >= 2 each start of the search.
+    """
 
     n: int
     value: float
@@ -446,22 +457,90 @@ class GPWitness:
     # Candidate scorings, summed over starts: the first witness, every q-step
     # tried, and per sweep its starting witness and each alternative input of each cell.
     objective_evals: int
-    rounds: int  # alternating rounds (ascent, then sweep) run, summed over starts
-    # eigvalsh and eigh decompositions of the starts' searches, each start's counted
+    rounds: int  # rounds (ascent, then at n >= 2 a sweep) run, summed over starts
+    # eigvalsh and eigh decompositions of the starts, each start's counted
     # as if it ran alone (a batch shares one call among its starts), summed over
     # starts: per start one for the first witness, per ascent one per scored
     # candidate plus one for its start, and per sweep one for its starting witness
     # plus one per cell.
     decompositions: int
     restart_rounds: tuple[int, ...]  # rounds run by each start, in start order
-    # Per start: it stopped at max_rounds, not because a round gained at most ALT_EPS.
+    # Per start: its rounds hit their cap (max_rounds at n >= 2, the solve's step cap at n = 1).
     restart_capped: tuple[bool, ...]
-    ascents_capped: int  # ascents that ran ASCENT_ITERS steps, summed over starts
+    ascents_capped: int  # ascents that hit their step cap, summed over starts
     upper: float  # noncausal_upper_bound's value, per symbol
     upper_gap: float  # its gap: upper + upper_gap is certified from above
     leak_per_symbol: float  # leak / n
     # The bracket is closed: the value is within ALT_EPS of the certified upper bound.
     certified_optimal: bool
+
+
+def _distinct_strategies(tensor: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """The strategies of columns (rows, lexicographic order) whose letter states no earlier one has, bitwise.
+
+    Per state, each input stands for the first input with a bitwise-equal
+    output, and a strategy is kept when it is its own representative.
+    Dropping the rest loses nothing: the objective is concave in q and
+    symmetric under swapping two letters with equal letter states, so
+    merging such letters never lowers it.
+    """
+    first = np.array([
+        [next(y for y in range(x + 1) if tensor[s, y].tobytes() == tensor[s, x].tobytes()) for x in range(len(row))]
+        for s, row in enumerate(tensor)
+    ])
+    return columns[np.all(first[np.arange(len(tensor)), columns] == columns, axis=1)]
+
+
+def _solve_single_letter(p: np.ndarray, tensor: np.ndarray, strategy: np.ndarray):
+    """The n = 1 solve: one _ascend_q from uniform q(t|s) over the (|S|, T) strategy table; returns (q, strategy, _Run).
+
+    The ascent stops at the first candidate that does not rise or after
+    causal.INNER_MAX_ITER steps. The witness keeps the strategies of nonzero
+    weight, and the run's value is _objective at that witness. Counts: the
+    scorings of the start, the ascent's candidates and the witness; one
+    eigvalsh each for the start and the witness, and the ascent's evals + 1 eigh.
+    """
+    q = np.full((1,) + strategy.shape, 1.0 / strategy.shape[1])
+    cur = _objective(p, tensor, q[0], strategy).value
+    (q,), _, (steps,), (evals,), (capped,) = _ascend_q(
+        p, tensor, q, strategy[None], np.array([cur]), max_steps=INNER_MAX_ITER
+    )
+    keep = np.any(q > 0, axis=0)
+    q, strategy = q[:, keep], strategy[:, keep]
+    run = _Run(
+        value=_objective(p, tensor, q, strategy).value,
+        ascent_steps=int(steps),
+        objective_evals=2 + int(evals),
+        rounds=1,
+        decompositions=3 + int(evals),
+        capped=bool(capped),
+        ascents_capped=int(capped),
+    )
+    return q, strategy, run
+
+
+def _footprint(ch: StateChannel, aux_size: int, search: bool) -> int:
+    """Bytes one start holds at its peak on a block channel: the n = 1 solve's (search False) or a search start's.
+
+    Both count the |S| aux letter states (complex dim x dim) with the largest
+    of the ascent's four (aux + 1)-stacks (eigh vectors; in the cross term
+    the scaled vectors, their conjugate and product), six (|S|, aux) witness
+    tables, the (aux + 1) dim stack spectra, and 16 KiB that do not grow with
+    aux. A search start also holds the block channel's |S||X| states, the
+    compaction when starts leave (a copy of the live starts' letter states
+    and eigh vectors beside the old), and a sweep cell's A, its |S||X| + |X|
+    candidate letter states and A_u, and its |X|-fold stack of A, with room
+    for one more; and the cell's |X| aux dim omega terms.
+    """
+    num_states, num_inputs = ch.num_states, ch.num_inputs
+    matrices, peak = num_states * aux_size, 4 * (aux_size + 1)
+    floats = 6 * num_states * aux_size + (aux_size + 1) * ch.dim
+    if search:
+        sweep = (1 + 2 * num_inputs) * aux_size + (num_states + 1) * num_inputs
+        compaction = num_states * aux_size + 2 * (aux_size + 1)
+        matrices, peak = matrices + num_states * num_inputs, max(peak, compaction, sweep)
+        floats += num_inputs * ch.dim * aux_size
+    return 16 * ch.dim**2 * (matrices + peak) + 8 * floats + 2**14
 
 
 def noncausal_lower_bound(
@@ -475,69 +554,84 @@ def noncausal_lower_bound(
 ) -> GPWitness:
     """Certified lower bound on the per-symbol non-causal rate at blocklength n.
 
-    The first start is the single-letter causal solution, lifted to
-    blocklength n as an n-fold product witness: it leaks nothing about the
-    state and attains the causal capacity per symbol, and the ascent only
-    accepts improvements, so the bound dominates the causal value by
-    construction.
-    Explicit witnesses follow, each run at its own auxiliary size and checked
-    against the blocklength-n channel as gp_objective checks; these always
-    run, and random starts fill up to ``restarts`` starts, possibly none.
-    Ties keep the smallest restart index. The starts are read in that order
-    and the search stops after the first whose per-symbol value is within
-    ALT_EPS of noncausal_upper_bound's certified value, so ``restarts`` is a
-    maximum (unless explicit witnesses pass it) and the witness reports the
-    starts that ran.
-    The starts arrive as one stream of finished starts: the lifted start and
-    each explicit witness as one-start batches, then random batches of
-    min(remaining, memory_budget_bytes() // start_bytes), each start drawn
-    from its own generator when the stream reaches its batch. The loop keeps
-    the best witness, releases each other one once read, and leaves the
-    stream at the closing start, which ends its batch. Values, witnesses
-    and counters are those of running the starts one by one: the counters
-    count each start's decompositions, not the LAPACK calls a batch shares.
+    The n = 1 witness comes first. The causal solution, as the witness
+    q(t|s) = q(t), leaks nothing and attains the causal capacity; unless it
+    closes the bracket (comes within ALT_EPS of noncausal_upper_bound's
+    certified value), _solve_single_letter runs over the distinct Shannon
+    strategies (_distinct_strategies, capped by STRATEGY_CAP), and the
+    better witness is kept, ties going to the causal one, so non-causal >=
+    causal holds by construction. At n = 1 that is the result, and
+    restart_values lists the candidates. restarts, seed and max_rounds apply
+    only at n >= 2; aux_size and seed_witnesses, which would do nothing at
+    n = 1, raise PreconditionViolated there.
+
+    At n >= 2 the search's first start is the n = 1 witness as an n-fold
+    product witness, which attains the n = 1 value per symbol, so the value
+    is at least the n = 1 value by construction, up to rounding. Explicit
+    witnesses follow, checked against the blocklength-n channel as
+    gp_objective checks; these always run, and random starts of aux_size
+    letters fill up to ``restarts`` starts, possibly none. The starts are
+    read in that order, ties keep the smallest index, and the search stops
+    after the first that closes the bracket, so ``restarts`` is a maximum
+    (unless explicit witnesses pass it). The starts arrive as one stream of
+    finished starts: the product start and each explicit witness as
+    one-start batches, then random batches of min(remaining,
+    memory_budget_bytes() // start_bytes), each start drawn from its own
+    generator when the stream reaches its batch. The loop keeps the best
+    witness, releases each other one once read, and leaves the stream at the
+    closing start, which ends its batch. Values, witnesses and counters are
+    those of running the starts one by one: the counters count each start's
+    decompositions, not the LAPACK calls a batch shares.
+
     An n, restarts, max_rounds or aux_size below 1 raises
-    PreconditionViolated, and an aux_size whose per-start arrays exceed
-    memory_budget_bytes() raises BudgetExceeded before any start runs.
+    PreconditionViolated, and an n = 1 solve or (at n >= 2) a start whose
+    arrays exceed memory_budget_bytes() raises BudgetExceeded before any runs.
     """
     for name, value in (("n", n), ("restarts", restarts), ("max_rounds", max_rounds)):
         if value < 1:
             raise PreconditionViolated(name, value, ">= 1")
-    ch_n = ch if n == 1 else product_extension(ch, n)
-    p = ch_n.p
-    tensor = ch_n.tensor
-    num_states, num_inputs = ch_n.num_states, ch_n.num_inputs
-    if aux_size is None:
-        aux_size = default_aux_size(ch.num_states, ch.num_inputs, n)
-    if aux_size < 1:
+    if n == 1 and (aux_size is not None or seed_witnesses):
+        raise PreconditionViolated(
+            "aux_size and seed_witnesses at n = 1", (aux_size, len(seed_witnesses)), "(None, 0): n >= 2 only"
+        )
+    if aux_size is not None and aux_size < 1:
         raise PreconditionViolated("aux_size", aux_size, ">= 1")
 
-    # What a start holds at its peak. A batch of k starts holds k times this, and the search holds one batch
-    # and the best witness so far (two of the witness tables below), so a batch takes budget // start_bytes
-    # starts. Counted: the |S| aux letter states (complex dim x dim) with the largest of the ascent's four
-    # (aux + 1)-stacks (eigh vectors; in the cross term the scaled vectors, their conjugate and product), its
-    # compaction when starts leave (a copy of the live starts' letter states and eigh vectors beside the old),
-    # and a sweep cell's A, its |S||X| + |X| candidate letter states and A_u, and its |X|-fold stack of A, with
-    # room for one more; the cell's |X| aux dim omega terms, six (|S|, aux) witness tables and the (aux + 1) dim
-    # stack spectra; the block channel and 16 KiB that do not grow with aux.
-    sweep = (1 + 2 * num_inputs) * aux_size + (num_states + 1) * num_inputs
-    compaction = num_states * aux_size + 2 * (aux_size + 1)
-    matrices = num_states * (aux_size + num_inputs) + max(4 * (aux_size + 1), compaction, sweep)
-    floats = (num_inputs * ch_n.dim + 6 * num_states) * aux_size + (aux_size + 1) * ch_n.dim
-    start_bytes = 16 * ch_n.dim**2 * matrices + 8 * floats + 2**14
     budget = memory_budget_bytes()
-    if start_bytes > budget:
-        raise BudgetExceeded(
-            f"aux_size {aux_size} needs {start_bytes} bytes per start, budget is {budget}", start_bytes=start_bytes
-        )
+    columns = strategy_columns(ch.num_states, ch.num_inputs)
+    ch_n = ch if n == 1 else product_extension(ch, n)
+    checks = [("the n = 1 solve", _footprint(ch, len(columns), search=False))]
+    if n > 1:
+        # The search holds one batch and the best witness so far (two of the witness tables), so a batch
+        # takes budget // start_bytes starts.
+        aux_size = default_aux_size(ch.num_states, ch.num_inputs, n) if aux_size is None else aux_size
+        start_bytes = _footprint(ch_n, aux_size, search=True)
+        checks.append((f"aux_size {aux_size}", start_bytes))
+    for what, need in checks:
+        if need > budget:
+            raise BudgetExceeded(f"{what} needs {need} bytes per start, budget is {budget}", start_bytes=need)
 
+    seeds = [_check_witness(ch_n, q_seed, strat_seed) for q_seed, strat_seed in seed_witnesses]
+    p, tensor = ch_n.p, ch_n.tensor
+    num_states, num_inputs = ch_n.num_states, ch_n.num_inputs
     causal = causal_capacity(ch)
+    upper = noncausal_upper_bound(ch)
+    target = upper.value + upper.gap - ALT_EPS
     q_rows = np.tile(causal.q, (ch.num_states, 1))
     strat = np.asarray(causal.strategy.columns, dtype=np.int64).T
-    starts = [product_witness(q_rows, strat, ch.num_inputs, n=n)]
-    starts += [_check_witness(ch_n, q_seed, strat_seed) for q_seed, strat_seed in seed_witnesses]
+    lifted = _objective(ch.p, ch.tensor, q_rows, strat).value
+    # The causal witness is scored once and runs no round.
+    candidates = [(q_rows, strat, _Run(lifted, 0, objective_evals=1, rounds=0, decompositions=1, capped=False,
+                                       ascents_capped=0))]
+    if lifted < target:
+        candidates.append(_solve_single_letter(ch.p, ch.tensor, _distinct_strategies(ch.tensor, columns).T))
 
     def finished_starts():
+        if n == 1:
+            yield from candidates
+            return
+        q1, strat1, _ = max(candidates, key=lambda c: c[2].value)  # the first maximum, so ties keep the causal
+        starts = [product_witness(q1, strat1, ch.num_inputs, n=n), *seeds]
         for q0, strat0 in starts:
             yield from _alternate(p, tensor, q0[None], strat0[None], num_inputs, max_rounds)
         num_random, size = restarts - len(starts), budget // start_bytes
@@ -550,8 +644,6 @@ def noncausal_lower_bound(
                 num_inputs, max_rounds,
             )
 
-    upper = noncausal_upper_bound(ch)
-    target = upper.value + upper.gap - ALT_EPS
     runs, best = [], None
     for q_run, strat_run, run in finished_starts():
         if best is None or run.value > best[0]:  # strict, so ties keep the smallest index

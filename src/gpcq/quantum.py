@@ -281,7 +281,27 @@ def pinch(rho, basis: np.ndarray) -> np.ndarray:
     return diag / diag.sum()
 
 
-def eigenbasis(rho) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues, eigenvectors-as-columns), in descending eigenvalue order."""
-    vals, vecs = np.linalg.eigh(np.asarray(rho, dtype=complex))
-    return np.clip(vals[::-1].copy(), 0.0, None), vecs[:, ::-1].copy()
+def decoding_basis(weights, states) -> np.ndarray:
+    """The eigenbasis of sum_u weights[u] states[u], as columns in descending eigenvalue order, made canonical.
+
+    Eigenvalues within TAU_EIG of their neighbour form one cluster, whose
+    eigenvectors eigh orients by rounding alone. Inside each cluster the
+    basis diagonalizes the compression of the first state, in letter order,
+    whose compressed spectrum spreads by more than TAU_EIG, in descending
+    order of that spectrum. When the states commute this is a common
+    eigenbasis, so pinching in it leaves every state unchanged.
+    """
+    states = np.asarray(states, dtype=complex)
+    vals, vecs = np.linalg.eigh(np.einsum("u,uij->ij", np.asarray(weights, dtype=float), states))
+    vals, vecs = vals[::-1], vecs[:, ::-1].copy()
+    ends = [0, *(np.nonzero(vals[:-1] - vals[1:] > TAU_EIG)[0] + 1), len(vals)]
+    for lo, hi in zip(ends, ends[1:]):
+        if hi - lo < 2:
+            continue
+        block = vecs[:, lo:hi]
+        for state in states:
+            split, rotation = np.linalg.eigh(block.conj().T @ state @ block)
+            if split[-1] - split[0] > TAU_EIG:
+                vecs[:, lo:hi] = block @ rotation[:, ::-1]
+                break
+    return vecs

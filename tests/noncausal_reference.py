@@ -8,12 +8,26 @@ the witness and decomposes them afresh. An ascent candidate is scored from
 the eigenvalues of its own eigh, the decomposition its next step would
 use, rather than from eigvalsh; the two LAPACK drivers agree only to the
 last bits. The package must reproduce these loops bit for bit.
+
+restarted_search is the n = 1 bound the package computed before its
+concave solve: these loops from the causal witness and random restarts.
 """
 
 import numpy as np
 
+from gpcq.causal import causal_capacity
 from gpcq.channel import derived_states, letter_states
-from gpcq.noncausal import ALT_EPS, ASCENT_ITERS, _objective, _q_step, _score, _stack
+from gpcq.noncausal import (
+    ALT_EPS,
+    ASCENT_ITERS,
+    _alternate,
+    _objective,
+    _q_step,
+    _score,
+    _stack,
+    noncausal_upper_bound,
+)
+from gpcq.util import rng_for
 
 
 def stack_eigh(p, tensor, q, strategy):
@@ -84,3 +98,31 @@ def search(p, tensor, num_inputs, starts, max_rounds, closes):
         if closes(runs[-1][2]):
             break
     return int(np.argmax([run[2] for run in runs])), runs
+
+
+def restarted_search(ch, restarts: int, seed: int, max_rounds: int = 40) -> float:
+    """The n = 1 value of the restarted search: the causal witness, then random starts, until one closes.
+
+    Random start r has |S|(|X| + 1) letters drawn from rng_for(seed, 1, r).
+    The starts run through the package's batched _alternate, which the
+    tests hold to alternate() above bit for bit, as one batch after the
+    causal start; the best value among the starts read is returned.
+    """
+    causal = causal_capacity(ch)
+    upper = noncausal_upper_bound(ch)
+    target = upper.value + upper.gap - ALT_EPS
+    batches = [(np.tile(causal.q, (ch.num_states, 1))[None], np.asarray(causal.strategy.columns).T[None])]
+    if restarts > 1:
+        aux = ch.num_states * (ch.num_inputs + 1)
+        rngs = [rng_for(seed, 1, r) for r in range(restarts - 1)]
+        batches.append((
+            np.stack([rng.dirichlet(np.ones(aux), size=ch.num_states) for rng in rngs]),
+            np.stack([rng.integers(0, ch.num_inputs, size=(ch.num_states, aux)) for rng in rngs]),
+        ))
+    values = []
+    for q, strategy in batches:
+        for _, _, run in _alternate(ch.p, ch.tensor, q, strategy, ch.num_inputs, max_rounds):
+            values.append(run.value)
+            if run.value >= target:
+                return max(values)
+    return max(values)

@@ -1,7 +1,9 @@
 """Desk-scale acceptance run: one test per top-level contract, each with a wall-clock budget."""
 
+import dataclasses
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from gpcq.noncausal import (
     trim_witness,
 )
 from gpcq.quantum import (
-    eigenbasis,
+    decoding_basis,
     holevo_quantity,
     kl_divergence,
     von_neumann_entropy,
@@ -223,8 +225,8 @@ def _matched_pairs(ch, wit, n, delta):
     q_u = p_su.sum(axis=0)
     picked = ch.tensor[np.arange(ch.num_states)[:, None], strat]
     blended = np.einsum("su,suij->uij", p_su, picked)
-    _, basis = eigenbasis(blended.sum(axis=0))
-    ctx = DecodeContext(blended / q_u[:, None, None], basis, n, delta)
+    states = blended / q_u[:, None, None]
+    ctx = DecodeContext(states, decoding_basis(q_u, states), n, delta)
     u_words = digit_table(len(q_u), n)
     word_counts = np.stack([(u_words == u).sum(axis=1) for u in range(len(q_u))], axis=1)
     u_words = u_words[np.all(word_counts == nearest_type(q_u, n)[None, :], axis=1)]
@@ -253,8 +255,8 @@ def _joint_types(s_words, u_words, num_s, num_u):
 
 
 # (channel, n) with no matched pair at delta = 0.2, where the trace floor checks nothing:
-# on stuck and skew no four-slot state word is within divergence delta/2 of the witness's p(s|u).
-NO_MATCHED_PAIR = {("stuck", 4), ("skew", 4)}
+# on skew no four-slot state word is within divergence delta/2 of the witness's p(s|u).
+NO_MATCHED_PAIR = {("skew", 4)}
 
 
 def _matched_trace_scan(ch, wit, ns, delta):
@@ -322,6 +324,33 @@ def test_decoder_closure_union_bound_and_matched_traces(suite, solvers):
                 assert abs(permuted - trace) <= 1e-14, (name, n, perm)
     print(f"matched-trace scan at delta={delta}: {records}")
     _within(t0, 600.0)
+
+
+def test_decode_projectors_ignore_a_perturbation_inside_the_degenerate_eigenspace(purecq):
+    # purecq's x = u XOR s witness averages to exactly I/2, so the decoding basis is fixed inside that
+    # eigenspace by the letter states, not by eigh's rounding. Moving every channel state by +-1e-10 X
+    # moves the average inside the eigenspace: the basis keeps its columns up to phases, every decode
+    # projector is the same up to the words' phases, and so is the scan.
+    t0 = time.monotonic()
+    wit = SimpleNamespace(q_given_s=np.full((2, 2), 0.5), strategy=np.array([[0, 1], [1, 0]]))
+    nudge = 1e-10 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    n, delta = 4, 0.2
+    ctx, *_, u_words, _ = _matched_pairs(purecq, wit, n, delta)
+    base = ctx.projectors(u_words[:, None, :]).blocks
+    scan = _matched_trace_scan(purecq, wit, (4, 6), delta)
+    for sign in (1.0, -1.0):
+        moved = dataclasses.replace(purecq, tensor=purecq.tensor + sign * nudge)
+        moved_ctx, *_, moved_words, _ = _matched_pairs(moved, wit, n, delta)
+        assert np.array_equal(moved_words, u_words)
+        phases = np.einsum("ik,ik->k", ctx.basis.conj(), moved_ctx.basis)
+        assert np.max(np.abs(np.abs(phases) - 1.0)) <= 1e-8
+        word_phases = np.prod(phases[digit_table(2, n)], axis=1)
+        for block, moved_block, words in zip(base, moved_ctx.projectors(u_words[:, None, :]).blocks, ctx.partition.words):
+            turned = word_phases[words].conj()[:, None] * block * word_phases[words][None, :]
+            assert np.max(np.abs(moved_block - turned), initial=0.0) <= 1e-8
+        moved_scan = _matched_trace_scan(moved, wit, (4, 6), delta)
+        assert all(abs(moved_scan[k] - scan[k]) <= 1e-8 for k in scan), (sign, scan, moved_scan)
+    _within(t0, 60.0)
 
 
 def test_flip_error_curves_bracket_the_half_bit_rate(flip):

@@ -103,7 +103,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, error",
         [
-            (("noncausal", "{flip}", "--aux-size", "0", "--seed", "1"), "precondition-violated"),
+            (("noncausal", "{flip}", "--n", "2", "--aux-size", "0", "--seed", "1"), "precondition-violated"),
             (("simulate", "{flip}", "--scheme", "causal-sequential", "--rates", "0.5",
               "--n", "2", "--trials", "0", "--seed", "1"), "precondition-violated"),
             (("simulate", "{flip}", "--scheme", "noncausal-sqrt", "--rates", "0.5",
@@ -148,12 +148,10 @@ class TestExitCodes:
               "--n", "2", "--seed", "1"), "budget-exceeded"),
             (("causal", "{flip}", "--eps", "-1"), "precondition-violated"),
             (("holevo", "{flip}", "--eps", "-0.5"), "precondition-violated"),
-            (("noncausal", "{flip}", "--aux-size", "20000000", "--seed", "1", "--restarts", "2"),
+            (("noncausal", "{flip}", "--n", "2", "--aux-size", "20000000", "--seed", "1", "--restarts", "2"),
              "budget-exceeded"),
             (("noncausal", "{flip}", "--n", "0", "--seed", "1"), "precondition-violated"),
             (("noncausal", "{flip}", "--restarts", "-5", "--seed", "1"), "precondition-violated"),
-            (("simulate", "{flip}", "--scheme", "noncausal-sqrt", "--rates", "0.5",
-              "--n", "2", "--restarts", "0", "--seed", "1"), "precondition-violated"),
             (("simulate", "{flip}", "--scheme", "causal-sequential", "--rates", "0.5",
               "--n", "2", "--delta", "-1", "--seed", "1"), "precondition-violated"),
             (("simulate", "{flip}", "--scheme", "noncausal-sqrt", "--rates", "-0.5",
@@ -232,6 +230,18 @@ class TestExitCodes:
         assert code == 1 and out == ""
         payload = json.loads(err.strip().split("\n")[0])
         assert payload["error"] == error and "Traceback" not in err
+
+    def test_aux_size_at_blocklength_one_is_refused_at_once(self, capsys, channel_dir):
+        # The n = 1 solve takes every strategy, so an alphabet size is refused before any solve, however large.
+        started = time.monotonic()
+        code, out, err = run_cli(
+            capsys, "noncausal", str(channel_dir / "purecq.chan"), "--aux-size", "1000000", "--seed", "1",
+            "--restarts", "2",
+        )
+        assert time.monotonic() - started < 1.0
+        assert code == 1 and out == ""
+        payload = json.loads(err.strip().split("\n")[0])
+        assert payload["error"] == "precondition-violated" and "Traceback" not in err
 
     def test_linear_algebra_failure_is_error_code(self, capsys, channel_dir, monkeypatch):
         def fail(args):
@@ -326,26 +336,26 @@ class TestJsonSchemas:
         }
         assert payload["value"] == pytest.approx(0.7, abs=1e-9)
         assert payload["n"] == 1
-        # --restarts is a maximum: the search stops after the first start that
-        # reaches the certified upper bound, here the lifted causal witness.
+        # At n = 1 the starts are the causal witness and, as it leaves the bracket
+        # open on stuck, the concave solve, whose one ascent closes it.
         threshold = payload["upper"] + payload["upper_gap"] - ALT_EPS
         assert payload["certified_optimal"] is True
-        assert len(payload["restart_values"]) == payload["restarts"] == 1
-        assert payload["restart_values"][-1] >= threshold
+        assert len(payload["restart_values"]) == payload["restarts"] == 2
+        assert payload["restart_values"][0] < threshold <= payload["restart_values"][1]
         assert payload["restart_values"][payload["restart_index"]] == payload["value"]
         assert payload["objective_evals"] > payload["ascent_steps"] > 0
-        assert payload["rounds"] >= payload["restarts"]
+        assert payload["restart_rounds"] == [0, 1] and payload["rounds"] == 1
         assert payload["leak_per_symbol"] == payload["leak"]
-        # purecq's bracket stays open, so every requested start runs.
+        # purecq's bracket stays open: the solve runs, and ties go to the causal witness.
         code, out, _ = run_cli(
             capsys, "noncausal", str(channel_dir / "purecq.chan"),
             "--seed", "7", "--restarts", "4", "--json",
         )
         payload = json.loads(out)
         assert code == 0 and payload["certified_optimal"] is False
-        assert len(payload["restart_values"]) == payload["restarts"] == 4
+        assert len(payload["restart_values"]) == payload["restarts"] == 2
         assert max(payload["restart_values"]) < payload["upper"] + payload["upper_gap"] - ALT_EPS
-        assert len(payload["restart_rounds"]) == len(payload["restart_capped"]) == 4
+        assert len(payload["restart_rounds"]) == len(payload["restart_capped"]) == 2
         assert sum(payload["restart_rounds"]) == payload["rounds"]
 
     def test_noncausal_table_counts_capped_starts(self, capsys, channel_dir):

@@ -36,7 +36,7 @@ from gpcq.errors import (
     PreconditionViolated,
 )
 from gpcq.method_of_types import matched_set_members, nearest_type, type_class_words
-from gpcq.quantum import BlockStack, eigenbasis
+from gpcq.quantum import BlockStack, decoding_basis
 from gpcq.schur_weyl import DecodeContext, class_partition
 from gpcq.util import rng_for
 
@@ -227,8 +227,7 @@ def decode_context(ch, q_rows, n, delta=0.2):
     q_rows = np.asarray(q_rows, dtype=float)
     q = ch.p @ q_rows
     states = derived_states(ch.p, ch.tensor, q_rows / q, np.array([[0, 1], [1, 0]]))
-    _, basis = eigenbasis(np.einsum("u,uij->ij", q, states))
-    return DecodeContext(states, basis, n, delta)
+    return DecodeContext(states, decoding_basis(q, states), n, delta)
 
 
 WITNESSES = [("flip", [[0.5, 0.5], [0.5, 0.5]]), ("purecq", [[0.7, 0.3], [0.3, 0.7]])]
@@ -714,7 +713,7 @@ class TestTrialOracle:
         q = ch.p @ q_rows
         p_su = ch.p[:, None] * q_rows
         states = derived_states(ch.p, ch.tensor, q_rows / q, XOR)
-        _, basis = eigenbasis(np.einsum("u,uij->ij", q, states))
+        basis = decoding_basis(q, states)
         informative = []
         for n, (M, K) in itertools.product([2, 3, 4], [(2, 2), (3, 2), (4, 1)]):
             ctx = DecodeContext(states, basis, n, ORACLE_DELTA)
@@ -790,22 +789,22 @@ PINNED_ROWS = {
     ("flip", "noncausal-sqrt", 2, 0.5): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
     ("flip", "noncausal-sqrt", 4, 0.25): ("0x1.7e00000000000p-1", "0x1.6a66666666666p-1", "0x1.919999999999ap-1", "0x1.6000000000000p-1"),
     ("flip", "noncausal-sqrt", 4, 0.5): ("0x1.9180000000000p-1", "0x1.81df020c85208p-1", "0x1.a120fdf37adf8p-1", "0x1.5c00000000000p-1"),
-    ("purecq", "causal-sequential", 2, 0.25): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x0.0p+0"),
-    ("purecq", "causal-sequential", 2, 0.5): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x0.0p+0"),
-    ("purecq", "causal-sequential", 4, 0.25): ("0x1.ea80000000000p-1", "0x1.dfb851eb851ecp-1", "0x1.f547ae147ae14p-1", "0x0.0p+0"),
-    ("purecq", "causal-sequential", 4, 0.5): ("0x1.e344000000000p-1", "0x1.db03462142794p-1", "0x1.eb84b9debd86cp-1", "0x0.0p+0"),
+    ("purecq", "causal-sequential", 2, 0.25): ("0x1.15f619980c436p-2", "0x1.15f619980c436p-2", "0x1.15f619980c436p-2", "0x0.0p+0"),
+    ("purecq", "causal-sequential", 2, 0.5): ("0x1.16dce7ff83d51p-1", "0x1.76f24458c2fd2p-2", "0x1.7240add2a62b9p-1", "0x0.0p+0"),
+    ("purecq", "causal-sequential", 4, 0.25): ("0x1.1234c065e4063p-1", "0x1.9f3f5d2dccdcap-2", "0x1.54c9d234e19e1p-1", "0x0.0p+0"),
+    ("purecq", "causal-sequential", 4, 0.5): ("0x1.2330fbcc53bcap-1", "0x1.01e672e4d4f0bp-1", "0x1.447b84b3d2889p-1", "0x0.0p+0"),
     ("purecq", "noncausal-sqrt", 2, 0.25): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
     ("purecq", "noncausal-sqrt", 2, 0.5): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
-    ("purecq", "noncausal-sqrt", 4, 0.25): ("0x1.b9c12f3672fe9p-1", "0x1.af29eddcfc0fbp-1", "0x1.c458708fe9ed7p-1", "0x1.6000000000000p-1"),
-    ("purecq", "noncausal-sqrt", 4, 0.5): ("0x1.c441cb6622c50p-1", "0x1.bbc26c57c467fp-1", "0x1.ccc12a7481221p-1", "0x1.5c00000000000p-1"),
+    ("purecq", "noncausal-sqrt", 4, 0.25): ("0x1.b9c12f364fb36p-1", "0x1.af29eddcd3724p-1", "0x1.c458708fcbf48p-1", "0x1.6000000000000p-1"),
+    ("purecq", "noncausal-sqrt", 4, 0.5): ("0x1.c441cb6604fbap-1", "0x1.bbc26c57a29c0p-1", "0x1.ccc12a74675b4p-1", "0x1.5c00000000000p-1"),
     ("stuck", "causal-sequential", 2, 0.25): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x0.0p+0"),
     ("stuck", "causal-sequential", 2, 0.5): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x0.0p+0"),
     ("stuck", "causal-sequential", 4, 0.25): ("0x1.051eb851eb852p-1", "0x1.051eb851eb852p-1", "0x1.051eb851eb852p-1", "0x0.0p+0"),
     ("stuck", "causal-sequential", 4, 0.5): ("0x1.051eb851eb852p-1", "0x1.051eb851eb852p-1", "0x1.051eb851eb852p-1", "0x0.0p+0"),
     ("stuck", "noncausal-sqrt", 2, 0.25): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
     ("stuck", "noncausal-sqrt", 2, 0.5): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
-    ("stuck", "noncausal-sqrt", 4, 0.25): ("0x1.ffffffffffffep-1", "0x1.ffffffffffffep-1", "0x1.ffffffffffffep-1", "0x1.ffffffffffffep-1"),
-    ("stuck", "noncausal-sqrt", 4, 0.5): ("0x1.ffffffffffffep-1", "0x1.ffffffffffffep-1", "0x1.ffffffffffffep-1", "0x1.fffffffffffffp-1"),
+    ("stuck", "noncausal-sqrt", 4, 0.25): ("0x1.449fbe76c8b42p-1", "0x1.1f24d2cc1c495p-1", "0x1.6a1aaa21751efp-1", "0x1.9130be0ded287p-2"),
+    ("stuck", "noncausal-sqrt", 4, 0.5): ("0x1.626a7ef9db22cp-1", "0x1.48b3c1d5b7dbcp-1", "0x1.7c213c1dfe69cp-1", "0x1.c21cac083126dp-2"),
 }
 
 
@@ -856,8 +855,8 @@ class TestSimulationDriver:
         assert got == {key: pins for key, pins in PINNED_ROWS.items() if key[:2] == (name, scheme)}
 
     @pytest.mark.parametrize("scheme", ["causal-sequential", "noncausal-sqrt"])
-    @pytest.mark.parametrize("kw", [dict(delta=-1.0), dict(restarts=0), dict(restarts=-5)])
-    def test_negative_radius_and_restarts_rejected(self, flip, scheme, kw):
+    @pytest.mark.parametrize("kw", [dict(delta=-1.0), dict(K=0), dict(K=-5)])
+    def test_negative_radius_and_bin_count_rejected(self, flip, scheme, kw):
         with pytest.raises(PreconditionViolated):
             simulate_rate_error_curve(
                 flip, scheme, [0.5], [2], trials=1, seed=0,

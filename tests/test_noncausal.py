@@ -46,6 +46,20 @@ BRACKET_TOL = 1e-12
 INVERTING = np.array([[0, 1], [1, 0]])
 
 
+def random_channel(rng):
+    """A random cq channel: |S|, |X| and dim in {2, 3}, states of random rank, p ~ Dirichlet(1)."""
+    num_states, num_inputs, dim = (int(v) for v in rng.integers(2, 4, size=3))
+    states = {
+        (str(s), str(x)): random_density_matrix(dim, rng, rank=int(rng.integers(1, dim + 1)))
+        for s in range(num_states)
+        for x in range(num_inputs)
+    }
+    return build_channel(
+        [str(s) for s in range(num_states)], [str(x) for x in range(num_inputs)], dim, states,
+        rng.dirichlet(np.ones(num_states)),
+    )
+
+
 def random_cq_channel(rng, dim, num_states, num_inputs):
     """Channel with random full-rank outputs and a random state prior."""
     states = {
@@ -57,6 +71,11 @@ def random_cq_channel(rng, dim, num_states, num_inputs):
     return build_channel(
         [str(s) for s in range(num_states)], [str(x) for x in range(num_inputs)], dim, states, p
     )
+
+
+def witness_letters(ch, n):
+    """Auxiliary letters of the tests' random witnesses: |S|(|X| + 1) at n = 1, the search's default at n >= 2."""
+    return ch.num_states * (ch.num_inputs + 1) if n == 1 else default_aux_size(ch.num_states, ch.num_inputs, n)
 
 
 def interior_witnesses(ch, num_u, rng, count=2):
@@ -141,9 +160,19 @@ class TestGPObjective:
             gp_objective(flip, UNIFORM_Q, np.array([[0, 2], [1, 0]]))
 
 
+def squared(q, strat, num_inputs):
+    """product_witness at n = 2 by np.kron, for tables of any shapes and entries."""
+    q, strat = np.asarray(q), np.asarray(strat)
+    ones = np.ones_like(strat)
+    return np.kron(q, q), np.kron(strat, ones) * num_inputs + np.kron(ones, strat)
+
+
 WITNESS_CALLERS = {
     "gp_objective": lambda ch, wit: gp_objective(ch, *wit),
-    "seed_witnesses": lambda ch, wit: noncausal_lower_bound(ch, restarts=1, seed_witnesses=(wit,)),
+    # Explicit starts apply at n >= 2: the witness is squared into a blocklength-2 one, flaws included.
+    "seed_witnesses": lambda ch, wit: noncausal_lower_bound(
+        ch, n=2, restarts=1, max_rounds=1, seed_witnesses=(squared(*wit, ch.num_inputs),)
+    ),
     "gp_witness": lambda ch, wit: simulate_rate_error_curve(
         ch, "noncausal-sqrt", [0.5], [2], trials=1, seed=0, gp_witness=wit
     ),
@@ -246,7 +275,7 @@ class TestAscentGradient:
         h = 1e-6
         for name, ch, ch_n in corpus_blocks(suite, n):
             p, tensor = ch_n.p, ch_n.tensor
-            num_u = default_aux_size(ch.num_states, ch.num_inputs, n)
+            num_u = witness_letters(ch, n)
             for q, strat in interior_witnesses(ch_n, num_u, rng):
                 fd = np.zeros_like(q)
                 for s in range(q.shape[0]):
@@ -279,7 +308,7 @@ class TestAscentStep:
     def test_unguarded_step_never_lowers_objective_on_corpus(self, suite, n):
         rng = np.random.default_rng(2004 + n)
         for name, ch, ch_n in corpus_blocks(suite, n):
-            num_u = default_aux_size(ch.num_states, ch.num_inputs, n)
+            num_u = witness_letters(ch, n)
             self._assert_step_never_lowers(ch_n, num_u, rng, (name, n))
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -287,7 +316,7 @@ class TestAscentStep:
         rng = np.random.default_rng(1905 + dim)
         for k in range(5):
             ch = random_cq_channel(rng, dim, 2, 2)
-            self._assert_step_never_lowers(ch, default_aux_size(2, 2, 1), rng, (dim, k))
+            self._assert_step_never_lowers(ch, witness_letters(ch, 1), rng, (dim, k))
 
 
 def search_witnesses(ch, num_u, rng, count=2):
@@ -322,7 +351,7 @@ class TestSearchMatchesReference:
     def test_corpus(self, suite, n):
         rng = np.random.default_rng(1910 + n)
         for name, ch, ch_n in corpus_blocks(suite, n):
-            num_u = default_aux_size(ch.num_states, ch.num_inputs, n)
+            num_u = witness_letters(ch, n)
             for q, strat in search_witnesses(ch_n, num_u, rng):
                 self._assert_search_matches(ch_n, q, strat, (name, n))
 
@@ -331,7 +360,7 @@ class TestSearchMatchesReference:
         # a product seed with |U| = 36.
         rng = np.random.default_rng(1936)
         for name, ch in suite.items():
-            q, strat = next(search_witnesses(ch, default_aux_size(ch.num_states, ch.num_inputs, 1), rng))
+            q, strat = next(search_witnesses(ch, witness_letters(ch, 1), rng))
             ((q, strat, _),) = _alternate(ch.p, ch.tensor, q[None], strat[None], ch.num_inputs, max_rounds=40)
             q, strat = product_witness(q, strat, ch.num_inputs)
             assert q.shape == (4, 36)
@@ -347,11 +376,10 @@ class TestSearchMatchesReference:
                 self._assert_search_matches(ch, q, strat, (seed, num_u))
 
 
-def lifted_causal_start(ch, n):
-    """The search's first start: the single-letter causal witness as an n-fold product."""
-    causal = causal_capacity(ch)
-    q_rows = np.tile(causal.q, (ch.num_states, 1))
-    return product_witness(q_rows, np.asarray(causal.strategy.columns).T, ch.num_inputs, n=n)
+def product_start(ch, n):
+    """The search's first start: the n = 1 witness as an n-fold product."""
+    single = noncausal_lower_bound(ch)
+    return product_witness(single.q_given_s, single.strategy, ch.num_inputs, n=n)
 
 
 def drawn_starts(ch_n, aux_size, seed, n, count):
@@ -396,7 +424,7 @@ class TestBatchedStarts:
     def test_corpus(self, suite, n, max_rounds):
         rng = np.random.default_rng(3110 + n)
         for name, ch, ch_n in corpus_blocks(suite, n):
-            num_u = default_aux_size(ch.num_states, ch.num_inputs, n)
+            num_u = witness_letters(ch, n)
             starts = list(search_witnesses(ch_n, num_u, rng, count=4 if n == 1 else 3))
             self._assert_batch_matches_lone_starts(ch_n, starts, (name, n), max_rounds)
 
@@ -408,14 +436,14 @@ class TestBatchedStarts:
         for num_u in (2, 5):
             self._assert_batch_matches_lone_starts(ch, list(search_witnesses(ch, num_u, rng, count=4)), (seed, num_u))
 
-    @pytest.mark.parametrize("n, restarts, max_rounds", [(1, 6, 40), (2, 3, 2)])
+    @pytest.mark.parametrize("n, restarts, max_rounds", [(2, 6, 1), (2, 3, 2)])
     def test_search_matches_the_sequential_reference(self, suite, n, restarts, max_rounds):
         # The same starts in the same order, with the same stop rule, one start at a time.
         for name, ch, ch_n in corpus_blocks(suite, n):
             wit = noncausal_lower_bound(ch, n=n, restarts=restarts, seed=11, max_rounds=max_rounds)
             target = wit.upper + wit.upper_gap - ALT_EPS
-            aux_size = default_aux_size(ch.num_states, ch.num_inputs, n)
-            starts = [lifted_causal_start(ch, n), *drawn_starts(ch_n, aux_size, 11, n, restarts - 1)]
+            aux_size = witness_letters(ch, n)
+            starts = [product_start(ch, n), *drawn_starts(ch_n, aux_size, 11, n, restarts - 1)]
             best, runs = reference.search(
                 ch_n.p, ch_n.tensor, ch_n.num_inputs, starts, max_rounds, lambda value: value / n >= target
             )
@@ -427,21 +455,23 @@ class TestBatchedStarts:
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_a_batch_holds_the_starts_the_budget_allows(self, purecq, monkeypatch, k):
-        # purecq's bracket stays open, so all eight starts run: the lifted one alone, then seven random ones.
-        kw = dict(restarts=8, seed=2)
+        # purecq's bracket stays open, so all eight starts run: the product one alone, then seven random ones.
+        kw = dict(n=2, restarts=8, seed=2, max_rounds=1)
         unbounded = noncausal_lower_bound(purecq, **kw)
+        start_bytes = noncausal._footprint(product_extension(purecq, 2), default_aux_size(2, 2, 2), search=True)
         with monkeypatch.context() as patched:
-            patched.setenv(BUDGET_ENV_VAR, "0")
-            with pytest.raises(BudgetExceeded) as refused:
+            patched.setenv(BUDGET_ENV_VAR, str(start_bytes - 1))
+            with pytest.raises(BudgetExceeded, match="aux_size 16") as refused:
                 noncausal_lower_bound(purecq, **kw)
-        monkeypatch.setenv(BUDGET_ENV_VAR, str(k * refused.value.details["start_bytes"]))
+        assert refused.value.details["start_bytes"] == start_bytes
+        monkeypatch.setenv(BUDGET_ENV_VAR, str(k * start_bytes))
         sizes = record_batches(monkeypatch, "_alternate")
         wit = noncausal_lower_bound(purecq, **kw)
         assert sizes == [1] + [k] * (7 // k) + [7 % k] * (7 % k > 0)
         assert_same_witness(wit, unbounded)
 
     def test_the_closing_start_ends_its_batch(self, stuck, monkeypatch):
-        # At n = 2 stuck's lifted start closes the bracket, so the search runs no random batch; the
+        # At n = 2 stuck's product start closes the bracket, so the search runs no random batch; the
         # batch is run directly on its random starts 0 and 3, which close it after 3 and 2 rounds alone.
         ch = product_extension(stuck, 2)
         upper = noncausal_upper_bound(stuck)
@@ -510,7 +540,7 @@ class TestDecompositionCounts:
         rng = np.random.default_rng(2525 + n)
         stopped_early = []
         for name, ch, ch_n in corpus_blocks(suite, n):
-            num_u = default_aux_size(ch.num_states, ch.num_inputs, n)
+            num_u = witness_letters(ch, n)
             for q, strat in search_witnesses(ch_n, num_u, rng):
                 cur = _objective(ch_n.p, ch_n.tensor, q, strat).value
                 calls[0] = 0
@@ -522,7 +552,35 @@ class TestDecompositionCounts:
                     stopped_early.append(steps)
         assert stopped_early and max(stopped_early) > 0
 
-    @pytest.mark.parametrize("n, max_rounds", [(1, 40), (2, 2)])
+    def test_the_single_letter_witness_counts_the_causal_scoring_and_the_solve(self, suite, monkeypatch):
+        # One per call: the causal witness's scoring, then, inside the solve, its start's, the ascent's and
+        # its witness's. The causal and upper-bound solves and the final report are not counted.
+        inside, calls = [False], [0]
+        for name in ("eigh", "eigvalsh"):
+            def counted(a, *args, _original=getattr(np.linalg, name), **kwargs):
+                calls[0] += inside[0]
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+
+        def solve(*args, _original=noncausal._solve_single_letter):
+            inside[0] = True
+            try:
+                return _original(*args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(noncausal, "_solve_single_letter", solve)
+        solved = {}
+        for name, ch in suite.items():
+            calls[0] = 0
+            wit = noncausal_lower_bound(ch)
+            assert wit.decompositions == 1 + calls[0], name
+            assert wit.objective_evals == wit.decompositions - (calls[0] > 0), name
+            solved[name] = wit.restarts == 2 and calls[0] > 0
+        assert solved == {"flip": False, "stuck": True, "skew": False, "purecq": True}
+
+    @pytest.mark.parametrize("n, max_rounds", [(2, 1), (2, 2)])
     def test_witness_counts_every_decomposition_of_the_search(self, suite, monkeypatch, n, max_rounds):
         # Only calls made inside a start's search count: the causal seed's
         # solve, the upper bound and the final report are not the search.
@@ -635,13 +693,17 @@ class TestNoncausalLowerBound:
         assert wit.leak_per_symbol == wit.leak / 2
 
     def test_diagnostics_describe_the_search(self, stuck):
-        # The search stops after the first start that closes the bracket.
+        # The search stops after the first start that closes the bracket. On stuck that is the product of
+        # the n = 1 witness, already a fixed point of the step: its one round accepts no q-step, and scores
+        # its first witness, one rejected candidate, and the sweep's starting witness and 16 cells x 3
+        # other inputs; it decomposes for its first witness, the ascent's start and candidate, and the
+        # sweep's starting witness and 16 cells.
         wit = noncausal_lower_bound(stuck, n=2, restarts=3, seed=7, max_rounds=2)
-        closes = [v >= wit.upper + wit.upper_gap - ALT_EPS for v in wit.restart_values]
         assert wit.certified_optimal
-        assert closes[-1] and not any(closes[:-1])
-        assert len(wit.restart_values) == wit.restarts < 3
-        self.assert_diagnostics(wit)
+        assert wit.restart_values == (wit.value,) and wit.value >= wit.upper + wit.upper_gap - ALT_EPS
+        assert (wit.restarts, wit.restart_rounds, wit.ascent_steps) == (1, (1,), 0)
+        assert (wit.objective_evals, wit.decompositions) == (1 + 1 + 1 + 16 * 3, 1 + 2 + 1 + 16)
+        assert wit.leak_per_symbol == wit.leak / 2
 
     def test_every_requested_start_runs_while_the_bracket_is_open(self, purecq):
         wit = noncausal_lower_bound(purecq, n=2, restarts=3, seed=7, max_rounds=2)
@@ -659,8 +721,9 @@ class TestNoncausalLowerBound:
             assert 0 <= wit.ascents_capped <= wit.rounds, name
 
     def test_a_start_cut_at_max_rounds_is_capped(self, purecq):
-        # With one round, every random start still gains in it; the lifted causal start is
-        # already where its round leaves it, so the ALT_EPS rule stops it instead.
+        # With one round, every random start still gains in it; the product start (purecq's
+        # n = 1 witness is its causal one) is already where its round leaves it, so the
+        # ALT_EPS rule stops it instead.
         wit = noncausal_lower_bound(purecq, n=2, restarts=4, seed=3, max_rounds=1)
         assert wit.restart_rounds == (1, 1, 1, 1)
         assert wit.restart_capped == (False, True, True, True)
@@ -669,18 +732,26 @@ class TestNoncausalLowerBound:
     @pytest.mark.parametrize("seeded, restarts, runs", [(False, 1, 1), (True, 1, 2), (True, 2, 2), (True, 4, 4)])
     def test_restarts_is_a_maximum_that_only_explicit_seeds_pass(self, purecq, seeded, restarts, runs):
         # The bracket stays open on purecq, so only the count stops the search.
-        # The lifted start and every explicit seed always run; random starts
-        # fill up to restarts, so restarts=1 alone runs the lifted start only.
-        first = noncausal_lower_bound(purecq, restarts=1, seed=3)
+        # The product start and every explicit seed always run; random starts
+        # fill up to restarts, so restarts=1 alone runs the product start only.
+        kw = dict(n=2, seed=3, max_rounds=1)
+        first = noncausal_lower_bound(purecq, restarts=1, **kw)
         seeds = ((first.q_given_s, first.strategy),) if seeded else ()
-        wit = noncausal_lower_bound(purecq, restarts=restarts, seed=3, seed_witnesses=seeds)
+        wit = noncausal_lower_bound(purecq, restarts=restarts, seed_witnesses=seeds, **kw)
         assert not wit.certified_optimal
         assert len(wit.restart_values) == wit.restarts == runs
 
     @pytest.mark.parametrize("aux_size", [0, -1])
     def test_empty_auxiliary_alphabet_is_rejected(self, flip, aux_size):
-        with pytest.raises(PreconditionViolated):
-            noncausal_lower_bound(flip, aux_size=aux_size, restarts=2, seed=1)
+        with pytest.raises(PreconditionViolated, match="aux_size"):
+            noncausal_lower_bound(flip, n=2, aux_size=aux_size, restarts=2, seed=1)
+
+    @pytest.mark.parametrize("kw", [dict(aux_size=4), dict(aux_size=1), dict(seed_witnesses=((UNIFORM_Q, INVERTING),))])
+    def test_search_arguments_are_refused_at_blocklength_one(self, flip, monkeypatch, kw):
+        # The n = 1 solve takes every strategy and no start, so an alphabet size or start would do nothing.
+        monkeypatch.setattr(noncausal, "causal_capacity", lambda *args: pytest.fail("a solve ran"))
+        with pytest.raises(PreconditionViolated, match="at n = 1"):
+            noncausal_lower_bound(flip, **kw)
 
     @pytest.mark.parametrize("kw", [
         dict(n=0), dict(n=-1), dict(restarts=0), dict(restarts=-5), dict(max_rounds=0), dict(max_rounds=-1),
@@ -691,7 +762,7 @@ class TestNoncausalLowerBound:
 
     @pytest.mark.parametrize("name, restarts, draws", [("flip", 1000, 0), ("purecq", 4, 3)])
     def test_random_starts_are_drawn_as_the_search_reaches_them(self, suite, monkeypatch, name, restarts, draws):
-        # flip's lifted causal start closes the bracket, so none of its 999 random
+        # At n = 2 flip's product start closes the bracket, so none of its 999 random
         # starts is drawn; purecq's bracket stays open, so all three are.
         keys = []
 
@@ -700,29 +771,41 @@ class TestNoncausalLowerBound:
             return rng_for(*key)
 
         monkeypatch.setattr(noncausal, "rng_for", counted)
-        wit = noncausal_lower_bound(suite[name], restarts=restarts, seed=1)
-        assert keys == [(1, 1, r) for r in range(draws)]
+        wit = noncausal_lower_bound(suite[name], n=2, restarts=restarts, seed=1, max_rounds=1)
+        assert keys == [(1, 2, r) for r in range(draws)]
         assert wit.restarts == draws + 1
 
     def test_aux_size_past_the_budget_is_refused_before_any_start(self, flip, monkeypatch):
-        # A flip start is counted at 7 aux + 10 complex 2 x 2 matrices, 18 aux + 2
-        # floats and 16 KiB: 592 bytes per letter plus 17,040, so 40,720 at aux 40.
-        monkeypatch.setenv(BUDGET_ENV_VAR, str(592 * 40 + 17_040))
+        # A flip start at n = 2 is counted at 13 aux + 36 complex 4 x 4 matrices, 44 aux
+        # + 4 floats and 16 KiB: 3,680 bytes per letter plus 25,632, so 172,832 at aux 40.
+        monkeypatch.setenv(BUDGET_ENV_VAR, str(3_680 * 40 + 25_632))
+        kw = dict(n=2, restarts=2, seed=1, max_rounds=1)
         with monkeypatch.context() as patched:
+            patched.setattr(noncausal, "causal_capacity", lambda *args: pytest.fail("a solve ran"))
             patched.setattr(noncausal, "_alternate", lambda *args, **kwargs: pytest.fail("a start ran"))
             with pytest.raises(BudgetExceeded, match="aux_size 41"):
-                noncausal_lower_bound(flip, aux_size=41, restarts=2, seed=1)
-        assert noncausal_lower_bound(flip, aux_size=40, restarts=2, seed=1).value == pytest.approx(1.0, abs=1e-9)
+                noncausal_lower_bound(flip, aux_size=41, **kw)
+        assert noncausal_lower_bound(flip, aux_size=40, **kw).value == pytest.approx(1.0, abs=1e-9)
+
+    def test_a_solve_past_the_budget_is_refused_before_it_runs(self, purecq, monkeypatch):
+        # purecq's n = 1 solve on its 4 strategies is counted at 8 + 20 complex 2 x 2
+        # matrices, 58 floats and 16 KiB: 18,640 bytes, refused one byte below.
+        monkeypatch.setenv(BUDGET_ENV_VAR, str(18_640 - 1))
+        monkeypatch.setattr(noncausal, "causal_capacity", lambda *args: pytest.fail("a solve ran"))
+        with pytest.raises(BudgetExceeded, match="n = 1 solve") as refused:
+            noncausal_lower_bound(purecq)
+        assert refused.value.details["start_bytes"] == 18_640
 
     @pytest.mark.parametrize("aux_size", [300, 1000])
     def test_aux_size_check_covers_a_start(self, purecq, monkeypatch, aux_size):
         # purecq's bracket stays open, so its random start runs a full round.
-        kw = dict(aux_size=aux_size, restarts=2, seed=1, max_rounds=1)
+        kw = dict(n=2, aux_size=aux_size, restarts=2, seed=1, max_rounds=1)
+        check = noncausal._footprint(product_extension(purecq, 2), aux_size, search=True)
         with monkeypatch.context() as patched:
-            patched.setenv(BUDGET_ENV_VAR, "0")
+            patched.setenv(BUDGET_ENV_VAR, str(check - 1))
             with pytest.raises(BudgetExceeded) as refused:
                 noncausal_lower_bound(purecq, **kw)
-        check = refused.value.details["start_bytes"]
+        assert refused.value.details["start_bytes"] == check
         noncausal_lower_bound(purecq, **kw)
         tracemalloc.start()
         try:
@@ -730,7 +813,7 @@ class TestNoncausalLowerBound:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= check <= 2 * peak
+        assert peak <= check <= 2 * peak, (peak, check)
 
 
 @settings(max_examples=10, deadline=None)
@@ -791,3 +874,66 @@ class TestClassicalOracle:
     def test_from_channel_requires_classical(self, purecq):
         with pytest.raises(GpcqError):
             ClassicalGP.from_channel(purecq)
+
+
+@pytest.fixture(scope="module")
+def solved(suite):
+    """The corpus and 40 random channels, each with its n = 1 witness."""
+    rng = np.random.default_rng(2026)
+    channels = [*suite.items(), *((f"random {k}", random_channel(rng)) for k in range(40))]
+    return [(label, ch, noncausal_lower_bound(ch)) for label, ch in channels]
+
+
+class TestSingleLetterSolve:
+    def test_objective_is_concave_in_q_for_a_fixed_table(self):
+        # chi(U;B) - I(U;S) = I(SU;B) - I(S;UB): a Holevo quantity concave in its weights minus one convex
+        # in its channel, both linear in q. Midpoints of random witness pairs on one table, which repeats
+        # its first column.
+        rng = np.random.default_rng(1606)
+        for k in range(300):
+            ch = random_channel(rng)
+            num_u = int(rng.integers(2, 7))
+            strat = rng.integers(0, ch.num_inputs, size=(ch.num_states, num_u))
+            strat[:, -1] = strat[:, 0]
+            a, b = (rng.dirichlet(np.ones(num_u), size=ch.num_states) for _ in range(2))
+            t = float(rng.random())
+            f_a, f_b, f_mix = (gp_objective(ch, q, strat).value for q in (a, b, t * a + (1 - t) * b))
+            assert f_mix >= t * f_a + (1 - t) * f_b - 1e-12, k
+
+    def test_corpus_values(self, solved, solvers):
+        frozen = {"flip": 1.0, "stuck": 0.7, "skew": 1.0, "purecq": 0.3991239633071448}
+        for label, ch, wit in solved[:4]:
+            assert wit.value >= frozen[label] - 1e-12, label
+            assert wit.value >= solvers.causal(label).value, label
+        assert [wit.value for label, _, wit in solved if label in ("flip", "skew")] == [1.0, 1.0]
+
+    def test_dominates_the_causal_witness_by_construction(self, solved):
+        # Start 0 is the causal witness, and the solve's witness is reported only when strictly better.
+        for label, ch, wit in solved:
+            assert wit.value >= wit.restart_values[0], label
+            assert wit.restart_values[wit.restart_index] == wit.value == max(wit.restart_values), label
+            assert wit.restarts == 1 + (wit.restart_values[0] < wit.upper + wit.upper_gap - ALT_EPS), label
+
+    def test_is_at_least_the_restarted_search(self, solved):
+        for label, ch, wit in solved:
+            assert wit.value >= reference.restarted_search(ch, restarts=8, seed=0) - 1e-10, label
+
+    def test_ignores_restarts_seed_and_max_rounds(self, solved):
+        for label, ch, wit in solved[:4]:
+            for kw in (dict(restarts=1, seed=5), dict(restarts=32, seed=7, max_rounds=3), dict(restarts=1000, seed=2**40)):
+                assert_same_witness(noncausal_lower_bound(ch, **kw), wit)
+
+    def test_keeps_the_first_of_strategies_with_equal_letter_states(self, stuck):
+        # stuck's state 1 outputs |0> on both inputs, so of the four strategies two are distinct, each first
+        # in lexicographic order of its pair: (0, 0) and (1, 0).
+        columns = noncausal._distinct_strategies(stuck.tensor, noncausal.strategy_columns(2, 2))
+        assert columns.tolist() == [[0, 0], [1, 0]]
+        wit = noncausal_lower_bound(stuck)
+        assert wit.restarts == 2 and wit.strategy.T.tolist() == [[0, 0], [1, 0]]
+
+    def test_blocklength_two_is_at_least_blocklength_one(self, solved):
+        # The first n = 2 start is the n = 1 witness's product, and the search only accepts gains.
+        for label, ch, wit in solved:
+            pair = noncausal_lower_bound(ch, n=2, restarts=1, max_rounds=1)
+            assert pair.value >= wit.value - 1e-14, label
+            assert pair.restart_values[0] >= wit.value - 1e-14, label

@@ -17,6 +17,7 @@ from gpcq.errors import (
 )
 from gpcq.quantum import (
     BlockStack,
+    decoding_basis,
     divergence_profile,
     entropy_bits,
     holevo_quantity,
@@ -331,6 +332,48 @@ class TestPinch:
                 np.sum(pinched * np.log2(t))
             )
             assert direct == pytest.approx(via_identity, abs=1e-9)
+
+
+def same_up_to_phases(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
+    """Column k of b is column k of a times a unit phase, for every k."""
+    return bool(np.all(np.abs(np.abs(np.einsum("ik,ik->k", a.conj(), b)) - 1.0) <= tol))
+
+
+class TestDecodingBasis:
+    def test_nondegenerate_average_gives_its_eigenvectors_in_descending_order(self):
+        rng = rng_for(107)
+        for _ in range(20):
+            states = np.stack([random_density_matrix(3, rng) for _ in range(3)])
+            q = rng.dirichlet(np.ones(3))
+            vals, vecs = np.linalg.eigh(np.einsum("u,uij->ij", q, states))
+            assert np.min(np.diff(vals)) > 1e-6
+            assert np.array_equal(decoding_basis(q, states), vecs[:, ::-1])
+
+    def test_commuting_states_are_diagonal_in_it(self):
+        # The average of |0><0| and |1><1|, and of diag(0.5, 0.3, 0.2) and diag(0.2, 0.3, 0.5), is degenerate
+        # (I/2, and 0.35, 0.3, 0.35 after a rotation), so eigh alone orients it by rounding; pinching in the
+        # basis must still leave each state as it is, in any common frame.
+        rng = rng_for(108)
+        for diagonals in ([[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]):
+            u = random_unitary(len(diagonals[0]), rng)
+            states = np.stack([u @ np.diag(d).astype(complex) @ u.conj().T for d in diagonals])
+            basis = decoding_basis([0.5, 0.5], states)
+            for state in states:
+                rotated = basis.conj().T @ state @ basis
+                assert np.max(np.abs(rotated - np.diag(np.diag(rotated)))) <= 1e-12
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_perturbation_inside_a_degenerate_eigenspace_leaves_it(self, sign):
+        # x = u XOR s on purecq: the letter states average to exactly I/2. Moving every state by
+        # +-1e-10 X moves the average inside its one eigenspace; eigh alone then turns its basis by 45
+        # degrees, but the basis the first splitting letter state fixes stays, up to column phases.
+        kets = [np.array([np.cos(t), np.sin(t)]) for t in np.arange(4) * np.pi / 4]
+        states = np.stack([0.5 * (np.outer(kets[u], kets[u]) + np.outer(kets[3 - u], kets[3 - u])) for u in (0, 1)])
+        q = np.array([0.5, 0.5])
+        nudged = states + sign * 1e-10 * np.array([[0.0, 1.0], [1.0, 0.0]])
+        bare, bare_nudged = (np.linalg.eigh(np.einsum("u,uij->ij", q, s))[1] for s in (states, nudged))
+        assert not same_up_to_phases(bare, bare_nudged, 1e-3)
+        assert same_up_to_phases(decoding_basis(q, states), decoding_basis(q, nudged), 1e-8)
 
 
 class TestClassicalRestrictions:

@@ -11,7 +11,7 @@ import pytest
 from gpcq import schur_weyl
 from gpcq.channel import derived_states
 from gpcq.errors import CapExceeded, GpcqError, NumericalRankFailure, PreconditionViolated
-from gpcq.quantum import eigenbasis, kl_divergence, spectrum
+from gpcq.quantum import decoding_basis, kl_divergence, spectrum
 from gpcq.schur_weyl import (
     DecodeContext,
     _unique_rows,
@@ -659,8 +659,7 @@ class TestSharedProjectors:
         q_rows = np.asarray(q_rows, dtype=float)
         q = ch.p @ q_rows
         states = derived_states(ch.p, ch.tensor, q_rows / q, np.asarray(strategy))
-        _, basis = eigenbasis(np.einsum("u,uij->ij", q, states))
-        return DecodeContext(states, basis, n, 0.2)
+        return DecodeContext(states, decoding_basis(q, states), n, 0.2)
 
     @pytest.mark.parametrize("name, q_rows, n", [
         ("flip", [[0.5, 0.5], [0.5, 0.5]], 6),
