@@ -30,7 +30,7 @@ def commands() -> list[list[str]]:
         cmds.append(["noncausal", chan, "--seed", "3", "--restarts", "4", "--json"])
     for name in ("stuck", "purecq"):
         cmds.append(["noncausal", f"channels/{name}.chan", "--n", "2", "--seed", "3", "--restarts", "4", "--json"])
-    # purecq's bracket stays open: at n = 1 the concave solve runs, and at n = 2 seven random starts run as batches.
+    # purecq's bracket stays open: at n = 1 the concave ascent runs, and at n = 2 seven random starts run as batches.
     cmds.append(["noncausal", "channels/purecq.chan", "--seed", "3", "--json"])
     cmds.append(["noncausal", "channels/purecq.chan", "--n", "2", "--seed", "3", "--restarts", "8", "--json"])
     for name in CHANNELS:

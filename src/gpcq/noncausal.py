@@ -9,13 +9,16 @@ blocklength's value from above.
 At n = 1 the value is one concave maximization. For a fixed strategy table
 chi(U;B) - I(U;S) = I(SU;B) - I(S;UB) is concave in q(u|s), and the
 auxiliary alphabet can be taken to be the Shannon strategies (Shannon
-1958), so one ascent of a closed-form multiplicative step on q(t|s) (a
-Blahut-Arimoto-style update that never lowers the objective), from uniform
-weights on every strategy, solves it; the causal solution is kept where it
-is at least as good, so the bound dominates the causal capacity by
-construction. At n >= 2 a search alternates that step with greedy strategy
-sweeps, from the n = 1 witness's n-fold product, explicit witnesses and
-random restarts, and stops once a start reaches the upper bound.
+1958), so the bound is one ascent of a closed-form multiplicative step on
+q(t|s) (a Blahut-Arimoto-style update that never lowers the objective),
+from uniform weights on every strategy, with no restarts. The ascent is
+capped at causal.INNER_MAX_ITER steps and converges slowly on some
+channels, so a capped ascent (restart_capped) can stop short of the
+maximum; the causal solution is kept where it is at least as good, so the
+bound dominates the causal capacity by construction. At n >= 2 a search
+alternates that step with greedy strategy sweeps, from the n = 1 witness's
+n-fold product, explicit witnesses and random restarts, and stops once a
+start reaches the upper bound.
 
 Every candidate is scored from scratch, in the same operation order as a
 full evaluation, so the search's values and witnesses do not depend on how
@@ -439,7 +442,7 @@ class GPWitness:
     """Best witness found: per-symbol value with the realizing conditionals.
 
     A start is a candidate the call scored: at n = 1 the causal witness and,
-    when that does not close the bracket, the concave solve, which counts as
+    when that does not close the bracket, the concave ascent, which counts as
     one round (an ascent alone); at n >= 2 each start of the search.
     """
 
@@ -557,10 +560,10 @@ def noncausal_lower_bound(
     The n = 1 witness comes first. The causal solution, as the witness
     q(t|s) = q(t), leaks nothing and attains the causal capacity; unless it
     closes the bracket (comes within ALT_EPS of noncausal_upper_bound's
-    certified value), _solve_single_letter runs over the distinct Shannon
-    strategies (_distinct_strategies, capped by STRATEGY_CAP), and the
-    better witness is kept, ties going to the causal one, so non-causal >=
-    causal holds by construction. At n = 1 that is the result, and
+    certified value), _solve_single_letter ascends over the distinct
+    Shannon strategies (_distinct_strategies, capped by STRATEGY_CAP), and
+    the better witness is kept, ties going to the causal one, so non-causal
+    >= causal holds by construction. At n = 1 that is the result, and
     restart_values lists the candidates. restarts, seed and max_rounds apply
     only at n >= 2; aux_size and seed_witnesses, which would do nothing at
     n = 1, raise PreconditionViolated there.
@@ -584,8 +587,10 @@ def noncausal_lower_bound(
     decompositions, not the LAPACK calls a batch shares.
 
     An n, restarts, max_rounds or aux_size below 1 raises
-    PreconditionViolated, and an n = 1 solve or (at n >= 2) a start whose
-    arrays exceed memory_budget_bytes() raises BudgetExceeded before any runs.
+    PreconditionViolated. An n = 1 solve or (at n >= 2) a random start whose
+    arrays exceed memory_budget_bytes() raises BudgetExceeded before any
+    solve runs. So does, before any search start runs, a product start
+    whose letters (one per n-sequence of the n = 1 witness's) exceed it.
     """
     for name, value in (("n", n), ("restarts", restarts), ("max_rounds", max_rounds)):
         if value < 1:
@@ -626,12 +631,27 @@ def noncausal_lower_bound(
     if lifted < target:
         candidates.append(_solve_single_letter(ch.p, ch.tensor, _distinct_strategies(ch.tensor, columns).T))
 
+    if n > 1:
+        q1, strat1, run1 = max(candidates, key=lambda c: c[2].value)  # the first maximum, so ties keep the causal
+        # The ascent's weights never reach 0, so its witness keeps nearly every strategy; its product
+        # starts from the trimmed witness unless trimming lowers the n = 1 value.
+        q_trim, strat_trim = trim_witness(q1, strat1)
+        if _objective(ch.p, ch.tensor, q_trim, strat_trim).value >= run1.value:
+            q1, strat1 = q_trim, strat_trim
+        letters = q1.shape[1] ** n
+        need = _footprint(ch_n, letters, search=True)
+        if need > budget:
+            raise BudgetExceeded(
+                f"the n = 1 witness's {n}-fold product, {letters} letters, needs {need} bytes per start, "
+                f"budget is {budget}",
+                start_bytes=need,
+            )
+        starts = [product_witness(q1, strat1, ch.num_inputs, n=n), *seeds]
+
     def finished_starts():
         if n == 1:
             yield from candidates
             return
-        q1, strat1, _ = max(candidates, key=lambda c: c[2].value)  # the first maximum, so ties keep the causal
-        starts = [product_witness(q1, strat1, ch.num_inputs, n=n), *seeds]
         for q0, strat0 in starts:
             yield from _alternate(p, tensor, q0[None], strat0[None], num_inputs, max_rounds)
         num_random, size = restarts - len(starts), budget // start_bytes

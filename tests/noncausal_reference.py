@@ -10,7 +10,7 @@ use, rather than from eigvalsh; the two LAPACK drivers agree only to the
 last bits. The package must reproduce these loops bit for bit.
 
 restarted_search is the n = 1 bound the package computed before its
-concave solve: these loops from the causal witness and random restarts.
+concave ascent: these loops from the causal witness and random restarts.
 """
 
 import numpy as np

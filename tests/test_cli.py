@@ -337,7 +337,7 @@ class TestJsonSchemas:
         assert payload["value"] == pytest.approx(0.7, abs=1e-9)
         assert payload["n"] == 1
         # At n = 1 the starts are the causal witness and, as it leaves the bracket
-        # open on stuck, the concave solve, whose one ascent closes it.
+        # open on stuck, the concave ascent, which closes it.
         threshold = payload["upper"] + payload["upper_gap"] - ALT_EPS
         assert payload["certified_optimal"] is True
         assert len(payload["restart_values"]) == payload["restarts"] == 2
