@@ -9,7 +9,8 @@ and its duality gap certifies the returned value from below. Each step's
 length is a safeguarded Newton search on the slope along the pair: the
 slope's derivative is the divided difference of the logarithm in rho_bar's
 eigenbasis, so the eigh that gives a point's slope gives its derivative too,
-and the search bisects its bracket where rho_bar loses support. Solves count
+and the search bisects its bracket where rho_bar loses support; it stops
+once the slope is at rounding level, where a Newton step is noise. Solves count
 their eigendecompositions. The same solve over the constant strategies alone
 gives the state-averaged Holevo value.
 """
@@ -34,6 +35,11 @@ INNER_MAX_ITER = 10**5
 # Most points one step-length search evaluates: 60 halvings narrow any
 # bracket in [0, 1] to below 1e-18.
 LINE_MAX_EVALS = 60
+# A slope within this multiple of |D_toward| + |D_away| of 0 is rounding noise.
+# Stopping there kept every iteration count of the corpus and of the two
+# TestSolveCost draws, and cut those draws' decompositions from 5,155 to 3,129
+# and from 6,611 to 2,733.
+SLOPE_NOISE = 2 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -122,33 +128,44 @@ def _step_length(q, toward, away, states, entropies, div, eig) -> tuple[float, i
     The search inner_maximize describes, on the slope s(g) = D(rho_toward ||
     rho_bar) - D(rho_away || rho_bar) at q + g (e_toward - e_away). Its first
     point is g = 0, where the iterate's div and eig give s and s'. It returns
-    the last Newton point, not a bracket midpoint.
+    the last Newton point, not a bracket midpoint. It also stops once
+    |s| <= 2 eps (|D_toward| + |D_away|) with both divergences finite, the
+    rounding of the difference: a further Newton step would be noise over
+    s'. That point's Newton point is returned while it lies in [0, q[away]],
+    else the point itself.
     """
 
-    def slope(gamma):
+    def slope(d):
         # A letter the step empties can leave the support of rho_bar: its
         # infinite divergence then makes the slope -inf, and the search
         # must shrink the step. Opposite infinities give no slope; shrink too.
-        _, d, e = _stats(_shifted(q, toward, away, gamma), states, entropies)
         total = float(d[toward] - d[away])
-        return -math.inf if math.isnan(total) else total, e
+        return -math.inf if math.isnan(total) else total, SLOPE_NOISE * float(abs(d[toward]) + abs(d[away]))
+
+    def slope_at(gamma):
+        _, d, e = _stats(_shifted(q, toward, away, gamma), states, entropies)
+        return *slope(d), e
 
     lo, hi = 0.0, float(q[away])
-    if slope(hi)[0] >= 0:
+    if slope_at(hi)[0] >= 0:
         return hi, 1
     delta = states[toward] - states[away]
-    point, s, evals = 0.0, float(div[toward] - div[away]), 1
+    point, evals = 0.0, 1
+    s, noise = slope(div)
     for _ in range(LINE_MAX_EVALS):
         derivative = _slope_derivative(eig, delta)
         new = point - s / derivative if -math.inf < derivative < 0 else math.nan
         if abs(new - point) <= 4 * math.ulp(point):
+            break
+        if abs(s) <= noise < math.inf:  # point is the root: keep the Newton point unless it leaves [0, q[away]]
+            new = new if 0 <= new <= q[away] else point
             break
         if not lo < new < hi:
             new = 0.5 * (lo + hi)
             if hi - lo <= 4 * math.ulp(hi):
                 break
         point = new
-        s, eig = slope(point)
+        s, noise, eig = slope_at(point)
         evals += 1
         if s > 0:
             lo = point
@@ -169,12 +186,12 @@ def inner_maximize(states: np.ndarray, eps: float = INNER_EPS) -> InnerSolution:
     that the slope's sign narrows; a step that leaves the bracket, or a
     derivative that is not finite and negative (rho_bar losing support),
     falls back to the midpoint. The search stops when its step or its
-    bracket is a few ulps. Each point it tries costs one eigh of rho_bar,
-    which gives the slope and its derivative; ``decompositions`` counts
-    these as InnerSolution says. The returned gap bounds the distance to the
-    optimum: for any weights q, max_u D(rho_u || rho_bar(q)) is an upper
-    bound on the optimal value, so value + gap >= optimum regardless of
-    convergence.
+    bracket is a few ulps, or when the slope is at rounding level. Each
+    point it tries costs one eigh of rho_bar, which gives the slope and its
+    derivative; ``decompositions`` counts these as InnerSolution says. The
+    returned gap bounds the distance to the optimum: for any weights q,
+    max_u D(rho_u || rho_bar(q)) is an upper bound on the optimal value, so
+    value + gap >= optimum regardless of convergence.
     ``iterations`` counts the iterations actually run, also when a solve
     stalls before INNER_MAX_ITER. Non-finite states, a NaN gap, or a final gap
     that is not finite raise GpcqError; an infinite gap mid-solve is an honest

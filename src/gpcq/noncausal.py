@@ -9,13 +9,18 @@ blocklength's value from above.
 At n = 1 the value is one concave maximization. For a fixed strategy table
 chi(U;B) - I(U;S) = I(SU;B) - I(S;UB) is concave in q(u|s), and the
 auxiliary alphabet can be taken to be the Shannon strategies (Shannon
-1958), so the bound is one ascent of a closed-form multiplicative step on
+1958), so the bound is one ascent from uniform weights on every strategy,
+with no restarts. Its plain step is a closed-form multiplicative step on
 q(t|s) (a Blahut-Arimoto-style update that never lowers the objective),
-from uniform weights on every strategy, with no restarts. The ascent is
-capped at causal.INNER_MAX_ITER steps and converges slowly on some
-channels, so a capped ascent (restart_capped) can stop short of the
-maximum; the causal solution is kept where it is at least as good, so the
-bound dominates the causal capacity by construction. At n >= 2 a search
+which converges only linearly; so each iteration takes two plain steps and
+then a SQUAREM extrapolation of them (Varadhan-Roland 2008), floored at
+SQUAREM_FLOOR times the second step's weights so that no strategy's
+weight reaches 0, and kept only if it scores above the second step. The
+first plain step that does not rise ends the solve. The solve is capped at
+causal.INNER_MAX_ITER scored candidates, so a capped solve
+(restart_capped) can stop short of the maximum; the causal solution is
+kept where it is at least as good, so the bound dominates the causal
+capacity by construction. At n >= 2 a search
 alternates that step with greedy strategy sweeps, from the n = 1 witness's
 n-fold product, explicit witnesses and random restarts, and stops once a
 start reaches the upper bound.
@@ -24,10 +29,11 @@ Every candidate is scored from scratch, in the same operation order as a
 full evaluation, so the search's values and witnesses do not depend on how
 candidates are batched. A sweep cell (s, u) changes only A_u and rho_bar,
 so all inputs of a cell are scored from one eigvalsh of their candidate
-A_u and rho_bar. The ascent gathers the strategy's letter states once, and
-one eigh of a candidate's [A_u; rho_bar] stack gives both its score and,
-once it is accepted, the logarithms of the next step; so an ascent makes
-one decomposition per scored candidate plus one for its start.
+A_u and rho_bar. The ascent and the n = 1 solve gather the strategy's
+letter states once, and one eigh of a candidate's [A_u; rho_bar] stack
+gives both its score and, once it is accepted, the logarithms of the next
+step; so each makes one decomposition per scored candidate, extrapolated
+ones included, plus one for its start.
 
 The search's starts run in batches along a leading start axis: one eigh,
 eigvalsh or einsum call serves every live start, and a start leaves the
@@ -70,6 +76,13 @@ DEFAULT_AUX_CAP = 16
 # the values.
 EIG_FLOOR = 1e-12
 TRIM_TOL = 1e-6  # trim_witness's weight and proportionality tolerance
+# The n = 1 solve's extrapolated point is floored entrywise at this fraction of
+# its second plain step before its rows are renormalized. Clipped at 0 instead,
+# a strategy whose weight hits 0 regrows only from a 2^-40 weight (log
+# EIG_FLOOR), and the first step that does not rise ends the solve: on 2 of 200
+# random channels (default_rng(2026), channels 57 and 76) that variant stopped
+# 1.5e-4 and 4.5e-5 below the plain step.
+SQUAREM_FLOOR = 1e-3
 
 
 
@@ -196,16 +209,16 @@ def _q_step(letters: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> np.ndarr
     return step / np.add.reduce(step, axis=-1, keepdims=True)
 
 
-def _ascend_q(p, tensor, q, strategy, cur, max_steps: int = ASCENT_ITERS):
-    """_q_step from each start's q (objective cur) while its exact objective rises, for at most max_steps steps.
+def _ascend_q(p, tensor, q, strategy, cur):
+    """_q_step from each start's q (objective cur) while its exact objective rises, for at most ASCENT_ITERS steps.
 
     q and strategy are (starts, |S|, |U|) and cur has one entry per start;
     returns per start (q, f, steps, evals, capped), capped when the ascent
-    ran max_steps steps. The letter states are gathered once. Each
+    ran ASCENT_ITERS steps. The letter states are gathered once. Each
     candidate is scored from the eigenvalues of one eigh of its _stack, and
     an accepted candidate's decomposition is the next step's, so a start
     makes evals + 1 of them: its first and one per scored candidate. That is
-    steps + 2 when a rejected candidate ends its ascent before max_steps.
+    steps + 2 when a rejected candidate ends its ascent before the cap.
     A start whose candidate does not rise leaves the live arrays, so every
     call serves only the starts still ascending.
     """
@@ -214,7 +227,7 @@ def _ascend_q(p, tensor, q, strategy, cur, max_steps: int = ASCENT_ITERS):
     live = np.arange(len(q))
     p_col, letters = p[:, None], letter_states(tensor, strategy)
     vals, vecs = np.linalg.eigh(_stack(_derived(p_col * q, letters)))
-    for it in range(max_steps):
+    for it in range(ASCENT_ITERS):
         cand = _q_step(letters, vals, vecs)
         w = p_col * cand
         vals, vecs = np.linalg.eigh(_stack(_derived(w, letters)))
@@ -230,7 +243,7 @@ def _ascend_q(p, tensor, q, strategy, cur, max_steps: int = ASCENT_ITERS):
             live, letters, cand, vals, vecs, val = (a[rise] for a in (live, letters, cand, vals, vecs, val))
         q, cur = cand, val
     else:
-        q_out[live], f_out[live], evals[live], capped[live] = q, cur, max_steps, True
+        q_out[live], f_out[live], evals[live], capped[live] = q, cur, ASCENT_ITERS, True
     return q_out, f_out, evals - 1 + capped, evals, capped
 
 
@@ -300,12 +313,12 @@ class _Run(NamedTuple):
     """What one start of an _alternate batch did, counted as if it ran alone."""
 
     value: float
-    ascent_steps: int  # accepted q-steps
+    ascent_steps: int  # accepted q-steps (at n = 1 accepted candidates)
     objective_evals: int  # candidate scorings
     rounds: int
     decompositions: int  # eigvalsh and eigh decompositions
-    capped: bool  # stopped at max_rounds, not by the ALT_EPS rule
-    ascents_capped: int  # ascents that hit their step cap
+    capped: bool  # stopped at max_rounds, not by the ALT_EPS rule (at n = 1 at the cap, not by the stop rule)
+    ascents_capped: int  # ascents that hit their cap
 
 
 def _alternate(p, tensor, q, strategy, num_inputs, max_rounds):
@@ -442,7 +455,7 @@ class GPWitness:
     """Best witness found: per-symbol value with the realizing conditionals.
 
     A start is a candidate the call scored: at n = 1 the causal witness and,
-    when that does not close the bracket, the concave ascent, which counts as
+    when that does not close the bracket, the concave solve, which counts as
     one round (an ascent alone); at n >= 2 each start of the search.
     """
 
@@ -456,21 +469,24 @@ class GPWitness:
     restart_index: int
     restarts: int
     restart_values: tuple[float, ...]  # per symbol, one per start in start order
-    ascent_steps: int  # accepted q-steps, summed over starts
+    # Accepted candidates, summed over starts: q-steps, and at n = 1 the solve's plain and extrapolated points.
+    ascent_steps: int
     # Candidate scorings, summed over starts: the first witness, every q-step
-    # tried, and per sweep its starting witness and each alternative input of each cell.
+    # tried (at n = 1 every plain and extrapolated candidate, and the solve's
+    # witness), and per sweep its starting witness and each alternative input of each cell.
     objective_evals: int
     rounds: int  # rounds (ascent, then at n >= 2 a sweep) run, summed over starts
     # eigvalsh and eigh decompositions of the starts, each start's counted
     # as if it ran alone (a batch shares one call among its starts), summed over
-    # starts: per start one for the first witness, per ascent one per scored
-    # candidate plus one for its start, and per sweep one for its starting witness
-    # plus one per cell.
+    # starts: per start one for the first witness, per ascent (and the n = 1
+    # solve) one per scored candidate plus one for its start, at n = 1 one for
+    # the solve's witness, and per sweep one for its starting witness plus one per cell.
     decompositions: int
     restart_rounds: tuple[int, ...]  # rounds run by each start, in start order
-    # Per start: its rounds hit their cap (max_rounds at n >= 2, the solve's step cap at n = 1).
+    # Per start: its rounds hit their cap (max_rounds at n >= 2; at n = 1 the
+    # solve's causal.INNER_MAX_ITER scored candidates ended it, not its stop rule).
     restart_capped: tuple[bool, ...]
-    ascents_capped: int  # ascents that hit their step cap, summed over starts
+    ascents_capped: int  # ascents (and n = 1 solves) that hit their cap, summed over starts
     upper: float  # noncausal_upper_bound's value, per symbol
     upper_gap: float  # its gap: upper + upper_gap is certified from above
     leak_per_symbol: float  # leak / n
@@ -494,29 +510,90 @@ def _distinct_strategies(tensor: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return columns[np.all(first[np.arange(len(tensor)), columns] == columns, axis=1)]
 
 
-def _solve_single_letter(p: np.ndarray, tensor: np.ndarray, strategy: np.ndarray):
-    """The n = 1 solve: one _ascend_q from uniform q(t|s) over the (|S|, T) strategy table; returns (q, strategy, _Run).
+def _extrapolated(q0: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> np.ndarray | None:
+    """SQUAREM's point from q0 and its two plain steps q1 and q2 (Varadhan-Roland 2008), or None.
 
-    The ascent stops at the first candidate that does not rise or after
-    causal.INNER_MAX_ITER steps. The witness keeps the strategies of nonzero
-    weight, and the run's value is _objective at that witness. Counts: the
-    scorings of the start, the ascent's candidates and the witness; one
-    eigvalsh each for the start and the witness, and the ascent's evals + 1 eigh.
+    With r = q1 - q0, v = q2 - 2 q1 + q0 and alpha = -|r|/|v| (Frobenius
+    norms) the point is q0 - 2 alpha r + alpha^2 v, floored entrywise at
+    SQUAREM_FLOOR q2 and renormalized row by row. None when alpha is not
+    below -1 (alpha = -1 gives q2 itself) or v = 0.
     """
-    q = np.full((1,) + strategy.shape, 1.0 / strategy.shape[1])
-    cur = _objective(p, tensor, q[0], strategy).value
-    (q,), _, (steps,), (evals,), (capped,) = _ascend_q(
-        p, tensor, q, strategy[None], np.array([cur]), max_steps=INNER_MAX_ITER
-    )
+    r, v = q1 - q0, q2 - 2 * q1 + q0
+    norm_r, norm_v = np.linalg.norm(r), np.linalg.norm(v)
+    if not norm_r > norm_v > 0:
+        return None
+    alpha = -norm_r / norm_v
+    q_e = np.maximum(q0 - 2 * alpha * r + alpha**2 * v, SQUAREM_FLOOR * q2)
+    return q_e / np.add.reduce(q_e, axis=-1, keepdims=True)
+
+
+def _ascend_squarem(p, tensor, q, strategy, cur):
+    """The n = 1 solve's safeguarded SQUAREM ascent from q (objective cur); returns (q, steps, evals, capped).
+
+    q and strategy are (|S|, T). Each iteration takes two plain _q_steps
+    from its start q0 and then one extrapolated candidate (_extrapolated).
+    The first plain step that does not score above the current point ends
+    the ascent, the stop rule of _ascend_q (when the second one fails, the
+    next iteration's first step would be the same candidate). The
+    extrapolated point is kept only if it scores above the second plain
+    step, so an iteration never ends below two plain steps, and the next
+    iteration starts from the better of the two. The letter states are
+    gathered once; every candidate is scored from one eigh of its _stack,
+    and the kept point's decomposition is the next step's, so the ascent
+    makes evals + 1 decompositions. steps counts the accepted candidates and
+    evals the scored ones, at most causal.INNER_MAX_ITER; capped says that
+    cap, not the stop rule, ended the ascent.
+    """
+    p_col, letters = p[:, None], letter_states(tensor, strategy)
+    eig = np.linalg.eigh(_stack(_derived(p_col * q, letters)))
+    steps = evals = 0
+
+    def advance(cand):
+        """Score cand, and make it the current point if it scores above it; returns whether it did."""
+        nonlocal q, cur, eig, steps, evals
+        w = p_col * cand
+        cand_eig = np.linalg.eigh(_stack(_derived(w, letters)))
+        val = _score(p, w, cand_eig[0]).value
+        evals += 1
+        if not val > cur:
+            return False
+        q, cur, eig, steps = cand, val, cand_eig, steps + 1
+        return True
+
+    trail = [q]  # the iteration's start and its accepted plain steps
+    while evals < INNER_MAX_ITER:
+        if len(trail) == 3:
+            q_e = _extrapolated(*trail)
+            if q_e is not None:
+                advance(q_e)
+            trail = [q]
+        elif advance(_q_step(letters, *eig)):
+            trail.append(q)
+        else:
+            return q, steps, evals, False
+    return q, steps, evals, True
+
+
+def _solve_single_letter(p: np.ndarray, tensor: np.ndarray, strategy: np.ndarray):
+    """The n = 1 solve: one _ascend_squarem from uniform q(t|s) over the (|S|, T) strategy table; returns (q, strategy, _Run).
+
+    The witness keeps the strategies of nonzero weight, and the run's value
+    is _objective at that witness. Counts: the scorings of the start, of
+    every candidate (extrapolations included) and of the witness; one
+    eigvalsh each for the start and the witness, and the ascent's evals + 1
+    eigh; capped when the ascent hit causal.INNER_MAX_ITER candidates.
+    """
+    q = np.full(strategy.shape, 1.0 / strategy.shape[1])
+    q, steps, evals, capped = _ascend_squarem(p, tensor, q, strategy, _objective(p, tensor, q, strategy).value)
     keep = np.any(q > 0, axis=0)
     q, strategy = q[:, keep], strategy[:, keep]
     run = _Run(
         value=_objective(p, tensor, q, strategy).value,
-        ascent_steps=int(steps),
-        objective_evals=2 + int(evals),
+        ascent_steps=steps,
+        objective_evals=2 + evals,
         rounds=1,
-        decompositions=3 + int(evals),
-        capped=bool(capped),
+        decompositions=3 + evals,
+        capped=capped,
         ascents_capped=int(capped),
     )
     return q, strategy, run
@@ -560,8 +637,8 @@ def noncausal_lower_bound(
     The n = 1 witness comes first. The causal solution, as the witness
     q(t|s) = q(t), leaks nothing and attains the causal capacity; unless it
     closes the bracket (comes within ALT_EPS of noncausal_upper_bound's
-    certified value), _solve_single_letter ascends over the distinct
-    Shannon strategies (_distinct_strategies, capped by STRATEGY_CAP), and
+    certified value), _solve_single_letter's SQUAREM ascent runs over the
+    distinct Shannon strategies (_distinct_strategies, capped by STRATEGY_CAP), and
     the better witness is kept, ties going to the causal one, so non-causal
     >= causal holds by construction. At n = 1 that is the result, and
     restart_values lists the candidates. restarts, seed and max_rounds apply
@@ -633,7 +710,7 @@ def noncausal_lower_bound(
 
     if n > 1:
         q1, strat1, run1 = max(candidates, key=lambda c: c[2].value)  # the first maximum, so ties keep the causal
-        # The ascent's weights never reach 0, so its witness keeps nearly every strategy; its product
+        # The solve's weights never reach 0, so its witness keeps nearly every strategy; its product
         # starts from the trimmed witness unless trimming lowers the n = 1 value.
         q_trim, strat_trim = trim_witness(q1, strat1)
         if _objective(ch.p, ch.tensor, q_trim, strat_trim).value >= run1.value:

@@ -11,21 +11,26 @@ last bits. The package must reproduce these loops bit for bit.
 
 restarted_search is the n = 1 bound the package computed before its
 concave ascent: these loops from the causal witness and random restarts.
+plain_single_letter is the n = 1 bound of the concave ascent before its
+SQUAREM step: the plain multiplicative step alone.
 """
 
 import numpy as np
 
-from gpcq.causal import causal_capacity
+from gpcq.causal import INNER_MAX_ITER, causal_capacity
 from gpcq.channel import derived_states, letter_states
 from gpcq.noncausal import (
     ALT_EPS,
     ASCENT_ITERS,
     _alternate,
+    _derived,
+    _distinct_strategies,
     _objective,
     _q_step,
     _score,
     _stack,
     noncausal_upper_bound,
+    strategy_columns,
 )
 from gpcq.util import rng_for
 
@@ -126,3 +131,38 @@ def restarted_search(ch, restarts: int, seed: int, max_rounds: int = 40) -> floa
             if run.value >= target:
                 return max(values)
     return max(values)
+
+
+def plain_single_letter(ch) -> tuple[float, int, bool]:
+    """The n = 1 bound with the plain step; returns (value, accepted steps, capped).
+
+    The causal witness q(t|s) = q(t) is scored first and returned if it
+    closes the bracket. Otherwise _q_step runs from uniform q(t|s) over the
+    distinct Shannon strategies while the exact objective rises, for at most
+    causal.INNER_MAX_ITER steps, each candidate scored from the eigh its
+    next step uses; the better of the causal witness and the ascent's
+    witness (its strategies of nonzero weight, scored by _objective) is
+    the value.
+    """
+    causal = causal_capacity(ch)
+    upper = noncausal_upper_bound(ch)
+    p, tensor = ch.p, ch.tensor
+    lifted = _objective(p, tensor, np.tile(causal.q, (ch.num_states, 1)), np.asarray(causal.strategy.columns).T).value
+    if lifted >= upper.value + upper.gap - ALT_EPS:
+        return lifted, 0, False
+    strategy = _distinct_strategies(tensor, strategy_columns(ch.num_states, ch.num_inputs)).T
+    p_col, letters = p[:, None], letter_states(tensor, strategy)
+    q = np.full(strategy.shape, 1.0 / strategy.shape[1])
+    cur = _objective(p, tensor, q, strategy).value
+    eig = np.linalg.eigh(_stack(_derived(p_col * q, letters)))
+    steps, capped = 0, True
+    for _ in range(INNER_MAX_ITER):
+        cand = _q_step(letters, *eig)
+        cand_eig = np.linalg.eigh(_stack(_derived(p_col * cand, letters)))
+        val = _score(p, p_col * cand, cand_eig[0]).value
+        if not val > cur:
+            capped = False
+            break
+        q, cur, eig, steps = cand, val, cand_eig, steps + 1
+    keep = np.any(q > 0, axis=0)
+    return max(lifted, _objective(p, tensor, q[:, keep], strategy[:, keep]).value), steps, capped
